@@ -137,9 +137,12 @@ def strand_budget() -> int:
     if raw is None:
         return DEFAULT_STRAND_BUDGET
     try:
-        return int(raw)
+        budget = int(raw)
     except ValueError:
         raise ConfigError(f"{BUDGET_ENV} must be an integer, got {raw!r}") from None
+    if budget < 0:
+        raise ConfigError(f"{BUDGET_ENV} must not be negative, got {budget}")
+    return budget
 
 
 def _coloring_text(coloring) -> str:

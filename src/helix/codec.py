@@ -115,6 +115,7 @@ class Codebook:
         self.provenance = provenance
         self.length = length
         self._table = table
+        self._sequences = {key: cw.sequence for key, cw in table.items()}  # render's fast path
         self._validation: ValidationReport | None = None
 
     def codeword(self, vertex: int, color: int) -> Codeword:
@@ -266,6 +267,12 @@ def codebook_to_json(cb: Codebook) -> dict:
     }
 
 
+def _json_int(value, field: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise CodecError(f"codebook field {field!r} must be an integer, got {value!r}")
+    return value
+
+
 def codebook_from_json(data) -> Codebook:
     if not isinstance(data, dict):
         raise CodecError("codebook document must be a JSON object")
@@ -274,16 +281,20 @@ def codebook_from_json(data) -> Codebook:
         raise CodecError(f"codebook document missing fields: {sorted(missing)}")
     try:
         entries = [
-            Codeword(int(e["vertex"]), int(e["color"]), str(e["sequence"]))
+            Codeword(
+                _json_int(e["vertex"], "vertex"),
+                _json_int(e["color"], "color"),
+                str(e["sequence"]),
+            )
             for e in data["entries"]
         ]
     except (KeyError, TypeError) as exc:
         raise CodecError(f"malformed codebook entry: {exc}") from None
     length = data.get("length")
     return Codebook(
-        int(data["n"]), int(data["k"]), entries,
+        _json_int(data["n"], "n"), _json_int(data["k"], "k"), entries,
         provenance=str(data.get("provenance", "file")),
-        length=None if length is None else int(length),
+        length=None if length is None else _json_int(length, "length"),
     )
 
 
@@ -317,7 +328,10 @@ def encode_assignment(cb: Codebook, coloring) -> Strand:
 
 
 def render(strand: Strand, cb: Codebook) -> str:
-    return "".join(cb.codeword(v, c).sequence for v, c in strand)
+    try:
+        return "".join(map(cb._sequences.__getitem__, strand))
+    except (KeyError, TypeError):  # a token outside the codebook, or not a hashable pair
+        return "".join(cb.codeword(v, c).sequence for v, c in strand)
 
 
 def decode_strand(seq: str, cb: Codebook) -> Strand:

@@ -12,6 +12,17 @@ ends empty), Merge pours sources into the destination, Extract pours the
 source into its two output tubes, and Discard retires a tube for good.  The
 machine tracks the total strand count across live tubes after every operation;
 the high-water mark is the run's peak tube size.
+
+Packed strands: inside a machine every strand is one Python int, in the spirit
+of the sticker model's memory strands (Roweis et al., J. Comput. Biol. 5(4),
+1998).  The low ORDER_BITS bits hold an order id, an index into the machine's
+table of vertex sequences, so a strand remembers the order its tokens were
+appended in.  Above them sits one bit per (vertex, color) token, assigned the
+first time the machine sees that token.  Symbolic extract is then `s & bit`,
+append moves every strand to the order id of its sequence plus the new vertex
+by adding one delta per order id, and equal strands are equal ints.
+Tube.contents unpacks to token tuples in append order through a per-order plan
+of (vertex mask, {masked bits: token}) pairs.
 """
 
 from __future__ import annotations
@@ -19,10 +30,18 @@ from __future__ import annotations
 import dataclasses
 from collections import Counter
 from dataclasses import dataclass
+from functools import partial
+from itertools import compress, filterfalse, tee
+from operator import itemgetter, not_
 
-from .codec import Codebook, Codeword, SoundnessError, Strand, render
+from .codec import Codebook, Codeword, SoundnessError, Strand, Token, render
 
 MATCH_MODES = ("symbolic", "nucleotide")
+
+ORDER_BITS = 32
+ORDER_MASK = (1 << ORDER_BITS) - 1
+
+_vertex_of = itemgetter(0)
 
 
 class MachineFault(RuntimeError):
@@ -52,18 +71,41 @@ class OpCounter:
         return dataclasses.replace(self)
 
 
+class _Registry(dict):
+    """A dict that fills a missing key with register(key) on lookup by []."""
+
+    def __init__(self, register):
+        super().__init__()
+        self._register = register
+
+    def __missing__(self, key):
+        value = self[key] = self._register(key)
+        return value
+
+
 class Tube:
-    """A labeled multiset of strands (list-backed; order carries no meaning)."""
+    """A labeled multiset of strands (list-backed; order carries no meaning).
 
-    __slots__ = ("label", "contents", "retired")
+    `packed` holds the strands as the owning machine's ints; `contents`
+    unpacks them to token tuples in append order.  A strand names each vertex
+    at most once: TubeMachine.new_tube raises MachineFault on one that names a
+    vertex twice.
+    """
 
-    def __init__(self, label: str, contents=()):
+    __slots__ = ("label", "packed", "retired", "_machine")
+
+    def __init__(self, label: str, machine: "TubeMachine", packed: list[int]):
         self.label = label
-        self.contents: list[Strand] = list(contents)
+        self.packed = packed  # owned by this tube: callers hand over a fresh list
         self.retired = False
+        self._machine = machine
+
+    @property
+    def contents(self) -> list[Strand]:
+        return self._machine._unpack(self.packed)
 
     def __len__(self) -> int:
-        return len(self.contents)
+        return len(self.packed)
 
     def counts(self) -> Counter:
         return Counter(self.contents)
@@ -73,7 +115,7 @@ class Tube:
         return [[[v, c] for v, c in strand] for strand in self.contents]
 
     def __repr__(self):
-        state = "retired" if self.retired else f"{len(self.contents)} strands"
+        state = "retired" if self.retired else f"{len(self.packed)} strands"
         return f"Tube({self.label!r}, {state})"
 
 
@@ -84,6 +126,11 @@ class TubeMachine:
         self.counter = OpCounter()
         self._live_strands = 0
         self.peak_tube_size = 0
+        self._bit: dict[Token, int] = _Registry(self._new_token)
+        self._token_at: dict[int, dict[int, Token]] = {}  # vertex -> {bit: token}
+        self._orders: list[tuple[int, ...]] = []
+        self._order_id: dict[tuple[int, ...], int] = _Registry(self._new_order)
+        self._plans: dict[int, tuple[tuple[int, dict[int, Token]], ...]] = {}
 
     def _credit(self, delta: int) -> None:
         self._live_strands += delta
@@ -95,20 +142,63 @@ class TubeMachine:
         if tube.retired:
             raise MachineFault(f"tube {tube.label!r} was discarded")
 
+    # --- packing -----------------------------------------------------------
+
+    def _new_token(self, token: Token) -> int:
+        bit = 1 << (ORDER_BITS + len(self._bit))
+        self._token_at.setdefault(token[0], {})[bit] = token
+        self._plans.clear()  # a plan holds the vertex masks it was built with
+        return bit
+
+    def _new_order(self, order: tuple[int, ...]) -> int:
+        if len(set(order)) != len(order):
+            raise MachineFault(f"strand names a vertex twice: vertex order {order}")
+        self._orders.append(order)
+        return len(self._orders) - 1
+
+    def _pack(self, strands) -> list[int]:
+        """Token tuples to ints, streaming; every per-token step runs in C-level map calls."""
+        tokens, vertices = tee(strands)
+        bits = map(partial(map, self._bit.__getitem__), tokens)
+        oids = map(self._order_id.__getitem__, map(tuple, map(partial(map, _vertex_of), vertices)))
+        return list(map(sum, bits, oids))
+
+    def _unpack(self, packed: list[int]) -> list[Strand]:
+        plans = {oid: self._plan(oid) for oid in set(map(ORDER_MASK.__and__, packed))}
+        return [tuple([tok[s & m] for m, tok in plans[s & ORDER_MASK]]) for s in packed]
+
+    def _plan(self, oid: int) -> tuple[tuple[int, dict[int, Token]], ...]:
+        plan = self._plans.get(oid)
+        if plan is None:
+            plan = self._plans[oid] = tuple(
+                (sum(self._token_at[v]), self._token_at[v]) for v in self._orders[oid]
+            )
+        return plan
+
+    # --- operations --------------------------------------------------------
+
     def new_tube(self, label: str, contents=()) -> Tube:
-        tube = Tube(label, contents)
-        self._credit(len(tube.contents))
+        tube = Tube(label, self, self._pack(contents))
+        self._credit(len(tube))
         return tube
 
     def append(self, tube: Tube, cw: Codeword) -> Tube:
         """Extend every strand in the tube with cw's (vertex, color) token."""
         self._require_live(tube)
         v = cw.vertex
-        for s in tube.contents:
-            if any(tok[0] == v for tok in s):
+        bit = self._bit[(v, cw.color)]
+        strands = tube.packed
+        delta = {}
+        for oid in set(map(ORDER_MASK.__and__, strands)):
+            order = self._orders[oid]
+            if v in order:
                 raise MachineFault(f"append: strand already assigns vertex {v}")
-        token = (v, cw.color)
-        tube.contents = [s + (token,) for s in tube.contents]
+            delta[oid] = bit + self._order_id[order + (v,)] - oid
+        if len(delta) == 1:
+            (d,) = delta.values()
+            tube.packed = list(map(d.__add__, strands))
+        else:
+            tube.packed = [s + delta[s & ORDER_MASK] for s in strands]
         self.counter.append += 1
         return tube
 
@@ -117,9 +207,9 @@ class TubeMachine:
         self._require_live(tube)
         if count < 1:
             raise ValueError(f"copy count must be at least 1, got {count}")
-        src = tube.contents
-        copies = [Tube(f"{tube.label}#{i}", src) for i in range(1, count + 1)]
-        tube.contents = []
+        src = tube.packed
+        copies = [Tube(f"{tube.label}#{i}", self, src[:]) for i in range(1, count + 1)]
+        tube.packed = []
         self._credit((count - 1) * len(src))
         self.counter.copy += 1
         return copies
@@ -131,8 +221,8 @@ class TubeMachine:
             if src is dest:
                 raise MachineFault("merge: tube cannot be merged into itself")
             self._require_live(src)
-            dest.contents.extend(src.contents)
-            src.contents = []
+            dest.packed.extend(src.packed)
+            src.packed = []
         self.counter.merge += 1
         return dest
 
@@ -148,37 +238,37 @@ class TubeMachine:
         Symbolic mode tests token membership.  Nucleotide mode tests whether
         cw's base sequence occurs in the rendered strand, and is refused unless
         the codebook passed validation, since substring search on an unsafe
-        codebook can disagree with token membership.
+        codebook can disagree with token membership.  Both outputs keep the
+        source's strand order.
         """
         self._require_live(tube)
+        strands = tube.packed
         if match_mode == "symbolic":
-            token = (cw.vertex, cw.color)
-            plus = [s for s in tube.contents if token in s]
-            minus = [s for s in tube.contents if token not in s]
+            has_token = self._bit.get((cw.vertex, cw.color), 0).__and__  # a token never seen is in no strand
+            plus, minus = filter(has_token, strands), filterfalse(has_token, strands)
         elif match_mode == "nucleotide":
             if cb is None:
                 raise SoundnessError("nucleotide extract needs a codebook")
             if not cb.validation().ok:
                 raise SoundnessError("nucleotide extract refused: codebook failed validation")
             seq = cw.sequence
-            plus, minus = [], []
-            for s in tube.contents:
-                (plus if seq in render(s, cb) else minus).append(s)
+            flags = [seq in render(s, cb) for s in self._unpack(strands)]
+            plus, minus = compress(strands, flags), compress(strands, map(not_, flags))
         else:
             raise ValueError(f"unknown match mode {match_mode!r}")
-        tube.contents = []
+        tube.packed = []
         self.counter.extract += 1
-        return (Tube(f"{tube.label}+", plus), Tube(f"{tube.label}-", minus))
+        return Tube(f"{tube.label}+", self, list(plus)), Tube(f"{tube.label}-", self, list(minus))
 
     def detect(self, tube: Tube) -> bool:
         self._require_live(tube)
         self.counter.detect += 1
-        return bool(tube.contents)
+        return bool(tube.packed)
 
     def discard(self, tube: Tube) -> None:
         """Drop the tube's contents and retire it; later operations on it fault."""
         self._require_live(tube)
-        self._credit(-len(tube.contents))
-        tube.contents = []
+        self._credit(-len(tube.packed))
+        tube.packed = []
         tube.retired = True
         self.counter.discard += 1

@@ -19,6 +19,7 @@ final Detect on the survivor tube.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from dataclasses import dataclass
 
@@ -142,7 +143,7 @@ def solve_incremental(
                 machine.merge(bad_tube, bad_outputs[c])
                 discarded += len(bad_tube)
                 machine.discard(bad_tube)
-        if len(set(t0.contents)) != len(t0.contents):
+        if len(set(t0.packed)) != len(t0):
             raise SolverError(f"survivor tube holds a repeated strand after vertex {v}")
         steps.append(
             StepRecord(v, t0_before, after_append, after_filter, discarded, len(t0))
@@ -213,6 +214,7 @@ TRACE_FIELDS = frozenset(
 STEP_FIELDS = frozenset(
     {"vertex", "t0_before", "per_color_after_append", "per_color_after_filter", "discarded", "t0_after"}
 )
+OP_FIELDS = frozenset(f.name for f in dataclasses.fields(OpCounter))
 
 
 def trace_document(
@@ -258,31 +260,47 @@ def read_trace_document(doc: dict) -> tuple[dict, SolutionSet, Trace]:
     graph = doc["graph"]
     if not isinstance(graph, dict) or {"n", "m"} - graph.keys():
         raise SolverError("trace graph must carry n and m")
+    if not isinstance(doc["steps"], list):
+        raise SolverError("trace steps must be a list")
     steps = []
     for entry in doc["steps"]:
+        if not isinstance(entry, dict):
+            raise SolverError(f"step record must be a JSON object, got {entry!r}")
         entry_missing = STEP_FIELDS - entry.keys()
         if entry_missing:
             raise SolverError(f"step record missing fields: {sorted(entry_missing)}")
-        steps.append(
-            StepRecord(
-                entry["vertex"],
-                entry["t0_before"],
-                tuple(entry["per_color_after_append"]),
-                tuple(entry["per_color_after_filter"]),
-                entry["discarded"],
-                entry["t0_after"],
+        try:
+            steps.append(
+                StepRecord(
+                    entry["vertex"],
+                    entry["t0_before"],
+                    tuple(entry["per_color_after_append"]),
+                    tuple(entry["per_color_after_filter"]),
+                    entry["discarded"],
+                    entry["t0_after"],
+                )
             )
+        except TypeError as exc:
+            raise SolverError(f"malformed step record: {exc}") from None
+    op_doc = doc["op_totals"]
+    if not isinstance(op_doc, dict):
+        raise SolverError("trace op_totals must be a JSON object")
+    unknown = op_doc.keys() - OP_FIELDS
+    if unknown:
+        raise SolverError(f"trace op_totals names unknown operations: {sorted(map(str, unknown))}")
+    op_totals = OpCounter(**op_doc)
+    try:
+        meta = {
+            "graph": {"n": graph["n"], "m": graph["m"]},
+            "k": doc["k"],
+            "order": list(doc["order"]),
+            "mode": doc["mode"],
+        }
+        solutions = SolutionSet(
+            frozenset(tuple(c) for c in doc["solutions"]), bool(doc["colorable"])
         )
-    op_totals = OpCounter(**doc["op_totals"])
-    meta = {
-        "graph": {"n": graph["n"], "m": graph["m"]},
-        "k": doc["k"],
-        "order": list(doc["order"]),
-        "mode": doc["mode"],
-    }
-    solutions = SolutionSet(
-        frozenset(tuple(c) for c in doc["solutions"]), bool(doc["colorable"])
-    )
+    except TypeError as exc:
+        raise SolverError(f"malformed trace document: {exc}") from None
     trace = Trace(
         tuple(steps), op_totals, doc["peak_tube_size"], doc.get("construction")
     )

@@ -270,3 +270,21 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["peak_tube_size"] == 18
+
+
+def test_codebook_file_with_non_integer_field_exit_1(tmp_path, capsys):
+    path = tmp_path / "cb.json"
+    assert run_cli("codebook", "generate", "--n", "3", "--colors", "3", "--out", str(path)) == 0
+    doc = json.loads(path.read_text())
+    doc["n"] = "x"
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run_cli("solve", "--graph", "builtin:k3", "--colors", "3", "--codebook", str(path)) == 1
+    assert "'n' must be an integer" in capsys.readouterr().err
+
+
+def test_budget_env_var_must_not_be_negative(capsys, monkeypatch):
+    monkeypatch.setenv("HELIX_BUDGET", "-5")
+    assert run_cli("compare", "--graph", "builtin:k3", "--colors", "3") == 2
+    err = capsys.readouterr().err
+    assert "must not be negative" in err and "over the budget" not in err

@@ -253,3 +253,28 @@ def test_junction_soundness_on_table1_samples(table1):
         rendered = render(strand, table1)
         for cw in table1.codewords():
             assert ((cw.vertex, cw.color) in strand) == (cw.sequence in rendered)
+
+
+def test_render_raises_for_a_token_outside_the_codebook(table1):
+    assert render([[1, 0], [2, 1]], table1) == render(((1, 0), (2, 1)), table1)
+    with pytest.raises(CodecError, match="vertex 13"):
+        render(((1, 0), (13, 0)), table1)
+    with pytest.raises(CodecError, match="color 3"):
+        render(((1, 3),), table1)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("n", "x"), ("k", "2"), ("k", 2.5), ("length", "long"),
+        ("vertex", "one"), ("vertex", 1.0), ("color", None), ("color", True),
+    ],
+)
+def test_codebook_from_json_rejects_non_integer_fields(table1, field, value):
+    doc = codebook_to_json(table1)
+    if field in ("vertex", "color"):
+        doc["entries"][0][field] = value
+    else:
+        doc[field] = value
+    with pytest.raises(CodecError, match=f"'{field}' must be an integer"):
+        codebook_from_json(doc)

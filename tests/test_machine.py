@@ -270,3 +270,75 @@ def test_match_modes_agree_on_validated_codebook():
         np_, nm = m.extract(m.new_tube("n", contents), codeword, "nucleotide", cb)
         assert sp.counts() == np_.counts()
         assert sm.counts() == nm.counts()
+
+
+# --- packed strands --------------------------------------------------------
+
+# Strands whose tokens come in any vertex order, so one tube mixes orders.
+mixed_strand_st = st.lists(
+    st.tuples(st.integers(1, 8), st.integers(0, 3)), unique_by=lambda tok: tok[0], max_size=6
+).map(tuple)
+mixed_contents_st = st.lists(mixed_strand_st, max_size=25)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mixed_contents_st)
+def test_pack_unpack_round_trip(contents):
+    m = TubeMachine()
+    t = m.new_tube("t", iter(contents))
+    assert len(t) == len(contents)
+    assert t.contents == contents  # element by element, in order, tokens in append order
+
+
+@settings(max_examples=200, deadline=None)
+@given(mixed_contents_st, mixed_contents_st, token_st)
+def test_operations_follow_the_token_tuple_model(xs, ys, token):
+    m = TubeMachine()
+    plus, minus = m.extract(m.new_tube("x", xs), cw(*token))
+    assert plus.contents == [s for s in xs if token in s]  # a stable partition
+    assert minus.contents == [s for s in xs if token not in s]
+    dest = m.new_tube("y", ys)
+    m.merge(dest, [minus, plus])
+    expected = ys + [s for s in xs if token not in s] + [s for s in xs if token in s]
+    assert dest.contents == expected
+    for replica in m.copy(dest, 2):
+        assert replica.contents == expected
+
+
+def test_append_copy_merge_extract_on_a_mixed_order_tube():
+    m = TubeMachine()
+    xs = [((2, 1), (1, 0)), ((1, 0), (2, 1)), ((3, 2),), (), ((2, 0), (3, 1), (1, 2))]
+    t = m.new_tube("t", xs)
+    m.append(t, cw(4, 3))
+    appended = [s + ((4, 3),) for s in xs]
+    assert t.contents == appended
+    a, b = m.copy(t, 2)
+    assert a.contents == b.contents == appended
+    m.merge(a, [b])
+    assert a.contents == appended + appended
+    plus, minus = m.extract(a, cw(1, 0))
+    assert plus.contents == [appended[0], appended[1]] * 2
+    assert minus.contents == [appended[2], appended[3], appended[4]] * 2
+    with pytest.raises(MachineFault, match="vertex 3"):
+        m.append(minus, cw(3, 0))  # only some strands of the tube hold vertex 3
+    assert minus.contents == [appended[2], appended[3], appended[4]] * 2
+
+
+def test_new_tube_faults_on_a_strand_naming_a_vertex_twice():
+    m = TubeMachine()
+    with pytest.raises(MachineFault, match="vertex twice"):
+        m.new_tube("t", [((1, 0),), ((1, 0), (2, 1), (1, 2))])
+    with pytest.raises(MachineFault, match="vertex twice"):
+        m.new_tube("t", [((3, 1), (3, 1))])
+
+
+def test_token_first_seen_after_its_vertex_was_unpacked():
+    m = TubeMachine()
+    t = m.new_tube("t", [((1, 0), (2, 0))])
+    assert t.contents == [((1, 0), (2, 0))]
+    u = m.new_tube("u", [((1, 3), (2, 0))])  # same vertex order, a new token of vertex 1
+    m.merge(t, [u])
+    assert t.contents == [((1, 0), (2, 0)), ((1, 3), (2, 0))]
+    m.append(t, cw(3, 1))
+    assert [s[0] for s in t.contents] == [(1, 0), (1, 3)]
+    assert m.extract(t, cw(2, 2))[0].contents == []  # a token never seen is in no strand

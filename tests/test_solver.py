@@ -227,3 +227,30 @@ def test_read_trace_document_validates():
     del doc["steps"][0]["vertex"]
     with pytest.raises(SolverError, match="step record missing"):
         read_trace_document(doc)
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("steps", [1], "must be a JSON object"),
+        ("steps", {"vertex": 1}, "steps must be a list"),
+        ("op_totals", {"append": 9, "splice": 1}, "unknown operations"),
+        ("op_totals", [9, 3], "op_totals must be a JSON object"),
+    ],
+)
+def test_read_trace_document_rejects_malformed_steps_and_op_totals(field, value, message):
+    g = builtin_graph("k3")
+    sols, trace = solve_incremental(g, 3, builtin_table1())
+    doc = trace_document(g, 3, None, "incremental", sols, trace)
+    doc[field] = value
+    with pytest.raises(SolverError, match=message):
+        read_trace_document(doc)
+
+
+def test_read_trace_document_rejects_malformed_step_values():
+    g = builtin_graph("k3")
+    sols, trace = solve_incremental(g, 3, builtin_table1())
+    doc = trace_document(g, 3, None, "incremental", sols, trace)
+    doc["steps"][1]["per_color_after_append"] = 3
+    with pytest.raises(SolverError, match="malformed step record"):
+        read_trace_document(doc)
