@@ -180,27 +180,58 @@ def validate_codebook(cb: Codebook) -> ValidationReport:
     return ValidationReport(duplicates, tuple(violations), min_hamming)
 
 
-def _misaligned(word: str, left: str, right: str) -> bool:
-    concat = left + right
-    boundary = len(left)
-    return any(off not in (0, boundary) for off in _occurrences(concat, word))
+class _JunctionIndex:
+    """Prefix/suffix index over accepted words of one length L, for generation.
 
+    A word w occurs in x + y at a misaligned offset off (0 < off < L) exactly
+    when x[off:] == w[:L-off] and y[:off] == w[L-off:], so the x and y of a
+    violation can be looked up independently, as a suffix and a prefix.  A
+    candidate's check is then O(L) set lookups instead of a scan over every
+    pair of the pool.
+    """
 
-def _extends_safely(accepted: list[str], cand: str) -> bool:
-    # A new violation must involve the candidate in at least one role, so only
-    # those triples need scanning; the accepted prefix is already safe.
-    if cand in accepted:
-        return False
-    pool = accepted + [cand]
-    for x in pool:
-        for y in pool:
-            if _misaligned(cand, x, y):
+    def __init__(self, length: int):
+        self.length = length
+        self.words: set[str] = set()
+        self.by_head = [{} for _ in range(length)]  # [i]: {w[:i]: {w[i:], ...}}
+        self.by_tail = [{} for _ in range(length)]  # [i]: {w[i:]: {w[:i], ...}}
+
+    def add(self, word: str) -> None:
+        self.words.add(word)
+        for i in range(1, self.length):
+            head, tail = word[:i], word[i:]
+            self.by_head[i].setdefault(head, set()).add(tail)
+            self.by_tail[i].setdefault(tail, set()).add(head)
+
+    def admits(self, cand: str) -> bool:
+        """Whether cand extends the words without a duplicate or a junction violation.
+
+        Only violations with cand in some role are looked for (the words are
+        taken as already safe among themselves), and the pool that x and y
+        range over is the words plus cand itself.
+        """
+        if cand in self.words:
+            return False
+        length = self.length
+        for off in range(1, length):
+            cut = length - off
+            head, tail = cand[:off], cand[off:]  # cand as y gives y[:off], as x gives x[off:]
+            prefixes, suffixes = self.by_head[off], self.by_tail[off]  # keyed by every w[:off], w[off:]
+            # cand as w: its first cut bases end some x, the rest start some y.
+            left, right = cand[:cut], cand[cut:]
+            if (left == tail or left in suffixes) and (right == head or right in prefixes):
                 return False
-    for w in accepted:
-        for z in pool:
-            if _misaligned(w, cand, z) or _misaligned(w, z, cand):
+            # cand as x (or y): a word w with w[:cut] == cand[off:] whose rest
+            # starts some word (w[cut:] == cand[:off] whose start ends some
+            # word).  That other word need not be tried as cand itself: w would
+            # then be a rotation of cand, and cand inside w + w is caught above.
+            tails = self.by_head[cut].get(tail)
+            if tails and not prefixes.keys().isdisjoint(tails):
                 return False
-    return True
+            heads = self.by_tail[cut].get(head)
+            if heads and not suffixes.keys().isdisjoint(heads):
+                return False
+        return True
 
 
 def generate_codebook(n: int, k: int, length: int, seed: int) -> Codebook:
@@ -208,8 +239,9 @@ def generate_codebook(n: int, k: int, length: int, seed: int) -> Codebook:
 
     Codewords are drawn one (vertex, color) slot at a time in vertex-major
     order and rejection-resampled until they extend the accepted set without
-    duplicates or junction violations.  The draw order is fixed, so equal
-    arguments give bit-identical codebooks on any platform.
+    duplicates or junction violations, looked up in a _JunctionIndex rather
+    than by validate_codebook's exhaustive scan.  The draw order is fixed, so
+    equal arguments give bit-identical codebooks on any platform.
     """
     if n < 0:
         raise CodecError(f"vertex count must be non-negative, got {n}")
@@ -219,12 +251,14 @@ def generate_codebook(n: int, k: int, length: int, seed: int) -> Codebook:
         raise CodecError(f"codeword length must be at least 4, got {length}")
     rng = random.Random(seed)
     accepted: list[str] = []
+    index = _JunctionIndex(length)
     for _vertex in range(1, n + 1):
         for _color in range(k):
             for _attempt in range(GENERATION_ATTEMPTS):
                 cand = "".join(rng.choice(DNA_BASES) for _ in range(length))
-                if _extends_safely(accepted, cand):
+                if index.admits(cand):
                     accepted.append(cand)
+                    index.add(cand)
                     break
             else:
                 raise GenerationError(

@@ -31,7 +31,7 @@ import dataclasses
 from collections import Counter
 from dataclasses import dataclass
 from functools import partial
-from itertools import compress, filterfalse, tee
+from itertools import compress, filterfalse, product, tee
 from operator import itemgetter, not_
 
 from .codec import Codebook, Codeword, SoundnessError, Strand, Token, render
@@ -58,14 +58,7 @@ class OpCounter:
     discard: int = 0
 
     def as_dict(self) -> dict[str, int]:
-        return {
-            "append": self.append,
-            "copy": self.copy,
-            "merge": self.merge,
-            "extract": self.extract,
-            "detect": self.detect,
-            "discard": self.discard,
-        }
+        return dataclasses.asdict(self)
 
     def snapshot(self) -> "OpCounter":
         return dataclasses.replace(self)
@@ -163,6 +156,26 @@ class TubeMachine:
         oids = map(self._order_id.__getitem__, map(tuple, map(partial(map, _vertex_of), vertices)))
         return list(map(sum, bits, oids))
 
+    def _pack_rows(self, rows) -> list[int]:
+        """itertools.product(*rows) packed, with no token tuple ever built.
+
+        Each row holds the tokens of one vertex; the order id is added to the
+        bits of the first row, so a strand is just the sum of one bit per row.
+        """
+        rows = [tuple(row) for row in rows]
+        order = []
+        for row in rows:
+            vertices = {v for v, _ in row}
+            if len(vertices) > 1:
+                raise MachineFault(f"token row names more than one vertex: {sorted(vertices)}")
+            order.extend(vertices)
+        oid = self._order_id[tuple(order)]
+        if not rows:
+            return [oid]
+        bit_rows = [list(map(self._bit.__getitem__, row)) for row in rows]
+        bit_rows[0] = [oid + b for b in bit_rows[0]]
+        return list(map(sum, product(*bit_rows)))
+
     def _unpack(self, packed: list[int]) -> list[Strand]:
         plans = {oid: self._plan(oid) for oid in set(map(ORDER_MASK.__and__, packed))}
         return [tuple([tok[s & m] for m, tok in plans[s & ORDER_MASK]]) for s in packed]
@@ -177,8 +190,20 @@ class TubeMachine:
 
     # --- operations --------------------------------------------------------
 
-    def new_tube(self, label: str, contents=()) -> Tube:
-        tube = Tube(label, self, self._pack(contents))
+    def new_tube(self, label: str, contents=(), *, rows=None) -> Tube:
+        """A tube of the given strands, or of every strand in the product of token rows.
+
+        `rows=[row_1, ..., row_n]`, each row the tokens of one vertex, gives
+        the contents of itertools.product(*rows) in the same order without
+        building a token tuple per strand.
+        """
+        if rows is None:
+            packed = self._pack(contents)
+        elif contents:
+            raise ValueError("new_tube takes contents or rows, not both")
+        else:
+            packed = self._pack_rows(rows)
+        tube = Tube(label, self, packed)
         self._credit(len(tube))
         return tube
 

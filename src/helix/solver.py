@@ -20,7 +20,6 @@ final Detect on the survivor tube.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 from dataclasses import dataclass
 
 from . import oracle
@@ -175,7 +174,7 @@ def solve_monolithic(
         )
     machine = TubeMachine()
     token_rows = [tuple((v, c) for c in range(k)) for v in range(1, g.n + 1)]
-    tube = machine.new_tube("full", itertools.product(*token_rows))
+    tube = machine.new_tube("full", rows=token_rows)
     for u, v in g.sorted_edges():
         for c in range(k):
             with_u, rest = machine.extract(tube, cb.codeword(u, c), match_mode, cb)
@@ -211,9 +210,7 @@ def step_census(g: Graph, k: int, order, i: int) -> int:
 TRACE_FIELDS = frozenset(
     {"graph", "k", "order", "mode", "steps", "op_totals", "peak_tube_size", "colorable", "solutions"}
 )
-STEP_FIELDS = frozenset(
-    {"vertex", "t0_before", "per_color_after_append", "per_color_after_filter", "discarded", "t0_after"}
-)
+STEP_FIELDS = frozenset(f.name for f in dataclasses.fields(StepRecord))
 OP_FIELDS = frozenset(f.name for f in dataclasses.fields(OpCounter))
 
 

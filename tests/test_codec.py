@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from collections import Counter
@@ -24,7 +25,7 @@ from helix import (
     save_codebook,
     validate_codebook,
 )
-from helix.codec import coloring_from_strand, strand_from_coloring
+from helix.codec import _JunctionIndex, coloring_from_strand, strand_from_coloring
 
 R1 = "AAGGCAGGAACAGATCAACC"
 G1 = "CGTTCTAAATAGGGTCGTGT"
@@ -144,6 +145,59 @@ def test_generate_rejects_bad_params():
         generate_codebook(2, 2, 3, 0)
     with pytest.raises(CodecError, match="positive"):
         generate_codebook(2, 0, 8, 0)
+
+
+@pytest.mark.parametrize(
+    "args, digest",
+    [
+        ((12, 4, 20, 0), "998f6413286f54e65ef3a5fcf918478587c39ef4c31dc8a17a605eefaa989e0d"),
+        ((12, 4, 20, 7), "8e7fd0d4841b3fa804ce487a9b6014c99a969b36d14b28488a41f254bc2aeb7e"),
+        ((16, 4, 20, 1), "6dcd65ce60f291392fc5cc4b28c8e3d54d50b2208136c495c313ec45bad6d046"),
+        ((10, 4, 6, 0), "eda4f65e8c5dbeee5f171be752a53439be3c4167bd15e8c701b214a589b6d283"),
+        ((8, 3, 5, 0), "28f18b7904cb145057a8694d40de83a2bb44cbfa50a8349881823c149df95903"),
+    ],
+)
+def test_generated_codebook_bytes_are_pinned(args, digest):
+    # digests of the codebooks the exhaustive triple-scan generator produced
+    assert hashlib.sha256(dump_codebook(generate_codebook(*args)).encode()).hexdigest() == digest
+
+
+def _misaligned(word, left, right):
+    concat = left + right
+    return any(
+        concat.startswith(word, off) for off in range(len(concat) - len(word) + 1)
+        if off not in (0, len(left))
+    )
+
+
+def _extends_safely_by_scan(accepted, cand):
+    """Reference: every (w, x, y) triple with the candidate in at least one role."""
+    if cand in accepted:
+        return False
+    pool = accepted + [cand]
+    return not (
+        any(_misaligned(cand, x, y) for x in pool for y in pool)
+        or any(_misaligned(w, cand, z) or _misaligned(w, z, cand) for w in accepted for z in pool)
+    )
+
+
+@st.composite
+def pool_and_candidates(draw):
+    alphabet = draw(st.sampled_from(["AC", "ACGT"]))
+    length = draw(st.integers(4, 6))
+    word = st.text(alphabet, min_size=length, max_size=length)
+    return length, draw(st.lists(word, max_size=12)), draw(st.lists(word, min_size=1, max_size=8))
+
+
+@settings(max_examples=400, deadline=None)
+@given(pool_and_candidates())
+def test_junction_index_agrees_with_the_triple_scan(case):
+    length, pool, candidates = case
+    index = _JunctionIndex(length)
+    for word in pool:
+        index.add(word)
+    for cand in candidates + pool:
+        assert index.admits(cand) == _extends_safely_by_scan(pool, cand), cand
 
 
 def test_encode_assignment(table1):

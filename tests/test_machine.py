@@ -1,3 +1,4 @@
+import itertools
 import random
 from collections import Counter
 
@@ -330,6 +331,36 @@ def test_new_tube_faults_on_a_strand_naming_a_vertex_twice():
         m.new_tube("t", [((1, 0),), ((1, 0), (2, 1), (1, 2))])
     with pytest.raises(MachineFault, match="vertex twice"):
         m.new_tube("t", [((3, 1), (3, 1))])
+
+
+rows_st = st.lists(st.integers(0, 3), unique=True, max_size=4).map(tuple)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.permutations(range(1, 6)).flatmap(
+    lambda order: st.tuples(*[rows_st.map(lambda cs, v=v: tuple((v, c) for c in cs)) for v in order])
+).map(list))
+def test_new_tube_rows_match_the_product(rows):
+    m = TubeMachine()
+    t = m.new_tube("t", rows=rows)
+    assert t.contents == list(itertools.product(*rows))  # same strands, same order
+    assert m.peak_tube_size == len(t)
+
+
+def test_new_tube_rows_edge_cases():
+    m = TubeMachine()
+    assert m.new_tube("blank", rows=[]).contents == [()]
+    assert m.new_tube("none", rows=[((1, 0), (1, 1)), ()]).contents == []
+    full = m.new_tube("full", rows=[((1, 0), (1, 1)), ((2, 0), (2, 1), (2, 2))])
+    assert m.peak_tube_size == 1 + 6  # the live total is credited once per strand
+    m.discard(full)
+    assert m.peak_tube_size == 7
+    with pytest.raises(MachineFault, match="more than one vertex"):
+        m.new_tube("t", rows=[((1, 0), (2, 0))])
+    with pytest.raises(MachineFault, match="vertex twice"):
+        m.new_tube("t", rows=[((1, 0),), ((2, 0),), ((1, 1),)])
+    with pytest.raises(ValueError, match="not both"):
+        m.new_tube("t", [((1, 0),)], rows=[((1, 0),)])
 
 
 def test_token_first_seen_after_its_vertex_was_unpacked():
