@@ -26,7 +26,7 @@ from .codec import (
     validate_codebook,
 )
 from .graphs import DimacsError, Graph, builtin_names, builtin_graph, parse_dimacs
-from .solver import BudgetError, DEFAULT_STRAND_BUDGET
+from .solver import DEFAULT_STRAND_BUDGET
 
 BUDGET_ENV = "HELIX_BUDGET"
 
@@ -78,7 +78,7 @@ def parse_graph_spec(spec: str) -> tuple[Graph, list[str]]:
     try:
         with open(spec) as f:
             text = f.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read graph file {spec!r}: {exc}") from None
     try:
         return parse_dimacs(text)
@@ -86,15 +86,18 @@ def parse_graph_spec(spec: str) -> tuple[Graph, list[str]]:
         raise InputError(f"{spec}: {exc}") from None
 
 
-def parse_codebook_spec(spec: str, g: Graph, k: int) -> Codebook:
+def load_codebook_arg(spec: str) -> Codebook:
+    """The built-in table1, or a codebook JSON file."""
     if spec == "table1":
-        cb = builtin_table1()
-        if g.n > cb.n or k > cb.k:
-            raise ConfigError(
-                f"table1 covers {cb.n} vertices x {cb.k} colors, "
-                f"instance needs {g.n} x {k}"
-            )
-        return cb
+        return builtin_table1()
+    try:
+        return load_codebook(spec)
+    except (OSError, ValueError) as exc:  # ValueError covers bad UTF-8, bad JSON and CodecError
+        raise InputError(f"cannot read codebook file {spec!r}: {exc}") from None
+
+
+def parse_codebook_spec(spec: str, g: Graph, k: int) -> Codebook:
+    """A codebook for g and k; whether it covers them is the solver's check."""
     if spec.startswith("gen:"):
         parts = spec[len("gen:") :].split(",")
         if len(parts) != 2:
@@ -103,33 +106,18 @@ def parse_codebook_spec(spec: str, g: Graph, k: int) -> Codebook:
             length, seed = int(parts[0]), int(parts[1])
         except ValueError:
             raise ConfigError(f"bad numbers in generator spec {spec!r}") from None
-        try:
-            return generate_codebook(g.n, k, length, seed)
-        except CodecError as exc:
-            raise ConfigError(str(exc)) from None
-    try:
-        cb = load_codebook(spec)
-    except OSError as exc:
-        raise InputError(f"cannot read codebook file {spec!r}: {exc}") from None
-    except (json.JSONDecodeError, CodecError) as exc:
-        raise InputError(f"{spec}: {exc}") from None
-    if cb.n < g.n or cb.k < k:
-        raise ConfigError(
-            f"codebook covers {cb.n} vertices x {cb.k} colors, instance needs {g.n} x {k}"
-        )
-    return cb
+        return generate_codebook(g.n, k, length, seed)
+    return load_codebook_arg(spec)
 
 
-def parse_order_spec(spec: str, g: Graph):
+def parse_order_spec(spec: str):
+    """None for 'natural', else the listed vertices; the solver checks the permutation."""
     if spec == "natural":
         return None
     try:
-        order = [int(tok) for tok in spec.split(",")]
+        return [int(tok) for tok in spec.split(",")]
     except ValueError:
         raise ConfigError(f"order must be 'natural' or a comma list, got {spec!r}") from None
-    if sorted(order) != list(range(1, g.n + 1)):
-        raise ConfigError(f"order must be a permutation of 1..{g.n}, got {spec!r}")
-    return order
 
 
 def strand_budget() -> int:
@@ -186,10 +174,8 @@ def cmd_solve(args) -> int:
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
     k = args.colors
-    if k < 1:
-        raise ConfigError(f"--colors must be at least 1, got {k}")
     cb = parse_codebook_spec(args.codebook, g, k)
-    order = parse_order_spec(args.order, g)
+    order = parse_order_spec(args.order)
     runs = {}
     if args.mode in ("incremental", "both"):
         runs["incremental"] = solver.solve_incremental(g, k, cb, args.match, order)
@@ -230,18 +216,12 @@ def cmd_compare(args) -> int:
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
     k = args.colors
-    if k < 1:
-        raise ConfigError(f"--colors must be at least 1, got {k}")
-    budget = strand_budget()
-    if k**g.n > budget:
-        raise ConfigError(
-            f"compare needs the monolithic engine; k^n = {k**g.n} is over the budget of {budget}"
-        )
     cb = parse_codebook_spec(args.codebook, g, k)
-    order = parse_order_spec(args.order, g)
+    order = parse_order_spec(args.order)
+    # Monolithic first: its strand budget refuses an oversized run before any other work.
+    mono_solutions, mono_trace = solver.solve_monolithic(g, k, cb, args.match, strand_budget())
     oracle_set = frozenset(oracle.enumerate_colorings(g, k))
     inc_solutions, inc_trace = solver.solve_incremental(g, k, cb, args.match, order)
-    mono_solutions, mono_trace = solver.solve_monolithic(g, k, cb, args.match, budget)
     sets = {
         "oracle": oracle_set,
         "incremental": inc_solutions.colorings,
@@ -288,10 +268,7 @@ def cmd_compare(args) -> int:
 
 def cmd_codebook(args) -> int:
     if args.action == "generate":
-        try:
-            cb = generate_codebook(args.n, args.colors, args.length, args.seed)
-        except CodecError as exc:
-            raise ConfigError(str(exc)) from None
+        cb = generate_codebook(args.n, args.colors, args.length, args.seed)
         text = dump_codebook(cb)
         if args.out:
             try:
@@ -304,15 +281,7 @@ def cmd_codebook(args) -> int:
             print(text, end="")
         return EXIT_OK
     # validate
-    if args.codebook == "table1":
-        cb = builtin_table1()
-    else:
-        try:
-            cb = load_codebook(args.codebook)
-        except OSError as exc:
-            raise InputError(f"cannot read codebook file {args.codebook!r}: {exc}") from None
-        except (json.JSONDecodeError, CodecError) as exc:
-            raise InputError(f"{args.codebook}: {exc}") from None
+    cb = load_codebook_arg(args.codebook)
     report = validate_codebook(cb)
     if args.json:
         print(
@@ -420,7 +389,7 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (ConfigError, solver.SolverError, CodecError) as exc:
+    except (ConfigError, solver.SolverError, CodecError, oracle.OracleBudgetError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -243,28 +243,23 @@ def generate_codebook(n: int, k: int, length: int, seed: int) -> Codebook:
     than by validate_codebook's exhaustive scan.  The draw order is fixed, so
     equal arguments give bit-identical codebooks on any platform.
     """
-    if n < 0:
-        raise CodecError(f"vertex count must be non-negative, got {n}")
-    if k < 1:
-        raise CodecError(f"color count must be positive, got {k}")
     if length < 4:
         raise CodecError(f"codeword length must be at least 4, got {length}")
     rng = random.Random(seed)
     accepted: list[str] = []
     index = _JunctionIndex(length)
-    for _vertex in range(1, n + 1):
-        for _color in range(k):
-            for _attempt in range(GENERATION_ATTEMPTS):
-                cand = "".join(rng.choice(DNA_BASES) for _ in range(length))
-                if index.admits(cand):
-                    accepted.append(cand)
-                    index.add(cand)
-                    break
-            else:
-                raise GenerationError(
-                    f"gave up on codeword {len(accepted) + 1} after "
-                    f"{GENERATION_ATTEMPTS} attempts; try a longer length"
-                )
+    for _slot in range(n * k):  # a bad n or k is refused by Codebook below
+        for _attempt in range(GENERATION_ATTEMPTS):
+            cand = "".join(rng.choice(DNA_BASES) for _ in range(length))
+            if index.admits(cand):
+                accepted.append(cand)
+                index.add(cand)
+                break
+        else:
+            raise GenerationError(
+                f"gave up on codeword {len(accepted) + 1} after "
+                f"{GENERATION_ATTEMPTS} attempts; try a longer length"
+            )
     entries = [
         Codeword(v, c, accepted[(v - 1) * k + c])
         for v in range(1, n + 1)

@@ -30,9 +30,8 @@ from __future__ import annotations
 import dataclasses
 from collections import Counter
 from dataclasses import dataclass
-from functools import partial
-from itertools import compress, filterfalse, product, tee
-from operator import itemgetter, not_
+from itertools import compress, filterfalse, product
+from operator import not_
 
 from .codec import Codebook, Codeword, SoundnessError, Strand, Token, render
 
@@ -40,8 +39,6 @@ MATCH_MODES = ("symbolic", "nucleotide")
 
 ORDER_BITS = 32
 ORDER_MASK = (1 << ORDER_BITS) - 1
-
-_vertex_of = itemgetter(0)
 
 
 class MachineFault(RuntimeError):
@@ -103,10 +100,6 @@ class Tube:
     def counts(self) -> Counter:
         return Counter(self.contents)
 
-    def to_json(self) -> list[list[list[int]]]:
-        """Debug dump: one token-pair list per strand."""
-        return [[[v, c] for v, c in strand] for strand in self.contents]
-
     def __repr__(self):
         state = "retired" if self.retired else f"{len(self.packed)} strands"
         return f"Tube({self.label!r}, {state})"
@@ -150,11 +143,11 @@ class TubeMachine:
         return len(self._orders) - 1
 
     def _pack(self, strands) -> list[int]:
-        """Token tuples to ints, streaming; every per-token step runs in C-level map calls."""
-        tokens, vertices = tee(strands)
-        bits = map(partial(map, self._bit.__getitem__), tokens)
-        oids = map(self._order_id.__getitem__, map(tuple, map(partial(map, _vertex_of), vertices)))
-        return list(map(sum, bits, oids))
+        """Token tuples to ints: the order id plus one bit per token."""
+        return [
+            sum(map(self._bit.__getitem__, s), self._order_id[tuple(v for v, _ in s)])
+            for s in strands
+        ]
 
     def _pack_rows(self, rows) -> list[int]:
         """itertools.product(*rows) packed, with no token tuple ever built.

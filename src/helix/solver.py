@@ -77,7 +77,7 @@ def _check_inputs(g: Graph, k: int, cb: Codebook, match_mode: str) -> None:
         raise SolverError(f"color count must be positive, got {k}")
     if cb.n < g.n or cb.k < k:
         raise SolverError(
-            f"codebook covers {cb.n} vertices x {cb.k} colors, "
+            f"codebook {cb.provenance} covers {cb.n} vertices x {cb.k} colors, "
             f"run needs {g.n} x {k}"
         )
     if match_mode not in MATCH_MODES:
@@ -170,7 +170,7 @@ def solve_monolithic(
     total = k**g.n
     if total > budget:
         raise BudgetError(
-            f"monolithic start tube needs {total} strands, over the budget of {budget}"
+            f"the monolithic engine needs k^n = {total} strands, over the budget of {budget}"
         )
     machine = TubeMachine()
     token_rows = [tuple((v, c) for c in range(k)) for v in range(1, g.n + 1)]
@@ -221,7 +221,7 @@ def trace_document(
     doc = {
         "graph": {"n": g.n, "m": g.m},
         "k": k,
-        "order": list(order) if order is not None else list(range(1, g.n + 1)),
+        "order": _resolve_order(g, order),
         "mode": mode,
         "steps": [
             {

@@ -116,6 +116,9 @@ def test_parse_errors_exit_1(tmp_path, capsys):
     assert run_cli("solve", "--graph", str(bad), "--colors", "3") == 1
     assert "line 2" in capsys.readouterr().err
     assert run_cli("solve", "--graph", str(tmp_path / "missing.col"), "--colors", "3") == 1
+    binary = tmp_path / "binary.col"
+    binary.write_bytes(b"p edge 2 1\ne 1 \xff\xfe\n")
+    assert run_cli("solve", "--graph", str(binary), "--colors", "3") == 1
 
 
 def test_duplicate_edges_warn_on_stderr(tmp_path, capsys):
@@ -157,6 +160,11 @@ def test_compare_over_budget_is_config_error(capsys, monkeypatch):
     monkeypatch.setenv("HELIX_BUDGET", "10")
     assert run_cli("compare", "--graph", "builtin:c5", "--colors", "3") == 2
     assert "monolithic engine" in capsys.readouterr().err
+
+
+def test_compare_over_oracle_limit_is_config_error(capsys):
+    assert run_cli("compare", "--graph", "random:25,0.0,1", "--colors", "1") == 2
+    assert "24" in capsys.readouterr().err
 
 
 def test_compare_disagreement_prints_counterexample(capsys, monkeypatch):
@@ -239,6 +247,10 @@ def test_codebook_file_not_json_exit_1(tmp_path, capsys):
     path.write_text("not json")
     assert run_cli("codebook", "validate", "--codebook", str(path)) == 1
     assert run_cli("solve", "--graph", "builtin:k3", "--colors", "3", "--codebook", str(path)) == 1
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b'{"n": \xff\xfe}')
+    assert run_cli("codebook", "validate", "--codebook", str(binary)) == 1
+    assert run_cli("solve", "--graph", "builtin:k3", "--colors", "3", "--codebook", str(binary)) == 1
 
 
 def test_random_graph_spec_deterministic():

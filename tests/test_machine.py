@@ -180,12 +180,6 @@ def test_peak_tracks_live_total_across_all_tubes():
     assert m.peak_tube_size == 6
 
 
-def test_tube_debug_dump():
-    m = TubeMachine()
-    t = m.new_tube("t", [((1, 0), (2, 1))])
-    assert t.to_json() == [[[1, 0], [2, 1]]]
-
-
 def test_op_counter_dict_shape():
     c = OpCounter()
     assert list(c.as_dict()) == ["append", "copy", "merge", "extract", "detect", "discard"]
