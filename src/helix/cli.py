@@ -92,7 +92,8 @@ def load_codebook_arg(spec: str) -> Codebook:
         return builtin_table1()
     try:
         return load_codebook(spec)
-    except (OSError, ValueError) as exc:  # ValueError covers bad UTF-8, bad JSON and CodecError
+    # ValueError covers bad UTF-8, bad JSON and CodecError; RecursionError deeply nested JSON
+    except (OSError, ValueError, RecursionError) as exc:
         raise InputError(f"cannot read codebook file {spec!r}: {exc}") from None
 
 
@@ -185,8 +186,8 @@ def cmd_solve(args) -> int:
         mode: solver.trace_document(g, k, order, mode, solutions, trace)
         for mode, (solutions, trace) in runs.items()
     }
+    payload = docs[args.mode] if args.mode != "both" else docs
     if args.trace:
-        payload = docs[args.mode] if args.mode != "both" else docs
         try:
             with open(args.trace, "w") as f:
                 json.dump(payload, f, indent=2)
@@ -194,7 +195,6 @@ def cmd_solve(args) -> int:
         except OSError as exc:
             raise InputError(f"cannot write trace {args.trace!r}: {exc}") from None
     if args.json:
-        payload = docs[args.mode] if args.mode != "both" else docs
         print(json.dumps(payload, indent=2))
     else:
         print(f"graph {args.graph} (n={g.n}, m={g.m}), colors={k}, match={args.match}")

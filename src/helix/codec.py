@@ -13,6 +13,7 @@ most one junction); see validate_codebook for the fine print.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import random
 from dataclasses import dataclass
@@ -22,7 +23,7 @@ DNA_BASES = "ACGT"
 
 # A token is one (vertex, color) assignment; a strand is a tuple of tokens in
 # append order with at most one token per vertex.  Plain tuples keep strands
-# hashable and cheap enough to materialize k**n of them in the monolithic mode.
+# hashable; inside a TubeMachine they are packed to ints (see machine.py).
 Token = tuple[int, int]
 Strand = tuple[Token, ...]
 BLANK_STRAND: Strand = ()
@@ -153,12 +154,8 @@ def validate_codebook(cb: Codebook) -> ValidationReport:
     codeword boundaries.  Every witness is reported, not just the first.
     """
     words = cb.codewords()
-    duplicates = tuple(
-        (a, b)
-        for i, a in enumerate(words)
-        for b in words[i + 1 :]
-        if a.sequence == b.sequence
-    )
+    pairs = list(itertools.combinations(words, 2))
+    duplicates = tuple((a, b) for a, b in pairs if a.sequence == b.sequence)
     violations = []
     for w in words:
         for x in words:
@@ -169,14 +166,14 @@ def validate_codebook(cb: Codebook) -> ValidationReport:
                 for off in _occurrences(concat, w.sequence):
                     if off != 0 and off != boundary:
                         violations.append(JunctionViolation(w, x, y, off))
-    min_hamming: int | None = None
-    for i, a in enumerate(words):
-        for b in words[i + 1 :]:
-            if len(a.sequence) != len(b.sequence):
-                continue
-            d = sum(1 for p, q in zip(a.sequence, b.sequence) if p != q)
-            if min_hamming is None or d < min_hamming:
-                min_hamming = d
+    min_hamming = min(
+        (
+            sum(p != q for p, q in zip(a.sequence, b.sequence))
+            for a, b in pairs
+            if len(a.sequence) == len(b.sequence)
+        ),
+        default=None,
+    )
     return ValidationReport(duplicates, tuple(violations), min_hamming)
 
 

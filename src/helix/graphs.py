@@ -37,8 +37,6 @@ class Graph:
         """Build from arbitrary (u, v) pairs: orient u < v, drop duplicates."""
         norm = set()
         for u, v in pairs:
-            if u == v:
-                raise ValueError(f"self-loop ({u},{v}) not allowed")
             norm.add((u, v) if u < v else (v, u))
         return cls(n, frozenset(norm))
 

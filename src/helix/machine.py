@@ -21,8 +21,9 @@ appended in.  Above them sits one bit per (vertex, color) token, assigned the
 first time the machine sees that token.  Symbolic extract is then `s & bit`,
 append moves every strand to the order id of its sequence plus the new vertex
 by adding one delta per order id, and equal strands are equal ints.
-Tube.contents unpacks to token tuples in append order through a per-order plan
-of (vertex mask, {masked bits: token}) pairs.
+Tube.contents unpacks to token tuples in append order through a plan of
+(vertex mask, {masked bits: token}) pairs per order id, built on each unpack
+from the tokens registered so far, so there is no cache to keep in step.
 """
 
 from __future__ import annotations
@@ -59,18 +60,6 @@ class OpCounter:
 
     def snapshot(self) -> "OpCounter":
         return dataclasses.replace(self)
-
-
-class _Registry(dict):
-    """A dict that fills a missing key with register(key) on lookup by []."""
-
-    def __init__(self, register):
-        super().__init__()
-        self._register = register
-
-    def __missing__(self, key):
-        value = self[key] = self._register(key)
-        return value
 
 
 class Tube:
@@ -112,11 +101,10 @@ class TubeMachine:
         self.counter = OpCounter()
         self._live_strands = 0
         self.peak_tube_size = 0
-        self._bit: dict[Token, int] = _Registry(self._new_token)
+        self._bit: dict[Token, int] = {}
         self._token_at: dict[int, dict[int, Token]] = {}  # vertex -> {bit: token}
         self._orders: list[tuple[int, ...]] = []
-        self._order_id: dict[tuple[int, ...], int] = _Registry(self._new_order)
-        self._plans: dict[int, tuple[tuple[int, dict[int, Token]], ...]] = {}
+        self._order_id: dict[tuple[int, ...], int] = {}
 
     def _credit(self, delta: int) -> None:
         self._live_strands += delta
@@ -130,22 +118,26 @@ class TubeMachine:
 
     # --- packing -----------------------------------------------------------
 
-    def _new_token(self, token: Token) -> int:
-        bit = 1 << (ORDER_BITS + len(self._bit))
-        self._token_at.setdefault(token[0], {})[bit] = token
-        self._plans.clear()  # a plan holds the vertex masks it was built with
+    def _bit_of(self, token: Token) -> int:
+        bit = self._bit.get(token)
+        if bit is None:
+            bit = self._bit[token] = 1 << (ORDER_BITS + len(self._bit))
+            self._token_at.setdefault(token[0], {})[bit] = token
         return bit
 
-    def _new_order(self, order: tuple[int, ...]) -> int:
-        if len(set(order)) != len(order):
-            raise MachineFault(f"strand names a vertex twice: vertex order {order}")
-        self._orders.append(order)
-        return len(self._orders) - 1
+    def _oid_of(self, order: tuple[int, ...]) -> int:
+        oid = self._order_id.get(order)
+        if oid is None:
+            if len(set(order)) != len(order):
+                raise MachineFault(f"strand names a vertex twice: vertex order {order}")
+            oid = self._order_id[order] = len(self._orders)
+            self._orders.append(order)
+        return oid
 
     def _pack(self, strands) -> list[int]:
         """Token tuples to ints: the order id plus one bit per token."""
         return [
-            sum(map(self._bit.__getitem__, s), self._order_id[tuple(v for v, _ in s)])
+            sum(map(self._bit_of, s), self._oid_of(tuple(v for v, _ in s)))
             for s in strands
         ]
 
@@ -162,24 +154,21 @@ class TubeMachine:
             if len(vertices) > 1:
                 raise MachineFault(f"token row names more than one vertex: {sorted(vertices)}")
             order.extend(vertices)
-        oid = self._order_id[tuple(order)]
+        oid = self._oid_of(tuple(order))
         if not rows:
             return [oid]
-        bit_rows = [list(map(self._bit.__getitem__, row)) for row in rows]
+        bit_rows = [list(map(self._bit_of, row)) for row in rows]
         bit_rows[0] = [oid + b for b in bit_rows[0]]
         return list(map(sum, product(*bit_rows)))
 
     def _unpack(self, packed: list[int]) -> list[Strand]:
-        plans = {oid: self._plan(oid) for oid in set(map(ORDER_MASK.__and__, packed))}
+        """Ints to token tuples, through one (vertex mask, {bit: token}) pair per vertex."""
+        token_at = self._token_at
+        plans = {
+            oid: [(sum(token_at[v]), token_at[v]) for v in self._orders[oid]]
+            for oid in set(map(ORDER_MASK.__and__, packed))
+        }
         return [tuple([tok[s & m] for m, tok in plans[s & ORDER_MASK]]) for s in packed]
-
-    def _plan(self, oid: int) -> tuple[tuple[int, dict[int, Token]], ...]:
-        plan = self._plans.get(oid)
-        if plan is None:
-            plan = self._plans[oid] = tuple(
-                (sum(self._token_at[v]), self._token_at[v]) for v in self._orders[oid]
-            )
-        return plan
 
     # --- operations --------------------------------------------------------
 
@@ -204,14 +193,14 @@ class TubeMachine:
         """Extend every strand in the tube with cw's (vertex, color) token."""
         self._require_live(tube)
         v = cw.vertex
-        bit = self._bit[(v, cw.color)]
+        bit = self._bit_of((v, cw.color))
         strands = tube.packed
         delta = {}
         for oid in set(map(ORDER_MASK.__and__, strands)):
             order = self._orders[oid]
             if v in order:
                 raise MachineFault(f"append: strand already assigns vertex {v}")
-            delta[oid] = bit + self._order_id[order + (v,)] - oid
+            delta[oid] = bit + self._oid_of(order + (v,)) - oid
         if len(delta) == 1:
             (d,) = delta.values()
             tube.packed = list(map(d.__add__, strands))

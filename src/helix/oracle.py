@@ -36,35 +36,14 @@ def is_proper(g: Graph, coloring) -> bool:
     return all(coloring[u - 1] != coloring[v - 1] for u, v in g.edges)
 
 
-def enumerate_colorings(g: Graph, k: int) -> list[tuple[int, ...]]:
-    """All proper k-colorings as color tuples in vertex order, lexicographic."""
-    _check(g, k)
-    earlier = _earlier_neighbors(g)
-    out: list[tuple[int, ...]] = []
-    assignment = [0] * g.n
-
-    def walk(i: int) -> None:
-        if i > g.n:
-            out.append(tuple(assignment))
-            return
-        for c in range(k):
-            if all(assignment[j - 1] != c for j in earlier[i]):
-                assignment[i - 1] = c
-                walk(i + 1)
-
-    walk(1)
-    return out
-
-
-def count_colorings(g: Graph, k: int) -> int:
-    """Same search as enumerate_colorings, counting without materializing."""
-    _check(g, k)
+def _search(g: Graph, k: int, leaf) -> int:
+    """Walk every proper k-coloring in lexicographic order; sum leaf(assignment) over them."""
     earlier = _earlier_neighbors(g)
     assignment = [0] * g.n
 
     def walk(i: int) -> int:
         if i > g.n:
-            return 1
+            return leaf(assignment)
         total = 0
         for c in range(k):
             if all(assignment[j - 1] != c for j in earlier[i]):
@@ -73,3 +52,17 @@ def count_colorings(g: Graph, k: int) -> int:
         return total
 
     return walk(1)
+
+
+def enumerate_colorings(g: Graph, k: int) -> list[tuple[int, ...]]:
+    """All proper k-colorings as color tuples in vertex order, lexicographic."""
+    _check(g, k)
+    out: list[tuple[int, ...]] = []
+    _search(g, k, lambda assignment: out.append(tuple(assignment)) or 1)
+    return out
+
+
+def count_colorings(g: Graph, k: int) -> int:
+    """Same search as enumerate_colorings, counting without materializing."""
+    _check(g, k)
+    return _search(g, k, lambda assignment: 1)

@@ -72,7 +72,8 @@ class SolutionSet:
         return sorted(self.colorings)
 
 
-def _check_inputs(g: Graph, k: int, cb: Codebook, match_mode: str) -> None:
+def _check_inputs(g: Graph, k: int, cb: Codebook, match_mode: str, budget: int | None = None) -> None:
+    """What a run needs, cheapest check first: codebook validation is O((nk)^3 L)."""
     if k < 1:
         raise SolverError(f"color count must be positive, got {k}")
     if cb.n < g.n or cb.k < k:
@@ -82,6 +83,10 @@ def _check_inputs(g: Graph, k: int, cb: Codebook, match_mode: str) -> None:
         )
     if match_mode not in MATCH_MODES:
         raise SolverError(f"unknown match mode {match_mode!r}")
+    if budget is not None and k**g.n > budget:
+        raise BudgetError(
+            f"the monolithic engine needs k^n = {k**g.n} strands, over the budget of {budget}"
+        )
     if match_mode == "nucleotide" and not cb.validation().ok:
         raise SoundnessError("nucleotide matching refused: codebook failed validation")
 
@@ -166,12 +171,7 @@ def solve_monolithic(
     calls, so the trace carries no step records and is marked synthetic; the
     filtering phase runs on the machine and is counted normally.
     """
-    _check_inputs(g, k, cb, match_mode)
-    total = k**g.n
-    if total > budget:
-        raise BudgetError(
-            f"the monolithic engine needs k^n = {total} strands, over the budget of {budget}"
-        )
+    _check_inputs(g, k, cb, match_mode, budget)
     machine = TubeMachine()
     token_rows = [tuple((v, c) for c in range(k)) for v in range(1, g.n + 1)]
     tube = machine.new_tube("full", rows=token_rows)

@@ -251,6 +251,10 @@ def test_codebook_file_not_json_exit_1(tmp_path, capsys):
     binary.write_bytes(b'{"n": \xff\xfe}')
     assert run_cli("codebook", "validate", "--codebook", str(binary)) == 1
     assert run_cli("solve", "--graph", "builtin:k3", "--colors", "3", "--codebook", str(binary)) == 1
+    nested = tmp_path / "nested.json"
+    nested.write_text("[" * 100000)
+    assert run_cli("codebook", "validate", "--codebook", str(nested)) == 1
+    assert run_cli("solve", "--graph", "builtin:k3", "--colors", "3", "--codebook", str(nested)) == 1
 
 
 def test_random_graph_spec_deterministic():

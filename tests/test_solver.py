@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import corpus
 from helix import (
     BudgetError,
     Graph,
@@ -178,6 +179,30 @@ def test_monolithic_single_vertex():
 def test_monolithic_budget_refusal_names_the_bound():
     with pytest.raises(BudgetError, match=r"27 strands.*budget of 10"):
         solve_monolithic(builtin_graph("k3"), 3, builtin_table1(), budget=10)
+
+
+def test_monolithic_budget_refuses_before_codebook_validation(monkeypatch):
+    def fail(cb):
+        raise AssertionError("validate_codebook ran before the budget check")
+
+    cb = generate_codebook(3, 3, 12, 0)
+    monkeypatch.setattr("helix.codec.validate_codebook", fail)
+    with pytest.raises(BudgetError):
+        solve_monolithic(builtin_graph("k3"), 3, cb, "nucleotide", budget=10)
+
+
+def test_incremental_peak_is_k_times_the_largest_survivor_tube():
+    # Each step copies the survivor tube into k tubes: that is the run's high-water mark.
+    rng = random.Random(7)
+    for name, g in corpus.suite():
+        shuffled = list(range(1, g.n + 1))
+        rng.shuffle(shuffled)
+        for k in corpus.KS:
+            for order in (None, shuffled):
+                _, trace = solve_incremental(g, k, corpus.suite_codebook(g.n, k), order=order)
+                assert trace.peak_tube_size == k * max(s.t0_before for s in trace.steps), (
+                    name, k, order,
+                )
 
 
 def test_monolithic_peak_is_full_space():
