@@ -76,7 +76,7 @@ def parse_graph_spec(spec: str) -> tuple[Graph, list[str]]:
             raise ConfigError(f"bad numbers in random graph spec {spec!r}") from None
         return random_graph(n, p, seed), []
     try:
-        with open(spec) as f:
+        with open(spec, encoding="utf-8") as f:
             text = f.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read graph file {spec!r}: {exc}") from None
@@ -189,7 +189,7 @@ def cmd_solve(args) -> int:
     payload = docs[args.mode] if args.mode != "both" else docs
     if args.trace:
         try:
-            with open(args.trace, "w") as f:
+            with open(args.trace, "w", encoding="utf-8") as f:
                 json.dump(payload, f, indent=2)
                 f.write("\n")
         except OSError as exc:
@@ -272,7 +272,7 @@ def cmd_codebook(args) -> int:
         text = dump_codebook(cb)
         if args.out:
             try:
-                with open(args.out, "w") as f:
+                with open(args.out, "w", encoding="utf-8") as f:
                     f.write(text)
             except OSError as exc:
                 raise InputError(f"cannot write {args.out!r}: {exc}") from None

@@ -5,9 +5,9 @@ assignment; a strand is an ordered run of such assignments, rendered to
 nucleotides by concatenating its codewords in token order.  Substring-based
 extraction is only trustworthy when no codeword can occur in a rendered strand
 anywhere except at a codeword boundary, so codebooks carry a junction validator
-and generated codebooks are rejection-sampled against it.  The validator's rule
-is exact for uniform-length codebooks (every misaligned occurrence spans at
-most one junction); see validate_codebook for the fine print.
+and generated codebooks are rejection-sampled against it.  The validator looks
+only at pairs of codewords, which is enough for strands of any length and
+codewords of any lengths; see validate_codebook for the fine print.
 """
 
 from __future__ import annotations
@@ -137,97 +137,101 @@ class Codebook:
         return f"Codebook(n={self.n}, k={self.k}, provenance={self.provenance!r})"
 
 
-def _occurrences(haystack: str, needle: str):
-    """All (possibly overlapping) offsets of needle in haystack."""
-    start = haystack.find(needle)
-    while start != -1:
-        yield start
-        start = haystack.find(needle, start + 1)
-
-
 def validate_codebook(cb: Codebook) -> ValidationReport:
-    """Exhaustive duplicate and junction report.
+    """Duplicate and junction report, every witness listed.
 
-    A junction violation is any occurrence of a codeword inside the
-    concatenation x + y of two codewords (all ordered pairs, x = y included)
-    at an offset other than 0 or len(x), i.e. not aligned to the junction's
-    codeword boundaries.  Every witness is reported, not just the first.
+    A junction violation is an occurrence of a codeword w in x + y, for any
+    codewords x and y (x = y included), other than as exactly x or exactly y.
+    The witnesses come from a _JunctionIndex, in (w, x, y, offset) order.
+
+    Pairs are enough: an occurrence of w in a rendered strand that touches
+    three or more codewords covers some whole codeword z shorter than w, and
+    z inside w is already a violation.  So a codebook that passes has every
+    occurrence of w inside two adjacent codewords, as exactly one of them,
+    and nucleotide extract agrees with token membership on every strand,
+    whatever the mix of codeword lengths.
     """
     words = cb.codewords()
     pairs = list(itertools.combinations(words, 2))
     duplicates = tuple((a, b) for a, b in pairs if a.sequence == b.sequence)
-    violations = []
-    for w in words:
-        for x in words:
-            concat_left = x.sequence
-            boundary = len(concat_left)
-            for y in words:
-                concat = concat_left + y.sequence
-                for off in _occurrences(concat, w.sequence):
-                    if off != 0 and off != boundary:
-                        violations.append(JunctionViolation(w, x, y, off))
-    min_hamming = min(
-        (
-            sum(p != q for p, q in zip(a.sequence, b.sequence))
-            for a, b in pairs
-            if len(a.sequence) == len(b.sequence)
-        ),
-        default=None,
+    index = _JunctionIndex()
+    for cw in words:
+        index.add(cw.sequence)
+    violations = tuple(
+        JunctionViolation(words[w], words[x], words[y], off) for w, x, y, off in index.witnesses()
     )
-    return ValidationReport(duplicates, tuple(violations), min_hamming)
+    same_length = [(a.sequence, b.sequence) for a, b in pairs if len(a.sequence) == len(b.sequence)]
+    min_hamming = min((sum(p != q for p, q in zip(a, b)) for a, b in same_length), default=None)
+    return ValidationReport(duplicates, violations, min_hamming)
 
 
 class _JunctionIndex:
-    """Prefix/suffix index over accepted words of one length L, for generation.
+    """Prefix/suffix index over words of any lengths, for generation and validation.
 
-    A word w occurs in x + y at a misaligned offset off (0 < off < L) exactly
-    when x[off:] == w[:L-off] and y[:off] == w[L-off:], so the x and y of a
-    violation can be looked up independently, as a suffix and a prefix.  A
-    candidate's check is then O(L) set lookups instead of a scan over every
-    pair of the pool.
+    Word w occurs across the junction of x + y with its first j bases in x
+    (0 < j < len(w)) exactly when x ends with w[:j] and y starts with w[j:],
+    so the x and y of such an occurrence are looked up independently, as a
+    suffix and a prefix.  Whole words are keys too: w = x + y[:1] at offset 0
+    crosses the junction just as any other offset does.
     """
 
-    def __init__(self, length: int):
-        self.length = length
-        self.words: set[str] = set()
-        self.by_head = [{} for _ in range(length)]  # [i]: {w[:i]: {w[i:], ...}}
-        self.by_tail = [{} for _ in range(length)]  # [i]: {w[i:]: {w[:i], ...}}
+    def __init__(self):
+        self.words: list[str] = []
+        self.ends: dict[str, list[int]] = {}  # s: positions of the words ending with s
+        self.starts: dict[str, list[int]] = {}  # s: positions of the words starting with s
 
     def add(self, word: str) -> None:
-        self.words.add(word)
-        for i in range(1, self.length):
-            head, tail = word[:i], word[i:]
-            self.by_head[i].setdefault(head, set()).add(tail)
-            self.by_tail[i].setdefault(tail, set()).add(head)
+        pos = len(self.words)
+        self.words.append(word)
+        for j in range(1, len(word) + 1):
+            self.ends.setdefault(word[-j:], []).append(pos)
+            self.starts.setdefault(word[:j], []).append(pos)
+
+    def witnesses(self) -> list[tuple[int, int, int, int]]:
+        """Every violation as sorted (w, x, y, offset) positions in words."""
+        words, ends, starts = self.words, self.ends, self.starts
+        everyone = range(len(words))
+        found = []
+        for w, word in enumerate(words):
+            for j in range(1, len(word)):  # across the junction: one suffix, one prefix lookup
+                xs, ys = ends.get(word[:j]), starts.get(word[j:])
+                if xs and ys:
+                    found += [(w, x, y, len(words[x]) - j) for x in xs for y in ys]
+            for z, other in enumerate(words):  # wholly inside z, as x or as y of every pair
+                off = other.find(word) if len(word) < len(other) else -1
+                while off != -1:
+                    found += [(w, z, y, off) for y in everyone]
+                    found += [(w, x, z, len(words[x]) + off) for x in everyone]
+                    off = other.find(word, off + 1)
+        found.sort()
+        return found
 
     def admits(self, cand: str) -> bool:
-        """Whether cand extends the words without a duplicate or a junction violation.
+        """Whether cand joins the words without a duplicate or a crossing violation.
 
         Only violations with cand in some role are looked for (the words are
-        taken as already safe among themselves), and the pool that x and y
-        range over is the words plus cand itself.
+        taken as safe among themselves), x and y ranging over the words and
+        cand, with O(len(cand)) lookups.  This is exact when all the words
+        have cand's length, as in generate_codebook: an occurrence wholly
+        inside one word is then a duplicate.
         """
-        if cand in self.words:
+        words, ends, starts = self.words, self.ends, self.starts
+        if cand in starts:
             return False
-        length = self.length
-        for off in range(1, length):
-            cut = length - off
-            head, tail = cand[:off], cand[off:]  # cand as y gives y[:off], as x gives x[off:]
-            prefixes, suffixes = self.by_head[off], self.by_tail[off]  # keyed by every w[:off], w[off:]
-            # cand as w: its first cut bases end some x, the rest start some y.
-            left, right = cand[:cut], cand[cut:]
-            if (left == tail or left in suffixes) and (right == head or right in prefixes):
+        for j in range(1, len(cand)):
+            head, tail = cand[:j], cand[j:]
+            # cand as w: its head ends some x and its tail starts some y.
+            if (head in ends or cand.endswith(head)) and (tail in starts or cand.startswith(tail)):
                 return False
-            # cand as x (or y): a word w with w[:cut] == cand[off:] whose rest
-            # starts some word (w[cut:] == cand[:off] whose start ends some
-            # word).  That other word need not be tried as cand itself: w would
-            # then be a rotation of cand, and cand inside w + w is caught above.
-            tails = self.by_head[cut].get(tail)
-            if tails and not prefixes.keys().isdisjoint(tails):
-                return False
-            heads = self.by_tail[cut].get(head)
-            if heads and not suffixes.keys().isdisjoint(heads):
-                return False
+            # cand as x: a word w starting with cand's tail whose rest starts
+            # some y; cand as y, the mirror image.  y (or x) = cand needs no
+            # lookup: w would be a rotation of cand, caught as cand in w + w.
+            for w in starts.get(tail, ()):
+                if words[w][len(tail):] in starts:
+                    return False
+            for w in ends.get(head, ()):
+                if words[w][:-j] in ends:
+                    return False
         return True
 
 
@@ -235,33 +239,27 @@ def generate_codebook(n: int, k: int, length: int, seed: int) -> Codebook:
     """Seeded uniform-length codebook that passes validation by construction.
 
     Codewords are drawn one (vertex, color) slot at a time in vertex-major
-    order and rejection-resampled until they extend the accepted set without
-    duplicates or junction violations, looked up in a _JunctionIndex rather
-    than by validate_codebook's exhaustive scan.  The draw order is fixed, so
-    equal arguments give bit-identical codebooks on any platform.
+    order and rejection-resampled until the _JunctionIndex that validation
+    uses admits them.  The draw order is fixed, so equal arguments give
+    bit-identical codebooks on any platform.
     """
     if length < 4:
         raise CodecError(f"codeword length must be at least 4, got {length}")
     rng = random.Random(seed)
-    accepted: list[str] = []
-    index = _JunctionIndex(length)
+    index = _JunctionIndex()
     for _slot in range(n * k):  # a bad n or k is refused by Codebook below
         for _attempt in range(GENERATION_ATTEMPTS):
             cand = "".join(rng.choice(DNA_BASES) for _ in range(length))
             if index.admits(cand):
-                accepted.append(cand)
                 index.add(cand)
                 break
         else:
             raise GenerationError(
-                f"gave up on codeword {len(accepted) + 1} after "
+                f"gave up on codeword {len(index.words) + 1} after "
                 f"{GENERATION_ATTEMPTS} attempts; try a longer length"
             )
-    entries = [
-        Codeword(v, c, accepted[(v - 1) * k + c])
-        for v in range(1, n + 1)
-        for c in range(k)
-    ]
+    slots = itertools.product(range(1, n + 1), range(k))
+    entries = [Codeword(v, c, seq) for (v, c), seq in zip(slots, index.words)]
     return Codebook(
         n, k, entries,
         provenance=f"generated(seed={seed}, length={length})",
@@ -276,7 +274,7 @@ def builtin_table1() -> Codebook:
     Sequences are stored verbatim, irregular row lengths included; nothing is
     normalized on load.
     """
-    data = json.loads(resources.files("helix").joinpath("table1.json").read_text())
+    data = json.loads(resources.files("helix").joinpath("table1.json").read_text(encoding="utf-8"))
     return codebook_from_json(data)
 
 
@@ -330,12 +328,12 @@ def dump_codebook(cb: Codebook) -> str:
 
 
 def save_codebook(cb: Codebook, path) -> None:
-    with open(path, "w") as f:
+    with open(path, "w", encoding="utf-8") as f:
         f.write(dump_codebook(cb))
 
 
 def load_codebook(path) -> Codebook:
-    with open(path) as f:
+    with open(path, encoding="utf-8") as f:
         data = json.load(f)
     return codebook_from_json(data)
 

@@ -73,7 +73,7 @@ class SolutionSet:
 
 
 def _check_inputs(g: Graph, k: int, cb: Codebook, match_mode: str, budget: int | None = None) -> None:
-    """What a run needs, cheapest check first: codebook validation is O((nk)^3 L)."""
+    """What a run needs, cheapest check first: codebook validation is O((nk)^2 L)."""
     if k < 1:
         raise SolverError(f"color count must be positive, got {k}")
     if cb.n < g.n or cb.k < k:

@@ -304,3 +304,43 @@ def test_budget_env_var_must_not_be_negative(capsys, monkeypatch):
     assert run_cli("compare", "--graph", "builtin:k3", "--colors", "3") == 2
     err = capsys.readouterr().err
     assert "must not be negative" in err and "over the budget" not in err
+
+
+def _write_codebook(path, sequences):
+    entries = [{"vertex": v, "color": c, "sequence": seq} for (v, c), seq in sequences.items()]
+    path.write_text(json.dumps({"n": 2, "k": 2, "entries": entries}), encoding="utf-8")
+
+
+def test_codebook_with_a_word_at_the_start_of_another_is_refused(tmp_path, capsys):
+    # TAA is the start of TAAGG, so nucleotide extract of TAA would also pick TAAGG.
+    cb = tmp_path / "cb.json"
+    _write_codebook(cb, {(1, 0): "TAA", (1, 1): "TAAGG", (2, 0): "TTGG", (2, 1): "GAT"})
+    graph = tmp_path / "p2.col"
+    graph.write_text("p edge 2 1\ne 1 2\n", encoding="utf-8")
+    assert run_cli("codebook", "validate", "--codebook", str(cb)) == 4
+    assert "ok: false" in capsys.readouterr().out
+    solve = ("solve", "--graph", str(graph), "--colors", "2", "--codebook", str(cb))
+    assert run_cli(*solve, "--match", "nucleotide") == 2
+    assert "failed validation" in capsys.readouterr().err
+    assert run_cli(*solve) == 0
+    capsys.readouterr()
+
+
+def test_text_files_do_not_use_the_locale_encoding(tmp_path):
+    graph = tmp_path / "k3.col"
+    graph.write_text("p edge 3 3\ne 1 2\ne 2 3\ne 1 3\n", encoding="utf-8")
+    cb = tmp_path / "cb.json"
+    commands = [
+        ["solve", "--graph", str(graph), "--colors", "3", "--trace", str(tmp_path / "t.json")],
+        ["codebook", "generate", "--n", "3", "--colors", "3", "--out", str(cb)],
+        ["codebook", "validate", "--codebook", str(cb)],
+        ["codebook", "validate", "--codebook", "table1"],
+    ]
+    for argv in commands:
+        proc = subprocess.run(
+            [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+             "-m", "helix", *argv],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, (argv, proc.stderr)

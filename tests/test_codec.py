@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import random
 from collections import Counter
@@ -11,7 +12,10 @@ from helix import (
     CodecError,
     Codeword,
     DecodeError,
+    JunctionViolation,
     SoundnessError,
+    TubeMachine,
+    ValidationReport,
     builtin_table1,
     codebook_from_json,
     codebook_to_json,
@@ -162,12 +166,37 @@ def test_generated_codebook_bytes_are_pinned(args, digest):
     assert hashlib.sha256(dump_codebook(generate_codebook(*args)).encode()).hexdigest() == digest
 
 
-def _misaligned(word, left, right):
+def _misaligned_offsets(word, left, right):
+    """Reference: offsets of word in left + right other than as exactly left or exactly right."""
     concat = left + right
-    return any(
-        concat.startswith(word, off) for off in range(len(concat) - len(word) + 1)
-        if off not in (0, len(left))
+    aligned = {(0, len(left)), (len(left), len(right))}
+    return [
+        off for off in range(len(concat) - len(word) + 1)
+        if concat.startswith(word, off) and (off, len(word)) not in aligned
+    ]
+
+
+def _misaligned(word, left, right):
+    return bool(_misaligned_offsets(word, left, right))
+
+
+def _report_by_triple_scan(cb):
+    """Reference validator: every (w, x, y) triple of codewords, scanned."""
+    words = cb.codewords()
+    duplicates = tuple(
+        (a, b) for i, a in enumerate(words) for b in words[i + 1 :] if a.sequence == b.sequence
     )
+    violations = tuple(
+        JunctionViolation(w, x, y, off)
+        for w in words for x in words for y in words
+        for off in _misaligned_offsets(w.sequence, x.sequence, y.sequence)
+    )
+    distances = [
+        sum(p != q for p, q in zip(a.sequence, b.sequence))
+        for i, a in enumerate(words) for b in words[i + 1 :]
+        if len(a.sequence) == len(b.sequence)
+    ]
+    return ValidationReport(duplicates, violations, min(distances, default=None))
 
 
 def _extends_safely_by_scan(accepted, cand):
@@ -193,11 +222,66 @@ def pool_and_candidates(draw):
 @given(pool_and_candidates())
 def test_junction_index_agrees_with_the_triple_scan(case):
     length, pool, candidates = case
-    index = _JunctionIndex(length)
+    index = _JunctionIndex()
     for word in pool:
         index.add(word)
     for cand in candidates + pool:
         assert index.admits(cand) == _extends_safely_by_scan(pool, cand), cand
+
+
+@st.composite
+def mixed_pools(draw):
+    alphabet = draw(st.sampled_from(["AC", "ACGT"]))
+    return draw(st.lists(st.text(alphabet, min_size=1, max_size=6), max_size=8))
+
+
+@settings(max_examples=500, deadline=None)
+@given(mixed_pools())
+def test_validation_report_matches_the_triple_scan(pool):
+    cb = _tiny_cb(*pool)
+    report, reference = validate_codebook(cb), _report_by_triple_scan(cb)
+    assert report.duplicates == reference.duplicates
+    assert report.junction_violations == reference.junction_violations
+    assert report.min_pairwise_hamming == reference.min_pairwise_hamming
+
+
+def test_an_occurrence_at_a_boundary_is_aligned_only_as_a_whole_word():
+    report = validate_codebook(_tiny_cb("TAA", "TAAGG", "GGT"))
+    hits = {
+        (v.word.sequence, v.left.sequence, v.right.sequence, v.offset)
+        for v in report.junction_violations
+    }
+    assert ("TAA", "TAAGG", "GGT", 0) in hits  # the start of a longer x
+    assert ("TAA", "GGT", "TAAGG", 3) in hits  # the start of a longer y
+    assert ("TAAGG", "TAA", "GGT", 0) in hits  # all of a shorter x, then into y
+    assert not any((off, w) in ((0, x), (len(x), y)) for w, x, y, off in hits)
+
+
+@st.composite
+def greedy_codebooks(draw):
+    """Up to four words of lengths m to m + 2, each kept if the codebook still passes."""
+    m = draw(st.integers(2, 4))
+    word = st.integers(m, m + 2).flatmap(lambda n: st.text("ACGT", min_size=n, max_size=n))
+    words = []
+    for cand in draw(st.lists(word, min_size=1, max_size=12)):
+        if len(words) < 4 and validate_codebook(_tiny_cb(*words, cand)).ok:
+            words.append(cand)
+    return _tiny_cb(*words)
+
+
+@settings(max_examples=300, deadline=None)
+@given(greedy_codebooks())
+def test_match_modes_agree_on_validated_mixed_length_codebooks(cb):
+    contents = [
+        tuple((v, 0) for v in vertices)
+        for size in range(cb.n + 1)
+        for vertices in itertools.permutations(range(1, cb.n + 1), size)
+    ]
+    for codeword in cb.codewords():
+        m = TubeMachine()
+        sp, sm = m.extract(m.new_tube("s", contents), codeword, "symbolic")
+        np_, nm = m.extract(m.new_tube("n", contents), codeword, "nucleotide", cb)
+        assert (sp.contents, sm.contents) == (np_.contents, nm.contents), codeword
 
 
 def test_encode_assignment(table1):
