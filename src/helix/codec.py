@@ -116,7 +116,7 @@ class Codebook:
         self.provenance = provenance
         self.length = length
         self._table = table
-        self._sequences = {key: cw.sequence for key, cw in table.items()}  # render's fast path
+        self._sequences = {key: cw.sequence for key, cw in table.items()}  # the fast path of render and of nucleotide extract
         self._validation: ValidationReport | None = None
 
     def codeword(self, vertex: int, color: int) -> Codeword:

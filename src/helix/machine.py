@@ -23,7 +23,21 @@ append moves every strand to the order id of its sequence plus the new vertex
 by adding one delta per order id, and equal strands are equal ints.
 Tube.contents unpacks to token tuples in append order through a plan of
 (vertex mask, {masked bits: token}) pairs per order id, built on each unpack
-from the tokens registered so far, so there is no cache to keep in step.
+from the tokens registered so far, so there is no cache to keep in step;
+Tube.colors reads colors from the bits the same way, for the final decode.
+
+Rendered bases: nucleotide extract renders a strand from its bits through a
+(vertex mask, {bit: sequence}) plan, with no token tuple.  A tube that has
+grown by append keeps what it rendered next to `packed`, as prefix strings
+`bases` plus one `tail` shared by the whole tube (strand i is
+`bases[i] + tail`), tagged with the codebook they came from.  Append then adds
+one codeword to `tail`, copies share `bases` (never changed in place), extract
+partitions it alongside `packed`, and merge concatenates it, joining each
+input's tail onto its prefixes only when the tails differ; so the incremental
+engine renders each strand about once per step instead of once per extract.
+A tube that never grew (the monolithic start tube and its descendants) is
+rendered as a stream at each extract and keeps nothing, since holding the
+bases of k**n full-length strands would multiply its memory.
 """
 
 from __future__ import annotations
@@ -31,7 +45,7 @@ from __future__ import annotations
 import dataclasses
 from collections import Counter
 from dataclasses import dataclass
-from itertools import compress, filterfalse, product
+from itertools import chain, compress, filterfalse, product
 from operator import not_
 
 from .codec import Codebook, Codeword, SoundnessError, Strand, Token, render
@@ -69,19 +83,46 @@ class Tube:
     unpacks them to token tuples in append order.  A strand names each vertex
     at most once: TubeMachine.new_tube raises MachineFault on one that names a
     vertex twice.
+
+    `grown` says the tube or a tube it came from was appended to.  When
+    `bases` is not None (exactly when `codebook` is not), strand i renders
+    under `codebook` as `bases[i] + tail`; the list may be shared with other
+    tubes and is never changed in place.  Only grown tubes keep bases.
     """
 
-    __slots__ = ("label", "packed", "retired", "_machine")
+    __slots__ = ("label", "packed", "retired", "grown", "bases", "tail", "codebook", "_machine")
 
-    def __init__(self, label: str, machine: "TubeMachine", packed: list[int]):
+    def __init__(self, label: str, machine: "TubeMachine", packed: list[int], grown: bool = False):
         self.label = label
         self.packed = packed  # owned by this tube: callers hand over a fresh list
         self.retired = False
+        self.grown = grown
+        self._keep(None)
         self._machine = machine
+
+    def _keep(self, bases: list[str] | None, tail: str = "", codebook: Codebook | None = None) -> None:
+        self.bases = bases
+        self.tail = tail
+        self.codebook = codebook
+
+    def _pour_out(self) -> None:
+        self.packed = []
+        self._keep(None)
 
     @property
     def contents(self) -> list[Strand]:
         return self._machine._unpack(self.packed)
+
+    def order_samples(self) -> list[Strand]:
+        """One strand of each vertex order in the tube, as a token tuple."""
+        return self._machine._unpack(list({s & ORDER_MASK: s for s in self.packed}.values()))
+
+    def colors(self, vertices) -> list[tuple[int, ...]]:
+        """Each strand's color at each of `vertices`, read from the bits.
+
+        Every strand must name every one of the vertices (KeyError otherwise).
+        """
+        return self._machine._colors(self.packed, vertices)
 
     def __len__(self) -> int:
         return len(self.packed)
@@ -170,6 +211,36 @@ class TubeMachine:
         }
         return [tuple([tok[s & m] for m, tok in plans[s & ORDER_MASK]]) for s in packed]
 
+    def _colors(self, packed: list[int], vertices) -> list[tuple[int, ...]]:
+        """Ints to colors at the given vertices, through one (vertex mask, {bit: color}) row each."""
+        token_at = self._token_at
+        rows = [
+            (sum(tokens), {bit: c for bit, (_, c) in tokens.items()})
+            for tokens in (token_at.get(v, {}) for v in vertices)
+        ]
+        return [tuple([color[s & m] for m, color in rows]) for s in packed]
+
+    def _render(self, packed: list[int], cb: Codebook):
+        """Each strand's bases under cb, streamed straight from the bits.
+
+        One (vertex mask, {bit: sequence}) row per vertex of each order id.
+        A strand holding a token cb lacks goes through render, which raises
+        the CodecError that names it.
+        """
+        token_at, seqs = self._token_at, cb._sequences
+        plans = {
+            oid: [
+                (sum(token_at[v]), {bit: seqs[t] for bit, t in token_at[v].items() if t in seqs})
+                for v in self._orders[oid]
+            ]
+            for oid in set(map(ORDER_MASK.__and__, packed))
+        }
+        for s in packed:
+            try:
+                yield "".join([seq[s & m] for m, seq in plans[s & ORDER_MASK]])
+            except KeyError:
+                yield render(self._unpack([s])[0], cb)
+
     # --- operations --------------------------------------------------------
 
     def new_tube(self, label: str, contents=(), *, rows=None) -> Tube:
@@ -206,6 +277,13 @@ class TubeMachine:
             tube.packed = list(map(d.__add__, strands))
         else:
             tube.packed = [s + delta[s & ORDER_MASK] for s in strands]
+        if tube.bases is not None:
+            seq = tube.codebook._sequences.get((v, cw.color))
+            if seq is None:  # a token the tag lacks: the next nucleotide extract says which
+                tube._keep(None)
+            else:
+                tube.tail += seq
+        tube.grown = True
         self.counter.append += 1
         return tube
 
@@ -215,21 +293,41 @@ class TubeMachine:
         if count < 1:
             raise ValueError(f"copy count must be at least 1, got {count}")
         src = tube.packed
-        copies = [Tube(f"{tube.label}#{i}", self, src[:]) for i in range(1, count + 1)]
-        tube.packed = []
+        copies = [Tube(f"{tube.label}#{i}", self, src[:], tube.grown) for i in range(1, count + 1)]
+        for replica in copies:
+            replica._keep(tube.bases, tube.tail, tube.codebook)
+        tube._pour_out()
         self._credit((count - 1) * len(src))
         self.counter.copy += 1
         return copies
 
     def merge(self, dest: Tube, sources) -> Tube:
-        """Pour every source into dest; sources end empty.  One counter tick."""
+        """Pour every source into dest; sources end empty.  One counter tick.
+
+        dest keeps bases when every non-empty input has them under one
+        codebook: the prefix lists are concatenated under their common tail,
+        or, when the tails differ, each prefix is joined to its own tail.
+        """
         self._require_live(dest)
+        sources = list(sources)
         for src in sources:
             if src is dest:
                 raise MachineFault("merge: tube cannot be merged into itself")
             self._require_live(src)
+        full = [t for t in (dest, *sources) if t.packed]
+        cb = full[0].codebook if full else None
+        if cb is not None and all(t.codebook is cb for t in full):
+            if len({t.tail for t in full}) == 1:
+                keep = (list(chain.from_iterable(t.bases for t in full)), full[0].tail, cb)
+            else:
+                keep = ([b + t.tail for t in full for b in t.bases], "", cb)
+        else:
+            keep = (None,)
+        dest.grown = dest.grown or any(src.grown for src in sources)
+        for src in sources:
             dest.packed.extend(src.packed)
-            src.packed = []
+            src._pour_out()
+        dest._keep(*keep)
         self.counter.merge += 1
         return dest
 
@@ -246,26 +344,39 @@ class TubeMachine:
         cw's base sequence occurs in the rendered strand, and is refused unless
         the codebook passed validation, since substring search on an unsafe
         codebook can disagree with token membership.  Both outputs keep the
-        source's strand order.
+        source's strand order; in nucleotide mode a grown tube's outputs keep
+        its bases under cb, rendered from the bits if it held none under cb.
         """
         self._require_live(tube)
-        strands = tube.packed
+        strands, grown = tube.packed, tube.grown
         if match_mode == "symbolic":
             has_token = self._bit.get((cw.vertex, cw.color), 0).__and__  # a token never seen is in no strand
-            plus, minus = filter(has_token, strands), filterfalse(has_token, strands)
+            plus = Tube(f"{tube.label}+", self, list(filter(has_token, strands)), grown)
+            minus = Tube(f"{tube.label}-", self, list(filterfalse(has_token, strands)), grown)
         elif match_mode == "nucleotide":
             if cb is None:
                 raise SoundnessError("nucleotide extract needs a codebook")
             if not cb.validation().ok:
                 raise SoundnessError("nucleotide extract refused: codebook failed validation")
+            if tube.codebook is cb:
+                bases, tail = tube.bases, tube.tail
+            else:
+                bases, tail = self._render(strands, cb), ""
+                if grown:  # kept; a tube that never grew is streamed instead
+                    bases = list(bases)
             seq = cw.sequence
-            flags = [seq in render(s, cb) for s in self._unpack(strands)]
-            plus, minus = compress(strands, flags), compress(strands, map(not_, flags))
+            flags = [seq in b + tail for b in bases]
+            miss = list(map(not_, flags))
+            plus = Tube(f"{tube.label}+", self, list(compress(strands, flags)), grown)
+            minus = Tube(f"{tube.label}-", self, list(compress(strands, miss)), grown)
+            if grown:
+                plus._keep(list(compress(bases, flags)), tail, cb)
+                minus._keep(list(compress(bases, miss)), tail, cb)
         else:
             raise ValueError(f"unknown match mode {match_mode!r}")
-        tube.packed = []
+        tube._pour_out()
         self.counter.extract += 1
-        return Tube(f"{tube.label}+", self, list(plus)), Tube(f"{tube.label}-", self, list(minus))
+        return plus, minus
 
     def detect(self, tube: Tube) -> bool:
         self._require_live(tube)
@@ -276,6 +387,6 @@ class TubeMachine:
         """Drop the tube's contents and retire it; later operations on it fault."""
         self._require_live(tube)
         self._credit(-len(tube.packed))
-        tube.packed = []
+        tube._pour_out()
         tube.retired = True
         self.counter.discard += 1

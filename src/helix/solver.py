@@ -101,7 +101,14 @@ def _resolve_order(g: Graph, order) -> list[int]:
 
 
 def _decode_final(tube, n: int) -> frozenset[tuple[int, ...]]:
-    return frozenset(coloring_from_strand(s, n) for s in tube.contents)
+    """The colorings the tube spells, read from the strands' bits.
+
+    Strands of one vertex order name the same vertices, so coloring_from_strand
+    checks one strand per order that they cover exactly 1..n.
+    """
+    for strand in tube.order_samples():
+        coloring_from_strand(strand, n)
+    return frozenset(tube.colors(range(1, n + 1)))
 
 
 def solve_incremental(

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helix import (
+    CodecError,
     Codeword,
     MachineFault,
     OpCounter,
@@ -14,6 +15,7 @@ from helix import (
     generate_codebook,
     render,
 )
+from helix.machine import MATCH_MODES
 
 CW = {(v, c): Codeword(v, c, "ACGT") for v in range(1, 9) for c in range(4)}
 
@@ -367,3 +369,120 @@ def test_token_first_seen_after_its_vertex_was_unpacked():
     m.append(t, cw(3, 1))
     assert [s[0] for s in t.contents] == [(1, 0), (1, 3)]
     assert m.extract(t, cw(2, 2))[0].contents == []  # a token never seen is in no strand
+
+
+# --- kept bases ------------------------------------------------------------
+
+# Two validated codebooks over the same tokens, so a tube's tag can be the
+# other codebook at its next nucleotide extract.
+BASES_CBS = (generate_codebook(8, 3, 12, 1), generate_codebook(8, 3, 12, 2))
+small_token_st = st.tuples(st.integers(1, 8), st.integers(0, 2))
+small_contents_st = st.lists(
+    st.lists(small_token_st, unique_by=lambda tok: tok[0], max_size=2).map(tuple), max_size=8
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_kept_bases_render_the_contents(data):
+    assert all(cb.validation().ok for cb in BASES_CBS)
+    m = TubeMachine()
+    model = {}  # every tube handed out -> its strands as token tuples
+    # Swarm: some runs use one mode or one codebook only, so kept bases live longer.
+    modes = data.draw(st.sampled_from((MATCH_MODES, ("nucleotide",))))
+    codebooks = data.draw(st.sampled_from((BASES_CBS, BASES_CBS[:1])))
+    for _ in range(data.draw(st.integers(1, 30))):
+        live = [u for u in model if model[u]]  # tubes that hold strands
+        ops = ("copy", "append", "merge", "extract")
+        if len(live) < 3:  # new tubes only while few hold strands, so that tubes get transformed
+            ops = ("new",) + ops if live else ("new",)
+        op = data.draw(st.sampled_from(ops))
+        if op == "new":
+            contents = data.draw(small_contents_st)
+            model[m.new_tube("t", contents)] = contents
+            continue
+        t = data.draw(st.sampled_from(live))
+        if op == "copy":
+            for replica in m.copy(t, data.draw(st.integers(1, 3))):
+                model[replica] = model[t]
+            model[t] = []
+        elif op == "append":
+            named = {u for s in model[t] for u, _ in s}
+            v = data.draw(st.sampled_from([u for u in range(1, 9) if u not in named] or [1]))
+            c = data.draw(st.integers(0, 2))
+            if v in named:
+                with pytest.raises(MachineFault):
+                    m.append(t, BASES_CBS[0].codeword(v, c))
+            else:
+                m.append(t, BASES_CBS[0].codeword(v, c))
+                model[t] = [s + ((v, c),) for s in model[t]]
+        elif op == "merge":
+            others = [u for u in live if u is not t]
+            keeping = [u for u in others if u.bases is not None]  # drawn more often: their tails may differ
+            source_st = st.sampled_from(keeping) | st.sampled_from(others) if keeping else st.sampled_from(others)
+            sources = data.draw(st.lists(source_st, unique=True, max_size=3) if others else st.just([]))
+            m.merge(t, sources)
+            model[t] = model[t] + [s for u in sources for s in model[u]]
+            for u in sources:
+                model[u] = []
+        else:
+            held = sorted({tok for s in model[t] for tok in s})
+            token = data.draw(st.sampled_from(held) | small_token_st if held else small_token_st)
+            cb = data.draw(st.sampled_from(codebooks))
+            plus, minus = m.extract(t, cb.codeword(*token), data.draw(st.sampled_from(modes)), cb)
+            model[plus] = [s for s in model[t] if token in s]
+            model[minus] = [s for s in model[t] if token not in s]
+            model[t] = []
+        for tube, contents in model.items():
+            assert tube.contents == contents
+            if tube.bases is not None:
+                assert [b + tube.tail for b in tube.bases] == [render(s, tube.codebook) for s in contents]
+
+
+def test_merge_joins_differing_tails_onto_their_prefixes():
+    cb = BASES_CBS[0]
+    m = TubeMachine()
+    t = m.new_tube("t", [((1, 0),), ((1, 1),), ((1, 2),)])
+    m.append(t, cb.codeword(2, 0))
+    plus, minus = m.extract(t, cb.codeword(1, 0), "nucleotide", cb)
+    m.append(plus, cb.codeword(3, 1))
+    m.append(minus, cb.codeword(3, 2))
+    m.merge(plus, [minus])
+    assert plus.tail == "" and plus.codebook is cb
+    assert plus.bases == [render(s, cb) for s in plus.contents]
+
+
+def test_only_grown_tubes_keep_bases():
+    cb, other = BASES_CBS
+    m = TubeMachine()
+    start = m.new_tube("start", rows=[((1, 0), (1, 1)), ((2, 0), (2, 1))])
+    plus, minus = m.extract(start, cb.codeword(1, 0), "nucleotide", cb)
+    assert plus.bases is None and minus.bases is None  # never grown: rendered as a stream
+    m.append(plus, cb.codeword(3, 2))
+    kept, _ = m.extract(plus, cb.codeword(2, 1), "nucleotide", cb)
+    assert kept.contents == [((1, 0), (2, 1), (3, 2))]
+    assert (kept.bases, kept.tail, kept.codebook) == ([render(kept.contents[0], cb)], "", cb)
+    m.append(kept, cb.codeword(4, 0))
+    assert kept.tail == cb.codeword(4, 0).sequence
+    retagged, _ = m.extract(kept, other.codeword(4, 0), "nucleotide", other)
+    assert retagged.codebook is other
+    assert retagged.bases == [render(((1, 0), (2, 1), (3, 2), (4, 0)), other)]
+
+
+def test_nucleotide_extract_of_a_token_outside_the_codebook_raises():
+    cb = generate_codebook(2, 2, 12, 0)
+    m = TubeMachine()
+    for grown in (False, True):
+        t = m.new_tube("t", [((1, 0),), ((3, 1),)])
+        if grown:
+            m.append(t, cb.codeword(2, 0))
+        with pytest.raises(CodecError, match="no codeword for vertex 3"):
+            m.extract(t, cb.codeword(1, 0), "nucleotide", cb)
+        assert len(t) == 2  # the refused extract leaves the tube as it was
+    t = m.new_tube("t", [((1, 0),)])
+    m.append(t, cb.codeword(2, 1))
+    kept, _ = m.extract(t, cb.codeword(1, 0), "nucleotide", cb)
+    assert kept.bases is not None
+    m.append(kept, Codeword(3, 0, "ACGT"))  # a token the tag lacks drops the bases
+    with pytest.raises(CodecError, match="no codeword for vertex 3"):
+        m.extract(kept, cb.codeword(1, 0), "nucleotide", cb)

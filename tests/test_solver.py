@@ -7,6 +7,7 @@ import pytest
 import corpus
 from helix import (
     BudgetError,
+    DecodeError,
     Graph,
     SolverError,
     SoundnessError,
@@ -19,8 +20,11 @@ from helix import (
     solve_incremental,
     solve_monolithic,
     step_census,
+    TubeMachine,
     trace_document,
 )
+from helix import solver
+from helix.codec import coloring_from_strand
 from helix.cli import random_graph
 
 
@@ -143,6 +147,56 @@ def test_nucleotide_mode_agrees_with_symbolic():
     nuc, nuc_trace = solve_incremental(g, 3, cb, match_mode="nucleotide")
     assert sym.colorings == nuc.colorings
     assert sym_trace.steps == nuc_trace.steps
+
+
+def test_match_modes_agree_across_the_suite():
+    for name, g in corpus.suite():
+        for k in corpus.KS:
+            cb = corpus.suite_codebook(g.n, k)
+            sym, sym_trace = corpus.run_incremental(name, k)
+            nuc, nuc_trace = solve_incremental(g, k, cb, match_mode="nucleotide")
+            assert nuc == sym, (name, k)
+            assert nuc_trace.steps == sym_trace.steps, (name, k)
+            assert nuc_trace.op_totals == sym_trace.op_totals, (name, k)
+            assert nuc_trace.peak_tube_size == sym_trace.peak_tube_size, (name, k)
+            if k**g.n <= 4**6:
+                mono_sym, mono_sym_trace = solve_monolithic(g, k, cb)
+                mono_nuc, mono_nuc_trace = solve_monolithic(g, k, cb, "nucleotide")
+                assert mono_nuc == mono_sym == sym, (name, k)
+                assert mono_nuc_trace == mono_sym_trace, (name, k)
+
+
+def test_bit_decode_matches_per_strand_decode(monkeypatch):
+    decoded = []
+
+    def per_strand_check(tube, n):
+        colorings = bit_decode(tube, n)
+        assert colorings == frozenset(coloring_from_strand(s, n) for s in tube.contents)
+        decoded.append(len(tube))
+        return colorings
+
+    bit_decode = solver._decode_final
+    monkeypatch.setattr(solver, "_decode_final", per_strand_check)
+    rng = random.Random(3)
+    for _, g in corpus.suite():
+        shuffled = list(range(1, g.n + 1))
+        rng.shuffle(shuffled)
+        for k in corpus.KS:
+            for order in (None, shuffled):
+                solve_incremental(g, k, corpus.suite_codebook(g.n, k), order=order)
+    assert len(decoded) == 2 * len(corpus.KS) * len(corpus.suite_names())
+    assert sum(decoded) > 0
+
+
+def test_decode_refuses_a_strand_missing_a_vertex():
+    m = TubeMachine()
+    tube = m.new_tube("t", [((1, 0), (3, 1)), ((3, 2), (1, 1)), ((1, 0), (2, 0), (3, 0))])
+    with pytest.raises(DecodeError, match=r"strand misses vertices \[2\]"):
+        solver._decode_final(tube, 3)
+    with pytest.raises(DecodeError, match="strand names vertex 3, graph has 1..2"):
+        solver._decode_final(m.new_tube("u", [((1, 0), (2, 1), (3, 0))]), 2)
+    assert solver._decode_final(m.new_tube("v", [((2, 1), (1, 0)), ((1, 2), (2, 2))]), 2) == {(0, 1), (2, 2)}
+    assert solver._decode_final(m.new_tube("w"), 4) == frozenset()
 
 
 def test_k1_runs():
