@@ -111,14 +111,15 @@ def parse_codebook_spec(spec: str, g: Graph, k: int) -> Codebook:
     return load_codebook_arg(spec)
 
 
-def parse_order_spec(spec: str):
-    """None for 'natural', else the listed vertices; the solver checks the permutation."""
-    if spec == "natural":
-        return None
-    try:
-        return [int(tok) for tok in spec.split(",")]
-    except ValueError:
-        raise ConfigError(f"order must be 'natural' or a comma list, got {spec!r}") from None
+def parse_order_spec(spec: str, g: Graph) -> list[int]:
+    """The run order, checked by the solver before any engine starts."""
+    order = None
+    if spec != "natural":
+        try:
+            order = [int(tok) for tok in spec.split(",")]
+        except ValueError:
+            raise ConfigError(f"order must be 'natural' or a comma list, got {spec!r}") from None
+    return solver.resolve_order(g, order)
 
 
 def strand_budget() -> int:
@@ -176,7 +177,7 @@ def cmd_solve(args) -> int:
         print(f"warning: {w}", file=sys.stderr)
     k = args.colors
     cb = parse_codebook_spec(args.codebook, g, k)
-    order = parse_order_spec(args.order)
+    order = parse_order_spec(args.order, g)
     runs = {}
     if args.mode in ("incremental", "both"):
         runs["incremental"] = solver.solve_incremental(g, k, cb, args.match, order)
@@ -217,7 +218,7 @@ def cmd_compare(args) -> int:
         print(f"warning: {w}", file=sys.stderr)
     k = args.colors
     cb = parse_codebook_spec(args.codebook, g, k)
-    order = parse_order_spec(args.order)
+    order = parse_order_spec(args.order, g)
     # Monolithic first: its strand budget refuses an oversized run before any other work.
     mono_solutions, mono_trace = solver.solve_monolithic(g, k, cb, args.match, strand_budget())
     oracle_set = frozenset(oracle.enumerate_colorings(g, k))
@@ -345,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
             default="gen:20,0",
             help="table1, gen:length,seed, or a codebook JSON path (default gen:20,0)",
         )
-        p.add_argument("--match", choices=("symbolic", "nucleotide"), default="symbolic")
+        p.add_argument("--match", choices=solver.MATCH_MODES, default="symbolic")
         p.add_argument(
             "--order",
             default="natural",

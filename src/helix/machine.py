@@ -1,11 +1,14 @@
 """Simulated test-tube bench: labeled strand multisets and the six operations.
 
 A TubeMachine hands out tubes and performs Append, Copy, Merge, Extract,
-Detect, and Discard on them, charging one counter tick per call.  Tubes hold
-multisets of symbolic strands even when extraction matches on nucleotides; the
-tokens are the ground truth the simulator reasons about, and a codeword's base
-sequence only ever decides membership, all of which keeps the two match modes
-comparable strand for strand.
+Detect, and Discard on them, charging one counter tick per call.  As in the
+Adleman-Lipton model, one session fixes one extraction chemistry: a machine
+built with a codebook extracts on nucleotides, one built without extracts on
+tokens, and extract itself takes only the tube and the codeword.  Tubes hold
+multisets of symbolic strands either way; the tokens are the ground truth the
+simulator reasons about, and a codeword's base sequence only ever decides
+membership, all of which keeps the two kinds of machine comparable strand for
+strand.
 
 Physical accounting: Copy pours the source out into its copies (the source
 ends empty), Merge pours sources into the destination, Extract pours the
@@ -30,7 +33,7 @@ Rendered bases: nucleotide extract renders a strand from its bits through a
 (vertex mask, {bit: sequence}) plan, with no token tuple.  A tube that has
 grown by append keeps what it rendered next to `packed`, as prefix strings
 `bases` plus one `tail` shared by the whole tube (strand i is
-`bases[i] + tail`), tagged with the codebook they came from.  Append then adds
+`bases[i] + tail` under the machine's codebook).  Append then adds
 one codeword to `tail`, copies share `bases` (never changed in place), extract
 partitions it alongside `packed`, and merge concatenates it, joining each
 input's tail onto its prefixes only when the tails differ; so the incremental
@@ -49,8 +52,6 @@ from itertools import chain, compress, filterfalse, product
 from operator import not_
 
 from .codec import Codebook, Codeword, SoundnessError, Strand, Token, render
-
-MATCH_MODES = ("symbolic", "nucleotide")
 
 ORDER_BITS = 32
 ORDER_MASK = (1 << ORDER_BITS) - 1
@@ -85,12 +86,12 @@ class Tube:
     vertex twice.
 
     `grown` says the tube or a tube it came from was appended to.  When
-    `bases` is not None (exactly when `codebook` is not), strand i renders
-    under `codebook` as `bases[i] + tail`; the list may be shared with other
-    tubes and is never changed in place.  Only grown tubes keep bases.
+    `bases` is not None, strand i renders under the machine's codebook as
+    `bases[i] + tail`; the list may be shared with other tubes and is never
+    changed in place.  Only grown tubes on a nucleotide machine keep bases.
     """
 
-    __slots__ = ("label", "packed", "retired", "grown", "bases", "tail", "codebook", "_machine")
+    __slots__ = ("label", "packed", "retired", "grown", "bases", "tail", "_machine")
 
     def __init__(self, label: str, machine: "TubeMachine", packed: list[int], grown: bool = False):
         self.label = label
@@ -100,10 +101,9 @@ class Tube:
         self._keep(None)
         self._machine = machine
 
-    def _keep(self, bases: list[str] | None, tail: str = "", codebook: Codebook | None = None) -> None:
+    def _keep(self, bases: list[str] | None, tail: str = "") -> None:
         self.bases = bases
         self.tail = tail
-        self.codebook = codebook
 
     def _pour_out(self) -> None:
         self.packed = []
@@ -136,9 +136,18 @@ class Tube:
 
 
 class TubeMachine:
-    """One bench session: creates tubes, runs operations, keeps the books."""
+    """One bench session: creates tubes, runs operations, keeps the books.
 
-    def __init__(self):
+    `codebook` fixes how extract matches for the whole session: None tests
+    token membership, a codebook tests for its base sequences.  Substring
+    search on an unsafe codebook can disagree with token membership, so a
+    codebook that fails validation is refused here, before any tube exists.
+    """
+
+    def __init__(self, codebook: Codebook | None = None):
+        if codebook is not None and not codebook.validation().ok:
+            raise SoundnessError("nucleotide matching refused: codebook failed validation")
+        self.codebook = codebook
         self.counter = OpCounter()
         self._live_strands = 0
         self.peak_tube_size = 0
@@ -220,14 +229,14 @@ class TubeMachine:
         ]
         return [tuple([color[s & m] for m, color in rows]) for s in packed]
 
-    def _render(self, packed: list[int], cb: Codebook):
-        """Each strand's bases under cb, streamed straight from the bits.
+    def _render(self, packed: list[int]):
+        """Each strand's bases under the codebook, streamed straight from the bits.
 
         One (vertex mask, {bit: sequence}) row per vertex of each order id.
-        A strand holding a token cb lacks goes through render, which raises
-        the CodecError that names it.
+        A strand holding a token the codebook lacks goes through render, which
+        raises the CodecError that names it.
         """
-        token_at, seqs = self._token_at, cb._sequences
+        token_at, seqs = self._token_at, self.codebook._sequences
         plans = {
             oid: [
                 (sum(token_at[v]), {bit: seqs[t] for bit, t in token_at[v].items() if t in seqs})
@@ -239,7 +248,7 @@ class TubeMachine:
             try:
                 yield "".join([seq[s & m] for m, seq in plans[s & ORDER_MASK]])
             except KeyError:
-                yield render(self._unpack([s])[0], cb)
+                yield render(self._unpack([s])[0], self.codebook)
 
     # --- operations --------------------------------------------------------
 
@@ -278,8 +287,8 @@ class TubeMachine:
         else:
             tube.packed = [s + delta[s & ORDER_MASK] for s in strands]
         if tube.bases is not None:
-            seq = tube.codebook._sequences.get((v, cw.color))
-            if seq is None:  # a token the tag lacks: the next nucleotide extract says which
+            seq = self.codebook._sequences.get((v, cw.color))
+            if seq is None:  # a token the codebook lacks: the next extract says which
                 tube._keep(None)
             else:
                 tube.tail += seq
@@ -295,7 +304,7 @@ class TubeMachine:
         src = tube.packed
         copies = [Tube(f"{tube.label}#{i}", self, src[:], tube.grown) for i in range(1, count + 1)]
         for replica in copies:
-            replica._keep(tube.bases, tube.tail, tube.codebook)
+            replica._keep(tube.bases, tube.tail)
         tube._pour_out()
         self._credit((count - 1) * len(src))
         self.counter.copy += 1
@@ -304,9 +313,10 @@ class TubeMachine:
     def merge(self, dest: Tube, sources) -> Tube:
         """Pour every source into dest; sources end empty.  One counter tick.
 
-        dest keeps bases when every non-empty input has them under one
-        codebook: the prefix lists are concatenated under their common tail,
-        or, when the tails differ, each prefix is joined to its own tail.
+        dest keeps bases when every non-empty input has them: the prefix lists
+        are concatenated under their common tail, or, when the tails differ,
+        each prefix is joined to its own tail.  A tube may be poured only
+        once, so a source listed twice faults before anything moves.
         """
         self._require_live(dest)
         sources = list(sources)
@@ -314,13 +324,14 @@ class TubeMachine:
             if src is dest:
                 raise MachineFault("merge: tube cannot be merged into itself")
             self._require_live(src)
+        if len(set(map(id, sources))) != len(sources):
+            raise MachineFault("merge: a source tube is listed twice")
         full = [t for t in (dest, *sources) if t.packed]
-        cb = full[0].codebook if full else None
-        if cb is not None and all(t.codebook is cb for t in full):
+        if full and all(t.bases is not None for t in full):
             if len({t.tail for t in full}) == 1:
-                keep = (list(chain.from_iterable(t.bases for t in full)), full[0].tail, cb)
+                keep = (list(chain.from_iterable(t.bases for t in full)), full[0].tail)
             else:
-                keep = ([b + t.tail for t in full for b in t.bases], "", cb)
+                keep = ([b + t.tail for t in full for b in t.bases], "")
         else:
             keep = (None,)
         dest.grown = dest.grown or any(src.grown for src in sources)
@@ -331,37 +342,25 @@ class TubeMachine:
         self.counter.merge += 1
         return dest
 
-    def extract(
-        self,
-        tube: Tube,
-        cw: Codeword,
-        match_mode: str = "symbolic",
-        cb: Codebook | None = None,
-    ) -> tuple[Tube, Tube]:
+    def extract(self, tube: Tube, cw: Codeword) -> tuple[Tube, Tube]:
         """Partition the tube by cw into (matching, rest); the source ends empty.
 
-        Symbolic mode tests token membership.  Nucleotide mode tests whether
-        cw's base sequence occurs in the rendered strand, and is refused unless
-        the codebook passed validation, since substring search on an unsafe
-        codebook can disagree with token membership.  Both outputs keep the
-        source's strand order; in nucleotide mode a grown tube's outputs keep
-        its bases under cb, rendered from the bits if it held none under cb.
+        Without a codebook the machine tests token membership; with one it
+        tests whether cw's base sequence occurs in the rendered strand.  Both
+        outputs keep the source's strand order; on a nucleotide machine a
+        grown tube's outputs keep its bases, rendered from the bits if it
+        held none.
         """
         self._require_live(tube)
         strands, grown = tube.packed, tube.grown
-        if match_mode == "symbolic":
+        if self.codebook is None:
             has_token = self._bit.get((cw.vertex, cw.color), 0).__and__  # a token never seen is in no strand
             plus = Tube(f"{tube.label}+", self, list(filter(has_token, strands)), grown)
             minus = Tube(f"{tube.label}-", self, list(filterfalse(has_token, strands)), grown)
-        elif match_mode == "nucleotide":
-            if cb is None:
-                raise SoundnessError("nucleotide extract needs a codebook")
-            if not cb.validation().ok:
-                raise SoundnessError("nucleotide extract refused: codebook failed validation")
-            if tube.codebook is cb:
-                bases, tail = tube.bases, tube.tail
-            else:
-                bases, tail = self._render(strands, cb), ""
+        else:
+            bases, tail = tube.bases, tube.tail
+            if bases is None:
+                bases = self._render(strands)
                 if grown:  # kept; a tube that never grew is streamed instead
                     bases = list(bases)
             seq = cw.sequence
@@ -370,10 +369,8 @@ class TubeMachine:
             plus = Tube(f"{tube.label}+", self, list(compress(strands, flags)), grown)
             minus = Tube(f"{tube.label}-", self, list(compress(strands, miss)), grown)
             if grown:
-                plus._keep(list(compress(bases, flags)), tail, cb)
-                minus._keep(list(compress(bases, miss)), tail, cb)
-        else:
-            raise ValueError(f"unknown match mode {match_mode!r}")
+                plus._keep(list(compress(bases, flags)), tail)
+                minus._keep(list(compress(bases, miss)), tail)
         tube._pour_out()
         self.counter.extract += 1
         return plus, minus

@@ -23,18 +23,12 @@ import dataclasses
 from dataclasses import dataclass
 
 from . import oracle
-from .codec import (
-    BLANK_STRAND,
-    Codebook,
-    Strand,
-    SoundnessError,
-    color_name,
-    coloring_from_strand,
-)
+from .codec import BLANK_STRAND, Codebook, color_name, coloring_from_strand
 from .graphs import Graph
-from .machine import MATCH_MODES, OpCounter, TubeMachine
+from .machine import OpCounter, TubeMachine
 
 DEFAULT_STRAND_BUDGET = 2_000_000
+MATCH_MODES = ("symbolic", "nucleotide")
 
 
 class SolverError(ValueError):
@@ -72,8 +66,14 @@ class SolutionSet:
         return sorted(self.colorings)
 
 
-def _check_inputs(g: Graph, k: int, cb: Codebook, match_mode: str, budget: int | None = None) -> None:
-    """What a run needs, cheapest check first: codebook validation is O((nk)^2 L)."""
+def _check_inputs(
+    g: Graph, k: int, cb: Codebook, match_mode: str, budget: int | None = None
+) -> TubeMachine:
+    """What a run needs, cheapest check first, then the run's machine.
+
+    The machine checks last: a nucleotide machine validates its codebook,
+    which is O((nk)^2 L).
+    """
     if k < 1:
         raise SolverError(f"color count must be positive, got {k}")
     if cb.n < g.n or cb.k < k:
@@ -87,11 +87,11 @@ def _check_inputs(g: Graph, k: int, cb: Codebook, match_mode: str, budget: int |
         raise BudgetError(
             f"the monolithic engine needs k^n = {k**g.n} strands, over the budget of {budget}"
         )
-    if match_mode == "nucleotide" and not cb.validation().ok:
-        raise SoundnessError("nucleotide matching refused: codebook failed validation")
+    return TubeMachine(cb if match_mode == "nucleotide" else None)
 
 
-def _resolve_order(g: Graph, order) -> list[int]:
+def resolve_order(g: Graph, order) -> list[int]:
+    """The run order: 1..n for None, else `order` if it is a permutation of 1..n."""
     if order is None:
         return list(range(1, g.n + 1))
     order = list(order)
@@ -123,10 +123,9 @@ def solve_incremental(
     Returns the decoded solution set (colorings re-indexed to natural vertex
     order) and a trace with one StepRecord per vertex.
     """
-    _check_inputs(g, k, cb, match_mode)
-    order = _resolve_order(g, order)
+    machine = _check_inputs(g, k, cb, match_mode)
+    order = resolve_order(g, order)
     adj = g.adjacency()
-    machine = TubeMachine()
     # A lone blank strand seeds the survivor tube: Append extends what exists,
     # so an empty tube would stay empty forever.
     t0 = machine.new_tube("T0", [BLANK_STRAND])
@@ -142,7 +141,7 @@ def solve_incremental(
         for u in order[:idx]:
             if u in adj[v]:
                 for c in range(k):
-                    bad, keep = machine.extract(color_tubes[c], cb.codeword(u, c), match_mode, cb)
+                    bad, keep = machine.extract(color_tubes[c], cb.codeword(u, c))
                     color_tubes[c] = keep
                     bad_outputs[c].append(bad)
         after_filter = tuple(len(t) for t in color_tubes)
@@ -178,14 +177,13 @@ def solve_monolithic(
     calls, so the trace carries no step records and is marked synthetic; the
     filtering phase runs on the machine and is counted normally.
     """
-    _check_inputs(g, k, cb, match_mode, budget)
-    machine = TubeMachine()
+    machine = _check_inputs(g, k, cb, match_mode, budget)
     token_rows = [tuple((v, c) for c in range(k)) for v in range(1, g.n + 1)]
     tube = machine.new_tube("full", rows=token_rows)
     for u, v in g.sorted_edges():
         for c in range(k):
-            with_u, rest = machine.extract(tube, cb.codeword(u, c), match_mode, cb)
-            bad, u_only = machine.extract(with_u, cb.codeword(v, c), match_mode, cb)
+            with_u, rest = machine.extract(tube, cb.codeword(u, c))
+            bad, u_only = machine.extract(with_u, cb.codeword(v, c))
             tube = machine.merge(rest, [u_only])
             machine.discard(bad)
     colorable = machine.detect(tube)
@@ -202,7 +200,7 @@ def step_census(g: Graph, k: int, order, i: int) -> int:
     This is what the survivor tube's size must equal after step i of an
     incremental run with the same order.
     """
-    order = _resolve_order(g, order)
+    order = resolve_order(g, order)
     if not (1 <= i <= g.n):
         raise SolverError(f"step index must be in 1..{g.n}, got {i}")
     position = {v: j + 1 for j, v in enumerate(order[:i])}
@@ -228,7 +226,7 @@ def trace_document(
     doc = {
         "graph": {"n": g.n, "m": g.m},
         "k": k,
-        "order": _resolve_order(g, order),
+        "order": resolve_order(g, order),
         "mode": mode,
         "steps": [
             {

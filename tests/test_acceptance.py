@@ -188,9 +188,9 @@ def test_criterion_07_match_mode_agreement():
                 verts = rng.sample(range(1, cb.n + 1), rng.randint(0, min(cb.n, 5)))
                 contents.append(tuple((v, rng.randrange(cb.k)) for v in verts))
             cw = cb.codeword(rng.randint(1, cb.n), rng.randrange(cb.k))
-            machine = TubeMachine()
-            sym = machine.extract(machine.new_tube("a", contents), cw)
-            nuc = machine.extract(machine.new_tube("b", contents), cw, "nucleotide", cb)
+            symbolic, nucleotide = TubeMachine(), TubeMachine(cb)
+            sym = symbolic.extract(symbolic.new_tube("a", contents), cw)
+            nuc = nucleotide.extract(nucleotide.new_tube("b", contents), cw)
             assert sym[0].contents == nuc[0].contents
             assert sym[1].contents == nuc[1].contents
             tubes_checked += 1

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+import helix.oracle
 import helix.solver
 from helix import SolutionSet, read_trace_document
 from helix.cli import main, parse_graph_spec, random_graph
@@ -91,9 +92,20 @@ def test_solve_with_order_flag(capsys):
     assert len(doc["solutions"]) == 30
 
 
-def test_bad_order_is_config_error(capsys):
-    assert run_cli("solve", "--graph", "builtin:c5", "--colors", "3", "--order", "1,2") == 2
-    assert "permutation" in capsys.readouterr().err
+def test_bad_order_is_config_error(capsys, monkeypatch):
+    def must_not_run(*args, **kwargs):
+        pytest.fail("an engine ran before the order was checked")
+
+    for name in ("solve_incremental", "solve_monolithic"):
+        monkeypatch.setattr(helix.solver, name, must_not_run)
+    monkeypatch.setattr(helix.oracle, "enumerate_colorings", must_not_run)
+    for argv in (
+        ("solve", "--graph", "builtin:c5", "--colors", "3", "--order", "1,2"),
+        ("solve", "--graph", "builtin:k3", "--colors", "3", "--mode", "monolithic", "--order", "1,1,1"),
+        ("compare", "--graph", "random:13,0.3,1", "--colors", "3", "--order", "1,2"),
+    ):
+        assert run_cli(*argv) == 2, argv
+        assert "permutation" in capsys.readouterr().err
 
 
 def test_table1_too_small_for_instance(capsys):

@@ -278,9 +278,9 @@ def test_match_modes_agree_on_validated_mixed_length_codebooks(cb):
         for vertices in itertools.permutations(range(1, cb.n + 1), size)
     ]
     for codeword in cb.codewords():
-        m = TubeMachine()
-        sp, sm = m.extract(m.new_tube("s", contents), codeword, "symbolic")
-        np_, nm = m.extract(m.new_tube("n", contents), codeword, "nucleotide", cb)
+        sym, nuc = TubeMachine(), TubeMachine(cb)
+        sp, sm = sym.extract(sym.new_tube("s", contents), codeword)
+        np_, nm = nuc.extract(nuc.new_tube("n", contents), codeword)
         assert (sp.contents, sm.contents) == (np_.contents, nm.contents), codeword
 
 

@@ -1,11 +1,11 @@
 import itertools
-import random
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from helix import (
+    Codebook,
     CodecError,
     Codeword,
     MachineFault,
@@ -15,7 +15,6 @@ from helix import (
     generate_codebook,
     render,
 )
-from helix.machine import MATCH_MODES
 
 CW = {(v, c): Codeword(v, c, "ACGT") for v in range(1, 9) for c in range(4)}
 
@@ -100,6 +99,23 @@ def test_merge_into_itself_faults():
         m.merge(t, [t])
 
 
+def test_merge_of_a_source_listed_twice_faults_before_pouring():
+    cb = BASES_CBS[0]
+    for m in (TubeMachine(), TubeMachine(cb)):
+        a = m.new_tube("a", [((1, 0),), ((1, 1),)])
+        m.append(a, cb.codeword(2, 0))
+        _, a = m.extract(a, cb.codeword(3, 0))  # a nucleotide machine keeps a's bases
+        dest = m.new_tube("dest")
+        with pytest.raises(MachineFault, match="twice"):
+            m.merge(dest, [a, a])
+        assert dest.contents == [] and dest.bases is None
+        assert a.contents == [((1, 0), (2, 0)), ((1, 1), (2, 0))]
+        m.merge(dest, [a])
+        assert dest.contents == [((1, 0), (2, 0)), ((1, 1), (2, 0))]
+        if dest.bases is not None:
+            assert [b + dest.tail for b in dest.bases] == [render(s, cb) for s in dest.contents]
+
+
 def test_extract_partitions_and_consumes_source():
     m = TubeMachine()
     strands = [((1, 0), (2, 1)), ((1, 1), (2, 1)), ((1, 0), (3, 2))]
@@ -117,28 +133,17 @@ def test_extract_empty_tube():
     assert len(plus) == 0 and len(minus) == 0
 
 
-def test_extract_unknown_mode():
-    m = TubeMachine()
-    with pytest.raises(ValueError, match="match mode"):
-        m.extract(m.new_tube("t"), cw(1, 0), "fuzzy")
-
-
 def test_nucleotide_extract_needs_validated_codebook(small_codebook):
-    m = TubeMachine()
-    t = m.new_tube("t", [((1, 0),)])
-    with pytest.raises(SoundnessError, match="needs a codebook"):
-        m.extract(t, small_codebook.codeword(1, 0), "nucleotide")
-
-    from helix import Codebook
-
     broken = Codebook(
         2, 1,
         [Codeword(1, 0, "ACGT"), Codeword(2, 0, "ACGT")],
         provenance="broken",
     )
-    t2 = m.new_tube("t2", [((1, 0),)])
     with pytest.raises(SoundnessError, match="failed validation"):
-        m.extract(t2, broken.codeword(1, 0), "nucleotide", broken)
+        TubeMachine(broken)  # refused before the session hands out a tube
+    m = TubeMachine(small_codebook)
+    plus, minus = m.extract(m.new_tube("t", [((1, 0),), ((2, 0),)]), small_codebook.codeword(1, 0))
+    assert (plus.contents, minus.contents) == ([((1, 0),)], [((2, 0),)])
 
 
 def test_detect():
@@ -251,24 +256,6 @@ def test_append_cardinality_or_fault(contents, token):
         assert all(s[-1] == token for s in t.contents)
 
 
-def test_match_modes_agree_on_validated_codebook():
-    cb = generate_codebook(6, 3, 14, 42)
-    assert cb.validation().ok
-    rng = random.Random(7)
-    for _ in range(200):
-        contents = []
-        for _ in range(rng.randint(0, 12)):
-            vertices = rng.sample(range(1, 7), rng.randint(0, 6))
-            contents.append(tuple((v, rng.randrange(3)) for v in vertices))
-        token = (rng.randint(1, 6), rng.randrange(3))
-        m = TubeMachine()
-        codeword = cb.codeword(*token)
-        sp, sm = m.extract(m.new_tube("s", contents), codeword, "symbolic")
-        np_, nm = m.extract(m.new_tube("n", contents), codeword, "nucleotide", cb)
-        assert sp.counts() == np_.counts()
-        assert sm.counts() == nm.counts()
-
-
 # --- packed strands --------------------------------------------------------
 
 # Strands whose tokens come in any vertex order, so one tube mixes orders.
@@ -373,24 +360,28 @@ def test_token_first_seen_after_its_vertex_was_unpacked():
 
 # --- kept bases ------------------------------------------------------------
 
-# Two validated codebooks over the same tokens, so a tube's tag can be the
-# other codebook at its next nucleotide extract.
+# Two validated codebooks over the same tokens; each run draws one for its
+# nucleotide machine.
 BASES_CBS = (generate_codebook(8, 3, 12, 1), generate_codebook(8, 3, 12, 2))
 small_token_st = st.tuples(st.integers(1, 8), st.integers(0, 2))
 small_contents_st = st.lists(
-    st.lists(small_token_st, unique_by=lambda tok: tok[0], max_size=2).map(tuple), max_size=8
+    st.lists(small_token_st, unique_by=lambda tok: tok[0], max_size=6).map(tuple), max_size=8
 )
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_kept_bases_render_the_contents(data):
-    assert all(cb.validation().ok for cb in BASES_CBS)
-    m = TubeMachine()
-    model = {}  # every tube handed out -> its strands as token tuples
-    # Swarm: some runs use one mode or one codebook only, so kept bases live longer.
-    modes = data.draw(st.sampled_from((MATCH_MODES, ("nucleotide",))))
-    codebooks = data.draw(st.sampled_from((BASES_CBS, BASES_CBS[:1])))
+    """One random script on a symbolic and a nucleotide machine, against a token-tuple model.
+
+    After every step each tube on both machines holds the model's strands, so
+    the two match modes agree, and every kept base string renders its strand.
+    """
+    cb = data.draw(st.sampled_from(BASES_CBS))
+    assert cb.validation().ok
+    sym, nuc = TubeMachine(), TubeMachine(cb)
+    model = {}  # every symbolic tube handed out -> its strands as token tuples
+    twin = {}  # every symbolic tube -> the nucleotide tube the same steps made
     for _ in range(data.draw(st.integers(1, 30))):
         live = [u for u in model if model[u]]  # tubes that hold strands
         ops = ("copy", "append", "merge", "extract")
@@ -399,90 +390,94 @@ def test_kept_bases_render_the_contents(data):
         op = data.draw(st.sampled_from(ops))
         if op == "new":
             contents = data.draw(small_contents_st)
-            model[m.new_tube("t", contents)] = contents
+            t = sym.new_tube("t", contents)
+            model[t], twin[t] = contents, nuc.new_tube("t", contents)
             continue
         t = data.draw(st.sampled_from(live))
         if op == "copy":
-            for replica in m.copy(t, data.draw(st.integers(1, 3))):
-                model[replica] = model[t]
+            count = data.draw(st.integers(1, 3))
+            for replica, replica_twin in zip(sym.copy(t, count), nuc.copy(twin[t], count)):
+                model[replica], twin[replica] = model[t], replica_twin
             model[t] = []
         elif op == "append":
             named = {u for s in model[t] for u, _ in s}
             v = data.draw(st.sampled_from([u for u in range(1, 9) if u not in named] or [1]))
-            c = data.draw(st.integers(0, 2))
+            codeword = cb.codeword(v, data.draw(st.integers(0, 2)))
             if v in named:
-                with pytest.raises(MachineFault):
-                    m.append(t, BASES_CBS[0].codeword(v, c))
+                for m, u in ((sym, t), (nuc, twin[t])):
+                    with pytest.raises(MachineFault):
+                        m.append(u, codeword)
             else:
-                m.append(t, BASES_CBS[0].codeword(v, c))
-                model[t] = [s + ((v, c),) for s in model[t]]
+                sym.append(t, codeword)
+                nuc.append(twin[t], codeword)
+                model[t] = [s + ((v, codeword.color),) for s in model[t]]
         elif op == "merge":
             others = [u for u in live if u is not t]
-            keeping = [u for u in others if u.bases is not None]  # drawn more often: their tails may differ
+            keeping = [u for u in others if twin[u].bases is not None]  # drawn more often: their tails may differ
             source_st = st.sampled_from(keeping) | st.sampled_from(others) if keeping else st.sampled_from(others)
             sources = data.draw(st.lists(source_st, unique=True, max_size=3) if others else st.just([]))
-            m.merge(t, sources)
+            sym.merge(t, sources)
+            nuc.merge(twin[t], [twin[u] for u in sources])
             model[t] = model[t] + [s for u in sources for s in model[u]]
             for u in sources:
                 model[u] = []
         else:
             held = sorted({tok for s in model[t] for tok in s})
             token = data.draw(st.sampled_from(held) | small_token_st if held else small_token_st)
-            cb = data.draw(st.sampled_from(codebooks))
-            plus, minus = m.extract(t, cb.codeword(*token), data.draw(st.sampled_from(modes)), cb)
+            plus, minus = sym.extract(t, cb.codeword(*token))
+            twin[plus], twin[minus] = nuc.extract(twin[t], cb.codeword(*token))
             model[plus] = [s for s in model[t] if token in s]
             model[minus] = [s for s in model[t] if token not in s]
             model[t] = []
         for tube, contents in model.items():
-            assert tube.contents == contents
-            if tube.bases is not None:
-                assert [b + tube.tail for b in tube.bases] == [render(s, tube.codebook) for s in contents]
+            kept = twin[tube]
+            assert tube.contents == kept.contents == contents
+            assert tube.bases is None
+            if kept.bases is not None:
+                assert [b + kept.tail for b in kept.bases] == [render(s, cb) for s in contents]
 
 
 def test_merge_joins_differing_tails_onto_their_prefixes():
     cb = BASES_CBS[0]
-    m = TubeMachine()
+    m = TubeMachine(cb)
     t = m.new_tube("t", [((1, 0),), ((1, 1),), ((1, 2),)])
     m.append(t, cb.codeword(2, 0))
-    plus, minus = m.extract(t, cb.codeword(1, 0), "nucleotide", cb)
+    plus, minus = m.extract(t, cb.codeword(1, 0))
     m.append(plus, cb.codeword(3, 1))
     m.append(minus, cb.codeword(3, 2))
     m.merge(plus, [minus])
-    assert plus.tail == "" and plus.codebook is cb
+    assert plus.tail == ""
     assert plus.bases == [render(s, cb) for s in plus.contents]
 
 
 def test_only_grown_tubes_keep_bases():
-    cb, other = BASES_CBS
-    m = TubeMachine()
+    cb = BASES_CBS[0]
+    m = TubeMachine(cb)
     start = m.new_tube("start", rows=[((1, 0), (1, 1)), ((2, 0), (2, 1))])
-    plus, minus = m.extract(start, cb.codeword(1, 0), "nucleotide", cb)
+    plus, minus = m.extract(start, cb.codeword(1, 0))
     assert plus.bases is None and minus.bases is None  # never grown: rendered as a stream
     m.append(plus, cb.codeword(3, 2))
-    kept, _ = m.extract(plus, cb.codeword(2, 1), "nucleotide", cb)
+    kept, _ = m.extract(plus, cb.codeword(2, 1))
     assert kept.contents == [((1, 0), (2, 1), (3, 2))]
-    assert (kept.bases, kept.tail, kept.codebook) == ([render(kept.contents[0], cb)], "", cb)
+    assert (kept.bases, kept.tail) == ([render(kept.contents[0], cb)], "")
     m.append(kept, cb.codeword(4, 0))
     assert kept.tail == cb.codeword(4, 0).sequence
-    retagged, _ = m.extract(kept, other.codeword(4, 0), "nucleotide", other)
-    assert retagged.codebook is other
-    assert retagged.bases == [render(((1, 0), (2, 1), (3, 2), (4, 0)), other)]
 
 
 def test_nucleotide_extract_of_a_token_outside_the_codebook_raises():
     cb = generate_codebook(2, 2, 12, 0)
-    m = TubeMachine()
+    m = TubeMachine(cb)
     for grown in (False, True):
         t = m.new_tube("t", [((1, 0),), ((3, 1),)])
         if grown:
             m.append(t, cb.codeword(2, 0))
         with pytest.raises(CodecError, match="no codeword for vertex 3"):
-            m.extract(t, cb.codeword(1, 0), "nucleotide", cb)
+            m.extract(t, cb.codeword(1, 0))
         assert len(t) == 2  # the refused extract leaves the tube as it was
     t = m.new_tube("t", [((1, 0),)])
     m.append(t, cb.codeword(2, 1))
-    kept, _ = m.extract(t, cb.codeword(1, 0), "nucleotide", cb)
+    kept, _ = m.extract(t, cb.codeword(1, 0))
     assert kept.bases is not None
-    m.append(kept, Codeword(3, 0, "ACGT"))  # a token the tag lacks drops the bases
+    m.append(kept, Codeword(3, 0, "ACGT"))  # a token the codebook lacks drops the bases
     with pytest.raises(CodecError, match="no codeword for vertex 3"):
-        m.extract(kept, cb.codeword(1, 0), "nucleotide", cb)
+        m.extract(kept, cb.codeword(1, 0))

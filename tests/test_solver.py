@@ -140,6 +140,11 @@ def test_nucleotide_mode_refuses_broken_codebook():
         solve_incremental(Graph(3, frozenset()), 1, broken, match_mode="nucleotide")
 
 
+def test_unknown_match_mode_is_refused():
+    with pytest.raises(SolverError, match="unknown match mode 'fuzzy'"):
+        solve_incremental(builtin_graph("k3"), 3, builtin_table1(), match_mode="fuzzy")
+
+
 def test_nucleotide_mode_agrees_with_symbolic():
     g = builtin_graph("c5")
     cb = builtin_table1()
