@@ -1,4 +1,5 @@
 import itertools
+import random
 from collections import Counter
 
 import pytest
@@ -144,6 +145,23 @@ def test_nucleotide_extract_needs_validated_codebook(small_codebook):
     m = TubeMachine(small_codebook)
     plus, minus = m.extract(m.new_tube("t", [((1, 0),), ((2, 0),)]), small_codebook.codeword(1, 0))
     assert (plus.contents, minus.contents) == ([((1, 0),)], [((2, 0),)])
+
+
+def test_match_modes_agree_on_validated_codebook():
+    cb = generate_codebook(6, 3, 14, 42)
+    assert cb.validation().ok
+    rng = random.Random(7)
+    for _ in range(200):
+        contents = []
+        for _ in range(rng.randint(0, 12)):
+            vertices = rng.sample(range(1, 7), rng.randint(0, 6))
+            contents.append(tuple((v, rng.randrange(3)) for v in vertices))
+        codeword = cb.codeword(rng.randint(1, 6), rng.randrange(3))
+        sym, nuc = TubeMachine(), TubeMachine(cb)
+        sp, sm = sym.extract(sym.new_tube("s", contents), codeword)
+        np_, nm = nuc.extract(nuc.new_tube("n", contents), codeword)
+        assert sp.counts() == np_.counts()
+        assert sm.counts() == nm.counts()
 
 
 def test_detect():
