@@ -147,6 +147,20 @@ def _print_solutions(solutions: solver.SolutionSet, limit: int = 20) -> None:
         print(f"  ... and {len(listed) - limit} more")
 
 
+def _quotient(num: int, den: int) -> str:
+    """num / den formatted as "{:.3g}" formats a float, also past the float range.
+
+    k^n overflows a float from about 646 vertices at k = 3, so a quotient far
+    from 1 is scaled by a power of ten in exact integers first.
+    """
+    shift = int((num.bit_length() - den.bit_length()) * 0.30103)  # about log10(num / den)
+    if abs(shift) < 300:
+        return f"{num / den:.3g}"
+    m = num / (den * 10**shift) if shift > 0 else num * 10**-shift / den
+    mantissa, exponent = f"{m:.2e}".split("e")
+    return f"{mantissa.rstrip('0').rstrip('.')}e{int(exponent) + shift:+03d}"
+
+
 def _print_run(g: Graph, k: int, mode: str, solutions, trace) -> None:
     print(f"== {mode} ==")
     if trace.steps:
@@ -159,11 +173,11 @@ def _print_run(g: Graph, k: int, mode: str, solutions, trace) -> None:
                 f"{i:>4} {s.vertex:>6} {s.t0_before:>7} {appended:>16} "
                 f"{filtered:>16} {s.discarded:>8} {s.t0_after:>7}"
             )
-    full = k**g.n
-    ratio = trace.peak_tube_size / full
+    full, peak = k**g.n, trace.peak_tube_size
+    shown = full if full.bit_length() <= 14_000 else f"{k}^{g.n}"  # str() refuses over 4300 digits
     print(
-        f"peak tube size {trace.peak_tube_size} of k^n = {full} "
-        f"({ratio:.3g} of the full space, reduction {full / trace.peak_tube_size:.3g}x)"
+        f"peak tube size {peak} of k^n = {shown} "
+        f"({_quotient(peak, full)} of the full space, reduction {_quotient(full, peak)}x)"
     )
     ops = ", ".join(f"{name}={v}" for name, v in trace.op_totals.as_dict().items())
     print(f"ops: {ops}")

@@ -29,6 +29,22 @@ Tube.contents unpacks to token tuples in append order through a plan of
 from the tokens registered so far, so there is no cache to keep in step;
 Tube.colors reads colors from the bits the same way, for the final decode.
 
+Product tubes: the monolithic start tube, new_tube(rows=...), holds no ints.
+It is a membership mask over the product of its rows: strand i of
+itertools.product(*rows) is in the tube iff bit i of the mask is set.  This is
+the sticker layout sliced by column: a token's column is the mask of the
+strands that hold it, so symbolic extract is one big-int AND
+(`hit = mask & column`, rest `mask ^ hit`), copy shares the mask, and len,
+detect and discard count its bits.  Merge ORs the masks when every non-empty
+input is over the same product and no strand is in two of them, which gives
+product order; otherwise, as with two copies of one tube, it concatenates
+lists so that repeated strands stay repeated.  Every other use (append,
+nucleotide extract, contents, colors, Tube.packed) materializes the mask once,
+in product order, and the tube is an ordinary list tube from then on.  The
+machine picks the form from how a tube was built: tubes that grow by append
+stay lists, since a mask over k**i strands would bring back the blow-up the
+incremental engine avoids.
+
 Rendered bases: nucleotide extract renders a strand from its bits through a
 (vertex mask, {bit: sequence}) plan, with no token tuple.  A tube that has
 grown by append keeps what it rendered next to `packed`, as prefix strings
@@ -38,9 +54,10 @@ one codeword to `tail`, copies share `bases` (never changed in place), extract
 partitions it alongside `packed`, and merge concatenates it, joining each
 input's tail onto its prefixes only when the tails differ; so the incremental
 engine renders each strand about once per step instead of once per extract.
-A tube that never grew (the monolithic start tube and its descendants) is
-rendered as a stream at each extract and keeps nothing, since holding the
-bases of k**n full-length strands would multiply its memory.
+A tube that never grew (the monolithic start tube and its descendants,
+materialized from the mask at the first nucleotide extract) is rendered as a
+stream at each extract and keeps nothing, since holding the bases of k**n
+full-length strands would multiply its memory.
 """
 
 from __future__ import annotations
@@ -49,12 +66,74 @@ import dataclasses
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, compress, filterfalse, product
+from math import prod
 from operator import not_
 
 from .codec import Codebook, Codeword, SoundnessError, Strand, Token, render
 
 ORDER_BITS = 32
 ORDER_MASK = (1 << ORDER_BITS) - 1
+_DIGIT = bytes.maketrans(b"01", b"\x00\x01")  # a mask's binary digits as 0/1 bytes
+
+
+def _repeat(pattern: int, width: int, count: int) -> int:
+    """`count` copies of a `width`-bit pattern side by side, by shift-doubling.
+
+    Only shifts and ORs: CPython multiplies and divides big ints in more than
+    linear time.
+    """
+    out = shift = 0
+    while count:
+        if count & 1:
+            out |= pattern << shift
+            shift += width
+        count >>= 1
+        if count:
+            pattern |= pattern << width
+            width *= 2
+    return out
+
+
+class _Product:
+    """The strands of itertools.product(*rows), numbered in product order.
+
+    `rows` are the rows' token bits with the order id added to the first row,
+    so strand i is the sum of its row entries.  column(bit) is the mask of the
+    strands that hold that token bit.  Entry j of row r spans runs of `run`
+    strands, so its column is the column of the row's first entry shifted up
+    j * run bits; only that first column is built (on first use) and cached,
+    one mask per row rather than one per token.
+    """
+
+    __slots__ = ("rows", "size", "_where", "_firsts")
+
+    def __init__(self, oid: int, bit_rows: list[list[int]]):
+        self.rows = [[oid + b for b in bit_rows[0]], *bit_rows[1:]] if bit_rows else [[oid]]
+        self.size = prod(map(len, self.rows))
+        self._where: dict[int, tuple[int, list[int]]] = {}  # bit -> (row, positions in the row)
+        for r, row in enumerate(bit_rows):
+            for j, b in enumerate(row):
+                self._where.setdefault(b, (r, []))[1].append(j)
+        self._firsts: dict[int, tuple[int, int]] = {}  # row -> (first entry's column, run)
+
+    def column(self, bit: int) -> int:
+        if bit not in self._where or not self.size:
+            return 0
+        r, positions = self._where[bit]
+        if r not in self._firsts:
+            run = prod(map(len, self.rows[r + 1:]))
+            period = len(self.rows[r]) * run
+            self._firsts[r] = (_repeat((1 << run) - 1, period, self.size // period), run)
+        first, run = self._firsts[r]
+        col = 0
+        for j in positions:
+            col |= first << (j * run)
+        return col
+
+    def members(self, mask: int) -> list[int]:
+        """The strands whose bits are set in mask, as ints, in product order."""
+        digits = bin(mask)[:1:-1].encode().translate(_DIGIT) if mask else b""
+        return list(map(sum, compress(product(*self.rows), digits)))
 
 
 class MachineFault(RuntimeError):
@@ -78,12 +157,13 @@ class OpCounter:
 
 
 class Tube:
-    """A labeled multiset of strands (list-backed; order carries no meaning).
+    """A labeled multiset of strands (order carries no meaning).
 
     `packed` holds the strands as the owning machine's ints; `contents`
     unpacks them to token tuples in append order.  A strand names each vertex
     at most once: TubeMachine.new_tube raises MachineFault on one that names a
-    vertex twice.
+    vertex twice.  A product tube keeps a membership mask over its `_product`
+    instead of a list until `packed` is first read (see the module docstring).
 
     `grown` says the tube or a tube it came from was appended to.  When
     `bases` is not None, strand i renders under the machine's codebook as
@@ -91,11 +171,17 @@ class Tube:
     changed in place.  Only grown tubes on a nucleotide machine keep bases.
     """
 
-    __slots__ = ("label", "packed", "retired", "grown", "bases", "tail", "_machine")
+    __slots__ = (
+        "label", "_packed", "_product", "_mask", "retired", "grown", "bases", "tail", "_machine"
+    )
 
-    def __init__(self, label: str, machine: "TubeMachine", packed: list[int], grown: bool = False):
+    def __init__(
+        self, label: str, machine: "TubeMachine", packed: list[int] | None, grown: bool = False,
+        product: _Product | None = None, mask: int = 0,
+    ):
         self.label = label
-        self.packed = packed  # owned by this tube: callers hand over a fresh list
+        self._packed = packed  # owned by this tube: callers hand over a fresh list
+        self._product, self._mask = product, mask  # a product tube has packed None
         self.retired = False
         self.grown = grown
         self._keep(None)
@@ -106,8 +192,16 @@ class Tube:
         self.tail = tail
 
     def _pour_out(self) -> None:
-        self.packed = []
+        self._packed, self._product, self._mask = [], None, 0
         self._keep(None)
+
+    @property
+    def packed(self) -> list[int]:
+        """The strands as ints; a product tube turns into a list tube here."""
+        if self._product is not None:
+            self._packed = self._product.members(self._mask)
+            self._product, self._mask = None, 0
+        return self._packed
 
     @property
     def contents(self) -> list[Strand]:
@@ -125,13 +219,16 @@ class Tube:
         return self._machine._colors(self.packed, vertices)
 
     def __len__(self) -> int:
-        return len(self.packed)
+        return self._mask.bit_count() if self._product is not None else len(self._packed)
+
+    def __bool__(self) -> bool:  # without counting a mask's bits
+        return bool(self._mask if self._product is not None else self._packed)
 
     def counts(self) -> Counter:
         return Counter(self.contents)
 
     def __repr__(self):
-        state = "retired" if self.retired else f"{len(self.packed)} strands"
+        state = "retired" if self.retired else f"{len(self)} strands"
         return f"Tube({self.label!r}, {state})"
 
 
@@ -191,11 +288,10 @@ class TubeMachine:
             for s in strands
         ]
 
-    def _pack_rows(self, rows) -> list[int]:
-        """itertools.product(*rows) packed, with no token tuple ever built.
+    def _product_of(self, rows) -> _Product:
+        """itertools.product(*rows) as a _Product, with no strand ever built.
 
-        Each row holds the tokens of one vertex; the order id is added to the
-        bits of the first row, so a strand is just the sum of one bit per row.
+        Each row holds the tokens of one vertex.
         """
         rows = [tuple(row) for row in rows]
         order = []
@@ -205,11 +301,7 @@ class TubeMachine:
                 raise MachineFault(f"token row names more than one vertex: {sorted(vertices)}")
             order.extend(vertices)
         oid = self._oid_of(tuple(order))
-        if not rows:
-            return [oid]
-        bit_rows = [list(map(self._bit_of, row)) for row in rows]
-        bit_rows[0] = [oid + b for b in bit_rows[0]]
-        return list(map(sum, product(*bit_rows)))
+        return _Product(oid, [list(map(self._bit_of, row)) for row in rows])
 
     def _unpack(self, packed: list[int]) -> list[Strand]:
         """Ints to token tuples, through one (vertex mask, {bit: token}) pair per vertex."""
@@ -256,16 +348,16 @@ class TubeMachine:
         """A tube of the given strands, or of every strand in the product of token rows.
 
         `rows=[row_1, ..., row_n]`, each row the tokens of one vertex, gives
-        the contents of itertools.product(*rows) in the same order without
-        building a token tuple per strand.
+        the contents of itertools.product(*rows) in the same order as a
+        product tube: a mask with every strand's bit set, and no strand built.
         """
         if rows is None:
-            packed = self._pack(contents)
+            tube = Tube(label, self, self._pack(contents))
         elif contents:
             raise ValueError("new_tube takes contents or rows, not both")
         else:
-            packed = self._pack_rows(rows)
-        tube = Tube(label, self, packed)
+            product = self._product_of(rows)
+            tube = Tube(label, self, None, False, product, (1 << product.size) - 1)
         self._credit(len(tube))
         return tube
 
@@ -283,9 +375,9 @@ class TubeMachine:
             delta[oid] = bit + self._oid_of(order + (v,)) - oid
         if len(delta) == 1:
             (d,) = delta.values()
-            tube.packed = list(map(d.__add__, strands))
+            tube._packed = list(map(d.__add__, strands))
         else:
-            tube.packed = [s + delta[s & ORDER_MASK] for s in strands]
+            tube._packed = [s + delta[s & ORDER_MASK] for s in strands]
         if tube.bases is not None:
             seq = self.codebook._sequences.get((v, cw.color))
             if seq is None:  # a token the codebook lacks: the next extract says which
@@ -301,22 +393,29 @@ class TubeMachine:
         self._require_live(tube)
         if count < 1:
             raise ValueError(f"copy count must be at least 1, got {count}")
-        src = tube.packed
-        copies = [Tube(f"{tube.label}#{i}", self, src[:], tube.grown) for i in range(1, count + 1)]
+        size, product = len(tube), tube._product
+        copies = [
+            Tube(f"{tube.label}#{i}", self, None if product else tube._packed[:],
+                 tube.grown, product, tube._mask)
+            for i in range(1, count + 1)
+        ]
         for replica in copies:
             replica._keep(tube.bases, tube.tail)
         tube._pour_out()
-        self._credit((count - 1) * len(src))
+        self._credit((count - 1) * size)
         self.counter.copy += 1
         return copies
 
     def merge(self, dest: Tube, sources) -> Tube:
         """Pour every source into dest; sources end empty.  One counter tick.
 
-        dest keeps bases when every non-empty input has them: the prefix lists
-        are concatenated under their common tail, or, when the tails differ,
-        each prefix is joined to its own tail.  A tube may be poured only
-        once, so a source listed twice faults before anything moves.
+        Product tubes over one product whose masks share no strand merge by
+        OR, and dest holds the union in product order; any other mix is
+        concatenated as lists.  dest keeps bases when every non-empty input
+        has them: the prefix lists are concatenated under their common tail,
+        or, when the tails differ, each prefix is joined to its own tail.  A
+        tube may be poured only once, so a source listed twice faults before
+        anything moves.
         """
         self._require_live(dest)
         sources = list(sources)
@@ -326,7 +425,15 @@ class TubeMachine:
             self._require_live(src)
         if len(set(map(id, sources))) != len(sources):
             raise MachineFault("merge: a source tube is listed twice")
-        full = [t for t in (dest, *sources) if t.packed]
+        full = [t for t in (dest, *sources) if t]
+        union = None  # the merged mask, when the inputs allow one
+        if full and all(t._product is full[0]._product is not None for t in full):
+            union = 0
+            for t in full:
+                if union & t._mask:  # a strand in two inputs: lists keep it twice
+                    union = None
+                    break
+                union |= t._mask
         if full and all(t.bases is not None for t in full):
             if len({t.tail for t in full}) == 1:
                 keep = (list(chain.from_iterable(t.bases for t in full)), full[0].tail)
@@ -335,8 +442,12 @@ class TubeMachine:
         else:
             keep = (None,)
         dest.grown = dest.grown or any(src.grown for src in sources)
+        if union is not None:
+            dest._packed, dest._product, dest._mask = None, full[0]._product, union
+        else:
+            for src in sources:
+                dest.packed.extend(src.packed)
         for src in sources:
-            dest.packed.extend(src.packed)
             src._pour_out()
         dest._keep(*keep)
         self.counter.merge += 1
@@ -349,16 +460,25 @@ class TubeMachine:
         tests whether cw's base sequence occurs in the rendered strand.  Both
         outputs keep the source's strand order; on a nucleotide machine a
         grown tube's outputs keep its bases, rendered from the bits if it
-        held none.
+        held none.  A product tube extracts on tokens with one AND of its mask
+        and the token's column, giving two product tubes; nucleotide extract
+        materializes it first.
         """
         self._require_live(tube)
-        strands, grown = tube.packed, tube.grown
+        grown, product = tube.grown, tube._product
         if self.codebook is None:
-            has_token = self._bit.get((cw.vertex, cw.color), 0).__and__  # a token never seen is in no strand
-            plus = Tube(f"{tube.label}+", self, list(filter(has_token, strands)), grown)
-            minus = Tube(f"{tube.label}-", self, list(filterfalse(has_token, strands)), grown)
+            bit = self._bit.get((cw.vertex, cw.color), 0)  # a token never seen is in no strand
+            if product is not None:
+                mask = tube._mask
+                hit = mask & product.column(bit)
+                plus = Tube(f"{tube.label}+", self, None, grown, product, hit)
+                minus = Tube(f"{tube.label}-", self, None, grown, product, mask ^ hit)
+            else:
+                strands = tube.packed
+                plus = Tube(f"{tube.label}+", self, list(filter(bit.__and__, strands)), grown)
+                minus = Tube(f"{tube.label}-", self, list(filterfalse(bit.__and__, strands)), grown)
         else:
-            bases, tail = tube.bases, tube.tail
+            strands, bases, tail = tube.packed, tube.bases, tube.tail
             if bases is None:
                 bases = self._render(strands)
                 if grown:  # kept; a tube that never grew is streamed instead
@@ -378,12 +498,12 @@ class TubeMachine:
     def detect(self, tube: Tube) -> bool:
         self._require_live(tube)
         self.counter.detect += 1
-        return bool(tube.packed)
+        return bool(tube)
 
     def discard(self, tube: Tube) -> None:
         """Drop the tube's contents and retire it; later operations on it fault."""
         self._require_live(tube)
-        self._credit(-len(tube.packed))
+        self._credit(-len(tube))
         tube._pour_out()
         tube.retired = True
         self.counter.discard += 1

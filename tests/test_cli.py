@@ -1,3 +1,4 @@
+import itertools
 import json
 import subprocess
 import sys
@@ -6,7 +7,7 @@ import pytest
 
 import helix.oracle
 import helix.solver
-from helix import SolutionSet, read_trace_document
+from helix import Graph, OpCounter, SolutionSet, Trace, cli, read_trace_document
 from helix.cli import main, parse_graph_spec, random_graph
 
 GOLDEN_K3 = "tests/data/k3_trace.json"
@@ -120,6 +121,24 @@ def test_graph_file_roundtrip(tmp_path, capsys):
     path.write_text("p edge 3 3\ne 1 2\ne 1 3\ne 2 3\n")
     assert run_cli("solve", "--graph", str(path), "--colors", "3", "--json") == 0
     assert len(json.loads(capsys.readouterr().out)["solutions"]) == 6
+
+
+def test_solve_reports_a_reduction_past_the_float_range(tmp_path, capsys):
+    path = tmp_path / "k4_in_660.col"  # 3^660 does not fit in a float
+    path.write_text(
+        "p edge 660 6\n" + "".join(f"e {u} {v}\n" for u, v in itertools.combinations(range(1, 5), 2))
+    )
+    assert run_cli("solve", "--graph", str(path), "--colors", "3") == 0
+    out = capsys.readouterr().out
+    assert "(2.27e-314 of the full space, reduction 4.41e+313x)" in out
+    assert "colorable: false" in out
+
+
+def test_run_summary_names_k_to_the_n_past_the_int_string_limit(capsys):
+    g = Graph.from_edges(9100, [])  # 3^9100 has 4342 decimal digits
+    trace = Trace((), OpCounter(), 3)
+    cli._print_run(g, 3, "incremental", SolutionSet(frozenset(), True), trace)
+    assert "peak tube size 3 of k^n = 3^9100 (" in capsys.readouterr().out
 
 
 def test_parse_errors_exit_1(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import copy
 import itertools
 import random
 from collections import Counter
@@ -364,6 +365,46 @@ def test_new_tube_rows_edge_cases():
         m.new_tube("t", [((1, 0),)], rows=[((1, 0),)])
 
 
+def test_product_tube_stays_a_mask_through_extract_copy_and_disjoint_merge():
+    m = TubeMachine()
+    rows = [((1, 0), (1, 1), (1, 2)), ((2, 0), (2, 1)), ((3, 0), (3, 1), (3, 2))]
+    full = list(itertools.product(*rows))
+    t = m.new_tube("t", rows=rows)
+    plus, minus = m.extract(t, cw(2, 1))
+    a, b = m.copy(plus, 2)
+    m.merge(minus, [a])
+    assert minus._product is b._product is not None  # no strand built yet
+    assert (len(minus), len(b), m.detect(b), m.peak_tube_size) == (18, 9, True, 27)
+    assert minus.contents == full  # the union in product order
+    assert minus._product is None  # materialized once, a list tube from here on
+    assert b.contents == [s for s in full if (2, 1) in s]
+
+
+def test_merge_of_product_tubes_sharing_strands_keeps_the_repeats():
+    m = TubeMachine()
+    rows = [((1, 0), (1, 1)), ((2, 0), (2, 1))]
+    a, b = m.copy(m.new_tube("t", rows=rows), 2)
+    m.merge(a, [b])
+    assert Counter(a.contents) == Counter(2 * list(itertools.product(*rows)))
+    other = m.new_tube("u", rows=[((1, 0),), ((2, 0),)])  # a second product over the same tokens
+    listed = m.new_tube("l", [((1, 1), (2, 1))])
+    m.merge(other, [listed])
+    assert other.contents == [((1, 0), (2, 0)), ((1, 1), (2, 1))]
+
+
+def test_product_columns_follow_the_rows():
+    m = TubeMachine()
+    rows = [((1, 2), (1, 0), (1, 2)), (), ((3, 1),)]  # a repeated token, then an empty row
+    assert m.new_tube("empty", rows=rows).contents == []
+    rows = [((1, 2), (1, 0), (1, 2)), ((2, 1), (2, 0)), ((3, 1),)]
+    t = m.new_tube("t", rows=rows)
+    plus, minus = m.extract(t, cw(1, 2))
+    assert plus.contents == [s for s in itertools.product(*rows) if (1, 2) in s]
+    assert len(plus) == 4 and len(minus) == 2
+    plus, rest = m.extract(plus, cw(5, 0))  # a token outside the product: no strand holds it
+    assert (len(plus), len(rest)) == (0, 4)
+
+
 def test_token_first_seen_after_its_vertex_was_unpacked():
     m = TubeMachine()
     t = m.new_tube("t", [((1, 0), (2, 0))])
@@ -453,6 +494,82 @@ def test_kept_bases_render_the_contents(data):
             assert tube.bases is None
             if kept.bases is not None:
                 assert [b + kept.tail for b in kept.bases] == [render(s, cb) for s in contents]
+
+
+# --- product tubes ---------------------------------------------------------
+
+# Up to four rows over distinct vertices; a row may be empty or repeat a color.
+twin_rows_st = st.permutations(range(1, 6)).flatmap(
+    lambda order: st.lists(st.lists(st.integers(0, 2), max_size=3), max_size=4).map(
+        lambda rows: [tuple((v, c) for c in cs) for v, cs in zip(order, rows)]
+    )
+)
+TWIN_OPS = ("rows", "list", "copy", "merge", "merge copies", "extract", "append", "discard", "detect")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_product_tubes_behave_as_their_listed_twins(data):
+    """One random script on a machine whose start tubes come from rows= and on
+    one handed the same strands as a list, symbolic or nucleotide.
+
+    After every step each pair of twin tubes holds the same multiset of
+    strands and has the same size, and both machines have the same peak.
+    """
+    cb = data.draw(st.sampled_from((None, BASES_CBS[0])))
+    word = cb.codeword if cb else cw
+    prod_m, list_m = TubeMachine(cb), TubeMachine(cb)
+    twins = []  # (tube on prod_m, its twin on list_m) for every tube handed out
+    for step in range(data.draw(st.integers(1, 25))):
+        live = [pair for pair in twins if not pair[0].retired]
+        op = data.draw(st.sampled_from(TWIN_OPS)) if live and step else "rows"
+        if op == "rows":
+            rows = data.draw(twin_rows_st)
+            listed = list(itertools.product(*rows))
+            twins.append((prod_m.new_tube("p", rows=rows), list_m.new_tube("p", listed)))
+            continue
+        if op == "list":
+            contents = data.draw(small_contents_st)
+            twins.append((prod_m.new_tube("l", contents), list_m.new_tube("l", contents)))
+            continue
+        t, u = data.draw(st.sampled_from(live))
+        if op == "copy":
+            count = data.draw(st.integers(1, 3))
+            twins.extend(zip(prod_m.copy(t, count), list_m.copy(u, count)))
+        elif op == "merge copies":  # the same strands twice: the merge keeps both
+            (a, b), (c, d) = pairs = list(zip(prod_m.copy(t, 2), list_m.copy(u, 2)))
+            twins.extend(pairs)
+            prod_m.merge(a, [c])
+            list_m.merge(b, [d])
+        elif op == "merge":
+            others = [pair for pair in live if pair[0] is not t]
+            sources = data.draw(st.lists(st.sampled_from(others), unique=True, max_size=3)) if others else []
+            prod_m.merge(t, [a for a, _ in sources])
+            list_m.merge(u, [b for _, b in sources])
+        elif op == "extract":
+            held = sorted({tok for s in u.contents for tok in s})
+            codeword = word(*data.draw(st.sampled_from(held) | small_token_st if held else small_token_st))
+            twins.extend(zip(prod_m.extract(t, codeword), list_m.extract(u, codeword)))
+        elif op == "append":
+            codeword = word(*data.draw(small_token_st))
+            if any(v == codeword.vertex for s in u.contents for v, _ in s):
+                for m, tube in ((prod_m, t), (list_m, u)):
+                    with pytest.raises(MachineFault):
+                        m.append(tube, codeword)
+            else:
+                prod_m.append(t, codeword)
+                list_m.append(u, codeword)
+        elif op == "discard":
+            prod_m.discard(t)
+            list_m.discard(u)
+        else:
+            assert prod_m.detect(t) == list_m.detect(u)
+        for t, u in twins:
+            # A shallow copy turns into a list on its own, so t stays a product tube.
+            assert Counter(copy.copy(t).contents) == Counter(u.contents)
+            assert (len(t), t.retired) == (len(u), u.retired)
+        assert prod_m.peak_tube_size == list_m.peak_tube_size
+    assert prod_m.counter == list_m.counter
 
 
 def test_merge_joins_differing_tails_onto_their_prefixes():

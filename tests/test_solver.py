@@ -1,6 +1,8 @@
 import itertools
 import json
 import random
+import sys
+import tracemalloc
 
 import pytest
 
@@ -26,6 +28,7 @@ from helix import (
 from helix import solver
 from helix.codec import coloring_from_strand
 from helix.cli import random_graph
+from helix.machine import ORDER_BITS
 
 
 def test_k3_full_trace():
@@ -272,6 +275,22 @@ def test_monolithic_peak_is_full_space():
     assert trace.peak_tube_size == 3**5
     assert inc_trace.peak_tube_size < trace.peak_tube_size
     assert mono.colorings == inc.colorings
+
+
+def test_monolithic_start_tube_is_not_stored_strand_by_strand():
+    """4^9 strands as a list of packed ints would take about 11.5 MB; the run traces under a tenth."""
+    g, k = random_graph(9, 0.3, 1), 4
+    cb = generate_codebook(g.n, k, 20, 1)
+    list_store = k**g.n * (sys.getsizeof(1 << (ORDER_BITS + g.n * k)) + 8)  # an int and a list slot each
+    tracemalloc.start()
+    try:
+        sols, trace = solve_monolithic(g, k, cb)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert trace.peak_tube_size == k**g.n
+    assert sols.colorings == frozenset(enumerate_colorings(g, k))
+    assert peak < list_store / 10, f"traced {peak} bytes, a list store is {list_store}"
 
 
 def test_trace_document_round_trip():
