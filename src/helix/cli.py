@@ -185,13 +185,17 @@ def _print_run(g: Graph, k: int, mode: str, solutions, trace) -> None:
     _print_solutions(solutions)
 
 
-def cmd_solve(args) -> int:
+def _read_run(args) -> tuple[Graph, int, Codebook, list[int]]:
+    """The graph (its warnings printed), k, codebook and order a run asks for."""
     g, warnings = parse_graph_spec(args.graph)
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
     k = args.colors
-    cb = parse_codebook_spec(args.codebook, g, k)
-    order = parse_order_spec(args.order, g)
+    return g, k, parse_codebook_spec(args.codebook, g, k), parse_order_spec(args.order, g)
+
+
+def cmd_solve(args) -> int:
+    g, k, cb, order = _read_run(args)
     runs = {}
     if args.mode in ("incremental", "both"):
         runs["incremental"] = solver.solve_incremental(g, k, cb, args.match, order)
@@ -227,12 +231,7 @@ def _minimal_counterexample(sets: dict[str, frozenset]) -> tuple | None:
 
 
 def cmd_compare(args) -> int:
-    g, warnings = parse_graph_spec(args.graph)
-    for w in warnings:
-        print(f"warning: {w}", file=sys.stderr)
-    k = args.colors
-    cb = parse_codebook_spec(args.codebook, g, k)
-    order = parse_order_spec(args.order, g)
+    g, k, cb, order = _read_run(args)
     # Monolithic first: its strand budget refuses an oversized run before any other work.
     mono_solutions, mono_trace = solver.solve_monolithic(g, k, cb, args.match, strand_budget())
     oracle_set = frozenset(oracle.enumerate_colorings(g, k))

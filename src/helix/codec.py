@@ -29,6 +29,7 @@ Strand = tuple[Token, ...]
 BLANK_STRAND: Strand = ()
 
 GENERATION_ATTEMPTS = 10_000
+MAX_GENERATED_LENGTH = 1000  # admission is quadratic in the length
 
 
 class CodecError(ValueError):
@@ -245,6 +246,8 @@ def generate_codebook(n: int, k: int, length: int, seed: int) -> Codebook:
     """
     if length < 4:
         raise CodecError(f"codeword length must be at least 4, got {length}")
+    if length > MAX_GENERATED_LENGTH:
+        raise CodecError(f"codeword length must be at most {MAX_GENERATED_LENGTH}, got {length}")
     rng = random.Random(seed)
     index = _JunctionIndex()
     for _slot in range(n * k):  # a bad n or k is refused by Codebook below

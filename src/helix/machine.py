@@ -45,19 +45,17 @@ machine picks the form from how a tube was built: tubes that grow by append
 stay lists, since a mask over k**i strands would bring back the blow-up the
 incremental engine avoids.
 
-Rendered bases: nucleotide extract renders a strand from its bits through a
-(vertex mask, {bit: sequence}) plan, with no token tuple.  A tube that has
-grown by append keeps what it rendered next to `packed`, as prefix strings
-`bases` plus one `tail` shared by the whole tube (strand i is
-`bases[i] + tail` under the machine's codebook).  Append then adds
-one codeword to `tail`, copies share `bases` (never changed in place), extract
-partitions it alongside `packed`, and merge concatenates it, joining each
-input's tail onto its prefixes only when the tails differ; so the incremental
-engine renders each strand about once per step instead of once per extract.
-A tube that never grew (the monolithic start tube and its descendants,
-materialized from the mask at the first nucleotide extract) is rendered as a
-stream at each extract and keeps nothing, since holding the bases of k**n
-full-length strands would multiply its memory.
+Rendered bases: on a nucleotide machine a list tube keeps each strand's bases
+under the codebook in `bases`, next to `packed`.  new_tube renders them from
+the bits through one (vertex mask, {bit: sequence}) row per vertex; append
+extends every string by the codeword, copies share the list (never changed in
+place), extract tests `seq in b` and partitions it alongside `packed`, and
+merge chains the lists, so the incremental engine renders each strand once.
+A tube made from rows= (the monolithic start tube and its descendants) keeps
+none, and its strands are rendered as a stream at each extract, since holding
+the bases of k**n full-length strands would multiply its memory.  So does a
+tube holding a token the codebook lacks, whose first extract raises the
+CodecError that names it.
 """
 
 from __future__ import annotations
@@ -67,9 +65,9 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, compress, filterfalse, product
 from math import prod
-from operator import not_
+from operator import itemgetter, not_
 
-from .codec import Codebook, Codeword, SoundnessError, Strand, Token, render
+from .codec import Codebook, CodecError, Codeword, SoundnessError, Strand, Token, render
 
 ORDER_BITS = 32
 ORDER_MASK = (1 << ORDER_BITS) - 1
@@ -165,35 +163,27 @@ class Tube:
     vertex twice.  A product tube keeps a membership mask over its `_product`
     instead of a list until `packed` is first read (see the module docstring).
 
-    `grown` says the tube or a tube it came from was appended to.  When
-    `bases` is not None, strand i renders under the machine's codebook as
-    `bases[i] + tail`; the list may be shared with other tubes and is never
-    changed in place.  Only grown tubes on a nucleotide machine keep bases.
+    When `bases` is not None, strand i renders under the machine's codebook
+    as `bases[i]`; the list may be shared with other tubes and is never
+    changed in place.  Only tubes on a nucleotide machine keep bases, and
+    never one made from rows= (see the module docstring).
     """
 
-    __slots__ = (
-        "label", "_packed", "_product", "_mask", "retired", "grown", "bases", "tail", "_machine"
-    )
+    __slots__ = ("label", "_packed", "_product", "_mask", "retired", "bases", "_machine")
 
     def __init__(
-        self, label: str, machine: "TubeMachine", packed: list[int] | None, grown: bool = False,
-        product: _Product | None = None, mask: int = 0,
+        self, label: str, machine: "TubeMachine", packed: list[int] | None,
+        product: _Product | None = None, mask: int = 0, bases: list[str] | None = None,
     ):
         self.label = label
         self._packed = packed  # owned by this tube: callers hand over a fresh list
         self._product, self._mask = product, mask  # a product tube has packed None
         self.retired = False
-        self.grown = grown
-        self._keep(None)
+        self.bases = bases
         self._machine = machine
 
-    def _keep(self, bases: list[str] | None, tail: str = "") -> None:
-        self.bases = bases
-        self.tail = tail
-
     def _pour_out(self) -> None:
-        self._packed, self._product, self._mask = [], None, 0
-        self._keep(None)
+        self._packed, self._product, self._mask, self.bases = [], None, 0, None
 
     @property
     def packed(self) -> list[int]:
@@ -303,37 +293,40 @@ class TubeMachine:
         oid = self._oid_of(tuple(order))
         return _Product(oid, [list(map(self._bit_of, row)) for row in rows])
 
-    def _unpack(self, packed: list[int]) -> list[Strand]:
-        """Ints to token tuples, through one (vertex mask, {bit: token}) pair per vertex."""
+    def _rows(self, vertices, value) -> list[tuple[int, dict]]:
+        """One (vertex mask, {bit: value(token)}) row per vertex, leaving out tokens valued None.
+
+        A strand's entry for a vertex is then `entries[s & mask]`.
+        """
         token_at = self._token_at
+        return [
+            (sum(tokens), {bit: x for bit, t in tokens.items() if (x := value(t)) is not None})
+            for tokens in (token_at.get(v, {}) for v in vertices)
+        ]
+
+    def _unpack(self, packed: list[int]) -> list[Strand]:
+        """Ints to token tuples, through the token rows of each order id."""
         plans = {
-            oid: [(sum(token_at[v]), token_at[v]) for v in self._orders[oid]]
+            oid: self._rows(self._orders[oid], lambda t: t)
             for oid in set(map(ORDER_MASK.__and__, packed))
         }
         return [tuple([tok[s & m] for m, tok in plans[s & ORDER_MASK]]) for s in packed]
 
     def _colors(self, packed: list[int], vertices) -> list[tuple[int, ...]]:
-        """Ints to colors at the given vertices, through one (vertex mask, {bit: color}) row each."""
-        token_at = self._token_at
-        rows = [
-            (sum(tokens), {bit: c for bit, (_, c) in tokens.items()})
-            for tokens in (token_at.get(v, {}) for v in vertices)
-        ]
+        """Ints to colors at the given vertices, through one color row each."""
+        rows = self._rows(vertices, itemgetter(1))
         return [tuple([color[s & m] for m, color in rows]) for s in packed]
 
     def _render(self, packed: list[int]):
         """Each strand's bases under the codebook, streamed straight from the bits.
 
-        One (vertex mask, {bit: sequence}) row per vertex of each order id.
-        A strand holding a token the codebook lacks goes through render, which
-        raises the CodecError that names it.
+        One sequence row per vertex of each order id.  A strand holding a
+        token the codebook lacks goes through render, which raises the
+        CodecError that names it.
         """
-        token_at, seqs = self._token_at, self.codebook._sequences
+        seqs = self.codebook._sequences
         plans = {
-            oid: [
-                (sum(token_at[v]), {bit: seqs[t] for bit, t in token_at[v].items() if t in seqs})
-                for v in self._orders[oid]
-            ]
+            oid: self._rows(self._orders[oid], seqs.get)
             for oid in set(map(ORDER_MASK.__and__, packed))
         }
         for s in packed:
@@ -353,11 +346,16 @@ class TubeMachine:
         """
         if rows is None:
             tube = Tube(label, self, self._pack(contents))
+            if self.codebook is not None:
+                try:
+                    tube.bases = list(self._render(tube._packed))
+                except CodecError:  # a token the codebook lacks: the first extract says which
+                    pass
         elif contents:
             raise ValueError("new_tube takes contents or rows, not both")
         else:
             product = self._product_of(rows)
-            tube = Tube(label, self, None, False, product, (1 << product.size) - 1)
+            tube = Tube(label, self, None, product, (1 << product.size) - 1)
         self._credit(len(tube))
         return tube
 
@@ -380,11 +378,8 @@ class TubeMachine:
             tube._packed = [s + delta[s & ORDER_MASK] for s in strands]
         if tube.bases is not None:
             seq = self.codebook._sequences.get((v, cw.color))
-            if seq is None:  # a token the codebook lacks: the next extract says which
-                tube._keep(None)
-            else:
-                tube.tail += seq
-        tube.grown = True
+            # a token the codebook lacks drops the bases: the next extract says which
+            tube.bases = None if seq is None else [b + seq for b in tube.bases]
         self.counter.append += 1
         return tube
 
@@ -396,11 +391,9 @@ class TubeMachine:
         size, product = len(tube), tube._product
         copies = [
             Tube(f"{tube.label}#{i}", self, None if product else tube._packed[:],
-                 tube.grown, product, tube._mask)
+                 product, tube._mask, tube.bases)
             for i in range(1, count + 1)
         ]
-        for replica in copies:
-            replica._keep(tube.bases, tube.tail)
         tube._pour_out()
         self._credit((count - 1) * size)
         self.counter.copy += 1
@@ -411,9 +404,8 @@ class TubeMachine:
 
         Product tubes over one product whose masks share no strand merge by
         OR, and dest holds the union in product order; any other mix is
-        concatenated as lists.  dest keeps bases when every non-empty input
-        has them: the prefix lists are concatenated under their common tail,
-        or, when the tails differ, each prefix is joined to its own tail.  A
+        concatenated as lists.  On a nucleotide machine dest keeps bases,
+        the inputs' lists chained, when every non-empty input has them.  A
         tube may be poured only once, so a source listed twice faults before
         anything moves.
         """
@@ -434,14 +426,9 @@ class TubeMachine:
                     union = None
                     break
                 union |= t._mask
-        if full and all(t.bases is not None for t in full):
-            if len({t.tail for t in full}) == 1:
-                keep = (list(chain.from_iterable(t.bases for t in full)), full[0].tail)
-            else:
-                keep = ([b + t.tail for t in full for b in t.bases], "")
-        else:
-            keep = (None,)
-        dest.grown = dest.grown or any(src.grown for src in sources)
+        bases = None
+        if self.codebook is not None and all(t.bases is not None for t in full):
+            bases = list(chain.from_iterable(t.bases for t in full))
         if union is not None:
             dest._packed, dest._product, dest._mask = None, full[0]._product, union
         else:
@@ -449,7 +436,7 @@ class TubeMachine:
                 dest.packed.extend(src.packed)
         for src in sources:
             src._pour_out()
-        dest._keep(*keep)
+        dest.bases = bases
         self.counter.merge += 1
         return dest
 
@@ -458,39 +445,33 @@ class TubeMachine:
 
         Without a codebook the machine tests token membership; with one it
         tests whether cw's base sequence occurs in the rendered strand.  Both
-        outputs keep the source's strand order; on a nucleotide machine a
-        grown tube's outputs keep its bases, rendered from the bits if it
-        held none.  A product tube extracts on tokens with one AND of its mask
-        and the token's column, giving two product tubes; nucleotide extract
+        outputs keep the source's strand order, and its bases when it has
+        them; a tube without bases is rendered from the bits as a stream.  A
+        product tube extracts on tokens with one AND of its mask and the
+        token's column, giving two product tubes; nucleotide extract
         materializes it first.
         """
         self._require_live(tube)
-        grown, product = tube.grown, tube._product
+        product = tube._product
         if self.codebook is None:
             bit = self._bit.get((cw.vertex, cw.color), 0)  # a token never seen is in no strand
             if product is not None:
                 mask = tube._mask
                 hit = mask & product.column(bit)
-                plus = Tube(f"{tube.label}+", self, None, grown, product, hit)
-                minus = Tube(f"{tube.label}-", self, None, grown, product, mask ^ hit)
+                plus = Tube(f"{tube.label}+", self, None, product, hit)
+                minus = Tube(f"{tube.label}-", self, None, product, mask ^ hit)
             else:
                 strands = tube.packed
-                plus = Tube(f"{tube.label}+", self, list(filter(bit.__and__, strands)), grown)
-                minus = Tube(f"{tube.label}-", self, list(filterfalse(bit.__and__, strands)), grown)
+                plus = Tube(f"{tube.label}+", self, list(filter(bit.__and__, strands)))
+                minus = Tube(f"{tube.label}-", self, list(filterfalse(bit.__and__, strands)))
         else:
-            strands, bases, tail = tube.packed, tube.bases, tube.tail
-            if bases is None:
-                bases = self._render(strands)
-                if grown:  # kept; a tube that never grew is streamed instead
-                    bases = list(bases)
-            seq = cw.sequence
-            flags = [seq in b + tail for b in bases]
+            strands, bases, seq = tube.packed, tube.bases, cw.sequence
+            flags = [seq in b for b in (self._render(strands) if bases is None else bases)]
             miss = list(map(not_, flags))
-            plus = Tube(f"{tube.label}+", self, list(compress(strands, flags)), grown)
-            minus = Tube(f"{tube.label}-", self, list(compress(strands, miss)), grown)
-            if grown:
-                plus._keep(list(compress(bases, flags)), tail)
-                minus._keep(list(compress(bases, miss)), tail)
+            plus = Tube(f"{tube.label}+", self, list(compress(strands, flags)))
+            minus = Tube(f"{tube.label}-", self, list(compress(strands, miss)))
+            if bases is not None:
+                plus.bases, minus.bases = list(compress(bases, flags)), list(compress(bases, miss))
         tube._pour_out()
         self.counter.extract += 1
         return plus, minus

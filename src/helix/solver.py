@@ -11,10 +11,14 @@ mode exists to avoid; it refuses to run past a configurable strand budget.
 
 Bad-tube policy (fixed, and what the operation counts are stated against):
 each Extract emits a fresh matching tube; per vertex and color those are
-gathered with one Merge into a single bad tube, which is then Discarded.  Per
-run that costs, beyond the n survivor merges, k merges and k discards for
-every vertex with at least one earlier neighbor in the run order, and one
-final Detect on the survivor tube.
+gathered with one Merge into a single bad tube, which is then Discarded.  A
+step handles one color at a time: append color c, extract its earlier
+neighbors, and merge and discard its bad tube before color c+1 is appended,
+so a nucleotide run never holds the grown bases of every color's bad strands
+at once; the k filtered tubes then go back into the survivor tube with one
+Merge.  Per run that costs, beyond the n survivor merges, k merges and k
+discards for every vertex with at least one earlier neighbor in the run
+order, and one final Detect on the survivor tube.
 """
 
 from __future__ import annotations
@@ -133,30 +137,29 @@ def solve_incremental(
     for idx, v in enumerate(order):
         t0_before = len(t0)
         color_tubes = machine.copy(t0, k)
-        for c in range(k):
-            color_tubes[c].label = f"{color_name(c)}@{v}"
-            machine.append(color_tubes[c], cb.codeword(v, c))
-        after_append = tuple(len(t) for t in color_tubes)
-        bad_outputs: list[list] = [[] for _ in range(k)]
-        for u in order[:idx]:
-            if u in adj[v]:
-                for c in range(k):
-                    bad, keep = machine.extract(color_tubes[c], cb.codeword(u, c))
-                    color_tubes[c] = keep
-                    bad_outputs[c].append(bad)
-        after_filter = tuple(len(t) for t in color_tubes)
-        machine.merge(t0, color_tubes)
-        discarded = 0
-        for c in range(k):
-            if bad_outputs[c]:
+        earlier = [u for u in order[:idx] if u in adj[v]]
+        after_append, discarded = [], 0
+        for c in range(k):  # one color at a time: its bad strands go before the next grows
+            tube = color_tubes[c]
+            tube.label = f"{color_name(c)}@{v}"
+            machine.append(tube, cb.codeword(v, c))
+            after_append.append(len(tube))
+            bad_outputs = []
+            for u in earlier:
+                bad, tube = machine.extract(tube, cb.codeword(u, c))
+                bad_outputs.append(bad)
+            color_tubes[c] = tube
+            if bad_outputs:
                 bad_tube = machine.new_tube(f"{color_name(c)}_bad@{v}")
-                machine.merge(bad_tube, bad_outputs[c])
+                machine.merge(bad_tube, bad_outputs)
                 discarded += len(bad_tube)
                 machine.discard(bad_tube)
+        after_filter = tuple(len(t) for t in color_tubes)
+        machine.merge(t0, color_tubes)
         if len(set(t0.packed)) != len(t0):
             raise SolverError(f"survivor tube holds a repeated strand after vertex {v}")
         steps.append(
-            StepRecord(v, t0_before, after_append, after_filter, discarded, len(t0))
+            StepRecord(v, t0_before, tuple(after_append), after_filter, discarded, len(t0))
         )
     colorable = machine.detect(t0)
     solutions = SolutionSet(_decode_final(t0, g.n), colorable)

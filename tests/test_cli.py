@@ -306,6 +306,8 @@ def test_bad_graph_specs_are_config_errors(spec, capsys):
 def test_bad_codebook_specs_are_config_errors(capsys):
     assert run_cli("solve", "--graph", "builtin:k3", "--colors", "3", "--codebook", "gen:20") == 2
     assert run_cli("solve", "--graph", "builtin:k3", "--colors", "3", "--codebook", "gen:2,1") == 2
+    assert run_cli("solve", "--graph", "builtin:k3", "--colors", "3", "--codebook", "gen:100000000000000000000,1") == 2
+    assert run_cli("codebook", "generate", "--n", "3", "--colors", "3", "--length", "1001") == 2
     capsys.readouterr()
 
 

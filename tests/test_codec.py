@@ -149,6 +149,9 @@ def test_generate_rejects_bad_params():
         generate_codebook(2, 2, 3, 0)
     with pytest.raises(CodecError, match="positive"):
         generate_codebook(2, 0, 8, 0)
+    with pytest.raises(CodecError, match="at most 1000"):
+        generate_codebook(2, 2, 10**20, 0)
+    assert generate_codebook(1, 2, 1000, 0).length == 1000
 
 
 @pytest.mark.parametrize(

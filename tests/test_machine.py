@@ -110,12 +110,12 @@ def test_merge_of_a_source_listed_twice_faults_before_pouring():
         dest = m.new_tube("dest")
         with pytest.raises(MachineFault, match="twice"):
             m.merge(dest, [a, a])
-        assert dest.contents == [] and dest.bases is None
+        assert dest.contents == [] and dest.bases == (None if m.codebook is None else [])
         assert a.contents == [((1, 0), (2, 0)), ((1, 1), (2, 0))]
         m.merge(dest, [a])
         assert dest.contents == [((1, 0), (2, 0)), ((1, 1), (2, 0))]
         if dest.bases is not None:
-            assert [b + dest.tail for b in dest.bases] == [render(s, cb) for s in dest.contents]
+            assert dest.bases == [render(s, cb) for s in dest.contents]
 
 
 def test_extract_partitions_and_consumes_source():
@@ -472,9 +472,7 @@ def test_kept_bases_render_the_contents(data):
                 model[t] = [s + ((v, codeword.color),) for s in model[t]]
         elif op == "merge":
             others = [u for u in live if u is not t]
-            keeping = [u for u in others if twin[u].bases is not None]  # drawn more often: their tails may differ
-            source_st = st.sampled_from(keeping) | st.sampled_from(others) if keeping else st.sampled_from(others)
-            sources = data.draw(st.lists(source_st, unique=True, max_size=3) if others else st.just([]))
+            sources = data.draw(st.lists(st.sampled_from(others), unique=True, max_size=3) if others else st.just([]))
             sym.merge(t, sources)
             nuc.merge(twin[t], [twin[u] for u in sources])
             model[t] = model[t] + [s for u in sources for s in model[u]]
@@ -493,7 +491,7 @@ def test_kept_bases_render_the_contents(data):
             assert tube.contents == kept.contents == contents
             assert tube.bases is None
             if kept.bases is not None:
-                assert [b + kept.tail for b in kept.bases] == [render(s, cb) for s in contents]
+                assert kept.bases == [render(s, cb) for s in contents]
 
 
 # --- product tubes ---------------------------------------------------------
@@ -581,22 +579,24 @@ def test_merge_joins_differing_tails_onto_their_prefixes():
     m.append(plus, cb.codeword(3, 1))
     m.append(minus, cb.codeword(3, 2))
     m.merge(plus, [minus])
-    assert plus.tail == ""
     assert plus.bases == [render(s, cb) for s in plus.contents]
 
 
-def test_only_grown_tubes_keep_bases():
+def test_list_tubes_keep_bases_from_new_tube_on():
     cb = BASES_CBS[0]
     m = TubeMachine(cb)
+    t = m.new_tube("t", [(), ((1, 0),), ((1, 1), (2, 0))])
+    assert t.bases == [render(s, cb) for s in t.contents]
+    assert m.new_tube("empty").bases == []
+    assert TubeMachine().new_tube("t", [((1, 0),)]).bases is None  # a symbolic machine keeps none
     start = m.new_tube("start", rows=[((1, 0), (1, 1)), ((2, 0), (2, 1))])
+    assert start.bases is None
     plus, minus = m.extract(start, cb.codeword(1, 0))
-    assert plus.bases is None and minus.bases is None  # never grown: rendered as a stream
+    assert plus.bases is None and minus.bases is None  # from rows=: rendered as a stream
     m.append(plus, cb.codeword(3, 2))
+    assert plus.bases is None
     kept, _ = m.extract(plus, cb.codeword(2, 1))
-    assert kept.contents == [((1, 0), (2, 1), (3, 2))]
-    assert (kept.bases, kept.tail) == ([render(kept.contents[0], cb)], "")
-    m.append(kept, cb.codeword(4, 0))
-    assert kept.tail == cb.codeword(4, 0).sequence
+    assert kept.contents == [((1, 0), (2, 1), (3, 2))] and kept.bases is None
 
 
 def test_nucleotide_extract_of_a_token_outside_the_codebook_raises():

@@ -267,6 +267,27 @@ def test_incremental_peak_is_k_times_the_largest_survivor_tube():
                 )
 
 
+def test_incremental_step_discards_each_color_before_the_next_grows(monkeypatch):
+    ops = []
+    for name in ("append", "copy", "merge", "extract", "detect", "discard"):
+        def record(self, tube, *args, _op=getattr(TubeMachine, name), _name=name):
+            ops.append(_name)
+            return _op(self, tube, *args)
+
+        monkeypatch.setattr(TubeMachine, name, record)
+    g = Graph.from_edges(3, [(1, 2), (1, 3), (2, 3)])
+    solve_incremental(g, 2, generate_codebook(3, 2, 12, 0), "nucleotide")
+    # per color: append, one extract per earlier neighbor, then its bad tube merged and discarded
+    color_at_2 = ["append", "extract", "merge", "discard"]
+    color_at_3 = ["append", "extract", "extract", "merge", "discard"]
+    assert ops == [
+        "copy", "append", "append", "merge",
+        "copy", *color_at_2, *color_at_2, "merge",
+        "copy", *color_at_3, *color_at_3, "merge",
+        "detect",
+    ]
+
+
 def test_monolithic_peak_is_full_space():
     g = builtin_graph("c5")
     cb = generate_codebook(5, 3, 16, 5)
