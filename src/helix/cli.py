@@ -30,6 +30,10 @@ from .solver import DEFAULT_STRAND_BUDGET
 
 BUDGET_ENV = "HELIX_BUDGET"
 
+# random:n,p,seed draws one number per vertex pair; past this many pairs the
+# draws alone would take seconds and the edge list could fill memory.
+MAX_RANDOM_PAIRS = 1_000_000
+
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_CONFIG = 2
@@ -51,6 +55,9 @@ def random_graph(n: int, p: float, seed: int) -> Graph:
         raise ConfigError(f"random graph needs at least 1 vertex, got {n}")
     if not (0.0 <= p <= 1.0):
         raise ConfigError(f"edge probability must be in [0, 1], got {p}")
+    pairs = n * (n - 1) // 2
+    if pairs > MAX_RANDOM_PAIRS:
+        raise ConfigError(f"random graph on {n} vertices needs {pairs} pair draws, over {MAX_RANDOM_PAIRS}")
     rng = random.Random(seed)
     edges = [
         (u, v)

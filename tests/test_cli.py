@@ -1,5 +1,6 @@
 import itertools
 import json
+import resource
 import subprocess
 import sys
 
@@ -8,7 +9,7 @@ import pytest
 import helix.oracle
 import helix.solver
 from helix import Graph, OpCounter, SolutionSet, Trace, cli, read_trace_document
-from helix.cli import main, parse_graph_spec, random_graph
+from helix.cli import MAX_RANDOM_PAIRS, ConfigError, main, parse_graph_spec, random_graph
 
 GOLDEN_K3 = "tests/data/k3_trace.json"
 
@@ -301,6 +302,30 @@ def test_random_graph_spec_deterministic():
 def test_bad_graph_specs_are_config_errors(spec, capsys):
     assert run_cli("solve", "--graph", spec, "--colors", "3") == 2
     capsys.readouterr()
+
+
+def test_random_graph_past_the_pair_cap_is_refused_at_once():
+    def limit_memory():  # a draw loop that slipped past the cap dies, not the host
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "helix", "solve", "--graph", "random:100000000,0.0,1", "--colors", "2"],
+        capture_output=True,
+        text=True,
+        timeout=1,
+        preexec_fn=limit_memory,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert f"over {MAX_RANDOM_PAIRS}" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_random_graph_pair_cap_is_exact():
+    # Called directly, not through solve: an accepted edgeless graph this size
+    # would run the incremental engine without bound.
+    assert random_graph(1414, 0.0, 1).n == 1414  # 998,991 pairs
+    with pytest.raises(ConfigError, match="1000405 pair draws"):
+        random_graph(1415, 0.0, 1)
 
 
 def test_bad_codebook_specs_are_config_errors(capsys):

@@ -1,7 +1,13 @@
+import ast
 import itertools
+import sys
+import tracemalloc
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import helix.oracle
 from helix import (
     Graph,
     OracleBudgetError,
@@ -20,6 +26,79 @@ def naive_colorings(g, k):
         for colors in itertools.product(range(k), repeat=g.n)
         if is_proper(g, colors)
     ]
+
+
+@st.composite
+def small_graphs(draw):
+    """n = 1..8 at any edge density; the last vertex sometimes has no earlier neighbor."""
+    n = draw(st.integers(1, 8))
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    density = draw(st.floats(0.0, 1.0))
+    edges = [pair for pair in pairs if draw(st.floats(0.0, 1.0)) < density]
+    if draw(st.booleans()):
+        edges = [(u, v) for u, v in edges if v != n]
+    return Graph.from_edges(n, edges)
+
+
+def complete(n):
+    return Graph.from_edges(n, itertools.combinations(range(1, n + 1), 2))
+
+
+@given(g=small_graphs(), k=st.integers(1, 4))
+@example(g=Graph(8, frozenset()), k=2)
+@example(g=complete(8), k=4)
+@example(g=complete(4), k=4)
+@example(g=Graph.from_edges(5, [(1, 2), (2, 3), (3, 4)]), k=3)  # vertex 5 has no neighbor
+@settings(max_examples=150, deadline=None)
+def test_search_matches_the_full_product_filter(g, k):
+    expected = naive_colorings(g, k)
+    assert enumerate_colorings(g, k) == expected
+    assert count_colorings(g, k) == len(expected)
+
+
+def traced_peak(call):
+    """call() and the peak bytes traced while it ran."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_search_holds_no_more_than_its_output():
+    # 12 isolated vertices, then a triangle on 13..15: P_14 = 8192 prefixes
+    # reach the last vertex and none survives it.  A breadth-first level of
+    # those prefixes alone would take about 2 MB.
+    g = Graph.from_edges(15, [(13, 14), (13, 15), (14, 15)])
+    for search, empty in ((enumerate_colorings, []), (count_colorings, 0)):
+        result, peak = traced_peak(lambda: search(g, 2))
+        assert result == empty
+        assert peak < 256 * 1024, (search.__name__, peak)
+
+
+def test_free_color_tables_stay_bounded():
+    # Vertex 15 sees every one of the 2^14 colorings of its earlier neighbors,
+    # each a distinct lookup key; stored unbounded, the keys and lists take
+    # about 4 MB, against about 1 MB for MAX_FREE_LISTS of them.
+    hub = [(u, 15) for u in range(1, 15)]
+    g = Graph.from_edges(18, hub + [(16, 17), (16, 18), (17, 18)])
+    result, peak = traced_peak(lambda: count_colorings(g, 2))
+    assert result == 0
+    assert peak < 2 * 1024 * 1024, peak
+
+
+def test_oracle_imports_only_the_graph_module_and_the_stdlib():
+    tree = ast.parse(Path(helix.oracle.__file__).read_text(encoding="utf-8"))
+    package, stdlib = [], []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            package += [node.module] if node.module else [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            stdlib.append(node.module)
+        elif isinstance(node, ast.Import):
+            stdlib += [alias.name for alias in node.names]
+    assert package == ["graphs"]
+    assert all(name.split(".")[0] in sys.stdlib_module_names for name in stdlib), stdlib
 
 
 def test_is_proper():
