@@ -193,11 +193,19 @@ def _print_run(g: Graph, k: int, mode: str, solutions, trace) -> None:
 
 
 def _read_run(args) -> tuple[Graph, int, Codebook, list[int]]:
-    """The graph (its warnings printed), k, codebook and order a run asks for."""
+    """The graph (its warnings printed), k, codebook and order a run asks for.
+
+    Before the codebook is read or generated, a k whose least possible peak
+    is over the strand budget is refused: every engine holds k copies of the
+    k one-vertex strands (k^2 strands) once n >= 2, and k strands when n = 1.
+    """
     g, warnings = parse_graph_spec(args.graph)
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
     k = args.colors
+    least_peak, budget = k ** min(g.n, 2), strand_budget()
+    if k > 0 and least_peak > budget:
+        raise ConfigError(f"{k} colors need at least {least_peak} strands on any engine, over the budget of {budget}")
     return g, k, parse_codebook_spec(args.codebook, g, k), parse_order_spec(args.order, g)
 
 

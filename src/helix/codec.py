@@ -155,7 +155,7 @@ def validate_codebook(cb: Codebook) -> ValidationReport:
     words = cb.codewords()
     pairs = list(itertools.combinations(words, 2))
     duplicates = tuple((a, b) for a, b in pairs if a.sequence == b.sequence)
-    index = _JunctionIndex()
+    index = _JunctionIndex(admitting=False)
     for cw in words:
         index.add(cw.sequence)
     violations = tuple(
@@ -174,19 +174,51 @@ class _JunctionIndex:
     so the x and y of such an occurrence are looked up independently, as a
     suffix and a prefix.  Whole words are keys too: w = x + y[:1] at offset 0
     crosses the junction just as any other offset does.
+
+    An admitting index (the default) also keeps, for admits, the two sets of
+    affixes a candidate may not have:
+    - x-role tails: each proper prefix w[:i] of a word whose rest w[i:]
+      starts some word;
+    - y-role heads: each proper suffix w[i:] of a word whose rest w[:i]
+      ends some word.
+    add() keeps them current with two lookups per cut of the new word: its
+    own affixes are looked up, and a prefix (suffix) no word had before adds
+    the matching affix of every word ending (starting) with it.  Each new
+    prefix or suffix is met once, so the upkeep is amortised O(total length).
+    Validation only calls witnesses and builds a non-admitting index, which
+    skips it.
     """
 
-    def __init__(self):
+    def __init__(self, admitting: bool = True):
         self.words: list[str] = []
         self.ends: dict[str, list[int]] = {}  # s: positions of the words ending with s
         self.starts: dict[str, list[int]] = {}  # s: positions of the words starting with s
+        self.x_tails: set[str] | None = set() if admitting else None
+        self.y_heads: set[str] | None = set() if admitting else None
 
     def add(self, word: str) -> None:
         pos = len(self.words)
-        self.words.append(word)
+        words, ends, starts, x_tails, y_heads = self.words, self.ends, self.starts, self.x_tails, self.y_heads
+        words.append(word)
         for j in range(1, len(word) + 1):
-            self.ends.setdefault(word[-j:], []).append(pos)
-            self.starts.setdefault(word[:j], []).append(pos)
+            head, tail = word[:j], word[-j:]
+            heads, tails = starts.setdefault(head, []), ends.setdefault(tail, [])
+            heads.append(pos)
+            tails.append(pos)
+            if x_tails is None:
+                continue
+            # Both affixes of length j are indexed now, so head in ends and tail
+            # in starts are final: no later affix of this word has length j.
+            if head in ends:
+                if j < len(word):
+                    y_heads.add(word[j:])
+                if len(heads) == 1:  # a new prefix: the words ending with it gain a tail
+                    x_tails.update(words[w][:-j] for w in ends[head] if len(words[w]) > j)
+            if tail in starts:
+                if j < len(word):
+                    x_tails.add(word[:-j])
+                if len(tails) == 1:  # a new suffix: the words starting with it gain a head
+                    y_heads.update(words[w][j:] for w in starts[tail] if len(words[w]) > j)
 
     def witnesses(self) -> list[tuple[int, int, int, int]]:
         """Every violation as sorted (w, x, y, offset) positions in words."""
@@ -216,7 +248,7 @@ class _JunctionIndex:
         have cand's length, as in generate_codebook: an occurrence wholly
         inside one word is then a duplicate.
         """
-        words, ends, starts = self.words, self.ends, self.starts
+        ends, starts, x_tails, y_heads = self.ends, self.starts, self.x_tails, self.y_heads
         if cand in starts:
             return False
         for j in range(1, len(cand)):
@@ -227,12 +259,8 @@ class _JunctionIndex:
             # cand as x: a word w starting with cand's tail whose rest starts
             # some y; cand as y, the mirror image.  y (or x) = cand needs no
             # lookup: w would be a rotation of cand, caught as cand in w + w.
-            for w in starts.get(tail, ()):
-                if words[w][len(tail):] in starts:
-                    return False
-            for w in ends.get(head, ()):
-                if words[w][:-j] in ends:
-                    return False
+            if tail in x_tails or head in y_heads:
+                return False
         return True
 
 

@@ -156,7 +156,7 @@ def solve_incremental(
                 machine.discard(bad_tube)
         after_filter = tuple(len(t) for t in color_tubes)
         machine.merge(t0, color_tubes)
-        if len(set(t0.packed)) != len(t0):
+        if t0.distinct() != len(t0):
             raise SolverError(f"survivor tube holds a repeated strand after vertex {v}")
         steps.append(
             StepRecord(v, t0_before, tuple(after_append), after_filter, discarded, len(t0))

@@ -188,6 +188,14 @@ def test_compare_json_report(capsys):
     assert doc["reduction_factor"] > 1
 
 
+def test_compare_agrees_with_strands_two_words_wide(capsys):
+    # 3 x 22 = 66 tokens: symbolic strands past token 62 take a second 64-bit word
+    assert run_cli("compare", "--graph", "builtin:k3", "--colors", "22", "--json") == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["agree"] is True
+    assert doc["counts"] == {"oracle": 9240, "incremental": 9240, "monolithic": 9240}
+
+
 def test_compare_over_budget_is_config_error(capsys, monkeypatch):
     monkeypatch.setenv("HELIX_BUDGET", "10")
     assert run_cli("compare", "--graph", "builtin:c5", "--colors", "3") == 2
@@ -326,6 +334,29 @@ def test_random_graph_pair_cap_is_exact():
     assert random_graph(1414, 0.0, 1).n == 1414  # 998,991 pairs
     with pytest.raises(ConfigError, match="1000405 pair draws"):
         random_graph(1415, 0.0, 1)
+
+
+def test_colors_past_the_budget_are_refused_before_the_codebook_is_made():
+    proc = subprocess.run(
+        [sys.executable, "-m", "helix", "solve", "--graph", "builtin:k3", "--colors", "100000000"],
+        capture_output=True,
+        text=True,
+        timeout=1,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "at least 10000000000000000 strands" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_colors_budget_bound_is_k_squared_or_k_for_one_vertex(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "one.col"
+    path.write_text("p edge 1 0\n")
+    cases = ((9, "builtin:k3", True), (8, "builtin:k3", False), (3, str(path), True), (2, str(path), False))
+    for budget, graph, ok in cases:
+        monkeypatch.setenv("HELIX_BUDGET", str(budget))
+        code = run_cli("solve", "--graph", graph, "--colors", "3", "--codebook", "table1")
+        assert code == (0 if ok else 2), (budget, graph)
+        assert ("any engine" in capsys.readouterr().err) is not ok
 
 
 def test_bad_codebook_specs_are_config_errors(capsys):

@@ -232,6 +232,18 @@ def test_junction_index_agrees_with_the_triple_scan(case):
         assert index.admits(cand) == _extends_safely_by_scan(pool, cand), cand
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.text("ACG", min_size=1, max_size=7), max_size=12))
+def test_junction_index_role_sets_follow_their_definition(pool):
+    index = _JunctionIndex()
+    for word in pool:
+        index.add(word)
+    prefixes = {w[:i] for w in pool for i in range(1, len(w) + 1)}
+    suffixes = {w[-i:] for w in pool for i in range(1, len(w) + 1)}
+    assert index.x_tails == {w[:i] for w in pool for i in range(1, len(w)) if w[i:] in prefixes}
+    assert index.y_heads == {w[i:] for w in pool for i in range(1, len(w)) if w[:i] in suffixes}
+
+
 @st.composite
 def mixed_pools(draw):
     alphabet = draw(st.sampled_from(["AC", "ACGT"]))

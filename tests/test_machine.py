@@ -6,6 +6,8 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import helix.frames
+import helix.machine
 from helix import (
     Codebook,
     CodecError,
@@ -568,6 +570,142 @@ def test_product_tubes_behave_as_their_listed_twins(data):
             assert (len(t), t.retired) == (len(u), u.retired)
         assert prod_m.peak_tube_size == list_m.peak_tube_size
     assert prod_m.counter == list_m.counter
+
+
+@settings(max_examples=200, deadline=None)
+@given(twin_rows_st, st.sampled_from(("empty", "sparse", "dense", "full")), st.data())
+def test_sparse_product_decode_matches_the_walk(rows, density, data):
+    product = TubeMachine()._product_of(rows)
+    full = (1 << product.size) - 1
+    if density == "sparse" and product.size:
+        mask = sum({1 << i for i in data.draw(st.lists(st.integers(0, product.size - 1), max_size=3))})
+    else:
+        mask = {"dense": data.draw(st.integers(0, full)), "full": full}.get(density, 0)
+    walked = product._walked(mask)
+    assert product._picked(mask) == walked
+    assert product.members(mask) == walked
+    assert len(walked) == mask.bit_count()
+
+
+# --- frames ----------------------------------------------------------------
+
+
+def test_single_order_tubes_are_frames_that_widen_past_63_tokens():
+    m = TubeMachine()
+    m.new_tube("pad", [((100 + i, 0),) for i in range(62)])  # tokens 0..61, one vertex each: a list tube
+    t = m.new_tube("t", [((1, 0),), ((1, 1),), ((1, 0),)])  # tokens 62 and 63
+    assert t._frame is not None and t._frame.width == 2
+    m.new_tube("pad", [((200 + i, 0),) for i in range(130)])  # tokens 64..193
+    m.append(t, cw(2, 3))  # token 194, in the fourth word
+    assert t._frame.width == 4
+    plus, minus = m.extract(t, cw(1, 0))  # both keep an empty slot
+    assert (plus.contents, minus.contents) == ([((1, 0), (2, 3))] * 2, [((1, 1), (2, 3))])
+    m.merge(plus, [minus])
+    assert plus._frame is not None and plus.contents == [((1, 0), (2, 3))] * 2 + [((1, 1), (2, 3))]
+    m.append(minus, cw(3, 0))  # an empty tube stays an empty list
+    assert m.new_tube("mixed", [((1, 0),), ((2, 0),)])._frame is None
+
+
+@st.composite
+def frame_contents_st(draw):
+    """Strands of one vertex order (blank ones included), or of mixed orders; some repeated."""
+    if draw(st.booleans()):
+        order = draw(st.permutations(range(1, 9)))[: draw(st.integers(0, 6))]
+        strand_st = st.tuples(*[st.integers(0, 3).map(lambda c, v=v: (v, c)) for v in order])
+        strands = draw(st.lists(strand_st, max_size=10))
+    else:
+        strands = draw(mixed_contents_st)
+    return strands + draw(st.lists(st.sampled_from(strands), max_size=4)) if strands else strands
+
+
+FRAME_OPS = ("new", "pad", "copy", "merge", "merge copies", "extract", "append", "discard", "detect")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_frame_tubes_behave_as_lists_of_token_tuples(data):
+    """One random script on a symbolic machine against a model of lists of token tuples.
+
+    A pad step registers 62 tokens of other vertices, which moves every
+    token first seen after it up about a word, so appends widen frames (by
+    more than one word after two pads) and merges join frames of different
+    widths.  After every step each tube
+    holds the model's strands in the model's order, with its size, repeat
+    count and colors; the machine's peak and counters match the model's.
+    The repeat check runs grouped or not, the color decode with tables of
+    one vertex or of several.
+    """
+    m = TubeMachine()
+    model = {}  # every tube handed out -> its strands
+    retired, counts, peak, pad_vertex = set(), Counter(), 0, 100
+    saved = helix.frames.GROUPED_DISTINCT, helix.machine.TABLE_SHARE
+    helix.frames.GROUPED_DISTINCT = data.draw(st.sampled_from((0, saved[0])))
+    helix.machine.TABLE_SHARE = data.draw(st.sampled_from((1, saved[1])))
+    try:
+        for step in range(data.draw(st.integers(1, 25))):
+            live = [t for t in model if t not in retired]
+            op = data.draw(st.sampled_from(FRAME_OPS)) if live and step else data.draw(st.sampled_from(("new", "pad")))
+            if op == "new":
+                contents = data.draw(frame_contents_st())
+                model[m.new_tube("t", contents)] = contents
+            elif op == "pad":
+                m.discard(m.new_tube("pad", [((pad_vertex + i, 0),) for i in range(62)]))
+                pad_vertex += 62
+                counts["discard"] += 1
+                peak = max(peak, sum(map(len, model.values())) + 62)
+            else:  # mostly a tube that holds strands
+                t = data.draw(st.sampled_from([u for u in live if model[u]] or live))
+                counts[op.split()[0]] += 1
+            if op == "copy":
+                for replica in m.copy(t, data.draw(st.integers(1, 3))):
+                    model[replica] = model[t]
+                model[t] = []
+            elif op == "merge copies":  # the same strands twice: the merge keeps both
+                a, b = m.copy(t, 2)
+                m.merge(a, [b])
+                model[a], model[b], model[t] = model[t] * 2, [], []
+                counts["copy"] += 1
+            elif op == "merge":
+                others = [u for u in live if u is not t]
+                sources = data.draw(st.lists(st.sampled_from(others), unique=True, max_size=3)) if others else []
+                m.merge(t, sources)
+                model[t] = model[t] + [s for u in sources for s in model[u]]
+                for u in sources:
+                    model[u] = []
+            elif op == "extract":
+                held = sorted({tok for s in model[t] for tok in s})
+                token = data.draw(st.sampled_from(held) | token_st if held else token_st)
+                plus, minus = m.extract(t, Codeword(*token, "ACGT"))
+                model[plus] = [s for s in model[t] if token in s]
+                model[minus] = [s for s in model[t] if token not in s]
+                model[t] = []
+            elif op == "append":
+                named = {v for s in model[t] for v, _ in s}
+                fresh = [v for v in range(1, 9) if v not in named] or [1]
+                token = (data.draw(st.sampled_from(fresh) | st.integers(1, 8)), data.draw(st.integers(0, 3)))
+                if token[0] in named:
+                    with pytest.raises(MachineFault):
+                        m.append(t, cw(*token))
+                    counts["append"] -= 1  # a refused append is not counted
+                else:
+                    m.append(t, cw(*token))
+                    model[t] = [s + (token,) for s in model[t]]
+            elif op == "discard":
+                m.discard(t)
+                model[t] = []
+                retired.add(t)
+            elif op == "detect":
+                assert m.detect(t) == bool(model[t])
+            peak = max(peak, sum(map(len, model.values())))
+            for u, strands in model.items():
+                assert (u.contents, len(u), u.retired) == (strands, len(strands), u in retired)
+                assert u.distinct() == len(set(strands))
+                vertices = sorted(set.intersection(*({v for v, _ in s} for s in strands))) if strands else []
+                assert u.colors(vertices) == [tuple(dict(s)[v] for v in vertices) for s in strands]
+            assert m.peak_tube_size == peak
+            assert m.counter == OpCounter(**counts)
+    finally:
+        helix.frames.GROUPED_DISTINCT, helix.machine.TABLE_SHARE = saved
 
 
 def test_merge_joins_differing_tails_onto_their_prefixes():

@@ -314,6 +314,30 @@ def test_monolithic_start_tube_is_not_stored_strand_by_strand():
     assert peak < list_store / 10, f"traced {peak} bytes, a list store is {list_store}"
 
 
+def test_incremental_survivor_tubes_are_not_stored_strand_by_strand():
+    """Six free vertices then K5 at k=4: 393,216 strands at the peak, none at the end.
+
+    Each survivor is one 8-byte field (44 tokens fit one word), and the k
+    copies of the survivor tube share one frame.  A step still holds the
+    frame, its grown copy, the extract outputs and the colors already
+    filtered, about 20 bytes per peak strand; a list of packed ints takes
+    over 33, an int and a list slot per strand in each of the k copies.
+    """
+    free, k = 6, 4
+    n = free + k + 1
+    g = Graph.from_edges(n, [(u, v) for u in range(free + 1, n + 1) for v in range(u + 1, n + 1)])
+    cb = generate_codebook(n, k, 20, 1)
+    tracemalloc.start()
+    try:
+        sols, trace = solve_incremental(g, k, cb)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (trace.peak_tube_size, sols.colorable) == (k * k**free * 4 * 3 * 2, False)
+    bound = 3 * 8 * trace.peak_tube_size + (256 << 10)  # three 8-byte words per peak strand
+    assert peak < bound, f"traced {peak} bytes, bound {bound}"
+
+
 def test_trace_document_round_trip():
     g = builtin_graph("c5")
     cb = generate_codebook(5, 3, 16, 5)
