@@ -18,6 +18,7 @@ import json
 import random
 from dataclasses import dataclass
 from importlib import resources
+from operator import ne
 
 DNA_BASES = "ACGT"
 
@@ -155,14 +156,14 @@ def validate_codebook(cb: Codebook) -> ValidationReport:
     words = cb.codewords()
     pairs = list(itertools.combinations(words, 2))
     duplicates = tuple((a, b) for a, b in pairs if a.sequence == b.sequence)
-    index = _JunctionIndex(admitting=False)
+    index = _JunctionIndex()
     for cw in words:
         index.add(cw.sequence)
     violations = tuple(
         JunctionViolation(words[w], words[x], words[y], off) for w, x, y, off in index.witnesses()
     )
     same_length = [(a.sequence, b.sequence) for a, b in pairs if len(a.sequence) == len(b.sequence)]
-    min_hamming = min((sum(p != q for p, q in zip(a, b)) for a, b in same_length), default=None)
+    min_hamming = min((sum(map(ne, a, b)) for a, b in same_length), default=None)
     return ValidationReport(duplicates, violations, min_hamming)
 
 
@@ -175,8 +176,8 @@ class _JunctionIndex:
     suffix and a prefix.  Whole words are keys too: w = x + y[:1] at offset 0
     crosses the junction just as any other offset does.
 
-    An admitting index (the default) also keeps, for admits, the two sets of
-    affixes a candidate may not have:
+    The index also keeps, for admits, the two sets of affixes a candidate
+    may not have:
     - x-role tails: each proper prefix w[:i] of a word whose rest w[i:]
       starts some word;
     - y-role heads: each proper suffix w[i:] of a word whose rest w[:i]
@@ -185,16 +186,14 @@ class _JunctionIndex:
     own affixes are looked up, and a prefix (suffix) no word had before adds
     the matching affix of every word ending (starting) with it.  Each new
     prefix or suffix is met once, so the upkeep is amortised O(total length).
-    Validation only calls witnesses and builds a non-admitting index, which
-    skips it.
     """
 
-    def __init__(self, admitting: bool = True):
+    def __init__(self):
         self.words: list[str] = []
         self.ends: dict[str, list[int]] = {}  # s: positions of the words ending with s
         self.starts: dict[str, list[int]] = {}  # s: positions of the words starting with s
-        self.x_tails: set[str] | None = set() if admitting else None
-        self.y_heads: set[str] | None = set() if admitting else None
+        self.x_tails: set[str] = set()
+        self.y_heads: set[str] = set()
 
     def add(self, word: str) -> None:
         pos = len(self.words)
@@ -205,8 +204,6 @@ class _JunctionIndex:
             heads, tails = starts.setdefault(head, []), ends.setdefault(tail, [])
             heads.append(pos)
             tails.append(pos)
-            if x_tails is None:
-                continue
             # Both affixes of length j are indexed now, so head in ends and tail
             # in starts are final: no later affix of this word has length j.
             if head in ends:

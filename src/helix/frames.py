@@ -15,8 +15,9 @@ keeps its order id, its slot count and its strand count.
 - joined (merge) keeps its inputs as parts and lays them out on first use:
   each part compacted (its words as array('Q'), the zero words filtered out,
   since every word of a strand is non-zero) and the parts concatenated in
-  order.
-- values, distinct and tokens read one int per field from the words, so the
+  order.  A merged tube discarded unread, as the solver's bad tubes are, is
+  never laid out.
+- values and tokens read one int per field from the words, so the
   repeated-strand check and the color decode unpack no strand.
 """
 
@@ -30,7 +31,6 @@ from operator import lshift, or_
 WORD_BITS = 64  # a field is whole words of this many bits
 WORD_TOKENS = WORD_BITS - 1  # bit 0 of each word marks a present strand
 _TOKEN_MASK = (1 << WORD_TOKENS) - 1
-GROUPED_DISTINCT = 1 << 14  # frames this large are checked for repeats one group at a time
 
 
 def place(i: int) -> int:
@@ -91,7 +91,7 @@ class Frame:
 
     `oid` is the machine's order id, which the frame only carries.  Slot j
     is bits [j * 64 * width, (j + 1) * 64 * width) of `_bits`.  A frame made
-    by merge holds its inputs in `_parts` until layout() concatenates them.
+    by joined holds its inputs in `_parts` until layout() concatenates them.
     Laying out changes the slots, never the strands or their order, so a
     frame is shared by copies and its parts by later merges.
     """
@@ -118,14 +118,12 @@ class Frame:
         return cls(frames[0].oid, max(f.width for f in frames), sum(f.count for f in frames), parts=parts)
 
     def layout(self) -> tuple[int, int]:
-        """(bits, slot count), concatenating a merged frame's compacted parts first."""
+        """(bits, slot count), concatenating a joined frame's compacted parts first."""
         if self._parts is not None:
-            words, seen = array("Q"), {}
-            for part in self._parts:  # a part merged twice, as two copies of one tube are, is read once
-                if id(part) not in seen:
-                    seen[id(part)] = memoryview(part.words(self.width)).cast("B")
-                words.frombytes(seen[id(part)])
-            self._bits, self._slots, self._ones, self._parts = _from_words(words), self.count, None, None
+            words = array("Q")
+            for part in self._parts:
+                words.frombytes(memoryview(part.words(self.width)).cast("B"))
+            self._bits, self._slots, self._parts = _from_words(words), self.count, None
         return self._bits, self._slots
 
     def ones(self) -> int:
@@ -147,16 +145,9 @@ class Frame:
             words = array("Q", filter(None, words))
         return _widen(words, self.width, width) if width > self.width else words
 
-    def values(self, empty: bool = False):
-        """One int per strand, its field: token i at bit place(i).
-
-        With `empty`, one int per slot, 0 for an empty one, and no compacting.
-        """
-        if empty:
-            bits, slots = self.layout()
-            words = _to_words(bits, slots * self.width)
-        else:
-            words = self.words()
+    def values(self):
+        """One int per strand, its field: token i at bit place(i)."""
+        words = self.words()
         if self.width == 1:
             return words
         values = words[::self.width]
@@ -174,23 +165,6 @@ class Frame:
                 tokens |= (v >> down & _TOKEN_MASK) << up
             out.append(tokens)
         return out
-
-    def distinct(self, indices: list[int]) -> int:
-        """How many different strands the frame holds.
-
-        A frame of GROUPED_DISTINCT strands or more is counted one token of
-        `indices` at a time, the last group being the strands left over.
-        Strands holding different tokens differ, so with the tokens of a
-        vertex every strand names, no set holds more than one token's strands.
-        """
-        if self.count < GROUPED_DISTINCT:
-            indices = []
-        rest, total = self, 0
-        for index in indices[:-1]:
-            group, rest = rest.split(index)
-            total += len(set(filter(None, group.values(empty=True))))
-            del group  # one group at a time
-        return total + len(set(filter(None, rest.values(empty=True))))
 
     def _like(self, bits: int, count: int) -> "Frame":
         return Frame(self.oid, self.width, count, bits, self._slots, self._ones)

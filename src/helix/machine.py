@@ -76,7 +76,7 @@ from __future__ import annotations
 import dataclasses
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, compress, filterfalse, product
+from itertools import chain, compress, filterfalse, product, repeat
 from math import prod
 from operator import add, itemgetter, not_
 
@@ -249,11 +249,8 @@ class Tube:
         return self._machine._colors(self.packed, vertices, _packed_place)
 
     def distinct(self) -> int:
-        """How many different strands the tube holds; a frame is read by its last vertex's tokens."""
-        if self._frame is None:
-            return len(set(self.packed))
-        order = self._machine._orders[self._frame.oid]
-        return self._frame.distinct(list(self._machine._token_at[order[-1]]) if order else [])
+        """How many different strands the tube holds; a frame is read from its words."""
+        return len(set(self.packed if self._frame is None else self._frame.values()))
 
     def __len__(self) -> int:
         if self._frame is not None:
@@ -375,7 +372,7 @@ class TubeMachine:
         table.  `strands` is a sequence: it is read once per run.
         """
         rows = self._rows(vertices, itemgetter(1), place)
-        out, start = [()] * len(strands), 0
+        out, start = repeat((), len(strands)), 0
         while start < len(rows):
             stop, size = start + 1, len(rows[start][1])
             while stop < len(rows) and size * len(rows[stop][1]) * TABLE_SHARE <= len(strands):
@@ -384,9 +381,9 @@ class TubeMachine:
             mask = sum(m for m, _ in rows[start:stop])
             colors = [c for _, c in rows[start:stop]]
             table = dict(zip(map(sum, product(*colors)), product(*map(dict.values, colors))))
-            out = list(map(add, out, map(table.__getitem__, map(mask.__and__, strands))))
+            out = map(add, out, map(table.__getitem__, map(mask.__and__, strands)))  # runs chained, not listed
             start = stop
-        return out
+        return list(out)
 
     def _render(self, packed: list[int]):
         """Each strand's bases under the codebook, streamed straight from the bits.

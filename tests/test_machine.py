@@ -632,15 +632,13 @@ def test_frame_tubes_behave_as_lists_of_token_tuples(data):
     widths.  After every step each tube
     holds the model's strands in the model's order, with its size, repeat
     count and colors; the machine's peak and counters match the model's.
-    The repeat check runs grouped or not, the color decode with tables of
-    one vertex or of several.
+    The color decode runs with tables of one vertex or of several.
     """
     m = TubeMachine()
     model = {}  # every tube handed out -> its strands
     retired, counts, peak, pad_vertex = set(), Counter(), 0, 100
-    saved = helix.frames.GROUPED_DISTINCT, helix.machine.TABLE_SHARE
-    helix.frames.GROUPED_DISTINCT = data.draw(st.sampled_from((0, saved[0])))
-    helix.machine.TABLE_SHARE = data.draw(st.sampled_from((1, saved[1])))
+    saved = helix.machine.TABLE_SHARE
+    helix.machine.TABLE_SHARE = data.draw(st.sampled_from((1, saved)))
     try:
         for step in range(data.draw(st.integers(1, 25))):
             live = [t for t in model if t not in retired]
@@ -705,7 +703,7 @@ def test_frame_tubes_behave_as_lists_of_token_tuples(data):
             assert m.peak_tube_size == peak
             assert m.counter == OpCounter(**counts)
     finally:
-        helix.frames.GROUPED_DISTINCT, helix.machine.TABLE_SHARE = saved
+        helix.machine.TABLE_SHARE = saved
 
 
 def test_merge_joins_differing_tails_onto_their_prefixes():
