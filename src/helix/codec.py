@@ -24,7 +24,7 @@ DNA_BASES = "ACGT"
 
 # A token is one (vertex, color) assignment; a strand is a tuple of tokens in
 # append order with at most one token per vertex.  Plain tuples keep strands
-# hashable; inside a TubeMachine they are packed to ints (see machine.py).
+# hashable; inside a TubeMachine each is a field of a run (see frames.py).
 Token = tuple[int, int]
 Strand = tuple[Token, ...]
 BLANK_STRAND: Strand = ()

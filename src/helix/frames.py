@@ -1,36 +1,40 @@
-"""Frames: the strands of one vertex order as the fixed-width fields of one big int.
+"""Runs: the strands of one vertex order, stored as fields.
 
-A frame is the sticker model's memory layout for a whole tube (Roweis et al.,
-J. Comput. Biol. 5(4), 1998).  Slot j is a field of `width` 64-bit words.
-Bit 0 of every word is set when the slot holds a strand, and token i sits at
-word i // 63, bit 1 + i % 63 (place(i)); an empty slot is all zero.  A frame
-keeps its order id, its slot count and its strand count.
+Every strand a TubeMachine holds outside a product mask lives in a run, and a
+tube is a tuple of runs, so the vertex order (an order id into the machine's
+table) is kept once per run.  A strand's field is the sticker model's memory
+strand (Roweis et al., J. Comput. Biol. 5(4), 1998): token i sits at word
+i // 63, bit 1 + i % 63 (place(i)) of a row of 64-bit words.  Two kinds of run
+hold fields:
 
-- split (symbolic extract) is a few whole-frame operations: shift the
-  token's bit down to each slot's start, AND with the slot starts, spread
-  each set start over its field (`(x << W) - x`), AND, and XOR for the rest.
-  Both outputs keep the source's slots, the empty ones zero.
-- grown (append) ORs the slot starts in at the token's position, widening
-  every field by whole words when the token lies past the current width.
-- joined (merge) keeps its inputs as parts and lays them out on first use:
-  each part compacted (its words as array('Q'), the zero words filtered out,
-  since every word of a strand is non-zero) and the parts concatenated in
-  order.  A merged tube discarded unread, as the solver's bad tubes are, is
-  never laid out.
-- values and tokens read one int per field from the words, so the
-  repeated-strand check and the color decode unpack no strand.
+- A Frame (symbolic machines) is the fields of a whole run side by side in
+  one big int.  Slot j is a field of `width` words, bit 0 of every word is
+  set when the slot holds a strand, and an empty slot is all zero.  split
+  (extract) is a few whole-frame operations: shift the token's bit down to
+  each slot's start, AND with the slot starts, spread each set start over
+  its field (`(x << W) - x`), AND, and XOR for the rest; both outputs keep
+  the source's slots.  grown (append) ORs the slot starts in at the token's
+  place, widening every field by whole words when the token lies past the
+  width.  joined (a merge, once read) concatenates the frames' words with the
+  empty slots filtered out, since every word of a strand is non-zero.
+- A Listed run (nucleotide machines) is a plain list of the fields, without
+  presence bits, and may keep each strand's rendered bases.  Nucleotide
+  extract keeps strands by one flag each, which compress does on a list at C
+  speed where a frame would have to unpack every word.
+
+Both kinds read one int per strand with values(), so the repeated-strand
+check and the color decode unpack no strand.
 """
 
 from __future__ import annotations
 
 import sys
 from array import array
-from itertools import repeat
-from operator import lshift, or_
+from itertools import chain, compress, repeat
+from operator import lshift, not_, or_
 
 WORD_BITS = 64  # a field is whole words of this many bits
 WORD_TOKENS = WORD_BITS - 1  # bit 0 of each word marks a present strand
-_TOKEN_MASK = (1 << WORD_TOKENS) - 1
 
 
 def place(i: int) -> int:
@@ -90,47 +94,38 @@ class Frame:
     """Strands of one vertex order as the fields of one big int.
 
     `oid` is the machine's order id, which the frame only carries.  Slot j
-    is bits [j * 64 * width, (j + 1) * 64 * width) of `_bits`.  A frame made
-    by joined holds its inputs in `_parts` until layout() concatenates them.
-    Laying out changes the slots, never the strands or their order, so a
-    frame is shared by copies and its parts by later merges.
+    is bits [j * 64 * width, (j + 1) * 64 * width) of `_bits`, `_slots`
+    counts the slots, empty ones included, and `count` the strands.  A frame
+    is never changed once built, so copies share it.
     """
 
-    __slots__ = ("oid", "width", "count", "_bits", "_slots", "_ones", "_parts")
+    __slots__ = ("oid", "width", "count", "_bits", "_slots", "_ones")
 
-    def __init__(self, oid: int, width: int, count: int, bits: int = 0, slots: int = 0,
-                 ones: int | None = None, parts: list["Frame"] | None = None):
+    def __init__(self, oid: int, width: int, count: int, bits: int, slots: int, ones: int | None = None):
         self.oid, self.width, self.count = oid, width, count
-        self._bits, self._slots, self._ones, self._parts = bits, slots, ones, parts
+        self._bits, self._slots, self._ones = bits, slots, ones
 
     @classmethod
-    def of_tokens(cls, oid: int, tokens: list[int]) -> "Frame":
-        """Strands given as ints with token i at bit i, as a frame with no empty slot."""
-        width = max(1, -(-max(t.bit_length() for t in tokens) // WORD_TOKENS))
-        shifts = range(0, WORD_TOKENS * width, WORD_TOKENS)
-        words = array("Q", [(t >> shift & _TOKEN_MASK) << 1 | 1 for t in tokens for shift in shifts])
-        return cls(oid, width, len(tokens), _from_words(words), len(tokens))
+    def of_fields(cls, oid: int, fields: list[int]) -> "Frame":
+        """Fields, with or without their presence bits, as a frame with no empty slot."""
+        width = max(1, -(-max(f.bit_length() for f in fields) // WORD_BITS))
+        pad, size = tile(1, WORD_BITS, width), 8 * width
+        raw = b"".join([(f | pad).to_bytes(size, "little") for f in fields])
+        return cls(oid, width, len(fields), int.from_bytes(raw, "little"), len(fields))
 
     @classmethod
     def joined(cls, frames: list["Frame"]) -> "Frame":
-        """The frames' strands in order, laid out on first use."""
-        parts = [part for f in frames for part in (f._parts or (f,))]
-        return cls(frames[0].oid, max(f.width for f in frames), sum(f.count for f in frames), parts=parts)
-
-    def layout(self) -> tuple[int, int]:
-        """(bits, slot count), concatenating a joined frame's compacted parts first."""
-        if self._parts is not None:
-            words = array("Q")
-            for part in self._parts:
-                words.frombytes(memoryview(part.words(self.width)).cast("B"))
-            self._bits, self._slots, self._parts = _from_words(words), self.count, None
-        return self._bits, self._slots
+        """The frames' strands in order, compacted, in fields of the widest frame's width."""
+        width, words = max(f.width for f in frames), array("Q")
+        for f in frames:
+            words.frombytes(memoryview(f.words(width)).cast("B"))
+        count = len(words) // width
+        return cls(frames[0].oid, width, count, _from_words(words), count)
 
     def ones(self) -> int:
         """One set bit at the start of every slot."""
         if self._ones is None:
-            _, slots = self.layout()
-            self._ones = tile(1, WORD_BITS * self.width, slots)
+            self._ones = tile(1, WORD_BITS * self.width, self._slots)
         return self._ones
 
     def words(self, width: int = 0):
@@ -139,32 +134,21 @@ class Frame:
         Every word of a strand is non-zero and every word of an empty slot
         zero, so dropping the zero words drops exactly the empty slots.
         """
-        bits, slots = self.layout()
-        words = _to_words(bits, slots * self.width)
-        if self.count < slots:
+        words = _to_words(self._bits, self._slots * self.width)
+        if self.count < self._slots:
             words = array("Q", filter(None, words))
         return _widen(words, self.width, width) if width > self.width else words
 
-    def values(self):
-        """One int per strand, its field: token i at bit place(i)."""
-        words = self.words()
-        if self.width == 1:
+    def values(self, width: int = 0):
+        """One int per strand, its field in max(width, self.width) words, presence bits included."""
+        width = max(width, self.width)
+        words = self.words(width)
+        if width == 1:
             return words
-        values = words[::self.width]
-        for w in range(1, self.width):
-            values = list(map(or_, values, map(lshift, words[w::self.width], repeat(WORD_BITS * w))))
+        values = words[::width]
+        for w in range(1, width):
+            values = list(map(or_, values, map(lshift, words[w::width], repeat(WORD_BITS * w))))
         return values
-
-    def tokens(self, stop: int | None = None) -> list[int]:
-        """The first `stop` strands (all by default) as ints with token i at bit i."""
-        shifts = [(WORD_BITS * w + 1, WORD_TOKENS * w) for w in range(self.width)]
-        out = []
-        for v in self.values()[:stop]:
-            tokens = 0
-            for down, up in shifts:
-                tokens |= (v >> down & _TOKEN_MASK) << up
-            out.append(tokens)
-        return out
 
     def _like(self, bits: int, count: int) -> "Frame":
         return Frame(self.oid, self.width, count, bits, self._slots, self._ones)
@@ -174,8 +158,7 @@ class Frame:
 
         None stands for a token the machine has never seen, which no strand holds.
         """
-        bits, _ = self.layout()
-        hits = 0
+        bits, hits = self._bits, 0
         if index is not None and index < WORD_TOKENS * self.width:
             starts = (bits >> place(index)) & self.ones()  # a slot's start, set if it holds the token
             hits = starts.bit_count()
@@ -188,9 +171,48 @@ class Frame:
         if width > self.width:
             frame = Frame(oid, width, self.count, _from_words(self.words(width)), self.count)
         else:
-            bits, slots = self.layout()
-            frame = Frame(oid, width, self.count, bits, slots, self.ones())  # copies share self's pattern
+            frame = Frame(oid, width, self.count, self._bits, self._slots, self.ones())  # copies share self's pattern
         ones = frame.ones()
         present = ones if frame.count == frame._slots else frame._bits & ones
         frame._bits |= present << place(index)
         return frame
+
+
+class Listed:
+    """Strands of one vertex order as a list of fields without presence bits.
+
+    When `bases` is not None, strand i renders under the machine's codebook
+    as `bases[i]`.  Neither list is changed in place, so copies share them.
+    """
+
+    __slots__ = ("oid", "fields", "bases")
+    width = 0  # a field has no presence bits, so any width reads the same int
+
+    def __init__(self, oid: int, fields: list[int], bases: list[str] | None = None):
+        self.oid, self.fields, self.bases = oid, fields, bases
+
+    @property
+    def count(self) -> int:
+        return len(self.fields)
+
+    def values(self, width: int = 0) -> list[int]:
+        return self.fields
+
+    @classmethod
+    def joined(cls, runs: list["Listed"]) -> "Listed":
+        bases = None if any(r.bases is None for r in runs) else list(chain.from_iterable(r.bases for r in runs))
+        return cls(runs[0].oid, list(chain.from_iterable(r.fields for r in runs)), bases)
+
+    def sifted(self, flags: list[bool]) -> tuple["Listed", "Listed"]:
+        """(kept, rest): the strands whose flag is set and the others, in order."""
+        return tuple(
+            Listed(self.oid, list(compress(self.fields, keep)),
+                   None if self.bases is None else list(compress(self.bases, keep)))
+            for keep in (flags, list(map(not_, flags)))
+        )
+
+    def grown(self, oid: int, index: int, seq: str | None) -> "Listed":
+        """Every strand with token `index` added; its bases extended by seq, dropped if seq is None."""
+        bit = 1 << place(index)
+        bases = None if self.bases is None or seq is None else [b + seq for b in self.bases]
+        return Listed(oid, list(map(bit.__or__, self.fields)), bases)

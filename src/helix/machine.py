@@ -16,24 +16,27 @@ source into its two output tubes, and Discard retires a tube for good.  The
 machine tracks the total strand count across live tubes after every operation;
 the high-water mark is the run's peak tube size.
 
-Packed strands: in a list tube every strand is one Python int, in the spirit
-of the sticker model's memory strands (Roweis et al., J. Comput. Biol. 5(4),
-1998).  The low ORDER_BITS bits hold an order id, an index into the machine's
-table of vertex sequences, so a strand remembers the order its tokens were
-appended in.  Above them sits one bit per (vertex, color) token: token i,
-the i-th the machine has seen, is bit ORDER_BITS + i.  Symbolic extract is
-then `s & bit`, append moves every strand to the order id of its sequence
-plus the new vertex by adding one delta per order id, and equal strands are
-equal ints.
-Tube.contents unpacks to token tuples in append order through a plan of
-(vertex mask, {masked bits: token}) pairs per order id, built on each unpack
-from the tokens registered so far, so there is no cache to keep in step.
-Tube.colors, the final decode, reads the colors of several vertices with one
-lookup: a table per run of vertices, from the product of their color rows,
-keyed by the strand's bits under their joint mask.  A table of more than one
-vertex holds at most one entry per TABLE_SHARE strands.
+Strand storage: a tube is a product mask or a tuple of runs.
 
-Product tubes: the monolithic start tube, new_tube(rows=...), holds no ints.
+Runs (see frames.py) each hold the strands of one vertex order, so the order
+id, an index into the machine's table of vertex sequences, is kept once per
+run.  A strand is a field with one bit per (vertex, color) token: token i, the
+i-th the machine has seen, at bit frames.place(i).  A symbolic machine keeps
+Frames, one big int per run; a nucleotide machine keeps Listed runs, lists of
+fields.  Extract splits or sifts each run, append grows each run, copy shares
+the tuple and merge concatenates the tuples.  Adjacent runs of one order are
+joined when the tube is next read, so a merged tube discarded unread, like the
+solver's bad tubes, is never joined.  new_tube makes one run per stretch of
+strands of one order.
+
+Tube.contents unpacks to token tuples in append order through one
+(vertex mask, {bit: token}) row per vertex of the run's order.  Tube.colors,
+the final decode, reads the colors of several vertices with one lookup: a
+table per run of vertices, from the product of their color rows, keyed by the
+field's bits under their joint mask.  A table of more than one vertex holds at
+most one entry per TABLE_SHARE strands.
+
+Product tubes: the monolithic start tube, new_tube(rows=...), holds no field.
 It is a membership mask over the product of its rows: strand i of
 itertools.product(*rows) is in the tube iff bit i of the mask is set.  This is
 the sticker layout sliced by column: a token's column is the mask of the
@@ -42,33 +45,23 @@ strands that hold it, so symbolic extract is one big-int AND
 detect and discard count its bits.  Merge ORs the masks when every non-empty
 input is over the same product and no strand is in two of them, which gives
 product order; otherwise, as with two copies of one tube, it concatenates
-lists so that repeated strands stay repeated.  Every other use (append,
-nucleotide extract, contents, colors, Tube.packed) materializes the mask once,
-in product order, and the tube is an ordinary list tube from then on.  A mask
-with few bits set is decoded from the mixed-radix index of each set bit, a
-dense one by walking the product.  Only rows= builds a mask: a mask over
-k**i strands for a tube that grows by append would bring back the blow-up
-the incremental engine avoids.
+runs so that repeated strands stay repeated.  Every other use (append,
+nucleotide extract, contents, colors) turns the mask into one run, in product
+order, the first time the strands are read.  A mask with few bits set is
+decoded from the mixed-radix index of each set bit, a dense one by walking
+the product.  Only rows= builds a mask: a mask over k**i strands for a tube
+that grows by append would bring back the blow-up the incremental engine
+avoids.
 
-Frames: on a symbolic machine a tube whose strands all share one vertex order
-is a frame (see frames.py), one big int of fixed-width fields, so extract,
-append and copy are a few whole-tube big-int operations.  Merge of frames of
-one order joins them in order, laid out when first read, so a merged tube
-that is discarded unread, like the solver's bad tubes, is never laid out.
-Any other mix of forms, and Tube.packed, turns frames into list tubes; a
-nucleotide machine keeps no frames.
-
-Rendered bases: on a nucleotide machine a list tube keeps each strand's bases
-under the codebook in `bases`, next to `packed`.  new_tube renders them from
-the bits through one (vertex mask, {bit: sequence}) row per vertex; append
-extends every string by the codeword, copies share the list (never changed in
-place), extract tests `seq in b` and partitions it alongside `packed`, and
-merge chains the lists, so the incremental engine renders each strand once.
-A tube made from rows= (the monolithic start tube and its descendants) keeps
-none, and its strands are rendered as a stream at each extract, since holding
-the bases of k**n full-length strands would multiply its memory.  So does a
-tube holding a token the codebook lacks, whose first extract raises the
-CodecError that names it.
+Rendered bases: on a nucleotide machine a Listed run made by new_tube keeps
+each strand's bases under the codebook, rendered once from the bits through
+one (vertex mask, {bit: sequence}) row per vertex.  Append extends every
+string by the codeword and extract tests `seq in b`, so the incremental
+engine renders each strand once.  A run made from rows= (the monolithic start
+tube and its descendants) keeps none, and its strands are rendered as a
+stream at each extract, since holding the bases of k**n full-length strands
+would multiply its memory.  So does a run holding a token the codebook lacks,
+whose first extract raises the CodecError that names it.
 """
 
 from __future__ import annotations
@@ -76,43 +69,36 @@ from __future__ import annotations
 import dataclasses
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, compress, filterfalse, product, repeat
+from itertools import chain, compress, groupby, product, repeat
 from math import prod
-from operator import add, itemgetter, not_
+from operator import add, attrgetter, itemgetter
 
-from . import frames
 from .codec import Codebook, CodecError, Codeword, SoundnessError, Strand, Token, render
-from .frames import Frame, tile
+from .frames import Frame, Listed, place, tile
 
-ORDER_BITS = 32
-ORDER_MASK = (1 << ORDER_BITS) - 1
 _DIGIT = bytes.maketrans(b"01", b"\x00\x01")  # a mask's binary digits as 0/1 bytes
+_OID, _COUNT = attrgetter("oid"), attrgetter("count")
 TABLE_SHARE = 8  # the color decode builds at most one table entry per this many strands
-
-
-def _packed_place(i: int) -> int:
-    """The bit of token i in a packed strand."""
-    return ORDER_BITS + i
 
 
 class _Product:
     """The strands of itertools.product(*rows), numbered in product order.
 
-    `rows` are the rows' token bits with the order id added to the first row,
-    so strand i is the sum of its row entries.  column(bit) is the mask of the
-    strands that hold that token bit.  Entry j of row r spans runs of `run`
-    strands, so its column is the column of the row's first entry shifted up
-    j * run bits; only that first column is built (on first use) and cached,
-    one mask per row rather than one per token.
+    `rows` are the rows' token bits, so strand i's field is the sum of its
+    row entries, and every strand has vertex order `oid`.  column(bit) is the
+    mask of the strands that hold that token bit.  Entry j of row r spans
+    runs of `run` strands, so its column is the column of the row's first
+    entry shifted up j * run bits; only that first column is built (on first
+    use) and cached, one mask per row rather than one per token.
     """
 
-    __slots__ = ("rows", "size", "_where", "_firsts")
+    __slots__ = ("oid", "rows", "size", "_where", "_firsts")
 
-    def __init__(self, oid: int, bit_rows: list[list[int]]):
-        self.rows = [[oid + b for b in bit_rows[0]], *bit_rows[1:]] if bit_rows else [[oid]]
-        self.size = prod(map(len, self.rows))
+    def __init__(self, oid: int, rows: list[list[int]]):
+        self.oid, self.rows = oid, rows
+        self.size = prod(map(len, rows))
         self._where: dict[int, tuple[int, list[int]]] = {}  # bit -> (row, positions in the row)
-        for r, row in enumerate(bit_rows):
+        for r, row in enumerate(rows):
             for j, b in enumerate(row):
                 self._where.setdefault(b, (r, []))[1].append(j)
         self._firsts: dict[int, tuple[int, int]] = {}  # row -> (first entry's column, run)
@@ -132,7 +118,7 @@ class _Product:
         return col
 
     def members(self, mask: int) -> list[int]:
-        """The strands whose bits are set in mask, as ints, in product order.
+        """The fields of the strands whose bits are set in mask, in product order.
 
         A mask with fewer set bits than size / rows is decoded bit by bit,
         anything denser by walking the whole product.
@@ -184,81 +170,90 @@ class OpCounter:
 class Tube:
     """A labeled multiset of strands (order carries no meaning).
 
-    `packed` holds the strands as the owning machine's ints; `contents`
-    unpacks them to token tuples in append order.  A strand names each vertex
-    at most once: TubeMachine.new_tube raises MachineFault on one that names a
-    vertex twice.  A product tube keeps a membership mask over its `_product`,
-    and a frame tube a `_frame`, instead of a list until `packed` is first read
-    (see the module docstring).
-
-    When `bases` is not None, strand i renders under the machine's codebook
-    as `bases[i]`; the list may be shared with other tubes and is never
-    changed in place.  Only tubes on a nucleotide machine keep bases, and
-    never one made from rows= (see the module docstring).
+    A tube holds a membership mask over a `_product`, or `_runs`, a tuple of
+    non-empty runs (see the module docstring); `runs` gives the latter,
+    turning a mask into a run and joining adjacent runs of one order first.
+    `contents` unpacks the strands to token tuples in append order.  A strand
+    names each vertex at most once: TubeMachine.new_tube raises MachineFault
+    on one that names a vertex twice.
     """
 
-    __slots__ = ("label", "_packed", "_product", "_mask", "_frame", "retired", "bases", "_machine")
+    __slots__ = ("label", "_runs", "_product", "_mask", "retired", "_machine")
 
-    def __init__(
-        self, label: str, machine: "TubeMachine", packed: list[int] | None,
-        product: _Product | None = None, mask: int = 0, bases: list[str] | None = None,
-        frame: Frame | None = None,
-    ):
+    def __init__(self, label: str, machine: "TubeMachine", runs: tuple = (),
+                 product: _Product | None = None, mask: int = 0):
         self.label = label
-        self._packed = packed  # owned by this tube: callers hand over a fresh list
-        self._product, self._mask = product, mask  # a product tube has packed None
-        self._frame = frame  # a frame tube has packed None; never an empty frame
+        self._runs = runs
+        self._product, self._mask = product, mask  # a product tube has no runs
         self.retired = False
-        self.bases = bases
         self._machine = machine
 
     def _pour_out(self) -> None:
-        self._packed, self._product, self._mask, self._frame, self.bases = [], None, 0, None, None
+        self._runs, self._product, self._mask = (), None, 0
 
     @property
-    def packed(self) -> list[int]:
-        """The strands as ints; a product or frame tube turns into a list tube here."""
+    def runs(self) -> tuple:
+        """The runs, a product tube's mask turned into one run and adjacent runs of one order joined."""
         if self._product is not None:
-            self._packed = self._product.members(self._mask)
+            fields = self._product.members(self._mask)
+            self._runs = (self._machine._run(self._product.oid, fields),) if fields else ()
             self._product, self._mask = None, 0
-        elif self._frame is not None:
-            self._packed, self._frame = self._frame_packed(), None
-        return self._packed
+        runs = self._runs
+        if len(runs) > 1 and any(a.oid == b.oid for a, b in zip(runs, runs[1:])):
+            groups = [list(group) for _, group in groupby(runs, _OID)]
+            self._runs = runs = tuple(g[0] if len(g) == 1 else type(g[0]).joined(g) for g in groups)
+        return runs
 
-    def _frame_packed(self, stop: int | None = None) -> list[int]:
-        oid = self._frame.oid
-        return [oid | t << ORDER_BITS for t in self._frame.tokens(stop)]
+    @property
+    def bases(self) -> list[str] | None:
+        """Each strand's bases under a nucleotide machine's codebook, or None unless every run keeps them."""
+        runs = self._runs
+        if self._machine.codebook is None or self._product is not None or any(r.bases is None for r in runs):
+            return None
+        return list(chain.from_iterable(r.bases for r in runs))
 
     @property
     def contents(self) -> list[Strand]:
-        return self._machine._unpack(self._frame_packed() if self._frame is not None else self.packed)
+        return [s for run in self.runs for s in self._machine._unpack(run.oid, run.values())]
 
     def order_samples(self) -> list[Strand]:
         """One strand of each vertex order in the tube, as a token tuple."""
-        if self._frame is not None:
-            return self._machine._unpack(self._frame_packed(1))
-        return self._machine._unpack(list({s & ORDER_MASK: s for s in self.packed}.values()))
+        firsts = {}
+        for run in self.runs:
+            firsts.setdefault(run.oid, run.values()[:1])
+        return [self._machine._unpack(oid, first)[0] for oid, first in firsts.items()]
 
     def colors(self, vertices) -> list[tuple[int, ...]]:
         """Each strand's color at each of `vertices`, read from the bits.
 
         Every strand must name every one of the vertices (KeyError otherwise).
         """
-        if self._frame is not None:
-            return self._machine._colors(self._frame.values(), vertices, frames.place)
-        return self._machine._colors(self.packed, vertices, _packed_place)
+        out = []
+        for run in self.runs:
+            out += self._machine._colors(run.values(), vertices)
+        return out
 
     def distinct(self) -> int:
-        """How many different strands the tube holds; a frame is read from its words."""
-        return len(set(self.packed if self._frame is None else self._frame.values()))
+        """How many different strands the tube holds, read from the fields.
+
+        A frame's field carries a presence bit per word, so the runs of one
+        order are read at the widest of their widths.
+        """
+        runs, widest = self.runs, {}
+        for run in runs:
+            widest[run.oid] = max(widest.get(run.oid, 0), run.width)
+        seen = {oid: set() for oid in widest}
+        for run in runs:
+            seen[run.oid].update(run.values(widest[run.oid]))
+        return sum(map(len, seen.values()))
 
     def __len__(self) -> int:
-        if self._frame is not None:
-            return self._frame.count
-        return self._mask.bit_count() if self._product is not None else len(self._packed)
+        if self._product is not None:
+            return self._mask.bit_count()
+        return sum(map(_COUNT, self._runs))
 
-    def __bool__(self) -> bool:  # without counting a mask's bits; a frame is never empty
-        return self._frame is not None or bool(self._mask if self._product is not None else self._packed)
+    def __bool__(self) -> bool:  # without counting a mask's bits; no run is empty
+        return bool(self._mask if self._product is not None else self._runs)
 
     def counts(self) -> Counter:
         return Counter(self.contents)
@@ -284,7 +279,7 @@ class TubeMachine:
         self.counter = OpCounter()
         self._live_strands = 0
         self.peak_tube_size = 0
-        self._index: dict[Token, int] = {}  # token -> i: bit ORDER_BITS + i packed, frames.place(i) in a frame
+        self._index: dict[Token, int] = {}  # token -> i, its bit frames.place(i) in a field
         self._token_at: dict[int, dict[int, Token]] = {}  # vertex -> {i: token}
         self._orders: list[tuple[int, ...]] = []
         self._order_id: dict[tuple[int, ...], int] = {}
@@ -299,7 +294,7 @@ class TubeMachine:
         if tube.retired:
             raise MachineFault(f"tube {tube.label!r} was discarded")
 
-    # --- packing -----------------------------------------------------------
+    # --- fields ------------------------------------------------------------
 
     def _index_of(self, token: Token) -> int:
         i = self._index.get(token)
@@ -309,7 +304,7 @@ class TubeMachine:
         return i
 
     def _bit_of(self, token: Token) -> int:
-        return 1 << _packed_place(self._index_of(token))
+        return 1 << place(self._index_of(token))
 
     def _oid_of(self, order: tuple[int, ...]) -> int:
         oid = self._order_id.get(order)
@@ -320,12 +315,17 @@ class TubeMachine:
             self._orders.append(order)
         return oid
 
-    def _pack(self, strands) -> list[int]:
-        """Token tuples to ints: the order id plus one bit per token."""
-        return [
-            sum(map(self._bit_of, s), self._oid_of(tuple(v for v, _ in s)))
-            for s in strands
-        ]
+    def _run(self, oid: int, fields: list[int], rendered: bool = False) -> Frame | Listed:
+        """The machine's kind of run; a rendered Listed run keeps bases unless a token lacks a codeword."""
+        if self.codebook is None:
+            return Frame.of_fields(oid, fields)
+        run = Listed(oid, fields)
+        if rendered:
+            try:
+                run.bases = list(self._render(run))
+            except CodecError:  # a token the codebook lacks: the first extract says which
+                pass
+        return run
 
     def _product_of(self, rows) -> _Product:
         """itertools.product(*rows) as a _Product, with no strand ever built.
@@ -342,11 +342,10 @@ class TubeMachine:
         oid = self._oid_of(tuple(order))
         return _Product(oid, [list(map(self._bit_of, row)) for row in rows])
 
-    def _rows(self, vertices, value, place=_packed_place) -> list[tuple[int, dict]]:
+    def _rows(self, vertices, value) -> list[tuple[int, dict]]:
         """One (vertex mask, {bit: value(token)}) row per vertex, leaving out tokens valued None.
 
-        Token i is bit 1 << place(i).  A strand's entry for a vertex is then
-        `entries[s & mask]`.
+        A field's entry for a vertex is then `entries[s & mask]`.
         """
         rows = []
         for v in vertices:
@@ -354,16 +353,13 @@ class TubeMachine:
             rows.append((sum(tokens), {bit: x for bit, t in tokens.items() if (x := value(t)) is not None}))
         return rows
 
-    def _unpack(self, packed: list[int]) -> list[Strand]:
-        """Ints to token tuples, through the token rows of each order id."""
-        plans = {
-            oid: self._rows(self._orders[oid], lambda t: t)
-            for oid in set(map(ORDER_MASK.__and__, packed))
-        }
-        return [tuple([tok[s & m] for m, tok in plans[s & ORDER_MASK]]) for s in packed]
+    def _unpack(self, oid: int, fields) -> list[Strand]:
+        """Fields of order id `oid` to token tuples."""
+        rows = self._rows(self._orders[oid], lambda t: t)
+        return [tuple([tok[s & m] for m, tok in rows]) for s in fields]
 
-    def _colors(self, strands, vertices, place) -> list[tuple[int, ...]]:
-        """Strand ints, token i at bit place(i), to colors at the given vertices.
+    def _colors(self, strands, vertices) -> list[tuple[int, ...]]:
+        """Fields to colors at the given vertices.
 
         Runs of consecutive vertices are read with one lookup each, in a table
         from the product of their color rows keyed by the bits under their
@@ -371,7 +367,7 @@ class TubeMachine:
         per TABLE_SHARE strands, so a tube of a few strands builds no large
         table.  `strands` is a sequence: it is read once per run.
         """
-        rows = self._rows(vertices, itemgetter(1), place)
+        rows = self._rows(vertices, itemgetter(1))
         out, start = repeat((), len(strands)), 0
         while start < len(rows):
             stop, size = start + 1, len(rows[start][1])
@@ -385,27 +381,18 @@ class TubeMachine:
             start = stop
         return list(out)
 
-    def _render(self, packed: list[int]):
+    def _render(self, run: Listed):
         """Each strand's bases under the codebook, streamed straight from the bits.
 
-        One sequence row per vertex of each order id.  A strand holding a
-        token the codebook lacks goes through render, which raises the
-        CodecError that names it.
+        A strand holding a token the codebook lacks goes through render,
+        which raises the CodecError that names it.
         """
-        seqs = self.codebook._sequences
-        plans = {
-            oid: self._rows(self._orders[oid], seqs.get)
-            for oid in set(map(ORDER_MASK.__and__, packed))
-        }
-        for s in packed:
+        rows = self._rows(self._orders[run.oid], self.codebook._sequences.get)
+        for s in run.fields:
             try:
-                yield "".join([seq[s & m] for m, seq in plans[s & ORDER_MASK]])
+                yield "".join([seq[s & m] for m, seq in rows])
             except KeyError:
-                yield render(self._unpack([s])[0], self.codebook)
-
-    def _frame_tube(self, label: str, frame: Frame) -> Tube:
-        """A tube of the frame's strands; an empty frame gives an empty list tube."""
-        return Tube(label, self, None, frame=frame) if frame.count else Tube(label, self, [])
+                yield render(self._unpack(run.oid, [s])[0], self.codebook)
 
     # --- operations --------------------------------------------------------
 
@@ -417,53 +404,35 @@ class TubeMachine:
         product tube: a mask with every strand's bit set, and no strand built.
         """
         if rows is None:
-            packed = self._pack(contents)
-            tube = Tube(label, self, packed)
-            if self.codebook is not None:
-                try:
-                    tube.bases = list(self._render(packed))
-                except CodecError:  # a token the codebook lacks: the first extract says which
-                    pass
-            elif packed and len({s & ORDER_MASK for s in packed}) == 1:
-                tube._packed, tube._frame = None, Frame.of_tokens(packed[0] & ORDER_MASK, [s >> ORDER_BITS for s in packed])
+            runs = []
+            for order, strands in groupby(contents, lambda s: tuple(v for v, _ in s)):
+                oid = self._oid_of(order)
+                runs.append(self._run(oid, [sum(map(self._bit_of, s)) for s in strands], rendered=True))
+            tube = Tube(label, self, tuple(runs))
         elif contents:
             raise ValueError("new_tube takes contents or rows, not both")
         else:
             product = self._product_of(rows)
-            tube = Tube(label, self, None, product, (1 << product.size) - 1)
+            tube = Tube(label, self, (), product, (1 << product.size) - 1)
         self._credit(len(tube))
         return tube
 
     def append(self, tube: Tube, cw: Codeword) -> Tube:
         """Extend every strand in the tube with cw's (vertex, color) token."""
         self._require_live(tube)
-        v = cw.vertex
-        index = self._index_of((v, cw.color))
-        frame = tube._frame
-        if frame is not None:
-            order = self._orders[frame.oid]
+        v, token = cw.vertex, (cw.vertex, cw.color)
+        index = self._index_of(token)
+        grown = []
+        for run in tube.runs:
+            order = self._orders[run.oid]
             if v in order:
                 raise MachineFault(f"append: strand already assigns vertex {v}")
-            tube._frame = frame.grown(self._oid_of(order + (v,)), index)
-            self.counter.append += 1
-            return tube
-        bit = 1 << _packed_place(index)
-        strands = tube.packed
-        delta = {}
-        for oid in set(map(ORDER_MASK.__and__, strands)):
-            order = self._orders[oid]
-            if v in order:
-                raise MachineFault(f"append: strand already assigns vertex {v}")
-            delta[oid] = bit + self._oid_of(order + (v,)) - oid
-        if len(delta) == 1:
-            (d,) = delta.values()
-            tube._packed = list(map(d.__add__, strands))
-        else:
-            tube._packed = [s + delta[s & ORDER_MASK] for s in strands]
-        if tube.bases is not None:
-            seq = self.codebook._sequences.get((v, cw.color))
-            # a token the codebook lacks drops the bases: the next extract says which
-            tube.bases = None if seq is None else [b + seq for b in tube.bases]
+            oid = self._oid_of(order + (v,))
+            if self.codebook is None:
+                grown.append(run.grown(oid, index))
+            else:  # a token the codebook lacks drops the bases: the next extract says which
+                grown.append(run.grown(oid, index, self.codebook._sequences.get(token)))
+        tube._runs = tuple(grown)
         self.counter.append += 1
         return tube
 
@@ -472,10 +441,9 @@ class TubeMachine:
         self._require_live(tube)
         if count < 1:
             raise ValueError(f"copy count must be at least 1, got {count}")
-        size, packed = len(tube), tube._packed
+        size = len(tube)
         copies = [
-            Tube(f"{tube.label}#{i}", self, None if packed is None else packed[:],
-                 tube._product, tube._mask, tube.bases, tube._frame)
+            Tube(f"{tube.label}#{i}", self, tube._runs, tube._product, tube._mask)
             for i in range(1, count + 1)
         ]
         tube._pour_out()
@@ -487,12 +455,9 @@ class TubeMachine:
         """Pour every source into dest; sources end empty.  One counter tick.
 
         Product tubes over one product whose masks share no strand merge by
-        OR, and dest holds the union in product order.  Frames of one vertex
-        order are joined in order, laid out on first use.  Any other mix is
-        concatenated as lists.  On a nucleotide machine dest keeps bases,
-        the inputs' lists chained, when every non-empty input has them.  A
-        tube may be poured only once, so a source listed twice faults before
-        anything moves.
+        OR, and dest holds the union in product order.  Anything else
+        concatenates the inputs' runs in order.  A tube may be poured only
+        once, so a source listed twice faults before anything moves.
         """
         self._require_live(dest)
         sources = list(sources)
@@ -507,25 +472,16 @@ class TubeMachine:
         if full and all(t._product is full[0]._product is not None for t in full):
             union = 0
             for t in full:
-                if union & t._mask:  # a strand in two inputs: lists keep it twice
+                if union & t._mask:  # a strand in two inputs: runs keep it twice
                     union = None
                     break
                 union |= t._mask
-        bases = None
-        if self.codebook is not None and all(t.bases is not None for t in full):
-            bases = list(chain.from_iterable(t.bases for t in full))
-        frames = [t._frame for t in full]
         if union is not None:
-            dest._packed, dest._product, dest._mask = None, full[0]._product, union
-        elif full and all(f is not None and f.oid == frames[0].oid for f in frames):
-            dest._packed, dest._product, dest._mask = None, None, 0
-            dest._frame = frames[0] if len(frames) == 1 else Frame.joined(frames)
+            dest._runs, dest._product, dest._mask = (), full[0]._product, union
         else:
-            for src in sources:
-                dest.packed.extend(src.packed)
+            dest._runs, dest._product, dest._mask = tuple(chain.from_iterable(t.runs for t in full)), None, 0
         for src in sources:
             src._pour_out()
-        dest.bases = bases
         self.counter.merge += 1
         return dest
 
@@ -533,39 +489,32 @@ class TubeMachine:
         """Partition the tube by cw into (matching, rest); the source ends empty.
 
         Without a codebook the machine tests token membership; with one it
-        tests whether cw's base sequence occurs in the rendered strand.  Both
-        outputs keep the source's strand order, and its bases when it has
-        them; a tube without bases is rendered from the bits as a stream.  A
-        product tube extracts on tokens with one AND of its mask and the
-        token's column, giving two product tubes; nucleotide extract
-        materializes it first.  A frame splits into two frames (an empty
-        output is an empty list tube).
+        tests whether cw's base sequence occurs in the rendered strand, using
+        a run's kept bases or else rendering it from the bits as a stream.
+        Both outputs keep the source's strand order.  A product tube extracts
+        on tokens with one AND of its mask and the token's column, giving two
+        product tubes; nucleotide extract turns it into a run first.  Each
+        run splits into two (an empty one is dropped).
         """
         self._require_live(tube)
-        product = tube._product
-        if self.codebook is None:
-            index = self._index.get((cw.vertex, cw.color))  # a token never seen is in no strand
-            bit = 0 if index is None else 1 << _packed_place(index)
-            if product is not None:
-                mask = tube._mask
-                hit = mask & product.column(bit)
-                plus = Tube(f"{tube.label}+", self, None, product, hit)
-                minus = Tube(f"{tube.label}-", self, None, product, mask ^ hit)
-            elif tube._frame is not None:
-                hit, rest = tube._frame.split(index)
-                plus, minus = self._frame_tube(f"{tube.label}+", hit), self._frame_tube(f"{tube.label}-", rest)
-            else:
-                strands = tube.packed
-                plus = Tube(f"{tube.label}+", self, list(filter(bit.__and__, strands)))
-                minus = Tube(f"{tube.label}-", self, list(filterfalse(bit.__and__, strands)))
+        product, mask = tube._product, tube._mask
+        index = self._index.get((cw.vertex, cw.color))  # a token never seen is in no strand
+        if self.codebook is None and product is not None:
+            hit = mask & product.column(0 if index is None else 1 << place(index))
+            plus = Tube(f"{tube.label}+", self, (), product, hit)
+            minus = Tube(f"{tube.label}-", self, (), product, mask ^ hit)
         else:
-            strands, bases, seq = tube.packed, tube.bases, cw.sequence
-            flags = [seq in b for b in (self._render(strands) if bases is None else bases)]
-            miss = list(map(not_, flags))
-            plus = Tube(f"{tube.label}+", self, list(compress(strands, flags)))
-            minus = Tube(f"{tube.label}-", self, list(compress(strands, miss)))
-            if bases is not None:
-                plus.bases, minus.bases = list(compress(bases, flags)), list(compress(bases, miss))
+            if self.codebook is None:
+                parts = [run.split(index) for run in tube.runs]
+            else:
+                seq = cw.sequence
+                parts = [
+                    run.sifted([seq in b for b in (self._render(run) if run.bases is None else run.bases)])
+                    for run in tube.runs
+                ]
+            hits, rests = zip(*parts) if parts else ((), ())
+            plus = Tube(f"{tube.label}+", self, tuple(filter(_COUNT, hits)))
+            minus = Tube(f"{tube.label}-", self, tuple(filter(_COUNT, rests)))
         tube._pour_out()
         self.counter.extract += 1
         return plus, minus

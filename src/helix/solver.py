@@ -252,6 +252,13 @@ def trace_document(
     return doc
 
 
+def _count(value, field: str) -> int:
+    """A count read from a trace document: an int, and not a bool."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise SolverError(f"trace field {field} must be an integer, got {value!r}")
+    return value
+
+
 def read_trace_document(doc: dict) -> tuple[dict, SolutionSet, Trace]:
     """Parse and check a trace document; inverse of trace_document.
 
@@ -277,12 +284,12 @@ def read_trace_document(doc: dict) -> tuple[dict, SolutionSet, Trace]:
         try:
             steps.append(
                 StepRecord(
-                    entry["vertex"],
-                    entry["t0_before"],
-                    tuple(entry["per_color_after_append"]),
-                    tuple(entry["per_color_after_filter"]),
-                    entry["discarded"],
-                    entry["t0_after"],
+                    _count(entry["vertex"], "vertex"),
+                    _count(entry["t0_before"], "t0_before"),
+                    tuple(_count(c, "per_color_after_append") for c in entry["per_color_after_append"]),
+                    tuple(_count(c, "per_color_after_filter") for c in entry["per_color_after_filter"]),
+                    _count(entry["discarded"], "discarded"),
+                    _count(entry["t0_after"], "t0_after"),
                 )
             )
         except TypeError as exc:
@@ -293,7 +300,7 @@ def read_trace_document(doc: dict) -> tuple[dict, SolutionSet, Trace]:
     unknown = op_doc.keys() - OP_FIELDS
     if unknown:
         raise SolverError(f"trace op_totals names unknown operations: {sorted(map(str, unknown))}")
-    op_totals = OpCounter(**op_doc)
+    op_totals = OpCounter(**{op: _count(n, f"op_totals.{op}") for op, n in op_doc.items()})
     try:
         meta = {
             "graph": {"n": graph["n"], "m": graph["m"]},
@@ -307,6 +314,6 @@ def read_trace_document(doc: dict) -> tuple[dict, SolutionSet, Trace]:
     except TypeError as exc:
         raise SolverError(f"malformed trace document: {exc}") from None
     trace = Trace(
-        tuple(steps), op_totals, doc["peak_tube_size"], doc.get("construction")
+        tuple(steps), op_totals, _count(doc["peak_tube_size"], "peak_tube_size"), doc.get("construction")
     )
     return meta, solutions, trace

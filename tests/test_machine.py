@@ -592,18 +592,37 @@ def test_sparse_product_decode_matches_the_walk(rows, density, data):
 
 def test_single_order_tubes_are_frames_that_widen_past_63_tokens():
     m = TubeMachine()
-    m.new_tube("pad", [((100 + i, 0),) for i in range(62)])  # tokens 0..61, one vertex each: a list tube
+    m.new_tube("pad", [((100 + i, 0),) for i in range(62)])  # tokens 0..61, one vertex order each
     t = m.new_tube("t", [((1, 0),), ((1, 1),), ((1, 0),)])  # tokens 62 and 63
-    assert t._frame is not None and t._frame.width == 2
+    assert [(type(r), r.width) for r in t.runs] == [(helix.frames.Frame, 2)]
     m.new_tube("pad", [((200 + i, 0),) for i in range(130)])  # tokens 64..193
     m.append(t, cw(2, 3))  # token 194, in the fourth word
-    assert t._frame.width == 4
+    assert [r.width for r in t.runs] == [4]
     plus, minus = m.extract(t, cw(1, 0))  # both keep an empty slot
     assert (plus.contents, minus.contents) == ([((1, 0), (2, 3))] * 2, [((1, 1), (2, 3))])
     m.merge(plus, [minus])
-    assert plus._frame is not None and plus.contents == [((1, 0), (2, 3))] * 2 + [((1, 1), (2, 3))]
-    m.append(minus, cw(3, 0))  # an empty tube stays an empty list
-    assert m.new_tube("mixed", [((1, 0),), ((2, 0),)])._frame is None
+    assert len(plus.runs) == 1 and plus.contents == [((1, 0), (2, 3))] * 2 + [((1, 1), (2, 3))]
+    m.append(minus, cw(3, 0))  # an empty tube stays empty
+    assert minus.runs == ()
+    mixed = m.new_tube("mixed", [((1, 0),), ((1, 1),), ((2, 0),), ((1, 0),)])
+    assert [(m._orders[r.oid], r.count) for r in mixed.runs] == [((1,), 2), ((2,), 1), ((1,), 1)]
+    m.merge(plus, [m.new_tube("other", [((5, 0),)])])  # another order: both stay frames
+    assert [(type(r), r.count) for r in plus.runs] == [(helix.frames.Frame, 3), (helix.frames.Frame, 1)]
+    assert plus.contents == [((1, 0), (2, 3))] * 2 + [((1, 1), (2, 3)), ((5, 0),)]
+    # A field's presence bits depend on its frame's width, so equal strands
+    # in frames of different widths are different ints.
+    m = TubeMachine()
+    narrow = m.new_tube("narrow", [((1, 0),)])  # token 0: fields of one word
+    m.discard(m.new_tube("pad", [((100 + i, 0),) for i in range(63)]))  # tokens 1..63
+    wide = m.new_tube("wide", [((1, 1),), ((1, 0),)])  # token 64: fields of two words
+    a, b = m.copy(narrow, 2)
+    m.merge(a, [wide])
+    assert [(m._orders[r.oid], r.width) for r in a._runs] == [((1,), 1), ((1,), 2)]
+    assert (len(a), a.distinct()) == (3, 2)
+    wide = m.new_tube("wide", [((1, 1),), ((1, 0),)])
+    m.merge(b, [m.new_tube("between", [((2, 0),)]), wide])  # one order's runs, apart
+    assert [r.width for r in b.runs] == [1, 2, 2]
+    assert (len(b), b.distinct()) == (4, 3)
 
 
 @st.composite

@@ -28,7 +28,6 @@ from helix import (
 from helix import solver
 from helix.codec import coloring_from_strand
 from helix.cli import random_graph
-from helix.machine import ORDER_BITS
 
 
 def test_k3_full_trace():
@@ -302,7 +301,8 @@ def test_monolithic_start_tube_is_not_stored_strand_by_strand():
     """4^9 strands as a list of packed ints would take about 11.5 MB; the run traces under a tenth."""
     g, k = random_graph(9, 0.3, 1), 4
     cb = generate_codebook(g.n, k, 20, 1)
-    list_store = k**g.n * (sys.getsizeof(1 << (ORDER_BITS + g.n * k)) + 8)  # an int and a list slot each
+    # an int (a 32-bit order id below one bit per token) and a list slot each: 11,534,336 B
+    list_store = k**g.n * (sys.getsizeof(1 << (32 + g.n * k)) + 8)
     tracemalloc.start()
     try:
         sols, trace = solve_monolithic(g, k, cb)
@@ -373,9 +373,21 @@ def test_read_trace_document_validates():
     g = builtin_graph("k3")
     sols, trace = solve_incremental(g, 3, builtin_table1())
     doc = trace_document(g, 3, None, "incremental", sols, trace)
+    text = json.dumps(doc)
     del doc["steps"][0]["vertex"]
     with pytest.raises(SolverError, match="step record missing"):
         read_trace_document(doc)
+    for place, key, value in [
+        ("step", "per_color_after_append", "12"),
+        ("step", "t0_after", [1]),
+        ("step", "discarded", True),
+        ("doc", "peak_tube_size", "lots"),
+        ("op_totals", "append", "x"),
+    ]:
+        doc = json.loads(text)
+        {"step": doc["steps"][0], "doc": doc, "op_totals": doc["op_totals"]}[place][key] = value
+        with pytest.raises(SolverError, match=f"{key} must be an integer"):
+            read_trace_document(doc)
 
 
 @pytest.mark.parametrize(
