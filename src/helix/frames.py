@@ -1,37 +1,32 @@
-"""Runs: the strands of one vertex order, stored as fields.
+"""Frames: the strands of one vertex order, stored as fields of one big int.
 
-Every strand a TubeMachine holds outside a product mask lives in a run, and a
-tube is a tuple of runs, so the vertex order (an order id into the machine's
-table) is kept once per run.  A strand's field is the sticker model's memory
-strand (Roweis et al., J. Comput. Biol. 5(4), 1998): token i sits at word
-i // 63, bit 1 + i % 63 (place(i)) of a row of 64-bit words.  Two kinds of run
-hold fields:
+Every strand a TubeMachine holds outside a product mask lives in a frame, and
+a tube is a tuple of frames, so the vertex order (an order id into the
+machine's table) is kept once per frame.  A strand's field is the sticker
+model's memory strand (Roweis et al., J. Comput. Biol. 5(4), 1998): token i
+sits at word i // 63, bit 1 + i % 63 (place(i)) of a row of 64-bit words.
 
-- A Frame (symbolic machines) is the fields of a whole run side by side in
-  one big int.  Slot j is a field of `width` words, bit 0 of every word is
-  set when the slot holds a strand, and an empty slot is all zero.  split
-  (extract) is a few whole-frame operations: shift the token's bit down to
-  each slot's start, AND with the slot starts, spread each set start over
-  its field (`(x << W) - x`), AND, and XOR for the rest; both outputs keep
-  the source's slots.  grown (append) ORs the slot starts in at the token's
-  place, widening every field by whole words when the token lies past the
-  width.  joined (a merge, once read) concatenates the frames' words with the
-  empty slots filtered out, since every word of a strand is non-zero.
-- A Listed run (nucleotide machines) is a plain list of the fields, without
-  presence bits, and may keep each strand's rendered bases.  Nucleotide
-  extract keeps strands by one flag each, which compress does on a list at C
-  speed where a frame would have to unpack every word.
-
-Both kinds read one int per strand with values(), so the repeated-strand
-check and the color decode unpack no strand.
+A frame is the fields of its strands side by side.  Slot j is a field of
+`width` words, bit 0 of every word is set when the slot holds a strand, and
+an empty slot is all zero.  A token's column (column) is the token's bit
+shifted down to each slot's start and ANDed with the slot starts: one bit per
+strand that holds it, at the strand's slot start.  Columns combine by AND and
+OR, so extract on either kind of machine computes one and splits by it
+(split): spread each set start over its field (`(x << W) - x`), AND, and XOR
+for the rest; both outputs keep the source's slots.  grown (append) ORs the
+slot starts in at the token's place, widening every field by whole words
+when the token lies past the width.  joined (a merge, once read)
+concatenates the frames' words with the empty slots filtered out, since
+every word of a strand is non-zero.  values() reads one int per strand, so
+the repeated-strand check and the color decode unpack no strand.
 """
 
 from __future__ import annotations
 
 import sys
 from array import array
-from itertools import chain, compress, repeat
-from operator import lshift, not_, or_
+from itertools import repeat
+from operator import lshift, or_
 
 WORD_BITS = 64  # a field is whole words of this many bits
 WORD_TOKENS = WORD_BITS - 1  # bit 0 of each word marks a present strand
@@ -153,15 +148,15 @@ class Frame:
     def _like(self, bits: int, count: int) -> "Frame":
         return Frame(self.oid, self.width, count, bits, self._slots, self._ones)
 
-    def split(self, index: int | None) -> tuple["Frame", "Frame"]:
-        """(hit, rest): the strands that hold token `index` and the others, in their slots.
+    def column(self, index: int | None) -> int:
+        """The slot starts of the strands that hold token `index`; None, a token never seen, is in none."""
+        if index is None or index >= WORD_TOKENS * self.width:
+            return 0
+        return (self._bits >> place(index)) & self.ones()
 
-        None stands for a token the machine has never seen, which no strand holds.
-        """
-        bits, hits = self._bits, 0
-        if index is not None and index < WORD_TOKENS * self.width:
-            starts = (bits >> place(index)) & self.ones()  # a slot's start, set if it holds the token
-            hits = starts.bit_count()
+    def split(self, starts: int) -> tuple["Frame", "Frame"]:
+        """(hit, rest): the strands whose slot starts are set in `starts` and the others, in their slots."""
+        bits, hits = self._bits, starts.bit_count()
         hit = bits & ((starts << (WORD_BITS * self.width)) - starts) if hits else 0
         return self._like(hit, hits), self._like(bits ^ hit, self.count - hits)
 
@@ -177,42 +172,3 @@ class Frame:
         frame._bits |= present << place(index)
         return frame
 
-
-class Listed:
-    """Strands of one vertex order as a list of fields without presence bits.
-
-    When `bases` is not None, strand i renders under the machine's codebook
-    as `bases[i]`.  Neither list is changed in place, so copies share them.
-    """
-
-    __slots__ = ("oid", "fields", "bases")
-    width = 0  # a field has no presence bits, so any width reads the same int
-
-    def __init__(self, oid: int, fields: list[int], bases: list[str] | None = None):
-        self.oid, self.fields, self.bases = oid, fields, bases
-
-    @property
-    def count(self) -> int:
-        return len(self.fields)
-
-    def values(self, width: int = 0) -> list[int]:
-        return self.fields
-
-    @classmethod
-    def joined(cls, runs: list["Listed"]) -> "Listed":
-        bases = None if any(r.bases is None for r in runs) else list(chain.from_iterable(r.bases for r in runs))
-        return cls(runs[0].oid, list(chain.from_iterable(r.fields for r in runs)), bases)
-
-    def sifted(self, flags: list[bool]) -> tuple["Listed", "Listed"]:
-        """(kept, rest): the strands whose flag is set and the others, in order."""
-        return tuple(
-            Listed(self.oid, list(compress(self.fields, keep)),
-                   None if self.bases is None else list(compress(self.bases, keep)))
-            for keep in (flags, list(map(not_, flags)))
-        )
-
-    def grown(self, oid: int, index: int, seq: str | None) -> "Listed":
-        """Every strand with token `index` added; its bases extended by seq, dropped if seq is None."""
-        bit = 1 << place(index)
-        bases = None if self.bases is None or seq is None else [b + seq for b in self.bases]
-        return Listed(oid, list(map(bit.__or__, self.fields)), bases)

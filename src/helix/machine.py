@@ -16,21 +16,20 @@ source into its two output tubes, and Discard retires a tube for good.  The
 machine tracks the total strand count across live tubes after every operation;
 the high-water mark is the run's peak tube size.
 
-Strand storage: a tube is a product mask or a tuple of runs.
+Strand storage: a tube is a product mask or a tuple of frames.
 
-Runs (see frames.py) each hold the strands of one vertex order, so the order
-id, an index into the machine's table of vertex sequences, is kept once per
-run.  A strand is a field with one bit per (vertex, color) token: token i, the
-i-th the machine has seen, at bit frames.place(i).  A symbolic machine keeps
-Frames, one big int per run; a nucleotide machine keeps Listed runs, lists of
-fields.  Extract splits or sifts each run, append grows each run, copy shares
-the tuple and merge concatenates the tuples.  Adjacent runs of one order are
-joined when the tube is next read, so a merged tube discarded unread, like the
-solver's bad tubes, is never joined.  new_tube makes one run per stretch of
-strands of one order.
+Frames (see frames.py) each hold the strands of one vertex order, so the
+order id, an index into the machine's table of vertex sequences, is kept once
+per frame.  A strand is a field with one bit per (vertex, color) token: token
+i, the i-th the machine has seen, at bit frames.place(i).  Both kinds of
+machine keep the same frames.  Extract splits each frame by a column, append
+grows each frame, copy shares the tuple and merge concatenates the tuples.
+Adjacent frames of one order are joined when the tube is next read, so a
+merged tube discarded unread, like the solver's bad tubes, is never joined.
+new_tube makes one frame per stretch of strands of one order.
 
 Tube.contents unpacks to token tuples in append order through one
-(vertex mask, {bit: token}) row per vertex of the run's order.  Tube.colors,
+(vertex mask, {bit: token}) row per vertex of the frame's order.  Tube.colors,
 the final decode, reads the colors of several vertices with one lookup: a
 table per run of vertices, from the product of their color rows, keyed by the
 field's bits under their joint mask.  A table of more than one vertex holds at
@@ -40,28 +39,25 @@ Product tubes: the monolithic start tube, new_tube(rows=...), holds no field.
 It is a membership mask over the product of its rows: strand i of
 itertools.product(*rows) is in the tube iff bit i of the mask is set.  This is
 the sticker layout sliced by column: a token's column is the mask of the
-strands that hold it, so symbolic extract is one big-int AND
-(`hit = mask & column`, rest `mask ^ hit`), copy shares the mask, and len,
-detect and discard count its bits.  Merge ORs the masks when every non-empty
-input is over the same product and no strand is in two of them, which gives
-product order; otherwise, as with two copies of one tube, it concatenates
-runs so that repeated strands stay repeated.  Every other use (append,
-nucleotide extract, contents, colors) turns the mask into one run, in product
-order, the first time the strands are read.  A mask with few bits set is
-decoded from the mixed-radix index of each set bit, a dense one by walking
-the product.  Only rows= builds a mask: a mask over k**i strands for a tube
-that grows by append would bring back the blow-up the incremental engine
-avoids.
+strands that hold it, so extract is one big-int AND (`hit = mask & column`,
+rest `mask ^ hit`), copy shares the mask, and len, detect and discard count
+its bits.  Merge ORs the masks when every non-empty input is over the same
+product and no strand is in two of them, which gives product order;
+otherwise, as with two copies of one tube, it concatenates frames so that
+repeated strands stay repeated.  Every other use (append, contents, colors)
+turns the mask into one frame, in product order, the first time the strands
+are read.  A mask with few bits set is decoded from the mixed-radix index of
+each set bit, a dense one by walking the product.  Only rows= builds a mask:
+a mask over k**i strands for a tube that grows by append would bring back the
+blow-up the incremental engine avoids.
 
-Rendered bases: on a nucleotide machine a Listed run made by new_tube keeps
-each strand's bases under the codebook, rendered once from the bits through
-one (vertex mask, {bit: sequence}) row per vertex.  Append extends every
-string by the codeword and extract tests `seq in b`, so the incremental
-engine renders each strand once.  A run made from rows= (the monolithic start
-tube and its descendants) keeps none, and its strands are rendered as a
-stream at each extract, since holding the bases of k**n full-length strands
-would multiply its memory.  So does a run holding a token the codebook lacks,
-whose first extract raises the CodecError that names it.
+Columns: a frame and a product both give column(i), the strands holding
+token i, and extract splits by one column.  Symbolic extract uses the
+codeword's token column.  Nucleotide extract builds the column of the
+strands whose bases hold the sequence from the token columns and the
+codewords alone (_sequence_column), so no strand is ever rendered.  A token
+the codebook lacks raises the CodecError that names it, through render, when
+the tube holds a strand with it.
 """
 
 from __future__ import annotations
@@ -71,10 +67,11 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, compress, groupby, product, repeat
 from math import prod
-from operator import add, attrgetter, itemgetter
+from functools import reduce
+from operator import add, and_, attrgetter, itemgetter
 
-from .codec import Codebook, CodecError, Codeword, SoundnessError, Strand, Token, render
-from .frames import Frame, Listed, place, tile
+from .codec import Codebook, Codeword, SoundnessError, Strand, Token, render
+from .frames import Frame, place, tile
 
 _DIGIT = bytes.maketrans(b"01", b"\x00\x01")  # a mask's binary digits as 0/1 bytes
 _OID, _COUNT = attrgetter("oid"), attrgetter("count")
@@ -84,32 +81,33 @@ TABLE_SHARE = 8  # the color decode builds at most one table entry per this many
 class _Product:
     """The strands of itertools.product(*rows), numbered in product order.
 
-    `rows` are the rows' token bits, so strand i's field is the sum of its
-    row entries, and every strand has vertex order `oid`.  column(bit) is the
-    mask of the strands that hold that token bit.  Entry j of row r spans
+    `rows` are the rows' token indices; `bits` holds their bits, so strand
+    i's field is the sum of its row entries, and every strand has vertex
+    order `oid`.  column(index) is the mask of the strands that hold that
+    token.  Entry j of row r spans
     runs of `run` strands, so its column is the column of the row's first
     entry shifted up j * run bits; only that first column is built (on first
     use) and cached, one mask per row rather than one per token.
     """
 
-    __slots__ = ("oid", "rows", "size", "_where", "_firsts")
+    __slots__ = ("oid", "bits", "size", "_where", "_firsts")
 
     def __init__(self, oid: int, rows: list[list[int]]):
-        self.oid, self.rows = oid, rows
+        self.oid, self.bits = oid, [[1 << place(i) for i in row] for row in rows]
         self.size = prod(map(len, rows))
-        self._where: dict[int, tuple[int, list[int]]] = {}  # bit -> (row, positions in the row)
+        self._where: dict[int, tuple[int, list[int]]] = {}  # index -> (row, positions in the row)
         for r, row in enumerate(rows):
-            for j, b in enumerate(row):
-                self._where.setdefault(b, (r, []))[1].append(j)
+            for j, i in enumerate(row):
+                self._where.setdefault(i, (r, []))[1].append(j)
         self._firsts: dict[int, tuple[int, int]] = {}  # row -> (first entry's column, run)
 
-    def column(self, bit: int) -> int:
-        if bit not in self._where or not self.size:
+    def column(self, index: int | None) -> int:
+        if index not in self._where or not self.size:
             return 0
-        r, positions = self._where[bit]
+        r, positions = self._where[index]
         if r not in self._firsts:
-            run = prod(map(len, self.rows[r + 1:]))
-            period = len(self.rows[r]) * run
+            run = prod(map(len, self.bits[r + 1:]))
+            period = len(self.bits[r]) * run
             self._firsts[r] = (tile((1 << run) - 1, period, self.size // period), run)
         first, run = self._firsts[r]
         col = 0
@@ -123,17 +121,17 @@ class _Product:
         A mask with fewer set bits than size / rows is decoded bit by bit,
         anything denser by walking the whole product.
         """
-        if mask.bit_count() * len(self.rows) < self.size:
+        if mask.bit_count() * len(self.bits) < self.size:
             return self._picked(mask)
         return self._walked(mask)
 
     def _walked(self, mask: int) -> list[int]:
         digits = bin(mask)[:1:-1].encode().translate(_DIGIT) if mask else b""
-        return list(map(sum, compress(product(*self.rows), digits)))
+        return list(map(sum, compress(product(*self.bits), digits)))
 
     def _picked(self, mask: int) -> list[int]:
         """Each set bit's strand from its index, read as mixed-radix digits (last row fastest)."""
-        radices = [(len(row), row) for row in reversed(self.rows)]
+        radices = [(len(row), row) for row in reversed(self.bits)]
         digits = bin(mask)[:1:-1]
         out = []
         i = digits.find("1")
@@ -171,8 +169,8 @@ class Tube:
     """A labeled multiset of strands (order carries no meaning).
 
     A tube holds a membership mask over a `_product`, or `_runs`, a tuple of
-    non-empty runs (see the module docstring); `runs` gives the latter,
-    turning a mask into a run and joining adjacent runs of one order first.
+    non-empty frames (see the module docstring); `runs` gives the latter,
+    turning a mask into a frame and joining adjacent frames of one order first.
     `contents` unpacks the strands to token tuples in append order.  A strand
     names each vertex at most once: TubeMachine.new_tube raises MachineFault
     on one that names a vertex twice.
@@ -193,24 +191,16 @@ class Tube:
 
     @property
     def runs(self) -> tuple:
-        """The runs, a product tube's mask turned into one run and adjacent runs of one order joined."""
+        """The frames, a product tube's mask turned into one frame and adjacent frames of one order joined."""
         if self._product is not None:
             fields = self._product.members(self._mask)
-            self._runs = (self._machine._run(self._product.oid, fields),) if fields else ()
+            self._runs = (Frame.of_fields(self._product.oid, fields),) if fields else ()
             self._product, self._mask = None, 0
         runs = self._runs
         if len(runs) > 1 and any(a.oid == b.oid for a, b in zip(runs, runs[1:])):
             groups = [list(group) for _, group in groupby(runs, _OID)]
-            self._runs = runs = tuple(g[0] if len(g) == 1 else type(g[0]).joined(g) for g in groups)
+            self._runs = runs = tuple(g[0] if len(g) == 1 else Frame.joined(g) for g in groups)
         return runs
-
-    @property
-    def bases(self) -> list[str] | None:
-        """Each strand's bases under a nucleotide machine's codebook, or None unless every run keeps them."""
-        runs = self._runs
-        if self._machine.codebook is None or self._product is not None or any(r.bases is None for r in runs):
-            return None
-        return list(chain.from_iterable(r.bases for r in runs))
 
     @property
     def contents(self) -> list[Strand]:
@@ -315,18 +305,6 @@ class TubeMachine:
             self._orders.append(order)
         return oid
 
-    def _run(self, oid: int, fields: list[int], rendered: bool = False) -> Frame | Listed:
-        """The machine's kind of run; a rendered Listed run keeps bases unless a token lacks a codeword."""
-        if self.codebook is None:
-            return Frame.of_fields(oid, fields)
-        run = Listed(oid, fields)
-        if rendered:
-            try:
-                run.bases = list(self._render(run))
-            except CodecError:  # a token the codebook lacks: the first extract says which
-                pass
-        return run
-
     def _product_of(self, rows) -> _Product:
         """itertools.product(*rows) as a _Product, with no strand ever built.
 
@@ -340,17 +318,17 @@ class TubeMachine:
                 raise MachineFault(f"token row names more than one vertex: {sorted(vertices)}")
             order.extend(vertices)
         oid = self._oid_of(tuple(order))
-        return _Product(oid, [list(map(self._bit_of, row)) for row in rows])
+        return _Product(oid, [list(map(self._index_of, row)) for row in rows])
 
     def _rows(self, vertices, value) -> list[tuple[int, dict]]:
-        """One (vertex mask, {bit: value(token)}) row per vertex, leaving out tokens valued None.
+        """One (vertex mask, {bit: value(token)}) row per vertex.
 
         A field's entry for a vertex is then `entries[s & mask]`.
         """
         rows = []
         for v in vertices:
-            tokens = {1 << place(i): t for i, t in self._token_at.get(v, {}).items()}
-            rows.append((sum(tokens), {bit: x for bit, t in tokens.items() if (x := value(t)) is not None}))
+            entries = {1 << place(i): value(t) for i, t in self._token_at.get(v, {}).items()}
+            rows.append((sum(entries), entries))
         return rows
 
     def _unpack(self, oid: int, fields) -> list[Strand]:
@@ -381,18 +359,53 @@ class TubeMachine:
             start = stop
         return list(out)
 
-    def _render(self, run: Listed):
-        """Each strand's bases under the codebook, streamed straight from the bits.
+    def _sequence_column(self, oid: int, column, seq: str) -> int:
+        """The column of the strands of order `oid` whose bases contain seq.
 
-        A strand holding a token the codebook lacks goes through render,
-        which raises the CodecError that names it.
+        `column(i)` gives the strands that hold token i, in a frame or a
+        product tube.  A strand renders its codewords in order, so seq occurs
+        in it exactly when it lies in a window of consecutive rows (vertices)
+        that it starts in the first of and ends in the last of.  A window
+        spans at most (len(seq) - 2) // l + 2 rows, with l the shortest
+        codeword of its rows, as each inner row holds a whole codeword of seq.
+        The column is the OR, over the windows whose codewords hold seq so,
+        of the AND of those tokens' columns: a search on bases, exact for any
+        codebook.  Strings are compared before any column is read, so a
+        window that cannot hold seq costs no big-int operation.
+
+        A token without a codeword raises the CodecError that names it,
+        through render, when column(i) holds a strand with it.
         """
-        rows = self._rows(self._orders[run.oid], self.codebook._sequences.get)
-        for s in run.fields:
-            try:
-                yield "".join([seq[s & m] for m, seq in rows])
-            except KeyError:
-                yield render(self._unpack(run.oid, [s])[0], self.codebook)
+        words = self.codebook._sequences
+        rows = []
+        for v in self._orders[oid]:
+            row = []
+            for i, token in self._token_at[v].items():
+                if token in words:
+                    row.append((i, words[token]))
+                elif column(i):
+                    render((token,), self.codebook)  # raises
+            rows.append(row)
+        heads = tuple(seq[:j] for j in range(1, len(seq)))
+        hit = 0
+        for r, row in enumerate(rows):
+            running = []  # (the rest of seq, the tokens so far) of each window that runs on past row r
+            for i, word in row:
+                if seq in word:
+                    hit |= column(i)
+                elif word.endswith(heads):
+                    running += [(seq[j:], (i,)) for j, head in enumerate(heads, 1) if word.endswith(head)]
+            for later in range(r + 1, len(rows)):
+                if not running:
+                    break
+                windows, running = running, []
+                for rest, tokens in windows:
+                    for i, word in rows[later]:
+                        if word.startswith(rest):  # seq ends in this row: one window
+                            hit |= reduce(and_, map(column, tokens + (i,)))
+                        elif rest.startswith(word):
+                            running.append((rest[len(word):], tokens + (i,)))
+        return hit
 
     # --- operations --------------------------------------------------------
 
@@ -407,7 +420,7 @@ class TubeMachine:
             runs = []
             for order, strands in groupby(contents, lambda s: tuple(v for v, _ in s)):
                 oid = self._oid_of(order)
-                runs.append(self._run(oid, [sum(map(self._bit_of, s)) for s in strands], rendered=True))
+                runs.append(Frame.of_fields(oid, [sum(map(self._bit_of, s)) for s in strands]))
             tube = Tube(label, self, tuple(runs))
         elif contents:
             raise ValueError("new_tube takes contents or rows, not both")
@@ -427,11 +440,7 @@ class TubeMachine:
             order = self._orders[run.oid]
             if v in order:
                 raise MachineFault(f"append: strand already assigns vertex {v}")
-            oid = self._oid_of(order + (v,))
-            if self.codebook is None:
-                grown.append(run.grown(oid, index))
-            else:  # a token the codebook lacks drops the bases: the next extract says which
-                grown.append(run.grown(oid, index, self.codebook._sequences.get(token)))
+            grown.append(run.grown(self._oid_of(order + (v,)), index))
         tube._runs = tuple(grown)
         self.counter.append += 1
         return tube
@@ -488,30 +497,32 @@ class TubeMachine:
     def extract(self, tube: Tube, cw: Codeword) -> tuple[Tube, Tube]:
         """Partition the tube by cw into (matching, rest); the source ends empty.
 
-        Without a codebook the machine tests token membership; with one it
-        tests whether cw's base sequence occurs in the rendered strand, using
-        a run's kept bases or else rendering it from the bits as a stream.
-        Both outputs keep the source's strand order.  A product tube extracts
-        on tokens with one AND of its mask and the token's column, giving two
-        product tubes; nucleotide extract turns it into a run first.  Each
-        run splits into two (an empty one is dropped).
+        Without a codebook the machine tests token membership: the matching
+        strands are cw's token column.  With one it tests whether cw's base
+        sequence occurs in the rendered strand: the column comes from
+        _sequence_column, and no strand is rendered.  Either way a product
+        tube ANDs its mask with the column and gives two product tubes, and
+        each frame splits by its column into two (an empty one is dropped).
+        Both outputs keep the source's strand order.  Every column is found
+        before anything is poured, so a refused extract leaves the tube as it
+        was.
         """
         self._require_live(tube)
         product, mask = tube._product, tube._mask
-        index = self._index.get((cw.vertex, cw.color))  # a token never seen is in no strand
-        if self.codebook is None and product is not None:
-            hit = mask & product.column(0 if index is None else 1 << place(index))
-            plus = Tube(f"{tube.label}+", self, (), product, hit)
-            minus = Tube(f"{tube.label}-", self, (), product, mask ^ hit)
+        if product is not None:
+            holders = [(product.oid, lambda i: mask & product.column(i))]
         else:
-            if self.codebook is None:
-                parts = [run.split(index) for run in tube.runs]
-            else:
-                seq = cw.sequence
-                parts = [
-                    run.sifted([seq in b for b in (self._render(run) if run.bases is None else run.bases)])
-                    for run in tube.runs
-                ]
+            holders = [(run.oid, run.column) for run in tube.runs]
+        if self.codebook is None:
+            index = self._index.get((cw.vertex, cw.color))  # a token never seen is in no strand
+            columns = [column(index) for _, column in holders]
+        else:
+            columns = [self._sequence_column(oid, column, cw.sequence) for oid, column in holders]
+        if product is not None:
+            plus = Tube(f"{tube.label}+", self, (), product, columns[0])
+            minus = Tube(f"{tube.label}-", self, (), product, mask ^ columns[0])
+        else:
+            parts = [run.split(column) for run, column in zip(tube.runs, columns)]
             hits, rests = zip(*parts) if parts else ((), ())
             plus = Tube(f"{tube.label}+", self, tuple(filter(_COUNT, hits)))
             minus = Tube(f"{tube.label}-", self, tuple(filter(_COUNT, rests)))

@@ -14,11 +14,11 @@ each Extract emits a fresh matching tube; per vertex and color those are
 gathered with one Merge into a single bad tube, which is then Discarded.  A
 step handles one color at a time: append color c, extract its earlier
 neighbors, and merge and discard its bad tube before color c+1 is appended,
-so a nucleotide run never holds the grown bases of every color's bad strands
-at once; the k filtered tubes then go back into the survivor tube with one
-Merge.  Per run that costs, beyond the n survivor merges, k merges and k
-discards for every vertex with at least one earlier neighbor in the run
-order, and one final Detect on the survivor tube.
+so the bad strands of only one color are alive at a time; the k filtered
+tubes then go back into the survivor tube with one Merge.  Per run that
+costs, beyond the n survivor merges, k merges and k discards for every
+vertex with at least one earlier neighbor in the run order, and one final
+Detect on the survivor tube.
 """
 
 from __future__ import annotations
@@ -259,6 +259,13 @@ def _count(value, field: str) -> int:
     return value
 
 
+def _counts(value, field: str) -> list[int]:
+    """A list of counts read from a trace document."""
+    if not isinstance(value, list):
+        raise SolverError(f"trace field {field} must be a list of integers, got {value!r}")
+    return [_count(x, field) for x in value]
+
+
 def read_trace_document(doc: dict) -> tuple[dict, SolutionSet, Trace]:
     """Parse and check a trace document; inverse of trace_document.
 
@@ -301,18 +308,21 @@ def read_trace_document(doc: dict) -> tuple[dict, SolutionSet, Trace]:
     if unknown:
         raise SolverError(f"trace op_totals names unknown operations: {sorted(map(str, unknown))}")
     op_totals = OpCounter(**{op: _count(n, f"op_totals.{op}") for op, n in op_doc.items()})
-    try:
-        meta = {
-            "graph": {"n": graph["n"], "m": graph["m"]},
-            "k": doc["k"],
-            "order": list(doc["order"]),
-            "mode": doc["mode"],
-        }
-        solutions = SolutionSet(
-            frozenset(tuple(c) for c in doc["solutions"]), bool(doc["colorable"])
-        )
-    except TypeError as exc:
-        raise SolverError(f"malformed trace document: {exc}") from None
+    if not isinstance(doc["colorable"], bool):
+        raise SolverError(f"trace field colorable must be true or false, got {doc['colorable']!r}")
+    if not isinstance(doc["mode"], str):
+        raise SolverError(f"trace field mode must be a string, got {doc['mode']!r}")
+    meta = {
+        "graph": {"n": _count(graph["n"], "graph.n"), "m": _count(graph["m"], "graph.m")},
+        "k": _count(doc["k"], "k"),
+        "order": _counts(doc["order"], "order"),
+        "mode": doc["mode"],
+    }
+    if not isinstance(doc["solutions"], list):
+        raise SolverError(f"trace field solutions must be a list, got {doc['solutions']!r}")
+    solutions = SolutionSet(
+        frozenset(tuple(_counts(c, "solutions")) for c in doc["solutions"]), doc["colorable"]
+    )
     trace = Trace(
         tuple(steps), op_totals, _count(doc["peak_tube_size"], "peak_tube_size"), doc.get("construction")
     )

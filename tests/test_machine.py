@@ -16,6 +16,7 @@ from helix import (
     OpCounter,
     SoundnessError,
     TubeMachine,
+    builtin_table1,
     generate_codebook,
     render,
 )
@@ -108,16 +109,16 @@ def test_merge_of_a_source_listed_twice_faults_before_pouring():
     for m in (TubeMachine(), TubeMachine(cb)):
         a = m.new_tube("a", [((1, 0),), ((1, 1),)])
         m.append(a, cb.codeword(2, 0))
-        _, a = m.extract(a, cb.codeword(3, 0))  # a nucleotide machine keeps a's bases
+        _, a = m.extract(a, cb.codeword(3, 0))
         dest = m.new_tube("dest")
         with pytest.raises(MachineFault, match="twice"):
             m.merge(dest, [a, a])
-        assert dest.contents == [] and dest.bases == (None if m.codebook is None else [])
+        assert dest.contents == []
         assert a.contents == [((1, 0), (2, 0)), ((1, 1), (2, 0))]
         m.merge(dest, [a])
         assert dest.contents == [((1, 0), (2, 0)), ((1, 1), (2, 0))]
-        if dest.bases is not None:
-            assert dest.bases == [render(s, cb) for s in dest.contents]
+        if m.codebook is not None:
+            assert_extract_follows_render(m, dest)
 
 
 def test_extract_partitions_and_consumes_source():
@@ -419,11 +420,36 @@ def test_token_first_seen_after_its_vertex_was_unpacked():
     assert m.extract(t, cw(2, 2))[0].contents == []  # a token never seen is in no strand
 
 
-# --- kept bases ------------------------------------------------------------
+# --- nucleotide extract ----------------------------------------------------
 
 # Two validated codebooks over the same tokens; each run draws one for its
 # nucleotide machine.
 BASES_CBS = (generate_codebook(8, 3, 12, 1), generate_codebook(8, 3, 12, 2))
+
+
+def probes(strands, cb):
+    """Every codeword's bases, and pieces of each rendered strand that cross its junctions."""
+    out = [w.sequence for w in cb.codewords()]
+    for s in strands:
+        bases = render(s, cb)
+        if len(bases) > 2:
+            out += [bases[1:-1], bases[len(bases) // 3 : 2 * len(bases) // 3 + 1]]
+    return out
+
+
+def assert_extract_follows_render(m, tube, seqs=None):
+    """Nucleotide extract keeps exactly the strands whose rendered bases hold each probe.
+
+    Each extract runs on a shallow copy, so the tube keeps its strands (and a
+    product tube its mask).
+    """
+    strands = copy.copy(tube).contents
+    for seq in probes(strands, m.codebook) if seqs is None else seqs:
+        plus, minus = m.extract(copy.copy(tube), Codeword(1, 0, seq))
+        assert plus.contents == [s for s in strands if seq in render(s, m.codebook)], seq
+        assert minus.contents == [s for s in strands if seq not in render(s, m.codebook)], seq
+
+
 small_token_st = st.tuples(st.integers(1, 8), st.integers(0, 2))
 small_contents_st = st.lists(
     st.lists(small_token_st, unique_by=lambda tok: tok[0], max_size=6).map(tuple), max_size=8
@@ -432,11 +458,12 @@ small_contents_st = st.lists(
 
 @settings(max_examples=200, deadline=None)
 @given(st.data())
-def test_kept_bases_render_the_contents(data):
+def test_match_modes_follow_the_token_model_through_scripts(data):
     """One random script on a symbolic and a nucleotide machine, against a token-tuple model.
 
     After every step each tube on both machines holds the model's strands, so
-    the two match modes agree, and every kept base string renders its strand.
+    the two match modes agree, and nucleotide extract by a probe keeps the
+    strands whose rendered bases hold it.
     """
     cb = data.draw(st.sampled_from(BASES_CBS))
     assert cb.validation().ok
@@ -491,9 +518,62 @@ def test_kept_bases_render_the_contents(data):
         for tube, contents in model.items():
             kept = twin[tube]
             assert tube.contents == kept.contents == contents
-            assert tube.bases is None
-            if kept.bases is not None:
-                assert kept.bases == [render(s, cb) for s in contents]
+            assert_extract_follows_render(nuc, kept, [data.draw(st.sampled_from(probes(contents, cb)))])
+
+
+def _mixed_length_codebook(n, k, seed):
+    """n vertices x k colors of words of 5 to 9 bases, each drawn until the words still validate."""
+    rng, words = random.Random(seed), []
+    while len(words) < n * k:
+        cand = "".join(rng.choice("ACGT") for _ in range(rng.randint(5, 9)))
+        trial = words + [cand]
+        book = Codebook(len(trial), 1, [Codeword(v, 0, w) for v, w in enumerate(trial, 1)], "trial")
+        if book.validation().ok:
+            words = trial
+    slots = itertools.product(range(1, n + 1), range(k))
+    return Codebook(n, k, [Codeword(v, c, w) for (v, c), w in zip(slots, words)], f"mixed({seed})")
+
+
+WINDOW_CBS = (builtin_table1(), BASES_CBS[0], generate_codebook(8, 3, 20, 3), _mixed_length_codebook(6, 3, 5))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_nucleotide_extract_is_a_search_of_the_rendered_bases(data):
+    """Extract by any probe keeps exactly the strands whose rendered bases hold it.
+
+    The codebooks mix codeword lengths (table1 and a drawn one) or fix them
+    (12 and 20 bases).  The tube holds strands of several vertex orders, grown
+    by an append or not, or is a product tube from rows=, which stays a mask.
+    The probes are codewords, random bases, and pieces of rendered strands
+    that span junctions and several rows.
+    """
+    cb = data.draw(st.sampled_from(WINDOW_CBS))
+    m = TubeMachine(cb)
+    top = min(cb.n, 8)  # listed strands name vertices below top, and append gives them top
+    colors = st.integers(0, cb.k - 1)
+    product = data.draw(st.booleans())
+    if product:
+        order = data.draw(st.permutations(range(1, top + 1)))[: data.draw(st.integers(1, 4))]
+        rows = [tuple((v, c) for c in data.draw(st.lists(colors, unique=True, min_size=1))) for v in order]
+        tube = m.new_tube("p", rows=rows)
+        if data.draw(st.booleans()):  # a sparser mask
+            tube, _ = m.extract(tube, cb.codeword(order[0], data.draw(colors)))
+    else:
+        strand_st = st.lists(st.tuples(st.integers(1, top - 1), colors), unique_by=lambda t: t[0], max_size=5)
+        tube = m.new_tube("t", data.draw(st.lists(strand_st.map(tuple), max_size=12)))
+        if data.draw(st.booleans()):
+            m.append(tube, cb.codeword(top, data.draw(colors)))
+    rendered = [b for b in (render(s, cb) for s in copy.copy(tube).contents) if b]
+
+    def pieces_of(bases):  # any stretch of one strand's bases, across junctions and rows
+        cuts = st.lists(st.integers(0, len(bases)), min_size=2, max_size=2, unique=True).map(sorted)
+        return cuts.map(lambda ij: bases[ij[0] : ij[1]])
+
+    pieces = st.sampled_from(rendered).flatmap(pieces_of) if rendered else st.nothing()
+    probe_st = pieces | st.text("ACGT", min_size=1, max_size=30) | st.sampled_from([w.sequence for w in cb.codewords()])
+    assert_extract_follows_render(m, tube, data.draw(st.lists(probe_st, min_size=1, max_size=6)))
+    assert (tube._product is not None) == product
 
 
 # --- product tubes ---------------------------------------------------------
@@ -637,7 +717,7 @@ def frame_contents_st(draw):
     return strands + draw(st.lists(st.sampled_from(strands), max_size=4)) if strands else strands
 
 
-FRAME_OPS = ("new", "pad", "copy", "merge", "merge copies", "extract", "append", "discard", "detect")
+FRAME_OPS = ("new", "pad", "copy", "merge", "merge copies", "merge remade", "extract", "append", "discard", "detect")
 
 
 @settings(max_examples=300, deadline=None)
@@ -648,10 +728,13 @@ def test_frame_tubes_behave_as_lists_of_token_tuples(data):
     A pad step registers 62 tokens of other vertices, which moves every
     token first seen after it up about a word, so appends widen frames (by
     more than one word after two pads) and merges join frames of different
-    widths.  After every step each tube
-    holds the model's strands in the model's order, with its size, repeat
-    count and colors; the machine's peak and counters match the model's.
-    The color decode runs with tables of one vertex or of several.
+    widths.  A remade merge puts some of a tube's strands in again from a new
+    tube, whose fields may be narrower, so equal strands sit in frames of
+    different widths.  After every step each tube holds the model's strands
+    in the model's order, with its size, repeat count and colors; the repeat
+    count is read first, before anything joins the tube's frames.  The
+    machine's peak and counters match the model's.  The color decode runs
+    with tables of one vertex or of several.
     """
     m = TubeMachine()
     model = {}  # every tube handed out -> its strands
@@ -682,6 +765,10 @@ def test_frame_tubes_behave_as_lists_of_token_tuples(data):
                 m.merge(a, [b])
                 model[a], model[b], model[t] = model[t] * 2, [], []
                 counts["copy"] += 1
+            elif op == "merge remade":  # some of its strands again, in a new tube whose fields may be narrower
+                again = data.draw(st.lists(st.sampled_from(model[t]), min_size=1)) if model[t] else []
+                m.merge(t, [m.new_tube("again", again)])
+                model[t] = model[t] + again
             elif op == "merge":
                 others = [u for u in live if u is not t]
                 sources = data.draw(st.lists(st.sampled_from(others), unique=True, max_size=3)) if others else []
@@ -715,8 +802,8 @@ def test_frame_tubes_behave_as_lists_of_token_tuples(data):
                 assert m.detect(t) == bool(model[t])
             peak = max(peak, sum(map(len, model.values())))
             for u, strands in model.items():
+                assert u.distinct() == len(set(strands))  # before contents joins the runs
                 assert (u.contents, len(u), u.retired) == (strands, len(strands), u in retired)
-                assert u.distinct() == len(set(strands))
                 vertices = sorted(set.intersection(*({v for v, _ in s} for s in strands))) if strands else []
                 assert u.colors(vertices) == [tuple(dict(s)[v] for v in vertices) for s in strands]
             assert m.peak_tube_size == peak
@@ -734,24 +821,25 @@ def test_merge_joins_differing_tails_onto_their_prefixes():
     m.append(plus, cb.codeword(3, 1))
     m.append(minus, cb.codeword(3, 2))
     m.merge(plus, [minus])
-    assert plus.bases == [render(s, cb) for s in plus.contents]
+    assert_extract_follows_render(m, plus)
 
 
-def test_list_tubes_keep_bases_from_new_tube_on():
+def test_nucleotide_product_tube_stays_a_mask_through_extract():
     cb = BASES_CBS[0]
     m = TubeMachine(cb)
     t = m.new_tube("t", [(), ((1, 0),), ((1, 1), (2, 0))])
-    assert t.bases == [render(s, cb) for s in t.contents]
-    assert m.new_tube("empty").bases == []
-    assert TubeMachine().new_tube("t", [((1, 0),)]).bases is None  # a symbolic machine keeps none
-    start = m.new_tube("start", rows=[((1, 0), (1, 1)), ((2, 0), (2, 1))])
-    assert start.bases is None
-    plus, minus = m.extract(start, cb.codeword(1, 0))
-    assert plus.bases is None and minus.bases is None  # from rows=: rendered as a stream
+    assert_extract_follows_render(m, t)
+    assert_extract_follows_render(m, m.new_tube("empty"))
+    rows = [((1, 0), (1, 1)), ((2, 0), (2, 1))]
+    plus, minus = m.extract(m.new_tube("start", rows=rows), cb.codeword(1, 0))
+    assert plus._product is minus._product is not None  # no strand built
+    assert_extract_follows_render(m, plus)
+    assert_extract_follows_render(m, minus)
+    assert plus._product is not None and (len(plus), len(minus)) == (2, 2)
+    assert copy.copy(plus).contents == [s for s in itertools.product(*rows) if (1, 0) in s]
     m.append(plus, cb.codeword(3, 2))
-    assert plus.bases is None
     kept, _ = m.extract(plus, cb.codeword(2, 1))
-    assert kept.contents == [((1, 0), (2, 1), (3, 2))] and kept.bases is None
+    assert kept.contents == [((1, 0), (2, 1), (3, 2))]
 
 
 def test_nucleotide_extract_of_a_token_outside_the_codebook_raises():
@@ -761,13 +849,17 @@ def test_nucleotide_extract_of_a_token_outside_the_codebook_raises():
         t = m.new_tube("t", [((1, 0),), ((3, 1),)])
         if grown:
             m.append(t, cb.codeword(2, 0))
+        before = t.contents
         with pytest.raises(CodecError, match="no codeword for vertex 3"):
             m.extract(t, cb.codeword(1, 0))
-        assert len(t) == 2  # the refused extract leaves the tube as it was
+        assert len(t) == 2 and t.contents == before  # the refused extract leaves the tube as it was
     t = m.new_tube("t", [((1, 0),)])
     m.append(t, cb.codeword(2, 1))
     kept, _ = m.extract(t, cb.codeword(1, 0))
-    assert kept.bases is not None
-    m.append(kept, Codeword(3, 0, "ACGT"))  # a token the codebook lacks drops the bases
+    assert_extract_follows_render(m, kept)
+    m.append(kept, Codeword(3, 0, "ACGT"))  # a token the codebook lacks
     with pytest.raises(CodecError, match="no codeword for vertex 3"):
         m.extract(kept, cb.codeword(1, 0))
+    m.discard(m.new_tube("u", [((1, 5),)]))  # the machine now knows a token of vertex 1 the codebook lacks
+    t = m.new_tube("t", [((1, 0),), ((1, 1),), ((1, 1), (2, 0))])  # but no strand here holds one
+    assert_extract_follows_render(m, t)

@@ -297,21 +297,30 @@ def test_monolithic_peak_is_full_space():
     assert mono.colorings == inc.colorings
 
 
-def test_monolithic_start_tube_is_not_stored_strand_by_strand():
-    """4^9 strands as a list of packed ints would take about 11.5 MB; the run traces under a tenth."""
+def _assert_monolithic_run_is_not_stored_strand_by_strand(match_mode):
     g, k = random_graph(9, 0.3, 1), 4
     cb = generate_codebook(g.n, k, 20, 1)
     # an int (a 32-bit order id below one bit per token) and a list slot each: 11,534,336 B
     list_store = k**g.n * (sys.getsizeof(1 << (32 + g.n * k)) + 8)
     tracemalloc.start()
     try:
-        sols, trace = solve_monolithic(g, k, cb)
+        sols, trace = solve_monolithic(g, k, cb, match_mode)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert trace.peak_tube_size == k**g.n
     assert sols.colorings == frozenset(enumerate_colorings(g, k))
     assert peak < list_store / 10, f"traced {peak} bytes, a list store is {list_store}"
+
+
+def test_monolithic_start_tube_is_not_stored_strand_by_strand():
+    """4^9 strands as a list of packed ints would take about 11.5 MB; the run traces under a tenth."""
+    _assert_monolithic_run_is_not_stored_strand_by_strand("symbolic")
+
+
+def test_nucleotide_monolithic_start_tube_is_not_stored_strand_by_strand():
+    """The same bound on nucleotides: extract reads the product's token columns, so the tube stays a mask."""
+    _assert_monolithic_run_is_not_stored_strand_by_strand("nucleotide")
 
 
 def test_incremental_survivor_tubes_are_not_stored_strand_by_strand():
@@ -387,6 +396,23 @@ def test_read_trace_document_validates():
         doc = json.loads(text)
         {"step": doc["steps"][0], "doc": doc, "op_totals": doc["op_totals"]}[place][key] = value
         with pytest.raises(SolverError, match=f"{key} must be an integer"):
+            read_trace_document(doc)
+    for place, key, value, message in [
+        ("doc", "colorable", "no", "colorable must be true or false"),
+        ("doc", "k", "3", "k must be an integer"),
+        ("doc", "k", True, "k must be an integer"),
+        ("graph", "n", "x", "graph.n must be an integer"),
+        ("graph", "m", None, "graph.m must be an integer"),
+        ("doc", "order", "abc", "order must be a list of integers"),
+        ("doc", "order", [1, 2.0, 3], "order must be an integer"),
+        ("doc", "mode", 5, "mode must be a string"),
+        ("doc", "solutions", [["a"]], "solutions must be an integer"),
+        ("doc", "solutions", [[0, 1, 2], "ab"], "solutions must be a list of integers"),
+        ("doc", "solutions", {"a": 1}, "solutions must be a list"),
+    ]:
+        doc = json.loads(text)
+        {"doc": doc, "graph": doc["graph"]}[place][key] = value
+        with pytest.raises(SolverError, match=message):
             read_trace_document(doc)
 
 
