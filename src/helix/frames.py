@@ -18,14 +18,16 @@ slot starts in at the token's place, widening every field by whole words
 when the token lies past the width.  joined (a merge, once read)
 concatenates the frames' words with the empty slots filtered out, since
 every word of a strand is non-zero.  values() reads one int per strand, so
-the repeated-strand check and the color decode unpack no strand.
+the repeated-strand check unpacks no strand, and heads() reads the first word
+of each strand's slot from an int laid out like the frame, which the color
+decode builds from columns.
 """
 
 from __future__ import annotations
 
 import sys
 from array import array
-from itertools import repeat
+from itertools import compress, repeat
 from operator import lshift, or_
 
 WORD_BITS = 64  # a field is whole words of this many bits
@@ -144,6 +146,17 @@ class Frame:
         for w in range(1, width):
             values = list(map(or_, values, map(lshift, words[w::width], repeat(WORD_BITS * w))))
         return values
+
+    def heads(self, bits: int):
+        """The first word of each strand's slot in `bits`, an int laid out like the frame.
+
+        Empty slots are left out by their presence bits.
+        """
+        size = self._slots * self.width
+        heads = _to_words(bits, size)[::self.width]
+        if self.count < self._slots:
+            heads = compress(heads, _to_words(self._bits, size)[::self.width])
+        return heads
 
     def _like(self, bits: int, count: int) -> "Frame":
         return Frame(self.oid, self.width, count, bits, self._slots, self._ones)

@@ -29,11 +29,12 @@ merged tube discarded unread, like the solver's bad tubes, is never joined.
 new_tube makes one frame per stretch of strands of one order.
 
 Tube.contents unpacks to token tuples in append order through one
-(vertex mask, {bit: token}) row per vertex of the frame's order.  Tube.colors,
-the final decode, reads the colors of several vertices with one lookup: a
-table per run of vertices, from the product of their color rows, keyed by the
-field's bits under their joint mask.  A table of more than one vertex holds at
-most one entry per TABLE_SHARE strands.
+(vertex mask, {bit: token}) row per vertex of the frame's order; it is the
+per-strand reference.  Tube.colors, the final decode, reads by columns: for
+each vertex, the sum of its tokens' columns times their colors is an int laid
+out like the frame with each strand's color in the first word of its slot,
+and Frame.heads reads those words off.  A color must fit one word, so the
+machine refuses any other when a token first enters (_index_of).
 
 Product tubes: the monolithic start tube, new_tube(rows=...), holds no field.
 It is a membership mask over the product of its rows: strand i of
@@ -65,17 +66,16 @@ from __future__ import annotations
 import dataclasses
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, compress, groupby, product, repeat
+from itertools import chain, compress, groupby, product
 from math import prod
 from functools import reduce
-from operator import add, and_, attrgetter, itemgetter
+from operator import and_, attrgetter
 
 from .codec import Codebook, Codeword, SoundnessError, Strand, Token, render
-from .frames import Frame, place, tile
+from .frames import WORD_BITS, Frame, place, tile
 
 _DIGIT = bytes.maketrans(b"01", b"\x00\x01")  # a mask's binary digits as 0/1 bytes
 _OID, _COUNT = attrgetter("oid"), attrgetter("count")
-TABLE_SHARE = 8  # the color decode builds at most one table entry per this many strands
 
 
 class _Product:
@@ -214,13 +214,23 @@ class Tube:
         return [self._machine._unpack(oid, first)[0] for oid, first in firsts.items()]
 
     def colors(self, vertices) -> list[tuple[int, ...]]:
-        """Each strand's color at each of `vertices`, read from the bits.
+        """Each strand's color at each of `vertices`, read by token columns.
 
+        A vertex's read is the sum, over its tokens, of the token's column
+        times its color: each strand's color in the first word of its slot.
         Every strand must name every one of the vertices (KeyError otherwise).
         """
-        out = []
+        machine, vertices, out = self._machine, list(vertices), []
         for run in self.runs:
-            out += self._machine._colors(run.values(), vertices)
+            order = machine._orders[run.oid]
+            missing = set(vertices).difference(order)
+            if missing:
+                raise KeyError(f"strands of vertex order {order} lack vertex {min(missing)}")
+            reads = [
+                run.heads(sum(run.column(i) * c for i, (_, c) in machine._token_at[v].items()))
+                for v in vertices
+            ]
+            out += zip(*reads) if reads else [()] * run.count
         return out
 
     def distinct(self) -> int:
@@ -289,8 +299,11 @@ class TubeMachine:
     def _index_of(self, token: Token) -> int:
         i = self._index.get(token)
         if i is None:
+            v, c = token
+            if not isinstance(c, int) or not 0 <= c < 1 << WORD_BITS:
+                raise MachineFault(f"color {c!r} of vertex {v} is not an int in [0, 2**64)")
             i = self._index[token] = len(self._index)
-            self._token_at.setdefault(token[0], {})[i] = token
+            self._token_at.setdefault(v, {})[i] = token
         return i
 
     def _bit_of(self, token: Token) -> int:
@@ -320,44 +333,16 @@ class TubeMachine:
         oid = self._oid_of(tuple(order))
         return _Product(oid, [list(map(self._index_of, row)) for row in rows])
 
-    def _rows(self, vertices, value) -> list[tuple[int, dict]]:
-        """One (vertex mask, {bit: value(token)}) row per vertex.
+    def _unpack(self, oid: int, fields) -> list[Strand]:
+        """Fields of order id `oid` to token tuples, the per-strand reference for colors.
 
-        A field's entry for a vertex is then `entries[s & mask]`.
+        A field s holds `tokens[s & mask]` in its vertex's (mask, tokens) row.
         """
         rows = []
-        for v in vertices:
-            entries = {1 << place(i): value(t) for i, t in self._token_at.get(v, {}).items()}
-            rows.append((sum(entries), entries))
-        return rows
-
-    def _unpack(self, oid: int, fields) -> list[Strand]:
-        """Fields of order id `oid` to token tuples."""
-        rows = self._rows(self._orders[oid], lambda t: t)
+        for v in self._orders[oid]:
+            tokens = {1 << place(i): t for i, t in self._token_at[v].items()}
+            rows.append((sum(tokens), tokens))
         return [tuple([tok[s & m] for m, tok in rows]) for s in fields]
-
-    def _colors(self, strands, vertices) -> list[tuple[int, ...]]:
-        """Fields to colors at the given vertices.
-
-        Runs of consecutive vertices are read with one lookup each, in a table
-        from the product of their color rows keyed by the bits under their
-        joint mask.  A run grows while its table keeps to at most one entry
-        per TABLE_SHARE strands, so a tube of a few strands builds no large
-        table.  `strands` is a sequence: it is read once per run.
-        """
-        rows = self._rows(vertices, itemgetter(1))
-        out, start = repeat((), len(strands)), 0
-        while start < len(rows):
-            stop, size = start + 1, len(rows[start][1])
-            while stop < len(rows) and size * len(rows[stop][1]) * TABLE_SHARE <= len(strands):
-                size *= len(rows[stop][1])
-                stop += 1
-            mask = sum(m for m, _ in rows[start:stop])
-            colors = [c for _, c in rows[start:stop]]
-            table = dict(zip(map(sum, product(*colors)), product(*map(dict.values, colors))))
-            out = map(add, out, map(table.__getitem__, map(mask.__and__, strands)))  # runs chained, not listed
-            start = stop
-        return list(out)
 
     def _sequence_column(self, oid: int, column, seq: str) -> int:
         """The column of the strands of order `oid` whose bases contain seq.

@@ -105,7 +105,7 @@ def resolve_order(g: Graph, order) -> list[int]:
 
 
 def _decode_final(tube, n: int) -> frozenset[tuple[int, ...]]:
-    """The colorings the tube spells, read from the strands' bits.
+    """The colorings the tube spells, read by token columns (Tube.colors).
 
     Strands of one vertex order name the same vertices, so coloring_from_strand
     checks one strand per order that they cover exactly 1..n.
@@ -323,7 +323,8 @@ def read_trace_document(doc: dict) -> tuple[dict, SolutionSet, Trace]:
     solutions = SolutionSet(
         frozenset(tuple(_counts(c, "solutions")) for c in doc["solutions"]), doc["colorable"]
     )
-    trace = Trace(
-        tuple(steps), op_totals, _count(doc["peak_tube_size"], "peak_tube_size"), doc.get("construction")
-    )
+    construction = doc.get("construction")
+    if "construction" in doc and not isinstance(construction, str):
+        raise SolverError(f"trace field construction must be a string, got {construction!r}")
+    trace = Trace(tuple(steps), op_totals, _count(doc["peak_tube_size"], "peak_tube_size"), construction)
     return meta, solutions, trace

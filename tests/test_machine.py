@@ -679,9 +679,12 @@ def test_single_order_tubes_are_frames_that_widen_past_63_tokens():
     m.append(t, cw(2, 3))  # token 194, in the fourth word
     assert [r.width for r in t.runs] == [4]
     plus, minus = m.extract(t, cw(1, 0))  # both keep an empty slot
+    assert [(r.count, r._slots) for r in plus.runs + minus.runs] == [(2, 3), (1, 3)]
     assert (plus.contents, minus.contents) == ([((1, 0), (2, 3))] * 2, [((1, 1), (2, 3))])
+    assert (plus.colors([1, 2]), minus.colors([2, 1])) == ([(0, 3)] * 2, [(3, 1)])
     m.merge(plus, [minus])
     assert len(plus.runs) == 1 and plus.contents == [((1, 0), (2, 3))] * 2 + [((1, 1), (2, 3))]
+    assert plus.colors([1, 2]) == [(0, 3)] * 2 + [(1, 3)]
     m.append(minus, cw(3, 0))  # an empty tube stays empty
     assert minus.runs == ()
     mixed = m.new_tube("mixed", [((1, 0),), ((1, 1),), ((2, 0),), ((1, 0),)])
@@ -703,6 +706,31 @@ def test_single_order_tubes_are_frames_that_widen_past_63_tokens():
     m.merge(b, [m.new_tube("between", [((2, 0),)]), wide])  # one order's runs, apart
     assert [r.width for r in b.runs] == [1, 2, 2]
     assert (len(b), b.distinct()) == (4, 3)
+
+
+def test_colors_of_a_vertex_missing_from_one_run_raise_key_error():
+    m = TubeMachine()
+    mixed = m.new_tube("mixed", [((1, 0), (2, 1)), ((1, 2),), ((2, 0), (1, 1))])
+    assert mixed.colors([1]) == [(0,), (2,), (1,)]
+    with pytest.raises(KeyError, match="lack vertex 2"):
+        mixed.colors([1, 2])
+
+
+@pytest.mark.parametrize("color", [-1, 2**64, "red"])
+def test_a_color_that_does_not_fit_one_word_is_refused(color):
+    m = TubeMachine()
+    t = m.new_tube("t", [((1, 0),), ((1, 1),)])
+    before = (m.counter.snapshot(), m.peak_tube_size, len(t))
+    with pytest.raises(MachineFault, match="is not an int in"):
+        m.append(t, Codeword(2, color, "ACGT"))
+    with pytest.raises(MachineFault, match="is not an int in"):
+        m.new_tube("u", [((2, 0), (3, color))])
+    with pytest.raises(MachineFault, match="is not an int in"):
+        m.new_tube("u", rows=[[(2, 0)], [(3, color)]])
+    assert (m.counter, m.peak_tube_size, len(t)) == before
+    assert t.contents == [((1, 0),), ((1, 1),)]
+    m.append(t, Codeword(2, 2**64 - 1, "ACGT"))  # the largest color that fits
+    assert t.colors([2, 1]) == [(2**64 - 1, 0), (2**64 - 1, 1)]
 
 
 @st.composite
@@ -733,83 +761,77 @@ def test_frame_tubes_behave_as_lists_of_token_tuples(data):
     different widths.  After every step each tube holds the model's strands
     in the model's order, with its size, repeat count and colors; the repeat
     count is read first, before anything joins the tube's frames.  The
-    machine's peak and counters match the model's.  The color decode runs
-    with tables of one vertex or of several.
+    machine's peak and counters match the model's.
     """
     m = TubeMachine()
     model = {}  # every tube handed out -> its strands
     retired, counts, peak, pad_vertex = set(), Counter(), 0, 100
-    saved = helix.machine.TABLE_SHARE
-    helix.machine.TABLE_SHARE = data.draw(st.sampled_from((1, saved)))
-    try:
-        for step in range(data.draw(st.integers(1, 25))):
-            live = [t for t in model if t not in retired]
-            op = data.draw(st.sampled_from(FRAME_OPS)) if live and step else data.draw(st.sampled_from(("new", "pad")))
-            if op == "new":
-                contents = data.draw(frame_contents_st())
-                model[m.new_tube("t", contents)] = contents
-            elif op == "pad":
-                m.discard(m.new_tube("pad", [((pad_vertex + i, 0),) for i in range(62)]))
-                pad_vertex += 62
-                counts["discard"] += 1
-                peak = max(peak, sum(map(len, model.values())) + 62)
-            else:  # mostly a tube that holds strands
-                t = data.draw(st.sampled_from([u for u in live if model[u]] or live))
-                counts[op.split()[0]] += 1
-            if op == "copy":
-                for replica in m.copy(t, data.draw(st.integers(1, 3))):
-                    model[replica] = model[t]
-                model[t] = []
-            elif op == "merge copies":  # the same strands twice: the merge keeps both
-                a, b = m.copy(t, 2)
-                m.merge(a, [b])
-                model[a], model[b], model[t] = model[t] * 2, [], []
-                counts["copy"] += 1
-            elif op == "merge remade":  # some of its strands again, in a new tube whose fields may be narrower
-                again = data.draw(st.lists(st.sampled_from(model[t]), min_size=1)) if model[t] else []
-                m.merge(t, [m.new_tube("again", again)])
-                model[t] = model[t] + again
-            elif op == "merge":
-                others = [u for u in live if u is not t]
-                sources = data.draw(st.lists(st.sampled_from(others), unique=True, max_size=3)) if others else []
-                m.merge(t, sources)
-                model[t] = model[t] + [s for u in sources for s in model[u]]
-                for u in sources:
-                    model[u] = []
-            elif op == "extract":
-                held = sorted({tok for s in model[t] for tok in s})
-                token = data.draw(st.sampled_from(held) | token_st if held else token_st)
-                plus, minus = m.extract(t, Codeword(*token, "ACGT"))
-                model[plus] = [s for s in model[t] if token in s]
-                model[minus] = [s for s in model[t] if token not in s]
-                model[t] = []
-            elif op == "append":
-                named = {v for s in model[t] for v, _ in s}
-                fresh = [v for v in range(1, 9) if v not in named] or [1]
-                token = (data.draw(st.sampled_from(fresh) | st.integers(1, 8)), data.draw(st.integers(0, 3)))
-                if token[0] in named:
-                    with pytest.raises(MachineFault):
-                        m.append(t, cw(*token))
-                    counts["append"] -= 1  # a refused append is not counted
-                else:
+    for step in range(data.draw(st.integers(1, 25))):
+        live = [t for t in model if t not in retired]
+        op = data.draw(st.sampled_from(FRAME_OPS)) if live and step else data.draw(st.sampled_from(("new", "pad")))
+        if op == "new":
+            contents = data.draw(frame_contents_st())
+            model[m.new_tube("t", contents)] = contents
+        elif op == "pad":
+            m.discard(m.new_tube("pad", [((pad_vertex + i, 0),) for i in range(62)]))
+            pad_vertex += 62
+            counts["discard"] += 1
+            peak = max(peak, sum(map(len, model.values())) + 62)
+        else:  # mostly a tube that holds strands
+            t = data.draw(st.sampled_from([u for u in live if model[u]] or live))
+            counts[op.split()[0]] += 1
+        if op == "copy":
+            for replica in m.copy(t, data.draw(st.integers(1, 3))):
+                model[replica] = model[t]
+            model[t] = []
+        elif op == "merge copies":  # the same strands twice: the merge keeps both
+            a, b = m.copy(t, 2)
+            m.merge(a, [b])
+            model[a], model[b], model[t] = model[t] * 2, [], []
+            counts["copy"] += 1
+        elif op == "merge remade":  # some of its strands again, in a new tube whose fields may be narrower
+            again = data.draw(st.lists(st.sampled_from(model[t]), min_size=1)) if model[t] else []
+            m.merge(t, [m.new_tube("again", again)])
+            model[t] = model[t] + again
+        elif op == "merge":
+            others = [u for u in live if u is not t]
+            sources = data.draw(st.lists(st.sampled_from(others), unique=True, max_size=3)) if others else []
+            m.merge(t, sources)
+            model[t] = model[t] + [s for u in sources for s in model[u]]
+            for u in sources:
+                model[u] = []
+        elif op == "extract":
+            held = sorted({tok for s in model[t] for tok in s})
+            token = data.draw(st.sampled_from(held) | token_st if held else token_st)
+            plus, minus = m.extract(t, Codeword(*token, "ACGT"))
+            model[plus] = [s for s in model[t] if token in s]
+            model[minus] = [s for s in model[t] if token not in s]
+            model[t] = []
+        elif op == "append":
+            named = {v for s in model[t] for v, _ in s}
+            fresh = [v for v in range(1, 9) if v not in named] or [1]
+            token = (data.draw(st.sampled_from(fresh) | st.integers(1, 8)), data.draw(st.integers(0, 3)))
+            if token[0] in named:
+                with pytest.raises(MachineFault):
                     m.append(t, cw(*token))
-                    model[t] = [s + (token,) for s in model[t]]
-            elif op == "discard":
-                m.discard(t)
-                model[t] = []
-                retired.add(t)
-            elif op == "detect":
-                assert m.detect(t) == bool(model[t])
-            peak = max(peak, sum(map(len, model.values())))
-            for u, strands in model.items():
-                assert u.distinct() == len(set(strands))  # before contents joins the runs
-                assert (u.contents, len(u), u.retired) == (strands, len(strands), u in retired)
-                vertices = sorted(set.intersection(*({v for v, _ in s} for s in strands))) if strands else []
-                assert u.colors(vertices) == [tuple(dict(s)[v] for v in vertices) for s in strands]
-            assert m.peak_tube_size == peak
-            assert m.counter == OpCounter(**counts)
-    finally:
-        helix.machine.TABLE_SHARE = saved
+                counts["append"] -= 1  # a refused append is not counted
+            else:
+                m.append(t, cw(*token))
+                model[t] = [s + (token,) for s in model[t]]
+        elif op == "discard":
+            m.discard(t)
+            model[t] = []
+            retired.add(t)
+        elif op == "detect":
+            assert m.detect(t) == bool(model[t])
+        peak = max(peak, sum(map(len, model.values())))
+        for u, strands in model.items():
+            assert u.distinct() == len(set(strands))  # before contents joins the runs
+            assert (u.contents, len(u), u.retired) == (strands, len(strands), u in retired)
+            vertices = sorted(set.intersection(*({v for v, _ in s} for s in strands))) if strands else []
+            assert u.colors(vertices) == [tuple(dict(s)[v] for v in vertices) for s in strands]
+        assert m.peak_tube_size == peak
+        assert m.counter == OpCounter(**counts)
 
 
 def test_merge_joins_differing_tails_onto_their_prefixes():

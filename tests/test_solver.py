@@ -409,6 +409,9 @@ def test_read_trace_document_validates():
         ("doc", "solutions", [["a"]], "solutions must be an integer"),
         ("doc", "solutions", [[0, 1, 2], "ab"], "solutions must be a list of integers"),
         ("doc", "solutions", {"a": 1}, "solutions must be a list"),
+        ("doc", "construction", [1, {"a": 2}], "construction must be a string"),
+        ("doc", "construction", 5, "construction must be a string"),
+        ("doc", "construction", None, "construction must be a string"),
     ]:
         doc = json.loads(text)
         {"doc": doc, "graph": doc["graph"]}[place][key] = value
