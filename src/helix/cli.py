@@ -39,6 +39,7 @@ EXIT_INPUT = 1
 EXIT_CONFIG = 2
 EXIT_DISAGREE = 3
 EXIT_BAD_CODEBOOK = 4
+EXIT_PIPE = 141  # 128 + SIGPIPE: the reader closed standard output first
 
 
 class InputError(Exception):
@@ -414,7 +415,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # so the flush at exit cannot raise
+        return EXIT_PIPE
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

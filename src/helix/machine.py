@@ -54,11 +54,11 @@ blow-up the incremental engine avoids.
 
 Columns: a frame and a product both give column(i), the strands holding
 token i, and extract splits by one column.  Symbolic extract uses the
-codeword's token column.  Nucleotide extract builds the column of the
-strands whose bases hold the sequence from the token columns and the
-codewords alone (_sequence_column), so no strand is ever rendered.  A token
-the codebook lacks raises the CodecError that names it, through render, when
-the tube holds a strand with it.
+codeword's token column.  Nucleotide extract ORs, over the codebook's
+occurrence chains of the sequence (Codebook.chains) whose vertices sit
+consecutively in the order, the AND of the chain's token columns, so no
+strand is ever rendered.  A token the codebook lacks, listed as it enters,
+raises the CodecError that names it, through render, when a strand holds it.
 """
 
 from __future__ import annotations
@@ -281,6 +281,7 @@ class TubeMachine:
         self.peak_tube_size = 0
         self._index: dict[Token, int] = {}  # token -> i, its bit frames.place(i) in a field
         self._token_at: dict[int, dict[int, Token]] = {}  # vertex -> {i: token}
+        self._uncoded: list[tuple[int, Token]] = []  # (i, token) of each token the codebook lacks
         self._orders: list[tuple[int, ...]] = []
         self._order_id: dict[tuple[int, ...], int] = {}
 
@@ -304,6 +305,8 @@ class TubeMachine:
                 raise MachineFault(f"color {c!r} of vertex {v} is not an int in [0, 2**64)")
             i = self._index[token] = len(self._index)
             self._token_at.setdefault(v, {})[i] = token
+            if self.codebook is not None and token not in self.codebook._sequences:
+                self._uncoded.append((i, token))
         return i
 
     def _bit_of(self, token: Token) -> int:
@@ -345,51 +348,20 @@ class TubeMachine:
         return [tuple([tok[s & m] for m, tok in rows]) for s in fields]
 
     def _sequence_column(self, oid: int, column, seq: str) -> int:
-        """The column of the strands of order `oid` whose bases contain seq.
+        """The column of the strands of order `oid` whose bases hold seq; see the module docstring.
 
-        `column(i)` gives the strands that hold token i, in a frame or a
-        product tube.  A strand renders its codewords in order, so seq occurs
-        in it exactly when it lies in a window of consecutive rows (vertices)
-        that it starts in the first of and ends in the last of.  A window
-        spans at most (len(seq) - 2) // l + 2 rows, with l the shortest
-        codeword of its rows, as each inner row holds a whole codeword of seq.
-        The column is the OR, over the windows whose codewords hold seq so,
-        of the AND of those tokens' columns: a search on bases, exact for any
-        codebook.  Strings are compared before any column is read, so a
-        window that cannot hold seq costs no big-int operation.
-
-        A token without a codeword raises the CodecError that names it,
-        through render, when column(i) holds a strand with it.
+        `column(i)` gives the strands that hold token i, in a frame or a product tube.
         """
-        words = self.codebook._sequences
-        rows = []
-        for v in self._orders[oid]:
-            row = []
-            for i, token in self._token_at[v].items():
-                if token in words:
-                    row.append((i, words[token]))
-                elif column(i):
-                    render((token,), self.codebook)  # raises
-            rows.append(row)
-        heads = tuple(seq[:j] for j in range(1, len(seq)))
-        hit = 0
-        for r, row in enumerate(rows):
-            running = []  # (the rest of seq, the tokens so far) of each window that runs on past row r
-            for i, word in row:
-                if seq in word:
-                    hit |= column(i)
-                elif word.endswith(heads):
-                    running += [(seq[j:], (i,)) for j, head in enumerate(heads, 1) if word.endswith(head)]
-            for later in range(r + 1, len(rows)):
-                if not running:
-                    break
-                windows, running = running, []
-                for rest, tokens in windows:
-                    for i, word in rows[later]:
-                        if word.startswith(rest):  # seq ends in this row: one window
-                            hit |= reduce(and_, map(column, tokens + (i,)))
-                        elif rest.startswith(word):
-                            running.append((rest[len(word):], tokens + (i,)))
+        for i, token in self._uncoded:
+            if column(i):
+                render((token,), self.codebook)  # raises
+        order, hit = self._orders[oid], 0
+        for chain in self.codebook.chains(seq):
+            vertices = tuple(v for v, _ in chain)
+            p = order.index(vertices[0]) if vertices[0] in order else len(order)  # past the end: no match
+            indices = [self._index.get(token) for token in chain]  # None: a token in no strand
+            if order[p:p + len(chain)] == vertices and None not in indices:
+                hit |= reduce(and_, map(column, indices))
         return hit
 
     # --- operations --------------------------------------------------------

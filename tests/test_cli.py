@@ -377,6 +377,20 @@ def test_console_entry_point():
     assert json.loads(proc.stdout)["peak_tube_size"] == 18
 
 
+def test_a_reader_closing_stdout_early_ends_the_run_with_the_pipe_code():
+    """As `helix solve ... --json | head -c 600` does: no traceback, exit cli.EXIT_PIPE."""
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "helix", "solve", "--graph", "random:22,0.2,3", "--colors", "3", "--json"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert len(proc.stdout.read(600)) == 600  # the JSON is far longer than a pipe buffer
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == cli.EXIT_PIPE
+    assert b"Traceback" not in proc.stderr.read()
+    proc.stderr.close()
+
+
 def test_codebook_file_with_non_integer_field_exit_1(tmp_path, capsys):
     path = tmp_path / "cb.json"
     assert run_cli("codebook", "generate", "--n", "3", "--colors", "3", "--out", str(path)) == 0

@@ -537,6 +537,14 @@ def _mixed_length_codebook(n, k, seed):
 WINDOW_CBS = (builtin_table1(), BASES_CBS[0], generate_codebook(8, 3, 20, 3), _mixed_length_codebook(6, 3, 5))
 
 
+@pytest.mark.parametrize("cb", WINDOW_CBS + BASES_CBS[1:], ids=lambda cb: cb.provenance)
+def test_a_validated_codewords_only_chain_is_its_own_token(cb):
+    """Validation's guarantee: a codeword occurs in rendered bases only as its own token."""
+    assert cb.validation().ok
+    for codeword in cb.codewords():
+        assert cb.chains(codeword.sequence) == (((codeword.vertex, codeword.color),),)
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_nucleotide_extract_is_a_search_of_the_rendered_bases(data):
