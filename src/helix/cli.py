@@ -148,7 +148,7 @@ def _coloring_text(coloring) -> str:
 
 
 def _print_solutions(solutions: solver.SolutionSet, limit: int = 20) -> None:
-    listed = solutions.sorted_colorings()
+    listed = solutions.ordered
     for coloring in listed[:limit]:
         print(f"  {_coloring_text(coloring)}")
     if len(listed) > limit:

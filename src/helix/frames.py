@@ -20,13 +20,15 @@ concatenates the frames' words with the empty slots filtered out, since
 every word of a strand is non-zero.  values() reads one int per strand, so
 the repeated-strand check unpacks no strand, and heads() reads the first word
 of each strand's slot from an int laid out like the frame, which the color
-decode builds from columns.
+decode builds from columns; bit_fields() then cuts each vertex's colors out
+of the sorted one-word keys.
 """
 
 from __future__ import annotations
 
 import sys
 from array import array
+from functools import cache
 from itertools import compress, repeat
 from operator import lshift, or_
 
@@ -84,6 +86,35 @@ def tile(pattern: int, width: int, count: int) -> int:
         if count:
             pattern |= pattern << width
             width *= 2
+    return out
+
+
+@cache
+def _byte_field(shift: int, width: int) -> bytes:
+    """A bytes.translate table: each byte to its bits [shift, shift + width)."""
+    return bytes((b >> shift) & ((1 << width) - 1) for b in range(256))
+
+
+def bit_fields(values, fields) -> list:
+    """For each (offset, width) in fields, bits [offset, offset + width) of every one of values.
+
+    The values are one-word ints, and each field comes out as a sequence of
+    ints in their order, cut out of all of them at once.  A field inside one
+    byte of the word is that byte of every value, translated; any other is a
+    shift and a mask over all the words side by side.
+    """
+    count, words = len(values), array("Q", values)
+    if sys.byteorder == "big":
+        words.byteswap()
+    raw, joined, out = words.tobytes(), None, []
+    for offset, width in fields:
+        byte, shift = divmod(offset, 8)
+        if shift + width <= 8:
+            out.append(raw[byte::8].translate(_byte_field(shift, width)))
+        else:
+            if joined is None:
+                joined = int.from_bytes(raw, "little")
+            out.append(_to_words((joined >> offset) & tile((1 << width) - 1, WORD_BITS, count), count))
     return out
 
 
@@ -147,6 +178,11 @@ class Frame:
             values = list(map(or_, values, map(lshift, words[w::width], repeat(WORD_BITS * w))))
         return values
 
+    def present(self) -> int:
+        """The slot starts of the strands: every slot start but the empty slots'."""
+        ones = self.ones()
+        return ones if self.count == self._slots else self._bits & ones
+
     def heads(self, bits: int):
         """The first word of each strand's slot in `bits`, an int laid out like the frame.
 
@@ -180,8 +216,6 @@ class Frame:
             frame = Frame(oid, width, self.count, _from_words(self.words(width)), self.count)
         else:
             frame = Frame(oid, width, self.count, self._bits, self._slots, self.ones())  # copies share self's pattern
-        ones = frame.ones()
-        present = ones if frame.count == frame._slots else frame._bits & ones
-        frame._bits |= present << place(index)
+        frame._bits |= frame.present() << place(index)
         return frame
 

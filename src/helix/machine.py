@@ -30,10 +30,16 @@ new_tube makes one frame per stretch of strands of one order.
 
 Tube.contents unpacks to token tuples in append order through one
 (vertex mask, {bit: token}) row per vertex of the frame's order; it is the
-per-strand reference.  Tube.colors, the final decode, reads by columns: for
-each vertex, the sum of its tokens' columns times their colors is an int laid
-out like the frame with each strand's color in the first word of its slot,
-and Frame.heads reads those words off.  A color must fit one word, so the
+per-strand reference.  Tube.colors, the final decode, reads by columns and
+returns the colorings in lexicographic order.  Each requested vertex gets as
+many bits as its largest color needs (at least one), the first vertex the
+most significant.  When they fit one 64-bit word, the sum of every token's
+column times its color, shifted to its vertex's bits, is an int laid out like
+the frame with each strand's key in the first word of its slot; Frame.heads
+reads the keys off, they are sorted as ints, and frames.bit_fields cuts each
+vertex's colors back out of them.  Otherwise each vertex's colors are read
+the same way without the shift and the rows are sorted as tuples, the
+reference the key path is tested against.  A color must fit one word, so the
 machine refuses any other when a token first enters (_index_of).
 
 Product tubes: the monolithic start tube, new_tube(rows=...), holds no field.
@@ -57,7 +63,8 @@ token i, and extract splits by one column.  Symbolic extract uses the
 codeword's token column.  Nucleotide extract ORs, over the codebook's
 occurrence chains of the sequence (Codebook.chains) whose vertices sit
 consecutively in the order, the AND of the chain's token columns, so no
-strand is ever rendered.  A token the codebook lacks, listed as it enters,
+strand is ever rendered.  The empty sequence occurs in every rendering, so it
+matches every strand, one of no token too.  A token the codebook lacks, listed as it enters,
 raises the CodecError that names it, through render, when a strand holds it.
 """
 
@@ -72,7 +79,7 @@ from functools import reduce
 from operator import and_, attrgetter
 
 from .codec import Codebook, Codeword, SoundnessError, Strand, Token, render
-from .frames import WORD_BITS, Frame, place, tile
+from .frames import WORD_BITS, Frame, bit_fields, place, tile
 
 _DIGIT = bytes.maketrans(b"01", b"\x00\x01")  # a mask's binary digits as 0/1 bytes
 _OID, _COUNT = attrgetter("oid"), attrgetter("count")
@@ -214,24 +221,44 @@ class Tube:
         return [self._machine._unpack(oid, first)[0] for oid, first in firsts.items()]
 
     def colors(self, vertices) -> list[tuple[int, ...]]:
-        """Each strand's color at each of `vertices`, read by token columns.
+        """Each strand's color at each of `vertices`, in lexicographic order, read by token columns.
 
-        A vertex's read is the sum, over its tokens, of the token's column
-        times its color: each strand's color in the first word of its slot.
-        Every strand must name every one of the vertices (KeyError otherwise).
+        A tube is a multiset, so this order is as good as any.  Vertex v's
+        colors take w_v = max(1, bit_length(v's largest color)) bits.  When
+        the w_v sum to at most one word, a key per strand holds them all, the
+        first vertex most significant: the sum, over the tokens of nonzero
+        color, of the token's column times its color shifted to its vertex's
+        offset, laid out like the frame.  Frame.heads reads the keys off, they
+        are sorted as ints, and bit_fields cuts each vertex's colors out of all
+        of them at once.  Otherwise each vertex gets its own such read with no
+        shift, and the rows are sorted as tuples: the reference the key path
+        is tested against.  Every strand must name every one of the vertices
+        (KeyError otherwise).
         """
-        machine, vertices, out = self._machine, list(vertices), []
-        for run in self.runs:
+        machine, vertices, runs = self._machine, list(vertices), self.runs
+        for run in runs:
             order = machine._orders[run.oid]
             missing = set(vertices).difference(order)
             if missing:
                 raise KeyError(f"strands of vertex order {order} lack vertex {min(missing)}")
-            reads = [
-                run.heads(sum(run.column(i) * c for i, (_, c) in machine._token_at[v].items()))
-                for v in vertices
-            ]
-            out += zip(*reads) if reads else [()] * run.count
-        return out
+        if not vertices:
+            return [()] * len(self)
+        colored = [[(i, c) for i, (_, c) in machine._token_at.get(v, {}).items() if c] for v in vertices]
+        widths = [max(1, max((c for _, c in tokens), default=0).bit_length()) for tokens in colored]
+        if sum(widths) > WORD_BITS:
+            rows = []
+            for run in runs:
+                rows += zip(*[run.heads(sum(run.column(i) * c for i, c in tokens)) for tokens in colored])
+            rows.sort()
+            return rows
+        offsets = [sum(widths[j + 1:]) for j in range(len(widths))]
+        keys = []
+        for run in runs:
+            keys += run.heads(
+                sum(run.column(i) * (c << at) for tokens, at in zip(colored, offsets) for i, c in tokens)
+            )
+        keys.sort()
+        return list(zip(*bit_fields(keys, zip(offsets, widths))))
 
     def distinct(self) -> int:
         """How many different strands the tube holds, read from the fields.
@@ -347,14 +374,18 @@ class TubeMachine:
             rows.append((sum(tokens), tokens))
         return [tuple([tok[s & m] for m, tok in rows]) for s in fields]
 
-    def _sequence_column(self, oid: int, column, seq: str) -> int:
+    def _sequence_column(self, oid: int, column, present, seq: str) -> int:
         """The column of the strands of order `oid` whose bases hold seq; see the module docstring.
 
-        `column(i)` gives the strands that hold token i, in a frame or a product tube.
+        `column(i)` gives the strands that hold token i, in a frame or a product
+        tube, and `present()` all of its strands: the empty sequence occurs in
+        every rendering, a strand of no token included.
         """
         for i, token in self._uncoded:
             if column(i):
                 render((token,), self.codebook)  # raises
+        if not seq:
+            return present()
         order, hit = self._orders[oid], 0
         for chain in self.codebook.chains(seq):
             vertices = tuple(v for v, _ in chain)
@@ -467,14 +498,14 @@ class TubeMachine:
         self._require_live(tube)
         product, mask = tube._product, tube._mask
         if product is not None:
-            holders = [(product.oid, lambda i: mask & product.column(i))]
+            holders = [(product.oid, lambda i: mask & product.column(i), lambda: mask)]
         else:
-            holders = [(run.oid, run.column) for run in tube.runs]
+            holders = [(run.oid, run.column, run.present) for run in tube.runs]
         if self.codebook is None:
             index = self._index.get((cw.vertex, cw.color))  # a token never seen is in no strand
-            columns = [column(index) for _, column in holders]
+            columns = [column(index) for _, column, _ in holders]
         else:
-            columns = [self._sequence_column(oid, column, cw.sequence) for oid, column in holders]
+            columns = [self._sequence_column(*holder, cw.sequence) for holder in holders]
         if product is not None:
             plus = Tube(f"{tube.label}+", self, (), product, columns[0])
             minus = Tube(f"{tube.label}-", self, (), product, mask ^ columns[0])

@@ -63,11 +63,29 @@ class Trace:
 
 @dataclass(frozen=True)
 class SolutionSet:
+    """The colorings a run found, as a set, and the same colorings in lexicographic order.
+
+    Equality and hash are the set's and `colorable`'s.  `ordered` is kept so
+    that nothing sorts the colorings again: of_sorted takes them in order
+    from the final decode, and a set given without them is sorted once, here.
+    """
+
     colorings: frozenset[tuple[int, ...]]
     colorable: bool
+    ordered: tuple[tuple[int, ...], ...] | None = dataclasses.field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        if self.ordered is None:
+            object.__setattr__(self, "ordered", tuple(sorted(self.colorings)))
+
+    @classmethod
+    def of_sorted(cls, rows, colorable: bool) -> "SolutionSet":
+        """The set of rows, distinct colorings in lexicographic order, kept in that order."""
+        rows = tuple(rows)
+        return cls(frozenset(rows), colorable, rows)
 
     def sorted_colorings(self) -> list[tuple[int, ...]]:
-        return sorted(self.colorings)
+        return list(self.ordered)
 
 
 def _check_inputs(
@@ -104,15 +122,15 @@ def resolve_order(g: Graph, order) -> list[int]:
     return order
 
 
-def _decode_final(tube, n: int) -> frozenset[tuple[int, ...]]:
-    """The colorings the tube spells, read by token columns (Tube.colors).
+def _decode_final(tube, n: int) -> list[tuple[int, ...]]:
+    """The colorings the tube spells, in lexicographic order, read by token columns (Tube.colors).
 
     Strands of one vertex order name the same vertices, so coloring_from_strand
     checks one strand per order that they cover exactly 1..n.
     """
     for strand in tube.order_samples():
         coloring_from_strand(strand, n)
-    return frozenset(tube.colors(range(1, n + 1)))
+    return tube.colors(range(1, n + 1))
 
 
 def solve_incremental(
@@ -162,7 +180,7 @@ def solve_incremental(
             StepRecord(v, t0_before, tuple(after_append), after_filter, discarded, len(t0))
         )
     colorable = machine.detect(t0)
-    solutions = SolutionSet(_decode_final(t0, g.n), colorable)
+    solutions = SolutionSet.of_sorted(_decode_final(t0, g.n), colorable)
     trace = Trace(tuple(steps), machine.counter.snapshot(), machine.peak_tube_size)
     return solutions, trace
 
@@ -190,7 +208,7 @@ def solve_monolithic(
             tube = machine.merge(rest, [u_only])
             machine.discard(bad)
     colorable = machine.detect(tube)
-    solutions = SolutionSet(_decode_final(tube, g.n), colorable)
+    solutions = SolutionSet.of_sorted(_decode_final(tube, g.n), colorable)
     trace = Trace(
         (), machine.counter.snapshot(), machine.peak_tube_size, construction="synthetic"
     )
@@ -245,7 +263,7 @@ def trace_document(
         "op_totals": trace.op_totals.as_dict(),
         "peak_tube_size": trace.peak_tube_size,
         "colorable": solutions.colorable,
-        "solutions": [list(c) for c in solutions.sorted_colorings()],
+        "solutions": list(map(list, solutions.ordered)),
     }
     if trace.construction is not None:
         doc["construction"] = trace.construction

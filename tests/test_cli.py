@@ -62,6 +62,17 @@ def test_solve_mode_both_writes_both_documents(tmp_path, capsys):
     assert doc["incremental"]["solutions"] == doc["monolithic"]["solutions"]
 
 
+def test_solve_text_lists_the_first_solutions_in_json_order(capsys):
+    argv = ("solve", "--graph", "builtin:petersen", "--colors", "3")
+    assert run_cli(*argv, "--json") == 0
+    solutions = json.loads(capsys.readouterr().out)["solutions"]
+    assert run_cli(*argv) == 0
+    out = capsys.readouterr().out.splitlines()
+    listed = out[out.index("colorable: true; 120 solutions") + 1:]
+    assert listed[-1] == "  ... and 100 more"
+    assert listed[:-1] == ["  " + cli._coloring_text(c) for c in solutions[:20]]
+
+
 def test_solve_json_output(capsys):
     assert run_cli("solve", "--graph", "builtin:p4", "--colors", "2", "--json") == 0
     doc = json.loads(capsys.readouterr().out)

@@ -1,6 +1,7 @@
 import copy
 import itertools
 import random
+import unittest.mock
 from collections import Counter
 
 import pytest
@@ -719,7 +720,7 @@ def test_single_order_tubes_are_frames_that_widen_past_63_tokens():
 def test_colors_of_a_vertex_missing_from_one_run_raise_key_error():
     m = TubeMachine()
     mixed = m.new_tube("mixed", [((1, 0), (2, 1)), ((1, 2),), ((2, 0), (1, 1))])
-    assert mixed.colors([1]) == [(0,), (2,), (1,)]
+    assert mixed.colors([1]) == sorted((dict(s)[1],) for s in mixed.contents)
     with pytest.raises(KeyError, match="lack vertex 2"):
         mixed.colors([1, 2])
 
@@ -739,6 +740,55 @@ def test_a_color_that_does_not_fit_one_word_is_refused(color):
     assert t.contents == [((1, 0),), ((1, 1),)]
     m.append(t, Codeword(2, 2**64 - 1, "ACGT"))  # the largest color that fits
     assert t.colors([2, 1]) == [(2**64 - 1, 0), (2**64 - 1, 1)]
+
+
+@pytest.mark.parametrize("wide", [False, True], ids=["one-word key", "tuple sort"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_colors_are_the_sorted_per_strand_colors(wide, data):
+    """Tube.colors is the per-strand colors, sorted, on both of its paths.
+
+    Every strand names the vertices `shared`, in any order, and maybe others.
+    Colors below 8 pack any request into one word.  With a color 2**64 - 1
+    seen for every vertex, a request of two or more vertices overflows it
+    and takes the tuple sort; one vertex still fits.
+    """
+    m = TubeMachine()
+    if wide:
+        m.discard(m.new_tube("pad", [tuple((v, 2**64 - 1) for v in range(1, 7))]))
+    color = st.sampled_from([0, 1, 2**32, 2**63, 2**64 - 2, 2**64 - 1]) if wide else st.integers(0, 7)
+    shared = data.draw(st.lists(st.integers(1, 6), unique=True, min_size=1, max_size=4))
+    vertices = data.draw(st.permutations(shared))[: data.draw(st.integers(0, len(shared)))]
+    kind = data.draw(st.sampled_from(["frames", "extracted", "product"]))
+    if kind == "product":
+        rows = [[(v, c) for c in data.draw(st.lists(color, unique=True, min_size=1, max_size=3))] for v in shared]
+        tube = m.new_tube("t", rows=rows)
+        if data.draw(st.booleans()):
+            tube, _ = m.extract(tube, Codeword(*data.draw(st.sampled_from(rows[0])), ""))  # a sparse mask
+        assert tube._product is not None
+    else:
+        extra = st.lists(st.integers(7, 9), unique=True, max_size=2)
+        orders = st.tuples(st.permutations(shared), extra).flatmap(lambda o: st.permutations(o[0] + o[1]))
+        strands = data.draw(st.lists(orders.flatmap(lambda o: st.tuples(*[color.map(lambda c, v=v: (v, c)) for v in o])), max_size=12))
+        tube = m.new_tube("t", strands)
+        if kind == "extracted" and strands:  # frames with empty slots
+            hit, rest = m.extract(tube, Codeword(*data.draw(st.sampled_from(strands))[0], ""))
+            tube = m.merge(hit, [rest]) if data.draw(st.booleans()) else data.draw(st.sampled_from([hit, rest]))
+    with unittest.mock.patch("helix.machine.bit_fields", wraps=helix.frames.bit_fields) as key_path:
+        got = tube.colors(vertices)
+    assert got == sorted(tuple(dict(s)[v] for v in vertices) for s in tube.contents)
+    assert key_path.called == (bool(vertices) and (not wide or len(vertices) == 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_bit_fields_cut_each_field_out_of_every_value(data):
+    fields = data.draw(st.lists(
+        st.integers(1, 64).flatmap(lambda w: st.tuples(st.integers(0, 64 - w), st.just(w))), max_size=6
+    ))
+    values = data.draw(st.lists(st.integers(0, 2**64 - 1), max_size=20))
+    got = helix.frames.bit_fields(values, fields)
+    assert [list(f) for f in got] == [[(x >> o) & ((1 << w) - 1) for x in values] for o, w in fields]
 
 
 @st.composite
@@ -837,7 +887,7 @@ def test_frame_tubes_behave_as_lists_of_token_tuples(data):
             assert u.distinct() == len(set(strands))  # before contents joins the runs
             assert (u.contents, len(u), u.retired) == (strands, len(strands), u in retired)
             vertices = sorted(set.intersection(*({v for v, _ in s} for s in strands))) if strands else []
-            assert u.colors(vertices) == [tuple(dict(s)[v] for v in vertices) for s in strands]
+            assert u.colors(vertices) == sorted(tuple(dict(s)[v] for v in vertices) for s in strands)
         assert m.peak_tube_size == peak
         assert m.counter == OpCounter(**counts)
 
@@ -870,6 +920,18 @@ def test_nucleotide_product_tube_stays_a_mask_through_extract():
     m.append(plus, cb.codeword(3, 2))
     kept, _ = m.extract(plus, cb.codeword(2, 1))
     assert kept.contents == [((1, 0), (2, 1), (3, 2))]
+
+
+def test_nucleotide_extract_of_the_empty_sequence_matches_every_strand():
+    m = TubeMachine(BASES_CBS[0])
+    probe = Codeword(1, 0, "")
+    plus, minus = m.extract(m.new_tube("t", [(), ((1, 0),)]), probe)
+    assert (plus.contents, minus.contents) == ([(), ((1, 0),)], [])
+    assert_extract_follows_render(m, m.new_tube("t", [((1, 1),), (), ((1, 1), (2, 0))]), [""])
+    for rows in ([], [((1, 0), (1, 1)), ((2, 0),)]):
+        plus, minus = m.extract(m.new_tube("start", rows=rows), probe)
+        assert plus._product is not None and not minus
+        assert plus.contents == list(itertools.product(*rows))
 
 
 def test_nucleotide_extract_of_a_token_outside_the_codebook_raises():

@@ -11,6 +11,7 @@ from helix import (
     BudgetError,
     DecodeError,
     Graph,
+    SolutionSet,
     SolverError,
     SoundnessError,
     StepRecord,
@@ -178,7 +179,7 @@ def test_bit_decode_matches_per_strand_decode(monkeypatch):
 
     def per_strand_check(tube, n):
         colorings = bit_decode(tube, n)
-        assert colorings == frozenset(coloring_from_strand(s, n) for s in tube.contents)
+        assert colorings == sorted(coloring_from_strand(s, n) for s in tube.contents)
         decoded.append(len(tube))
         return colorings
 
@@ -202,8 +203,21 @@ def test_decode_refuses_a_strand_missing_a_vertex():
         solver._decode_final(tube, 3)
     with pytest.raises(DecodeError, match="strand names vertex 3, graph has 1..2"):
         solver._decode_final(m.new_tube("u", [((1, 0), (2, 1), (3, 0))]), 2)
-    assert solver._decode_final(m.new_tube("v", [((2, 1), (1, 0)), ((1, 2), (2, 2))]), 2) == {(0, 1), (2, 2)}
-    assert solver._decode_final(m.new_tube("w"), 4) == frozenset()
+    assert solver._decode_final(m.new_tube("v", [((1, 2), (2, 2)), ((2, 1), (1, 0))]), 2) == [(0, 1), (2, 2)]
+    assert solver._decode_final(m.new_tube("w"), 4) == []
+
+
+def test_a_solution_set_from_the_decode_equals_one_from_a_frozenset():
+    g = builtin_graph("petersen")
+    cb = corpus.suite_codebook(g.n, 3)
+    for engine in (solve_incremental, solve_monolithic):
+        decoded, _ = engine(g, 3, cb)
+        rows = decoded.sorted_colorings()
+        assert rows == sorted(decoded.colorings) and len(rows) == 120
+        for kept in (decoded, SolutionSet.of_sorted(rows, True)):
+            plain = SolutionSet(frozenset(rows), True)
+            assert kept == plain and hash(kept) == hash(plain)
+            assert kept.sorted_colorings() == plain.sorted_colorings() == rows
 
 
 def test_k1_runs():
