@@ -3,25 +3,30 @@
 Every strand a TubeMachine holds outside a product mask lives in a frame, and
 a tube is a tuple of frames, so the vertex order (an order id into the
 machine's table) is kept once per frame.  A strand's field is the sticker
-model's memory strand (Roweis et al., J. Comput. Biol. 5(4), 1998): token i
-sits at word i // 63, bit 1 + i % 63 (place(i)) of a row of 64-bit words.
+model's memory strand (Roweis et al., J. Comput. Biol. 5(4), 1998) in a row
+of 64-bit words: bit 0 of every byte is a presence bit, and token i sits in
+word i // 56, byte (i % 56) // 7 of it, bit 1 + i % 7 of that byte
+(place(i)), 7 tokens to a byte and 56 to a word.
 
-A frame is the fields of its strands side by side.  Slot j is a field of
-`width` words, bit 0 of every word is set when the slot holds a strand, and
-an empty slot is all zero.  A token's column (column) is the token's bit
-shifted down to each slot's start and ANDed with the slot starts: one bit per
-strand that holds it, at the strand's slot start.  Columns combine by AND and
-OR, so extract on either kind of machine computes one and splits by it
-(split): spread each set start over its field (`(x << W) - x`), AND, and XOR
-for the rest; both outputs keep the source's slots.  grown (append) ORs the
-slot starts in at the token's place, widening every field by whole words
-when the token lies past the width.  joined (a merge, once read)
-concatenates the frames' words with the empty slots filtered out, since
-every word of a strand is non-zero.  values() reads one int per strand, so
-the repeated-strand check unpacks no strand, and heads() reads the first word
-of each strand's slot from an int laid out like the frame, which the color
-decode builds from columns; bit_fields() then cuts each vertex's colors out
-of the sorted one-word keys.
+A frame is the fields of its strands side by side, slot j a field of `width`
+words, and a live-slot mask: one bit at the start of each slot that holds a
+strand.  Every byte of a live field is non-zero.  A token's column (column)
+is the token's bit shifted down to each slot's start and ANDed with the live
+mask: one bit per strand that holds it, at the strand's slot start.  Columns
+combine by AND and OR, so extract on either kind of machine computes one and
+splits by it (split): both outputs share the source's int and slots and
+differ only in their live masks, so an extract writes no field.  A dead
+slot's field stays in the int until the frame's fields are read (fields):
+then the dead fields are cleared with one AND by the spread live mask
+(`(live << W) - live`), and since every byte of a live field is non-zero,
+deleting the zero bytes (one bytes.translate) leaves exactly the live fields,
+compacted.  grown (append) ORs the live mask in at the token's place,
+widening every field by whole words when the token lies past the width.
+joined (a merge, once read) concatenates the frames' compacted fields.
+values() reads one int per strand, so the repeated-strand check unpacks no
+strand, and heads() reads the first word of each live slot from an int laid
+out like the frame, which the color decode builds from columns; bit_fields()
+then cuts each vertex's colors out of the sorted one-word keys.
 """
 
 from __future__ import annotations
@@ -33,18 +38,20 @@ from itertools import compress, repeat
 from operator import lshift, or_
 
 WORD_BITS = 64  # a field is whole words of this many bits
-WORD_TOKENS = WORD_BITS - 1  # bit 0 of each word marks a present strand
+BYTE_TOKENS = 7  # bit 0 of each byte marks a present strand
+WORD_TOKENS = WORD_BITS // 8 * BYTE_TOKENS
+PRESENT = 0x0101010101010101  # a word of presence bits; the same in either byte order
 
 
 def place(i: int) -> int:
-    """The bit of token i in a field: word i // 63, above that word's presence bit."""
-    word, bit = divmod(i, WORD_TOKENS)
-    return WORD_BITS * word + 1 + bit
+    """The bit of token i in a field: word i // 56, byte (i % 56) // 7, above that byte's presence bit."""
+    word, rest = divmod(i, WORD_TOKENS)
+    byte, bit = divmod(rest, BYTE_TOKENS)
+    return WORD_BITS * word + 8 * byte + 1 + bit
 
 
-def _to_words(bits: int, count: int):
-    """The low `count` 64-bit words of bits, least significant first, as a sequence of ints."""
-    raw = bits.to_bytes(8 * count, "little")
+def _as_words(raw):
+    """Little-endian bytes as a sequence of 64-bit ints."""
     if sys.byteorder == "little":
         return memoryview(raw).cast("Q")  # no copy
     words = array("Q", raw)
@@ -52,23 +59,24 @@ def _to_words(bits: int, count: int):
     return words
 
 
-def _from_words(words) -> int:
-    """The int whose 64-bit words, least significant first, are `words` (an array or _to_words view)."""
-    if sys.byteorder == "big":
-        words = array("Q", words)
-        words.byteswap()
-    return int.from_bytes(words, "little")
+def _to_words(bits: int, count: int):
+    """The low `count` 64-bit words of bits, least significant first, as a sequence of ints."""
+    return _as_words(bits.to_bytes(8 * count, "little"))
 
 
-def _widen(words, width: int, wider: int) -> array:
-    """Compacted fields of `width` words as fields of `wider` words.
+def _widen(raw: bytes, width: int, wider: int) -> bytes:
+    """Compacted fields of `width` words, as bytes, in fields of `wider` words.
 
-    The added words hold no token, only the presence bit.
+    The added words hold no token, only the presence bits.  Words are moved
+    whole and the fill reads the same in either byte order, so no word is
+    ever read as an int.
     """
-    out = array("Q", [1]) * (len(words) // width * wider)
+    words = memoryview(raw).cast("Q")
+    out = array("Q", [PRESENT]) * (len(words) // width * wider)
+    view = memoryview(out)
     for w in range(width):
-        out[w::wider] = array("Q", words[w::width])
-    return out
+        view[w::wider] = words[w::width]
+    return out.tobytes()
 
 
 def tile(pattern: int, width: int, count: int) -> int:
@@ -123,49 +131,58 @@ class Frame:
 
     `oid` is the machine's order id, which the frame only carries.  Slot j
     is bits [j * 64 * width, (j + 1) * 64 * width) of `_bits`, `_slots`
-    counts the slots, empty ones included, and `count` the strands.  A frame
-    is never changed once built, so copies share it.
+    counts the slots, dead ones included, `count` the strands, and `_live`
+    (present(), built on first use when every slot is live) has one bit at
+    the start of each live slot.  A frame is never changed once built, so
+    copies, and both outputs of a split, share its int.
     """
 
-    __slots__ = ("oid", "width", "count", "_bits", "_slots", "_ones")
+    __slots__ = ("oid", "width", "count", "_bits", "_slots", "_live")
 
-    def __init__(self, oid: int, width: int, count: int, bits: int, slots: int, ones: int | None = None):
+    def __init__(self, oid: int, width: int, count: int, bits: int, slots: int, live: int | None = None):
         self.oid, self.width, self.count = oid, width, count
-        self._bits, self._slots, self._ones = bits, slots, ones
+        self._bits, self._slots, self._live = bits, slots, live
 
     @classmethod
     def of_fields(cls, oid: int, fields: list[int]) -> "Frame":
-        """Fields, with or without their presence bits, as a frame with no empty slot."""
+        """Fields, with or without their presence bits, as a frame with no dead slot."""
         width = max(1, -(-max(f.bit_length() for f in fields) // WORD_BITS))
-        pad, size = tile(1, WORD_BITS, width), 8 * width
+        pad, size = tile(PRESENT, WORD_BITS, width), 8 * width
         raw = b"".join([(f | pad).to_bytes(size, "little") for f in fields])
         return cls(oid, width, len(fields), int.from_bytes(raw, "little"), len(fields))
 
     @classmethod
     def joined(cls, frames: list["Frame"]) -> "Frame":
         """The frames' strands in order, compacted, in fields of the widest frame's width."""
-        width, words = max(f.width for f in frames), array("Q")
-        for f in frames:
-            words.frombytes(memoryview(f.words(width)).cast("B"))
-        count = len(words) // width
-        return cls(frames[0].oid, width, count, _from_words(words), count)
+        width = max(f.width for f in frames)
+        raw = b"".join([f.fields(width) for f in frames])
+        count = len(raw) // (8 * width)
+        return cls(frames[0].oid, width, count, int.from_bytes(raw, "little"), count)
 
-    def ones(self) -> int:
-        """One set bit at the start of every slot."""
-        if self._ones is None:
-            self._ones = tile(1, WORD_BITS * self.width, self._slots)
-        return self._ones
+    def present(self) -> int:
+        """The live mask: one set bit at the start of every slot that holds a strand."""
+        if self._live is None:
+            self._live = tile(1, WORD_BITS * self.width, self._slots)
+        return self._live
+
+    def fields(self, width: int = 0) -> bytes:
+        """The strands' fields, dead slots left out, as little-endian bytes of max(width, self.width) words each.
+
+        Every byte of a live field is non-zero, so once the dead fields are
+        cleared, deleting the zero bytes drops exactly the dead slots.
+        """
+        bits, size = self._bits, 8 * self.width * self._slots
+        if self.count < self._slots:
+            live = self._live
+            bits &= (live << (WORD_BITS * self.width)) - live
+            raw = bits.to_bytes(size, "little").translate(None, b"\0")
+        else:
+            raw = bits.to_bytes(size, "little")
+        return _widen(raw, self.width, width) if width > self.width else raw
 
     def words(self, width: int = 0):
-        """The strands' words, empty slots left out, in fields of max(width, self.width) words.
-
-        Every word of a strand is non-zero and every word of an empty slot
-        zero, so dropping the zero words drops exactly the empty slots.
-        """
-        words = _to_words(self._bits, self._slots * self.width)
-        if self.count < self._slots:
-            words = array("Q", filter(None, words))
-        return _widen(words, self.width, width) if width > self.width else words
+        """The strands' 64-bit words, dead slots left out, in fields of max(width, self.width) words."""
+        return _as_words(self.fields(width))
 
     def values(self, width: int = 0):
         """One int per strand, its field in max(width, self.width) words, presence bits included."""
@@ -178,44 +195,36 @@ class Frame:
             values = list(map(or_, values, map(lshift, words[w::width], repeat(WORD_BITS * w))))
         return values
 
-    def present(self) -> int:
-        """The slot starts of the strands: every slot start but the empty slots'."""
-        ones = self.ones()
-        return ones if self.count == self._slots else self._bits & ones
-
     def heads(self, bits: int):
-        """The first word of each strand's slot in `bits`, an int laid out like the frame.
-
-        Empty slots are left out by their presence bits.
-        """
+        """The first word of each live slot in `bits`, an int laid out like the frame."""
         size = self._slots * self.width
         heads = _to_words(bits, size)[::self.width]
         if self.count < self._slots:
-            heads = compress(heads, _to_words(self._bits, size)[::self.width])
+            heads = compress(heads, _to_words(self._live, size)[::self.width])
         return heads
-
-    def _like(self, bits: int, count: int) -> "Frame":
-        return Frame(self.oid, self.width, count, bits, self._slots, self._ones)
 
     def column(self, index: int | None) -> int:
         """The slot starts of the strands that hold token `index`; None, a token never seen, is in none."""
         if index is None or index >= WORD_TOKENS * self.width:
             return 0
-        return (self._bits >> place(index)) & self.ones()
+        return (self._bits >> place(index)) & self.present()
 
     def split(self, starts: int) -> tuple["Frame", "Frame"]:
-        """(hit, rest): the strands whose slot starts are set in `starts` and the others, in their slots."""
-        bits, hits = self._bits, starts.bit_count()
-        hit = bits & ((starts << (WORD_BITS * self.width)) - starts) if hits else 0
-        return self._like(hit, hits), self._like(bits ^ hit, self.count - hits)
+        """(hit, rest): the strands whose slot starts are set in `starts` and the others.
+
+        `starts` is a subset of the live mask, such as a column.  Both
+        outputs share this frame's int and slots; only their live masks differ.
+        """
+        hits = starts.bit_count()
+        hit = Frame(self.oid, self.width, hits, self._bits, self._slots, starts)
+        return hit, Frame(self.oid, self.width, self.count - hits, self._bits, self._slots, self.present() ^ starts)
 
     def grown(self, oid: int, index: int) -> "Frame":
         """Every strand with token `index` added, as a frame of order id `oid`."""
         width = max(self.width, index // WORD_TOKENS + 1)
         if width > self.width:
-            frame = Frame(oid, width, self.count, _from_words(self.words(width)), self.count)
+            frame = Frame(oid, width, self.count, int.from_bytes(self.fields(width), "little"), self.count)
         else:
-            frame = Frame(oid, width, self.count, self._bits, self._slots, self.ones())  # copies share self's pattern
+            frame = Frame(oid, width, self.count, self._bits, self._slots, self.present())  # dead slots stay dead
         frame._bits |= frame.present() << place(index)
         return frame
-

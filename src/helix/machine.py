@@ -21,11 +21,15 @@ Strand storage: a tube is a product mask or a tuple of frames.
 Frames (see frames.py) each hold the strands of one vertex order, so the
 order id, an index into the machine's table of vertex sequences, is kept once
 per frame.  A strand is a field with one bit per (vertex, color) token: token
-i, the i-th the machine has seen, at bit frames.place(i).  Both kinds of
-machine keep the same frames.  Extract splits each frame by a column, append
-grows each frame, copy shares the tuple and merge concatenates the tuples.
-Adjacent frames of one order are joined when the tube is next read, so a
-merged tube discarded unread, like the solver's bad tubes, is never joined.
+i, the i-th the machine has seen, at bit frames.place(i), seven tokens above
+the presence bit of each byte.  Both kinds of machine keep the same frames.
+Extract splits each frame by a column, append grows each frame, copy shares
+the tuple and merge concatenates the tuples.  A split writes no field: its
+two frames share the source's int and differ only in their live-slot masks,
+and a frame's dead fields are dropped when its fields are next read (a join,
+a widening append, or values), by one AND and one bytes.translate.  Adjacent
+frames of one order are joined when the tube is next read, so a merged tube
+discarded unread, like the solver's bad tubes, is never joined or compacted.
 new_tube makes one frame per stretch of strands of one order.
 
 Tube.contents unpacks to token tuples in append order through one
@@ -490,10 +494,11 @@ class TubeMachine:
         sequence occurs in the rendered strand: the column comes from
         _sequence_column, and no strand is rendered.  Either way a product
         tube ANDs its mask with the column and gives two product tubes, and
-        each frame splits by its column into two (an empty one is dropped).
-        Both outputs keep the source's strand order.  Every column is found
-        before anything is poured, so a refused extract leaves the tube as it
-        was.
+        each frame splits by its column into two frames that share its field
+        int and differ only in which slots are live, so no field is written
+        (an empty frame is dropped).  Both outputs keep the source's strand
+        order.  Every column is found before anything is poured, so a refused
+        extract leaves the tube as it was.
         """
         self._require_live(tube)
         product, mask = tube._product, tube._mask

@@ -263,7 +263,7 @@ def trace_document(
         "op_totals": trace.op_totals.as_dict(),
         "peak_tube_size": trace.peak_tube_size,
         "colorable": solutions.colorable,
-        "solutions": list(map(list, solutions.ordered)),
+        "solutions": list(solutions.ordered),  # tuples: json writes them as arrays
     }
     if trace.construction is not None:
         doc["construction"] = trace.construction
@@ -277,9 +277,9 @@ def _count(value, field: str) -> int:
     return value
 
 
-def _counts(value, field: str) -> list[int]:
-    """A list of counts read from a trace document."""
-    if not isinstance(value, list):
+def _counts(value, field: str, kinds=list) -> list[int]:
+    """A list of counts read from a trace document; `kinds` are the sequence types it may be."""
+    if not isinstance(value, kinds):
         raise SolverError(f"trace field {field} must be a list of integers, got {value!r}")
     return [_count(x, field) for x in value]
 
@@ -288,6 +288,8 @@ def read_trace_document(doc: dict) -> tuple[dict, SolutionSet, Trace]:
     """Parse and check a trace document; inverse of trace_document.
 
     Returns (meta, solutions, trace) where meta carries graph/k/order/mode.
+    A solution row may be a tuple, as trace_document leaves it, or a list,
+    as JSON reads it back.
     """
     if not isinstance(doc, dict):
         raise SolverError("trace document must be a JSON object")
@@ -339,7 +341,7 @@ def read_trace_document(doc: dict) -> tuple[dict, SolutionSet, Trace]:
     if not isinstance(doc["solutions"], list):
         raise SolverError(f"trace field solutions must be a list, got {doc['solutions']!r}")
     solutions = SolutionSet(
-        frozenset(tuple(_counts(c, "solutions")) for c in doc["solutions"]), doc["colorable"]
+        frozenset(tuple(_counts(c, "solutions", (list, tuple))) for c in doc["solutions"]), doc["colorable"]
     )
     construction = doc.get("construction")
     if "construction" in doc and not isinstance(construction, str):

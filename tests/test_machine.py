@@ -2,6 +2,7 @@ import copy
 import itertools
 import random
 import unittest.mock
+from array import array
 from collections import Counter
 
 import pytest
@@ -679,13 +680,14 @@ def test_sparse_product_decode_matches_the_walk(rows, density, data):
 # --- frames ----------------------------------------------------------------
 
 
-def test_single_order_tubes_are_frames_that_widen_past_63_tokens():
+def test_single_order_tubes_are_frames_that_widen_past_56_tokens():
     m = TubeMachine()
-    m.new_tube("pad", [((100 + i, 0),) for i in range(62)])  # tokens 0..61, one vertex order each
-    t = m.new_tube("t", [((1, 0),), ((1, 1),), ((1, 0),)])  # tokens 62 and 63
+    m.new_tube("pad", [((100 + i, 0),) for i in range(55)])  # tokens 0..54, one vertex order each
+    assert [r.width for r in m.new_tube("u", [((1, 0),)]).runs] == [1]  # token 55, the last of word 0
+    t = m.new_tube("t", [((1, 0),), ((1, 1),), ((1, 0),)])  # token 56 starts word 1
     assert [(type(r), r.width) for r in t.runs] == [(helix.frames.Frame, 2)]
-    m.new_tube("pad", [((200 + i, 0),) for i in range(130)])  # tokens 64..193
-    m.append(t, cw(2, 3))  # token 194, in the fourth word
+    m.new_tube("pad", [((200 + i, 0),) for i in range(130)])  # tokens 57..186
+    m.append(t, cw(2, 3))  # token 187, in the fourth word
     assert [r.width for r in t.runs] == [4]
     plus, minus = m.extract(t, cw(1, 0))  # both keep an empty slot
     assert [(r.count, r._slots) for r in plus.runs + minus.runs] == [(2, 3), (1, 3)]
@@ -705,8 +707,8 @@ def test_single_order_tubes_are_frames_that_widen_past_63_tokens():
     # in frames of different widths are different ints.
     m = TubeMachine()
     narrow = m.new_tube("narrow", [((1, 0),)])  # token 0: fields of one word
-    m.discard(m.new_tube("pad", [((100 + i, 0),) for i in range(63)]))  # tokens 1..63
-    wide = m.new_tube("wide", [((1, 1),), ((1, 0),)])  # token 64: fields of two words
+    m.discard(m.new_tube("pad", [((100 + i, 0),) for i in range(55)]))  # tokens 1..55
+    wide = m.new_tube("wide", [((1, 1),), ((1, 0),)])  # token 56: fields of two words
     a, b = m.copy(narrow, 2)
     m.merge(a, [wide])
     assert [(m._orders[r.oid], r.width) for r in a._runs] == [((1,), 1), ((1,), 2)]
@@ -715,6 +717,106 @@ def test_single_order_tubes_are_frames_that_widen_past_63_tokens():
     m.merge(b, [m.new_tube("between", [((2, 0),)]), wide])  # one order's runs, apart
     assert [r.width for r in b.runs] == [1, 2, 2]
     assert (len(b), b.distinct()) == (4, 3)
+
+
+# Token indices at the byte edges (6/7), the word edges (55/56, 111/112) and
+# the last token of a four-word field (223).
+EDGE_TOKENS = (0, 6, 7, 13, 14, 48, 55, 56, 62, 63, 111, 112, 167, 168, 223)
+edge_token_st = st.sampled_from(EDGE_TOKENS) | st.integers(0, 223)
+
+
+def compacted_words(frame):
+    """The reference compaction: the frame's fields, dead slots zeroed one by one, zero words dropped.
+
+    Every word of a live field carries presence bits, so filtering out the
+    zero words leaves exactly the live fields.
+    """
+    size, live, words = helix.frames.WORD_BITS * frame.width, frame.present(), []
+    for j in range(frame._slots):
+        field = (frame._bits >> (j * size)) % (1 << size) if live >> (j * size) & 1 else 0
+        words += [field >> (64 * w) & (2**64 - 1) for w in range(frame.width)]
+    return array("Q", filter(None, words))
+
+
+def model_field(strand, width):
+    """A strand's field in `width` words, from its token indices."""
+    return sum(1 << helix.frames.place(i) for i in strand) | helix.frames.tile(helix.frames.PRESENT, 64, width)
+
+
+def live_in(slots, mask, width):
+    """The strands of `slots` whose slot starts (fields of `width` words) are set in mask; None for the rest."""
+    return [s if s is not None and mask >> (64 * width * j) & 1 else None for j, s in enumerate(slots)]
+
+
+def check_frame_against_slots(frame, slots):
+    """frame holds the strands `slots` (token index sets, None for a dead slot), slot by slot."""
+    live = [s for s in slots if s is not None]
+    size = helix.frames.WORD_BITS * frame.width
+    assert (frame._slots, frame.count) == (len(slots), len(live))
+    assert frame.present() == sum(1 << (j * size) for j, s in enumerate(slots) if s is not None)
+    for extra in (0, 1):
+        width = frame.width + extra
+        fields = [model_field(s, width) for s in live]
+        assert list(frame.words(width)) == [f >> (64 * w) & (2**64 - 1) for f in fields for w in range(width)]
+        assert list(frame.values(width)) == fields
+    assert list(frame.words()) == list(compacted_words(frame))
+    for i in EDGE_TOKENS:
+        assert frame.column(i) == sum(1 << (j * size) for j, s in enumerate(slots) if s is not None and i in s)
+    tags = sum((j + 1) << (j * size) for j in range(len(slots)))  # slot j's first word holds j + 1
+    assert list(frame.heads(tags)) == [j + 1 for j, s in enumerate(slots) if s is not None]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_frames_hold_their_live_strands_slot_by_slot(data):
+    """A random script of splits, appends and joins on frames of 1-4 words against per-slot strands.
+
+    A split keeps the source's slots, and the dead slots of both outputs keep
+    their fields in the shared int, so after every step the compacted words
+    and values, every column and the heads must leave the dead slots out.
+    """
+    strands_st = st.lists(st.frozensets(edge_token_st, max_size=4), min_size=1, max_size=6)
+
+    def made(strands):
+        return helix.frames.Frame.of_fields(0, [model_field(s, 1) for s in strands]), list(strands)
+
+    frame, slots = made(data.draw(strands_st))
+    check_frame_against_slots(frame, slots)
+    for _ in range(data.draw(st.integers(1, 8))):
+        op = data.draw(st.sampled_from(["split", "split by two", "grow", "join"]))
+        if op.startswith("split"):
+            starts = frame.column(data.draw(edge_token_st))
+            if op == "split by two":  # two columns ANDed, as a nucleotide chain gives
+                starts &= frame.column(data.draw(edge_token_st))
+            hit, rest = frame.split(starts)
+            assert hit._bits is frame._bits and rest._bits is frame._bits
+            hit_slots = live_in(slots, starts, frame.width)
+            rest_slots = live_in(slots, frame.present() ^ starts, frame.width)
+            check_frame_against_slots(hit, hit_slots)
+            keep_hit = data.draw(st.booleans()) if hit.count and rest.count else bool(hit.count)
+            frame, slots = (hit, hit_slots) if keep_hit else (rest, rest_slots)
+        elif op == "grow":  # a token past the width widens, which compacts
+            i = data.draw(edge_token_st)
+            widens = i // helix.frames.WORD_TOKENS >= frame.width
+            frame = frame.grown(0, i)
+            slots = [None if s is None else s | {i} for s in slots if s is not None or not widens]
+        else:
+            other, more = made(data.draw(strands_st))
+            if data.draw(st.booleans()):  # the other frame with dead slots too
+                other, _ = other.split(other.column(data.draw(edge_token_st)) or other.present())
+                more = live_in(more, other.present(), other.width)
+            frame = helix.frames.Frame.joined([frame, other])
+            slots = [s for s in slots + more if s is not None]
+        check_frame_against_slots(frame, slots)
+
+
+def test_extract_outputs_share_the_source_field_int():
+    m = TubeMachine()
+    t = m.new_tube("t", [((1, 0),), ((1, 1),), ((1, 0),)])
+    (source,) = t.runs
+    plus, minus = m.extract(t, cw(1, 0))
+    assert all(r._bits is source._bits for r in plus._runs + minus._runs)
+    assert [(r.count, r._slots) for r in plus._runs + minus._runs] == [(2, 3), (1, 3)]
 
 
 def test_colors_of_a_vertex_missing_from_one_run_raise_key_error():
