@@ -221,16 +221,15 @@ def cmd_solve(args) -> int:
         mode: solver.trace_document(g, k, order, mode, solutions, trace)
         for mode, (solutions, trace) in runs.items()
     }
-    payload = docs[args.mode] if args.mode != "both" else docs
+    text = json.dumps(docs[args.mode] if args.mode != "both" else docs, indent=2)
     if args.trace:
         try:
             with open(args.trace, "w", encoding="utf-8") as f:
-                json.dump(payload, f, indent=2)
-                f.write("\n")
+                f.write(text + "\n")
         except OSError as exc:
             raise InputError(f"cannot write trace {args.trace!r}: {exc}") from None
     if args.json:
-        print(json.dumps(payload, indent=2))
+        print(text)  # the newline stays buffered, so main's flush sees a reader that closed early
     else:
         print(f"graph {args.graph} (n={g.n}, m={g.m}), colors={k}, match={args.match}")
         for mode, (solutions, trace) in runs.items():

@@ -1,10 +1,10 @@
 """Frames: the strands of one vertex order, stored as fields of one big int.
 
 Every strand a TubeMachine holds outside a product mask lives in a frame, and
-a tube is a tuple of frames, so the vertex order (an order id into the
-machine's table) is kept once per frame.  A strand's field is the sticker
-model's memory strand (Roweis et al., J. Comput. Biol. 5(4), 1998) in a row
-of 64-bit words: bit 0 of every byte is a presence bit, and token i sits in
+a tube is a tuple of frames, so the vertex order (the tuple of the strands'
+vertices) is kept once per frame.  A strand's field is the sticker model's
+memory strand (Roweis et al., J. Comput. Biol. 5(4), 1998) in a row of 64-bit
+words: bit 0 of every byte is a presence bit, and token i sits in
 word i // 56, byte (i % 56) // 7 of it, bit 1 + i % 7 of that byte
 (place(i)), 7 tokens to a byte and 56 to a word.
 
@@ -129,27 +129,27 @@ def bit_fields(values, fields) -> list:
 class Frame:
     """Strands of one vertex order as the fields of one big int.
 
-    `oid` is the machine's order id, which the frame only carries.  Slot j
-    is bits [j * 64 * width, (j + 1) * 64 * width) of `_bits`, `_slots`
+    `order` is the strands' vertex order, a tuple the frame only carries.
+    Slot j is bits [j * 64 * width, (j + 1) * 64 * width) of `_bits`, `_slots`
     counts the slots, dead ones included, `count` the strands, and `_live`
     (present(), built on first use when every slot is live) has one bit at
     the start of each live slot.  A frame is never changed once built, so
     copies, and both outputs of a split, share its int.
     """
 
-    __slots__ = ("oid", "width", "count", "_bits", "_slots", "_live")
+    __slots__ = ("order", "width", "count", "_bits", "_slots", "_live")
 
-    def __init__(self, oid: int, width: int, count: int, bits: int, slots: int, live: int | None = None):
-        self.oid, self.width, self.count = oid, width, count
+    def __init__(self, order: tuple[int, ...], width: int, count: int, bits: int, slots: int, live: int | None = None):
+        self.order, self.width, self.count = order, width, count
         self._bits, self._slots, self._live = bits, slots, live
 
     @classmethod
-    def of_fields(cls, oid: int, fields: list[int]) -> "Frame":
+    def of_fields(cls, order: tuple[int, ...], fields: list[int]) -> "Frame":
         """Fields, with or without their presence bits, as a frame with no dead slot."""
         width = max(1, -(-max(f.bit_length() for f in fields) // WORD_BITS))
         pad, size = tile(PRESENT, WORD_BITS, width), 8 * width
         raw = b"".join([(f | pad).to_bytes(size, "little") for f in fields])
-        return cls(oid, width, len(fields), int.from_bytes(raw, "little"), len(fields))
+        return cls(order, width, len(fields), int.from_bytes(raw, "little"), len(fields))
 
     @classmethod
     def joined(cls, frames: list["Frame"]) -> "Frame":
@@ -157,7 +157,7 @@ class Frame:
         width = max(f.width for f in frames)
         raw = b"".join([f.fields(width) for f in frames])
         count = len(raw) // (8 * width)
-        return cls(frames[0].oid, width, count, int.from_bytes(raw, "little"), count)
+        return cls(frames[0].order, width, count, int.from_bytes(raw, "little"), count)
 
     def present(self) -> int:
         """The live mask: one set bit at the start of every slot that holds a strand."""
@@ -216,15 +216,15 @@ class Frame:
         outputs share this frame's int and slots; only their live masks differ.
         """
         hits = starts.bit_count()
-        hit = Frame(self.oid, self.width, hits, self._bits, self._slots, starts)
-        return hit, Frame(self.oid, self.width, self.count - hits, self._bits, self._slots, self.present() ^ starts)
+        hit = Frame(self.order, self.width, hits, self._bits, self._slots, starts)
+        return hit, Frame(self.order, self.width, self.count - hits, self._bits, self._slots, self.present() ^ starts)
 
-    def grown(self, oid: int, index: int) -> "Frame":
-        """Every strand with token `index` added, as a frame of order id `oid`."""
+    def grown(self, order: tuple[int, ...], index: int) -> "Frame":
+        """Every strand with token `index` added, as a frame of vertex order `order`."""
         width = max(self.width, index // WORD_TOKENS + 1)
         if width > self.width:
-            frame = Frame(oid, width, self.count, int.from_bytes(self.fields(width), "little"), self.count)
+            frame = Frame(order, width, self.count, int.from_bytes(self.fields(width), "little"), self.count)
         else:
-            frame = Frame(oid, width, self.count, self._bits, self._slots, self.present())  # dead slots stay dead
+            frame = Frame(order, width, self.count, self._bits, self._slots, self.present())  # dead slots stay dead
         frame._bits |= frame.present() << place(index)
         return frame

@@ -19,10 +19,12 @@ the high-water mark is the run's peak tube size.
 Strand storage: a tube is a product mask or a tuple of frames.
 
 Frames (see frames.py) each hold the strands of one vertex order, so the
-order id, an index into the machine's table of vertex sequences, is kept once
-per frame.  A strand is a field with one bit per (vertex, color) token: token
-i, the i-th the machine has seen, at bit frames.place(i), seven tokens above
-the presence bit of each byte.  Both kinds of machine keep the same frames.
+order, the tuple of the strands' vertices, is kept once per frame.  The
+machine keeps no table of orders: an order lives as long as a frame or a
+product that carries it, so a run holds only its live orders.  A strand is a
+field with one bit per (vertex, color) token: token i, the i-th the machine
+has seen, at bit frames.place(i), seven tokens above the presence bit of each
+byte.  Both kinds of machine keep the same frames.
 Extract splits each frame by a column, append grows each frame, copy shares
 the tuple and merge concatenates the tuples.  A split writes no field: its
 two frames share the source's int and differ only in their live-slot masks,
@@ -86,7 +88,7 @@ from .codec import Codebook, Codeword, SoundnessError, Strand, Token, render
 from .frames import WORD_BITS, Frame, bit_fields, place, tile
 
 _DIGIT = bytes.maketrans(b"01", b"\x00\x01")  # a mask's binary digits as 0/1 bytes
-_OID, _COUNT = attrgetter("oid"), attrgetter("count")
+_ORDER, _COUNT = attrgetter("order"), attrgetter("count")
 
 
 class _Product:
@@ -94,17 +96,17 @@ class _Product:
 
     `rows` are the rows' token indices; `bits` holds their bits, so strand
     i's field is the sum of its row entries, and every strand has vertex
-    order `oid`.  column(index) is the mask of the strands that hold that
+    order `order`.  column(index) is the mask of the strands that hold that
     token.  Entry j of row r spans
     runs of `run` strands, so its column is the column of the row's first
     entry shifted up j * run bits; only that first column is built (on first
     use) and cached, one mask per row rather than one per token.
     """
 
-    __slots__ = ("oid", "bits", "size", "_where", "_firsts")
+    __slots__ = ("order", "bits", "size", "_where", "_firsts")
 
-    def __init__(self, oid: int, rows: list[list[int]]):
-        self.oid, self.bits = oid, [[1 << place(i) for i in row] for row in rows]
+    def __init__(self, order: tuple[int, ...], rows: list[list[int]]):
+        self.order, self.bits = order, [[1 << place(i) for i in row] for row in rows]
         self.size = prod(map(len, rows))
         self._where: dict[int, tuple[int, list[int]]] = {}  # index -> (row, positions in the row)
         for r, row in enumerate(rows):
@@ -205,24 +207,24 @@ class Tube:
         """The frames, a product tube's mask turned into one frame and adjacent frames of one order joined."""
         if self._product is not None:
             fields = self._product.members(self._mask)
-            self._runs = (Frame.of_fields(self._product.oid, fields),) if fields else ()
+            self._runs = (Frame.of_fields(self._product.order, fields),) if fields else ()
             self._product, self._mask = None, 0
         runs = self._runs
-        if len(runs) > 1 and any(a.oid == b.oid for a, b in zip(runs, runs[1:])):
-            groups = [list(group) for _, group in groupby(runs, _OID)]
+        if len(runs) > 1 and any(a.order == b.order for a, b in zip(runs, runs[1:])):
+            groups = [list(group) for _, group in groupby(runs, _ORDER)]
             self._runs = runs = tuple(g[0] if len(g) == 1 else Frame.joined(g) for g in groups)
         return runs
 
     @property
     def contents(self) -> list[Strand]:
-        return [s for run in self.runs for s in self._machine._unpack(run.oid, run.values())]
+        return [s for run in self.runs for s in self._machine._unpack(run.order, run.values())]
 
     def order_samples(self) -> list[Strand]:
         """One strand of each vertex order in the tube, as a token tuple."""
         firsts = {}
         for run in self.runs:
-            firsts.setdefault(run.oid, run.values()[:1])
-        return [self._machine._unpack(oid, first)[0] for oid, first in firsts.items()]
+            firsts.setdefault(run.order, run.values()[:1])
+        return [self._machine._unpack(order, first)[0] for order, first in firsts.items()]
 
     def colors(self, vertices) -> list[tuple[int, ...]]:
         """Each strand's color at each of `vertices`, in lexicographic order, read by token columns.
@@ -241,10 +243,9 @@ class Tube:
         """
         machine, vertices, runs = self._machine, list(vertices), self.runs
         for run in runs:
-            order = machine._orders[run.oid]
-            missing = set(vertices).difference(order)
+            missing = set(vertices).difference(run.order)
             if missing:
-                raise KeyError(f"strands of vertex order {order} lack vertex {min(missing)}")
+                raise KeyError(f"strands of vertex order {run.order} lack vertex {min(missing)}")
         if not vertices:
             return [()] * len(self)
         colored = [[(i, c) for i, (_, c) in machine._token_at.get(v, {}).items() if c] for v in vertices]
@@ -272,10 +273,10 @@ class Tube:
         """
         runs, widest = self.runs, {}
         for run in runs:
-            widest[run.oid] = max(widest.get(run.oid, 0), run.width)
-        seen = {oid: set() for oid in widest}
+            widest[run.order] = max(widest.get(run.order, 0), run.width)
+        seen = {order: set() for order in widest}
         for run in runs:
-            seen[run.oid].update(run.values(widest[run.oid]))
+            seen[run.order].update(run.values(widest[run.order]))
         return sum(map(len, seen.values()))
 
     def __len__(self) -> int:
@@ -313,8 +314,6 @@ class TubeMachine:
         self._index: dict[Token, int] = {}  # token -> i, its bit frames.place(i) in a field
         self._token_at: dict[int, dict[int, Token]] = {}  # vertex -> {i: token}
         self._uncoded: list[tuple[int, Token]] = []  # (i, token) of each token the codebook lacks
-        self._orders: list[tuple[int, ...]] = []
-        self._order_id: dict[tuple[int, ...], int] = {}
 
     def _credit(self, delta: int) -> None:
         self._live_strands += delta
@@ -343,14 +342,12 @@ class TubeMachine:
     def _bit_of(self, token: Token) -> int:
         return 1 << place(self._index_of(token))
 
-    def _oid_of(self, order: tuple[int, ...]) -> int:
-        oid = self._order_id.get(order)
-        if oid is None:
-            if len(set(order)) != len(order):
-                raise MachineFault(f"strand names a vertex twice: vertex order {order}")
-            oid = self._order_id[order] = len(self._orders)
-            self._orders.append(order)
-        return oid
+    @staticmethod
+    def _checked(order: tuple[int, ...]) -> tuple[int, ...]:
+        """The vertex order of strands from outside the machine, refused if it names a vertex twice."""
+        if len(set(order)) != len(order):
+            raise MachineFault(f"strand names a vertex twice: vertex order {order}")
+        return order
 
     def _product_of(self, rows) -> _Product:
         """itertools.product(*rows) as a _Product, with no strand ever built.
@@ -364,22 +361,21 @@ class TubeMachine:
             if len(vertices) > 1:
                 raise MachineFault(f"token row names more than one vertex: {sorted(vertices)}")
             order.extend(vertices)
-        oid = self._oid_of(tuple(order))
-        return _Product(oid, [list(map(self._index_of, row)) for row in rows])
+        return _Product(self._checked(tuple(order)), [list(map(self._index_of, row)) for row in rows])
 
-    def _unpack(self, oid: int, fields) -> list[Strand]:
-        """Fields of order id `oid` to token tuples, the per-strand reference for colors.
+    def _unpack(self, order: tuple[int, ...], fields) -> list[Strand]:
+        """Fields of vertex order `order` to token tuples, the per-strand reference for colors.
 
         A field s holds `tokens[s & mask]` in its vertex's (mask, tokens) row.
         """
         rows = []
-        for v in self._orders[oid]:
+        for v in order:
             tokens = {1 << place(i): t for i, t in self._token_at[v].items()}
             rows.append((sum(tokens), tokens))
         return [tuple([tok[s & m] for m, tok in rows]) for s in fields]
 
-    def _sequence_column(self, oid: int, column, present, seq: str) -> int:
-        """The column of the strands of order `oid` whose bases hold seq; see the module docstring.
+    def _sequence_column(self, order: tuple[int, ...], column, present, seq: str) -> int:
+        """The column of the strands of vertex order `order` whose bases hold seq; see the module docstring.
 
         `column(i)` gives the strands that hold token i, in a frame or a product
         tube, and `present()` all of its strands: the empty sequence occurs in
@@ -390,7 +386,7 @@ class TubeMachine:
                 render((token,), self.codebook)  # raises
         if not seq:
             return present()
-        order, hit = self._orders[oid], 0
+        hit = 0
         for chain in self.codebook.chains(seq):
             vertices = tuple(v for v, _ in chain)
             p = order.index(vertices[0]) if vertices[0] in order else len(order)  # past the end: no match
@@ -411,8 +407,7 @@ class TubeMachine:
         if rows is None:
             runs = []
             for order, strands in groupby(contents, lambda s: tuple(v for v, _ in s)):
-                oid = self._oid_of(order)
-                runs.append(Frame.of_fields(oid, [sum(map(self._bit_of, s)) for s in strands]))
+                runs.append(Frame.of_fields(self._checked(order), [sum(map(self._bit_of, s)) for s in strands]))
             tube = Tube(label, self, tuple(runs))
         elif contents:
             raise ValueError("new_tube takes contents or rows, not both")
@@ -429,10 +424,9 @@ class TubeMachine:
         index = self._index_of(token)
         grown = []
         for run in tube.runs:
-            order = self._orders[run.oid]
-            if v in order:
+            if v in run.order:
                 raise MachineFault(f"append: strand already assigns vertex {v}")
-            grown.append(run.grown(self._oid_of(order + (v,)), index))
+            grown.append(run.grown(run.order + (v,), index))
         tube._runs = tuple(grown)
         self.counter.append += 1
         return tube
@@ -503,9 +497,9 @@ class TubeMachine:
         self._require_live(tube)
         product, mask = tube._product, tube._mask
         if product is not None:
-            holders = [(product.oid, lambda i: mask & product.column(i), lambda: mask)]
+            holders = [(product.order, lambda i: mask & product.column(i), lambda: mask)]
         else:
-            holders = [(run.oid, run.column, run.present) for run in tube.runs]
+            holders = [(run.order, run.column, run.present) for run in tube.runs]
         if self.codebook is None:
             index = self._index.get((cw.vertex, cw.color))  # a token never seen is in no strand
             columns = [column(index) for _, column, _ in holders]

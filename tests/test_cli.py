@@ -62,6 +62,16 @@ def test_solve_mode_both_writes_both_documents(tmp_path, capsys):
     assert doc["incremental"]["solutions"] == doc["monolithic"]["solutions"]
 
 
+@pytest.mark.parametrize("mode", ["incremental", "both"])
+def test_solve_trace_file_holds_the_bytes_json_prints(mode, tmp_path, capsys):
+    path = tmp_path / "trace.json"
+    argv = ("solve", "--graph", "builtin:c5", "--colors", "3", "--mode", mode)
+    assert run_cli(*argv, "--trace", str(path), "--json") == 0
+    out = capsys.readouterr().out
+    assert path.read_bytes() == out.encode()
+    assert json.loads(out)["incremental" if mode == "both" else "solutions"]
+
+
 def test_solve_text_lists_the_first_solutions_in_json_order(capsys):
     argv = ("solve", "--graph", "builtin:petersen", "--colors", "3")
     assert run_cli(*argv, "--json") == 0

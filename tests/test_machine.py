@@ -699,7 +699,7 @@ def test_single_order_tubes_are_frames_that_widen_past_56_tokens():
     m.append(minus, cw(3, 0))  # an empty tube stays empty
     assert minus.runs == ()
     mixed = m.new_tube("mixed", [((1, 0),), ((1, 1),), ((2, 0),), ((1, 0),)])
-    assert [(m._orders[r.oid], r.count) for r in mixed.runs] == [((1,), 2), ((2,), 1), ((1,), 1)]
+    assert [(r.order, r.count) for r in mixed.runs] == [((1,), 2), ((2,), 1), ((1,), 1)]
     m.merge(plus, [m.new_tube("other", [((5, 0),)])])  # another order: both stay frames
     assert [(type(r), r.count) for r in plus.runs] == [(helix.frames.Frame, 3), (helix.frames.Frame, 1)]
     assert plus.contents == [((1, 0), (2, 3))] * 2 + [((1, 1), (2, 3)), ((5, 0),)]
@@ -711,7 +711,7 @@ def test_single_order_tubes_are_frames_that_widen_past_56_tokens():
     wide = m.new_tube("wide", [((1, 1),), ((1, 0),)])  # token 56: fields of two words
     a, b = m.copy(narrow, 2)
     m.merge(a, [wide])
-    assert [(m._orders[r.oid], r.width) for r in a._runs] == [((1,), 1), ((1,), 2)]
+    assert [(r.order, r.width) for r in a._runs] == [((1,), 1), ((1,), 2)]
     assert (len(a), a.distinct()) == (3, 2)
     wide = m.new_tube("wide", [((1, 1),), ((1, 0),)])
     m.merge(b, [m.new_tube("between", [((2, 0),)]), wide])  # one order's runs, apart

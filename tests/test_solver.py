@@ -362,6 +362,26 @@ def test_incremental_survivor_tubes_are_not_stored_strand_by_strand():
     assert peak < bound, f"traced {peak} bytes, bound {bound}"
 
 
+def test_incremental_memory_grows_linearly_with_the_vertex_count():
+    """An edgeless graph at k=1 holds one strand: the traced peak follows n, not the n(n+1)/2 prefix orders.
+
+    Every step makes a new vertex order, the last one plus a vertex; only the
+    latest is live, so doubling n about doubles the peak.
+    """
+    peaks = []
+    for n in (1000, 2000):
+        g, cb = Graph.from_edges(n, []), generate_codebook(n, 1, 20, 1)
+        tracemalloc.start()
+        try:
+            sols, _ = solve_incremental(g, 1, cb)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sols.ordered == ((0,) * n,)
+        peaks.append(peak)
+    assert peaks[1] < 3 * peaks[0], f"traced peaks {peaks} bytes at n = 1000, 2000"
+
+
 def test_trace_document_round_trip():
     g = builtin_graph("c5")
     cb = generate_codebook(5, 3, 16, 5)
