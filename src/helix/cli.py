@@ -189,7 +189,7 @@ def _print_run(g: Graph, k: int, mode: str, solutions, trace) -> None:
     )
     ops = ", ".join(f"{name}={v}" for name, v in trace.op_totals.as_dict().items())
     print(f"ops: {ops}")
-    print(f"colorable: {str(solutions.colorable).lower()}; {len(solutions.colorings)} solutions")
+    print(f"colorable: {str(solutions.colorable).lower()}; {len(solutions.ordered)} solutions")
     _print_solutions(solutions)
 
 
@@ -217,17 +217,18 @@ def cmd_solve(args) -> int:
         runs["incremental"] = solver.solve_incremental(g, k, cb, args.match, order)
     if args.mode in ("monolithic", "both"):
         runs["monolithic"] = solver.solve_monolithic(g, k, cb, args.match, strand_budget())
-    docs = {
-        mode: solver.trace_document(g, k, order, mode, solutions, trace)
-        for mode, (solutions, trace) in runs.items()
-    }
-    text = json.dumps(docs[args.mode] if args.mode != "both" else docs, indent=2)
-    if args.trace:
-        try:
-            with open(args.trace, "w", encoding="utf-8") as f:
-                f.write(text + "\n")
-        except OSError as exc:
-            raise InputError(f"cannot write trace {args.trace!r}: {exc}") from None
+    if args.trace or args.json:  # the text listing needs no document
+        docs = {
+            mode: solver.trace_document(g, k, order, mode, solutions, trace)
+            for mode, (solutions, trace) in runs.items()
+        }
+        text = json.dumps(docs[args.mode] if args.mode != "both" else docs, indent=2)
+        if args.trace:
+            try:
+                with open(args.trace, "w", encoding="utf-8") as f:
+                    f.write(text + "\n")
+            except OSError as exc:
+                raise InputError(f"cannot write trace {args.trace!r}: {exc}") from None
     if args.json:
         print(text)  # the newline stays buffered, so main's flush sees a reader that closed early
     else:
@@ -237,49 +238,38 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def _minimal_counterexample(sets: dict[str, frozenset]) -> tuple | None:
-    """Lexicographically smallest coloring on which any two engines disagree."""
-    witnesses = set()
-    for a, b in itertools.combinations(sets, 2):
-        witnesses |= sets[a] ^ sets[b]
-    return min(witnesses) if witnesses else None
-
-
 def cmd_compare(args) -> int:
     g, k, cb, order = _read_run(args)
     # Monolithic first: its strand budget refuses an oversized run before any other work.
-    mono_solutions, mono_trace = solver.solve_monolithic(g, k, cb, args.match, strand_budget())
-    oracle_set = frozenset(oracle.enumerate_colorings(g, k))
-    inc_solutions, inc_trace = solver.solve_incremental(g, k, cb, args.match, order)
-    sets = {
-        "oracle": oracle_set,
-        "incremental": inc_solutions.colorings,
-        "monolithic": mono_solutions.colorings,
-    }
-    agree = len(set(sets.values())) == 1
+    mono, mono_trace = solver.solve_monolithic(g, k, cb, args.match, strand_budget())
+    oracle_rows = tuple(oracle.enumerate_colorings(g, k))
+    inc, inc_trace = solver.solve_incremental(g, k, cb, args.match, order)
+    # All three are strictly increasing rows, so equal rows are equal sets.
+    rows = {"oracle": oracle_rows, "incremental": inc.ordered, "monolithic": mono.ordered}
+    agree = oracle_rows == inc.ordered == mono.ordered
     full = k**g.n
     reduction = full / inc_trace.peak_tube_size
     report = {
         "graph": {"n": g.n, "m": g.m},
         "k": k,
         "agree": agree,
-        "counts": {name: len(s) for name, s in sets.items()},
+        "counts": {name: len(r) for name, r in rows.items()},
         "peak_tube_size": {
             "incremental": inc_trace.peak_tube_size,
             "monolithic": mono_trace.peak_tube_size,
         },
         "reduction_factor": reduction,
     }
-    counterexample = None
-    if not agree:
-        counterexample = _minimal_counterexample(sets)
+    if not agree:  # the smallest coloring that some of the three hold and some lack
+        sets = {name: frozenset(r) for name, r in rows.items()}
+        counterexample = min(frozenset.union(*sets.values()) - frozenset.intersection(*sets.values()))
         report["counterexample"] = list(counterexample)
     if args.json:
         print(json.dumps(report, indent=2))
     else:
         print(f"graph {args.graph} (n={g.n}, m={g.m}), colors={k}")
-        for name, s in sets.items():
-            print(f"{name}: {len(s)} solutions")
+        for name, r in rows.items():
+            print(f"{name}: {len(r)} solutions")
         print(
             f"peak tube size: incremental {inc_trace.peak_tube_size}, "
             f"monolithic {mono_trace.peak_tube_size} (= k^n {full})"

@@ -63,26 +63,20 @@ class Trace:
 
 @dataclass(frozen=True)
 class SolutionSet:
-    """The colorings a run found, as a set, and the same colorings in lexicographic order.
+    """The colorings a run found, as strictly increasing rows, and whether there are any.
 
-    Equality and hash are the set's and `colorable`'s.  `ordered` is kept so
-    that nothing sorts the colorings again: of_sorted takes them in order
-    from the final decode, and a set given without them is sorted once, here.
+    The rows are the final decode's, in lexicographic order and without
+    repeats, so two solution sets are equal, and hash alike, exactly when
+    their sets of colorings are.
     """
 
-    colorings: frozenset[tuple[int, ...]]
+    ordered: tuple[tuple[int, ...], ...]
     colorable: bool
-    ordered: tuple[tuple[int, ...], ...] | None = dataclasses.field(default=None, compare=False, repr=False)
 
-    def __post_init__(self):
-        if self.ordered is None:
-            object.__setattr__(self, "ordered", tuple(sorted(self.colorings)))
-
-    @classmethod
-    def of_sorted(cls, rows, colorable: bool) -> "SolutionSet":
-        """The set of rows, distinct colorings in lexicographic order, kept in that order."""
-        rows = tuple(rows)
-        return cls(frozenset(rows), colorable, rows)
+    @property
+    def colorings(self) -> frozenset[tuple[int, ...]]:
+        """The rows as a set, built on each call."""
+        return frozenset(self.ordered)
 
     def sorted_colorings(self) -> list[tuple[int, ...]]:
         return list(self.ordered)
@@ -181,7 +175,7 @@ def solve_incremental(
             StepRecord(v, t0_before, tuple(after_append), after_filter, discarded, len(t0))
         )
     colorable = machine.detect(t0)
-    solutions = SolutionSet.of_sorted(_decode_final(t0, g.n), colorable)
+    solutions = SolutionSet(tuple(_decode_final(t0, g.n)), colorable)
     trace = Trace(tuple(steps), machine.counter.snapshot(), machine.peak_tube_size)
     return solutions, trace
 
@@ -209,7 +203,7 @@ def solve_monolithic(
             tube = machine.merge(rest, [u_only])
             machine.discard(bad)
     colorable = machine.detect(tube)
-    solutions = SolutionSet.of_sorted(_decode_final(tube, g.n), colorable)
+    solutions = SolutionSet(tuple(_decode_final(tube, g.n)), colorable)
     trace = Trace(
         (), machine.counter.snapshot(), machine.peak_tube_size, construction="synthetic"
     )
@@ -272,9 +266,9 @@ def trace_document(
 
 
 def _count(value, field: str) -> int:
-    """A count read from a trace document: an int, and not a bool."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise SolverError(f"trace field {field} must be an integer, got {value!r}")
+    """A count read from a trace document: an int, not a bool, and not negative."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise SolverError(f"trace field {field} must be an integer >= 0, got {value!r}")
     return value
 
 
@@ -290,7 +284,8 @@ def read_trace_document(doc: dict) -> tuple[dict, SolutionSet, Trace]:
 
     Returns (meta, solutions, trace) where meta carries graph/k/order/mode.
     A solution row may be a tuple, as trace_document leaves it, or a list,
-    as JSON reads it back.
+    as JSON reads it back.  The rows must be what trace_document writes:
+    strictly increasing, each with one color in [0, k) per vertex.
     """
     if not isinstance(doc, dict):
         raise SolverError("trace document must be a JSON object")
@@ -328,6 +323,9 @@ def read_trace_document(doc: dict) -> tuple[dict, SolutionSet, Trace]:
     unknown = op_doc.keys() - OP_FIELDS
     if unknown:
         raise SolverError(f"trace op_totals names unknown operations: {sorted(map(str, unknown))}")
+    missing = OP_FIELDS - op_doc.keys()
+    if missing:
+        raise SolverError(f"trace op_totals misses operations: {sorted(missing)}")
     op_totals = OpCounter(**{op: _count(n, f"op_totals.{op}") for op, n in op_doc.items()})
     if not isinstance(doc["colorable"], bool):
         raise SolverError(f"trace field colorable must be true or false, got {doc['colorable']!r}")
@@ -341,9 +339,15 @@ def read_trace_document(doc: dict) -> tuple[dict, SolutionSet, Trace]:
     }
     if not isinstance(doc["solutions"], list):
         raise SolverError(f"trace field solutions must be a list, got {doc['solutions']!r}")
-    solutions = SolutionSet(
-        frozenset(tuple(_counts(c, "solutions", (list, tuple))) for c in doc["solutions"]), doc["colorable"]
-    )
+    n, k, rows = meta["graph"]["n"], meta["k"], []
+    for entry in doc["solutions"]:
+        row = tuple(_counts(entry, "solutions", (list, tuple)))
+        if len(row) != n or any(c >= k for c in row):
+            raise SolverError(f"trace solution {list(row)} is not a coloring of {n} vertices in {k} colors")
+        if rows and row <= rows[-1]:
+            raise SolverError(f"trace solutions must be strictly increasing, got {list(rows[-1])} then {list(row)}")
+        rows.append(row)
+    solutions = SolutionSet(tuple(rows), doc["colorable"])
     construction = doc.get("construction")
     if "construction" in doc and not isinstance(construction, str):
         raise SolverError(f"trace field construction must be a string, got {construction!r}")

@@ -72,6 +72,16 @@ def test_solve_trace_file_holds_the_bytes_json_prints(mode, tmp_path, capsys):
     assert json.loads(out)["incremental" if mode == "both" else "solutions"]
 
 
+def test_text_solve_builds_and_encodes_no_document(capsys, monkeypatch):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("the text listing built a trace document")
+
+    monkeypatch.setattr(helix.solver, "trace_document", must_not_run)
+    monkeypatch.setattr(cli.json, "dumps", must_not_run)
+    assert run_cli("solve", "--graph", "builtin:c5", "--colors", "3", "--mode", "both") == 0
+    assert "colorable: true; 30 solutions" in capsys.readouterr().out
+
+
 def test_solve_text_lists_the_first_solutions_in_json_order(capsys):
     argv = ("solve", "--graph", "builtin:petersen", "--colors", "3")
     assert run_cli(*argv, "--json") == 0
@@ -159,7 +169,7 @@ def test_solve_reports_a_reduction_past_the_float_range(tmp_path, capsys):
 def test_run_summary_names_k_to_the_n_past_the_int_string_limit(capsys):
     g = Graph.from_edges(9100, [])  # 3^9100 has 4342 decimal digits
     trace = Trace((), OpCounter(), 3)
-    cli._print_run(g, 3, "incremental", SolutionSet(frozenset(), True), trace)
+    cli._print_run(g, 3, "incremental", SolutionSet((), True), trace)
     assert "peak tube size 3 of k^n = 3^9100 (" in capsys.readouterr().out
 
 
@@ -233,7 +243,7 @@ def test_compare_disagreement_prints_counterexample(capsys, monkeypatch):
 
     def lossy(g, k, cb, match_mode="symbolic", order=None):
         sols, trace = real(g, k, cb, match_mode, order)
-        dropped = frozenset(sorted(sols.colorings)[1:])
+        dropped = sols.ordered[1:]
         return SolutionSet(dropped, bool(dropped)), trace
 
     monkeypatch.setattr(helix.solver, "solve_incremental", lossy)

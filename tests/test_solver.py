@@ -11,7 +11,6 @@ from helix import (
     BudgetError,
     DecodeError,
     Graph,
-    SolutionSet,
     SolverError,
     SoundnessError,
     StepRecord,
@@ -207,17 +206,17 @@ def test_decode_refuses_a_strand_missing_a_vertex():
     assert solver._decode_final(m.new_tube("w"), 4) == []
 
 
-def test_a_solution_set_from_the_decode_equals_one_from_a_frozenset():
+def test_a_solution_set_is_the_oracle_rows_and_equals_its_copy_read_back():
     g = builtin_graph("petersen")
     cb = corpus.suite_codebook(g.n, 3)
-    for engine in (solve_incremental, solve_monolithic):
-        decoded, _ = engine(g, 3, cb)
-        rows = decoded.sorted_colorings()
-        assert rows == sorted(decoded.colorings) and len(rows) == 120
-        for kept in (decoded, SolutionSet.of_sorted(rows, True)):
-            plain = SolutionSet(frozenset(rows), True)
-            assert kept == plain and hash(kept) == hash(plain)
-            assert kept.sorted_colorings() == plain.sorted_colorings() == rows
+    expected = enumerate_colorings(g, 3)
+    for engine, mode in ((solve_incremental, "incremental"), (solve_monolithic, "monolithic")):
+        decoded, trace = engine(g, 3, cb)
+        doc = json.loads(json.dumps(trace_document(g, 3, None, mode, decoded, trace)))
+        _, read_back, _ = read_trace_document(doc)
+        assert decoded == read_back and hash(decoded) == hash(read_back)
+        assert decoded.ordered == tuple(expected) and len(expected) == 120
+        assert decoded.colorings == frozenset(expected)
 
 
 def test_k1_runs():
@@ -417,6 +416,7 @@ def test_read_trace_document_validates():
     sols, trace = solve_incremental(g, 3, builtin_table1())
     doc = trace_document(g, 3, None, "incremental", sols, trace)
     text = json.dumps(doc)
+    rows = json.loads(text)["solutions"]
     del doc["steps"][0]["vertex"]
     with pytest.raises(SolverError, match="step record missing"):
         read_trace_document(doc)
@@ -446,6 +446,18 @@ def test_read_trace_document_validates():
         ("doc", "construction", [1, {"a": 2}], "construction must be a string"),
         ("doc", "construction", 5, "construction must be a string"),
         ("doc", "construction", None, "construction must be a string"),
+        ("doc", "peak_tube_size", -7, "peak_tube_size must be an integer >= 0"),
+        ("doc", "k", -3, "k must be an integer >= 0"),
+        ("graph", "n", -1, "graph.n must be an integer >= 0"),
+        ("doc", "op_totals", {}, r"op_totals misses operations: \['append', 'copy', "),
+        ("doc", "op_totals", {op: 1 for op in ("append", "copy", "merge", "extract", "detect")},
+         r"op_totals misses operations: \['discard'\]"),
+        ("doc", "solutions", [[-1, 2, 0]], "solutions must be an integer >= 0"),
+        ("doc", "solutions", [[0]], r"solution \[0\] is not a coloring of 3 vertices in 3 colors"),
+        ("doc", "solutions", [[0, 1, 3]], r"solution \[0, 1, 3\] is not a coloring"),
+        ("doc", "solutions", [[5, 5, 5, 5]], "is not a coloring of 3 vertices"),
+        ("doc", "solutions", [rows[0], *rows], r"strictly increasing, got \[0, 1, 2\] then \[0, 1, 2\]"),
+        ("doc", "solutions", [rows[1], rows[0], *rows[2:]], r"strictly increasing, got \[0, 2, 1\] then \[0, 1, 2\]"),
     ]:
         doc = json.loads(text)
         {"doc": doc, "graph": doc["graph"]}[place][key] = value
