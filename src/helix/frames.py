@@ -23,10 +23,19 @@ deleting the zero bytes (one bytes.translate) leaves exactly the live fields,
 compacted.  grown (append) ORs the live mask in at the token's place,
 widening every field by whole words when the token lies past the width.
 joined (a merge, once read) concatenates the frames' compacted fields.
-values() reads one int per strand, so the repeated-strand check unpacks no
-strand, and heads() reads the first word of each live slot from an int laid
-out like the frame, which the color decode builds from columns; bit_fields()
-then cuts each vertex's colors out of the sorted one-word keys.
+ascending() tests, with a few whole-frame int operations, whether the fields
+strictly increase as ints, which rules out a repeated strand; values() reads
+one int per strand for the exact check.  heads() reads the first word of
+each live slot from an int laid out like the frame, which the color decode
+builds from columns; bit_fields() then cuts each vertex's colors out of the
+sorted one-word keys.
+
+A token's place rises with the order in which the machine first saw it, and
+widening adds presence bits only.  So copies of an ascending frame that each
+gain a token newer than any before, lose strands by split (which keeps slot
+order) and are joined in the order their tokens entered stay ascending, the
+newest token most significant.  The solver's survivor tube grows this way;
+only the repeat check's speed relies on it.
 """
 
 from __future__ import annotations
@@ -194,6 +203,24 @@ class Frame:
         for w in range(1, width):
             values = list(map(or_, values, map(lshift, words[w::width], repeat(WORD_BITS * w))))
         return values
+
+    def ascending(self) -> bool:
+        """Whether the strands' fields, read as ints, strictly increase from slot to slot.
+
+        Read from bit 1 up, each field ends in the next slot's bit 0.  That
+        bit is cleared and set again as a guard no borrow crosses, so in
+        `guard + field - next field` it stays exactly where the field is not
+        below the next; the last field's guard always stays.  Fields that
+        differ only in bit 0 may read as not ascending, never the reverse.
+        """
+        size = WORD_BITS * self.width
+        if self.count == self._slots:
+            bits, starts = self._bits, self.present()
+        else:
+            bits, starts = int.from_bytes(self.fields(), "little"), tile(1, size, self.count)
+        guards = starts << size
+        cut = bits ^ (bits & guards)
+        return (((cut | guards) - (cut >> size)) & guards).bit_count() < 2
 
     def heads(self, bits: int):
         """The first word of each live slot in `bits`, an int laid out like the frame."""

@@ -29,10 +29,20 @@ Extract splits each frame by a column, append grows each frame, copy shares
 the tuple and merge concatenates the tuples.  A split writes no field: its
 two frames share the source's int and differ only in their live-slot masks,
 and a frame's dead fields are dropped when its fields are next read (a join,
-a widening append, or values), by one AND and one bytes.translate.  Adjacent
-frames of one order are joined when the tube is next read, so a merged tube
-discarded unread, like the solver's bad tubes, is never joined or compacted.
+a widening append, ascending or values), by one AND and one bytes.translate.
+Adjacent frames of one order are joined when the tube is next read, so a
+merged tube discarded unread, like the solver's bad tubes, is never joined
+or compacted.
 new_tube makes one frame per stretch of strands of one order.
+
+Tube.distinct, the solver's per-step repeat check, returns the count of a
+tube that is one frame whose fields strictly increase (Frame.ascending).
+Tokens are numbered in the order they enter, so a step's colors outrank
+every earlier token and rise with the color; merge keeps the color tubes in
+color order, and split and the join keep slot order.  So the survivor tube
+stays such a frame, in colex order of the run order.  Only the check's speed
+relies on this: any other tube, one with a repeat included, is counted
+exactly by one set of field ints per order.
 
 Tube.contents unpacks to token tuples in append order through one
 (vertex mask, {bit: token}) row per vertex of the frame's order; it is the
@@ -268,10 +278,16 @@ class Tube:
     def distinct(self) -> int:
         """How many different strands the tube holds, read from the fields.
 
-        A frame's field carries a presence bit per word, so the runs of one
-        order are read at the widest of their widths.
+        A tube that is one frame whose fields strictly increase
+        (Frame.ascending) holds no strand twice, and the solver's survivor
+        tube is one after every step.  Any other tube is counted exactly by
+        one set of field ints per order, read at the widest width of the
+        order's runs, since a field's presence bits depend on its width.
         """
-        runs, widest = self.runs, {}
+        runs = self.runs
+        if len(runs) == 1 and runs[0].ascending():
+            return runs[0].count
+        widest = {}
         for run in runs:
             widest[run.order] = max(widest.get(run.order, 0), run.width)
         seen = {order: set() for order in widest}

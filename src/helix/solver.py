@@ -33,6 +33,7 @@ from .machine import OpCounter, TubeMachine
 
 DEFAULT_STRAND_BUDGET = 2_000_000
 MATCH_MODES = ("symbolic", "nucleotide")
+ENGINES = ("incremental", "monolithic")  # the modes a trace document names
 
 
 class SolverError(ValueError):
@@ -284,8 +285,11 @@ def read_trace_document(doc: dict) -> tuple[dict, SolutionSet, Trace]:
 
     Returns (meta, solutions, trace) where meta carries graph/k/order/mode.
     A solution row may be a tuple, as trace_document leaves it, or a list,
-    as JSON reads it back.  The rows must be what trace_document writes:
-    strictly increasing, each with one color in [0, k) per vertex.
+    as JSON reads it back.  The document must be one trace_document can
+    write: the mode names an engine, the order is a permutation of 1..n,
+    each step's vertex is in 1..n and its per-color lists have k entries,
+    the rows are strictly increasing, each with one color in [0, k) per
+    vertex, and colorable says whether there are any.
     """
     if not isinstance(doc, dict):
         raise SolverError("trace document must be a JSON object")
@@ -329,17 +333,26 @@ def read_trace_document(doc: dict) -> tuple[dict, SolutionSet, Trace]:
     op_totals = OpCounter(**{op: _count(n, f"op_totals.{op}") for op, n in op_doc.items()})
     if not isinstance(doc["colorable"], bool):
         raise SolverError(f"trace field colorable must be true or false, got {doc['colorable']!r}")
-    if not isinstance(doc["mode"], str):
-        raise SolverError(f"trace field mode must be a string, got {doc['mode']!r}")
+    if doc["mode"] not in ENGINES:
+        raise SolverError(f"trace field mode must be a string naming an engine {ENGINES}, got {doc['mode']!r}")
     meta = {
         "graph": {"n": _count(graph["n"], "graph.n"), "m": _count(graph["m"], "graph.m")},
         "k": _count(doc["k"], "k"),
         "order": _counts(doc["order"], "order"),
         "mode": doc["mode"],
     }
+    n, k, rows = meta["graph"]["n"], meta["k"], []
+    if sorted(meta["order"]) != list(range(1, n + 1)):
+        raise SolverError(f"trace field order must be a permutation of 1..{n}, got {meta['order']}")
+    for step in steps:
+        if not 1 <= step.vertex <= n:
+            raise SolverError(f"trace step vertex {step.vertex} is not in 1..{n}")
+        for field in ("per_color_after_append", "per_color_after_filter"):
+            counts = getattr(step, field)
+            if len(counts) != k:
+                raise SolverError(f"trace step field {field} must list {k} colors, got {list(counts)}")
     if not isinstance(doc["solutions"], list):
         raise SolverError(f"trace field solutions must be a list, got {doc['solutions']!r}")
-    n, k, rows = meta["graph"]["n"], meta["k"], []
     for entry in doc["solutions"]:
         row = tuple(_counts(entry, "solutions", (list, tuple)))
         if len(row) != n or any(c >= k for c in row):
@@ -347,6 +360,8 @@ def read_trace_document(doc: dict) -> tuple[dict, SolutionSet, Trace]:
         if rows and row <= rows[-1]:
             raise SolverError(f"trace solutions must be strictly increasing, got {list(rows[-1])} then {list(row)}")
         rows.append(row)
+    if doc["colorable"] != bool(rows):
+        raise SolverError(f"trace field colorable is {str(doc['colorable']).lower()} beside {len(rows)} solutions")
     solutions = SolutionSet(tuple(rows), doc["colorable"])
     construction = doc.get("construction")
     if "construction" in doc and not isinstance(construction, str):

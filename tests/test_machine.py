@@ -760,6 +760,8 @@ def check_frame_against_slots(frame, slots):
         assert list(frame.words(width)) == [f >> (64 * w) & (2**64 - 1) for f in fields for w in range(width)]
         assert list(frame.values(width)) == fields
     assert list(frame.words()) == list(compacted_words(frame))
+    fields = [model_field(s, frame.width) for s in live]
+    assert frame.ascending() == all(a < b for a, b in zip(fields, fields[1:]))
     for i in EDGE_TOKENS:
         assert frame.column(i) == sum(1 << (j * size) for j, s in enumerate(slots) if s is not None and i in s)
     tags = sum((j + 1) << (j * size) for j in range(len(slots)))  # slot j's first word holds j + 1
@@ -808,6 +810,34 @@ def test_frames_hold_their_live_strands_slot_by_slot(data):
             frame = helix.frames.Frame.joined([frame, other])
             slots = [s for s in slots + more if s is not None]
         check_frame_against_slots(frame, slots)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_ascending_is_a_pairwise_strict_increase_of_the_values(data):
+    """Frame.ascending against a pairwise comparison of list(values()), the repeat check's exact reading.
+
+    Frames of 1-3 words whose fields are as drawn, sorted, sorted with one
+    repeat or sorted with one descending pair, some with dead slots.
+    """
+    width = data.draw(st.integers(1, 3))
+    drawn = data.draw(st.lists(st.integers(0, 2 ** (64 * width) - 1), min_size=1, max_size=12))
+    values = list(helix.frames.Frame.of_fields(0, drawn).values())  # presence bits set
+    arrangement = data.draw(st.sampled_from(["as drawn", "sorted", "repeat", "descending pair"]))
+    if arrangement != "as drawn":
+        values.sort()
+    j = data.draw(st.integers(0, len(values) - 1))
+    if arrangement == "repeat":
+        values.insert(j, values[j])
+    elif arrangement == "descending pair" and j + 1 < len(values):
+        values[j], values[j + 1] = values[j + 1], values[j]
+    frame = helix.frames.Frame.of_fields(0, values)
+    if data.draw(st.booleans()):  # dead slots: keep a drawn subset of the slots
+        kept = data.draw(st.lists(st.booleans(), min_size=len(values), max_size=len(values)))
+        starts = sum(1 << (64 * frame.width * j) for j, keep in enumerate(kept) if keep)
+        frame, _ = frame.split(starts or frame.present())
+    values = list(frame.values())
+    assert frame.ascending() == all(a < b for a, b in zip(values, values[1:]))
 
 
 def test_extract_outputs_share_the_source_field_int():

@@ -1,14 +1,23 @@
 """Fuzzing of the three readers: arbitrary input ends in their documented error, or parses."""
 
+import json
+import random
+import re
+from collections import Counter
+
 from hypothesis import given, settings, strategies as st
 
 from helix import (
     CodecError,
     DimacsError,
     SolverError,
+    builtin_graph,
+    builtin_table1,
     codebook_from_json,
     parse_dimacs,
     read_trace_document,
+    solve_incremental,
+    trace_document,
 )
 from helix.solver import OP_FIELDS, STEP_FIELDS, TRACE_FIELDS
 
@@ -53,7 +62,44 @@ codebook_docs = json_values | st.fixed_dictionaries(
     optional={"length": json_values, "provenance": json_values},
 )
 
-trace_docs = json_values | st.fixed_dictionaries(
+PETERSEN = builtin_graph("petersen")
+PETERSEN_TRACE = json.dumps(
+    trace_document(PETERSEN, 3, None, "incremental", *solve_incremental(PETERSEN, 3, builtin_table1()))
+)
+
+
+def mutated(rnd: random.Random, value) -> dict:
+    """The Petersen graph's trace document at k = 3 with one field changed, chosen by rnd.
+
+    The field, a list entry included, is set to `value`, or one solution row
+    is dropped (which still parses), repeated or swapped with a drawn row.
+    """
+    doc = json.loads(PETERSEN_TRACE)
+    step, rows = rnd.choice(doc["steps"]), doc["solutions"]
+    places = [
+        (doc, rnd.choice(sorted(TRACE_FIELDS | {"construction"}))),
+        (doc["graph"], rnd.choice(["n", "m"])),
+        (step, rnd.choice(sorted(STEP_FIELDS))),
+        (doc["op_totals"], rnd.choice(sorted(OP_FIELDS))),
+        (doc["order"], rnd.randrange(PETERSEN.n)),
+        (step[rnd.choice(["per_color_after_append", "per_color_after_filter"])], rnd.randrange(3)),
+        (rnd.choice(rows), rnd.randrange(PETERSEN.n)),
+        (rows, rnd.randrange(len(rows))),
+    ]
+    kind, i, j = rnd.randrange(len(places) + 3), rnd.randrange(len(rows)), rnd.randrange(len(rows))
+    if kind < len(places):
+        holder, key = places[kind]
+        holder[key] = value
+    elif kind == len(places):
+        del rows[i]
+    elif kind == len(places) + 1:
+        rows.insert(i, rows[i])
+    else:
+        rows[i], rows[j] = rows[j], rows[i]
+    return doc
+
+
+arbitrary_trace_docs = json_values | st.fixed_dictionaries(
     {
         **{field: json_values for field in TRACE_FIELDS},
         "graph": json_values | st.fixed_dictionaries({"n": json_values, "m": json_values}),
@@ -66,6 +112,12 @@ trace_docs = json_values | st.fixed_dictionaries(
         | st.dictionaries(st.sampled_from(sorted(OP_FIELDS)), json_values, max_size=6),
     },
     optional={"construction": json_values},
+)
+# Arbitrary documents fail on an early field, so half the draws are a real
+# trace document with one field changed: they reach the order, step and row
+# checks, and some parse.
+trace_docs = st.booleans().flatmap(
+    lambda near: st.builds(mutated, st.randoms(use_true_random=True), json_values) if near else arbitrary_trace_docs
 )
 
 
@@ -94,3 +146,17 @@ def test_read_trace_document_raises_only_solver_error(doc):
         read_trace_document(doc)
     except SolverError:
         pass
+
+
+def test_near_valid_trace_documents_reach_the_row_checks():
+    """Over a fixed draw of mutated documents, some parse and some fail on their solution rows."""
+    pool = [None, True, -1, 0, 1, 2, 3, 9, 2.5, "x", [], [0, 1], {}]
+    outcomes = Counter()
+    for seed in range(300):
+        rnd = random.Random(seed)
+        try:
+            read_trace_document(mutated(rnd, rnd.choice(pool)))
+            outcomes["parsed"] += 1
+        except SolverError as exc:
+            outcomes["rows" if re.match(r"trace (field )?solution", str(exc)) else "other"] += 1
+    assert outcomes["parsed"] >= 30 and outcomes["rows"] >= 30 and outcomes["other"] >= 30, outcomes

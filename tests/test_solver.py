@@ -27,6 +27,7 @@ from helix import (
 )
 from helix import solver
 from helix.codec import coloring_from_strand
+from helix.frames import Frame
 from helix.cli import random_graph
 
 
@@ -458,9 +459,19 @@ def test_read_trace_document_validates():
         ("doc", "solutions", [[5, 5, 5, 5]], "is not a coloring of 3 vertices"),
         ("doc", "solutions", [rows[0], *rows], r"strictly increasing, got \[0, 1, 2\] then \[0, 1, 2\]"),
         ("doc", "solutions", [rows[1], rows[0], *rows[2:]], r"strictly increasing, got \[0, 2, 1\] then \[0, 1, 2\]"),
+        # Well-typed fields that trace_document never writes.
+        ("doc", "order", [7, 7], r"order must be a permutation of 1..3, got \[7, 7\]"),
+        ("doc", "order", [1, 2], r"order must be a permutation of 1..3"),
+        ("doc", "mode", "sideways", "mode must be a string naming an engine"),
+        ("step", "vertex", 99, r"step vertex 99 is not in 1..3"),
+        ("step", "vertex", 0, r"step vertex 0 is not in 1..3"),
+        ("step", "per_color_after_append", [1], r"per_color_after_append must list 3 colors, got \[1\]"),
+        ("step", "per_color_after_filter", [1, 1, 1, 1], "per_color_after_filter must list 3 colors"),
+        ("doc", "colorable", False, "colorable is false beside 6 solutions"),
+        ("doc", "solutions", [], "colorable is true beside 0 solutions"),
     ]:
         doc = json.loads(text)
-        {"doc": doc, "graph": doc["graph"]}[place][key] = value
+        {"doc": doc, "graph": doc["graph"], "step": doc["steps"][0]}[place][key] = value
         with pytest.raises(SolverError, match=message):
             read_trace_document(doc)
 
@@ -490,3 +501,38 @@ def test_read_trace_document_rejects_malformed_step_values():
     doc["steps"][1]["per_color_after_append"] = 3
     with pytest.raises(SolverError, match="malformed step record"):
         read_trace_document(doc)
+
+
+@pytest.mark.parametrize("match_mode", solver.MATCH_MODES)
+def test_a_join_that_copies_one_slot_over_another_fails_the_run(monkeypatch, match_mode):
+    """A frame bug that repeats a strand fails the repeat check, whatever order the fields are in."""
+    joined = Frame.joined.__func__
+
+    def copying(cls, frames):
+        fields = list(joined(cls, frames).values())
+        fields[-1] = fields[0]
+        return Frame.of_fields(frames[0].order, fields)
+
+    monkeypatch.setattr(Frame, "joined", classmethod(copying))
+    with pytest.raises(SolverError, match="repeated strand after vertex 1"):
+        solve_incremental(builtin_graph("petersen"), 3, builtin_table1(), match_mode)
+
+
+@pytest.mark.parametrize("match_mode", solver.MATCH_MODES)
+def test_survivors_ascend_and_a_join_out_of_order_passes_the_exact_repeat_check(monkeypatch, match_mode):
+    """The survivor tube stays one frame of ascending fields, here of two words in a reversed order.
+
+    Joined out of order, the survivors go through the set of field ints
+    instead, with no false alarm and the same answer and trace.
+    """
+    g, cb, order = random_graph(22, 0.2, 3), generate_codebook(22, 3, 20, 0), range(22, 0, -1)
+    ascending, seen = Frame.ascending, []
+    monkeypatch.setattr(Frame, "ascending", lambda frame: seen.append(ascending(frame)) or seen[-1])
+    want = solve_incremental(g, 3, cb, match_mode, order)
+    assert want[0].ordered == tuple(enumerate_colorings(g, 3))
+    assert seen == [True] * g.n
+    joined = Frame.joined.__func__
+    monkeypatch.setattr(Frame, "joined", classmethod(lambda cls, frames: joined(cls, frames[::-1])))
+    seen.clear()
+    assert solve_incremental(g, 3, cb, match_mode, order) == want
+    assert False in seen
