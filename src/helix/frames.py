@@ -1,8 +1,8 @@
 """Frames: the strands of one vertex order, stored as fields of one big int.
 
 Every strand a TubeMachine holds outside a product mask lives in a frame, and
-a tube is a tuple of frames, so the vertex order (the tuple of the strands'
-vertices) is kept once per frame.  A strand's field is the sticker model's
+a tube is a tuple of runs, frames and product masks, so the vertex order (the
+tuple of the strands' vertices) is kept once per run.  A strand's field is the sticker model's
 memory strand (Roweis et al., J. Comput. Biol. 5(4), 1998) in a row of 64-bit
 words: bit 0 of every byte is a presence bit, and token i sits in
 word i // 56, byte (i % 56) // 7 of it, bit 1 + i % 7 of that byte

@@ -16,16 +16,19 @@ source into its two output tubes, and Discard retires a tube for good.  The
 machine tracks the total strand count across live tubes after every operation;
 the high-water mark is the run's peak tube size.
 
-Strand storage: a tube is a product mask or a tuple of frames.
+Strand storage: a tube is a tuple of runs, each a frame or a product mask.
+Both kinds give the operations one interface: the strands' vertex `order`,
+`count`, present() (the live strands), column(i) (the live strands that hold
+token i) and split(starts), so every operation has one body.
 
 Frames (see frames.py) each hold the strands of one vertex order, so the
 order, the tuple of the strands' vertices, is kept once per frame.  The
 machine keeps no table of orders: an order lives as long as a frame or a
-product that carries it, so a run holds only its live orders.  A strand is a
+product run carries it, so the machine holds only live orders.  A strand is a
 field with one bit per (vertex, color) token: token i, the i-th the machine
 has seen, at bit frames.place(i), seven tokens above the presence bit of each
 byte.  Both kinds of machine keep the same frames.
-Extract splits each frame by a column, append grows each frame, copy shares
+Extract splits each run by a column, append grows each frame, copy shares
 the tuple and merge concatenates the tuples.  A split writes no field: its
 two frames share the source's int and differ only in their live-slot masks,
 and a frame's dead fields are dropped when its fields are next read (a join,
@@ -58,24 +61,24 @@ the same way without the shift and the rows are sorted as tuples, the
 reference the key path is tested against.  A color must fit one word, so the
 machine refuses any other when a token first enters (_index_of).
 
-Product tubes: the monolithic start tube, new_tube(rows=...), holds no field.
-It is a membership mask over the product of its rows: strand i of
-itertools.product(*rows) is in the tube iff bit i of the mask is set.  This is
+Product runs: the monolithic start tube, new_tube(rows=...), holds one run
+of no field.  It is a live mask over the product of its rows: strand i of
+itertools.product(*rows) is in the run iff bit i of the mask is set.  This is
 the sticker layout sliced by column: a token's column is the mask of the
-strands that hold it, so extract is one big-int AND (`hit = mask & column`,
-rest `mask ^ hit`), copy shares the mask, and len, detect and discard count
-its bits.  Merge ORs the masks when every non-empty input is over the same
-product and no strand is in two of them, which gives product order;
-otherwise, as with two copies of one tube, it concatenates frames so that
-repeated strands stay repeated.  Every other use (append, contents, colors)
-turns the mask into one frame, in product order, the first time the strands
-are read.  A mask with few bits set is decoded from the mixed-radix index of
-each set bit, a dense one by walking the product.  Only rows= builds a mask:
-a mask over k**i strands for a tube that grows by append would bring back the
+strands that hold it, so extract is one big-int AND (`hit = live & column`,
+rest `live ^ hit`), and the two runs share the product's rows and column
+cache.  Copy shares the run, and len, detect and discard count its bits.
+Merge ORs adjacent product runs over one product that share no strand, which
+gives product order; any other runs stay side by side, two copies of one
+tube as two masks, so repeated strands stay repeated and merge decodes
+nothing.  Tube.runs, which append, contents and colors read, turns each mask
+into one frame, in product order, the first time the strands are read.  A
+mask with few bits set is decoded from the mixed-radix index of each set
+bit, a dense one by walking the product.  Only rows= builds a mask: a mask
+over k**i strands for a tube that grows by append would bring back the
 blow-up the incremental engine avoids.
 
-Columns: a frame and a product both give column(i), the strands holding
-token i, and extract splits by one column.  Symbolic extract uses the
+Columns: extract splits each run by one column.  Symbolic extract uses the
 codeword's token column.  Nucleotide extract ORs, over the codebook's
 occurrence chains of the sequence (Codebook.chains) whose vertices sit
 consecutively in the order, the AND of the chain's token columns, so no
@@ -92,13 +95,13 @@ from dataclasses import dataclass
 from itertools import chain, compress, groupby, product
 from math import prod
 from functools import reduce
-from operator import and_, attrgetter
+from operator import and_, attrgetter, methodcaller
 
 from .codec import Codebook, Codeword, SoundnessError, Strand, Token, render
 from .frames import WORD_BITS, Frame, bit_fields, place, tile
 
 _DIGIT = bytes.maketrans(b"01", b"\x00\x01")  # a mask's binary digits as 0/1 bytes
-_ORDER, _COUNT = attrgetter("order"), attrgetter("count")
+_ORDER, _COUNT, _PRESENT = attrgetter("order"), attrgetter("count"), methodcaller("present")
 
 
 class _Product:
@@ -168,6 +171,38 @@ class _Product:
         return out
 
 
+class _ProductRun:
+    """The strands of a _Product whose bits are set in `live`, a tube run beside frames.
+
+    Both outputs of a split share the product, so its rows and column cache,
+    and differ only in their live masks; `count` counts the live bits only
+    when asked.
+    """
+
+    __slots__ = ("product", "order", "live")
+
+    def __init__(self, product: _Product, live: int):
+        self.product, self.order, self.live = product, product.order, live
+
+    @property
+    def count(self) -> int:
+        return self.live.bit_count()
+
+    def present(self) -> int:
+        return self.live
+
+    def column(self, index: int | None) -> int:
+        return self.live & self.product.column(index)
+
+    def split(self, starts: int) -> tuple["_ProductRun", "_ProductRun"]:
+        """(hit, rest): the strands set in `starts`, a subset of the live mask, and the others."""
+        return _ProductRun(self.product, starts), _ProductRun(self.product, self.live ^ starts)
+
+    def frame(self) -> Frame:
+        """The strands as one frame, in product order."""
+        return Frame.of_fields(self.order, self.product.members(self.live))
+
+
 class MachineFault(RuntimeError):
     """An operation that the bench cannot perform: bad append, retired tube, etc."""
 
@@ -191,38 +226,30 @@ class OpCounter:
 class Tube:
     """A labeled multiset of strands (order carries no meaning).
 
-    A tube holds a membership mask over a `_product`, or `_runs`, a tuple of
-    non-empty frames (see the module docstring); `runs` gives the latter,
-    turning a mask into a frame and joining adjacent frames of one order first.
-    `contents` unpacks the strands to token tuples in append order.  A strand
-    names each vertex at most once: TubeMachine.new_tube raises MachineFault
-    on one that names a vertex twice.
+    `_runs` is a tuple of non-empty runs, frames and product runs (see the
+    module docstring); `runs` gives them as frames, decoding product runs
+    and joining adjacent frames of one order first.  `contents` unpacks the
+    strands to token tuples in append order.  A strand names each vertex at
+    most once: TubeMachine.new_tube raises MachineFault on one that names a
+    vertex twice.
     """
 
-    __slots__ = ("label", "_runs", "_product", "_mask", "retired", "_machine")
+    __slots__ = ("label", "_runs", "retired", "_machine")
 
-    def __init__(self, label: str, machine: "TubeMachine", runs: tuple = (),
-                 product: _Product | None = None, mask: int = 0):
+    def __init__(self, label: str, machine: "TubeMachine", runs: tuple = ()):
         self.label = label
         self._runs = runs
-        self._product, self._mask = product, mask  # a product tube has no runs
         self.retired = False
         self._machine = machine
 
-    def _pour_out(self) -> None:
-        self._runs, self._product, self._mask = (), None, 0
-
     @property
     def runs(self) -> tuple:
-        """The frames, a product tube's mask turned into one frame and adjacent frames of one order joined."""
-        if self._product is not None:
-            fields = self._product.members(self._mask)
-            self._runs = (Frame.of_fields(self._product.order, fields),) if fields else ()
-            self._product, self._mask = None, 0
-        runs = self._runs
+        """The runs as frames, product runs decoded and adjacent frames of one order joined."""
+        runs = tuple(run if isinstance(run, Frame) else run.frame() for run in self._runs)
         if len(runs) > 1 and any(a.order == b.order for a, b in zip(runs, runs[1:])):
             groups = [list(group) for _, group in groupby(runs, _ORDER)]
-            self._runs = runs = tuple(g[0] if len(g) == 1 else Frame.joined(g) for g in groups)
+            runs = tuple(g[0] if len(g) == 1 else Frame.joined(g) for g in groups)
+        self._runs = runs
         return runs
 
     @property
@@ -296,12 +323,10 @@ class Tube:
         return sum(map(len, seen.values()))
 
     def __len__(self) -> int:
-        if self._product is not None:
-            return self._mask.bit_count()
         return sum(map(_COUNT, self._runs))
 
     def __bool__(self) -> bool:  # without counting a mask's bits; no run is empty
-        return bool(self._mask if self._product is not None else self._runs)
+        return bool(self._runs)
 
     def counts(self) -> Counter:
         return Counter(self.contents)
@@ -390,25 +415,24 @@ class TubeMachine:
             rows.append((sum(tokens), tokens))
         return [tuple([tok[s & m] for m, tok in rows]) for s in fields]
 
-    def _sequence_column(self, order: tuple[int, ...], column, present, seq: str) -> int:
-        """The column of the strands of vertex order `order` whose bases hold seq; see the module docstring.
+    def _sequence_column(self, run, seq: str) -> int:
+        """The column of the run's strands whose bases hold seq; see the module docstring.
 
-        `column(i)` gives the strands that hold token i, in a frame or a product
-        tube, and `present()` all of its strands: the empty sequence occurs in
-        every rendering, a strand of no token included.
+        The empty sequence occurs in every rendering, so it gives every live
+        strand, a strand of no token included.
         """
         for i, token in self._uncoded:
-            if column(i):
+            if run.column(i):
                 render((token,), self.codebook)  # raises
         if not seq:
-            return present()
-        hit = 0
+            return run.present()
+        order, hit = run.order, 0
         for chain in self.codebook.chains(seq):
             vertices = tuple(v for v, _ in chain)
             p = order.index(vertices[0]) if vertices[0] in order else len(order)  # past the end: no match
             indices = [self._index.get(token) for token in chain]  # None: a token in no strand
             if order[p:p + len(chain)] == vertices and None not in indices:
-                hit |= reduce(and_, map(column, indices))
+                hit |= reduce(and_, map(run.column, indices))
         return hit
 
     # --- operations --------------------------------------------------------
@@ -418,18 +442,19 @@ class TubeMachine:
 
         `rows=[row_1, ..., row_n]`, each row the tokens of one vertex, gives
         the contents of itertools.product(*rows) in the same order as a
-        product tube: a mask with every strand's bit set, and no strand built.
+        product run: a mask with every strand's bit set, and no strand built.
+        An empty product gives a tube of no run.
         """
         if rows is None:
             runs = []
             for order, strands in groupby(contents, lambda s: tuple(v for v, _ in s)):
                 runs.append(Frame.of_fields(self._checked(order), [sum(map(self._bit_of, s)) for s in strands]))
-            tube = Tube(label, self, tuple(runs))
         elif contents:
             raise ValueError("new_tube takes contents or rows, not both")
         else:
             product = self._product_of(rows)
-            tube = Tube(label, self, (), product, (1 << product.size) - 1)
+            runs = [_ProductRun(product, (1 << product.size) - 1)] if product.size else []
+        tube = Tube(label, self, tuple(runs))
         self._credit(len(tube))
         return tube
 
@@ -453,11 +478,8 @@ class TubeMachine:
         if count < 1:
             raise ValueError(f"copy count must be at least 1, got {count}")
         size = len(tube)
-        copies = [
-            Tube(f"{tube.label}#{i}", self, tube._runs, tube._product, tube._mask)
-            for i in range(1, count + 1)
-        ]
-        tube._pour_out()
+        copies = [Tube(f"{tube.label}#{i}", self, tube._runs) for i in range(1, count + 1)]
+        tube._runs = ()
         self._credit((count - 1) * size)
         self.counter.copy += 1
         return copies
@@ -465,10 +487,10 @@ class TubeMachine:
     def merge(self, dest: Tube, sources) -> Tube:
         """Pour every source into dest; sources end empty.  One counter tick.
 
-        Product tubes over one product whose masks share no strand merge by
-        OR, and dest holds the union in product order.  Anything else
-        concatenates the inputs' runs in order.  A tube may be poured only
-        once, so a source listed twice faults before anything moves.
+        dest holds the inputs' runs in order, but for adjacent product runs
+        over one product that share no strand, which merge by OR into their
+        union in product order.  No strand is decoded.  A tube may be poured
+        only once, so a source listed twice faults before anything moves.
         """
         self._require_live(dest)
         sources = list(sources)
@@ -478,21 +500,16 @@ class TubeMachine:
             self._require_live(src)
         if len(set(map(id, sources))) != len(sources):
             raise MachineFault("merge: a source tube is listed twice")
-        full = [t for t in (dest, *sources) if t]
-        union = None  # the merged mask, when the inputs allow one
-        if full and all(t._product is full[0]._product is not None for t in full):
-            union = 0
-            for t in full:
-                if union & t._mask:  # a strand in two inputs: runs keep it twice
-                    union = None
-                    break
-                union |= t._mask
-        if union is not None:
-            dest._runs, dest._product, dest._mask = (), full[0]._product, union
-        else:
-            dest._runs, dest._product, dest._mask = tuple(chain.from_iterable(t.runs for t in full)), None, 0
+        runs = []
+        for run in chain.from_iterable(t._runs for t in (dest, *sources)):
+            last = runs[-1] if runs else None
+            if type(run) is type(last) is _ProductRun and run.product is last.product and not run.live & last.live:
+                runs[-1] = _ProductRun(run.product, last.live | run.live)
+            else:  # a strand in two runs stays in both
+                runs.append(run)
+        dest._runs = tuple(runs)
         for src in sources:
-            src._pour_out()
+            src._runs = ()
         self.counter.merge += 1
         return dest
 
@@ -502,34 +519,25 @@ class TubeMachine:
         Without a codebook the machine tests token membership: the matching
         strands are cw's token column.  With one it tests whether cw's base
         sequence occurs in the rendered strand: the column comes from
-        _sequence_column, and no strand is rendered.  Either way a product
-        tube ANDs its mask with the column and gives two product tubes, and
-        each frame splits by its column into two frames that share its field
-        int and differ only in which slots are live, so no field is written
-        (an empty frame is dropped).  Both outputs keep the source's strand
-        order.  Every column is found before anything is poured, so a refused
-        extract leaves the tube as it was.
+        _sequence_column, and no strand is rendered.  Either way each run
+        splits by its column into two runs that share its field int or
+        product and differ only in which strands are live, so no field is
+        written; an output run with no live strand is dropped.  Both outputs
+        keep the source's strand order.  Every column is found before
+        anything is poured, so a refused extract leaves the tube as it was.
         """
         self._require_live(tube)
-        product, mask = tube._product, tube._mask
-        if product is not None:
-            holders = [(product.order, lambda i: mask & product.column(i), lambda: mask)]
-        else:
-            holders = [(run.order, run.column, run.present) for run in tube.runs]
+        runs = tube._runs
         if self.codebook is None:
             index = self._index.get((cw.vertex, cw.color))  # a token never seen is in no strand
-            columns = [column(index) for _, column, _ in holders]
+            columns = [run.column(index) for run in runs]
         else:
-            columns = [self._sequence_column(*holder, cw.sequence) for holder in holders]
-        if product is not None:
-            plus = Tube(f"{tube.label}+", self, (), product, columns[0])
-            minus = Tube(f"{tube.label}-", self, (), product, mask ^ columns[0])
-        else:
-            parts = [run.split(column) for run, column in zip(tube.runs, columns)]
-            hits, rests = zip(*parts) if parts else ((), ())
-            plus = Tube(f"{tube.label}+", self, tuple(filter(_COUNT, hits)))
-            minus = Tube(f"{tube.label}-", self, tuple(filter(_COUNT, rests)))
-        tube._pour_out()
+            columns = [self._sequence_column(run, cw.sequence) for run in runs]
+        parts = [run.split(column) for run, column in zip(runs, columns)]
+        hits, rests = zip(*parts) if parts else ((), ())
+        plus = Tube(f"{tube.label}+", self, tuple(filter(_PRESENT, hits)))
+        minus = Tube(f"{tube.label}-", self, tuple(filter(_PRESENT, rests)))
+        tube._runs = ()
         self.counter.extract += 1
         return plus, minus
 
@@ -542,6 +550,6 @@ class TubeMachine:
         """Drop the tube's contents and retire it; later operations on it fault."""
         self._require_live(tube)
         self._credit(-len(tube))
-        tube._pour_out()
+        tube._runs = ()
         tube.retired = True
         self.counter.discard += 1

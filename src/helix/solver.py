@@ -289,7 +289,9 @@ def read_trace_document(doc: dict) -> tuple[dict, SolutionSet, Trace]:
     write: the mode names an engine, the order is a permutation of 1..n,
     each step's vertex is in 1..n and its per-color lists have k entries,
     the rows are strictly increasing, each with one color in [0, k) per
-    vertex, and colorable says whether there are any.
+    vertex, and colorable says whether there are any.  An incremental
+    trace has one step per vertex of the order, in order, and no
+    construction; a monolithic one has no step and is synthetic.
     """
     if not isinstance(doc, dict):
         raise SolverError("trace document must be a JSON object")
@@ -366,5 +368,14 @@ def read_trace_document(doc: dict) -> tuple[dict, SolutionSet, Trace]:
     construction = doc.get("construction")
     if "construction" in doc and not isinstance(construction, str):
         raise SolverError(f"trace field construction must be a string, got {construction!r}")
+    vertices = [step.vertex for step in steps]
+    if meta["mode"] == "incremental" and vertices != meta["order"]:
+        raise SolverError(f"incremental trace steps must visit the order {meta['order']}, got vertices {vertices}")
+    if meta["mode"] == "incremental" and "construction" in doc:
+        raise SolverError(f"incremental trace carries no construction, got {construction!r}")
+    if meta["mode"] == "monolithic" and steps:
+        raise SolverError(f"monolithic trace carries no steps, got {len(steps)}")
+    if meta["mode"] == "monolithic" and construction != "synthetic":
+        raise SolverError(f"monolithic trace must carry construction 'synthetic', got {construction!r}")
     trace = Trace(tuple(steps), op_totals, _count(doc["peak_tube_size"], "peak_tube_size"), construction)
     return meta, solutions, trace

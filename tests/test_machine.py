@@ -30,6 +30,12 @@ def cw(v, c):
     return CW[(v, c)]
 
 
+def product_of(tube):
+    """The product under a tube that is one product run, else None."""
+    runs = tube._runs
+    return runs[0].product if len(runs) == 1 and isinstance(runs[0], helix.machine._ProductRun) else None
+
+
 def test_append_extends_every_strand():
     m = TubeMachine()
     t = m.new_tube("t", [((1, 0),), ((1, 1),)])
@@ -378,10 +384,10 @@ def test_product_tube_stays_a_mask_through_extract_copy_and_disjoint_merge():
     plus, minus = m.extract(t, cw(2, 1))
     a, b = m.copy(plus, 2)
     m.merge(minus, [a])
-    assert minus._product is b._product is not None  # no strand built yet
+    assert product_of(minus) is product_of(b) is not None  # no strand built yet
     assert (len(minus), len(b), m.detect(b), m.peak_tube_size) == (18, 9, True, 27)
     assert minus.contents == full  # the union in product order
-    assert minus._product is None  # materialized once, a list tube from here on
+    assert product_of(minus) is None  # materialized once, a frame from here on
     assert b.contents == [s for s in full if (2, 1) in s]
 
 
@@ -395,6 +401,23 @@ def test_merge_of_product_tubes_sharing_strands_keeps_the_repeats():
     listed = m.new_tube("l", [((1, 1), (2, 1))])
     m.merge(other, [listed])
     assert other.contents == [((1, 0), (2, 0)), ((1, 1), (2, 1))]
+
+
+def test_merge_never_decodes_a_product_run():
+    """Two copies of one product, a product beside frames, and an extract's two outputs merge with no decode."""
+    m = TubeMachine()
+    rows = [((1, 0), (1, 1), (1, 2)), ((2, 0), (2, 1)), ((3, 0), (3, 1), (3, 2))]
+    listed = [((1, 1), (2, 0)), ((3, 2),)]
+    with unittest.mock.patch.object(helix.machine._Product, "members", side_effect=AssertionError("decoded")):
+        twice, other = m.copy(m.new_tube("t", rows=rows), 2)
+        m.merge(twice, [other])
+        beside = m.new_tube("p", rows=rows)
+        m.merge(beside, [m.new_tube("l", listed)])
+        union, rest = m.extract(m.new_tube("e", rows=rows), cw(2, 1))
+        m.merge(union, [rest])
+    full = list(itertools.product(*rows))
+    for tube, want in ((twice, 2 * full), (beside, full + listed), (union, full)):
+        assert Counter(copy.copy(tube).contents) == Counter(want)
 
 
 def test_product_columns_follow_the_rows():
@@ -583,7 +606,7 @@ def test_nucleotide_extract_is_a_search_of_the_rendered_bases(data):
     pieces = st.sampled_from(rendered).flatmap(pieces_of) if rendered else st.nothing()
     probe_st = pieces | st.text("ACGT", min_size=1, max_size=30) | st.sampled_from([w.sequence for w in cb.codewords()])
     assert_extract_follows_render(m, tube, data.draw(st.lists(probe_st, min_size=1, max_size=6)))
-    assert (tube._product is not None) == product
+    assert all(isinstance(run, helix.machine._ProductRun) == product for run in tube._runs)
 
 
 # --- product tubes ---------------------------------------------------------
@@ -655,7 +678,7 @@ def test_product_tubes_behave_as_their_listed_twins(data):
         else:
             assert prod_m.detect(t) == list_m.detect(u)
         for t, u in twins:
-            # A shallow copy turns into a list on its own, so t stays a product tube.
+            # A shallow copy decodes its own runs, so t keeps its product runs.
             assert Counter(copy.copy(t).contents) == Counter(u.contents)
             assert (len(t), t.retired) == (len(u), u.retired)
         assert prod_m.peak_tube_size == list_m.peak_tube_size
@@ -897,7 +920,7 @@ def test_colors_are_the_sorted_per_strand_colors(wide, data):
         tube = m.new_tube("t", rows=rows)
         if data.draw(st.booleans()):
             tube, _ = m.extract(tube, Codeword(*data.draw(st.sampled_from(rows[0])), ""))  # a sparse mask
-        assert tube._product is not None
+        assert product_of(tube) is not None
     else:
         extra = st.lists(st.integers(7, 9), unique=True, max_size=2)
         orders = st.tuples(st.permutations(shared), extra).flatmap(lambda o: st.permutations(o[0] + o[1]))
@@ -1044,10 +1067,10 @@ def test_nucleotide_product_tube_stays_a_mask_through_extract():
     assert_extract_follows_render(m, m.new_tube("empty"))
     rows = [((1, 0), (1, 1)), ((2, 0), (2, 1))]
     plus, minus = m.extract(m.new_tube("start", rows=rows), cb.codeword(1, 0))
-    assert plus._product is minus._product is not None  # no strand built
+    assert product_of(plus) is product_of(minus) is not None  # no strand built
     assert_extract_follows_render(m, plus)
     assert_extract_follows_render(m, minus)
-    assert plus._product is not None and (len(plus), len(minus)) == (2, 2)
+    assert product_of(plus) is not None and (len(plus), len(minus)) == (2, 2)
     assert copy.copy(plus).contents == [s for s in itertools.product(*rows) if (1, 0) in s]
     m.append(plus, cb.codeword(3, 2))
     kept, _ = m.extract(plus, cb.codeword(2, 1))
@@ -1062,7 +1085,7 @@ def test_nucleotide_extract_of_the_empty_sequence_matches_every_strand():
     assert_extract_follows_render(m, m.new_tube("t", [((1, 1),), (), ((1, 1), (2, 0))]), [""])
     for rows in ([], [((1, 0), (1, 1)), ((2, 0),)]):
         plus, minus = m.extract(m.new_tube("start", rows=rows), probe)
-        assert plus._product is not None and not minus
+        assert product_of(plus) is not None and not minus
         assert plus.contents == list(itertools.product(*rows))
 
 

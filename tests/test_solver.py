@@ -61,14 +61,18 @@ def test_c5_solution_count():
 
 
 def test_per_step_bookkeeping_is_consistent():
-    g = random_graph(8, 0.4, 11)
-    cb = generate_codebook(8, 3, 16, 5)
-    _, trace = solve_incremental(g, 3, cb)
-    assert len(trace.steps) == g.n
-    for s in trace.steps:
-        assert s.per_color_after_append == (s.t0_before,) * 3
-        assert sum(s.per_color_after_filter) == s.t0_after
-        assert sum(s.per_color_after_append) - sum(s.per_color_after_filter) == s.discarded
+    """Over the suite: each step's counts add up, and each t0_before is the previous t0_after (1 at step 1)."""
+    for name, g in corpus.suite():
+        for k in corpus.KS:
+            _, trace = corpus.run_incremental(name, k)
+            assert len(trace.steps) == g.n
+            before = 1  # the blank seed strand
+            for s in trace.steps:
+                assert s.t0_before == before, (name, k, s.vertex)
+                assert s.per_color_after_append == (s.t0_before,) * k
+                assert sum(s.per_color_after_filter) == s.t0_after
+                assert sum(s.per_color_after_append) - sum(s.per_color_after_filter) == s.discarded
+                before = s.t0_after
 
 
 def test_prefix_census_matches_survivors():
@@ -417,7 +421,7 @@ def test_read_trace_document_validates():
     sols, trace = solve_incremental(g, 3, builtin_table1())
     doc = trace_document(g, 3, None, "incremental", sols, trace)
     text = json.dumps(doc)
-    rows = json.loads(text)["solutions"]
+    rows, steps = json.loads(text)["solutions"], json.loads(text)["steps"]
     del doc["steps"][0]["vertex"]
     with pytest.raises(SolverError, match="step record missing"):
         read_trace_document(doc)
@@ -469,11 +473,28 @@ def test_read_trace_document_validates():
         ("step", "per_color_after_filter", [1, 1, 1, 1], "per_color_after_filter must list 3 colors"),
         ("doc", "colorable", False, "colorable is false beside 6 solutions"),
         ("doc", "solutions", [], "colorable is true beside 0 solutions"),
+        # Engine shapes that trace_document never writes.
+        ("doc", "steps", steps[:1], r"steps must visit the order \[1, 2, 3\], got vertices \[1\]"),
+        ("doc", "steps", [steps[1], steps[0], steps[2]], r"steps must visit the order \[1, 2, 3\], got vertices \[2, 1, 3\]"),
+        ("doc", "construction", "synthetic", "incremental trace carries no construction, got 'synthetic'"),
     ]:
         doc = json.loads(text)
         {"doc": doc, "graph": doc["graph"], "step": doc["steps"][0]}[place][key] = value
         with pytest.raises(SolverError, match=message):
             read_trace_document(doc)
+    sols, trace = solve_monolithic(g, 3, builtin_table1())
+    text = json.dumps(trace_document(g, 3, None, "monolithic", sols, trace))
+    for key, value, message in [
+        ("steps", steps, "monolithic trace carries no steps, got 3"),
+        ("construction", "stepwise", "monolithic trace must carry construction 'synthetic', got 'stepwise'"),
+    ]:
+        doc = json.loads(text)
+        doc[key] = value
+        with pytest.raises(SolverError, match=message):
+            read_trace_document(doc)
+    del doc["construction"]
+    with pytest.raises(SolverError, match="must carry construction 'synthetic', got None"):
+        read_trace_document(doc)
 
 
 @pytest.mark.parametrize(
