@@ -162,16 +162,18 @@ def validate_codebook(cb: Codebook) -> ValidationReport:
     whatever the mix of codeword lengths.
     """
     words = cb.codewords()
-    pairs = list(itertools.combinations(words, 2))
-    duplicates = tuple((a, b) for a, b in pairs if a.sequence == b.sequence)
+    by_sequence: dict[str, list[int]] = {}
     index = _JunctionIndex()
-    for cw in words:
+    for i, cw in enumerate(words):
+        by_sequence.setdefault(cw.sequence, []).append(i)
         index.add(cw.sequence)
+    same = sorted(pair for group in by_sequence.values() for pair in itertools.combinations(group, 2))
+    duplicates = tuple((words[i], words[j]) for i, j in same)
     violations = tuple(
         JunctionViolation(words[w], words[x], words[y], off) for w, x, y, off in index.witnesses()
     )
-    same_length = [(a.sequence, b.sequence) for a, b in pairs if len(a.sequence) == len(b.sequence)]
-    min_hamming = min((sum(map(ne, a, b)) for a, b in same_length), default=None)
+    pairs = itertools.combinations([cw.sequence for cw in words], 2)
+    min_hamming = min((sum(map(ne, a, b)) for a, b in pairs if len(a) == len(b)), default=None)
     return ValidationReport(duplicates, violations, min_hamming)
 
 

@@ -25,10 +25,10 @@ widening every field by whole words when the token lies past the width.
 joined (a merge, once read) concatenates the frames' compacted fields.
 ascending() tests, with a few whole-frame int operations, whether the fields
 strictly increase as ints, which rules out a repeated strand; values() reads
-one int per strand for the exact check.  heads() reads the first word of
-each live slot from an int laid out like the frame, which the color decode
-builds from columns; bit_fields() then cuts each vertex's colors out of the
-sorted one-word keys.
+one int per strand, which the machine unpacks to tokens.  heads() reads the
+first word of each live slot from an int laid out like the frame, which the
+color decode builds from columns, one int per one-word key; bit_fields()
+then cuts each vertex's colors out of its key.
 
 A token's place rises with the order in which the machine first saw it, and
 widening adds presence bits only.  So copies of an ascending frame that each
@@ -189,14 +189,9 @@ class Frame:
             raw = bits.to_bytes(size, "little")
         return _widen(raw, self.width, width) if width > self.width else raw
 
-    def words(self, width: int = 0):
-        """The strands' 64-bit words, dead slots left out, in fields of max(width, self.width) words."""
-        return _as_words(self.fields(width))
-
-    def values(self, width: int = 0):
-        """One int per strand, its field in max(width, self.width) words, presence bits included."""
-        width = max(width, self.width)
-        words = self.words(width)
+    def values(self):
+        """One int per strand, its field with its presence bits, dead slots left out."""
+        width, words = self.width, _as_words(self.fields())
         if width == 1:
             return words
         values = words[::width]

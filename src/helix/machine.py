@@ -45,21 +45,22 @@ every earlier token and rise with the color; merge keeps the color tubes in
 color order, and split and the join keep slot order.  So the survivor tube
 stays such a frame, in colex order of the run order.  Only the check's speed
 relies on this: any other tube, one with a repeat included, is counted
-exactly by one set of field ints per order.
+exactly by the set of its token tuples.
 
 Tube.contents unpacks to token tuples in append order through one
 (vertex mask, {bit: token}) row per vertex of the frame's order; it is the
 per-strand reference.  Tube.colors, the final decode, reads by columns and
 returns the colorings in lexicographic order.  Each requested vertex gets as
-many bits as its largest color needs (at least one), the first vertex the
-most significant.  When they fit one 64-bit word, the sum of every token's
-column times its color, shifted to its vertex's bits, is an int laid out like
-the frame with each strand's key in the first word of its slot; Frame.heads
-reads the keys off, they are sorted as ints, and frames.bit_fields cuts each
-vertex's colors back out of them.  Otherwise each vertex's colors are read
-the same way without the shift and the rows are sorted as tuples, the
-reference the key path is tested against.  A color must fit one word, so the
-machine refuses any other when a token first enters (_index_of).
+many bits as its largest color needs (at least one), and the vertices, in
+order, are cut into groups that fit one 64-bit word each, the first vertex
+of a group the most significant.  Per group, the sum of every token's column
+times its color, shifted to its vertex's bits, is an int laid out like the
+frame with each strand's key in the first word of its slot; Frame.heads
+reads the keys off and frames.bit_fields cuts each vertex's colors back out
+of its group's keys.  One group's keys are sorted as ints before the cut,
+several groups' rows as tuples after it, which is the same order.  A color
+must fit one word, so the machine refuses any other when a token first
+enters (_index_of).
 
 Product runs: the monolithic start tube, new_tube(rows=...), holds one run
 of no field.  It is a live mask over the product of its rows: strand i of
@@ -90,6 +91,7 @@ raises the CodecError that names it, through render, when a strand holds it.
 from __future__ import annotations
 
 import dataclasses
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, compress, groupby, product
@@ -102,6 +104,7 @@ from .frames import WORD_BITS, Frame, bit_fields, place, tile
 
 _DIGIT = bytes.maketrans(b"01", b"\x00\x01")  # a mask's binary digits as 0/1 bytes
 _ORDER, _COUNT, _PRESENT = attrgetter("order"), attrgetter("count"), methodcaller("present")
+_DIGIT_BITS = sys.int_info.bits_per_digit  # a big int times an int of one digit is one pass over it
 
 
 class _Product:
@@ -267,16 +270,19 @@ class Tube:
         """Each strand's color at each of `vertices`, in lexicographic order, read by token columns.
 
         A tube is a multiset, so this order is as good as any.  Vertex v's
-        colors take w_v = max(1, bit_length(v's largest color)) bits.  When
-        the w_v sum to at most one word, a key per strand holds them all, the
-        first vertex most significant: the sum, over the tokens of nonzero
-        color, of the token's column times its color shifted to its vertex's
-        offset, laid out like the frame.  Frame.heads reads the keys off, they
-        are sorted as ints, and bit_fields cuts each vertex's colors out of all
-        of them at once.  Otherwise each vertex gets its own such read with no
-        shift, and the rows are sorted as tuples: the reference the key path
-        is tested against.  Every strand must name every one of the vertices
-        (KeyError otherwise).
+        colors take w_v = max(1, bit_length(v's largest color)) bits.  The
+        vertices, in order, are cut into consecutive groups whose w_v sum to
+        at most one word, and each group gives every strand one key, the
+        group's first vertex most significant: the sum, over the tokens of
+        nonzero color, of the token's column times its color at its vertex's
+        offset, laid out like the frame.  A multiplier wider than one int
+        digit costs CPython a pass per digit, so each color is shifted only
+        within its digit of the key and each digit's sum is shifted once.
+        Frame.heads reads the keys off and bit_fields cuts each vertex's
+        colors out of its group's keys all at once; one group's keys are
+        sorted as ints before the cut, several groups' rows as tuples after
+        it.  Every strand must name every one of the vertices (KeyError
+        otherwise).
         """
         machine, vertices, runs = self._machine, list(vertices), self.runs
         for run in runs:
@@ -285,42 +291,42 @@ class Tube:
                 raise KeyError(f"strands of vertex order {run.order} lack vertex {min(missing)}")
         if not vertices:
             return [()] * len(self)
-        colored = [[(i, c) for i, (_, c) in machine._token_at.get(v, {}).items() if c] for v in vertices]
-        widths = [max(1, max((c for _, c in tokens), default=0).bit_length()) for tokens in colored]
-        if sum(widths) > WORD_BITS:
-            rows = []
+        groups = []  # per key, its vertices' (colored tokens, width)
+        for v in vertices:
+            tokens = [(i, c) for i, (_, c) in machine._token_at.get(v, {}).items() if c]
+            width = max(1, max((c for _, c in tokens), default=0).bit_length())
+            if not groups or sum(w for _, w in groups[-1]) + width > WORD_BITS:
+                groups.append([])
+            groups[-1].append((tokens, width))
+        keys, fields = [], []
+        for group in groups:
+            fields.append([(sum(w for _, w in group[j + 1:]), w) for j, (_, w) in enumerate(group)])
+            parts = {}  # digit-aligned offset -> (token, color shifted to its vertex's place in the digit)
+            for (tokens, _), (at, _) in zip(group, fields[-1]):
+                parts.setdefault(at - at % _DIGIT_BITS, []).extend((i, c << at % _DIGIT_BITS) for i, c in tokens)
+            column = []
             for run in runs:
-                rows += zip(*[run.heads(sum(run.column(i) * c for i, c in tokens)) for tokens in colored])
+                column += run.heads(sum(sum(run.column(i) * c for i, c in part) << at for at, part in parts.items()))
+            keys.append(column)
+        if len(keys) == 1:
+            keys[0].sort()
+        rows = list(zip(*chain.from_iterable(map(bit_fields, keys, fields))))
+        if len(keys) > 1:
             rows.sort()
-            return rows
-        offsets = [sum(widths[j + 1:]) for j in range(len(widths))]
-        keys = []
-        for run in runs:
-            keys += run.heads(
-                sum(run.column(i) * (c << at) for tokens, at in zip(colored, offsets) for i, c in tokens)
-            )
-        keys.sort()
-        return list(zip(*bit_fields(keys, zip(offsets, widths))))
+        return rows
 
     def distinct(self) -> int:
-        """How many different strands the tube holds, read from the fields.
+        """How many different strands the tube holds.
 
         A tube that is one frame whose fields strictly increase
         (Frame.ascending) holds no strand twice, and the solver's survivor
         tube is one after every step.  Any other tube is counted exactly by
-        one set of field ints per order, read at the widest width of the
-        order's runs, since a field's presence bits depend on its width.
+        the set of its token tuples (contents).
         """
         runs = self.runs
         if len(runs) == 1 and runs[0].ascending():
             return runs[0].count
-        widest = {}
-        for run in runs:
-            widest[run.order] = max(widest.get(run.order, 0), run.width)
-        seen = {order: set() for order in widest}
-        for run in runs:
-            seen[run.order].update(run.values(widest[run.order]))
-        return sum(map(len, seen.values()))
+        return len(set(self.contents))
 
     def __len__(self) -> int:
         return sum(map(_COUNT, self._runs))

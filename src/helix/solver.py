@@ -59,7 +59,6 @@ class Trace:
     steps: tuple[StepRecord, ...]
     op_totals: OpCounter
     peak_tube_size: int
-    construction: str | None = None  # "synthetic" when the start tube was not built stepwise
 
 
 @dataclass(frozen=True)
@@ -191,8 +190,9 @@ def solve_monolithic(
     """Materialize all k**n assignments, then filter per edge and color.
 
     The start tube is built combinatorially rather than through k**n Append
-    calls, so the trace carries no step records and is marked synthetic; the
-    filtering phase runs on the machine and is counted normally.
+    calls, so the trace carries no step records and its document is marked
+    synthetic; the filtering phase runs on the machine and is counted
+    normally.
     """
     machine = _check_inputs(g, k, cb, match_mode, budget)
     token_rows = [tuple((v, c) for c in range(k)) for v in range(1, g.n + 1)]
@@ -205,10 +205,7 @@ def solve_monolithic(
             machine.discard(bad)
     colorable = machine.detect(tube)
     solutions = SolutionSet(tuple(_decode_final(tube, g.n)), colorable)
-    trace = Trace(
-        (), machine.counter.snapshot(), machine.peak_tube_size, construction="synthetic"
-    )
-    return solutions, trace
+    return solutions, Trace((), machine.counter.snapshot(), machine.peak_tube_size)
 
 
 def step_census(g: Graph, k: int, order, i: int) -> int:
@@ -239,7 +236,10 @@ OP_FIELDS = frozenset(f.name for f in dataclasses.fields(OpCounter))
 def trace_document(
     g: Graph, k: int, order, mode: str, solutions: SolutionSet, trace: Trace
 ) -> dict:
-    """The JSON form of one run; field names here are a stable contract."""
+    """The JSON form of one run; field names here are a stable contract.
+
+    A monolithic document is marked "construction": "synthetic" (see solve_monolithic).
+    """
     doc = {
         "graph": {"n": g.n, "m": g.m},
         "k": k,
@@ -261,8 +261,8 @@ def trace_document(
         "colorable": solutions.colorable,
         "solutions": list(solutions.ordered),  # tuples: json writes them as arrays
     }
-    if trace.construction is not None:
-        doc["construction"] = trace.construction
+    if mode == "monolithic":
+        doc["construction"] = "synthetic"
     return doc
 
 
@@ -377,5 +377,4 @@ def read_trace_document(doc: dict) -> tuple[dict, SolutionSet, Trace]:
         raise SolverError(f"monolithic trace carries no steps, got {len(steps)}")
     if meta["mode"] == "monolithic" and construction != "synthetic":
         raise SolverError(f"monolithic trace must carry construction 'synthetic', got {construction!r}")
-    trace = Trace(tuple(steps), op_totals, _count(doc["peak_tube_size"], "peak_tube_size"), construction)
-    return meta, solutions, trace
+    return meta, solutions, Trace(tuple(steps), op_totals, _count(doc["peak_tube_size"], "peak_tube_size"))

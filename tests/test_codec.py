@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -258,6 +259,19 @@ def test_validation_report_matches_the_triple_scan(pool):
     assert report.duplicates == reference.duplicates
     assert report.junction_violations == reference.junction_violations
     assert report.min_pairwise_hamming == reference.min_pairwise_hamming
+
+
+def test_validation_lists_no_codeword_pairs():
+    """750 codewords make 280,875 pairs; the report's memory must not grow with them."""
+    cb = generate_codebook(250, 3, 20, 0)
+    tracemalloc.start()
+    try:
+        report = validate_codebook(cb)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.ok and report.min_pairwise_hamming is not None
+    assert peak < 12 * 2**20
 
 
 def test_an_occurrence_at_a_boundary_is_aligned_only_as_a_whole_word():

@@ -779,10 +779,9 @@ def check_frame_against_slots(frame, slots):
     assert frame.present() == sum(1 << (j * size) for j, s in enumerate(slots) if s is not None)
     for extra in (0, 1):
         width = frame.width + extra
-        fields = [model_field(s, width) for s in live]
-        assert list(frame.words(width)) == [f >> (64 * w) & (2**64 - 1) for f in fields for w in range(width)]
-        assert list(frame.values(width)) == fields
-    assert list(frame.words()) == list(compacted_words(frame))
+        assert frame.fields(width) == b"".join(model_field(s, width).to_bytes(8 * width, "little") for s in live)
+    assert list(frame.values()) == [model_field(s, frame.width) for s in live]
+    assert frame.fields() == b"".join(w.to_bytes(8, "little") for w in compacted_words(frame))
     fields = [model_field(s, frame.width) for s in live]
     assert frame.ascending() == all(a < b for a, b in zip(fields, fields[1:]))
     for i in EDGE_TOKENS:
@@ -901,12 +900,12 @@ def test_a_color_that_does_not_fit_one_word_is_refused(color):
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_colors_are_the_sorted_per_strand_colors(wide, data):
-    """Tube.colors is the per-strand colors, sorted, on both of its paths.
+    """Tube.colors is the per-strand colors, sorted, with one key or several.
 
     Every strand names the vertices `shared`, in any order, and maybe others.
-    Colors below 8 pack any request into one word.  With a color 2**64 - 1
-    seen for every vertex, a request of two or more vertices overflows it
-    and takes the tuple sort; one vertex still fits.
+    Colors below 8 pack any request into one key.  With a color 2**64 - 1
+    seen for every vertex, each vertex of a request takes a key of its own,
+    and the rows are sorted as tuples.
     """
     m = TubeMachine()
     if wide:
@@ -932,7 +931,41 @@ def test_colors_are_the_sorted_per_strand_colors(wide, data):
     with unittest.mock.patch("helix.machine.bit_fields", wraps=helix.frames.bit_fields) as key_path:
         got = tube.colors(vertices)
     assert got == sorted(tuple(dict(s)[v] for v in vertices) for s in tube.contents)
-    assert key_path.called == (bool(vertices) and (not wide or len(vertices) == 1))
+    assert key_path.called == bool(vertices)
+
+
+@pytest.mark.parametrize("kind", ["frames", "extracted", "product"])
+@pytest.mark.parametrize(
+    "choices, key_sizes",
+    [
+        ([[0, 2**32 - 1], [1, 2**32 - 1]], [2]),
+        ([[0, 2**32 - 1], [5, 2**33 - 1]], [1, 1]),
+        ([[0, 1]] + [[1]] * 32 + [[0]] * 31 + [[0, 1]], [64, 1]),
+    ],
+    ids=["32+32 bits, one key", "32+33 bits, two keys", "65 one-bit vertices, a full first key"],
+)
+def test_colors_cut_the_vertices_into_keys_of_one_word(choices, key_sizes, kind):
+    """Each key takes the next vertices whose widths fit 64 bits; every strand is a product row.
+
+    The first and last vertices take two colors each, so strands tie on
+    every key but the last and differ on it.  The frame tube lists the
+    product backwards, so the decode has to sort.
+    """
+    m = TubeMachine()
+    vertices = list(range(1, len(choices) + 1))
+    rows = [[(v, c) for c in colors] for v, colors in zip(vertices, choices)]
+    if kind == "product":
+        tube = m.new_tube("t", rows=rows)
+    else:
+        tube = m.new_tube("t", list(itertools.product(*rows))[::-1])
+    if kind == "extracted":  # the strands with vertex 1's second color; the others leave dead slots
+        _, tube = m.extract(tube, cw(*rows[0][0]))
+        assert [(r.count, r._slots) for r in tube.runs] == [(2, 4)]
+    with unittest.mock.patch("helix.machine.bit_fields", wraps=helix.frames.bit_fields) as key_path:
+        got = tube.colors(vertices)
+    assert got == sorted(tuple(dict(s)[v] for v in vertices) for s in tube.contents)
+    assert len(got) == len(tube) and len(set(got)) == len(got)
+    assert [len(call.args[1]) for call in key_path.call_args_list] == key_sizes
 
 
 @settings(max_examples=200, deadline=None)

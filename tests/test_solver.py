@@ -36,7 +36,7 @@ def test_k3_full_trace():
     assert sols.colorable is True
     assert sols.colorings == frozenset(itertools.permutations((0, 1, 2)))
     assert trace.peak_tube_size == 18
-    assert trace.construction is None
+    assert "construction" not in trace_document(builtin_graph("k3"), 3, None, "incremental", sols, trace)
     assert trace.steps == (
         StepRecord(1, 1, (1, 1, 1), (1, 1, 1), 0, 3),
         StepRecord(2, 3, (3, 3, 3), (2, 2, 2), 3, 6),
@@ -237,7 +237,7 @@ def test_monolithic_k3():
     sols, trace = solve_monolithic(builtin_graph("k3"), 3, builtin_table1())
     assert sols.colorings == frozenset(itertools.permutations((0, 1, 2)))
     assert trace.peak_tube_size == 27
-    assert trace.construction == "synthetic"
+    assert trace_document(builtin_graph("k3"), 3, None, "monolithic", sols, trace)["construction"] == "synthetic"
     assert trace.steps == ()
     # filtering: per edge and color, two extracts, one merge, one discard
     ops = trace.op_totals.as_dict()
@@ -410,8 +410,8 @@ def test_trace_document_monolithic_marks_synthetic():
     doc = trace_document(g, 3, None, "monolithic", sols, trace)
     assert doc["construction"] == "synthetic"
     assert doc["steps"] == []
-    _, _, trace2 = read_trace_document(doc)
-    assert trace2.construction == "synthetic"
+    _, sols2, trace2 = read_trace_document(doc)
+    assert trace_document(g, 3, None, "monolithic", sols2, trace2)["construction"] == "synthetic"
 
 
 def test_read_trace_document_validates():
