@@ -1,8 +1,6 @@
 """Command-line front end: solve one instance, compare engines, manage codebooks.
 
-Exit codes: 0 success (an uncolorable instance is still a successful run),
-1 I/O or input-parsing failure, 2 configuration problem, 3 engine
-disagreement from `compare`, 4 codebook validation failure.
+The README lists the exit codes (EXIT_*) and what ends in each.
 """
 
 from __future__ import annotations
@@ -119,14 +117,18 @@ def parse_codebook_spec(spec: str, g: Graph, k: int) -> Codebook:
     return load_codebook_arg(spec)
 
 
-def parse_order_spec(spec: str, g: Graph) -> list[int]:
-    """The run order, checked by the solver before any engine starts."""
-    order = None
-    if spec != "natural":
-        try:
-            order = [int(tok) for tok in spec.split(",")]
-        except ValueError:
-            raise ConfigError(f"order must be 'natural' or a comma list, got {spec!r}") from None
+def parse_order_spec(spec: str, g: Graph) -> list[int] | None:
+    """The run order, checked before any engine starts; None for natural.
+
+    The engines resolve None after their own checks, so a run they refuse
+    never lists the vertices.
+    """
+    if spec == "natural":
+        return None
+    try:
+        order = [int(tok) for tok in spec.split(",")]
+    except ValueError:
+        raise ConfigError(f"order must be 'natural' or a comma list, got {spec!r}") from None
     return solver.resolve_order(g, order)
 
 
@@ -193,12 +195,11 @@ def _print_run(g: Graph, k: int, mode: str, solutions, trace) -> None:
     _print_solutions(solutions)
 
 
-def _read_run(args) -> tuple[Graph, int, Codebook, list[int]]:
+def _read_run(args) -> tuple[Graph, int, Codebook, list[int] | None]:
     """The graph (its warnings printed), k, codebook and order a run asks for.
 
-    Before the codebook is read or generated, a k whose least possible peak
-    is over the strand budget is refused: every engine holds k copies of the
-    k one-vertex strands (k^2 strands) once n >= 2, and k strands when n = 1.
+    A k whose least possible peak is over the strand budget (see the README)
+    is refused before the codebook is read or generated.
     """
     g, warnings = parse_graph_spec(args.graph)
     for w in warnings:

@@ -6,8 +6,7 @@ nucleotides by concatenating its codewords in token order.  Substring-based
 extraction is only trustworthy when no codeword can occur in a rendered strand
 anywhere except at a codeword boundary, so codebooks carry a junction validator
 and generated codebooks are rejection-sampled against it.  The validator looks
-only at pairs of codewords, which is enough for strands of any length and
-codewords of any lengths; see validate_codebook for the fine print.
+only at pairs of codewords; validate_codebook says why that is enough.
 """
 
 from __future__ import annotations
@@ -32,6 +31,9 @@ BLANK_STRAND: Strand = ()
 
 GENERATION_ATTEMPTS = 10_000
 MAX_GENERATED_LENGTH = 1000  # admission is quadratic in the length
+# Generation's junction index takes about length * (length + 300) bytes per
+# codeword; a table whose index would pass this many bytes is refused.
+MAX_GENERATED_INDEX_BYTES = 1 << 29
 
 
 class CodecError(ValueError):
@@ -180,12 +182,10 @@ def validate_codebook(cb: Codebook) -> ValidationReport:
 def occurrence_chains(sequences, seq: str) -> tuple[Strand, ...]:
     """Every token chain whose joined words hold seq from inside the first word to inside the last.
 
-    `sequences` maps tokens to words.  A strand's bases hold seq exactly when
-    it holds some chain's tokens in consecutive rows.  Besides the words
-    holding seq, chains cross a junction at a cut j, which is followed only
-    if some word ends with seq[:j] and some word starts with seq[j:] cut to
-    the shortest word's length (a bisect over the sorted words).  A
-    validated codebook gives each codeword only its own token as a chain.
+    `sequences` maps tokens to words.  Besides the words holding seq, chains
+    cross a junction at a cut j, which is followed only if some word ends
+    with seq[:j] and some word starts with seq[j:] cut to the shortest
+    word's length (a bisect over the sorted words).
     """
     words = sorted(sequences.values())
     joined, shortest = "\n".join(words) + "\n", min(map(len, words), default=0)
@@ -306,12 +306,20 @@ def generate_codebook(n: int, k: int, length: int, seed: int) -> Codebook:
     Codewords are drawn one (vertex, color) slot at a time in vertex-major
     order and rejection-resampled until the _JunctionIndex that validation
     uses admits them.  The draw order is fixed, so equal arguments give
-    bit-identical codebooks on any platform.
+    bit-identical codebooks on any platform.  A length outside
+    4..MAX_GENERATED_LENGTH, or a table whose index would pass
+    MAX_GENERATED_INDEX_BYTES, raises CodecError before anything is drawn.
     """
     if length < 4:
         raise CodecError(f"codeword length must be at least 4, got {length}")
     if length > MAX_GENERATED_LENGTH:
         raise CodecError(f"codeword length must be at most {MAX_GENERATED_LENGTH}, got {length}")
+    size = n * k * length * (length + 300)
+    if size > MAX_GENERATED_INDEX_BYTES:
+        raise CodecError(
+            f"{n * k} codewords of {length} nt need about {size} bytes to generate, "
+            f"over the limit of {MAX_GENERATED_INDEX_BYTES}"
+        )
     rng = random.Random(seed)
     index = _JunctionIndex()
     for _slot in range(n * k):  # a bad n or k is refused by Codebook below

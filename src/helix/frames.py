@@ -1,41 +1,45 @@
 """Frames: the strands of one vertex order, stored as fields of one big int.
 
-Every strand a TubeMachine holds outside a product mask lives in a frame, and
-a tube is a tuple of runs, frames and product masks, so the vertex order (the
-tuple of the strands' vertices) is kept once per run.  A strand's field is the sticker model's
-memory strand (Roweis et al., J. Comput. Biol. 5(4), 1998) in a row of 64-bit
-words: bit 0 of every byte is a presence bit, and token i sits in
-word i // 56, byte (i % 56) // 7 of it, bit 1 + i % 7 of that byte
-(place(i)), 7 tokens to a byte and 56 to a word.
+Field layout.  A strand's field is the sticker model's memory strand
+(Roweis et al., J. Comput. Biol. 5(4), 1998) in a row of 64-bit words.
+Bit 0 of every byte is a presence bit, and token i, the i-th (vertex, color)
+token the machine has seen, sits above it at place(i): word i // 56, byte
+(i % 56) // 7 of that word, bit 1 + i % 7 of that byte.  So a byte holds 7
+tokens and a word 56, and every byte of a live field is non-zero.
 
-A frame is the fields of its strands side by side, slot j a field of `width`
-words, and a live-slot mask: one bit at the start of each slot that holds a
-strand.  Every byte of a live field is non-zero.  A token's column (column)
-is the token's bit shifted down to each slot's start and ANDed with the live
-mask: one bit per strand that holds it, at the strand's slot start.  Columns
-combine by AND and OR, so extract on either kind of machine computes one and
-splits by it (split): both outputs share the source's int and slots and
-differ only in their live masks, so an extract writes no field.  A dead
-slot's field stays in the int until the frame's fields are read (fields):
-then the dead fields are cleared with one AND by the spread live mask
-(`(live << W) - live`), and since every byte of a live field is non-zero,
-deleting the zero bytes (one bytes.translate) leaves exactly the live fields,
-compacted.  grown (append) ORs the live mask in at the token's place,
-widening every field by whole words when the token lies past the width.
-joined (a merge, once read) concatenates the frames' compacted fields.
-ascending() tests, with a few whole-frame int operations, whether the fields
-strictly increase as ints, which rules out a repeated strand; values() reads
-one int per strand, which the machine unpacks to tokens.  heads() reads the
-first word of each live slot from an int laid out like the frame, which the
-color decode builds from columns, one int per one-word key; bit_fields()
-then cuts each vertex's colors out of its key.
+Live mask, columns and split.  A frame is its strands' fields side by side,
+slot j a field of `width` words, plus a live mask: one bit at the start of
+each slot that holds a strand.  A token's column is the token's bit shifted
+down to each slot's start and ANDed with the live mask, one bit per strand
+that holds it.  Columns combine by AND and OR, and split by a column gives
+two frames that share the source's int and slots and differ only in their
+live masks, so an extract writes no field.
 
-A token's place rises with the order in which the machine first saw it, and
-widening adds presence bits only.  So copies of an ascending frame that each
-gain a token newer than any before, lose strands by split (which keeps slot
-order) and are joined in the order their tokens entered stay ascending, the
-newest token most significant.  The solver's survivor tube grows this way;
-only the repeat check's speed relies on it.
+Compaction.  A dead slot's field stays in the int until the fields are next
+read (fields: a join, a widening grown, ascending, values).  One AND with the
+live mask spread over each slot, `(live << 64 * width) - live`, then clears
+the dead fields, and since every byte of a live field is non-zero, deleting
+the zero bytes with one bytes.translate leaves exactly the live fields,
+compacted.
+
+Widening.  grown ORs the live mask in at the token's place.  A token past
+the width first widens every field by whole words, which hold presence bits
+only.
+
+Ascending frames.  ascending tests whether the fields, read as ints,
+strictly increase from slot to slot, with a few whole-frame int operations.
+Read from bit 1 up, each field ends in the next slot's presence bit.  That
+bit is cleared and set again as a guard that no borrow crosses, so in
+`guard + field - next field` it stays exactly where the field is not below
+the next; the last field's guard always stays, so the fields ascend when
+one guard is left.  Strictly increasing fields hold no strand twice.  The
+solver's survivor tube stays one ascending frame: a token's place rises with
+the order in which the machine first saw it, so the colors appended at a
+step outrank every earlier token and rise with the color; split and the
+join keep slot order, merge keeps the color tubes in color order, and
+widening adds presence bits only.  So the fields stay in colex order of the
+run order, the newest token most significant.  Only the speed of the repeat
+check (Tube.distinct) relies on this.
 """
 
 from __future__ import annotations
@@ -53,7 +57,7 @@ PRESENT = 0x0101010101010101  # a word of presence bits; the same in either byte
 
 
 def place(i: int) -> int:
-    """The bit of token i in a field: word i // 56, byte (i % 56) // 7, above that byte's presence bit."""
+    """The bit of token i in a field (see the field layout in the module docstring)."""
     word, rest = divmod(i, WORD_TOKENS)
     byte, bit = divmod(rest, BYTE_TOKENS)
     return WORD_BITS * word + 8 * byte + 1 + bit
@@ -76,9 +80,8 @@ def _to_words(bits: int, count: int):
 def _widen(raw: bytes, width: int, wider: int) -> bytes:
     """Compacted fields of `width` words, as bytes, in fields of `wider` words.
 
-    The added words hold no token, only the presence bits.  Words are moved
-    whole and the fill reads the same in either byte order, so no word is
-    ever read as an int.
+    Words are moved whole and the fill reads the same in either byte order,
+    so no word is ever read as an int.
     """
     words = memoryview(raw).cast("Q")
     out = array("Q", [PRESENT]) * (len(words) // width * wider)
@@ -136,14 +139,12 @@ def bit_fields(values, fields) -> list:
 
 
 class Frame:
-    """Strands of one vertex order as the fields of one big int.
+    """Strands of one vertex order as the fields of one big int (see the module docstring).
 
-    `order` is the strands' vertex order, a tuple the frame only carries.
-    Slot j is bits [j * 64 * width, (j + 1) * 64 * width) of `_bits`, `_slots`
-    counts the slots, dead ones included, `count` the strands, and `_live`
-    (present(), built on first use when every slot is live) has one bit at
-    the start of each live slot.  A frame is never changed once built, so
-    copies, and both outputs of a split, share its int.
+    `order` is the strands' vertex order, a tuple the frame only carries,
+    `width` the words per field, `count` the strands and `_slots` the slots,
+    dead ones included.  `_live`, the live mask, is built on first use when
+    every slot is live.  A frame is never changed once built.
     """
 
     __slots__ = ("order", "width", "count", "_bits", "_slots", "_live")
@@ -175,11 +176,7 @@ class Frame:
         return self._live
 
     def fields(self, width: int = 0) -> bytes:
-        """The strands' fields, dead slots left out, as little-endian bytes of max(width, self.width) words each.
-
-        Every byte of a live field is non-zero, so once the dead fields are
-        cleared, deleting the zero bytes drops exactly the dead slots.
-        """
+        """The strands' fields, dead slots left out, as little-endian bytes of max(width, self.width) words each."""
         bits, size = self._bits, 8 * self.width * self._slots
         if self.count < self._slots:
             live = self._live
@@ -202,11 +199,8 @@ class Frame:
     def ascending(self) -> bool:
         """Whether the strands' fields, read as ints, strictly increase from slot to slot.
 
-        Read from bit 1 up, each field ends in the next slot's bit 0.  That
-        bit is cleared and set again as a guard no borrow crosses, so in
-        `guard + field - next field` it stays exactly where the field is not
-        below the next; the last field's guard always stays.  Fields that
-        differ only in bit 0 may read as not ascending, never the reverse.
+        Fields that differ only in bit 0 may read as not ascending, never the
+        reverse.
         """
         size = WORD_BITS * self.width
         if self.count == self._slots:
@@ -232,11 +226,7 @@ class Frame:
         return (self._bits >> place(index)) & self.present()
 
     def split(self, starts: int) -> tuple["Frame", "Frame"]:
-        """(hit, rest): the strands whose slot starts are set in `starts` and the others.
-
-        `starts` is a subset of the live mask, such as a column.  Both
-        outputs share this frame's int and slots; only their live masks differ.
-        """
+        """(hit, rest): the strands whose slot starts are set in `starts`, a subset of the live mask such as a column, and the others."""
         hits = starts.bit_count()
         hit = Frame(self.order, self.width, hits, self._bits, self._slots, starts)
         return hit, Frame(self.order, self.width, self.count - hits, self._bits, self._slots, self.present() ^ starts)

@@ -1,91 +1,77 @@
 """Simulated test-tube bench: labeled strand multisets and the six operations.
 
 A TubeMachine hands out tubes and performs Append, Copy, Merge, Extract,
-Detect, and Discard on them, charging one counter tick per call.  As in the
-Adleman-Lipton model, one session fixes one extraction chemistry: a machine
-built with a codebook extracts on nucleotides, one built without extracts on
-tokens, and extract itself takes only the tube and the codeword.  Tubes hold
-multisets of symbolic strands either way; the tokens are the ground truth the
-simulator reasons about, and a codeword's base sequence only ever decides
-membership, all of which keeps the two kinds of machine comparable strand for
-strand.
+Detect, and Discard on them, charging one counter tick per call and keeping
+the run's peak strand count; the README states how each operation pours and
+how the peak is counted.  The tokens are the ground truth the simulator
+reasons about, and a codeword's base sequence only ever decides membership.
 
-Physical accounting: Copy pours the source out into its copies (the source
-ends empty), Merge pours sources into the destination, Extract pours the
-source into its two output tubes, and Discard retires a tube for good.  The
-machine tracks the total strand count across live tubes after every operation;
-the high-water mark is the run's peak tube size.
+Runs.  A tube is a tuple of runs, each a frame (frames.py: the strands of one
+vertex order as fields of one int) or a product run.  Both give the
+operations one interface: the strands' vertex `order`, `count`, present()
+(the live strands), column(i) (the live strands that hold token i) and
+split(starts), so every operation has one body.  Extract splits each run by
+a column, append grows each frame, copy shares the tuple and merge
+concatenates the tuples.  new_tube makes one frame per stretch of strands of
+one order.  The machine keeps no table of orders: an order lives as long as
+a run carries it, so the machine holds only live orders.
 
-Strand storage: a tube is a tuple of runs, each a frame or a product mask.
-Both kinds give the operations one interface: the strands' vertex `order`,
-`count`, present() (the live strands), column(i) (the live strands that hold
-token i) and split(starts), so every operation has one body.
+Lazy join.  Adjacent frames of one order are joined, compacted and in order,
+only when the tube is next read (Tube.runs).  So a merged tube discarded
+unread, like the solver's bad tubes, is never joined or compacted; joining
+at every merge made the incremental engine about 45% slower.
 
-Frames (see frames.py) each hold the strands of one vertex order, so the
-order, the tuple of the strands' vertices, is kept once per frame.  The
-machine keeps no table of orders: an order lives as long as a frame or a
-product run carries it, so the machine holds only live orders.  A strand is a
-field with one bit per (vertex, color) token: token i, the i-th the machine
-has seen, at bit frames.place(i), seven tokens above the presence bit of each
-byte.  Both kinds of machine keep the same frames.
-Extract splits each run by a column, append grows each frame, copy shares
-the tuple and merge concatenates the tuples.  A split writes no field: its
-two frames share the source's int and differ only in their live-slot masks,
-and a frame's dead fields are dropped when its fields are next read (a join,
-a widening append, ascending or values), by one AND and one bytes.translate.
-Adjacent frames of one order are joined when the tube is next read, so a
-merged tube discarded unread, like the solver's bad tubes, is never joined
-or compacted.
-new_tube makes one frame per stretch of strands of one order.
+Product runs.  The monolithic start tube, new_tube(rows=...), is one run of
+no field: a live mask over the product of its rows, strand i of
+itertools.product(*rows) live iff bit i is set.  This is the sticker layout
+sliced by column.  Entry j of row r spans runs of as many strands as the
+later rows' product, so its column is the column of the row's first entry
+shifted up j runs; only that first column is built, by shift-doubling on
+first use, and the _Product that both outputs of a split share caches it,
+one mask per row rather than one per token.  Extract is then one big-int AND
+(`hit = live & column`, rest `live ^ hit`); copy shares the run, and len,
+detect and discard count its bits.  Merge ORs adjacent product runs over one
+product that share no strand, which gives product order; any other runs
+stay side by side, two copies of one tube as two masks, so repeated strands
+stay repeated and merge decodes nothing.  Tube.runs, which append, contents
+and colors read, turns a mask into one frame, in product order, the first
+time the strands are read.  A mask with fewer set bits than size / rows is
+decoded sparsely, from each set bit's index read as mixed-radix digits (last
+row fastest), a denser one by walking the whole product.  Only rows= builds
+a mask: a mask over k**i strands for a tube that grows by append would
+bring back the blow-up the incremental engine avoids.
 
-Tube.distinct, the solver's per-step repeat check, returns the count of a
-tube that is one frame whose fields strictly increase (Frame.ascending).
-Tokens are numbered in the order they enter, so a step's colors outrank
-every earlier token and rise with the color; merge keeps the color tubes in
-color order, and split and the join keep slot order.  So the survivor tube
-stays such a frame, in colex order of the run order.  Only the check's speed
-relies on this: any other tube, one with a repeat included, is counted
-exactly by the set of its token tuples.
+Column decode (Tube.colors).  Each requested vertex gets as many bits as its
+largest color needs (at least one), and the vertices, in order, are cut into
+groups that fit one 64-bit word each, the first vertex of a group the most
+significant.  Per group, every strand's key is the sum, over the tokens of
+nonzero color, of the token's column times its color shifted to its
+vertex's bits: an int laid out like the frame with each key in the first
+word of its slot, which Frame.heads reads off, and frames.bit_fields cuts
+each vertex's colors back out of the keys.  A multiplier wider than one int
+digit costs CPython a pass per digit, so each color is shifted only within
+its digit of the key and each digit's sum is shifted once.  One group's
+keys are sorted as ints before the cut, several groups' rows as tuples after
+it, which is the same lexicographic order.  A color must fit one word, so
+the machine refuses any other when a token first enters (_index_of).
 
-Tube.contents unpacks to token tuples in append order through one
-(vertex mask, {bit: token}) row per vertex of the frame's order; it is the
-per-strand reference.  Tube.colors, the final decode, reads by columns and
-returns the colorings in lexicographic order.  Each requested vertex gets as
-many bits as its largest color needs (at least one), and the vertices, in
-order, are cut into groups that fit one 64-bit word each, the first vertex
-of a group the most significant.  Per group, the sum of every token's column
-times its color, shifted to its vertex's bits, is an int laid out like the
-frame with each strand's key in the first word of its slot; Frame.heads
-reads the keys off and frames.bit_fields cuts each vertex's colors back out
-of its group's keys.  One group's keys are sorted as ints before the cut,
-several groups' rows as tuples after it, which is the same order.  A color
-must fit one word, so the machine refuses any other when a token first
-enters (_index_of).
+Tube.contents unpacks every strand to its token tuple in append order; it is
+the per-strand reference that the column decode and the repeat check are
+tested against.
 
-Product runs: the monolithic start tube, new_tube(rows=...), holds one run
-of no field.  It is a live mask over the product of its rows: strand i of
-itertools.product(*rows) is in the run iff bit i of the mask is set.  This is
-the sticker layout sliced by column: a token's column is the mask of the
-strands that hold it, so extract is one big-int AND (`hit = live & column`,
-rest `live ^ hit`), and the two runs share the product's rows and column
-cache.  Copy shares the run, and len, detect and discard count its bits.
-Merge ORs adjacent product runs over one product that share no strand, which
-gives product order; any other runs stay side by side, two copies of one
-tube as two masks, so repeated strands stay repeated and merge decodes
-nothing.  Tube.runs, which append, contents and colors read, turns each mask
-into one frame, in product order, the first time the strands are read.  A
-mask with few bits set is decoded from the mixed-radix index of each set
-bit, a dense one by walking the product.  Only rows= builds a mask: a mask
-over k**i strands for a tube that grows by append would bring back the
-blow-up the incremental engine avoids.
-
-Columns: extract splits each run by one column.  Symbolic extract uses the
-codeword's token column.  Nucleotide extract ORs, over the codebook's
-occurrence chains of the sequence (Codebook.chains) whose vertices sit
-consecutively in the order, the AND of the chain's token columns, so no
-strand is ever rendered.  The empty sequence occurs in every rendering, so it
-matches every strand, one of no token too.  A token the codebook lacks, listed as it enters,
-raises the CodecError that names it, through render, when a strand holds it.
+Nucleotide extract.  A machine with a codebook keeps the strands whose
+rendered bases hold the codeword's sequence, and finds them from the token
+columns, with no strand rendered.  The sequence's occurrence chains
+(Codebook.chains) are the token chains whose codewords, joined in order,
+hold it from inside the first word to inside the last.  A strand renders its
+codewords in run order, so it holds the sequence exactly when it holds some
+chain's tokens at consecutive places of its order, and the column is the OR,
+over the chains whose vertices sit consecutively in the run's order, of the
+AND of the chain's token columns.  On a validated codebook a codeword's only
+chain is its own token, so its extract reads one column, and product runs
+stay masks on either kind of machine.  Uncoded tokens: the machine lists each
+token the codebook lacks as it enters, and an extract of a run that holds
+one raises, through render, the CodecError that names it.
 """
 
 from __future__ import annotations
@@ -108,15 +94,11 @@ _DIGIT_BITS = sys.int_info.bits_per_digit  # a big int times an int of one digit
 
 
 class _Product:
-    """The strands of itertools.product(*rows), numbered in product order.
+    """The strands of itertools.product(*rows), numbered in product order, none of them built.
 
-    `rows` are the rows' token indices; `bits` holds their bits, so strand
-    i's field is the sum of its row entries, and every strand has vertex
-    order `order`.  column(index) is the mask of the strands that hold that
-    token.  Entry j of row r spans
-    runs of `run` strands, so its column is the column of the row's first
-    entry shifted up j * run bits; only that first column is built (on first
-    use) and cached, one mask per row rather than one per token.
+    `rows` are the rows' token indices, `bits` their bits, so strand i's
+    field is the sum of its row entries, and every strand has vertex order
+    `order`.  column(index) is the mask of the strands that hold that token.
     """
 
     __slots__ = ("order", "bits", "size", "_where", "_firsts")
@@ -145,11 +127,7 @@ class _Product:
         return col
 
     def members(self, mask: int) -> list[int]:
-        """The fields of the strands whose bits are set in mask, in product order.
-
-        A mask with fewer set bits than size / rows is decoded bit by bit,
-        anything denser by walking the whole product.
-        """
+        """The fields of the strands whose bits are set in mask, in product order."""
         if mask.bit_count() * len(self.bits) < self.size:
             return self._picked(mask)
         return self._walked(mask)
@@ -159,7 +137,7 @@ class _Product:
         return list(map(sum, compress(product(*self.bits), digits)))
 
     def _picked(self, mask: int) -> list[int]:
-        """Each set bit's strand from its index, read as mixed-radix digits (last row fastest)."""
+        """The fields of the strands set in mask, one set bit at a time."""
         radices = [(len(row), row) for row in reversed(self.bits)]
         digits = bin(mask)[:1:-1]
         out = []
@@ -175,12 +153,7 @@ class _Product:
 
 
 class _ProductRun:
-    """The strands of a _Product whose bits are set in `live`, a tube run beside frames.
-
-    Both outputs of a split share the product, so its rows and column cache,
-    and differ only in their live masks; `count` counts the live bits only
-    when asked.
-    """
+    """The strands of a _Product whose bits are set in `live`: a tube run beside frames."""
 
     __slots__ = ("product", "order", "live")
 
@@ -230,11 +203,9 @@ class Tube:
     """A labeled multiset of strands (order carries no meaning).
 
     `_runs` is a tuple of non-empty runs, frames and product runs (see the
-    module docstring); `runs` gives them as frames, decoding product runs
-    and joining adjacent frames of one order first.  `contents` unpacks the
-    strands to token tuples in append order.  A strand names each vertex at
-    most once: TubeMachine.new_tube raises MachineFault on one that names a
-    vertex twice.
+    module docstring).  A strand names each vertex at most once:
+    TubeMachine.new_tube raises MachineFault on one that names a vertex
+    twice.
     """
 
     __slots__ = ("label", "_runs", "retired", "_machine")
@@ -257,6 +228,7 @@ class Tube:
 
     @property
     def contents(self) -> list[Strand]:
+        """The strands as token tuples in append order."""
         return [s for run in self.runs for s in self._machine._unpack(run.order, run.values())]
 
     def order_samples(self) -> list[Strand]:
@@ -267,22 +239,10 @@ class Tube:
         return [self._machine._unpack(order, first)[0] for order, first in firsts.items()]
 
     def colors(self, vertices) -> list[tuple[int, ...]]:
-        """Each strand's color at each of `vertices`, in lexicographic order, read by token columns.
+        """Each strand's color at each of `vertices`, in lexicographic order (the column decode).
 
-        A tube is a multiset, so this order is as good as any.  Vertex v's
-        colors take w_v = max(1, bit_length(v's largest color)) bits.  The
-        vertices, in order, are cut into consecutive groups whose w_v sum to
-        at most one word, and each group gives every strand one key, the
-        group's first vertex most significant: the sum, over the tokens of
-        nonzero color, of the token's column times its color at its vertex's
-        offset, laid out like the frame.  A multiplier wider than one int
-        digit costs CPython a pass per digit, so each color is shifted only
-        within its digit of the key and each digit's sum is shifted once.
-        Frame.heads reads the keys off and bit_fields cuts each vertex's
-        colors out of its group's keys all at once; one group's keys are
-        sorted as ints before the cut, several groups' rows as tuples after
-        it.  Every strand must name every one of the vertices (KeyError
-        otherwise).
+        Every strand must name every one of the vertices: KeyError names one
+        that some strand's vertex order lacks.
         """
         machine, vertices, runs = self._machine, list(vertices), self.runs
         for run in runs:
@@ -318,10 +278,8 @@ class Tube:
     def distinct(self) -> int:
         """How many different strands the tube holds.
 
-        A tube that is one frame whose fields strictly increase
-        (Frame.ascending) holds no strand twice, and the solver's survivor
-        tube is one after every step.  Any other tube is counted exactly by
-        the set of its token tuples (contents).
+        One ascending frame (see frames.py) is counted without reading a
+        field, any other tube by the set of its token tuples.
         """
         runs = self.runs
         if len(runs) == 1 and runs[0].ascending():
@@ -411,7 +369,7 @@ class TubeMachine:
         return _Product(self._checked(tuple(order)), [list(map(self._index_of, row)) for row in rows])
 
     def _unpack(self, order: tuple[int, ...], fields) -> list[Strand]:
-        """Fields of vertex order `order` to token tuples, the per-strand reference for colors.
+        """Fields of vertex order `order` to token tuples in append order.
 
         A field s holds `tokens[s & mask]` in its vertex's (mask, tokens) row.
         """
@@ -422,11 +380,7 @@ class TubeMachine:
         return [tuple([tok[s & m] for m, tok in rows]) for s in fields]
 
     def _sequence_column(self, run, seq: str) -> int:
-        """The column of the run's strands whose bases hold seq; see the module docstring.
-
-        The empty sequence occurs in every rendering, so it gives every live
-        strand, a strand of no token included.
-        """
+        """The column of the run's strands whose bases hold seq (nucleotide extract)."""
         for i, token in self._uncoded:
             if run.column(i):
                 render((token,), self.codebook)  # raises
@@ -447,9 +401,9 @@ class TubeMachine:
         """A tube of the given strands, or of every strand in the product of token rows.
 
         `rows=[row_1, ..., row_n]`, each row the tokens of one vertex, gives
-        the contents of itertools.product(*rows) in the same order as a
-        product run: a mask with every strand's bit set, and no strand built.
-        An empty product gives a tube of no run.
+        the strands of itertools.product(*rows), in that order, as one
+        product run with no strand built; an empty product gives an empty
+        tube.
         """
         if rows is None:
             runs = []
@@ -493,10 +447,8 @@ class TubeMachine:
     def merge(self, dest: Tube, sources) -> Tube:
         """Pour every source into dest; sources end empty.  One counter tick.
 
-        dest holds the inputs' runs in order, but for adjacent product runs
-        over one product that share no strand, which merge by OR into their
-        union in product order.  No strand is decoded.  A tube may be poured
-        only once, so a source listed twice faults before anything moves.
+        A source that is dest, or is listed twice, faults before anything
+        moves.
         """
         self._require_live(dest)
         sources = list(sources)
@@ -522,15 +474,12 @@ class TubeMachine:
     def extract(self, tube: Tube, cw: Codeword) -> tuple[Tube, Tube]:
         """Partition the tube by cw into (matching, rest); the source ends empty.
 
-        Without a codebook the machine tests token membership: the matching
-        strands are cw's token column.  With one it tests whether cw's base
-        sequence occurs in the rendered strand: the column comes from
-        _sequence_column, and no strand is rendered.  Either way each run
-        splits by its column into two runs that share its field int or
-        product and differ only in which strands are live, so no field is
-        written; an output run with no live strand is dropped.  Both outputs
-        keep the source's strand order.  Every column is found before
-        anything is poured, so a refused extract leaves the tube as it was.
+        Without a codebook a strand matches when it holds cw's token.  With
+        one it matches when its rendered bases hold cw.sequence, so the empty
+        sequence matches every strand, the blank strand too, and a strand
+        that holds a token the codebook lacks raises CodecError.  Both
+        outputs keep the source's strand order, and a refused extract leaves
+        the tube as it was.
         """
         self._require_live(tube)
         runs = tube._runs

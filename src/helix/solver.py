@@ -106,12 +106,17 @@ def _check_inputs(
     return TubeMachine(cb if match_mode == "nucleotide" else None)
 
 
+def _is_permutation(order: list[int], n: int) -> bool:
+    """Whether order lists 1..n once each; the lengths are compared before 1..n is listed."""
+    return len(order) == n and sorted(order) == list(range(1, n + 1))
+
+
 def resolve_order(g: Graph, order) -> list[int]:
     """The run order: 1..n for None, else `order` if it is a permutation of 1..n."""
     if order is None:
         return list(range(1, g.n + 1))
     order = list(order)
-    if sorted(order) != list(range(1, g.n + 1)):
+    if not _is_permutation(order, g.n):
         raise SolverError(f"order must be a permutation of 1..{g.n}, got {order}")
     return order
 
@@ -285,13 +290,9 @@ def read_trace_document(doc: dict) -> tuple[dict, SolutionSet, Trace]:
 
     Returns (meta, solutions, trace) where meta carries graph/k/order/mode.
     A solution row may be a tuple, as trace_document leaves it, or a list,
-    as JSON reads it back.  The document must be one trace_document can
-    write: the mode names an engine, the order is a permutation of 1..n,
-    each step's vertex is in 1..n and its per-color lists have k entries,
-    the rows are strictly increasing, each with one color in [0, k) per
-    vertex, and colorable says whether there are any.  An incremental
-    trace has one step per vertex of the order, in order, and no
-    construction; a monolithic one has no step and is synthetic.
+    as JSON reads it back.  A document that trace_document could not have
+    written raises SolverError; the README's "Trace document" lists the
+    checks.
     """
     if not isinstance(doc, dict):
         raise SolverError("trace document must be a JSON object")
@@ -344,7 +345,7 @@ def read_trace_document(doc: dict) -> tuple[dict, SolutionSet, Trace]:
         "mode": doc["mode"],
     }
     n, k, rows = meta["graph"]["n"], meta["k"], []
-    if sorted(meta["order"]) != list(range(1, n + 1)):
+    if not _is_permutation(meta["order"], n):
         raise SolverError(f"trace field order must be a permutation of 1..{n}, got {meta['order']}")
     for step in steps:
         if not 1 <= step.vertex <= n:

@@ -10,6 +10,7 @@ import helix.oracle
 import helix.solver
 from helix import Graph, OpCounter, SolutionSet, Trace, cli, read_trace_document
 from helix.cli import MAX_RANDOM_PAIRS, ConfigError, main, parse_graph_spec, random_graph
+from helix.codec import MAX_GENERATED_INDEX_BYTES
 
 GOLDEN_K3 = "tests/data/k3_trace.json"
 
@@ -343,20 +344,46 @@ def test_bad_graph_specs_are_config_errors(spec, capsys):
     capsys.readouterr()
 
 
-def test_random_graph_past_the_pair_cap_is_refused_at_once():
-    def limit_memory():  # a draw loop that slipped past the cap dies, not the host
-        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+def _limit_memory():  # a run that slipped past a refusal dies, not the host
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
-    proc = subprocess.run(
-        [sys.executable, "-m", "helix", "solve", "--graph", "random:100000000,0.0,1", "--colors", "2"],
+
+def run_limited(*argv, timeout):
+    """`helix argv` in a child under a 1 GiB address-space limit and a timeout."""
+    return subprocess.run(
+        [sys.executable, "-m", "helix", *argv],
         capture_output=True,
         text=True,
-        timeout=1,
-        preexec_fn=limit_memory,
+        timeout=timeout,
+        preexec_fn=_limit_memory,
     )
+
+
+def test_random_graph_past_the_pair_cap_is_refused_at_once():
+    proc = run_limited("solve", "--graph", "random:100000000,0.0,1", "--colors", "2", timeout=1)
     assert proc.returncode == 2, proc.stderr
     assert f"over {MAX_RANDOM_PAIRS}" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_a_codebook_too_large_to_generate_is_refused_before_any_draw():
+    """1414 x 1414 passes the k^2 budget (1,999,396 strands), but its default codebook would take about 13 GB."""
+    proc = run_limited("solve", "--graph", "random:1414,0.0,1", "--colors", "1414", timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    assert f"over the limit of {MAX_GENERATED_INDEX_BYTES}" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_codebook_coverage_is_checked_before_the_natural_order_is_listed(tmp_path):
+    path = tmp_path / "huge.col"
+    path.write_text("p edge 3000000000 0\n")
+    proc = run_limited("solve", "--graph", str(path), "--colors", "2", "--codebook", "table1", timeout=30)
+    assert proc.returncode == 2, proc.stderr
+    assert "codebook table1 covers 12 vertices x 3 colors, run needs 3000000000 x 2" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    proc = run_limited("solve", "--graph", str(path), "--colors", "2", "--codebook", "table1", "--order", "1,2", timeout=30)
+    assert proc.returncode == 2, proc.stderr
+    assert "order must be a permutation of 1..3000000000, got [1, 2]" in proc.stderr
 
 
 def test_random_graph_pair_cap_is_exact():

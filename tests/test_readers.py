@@ -3,6 +3,9 @@
 import json
 import random
 import re
+import resource
+import subprocess
+import sys
 from collections import Counter
 
 from hypothesis import given, settings, strategies as st
@@ -160,3 +163,27 @@ def test_near_valid_trace_documents_reach_the_row_checks():
         except SolverError as exc:
             outcomes["rows" if re.match(r"trace (field )?solution", str(exc)) else "other"] += 1
     assert outcomes["parsed"] >= 30 and outcomes["rows"] >= 30 and outcomes["other"] >= 30, outcomes
+
+
+def test_a_trace_of_a_huge_graph_is_refused_without_listing_its_vertices():
+    """graph.n = 10**12 beside a one-entry order: SolverError, read in a child under an address-space limit."""
+    doc = json.loads(PETERSEN_TRACE)
+    doc["graph"]["n"], doc["order"] = 10**12, [1]
+    child = (
+        "import json, sys\n"
+        "from helix import SolverError, read_trace_document\n"
+        "try:\n"
+        "    read_trace_document(json.load(sys.stdin))\n"
+        "except SolverError as exc:\n"
+        "    print(exc)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", child],
+        input=json.dumps(doc),
+        capture_output=True,
+        text=True,
+        timeout=30,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "order must be a permutation of 1..1000000000000, got [1]" in proc.stdout
