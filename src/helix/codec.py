@@ -16,7 +16,7 @@ import itertools
 import json
 import random
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 from operator import ne
 
@@ -85,11 +85,17 @@ class JunctionViolation:
 class ValidationReport:
     duplicates: tuple[tuple[Codeword, Codeword], ...]
     junction_violations: tuple[JunctionViolation, ...]
-    min_pairwise_hamming: int | None
+    sequences: tuple[str, ...] = field(repr=False)
 
     @property
     def ok(self) -> bool:
         return not self.duplicates and not self.junction_violations
+
+    @functools.cached_property
+    def min_pairwise_hamming(self) -> int | None:
+        """The least Hamming distance between two sequences of one length (None if none share one), worked out on first read."""
+        pairs = itertools.combinations(self.sequences, 2)
+        return min((sum(map(ne, a, b)) for a, b in pairs if len(a) == len(b)), default=None)
 
 
 class Codebook:
@@ -174,9 +180,7 @@ def validate_codebook(cb: Codebook) -> ValidationReport:
     violations = tuple(
         JunctionViolation(words[w], words[x], words[y], off) for w, x, y, off in index.witnesses()
     )
-    pairs = itertools.combinations([cw.sequence for cw in words], 2)
-    min_hamming = min((sum(map(ne, a, b)) for a, b in pairs if len(a) == len(b)), default=None)
-    return ValidationReport(duplicates, violations, min_hamming)
+    return ValidationReport(duplicates, violations, tuple(cw.sequence for cw in words))
 
 
 def occurrence_chains(sequences, seq: str) -> tuple[Strand, ...]:

@@ -31,23 +31,23 @@ strictly increase from slot to slot, with a few whole-frame int operations.
 Read from bit 1 up, each field ends in the next slot's presence bit.  That
 bit is cleared and set again as a guard that no borrow crosses, so in
 `guard + field - next field` it stays exactly where the field is not below
-the next; the last field's guard always stays, so the fields ascend when
-one guard is left.  Strictly increasing fields hold no strand twice.  The
-solver's survivor tube stays one ascending frame: a token's place rises with
-the order in which the machine first saw it, so the colors appended at a
-step outrank every earlier token and rise with the color; split and the
-join keep slot order, merge keeps the color tubes in color order, and
-widening adds presence bits only.  So the fields stay in colex order of the
-run order, the newest token most significant.  Only the speed of the repeat
-check (Tube.distinct) relies on this.
+the next; the last field's guard always stays, so the fields ascend when it
+is the only guard left, or no guard in an empty frame.  Strictly increasing
+fields hold no strand twice.  The solver's survivor tube stays one ascending
+frame: a token's place rises with the order in which the machine first saw
+it, so the colors appended at a step outrank every earlier token and rise
+with the color; split and the join keep slot order, merge keeps the color
+tubes in color order, and widening adds presence bits only.  So the fields
+stay in colex order of the run order, the newest token most significant.
+Only the speed of the repeat check (Tube.distinct) relies on this.
 """
 
 from __future__ import annotations
 
 import sys
 from array import array
-from functools import cache
-from itertools import compress, repeat
+from functools import cache, reduce
+from itertools import repeat
 from operator import lshift, or_
 
 WORD_BITS = 64  # a field is whole words of this many bits
@@ -70,11 +70,6 @@ def _as_words(raw):
     words = array("Q", raw)
     words.byteswap()
     return words
-
-
-def _to_words(bits: int, count: int):
-    """The low `count` 64-bit words of bits, least significant first, as a sequence of ints."""
-    return _as_words(bits.to_bytes(8 * count, "little"))
 
 
 def _widen(raw: bytes, width: int, wider: int) -> bytes:
@@ -115,6 +110,22 @@ def _byte_field(shift: int, width: int) -> bytes:
     return bytes((b >> shift) & ((1 << width) - 1) for b in range(256))
 
 
+def key_tables(values) -> dict[int, list[tuple[int, bytes]]]:
+    """Frame.keys's tables for keys that OR the value of each (token index, value) pair a strand holds.
+
+    Per key byte, the field bytes that feed it, each with its table (the
+    byte-table decode, machine.py).
+    """
+    tables = {}
+    for i, value in values:
+        byte, bit = divmod(place(i), 8)
+        for k, v in enumerate(value.to_bytes(8, "little")):
+            if v:
+                row = tables.setdefault(k, {})
+                row[byte] = row.get(byte, 0) | v * int.from_bytes(_byte_field(bit, 1), "little")
+    return {k: [(byte, table.to_bytes(256, "little")) for byte, table in row.items()] for k, row in tables.items()}
+
+
 def bit_fields(values, fields) -> list:
     """For each (offset, width) in fields, bits [offset, offset + width) of every one of values.
 
@@ -134,7 +145,8 @@ def bit_fields(values, fields) -> list:
         else:
             if joined is None:
                 joined = int.from_bytes(raw, "little")
-            out.append(_to_words((joined >> offset) & tile((1 << width) - 1, WORD_BITS, count), count))
+            field = (joined >> offset) & tile((1 << width) - 1, WORD_BITS, count)
+            out.append(_as_words(field.to_bytes(8 * count, "little")))
     return out
 
 
@@ -202,22 +214,22 @@ class Frame:
         Fields that differ only in bit 0 may read as not ascending, never the
         reverse.
         """
-        size = WORD_BITS * self.width
-        if self.count == self._slots:
-            bits, starts = self._bits, self.present()
-        else:
-            bits, starts = int.from_bytes(self.fields(), "little"), tile(1, size, self.count)
-        guards = starts << size
+        size, full = WORD_BITS * self.width, self.count == self._slots
+        bits = self._bits if full else int.from_bytes(self.fields(), "little")
+        guards = (self.present() if full else tile(1, size, self.count)) << size
         cut = bits ^ (bits & guards)
-        return (((cut | guards) - (cut >> size)) & guards).bit_count() < 2
+        return ((cut | guards) - (cut >> size)) & guards == 1 << guards.bit_length() >> 1
 
-    def heads(self, bits: int):
-        """The first word of each live slot in `bits`, an int laid out like the frame."""
-        size = self._slots * self.width
-        heads = _to_words(bits, size)[::self.width]
-        if self.count < self._slots:
-            heads = compress(heads, _to_words(self._live, size)[::self.width])
-        return heads
+    def keys(self, tables):
+        """Each live strand's 64-bit key, read through key_tables(...) (the byte-table decode, machine.py).
+
+        A field byte past the width holds no token.
+        """
+        raw, stride, keys = self.fields(), 8 * self.width, bytearray(8 * self.count)
+        for k, parts in tables.items():
+            byte = reduce(or_, [int.from_bytes(raw[b::stride].translate(t), "little") for b, t in parts if b < stride], 0)
+            keys[k::8] = byte.to_bytes(self.count, "little")
+        return _as_words(keys)
 
     def column(self, index: int | None) -> int:
         """The slot starts of the strands that hold token `index`; None, a token never seen, is in none."""

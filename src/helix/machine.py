@@ -41,22 +41,26 @@ row fastest), a denser one by walking the whole product.  Only rows= builds
 a mask: a mask over k**i strands for a tube that grows by append would
 bring back the blow-up the incremental engine avoids.
 
-Column decode (Tube.colors).  Each requested vertex gets as many bits as its
-largest color needs (at least one), and the vertices, in order, are cut into
-groups that fit one 64-bit word each, the first vertex of a group the most
-significant.  Per group, every strand's key is the sum, over the tokens of
-nonzero color, of the token's column times its color shifted to its
-vertex's bits: an int laid out like the frame with each key in the first
-word of its slot, which Frame.heads reads off, and frames.bit_fields cuts
-each vertex's colors back out of the keys.  A multiplier wider than one int
-digit costs CPython a pass per digit, so each color is shifted only within
-its digit of the key and each digit's sum is shifted once.  One group's
-keys are sorted as ints before the cut, several groups' rows as tuples after
-it, which is the same lexicographic order.  A color must fit one word, so
-the machine refuses any other when a token first enters (_index_of).
+Byte-table decode (Tube.colors).  Each requested vertex gets as many bits as
+its largest color needs (at least one), and the vertices, in order, are cut
+into groups that fit one 64-bit word each, the first vertex of a group the
+most significant.  Per group, a strand's key is the OR of its tokens'
+colors, each shifted to its vertex's bits, so each key byte is an OR over
+the field bytes that hold the group's tokens.  frames.key_tables builds,
+from the tokens' places and colors alone, one 256-entry bytes.translate
+table per (key byte, field byte) pair, entry b the OR of that key byte over
+the tokens whose bits are set in b.  Frame.keys reads a run's compacted
+fields once, translates each feeding field byte of every strand, a strided
+slice, through its table, ORs the slices into the key byte and interleaves
+the key bytes into one word per strand; no token column is read.
+frames.bit_fields cuts each vertex's colors back out of the keys, which are
+dropped once cut.  One group's keys are sorted as ints before the cut,
+several groups' rows as tuples after it, which is the same lexicographic
+order.  A color must fit one word, so the machine refuses any other when a
+token first enters (_index_of).
 
 Tube.contents unpacks every strand to its token tuple in append order; it is
-the per-strand reference that the column decode and the repeat check are
+the per-strand reference that the byte-table decode and the repeat check are
 tested against.
 
 Nucleotide extract.  A machine with a codebook keeps the strands whose
@@ -77,7 +81,6 @@ one raises, through render, the CodecError that names it.
 from __future__ import annotations
 
 import dataclasses
-import sys
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, compress, groupby, product
@@ -86,11 +89,10 @@ from functools import reduce
 from operator import and_, attrgetter, methodcaller
 
 from .codec import Codebook, Codeword, SoundnessError, Strand, Token, render
-from .frames import WORD_BITS, Frame, bit_fields, place, tile
+from .frames import WORD_BITS, Frame, bit_fields, key_tables, place, tile
 
 _DIGIT = bytes.maketrans(b"01", b"\x00\x01")  # a mask's binary digits as 0/1 bytes
 _ORDER, _COUNT, _PRESENT = attrgetter("order"), attrgetter("count"), methodcaller("present")
-_DIGIT_BITS = sys.int_info.bits_per_digit  # a big int times an int of one digit is one pass over it
 
 
 class _Product:
@@ -239,15 +241,14 @@ class Tube:
         return [self._machine._unpack(order, first)[0] for order, first in firsts.items()]
 
     def colors(self, vertices) -> list[tuple[int, ...]]:
-        """Each strand's color at each of `vertices`, in lexicographic order (the column decode).
+        """Each strand's color at each of `vertices`, in lexicographic order (the byte-table decode).
 
         Every strand must name every one of the vertices: KeyError names one
         that some strand's vertex order lacks.
         """
         machine, vertices, runs = self._machine, list(vertices), self.runs
         for run in runs:
-            missing = set(vertices).difference(run.order)
-            if missing:
+            if missing := set(vertices).difference(run.order):
                 raise KeyError(f"strands of vertex order {run.order} lack vertex {min(missing)}")
         if not vertices:
             return [()] * len(self)
@@ -258,20 +259,14 @@ class Tube:
             if not groups or sum(w for _, w in groups[-1]) + width > WORD_BITS:
                 groups.append([])
             groups[-1].append((tokens, width))
-        keys, fields = [], []
+        columns = []  # each vertex's colors, in order
         for group in groups:
-            fields.append([(sum(w for _, w in group[j + 1:]), w) for j, (_, w) in enumerate(group)])
-            parts = {}  # digit-aligned offset -> (token, color shifted to its vertex's place in the digit)
-            for (tokens, _), (at, _) in zip(group, fields[-1]):
-                parts.setdefault(at - at % _DIGIT_BITS, []).extend((i, c << at % _DIGIT_BITS) for i, c in tokens)
-            column = []
-            for run in runs:
-                column += run.heads(sum(sum(run.column(i) * c for i, c in part) << at for at, part in parts.items()))
-            keys.append(column)
-        if len(keys) == 1:
-            keys[0].sort()
-        rows = list(zip(*chain.from_iterable(map(bit_fields, keys, fields))))
-        if len(keys) > 1:
+            fields = [(sum(w for _, w in group[j + 1:]), w) for j, (_, w) in enumerate(group)]
+            tables = key_tables((i, c << at) for (tokens, _), (at, _) in zip(group, fields) for i, c in tokens)
+            keys = chain.from_iterable(run.keys(tables) for run in runs)
+            columns += bit_fields(sorted(keys) if len(groups) == 1 else list(keys), fields)
+        rows = list(zip(*columns))
+        if len(groups) > 1:
             rows.sort()
         return rows
 

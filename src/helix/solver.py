@@ -88,7 +88,7 @@ def _check_inputs(
     """What a run needs, cheapest check first, then the run's machine.
 
     The machine checks last: a nucleotide machine validates its codebook,
-    which is O((nk)^2 L).
+    which indexes every prefix and suffix of every codeword.
     """
     if k < 1:
         raise SolverError(f"color count must be positive, got {k}")
@@ -122,7 +122,7 @@ def resolve_order(g: Graph, order) -> list[int]:
 
 
 def _decode_final(tube, n: int) -> list[tuple[int, ...]]:
-    """The colorings the tube spells, in lexicographic order, read by token columns (Tube.colors).
+    """The colorings the tube spells, in lexicographic order, read through byte tables (Tube.colors).
 
     Strands of one vertex order name the same vertices, so coloring_from_strand
     checks one strand per order that they cover exactly 1..n.

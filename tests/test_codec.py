@@ -3,6 +3,7 @@ import itertools
 import json
 import random
 import tracemalloc
+import unittest.mock
 from collections import Counter
 
 import pytest
@@ -16,7 +17,6 @@ from helix import (
     JunctionViolation,
     SoundnessError,
     TubeMachine,
-    ValidationReport,
     builtin_table1,
     codebook_from_json,
     codebook_to_json,
@@ -185,7 +185,10 @@ def _misaligned(word, left, right):
 
 
 def _report_by_triple_scan(cb):
-    """Reference validator: every (w, x, y) triple of codewords, scanned."""
+    """Reference validator: every (w, x, y) triple of codewords, scanned.
+
+    (duplicates, junction violations, min pairwise Hamming distance).
+    """
     words = cb.codewords()
     duplicates = tuple(
         (a, b) for i, a in enumerate(words) for b in words[i + 1 :] if a.sequence == b.sequence
@@ -200,7 +203,7 @@ def _report_by_triple_scan(cb):
         for i, a in enumerate(words) for b in words[i + 1 :]
         if len(a.sequence) == len(b.sequence)
     ]
-    return ValidationReport(duplicates, violations, min(distances, default=None))
+    return duplicates, violations, min(distances, default=None)
 
 
 def _extends_safely_by_scan(accepted, cand):
@@ -255,10 +258,8 @@ def mixed_pools(draw):
 @given(mixed_pools())
 def test_validation_report_matches_the_triple_scan(pool):
     cb = _tiny_cb(*pool)
-    report, reference = validate_codebook(cb), _report_by_triple_scan(cb)
-    assert report.duplicates == reference.duplicates
-    assert report.junction_violations == reference.junction_violations
-    assert report.min_pairwise_hamming == reference.min_pairwise_hamming
+    report = validate_codebook(cb)
+    assert (report.duplicates, report.junction_violations, report.min_pairwise_hamming) == _report_by_triple_scan(cb)
 
 
 def test_validation_lists_no_codeword_pairs():
@@ -272,6 +273,16 @@ def test_validation_lists_no_codeword_pairs():
         tracemalloc.stop()
     assert report.ok and report.min_pairwise_hamming is not None
     assert peak < 12 * 2**20
+
+
+def test_the_machine_check_computes_no_hamming_distance():
+    """TubeMachine reads only validation().ok; the Hamming figure waits for the report that shows it."""
+    cb = generate_codebook(6, 3, 12, 0)
+    with unittest.mock.patch("helix.codec.ne", side_effect=AssertionError("Hamming distance computed")):
+        TubeMachine(cb)
+        with pytest.raises(AssertionError, match="Hamming"):
+            cb.validation().min_pairwise_hamming
+    assert cb.validation().min_pairwise_hamming >= 1
 
 
 def test_an_occurrence_at_a_boundary_is_aligned_only_as_a_whole_word():

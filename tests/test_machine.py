@@ -786,8 +786,8 @@ def check_frame_against_slots(frame, slots):
     assert frame.ascending() == all(a < b for a, b in zip(fields, fields[1:]))
     for i in EDGE_TOKENS:
         assert frame.column(i) == sum(1 << (j * size) for j, s in enumerate(slots) if s is not None and i in s)
-    tags = sum((j + 1) << (j * size) for j in range(len(slots)))  # slot j's first word holds j + 1
-    assert list(frame.heads(tags)) == [j + 1 for j, s in enumerate(slots) if s is not None]
+    tables = helix.frames.key_tables((i, 1 << 4 * j) for j, i in enumerate(EDGE_TOKENS))  # every key byte
+    assert list(frame.keys(tables)) == [sum(1 << 4 * j for j, i in enumerate(EDGE_TOKENS) if i in s) for s in live]
 
 
 @settings(max_examples=300, deadline=None)
@@ -797,7 +797,7 @@ def test_frames_hold_their_live_strands_slot_by_slot(data):
 
     A split keeps the source's slots, and the dead slots of both outputs keep
     their fields in the shared int, so after every step the compacted words
-    and values, every column and the heads must leave the dead slots out.
+    and values, every column and the keys must leave the dead slots out.
     """
     strands_st = st.lists(st.frozensets(edge_token_st, max_size=4), min_size=1, max_size=6)
 
@@ -966,6 +966,54 @@ def test_colors_cut_the_vertices_into_keys_of_one_word(choices, key_sizes, kind)
     assert got == sorted(tuple(dict(s)[v] for v in vertices) for s in tube.contents)
     assert len(got) == len(tube) and len(set(got)) == len(got)
     assert [len(call.args[1]) for call in key_path.call_args_list] == key_sizes
+
+
+def test_colors_read_no_column():
+    """The decode reads each run's fields through byte tables, never a token column."""
+    m = TubeMachine()
+    rows = [[(1, 0), (1, 1), (1, 2)], [(2, 0), (2, 3)]]
+    frames = m.new_tube("frames", list(itertools.product(*rows))[::-1])
+    _, extracted = m.extract(m.new_tube("extracted", list(itertools.product(*rows))), cw(1, 1))
+    product, _ = m.extract(m.new_tube("product", rows=rows), cw(2, 3))
+    assert product_of(product) is not None
+    with unittest.mock.patch.object(helix.frames.Frame, "column", side_effect=AssertionError("column read")), \
+            unittest.mock.patch.object(helix.machine._ProductRun, "column", side_effect=AssertionError("column read")):
+        got = [t.colors([2, 1]) for t in (frames, extracted, product)]
+    assert got == [sorted(tuple(dict(s)[v] for v in (2, 1)) for s in t.contents) for t in (frames, extracted, product)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_colors_of_wide_fields_fill_several_key_bytes(data):
+    """The decode against the sorted per-strand colors, on fields of two or more words.
+
+    The machine first sees some tokens of the tube's later vertices, then
+    57-120 others, so the rest of the tube's tokens, those of its first
+    vertex among them, sit past the first word; colors such as
+    255, 256, 65535 and 2**40 fill more than one byte of a key.  Last it sees
+    a color 7 of each vertex, which no strand holds, past every field's width.
+    """
+    m = TubeMachine()
+    color = st.sampled_from([0, 1, 255, 256, 65535, 2**40])
+    shared = data.draw(st.lists(st.integers(1, 5), unique=True, min_size=1, max_size=4))
+    token = st.sampled_from(shared[1:] or [6]).flatmap(lambda v: color.map(lambda c: (v, c)))
+    early = data.draw(st.lists(token, unique=True, max_size=4))
+    m.discard(m.new_tube("early", [(t,) for t in early] + [((100 + j, 0),) for j in range(data.draw(st.integers(57, 120)))]))
+    vertices = data.draw(st.permutations(shared))[: data.draw(st.integers(1, len(shared)))]
+    if data.draw(st.booleans()):
+        rows = [[(v, c) for c in data.draw(st.lists(color, unique=True, min_size=1, max_size=3))] for v in shared]
+        tube = m.new_tube("t", rows=rows)
+        if data.draw(st.booleans()):
+            tube, _ = m.extract(tube, Codeword(*data.draw(st.sampled_from(rows[0])), ""))
+    else:
+        orders = st.permutations(shared).flatmap(lambda o: st.tuples(*[color.map(lambda c, v=v: (v, c)) for v in o]))
+        strands = data.draw(st.lists(orders, min_size=1, max_size=12))
+        tube = m.new_tube("t", strands)
+        if data.draw(st.booleans()):  # frames with dead slots
+            tube, _ = m.extract(tube, Codeword(*data.draw(st.sampled_from(strands))[0], ""))
+    assert all(run.width > 1 for run in tube.runs)
+    m.discard(m.new_tube("late", [((200 + j, 0),) for j in range(56)] + [((v, 7),) for v in shared]))
+    assert tube.colors(vertices) == sorted(tuple(dict(s)[v] for v in vertices) for s in tube.contents)
 
 
 @settings(max_examples=200, deadline=None)
