@@ -344,7 +344,11 @@ def read_trace_document(doc: dict) -> tuple[dict, SolutionSet, Trace]:
         "order": _counts(doc["order"], "order"),
         "mode": doc["mode"],
     }
-    n, k, rows = meta["graph"]["n"], meta["k"], []
+    n, m, k, rows = meta["graph"]["n"], meta["graph"]["m"], meta["k"], []
+    if n < 1 or k < 1:
+        raise SolverError(f"trace fields graph.n and k must be at least 1, got n={n} and k={k}")
+    if m > n * (n - 1) // 2:
+        raise SolverError(f"trace field graph.m {m} is more than the {n * (n - 1) // 2} pairs of {n} vertices")
     if not _is_permutation(meta["order"], n):
         raise SolverError(f"trace field order must be a permutation of 1..{n}, got {meta['order']}")
     for step in steps:

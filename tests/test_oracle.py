@@ -56,6 +56,20 @@ def test_search_matches_the_full_product_filter(g, k):
     assert count_colorings(g, k) == len(expected)
 
 
+@pytest.mark.parametrize("block", [1, 2, 3, helix.oracle.BLOCK])
+@given(g=small_graphs(), k=st.integers(1, 4))
+@example(g=Graph(8, frozenset()), k=3)
+@example(g=Graph.from_edges(8, [(1, 8), (2, 7), (3, 6)]), k=4)
+@settings(max_examples=60, deadline=None)
+def test_every_block_size_walks_the_same_colorings(block, g, k):
+    """A walk that drops, repeats or reorders prefixes where one block ends and the next begins fails here."""
+    expected = naive_colorings(g, k)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(helix.oracle, "BLOCK", block)
+        assert enumerate_colorings(g, k) == expected
+        assert count_colorings(g, k) == len(expected)
+
+
 def traced_peak(call):
     """call() and the peak bytes traced while it ran."""
     tracemalloc.start()
@@ -74,6 +88,14 @@ def test_search_holds_no_more_than_its_output():
         result, peak = traced_peak(lambda: search(g, 2))
         assert result == empty
         assert peak < 256 * 1024, (search.__name__, peak)
+
+
+def test_counting_builds_no_level_and_no_leaves():
+    # The 2^19 prefixes before the last vertex would take about 100 MB as one
+    # level, and the 2^20 leaves more; a walk of blocks holds BLOCK * k a depth.
+    result, peak = traced_peak(lambda: count_colorings(Graph(20, frozenset()), 2))
+    assert result == 2**20
+    assert peak <= 256 * 1024, peak
 
 
 def test_free_color_tables_stay_bounded():

@@ -472,6 +472,9 @@ def test_read_trace_document_validates():
         ("step", "per_color_after_append", [1], r"per_color_after_append must list 3 colors, got \[1\]"),
         ("step", "per_color_after_filter", [1, 1, 1, 1], "per_color_after_filter must list 3 colors"),
         ("doc", "colorable", False, "colorable is false beside 6 solutions"),
+        ("graph", "n", 0, "graph.n and k must be at least 1, got n=0 and k=3"),
+        ("doc", "k", 0, "graph.n and k must be at least 1, got n=3 and k=0"),
+        ("graph", "m", 4, "graph.m 4 is more than the 3 pairs of 3 vertices"),
         ("doc", "solutions", [], "colorable is true beside 0 solutions"),
         # Engine shapes that trace_document never writes.
         ("doc", "steps", steps[:1], r"steps must visit the order \[1, 2, 3\], got vertices \[1\]"),
@@ -494,6 +497,15 @@ def test_read_trace_document_validates():
             read_trace_document(doc)
     del doc["construction"]
     with pytest.raises(SolverError, match="must carry construction 'synthetic', got None"):
+        read_trace_document(doc)
+
+
+def test_read_trace_document_refuses_an_empty_instance():
+    """No vertices and no colors, written consistently everywhere else, is still not a run."""
+    g = builtin_graph("k3")
+    doc = trace_document(g, 3, None, "incremental", *solve_incremental(g, 3, builtin_table1()))
+    doc.update(graph={"n": 0, "m": 0}, k=0, order=[], steps=[], colorable=False, solutions=[])
+    with pytest.raises(SolverError, match="graph.n and k must be at least 1, got n=0 and k=0"):
         read_trace_document(doc)
 
 
