@@ -15,7 +15,6 @@ import functools
 import itertools
 import json
 import random
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from importlib import resources
 from operator import ne
@@ -127,9 +126,10 @@ class Codebook:
         self.provenance = provenance
         self.length = length
         self._table = table
-        self._sequences = {key: cw.sequence for key, cw in table.items()}  # the fast path of render and of nucleotide extract
+        # token -> bases: render's fast path, and what TubeMachine reads for its
+        # sequence -> token map and its list of tokens the codebook lacks
+        self._sequences = {key: cw.sequence for key, cw in table.items()}
         self._validation: ValidationReport | None = None
-        self._chains: dict[str, tuple[Strand, ...]] = {}  # sequence -> its occurrence chains
 
     def codeword(self, vertex: int, color: int) -> Codeword:
         try:
@@ -144,12 +144,6 @@ class Codebook:
         if self._validation is None:
             self._validation = validate_codebook(self)
         return self._validation
-
-    def chains(self, seq: str) -> tuple[Strand, ...]:
-        """occurrence_chains of seq over this codebook, worked out once per sequence."""
-        if seq not in self._chains:
-            self._chains[seq] = occurrence_chains(self._sequences, seq)
-        return self._chains[seq]
 
     def __repr__(self):
         return f"Codebook(n={self.n}, k={self.k}, provenance={self.provenance!r})"
@@ -181,33 +175,6 @@ def validate_codebook(cb: Codebook) -> ValidationReport:
         JunctionViolation(words[w], words[x], words[y], off) for w, x, y, off in index.witnesses()
     )
     return ValidationReport(duplicates, violations, tuple(cw.sequence for cw in words))
-
-
-def occurrence_chains(sequences, seq: str) -> tuple[Strand, ...]:
-    """Every token chain whose joined words hold seq from inside the first word to inside the last.
-
-    `sequences` maps tokens to words.  Besides the words holding seq, chains
-    cross a junction at a cut j, which is followed only if some word ends
-    with seq[:j] and some word starts with seq[j:] cut to the shortest
-    word's length (a bisect over the sorted words).
-    """
-    words = sorted(sequences.values())
-    joined, shortest = "\n".join(words) + "\n", min(map(len, words), default=0)
-    chains = [(t,) for t, w in sequences.items() if seq in w]
-    for j in range(1, len(seq)):
-        start = seq[j:j + shortest]
-        i = bisect_left(words, start)
-        if i == len(words) or not words[i].startswith(start) or seq[:j] + "\n" not in joined:
-            continue
-        running = [(seq[j:], (t,)) for t, w in sequences.items() if w.endswith(seq[:j])]
-        while running:  # (the rest of seq, the chain so far) of each chain still open
-            rest, chain = running.pop()
-            for t, w in sequences.items():
-                if w.startswith(rest):
-                    chains.append(chain + (t,))
-                elif rest.startswith(w):
-                    running.append((rest[len(w):], chain + (t,)))
-    return tuple(dict.fromkeys(chains))
 
 
 class _JunctionIndex:

@@ -64,18 +64,18 @@ the per-strand reference that the byte-table decode and the repeat check are
 tested against.
 
 Nucleotide extract.  A machine with a codebook keeps the strands whose
-rendered bases hold the codeword's sequence, and finds them from the token
-columns, with no strand rendered.  The sequence's occurrence chains
-(Codebook.chains) are the token chains whose codewords, joined in order,
-hold it from inside the first word to inside the last.  A strand renders its
-codewords in run order, so it holds the sequence exactly when it holds some
-chain's tokens at consecutive places of its order, and the column is the OR,
-over the chains whose vertices sit consecutively in the run's order, of the
-AND of the chain's token columns.  On a validated codebook a codeword's only
-chain is its own token, so its extract reads one column, and product runs
-stay masks on either kind of machine.  Uncoded tokens: the machine lists each
-token the codebook lacks as it enters, and an extract of a run that holds
-one raises, through render, the CodecError that names it.
+rendered bases hold the probe's sequence, and finds them one of two ways.
+A probe whose sequence is a codeword's is split by that token's column, as a
+symbolic extract is: on a validated codebook a codeword occurs in rendered
+bases only where its own token is, so no strand is rendered and product
+runs stay masks.  The empty probe takes every run's present() strands, the
+blank strand too.  Any other probe is searched strand by strand: the tube's
+strands are read as token tuples, each rendered and kept when its bases hold
+the sequence, and both outputs are rebuilt as frames, one per stretch of one
+vertex order, as new_tube builds them.  Uncoded tokens: the machine lists
+each token the codebook lacks as it enters, and before either path an
+extract of a tube that holds one raises, through render, the CodecError that
+names it, so the refused extract leaves the tube as it was.
 """
 
 from __future__ import annotations
@@ -85,8 +85,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, compress, groupby, product
 from math import prod
-from functools import reduce
-from operator import and_, attrgetter, methodcaller
+from operator import attrgetter, methodcaller, not_
 
 from .codec import Codebook, Codeword, SoundnessError, Strand, Token, render
 from .frames import WORD_BITS, Frame, bit_fields, key_tables, place, tile
@@ -308,6 +307,7 @@ class TubeMachine:
         if codebook is not None and not codebook.validation().ok:
             raise SoundnessError("nucleotide matching refused: codebook failed validation")
         self.codebook = codebook
+        self._coded = {} if codebook is None else {seq: t for t, seq in codebook._sequences.items()}  # sequence -> token
         self.counter = OpCounter()
         self._live_strands = 0
         self.peak_tube_size = 0
@@ -374,21 +374,11 @@ class TubeMachine:
             rows.append((sum(tokens), tokens))
         return [tuple([tok[s & m] for m, tok in rows]) for s in fields]
 
-    def _sequence_column(self, run, seq: str) -> int:
-        """The column of the run's strands whose bases hold seq (nucleotide extract)."""
-        for i, token in self._uncoded:
-            if run.column(i):
-                render((token,), self.codebook)  # raises
-        if not seq:
-            return run.present()
-        order, hit = run.order, 0
-        for chain in self.codebook.chains(seq):
-            vertices = tuple(v for v, _ in chain)
-            p = order.index(vertices[0]) if vertices[0] in order else len(order)  # past the end: no match
-            indices = [self._index.get(token) for token in chain]  # None: a token in no strand
-            if order[p:p + len(chain)] == vertices and None not in indices:
-                hit |= reduce(and_, map(run.column, indices))
-        return hit
+    def _frames(self, strands) -> tuple[Frame, ...]:
+        """Token tuples as frames, one per stretch of strands of one vertex order."""
+        stretches = groupby(strands, lambda s: tuple(v for v, _ in s))
+        fields = [(order, [sum(map(self._bit_of, s)) for s in group]) for order, group in stretches]
+        return tuple(Frame.of_fields(self._checked(order), f) for order, f in fields)
 
     # --- operations --------------------------------------------------------
 
@@ -401,15 +391,13 @@ class TubeMachine:
         tube.
         """
         if rows is None:
-            runs = []
-            for order, strands in groupby(contents, lambda s: tuple(v for v, _ in s)):
-                runs.append(Frame.of_fields(self._checked(order), [sum(map(self._bit_of, s)) for s in strands]))
+            runs = self._frames(contents)
         elif contents:
             raise ValueError("new_tube takes contents or rows, not both")
         else:
             product = self._product_of(rows)
-            runs = [_ProductRun(product, (1 << product.size) - 1)] if product.size else []
-        tube = Tube(label, self, tuple(runs))
+            runs = (_ProductRun(product, (1 << product.size) - 1),) if product.size else ()
+        tube = Tube(label, self, runs)
         self._credit(len(tube))
         return tube
 
@@ -477,19 +465,22 @@ class TubeMachine:
         the tube as it was.
         """
         self._require_live(tube)
-        runs = tube._runs
-        if self.codebook is None:
-            index = self._index.get((cw.vertex, cw.color))  # a token never seen is in no strand
-            columns = [run.column(index) for run in runs]
-        else:
-            columns = [self._sequence_column(run, cw.sequence) for run in runs]
-        parts = [run.split(column) for run, column in zip(runs, columns)]
-        hits, rests = zip(*parts) if parts else ((), ())
-        plus = Tube(f"{tube.label}+", self, tuple(filter(_PRESENT, hits)))
-        minus = Tube(f"{tube.label}-", self, tuple(filter(_PRESENT, rests)))
+        runs, seq = tube._runs, cw.sequence
+        token = (cw.vertex, cw.color) if self.codebook is None else self._coded.get(seq)
+        for i, uncoded in self._uncoded:  # empty on a machine without a codebook
+            if any(run.column(i) for run in runs):
+                render((uncoded,), self.codebook)  # raises
+        if token is None and seq:  # a probe that is no codeword: search strand by strand
+            strands = tube.contents
+            held = [seq in render(s, self.codebook) for s in strands]
+            hits, rests = self._frames(compress(strands, held)), self._frames(compress(strands, map(not_, held)))
+        else:  # a token never seen is in no strand; the empty probe holds every strand
+            parts = [run.split(run.column(self._index.get(token)) if token else run.present()) for run in runs]
+            hits, rests = zip(*parts) if parts else ((), ())
+            hits, rests = tuple(filter(_PRESENT, hits)), tuple(filter(_PRESENT, rests))
         tube._runs = ()
         self.counter.extract += 1
-        return plus, minus
+        return Tube(f"{tube.label}+", self, hits), Tube(f"{tube.label}-", self, rests)
 
     def detect(self, tube: Tube) -> bool:
         self._require_live(tube)

@@ -382,4 +382,13 @@ def read_trace_document(doc: dict) -> tuple[dict, SolutionSet, Trace]:
         raise SolverError(f"monolithic trace carries no steps, got {len(steps)}")
     if meta["mode"] == "monolithic" and construction != "synthetic":
         raise SolverError(f"monolithic trace must carry construction 'synthetic', got {construction!r}")
+    # Only an incremental trace has steps, and its run starts from one blank strand.
+    for step, before in zip(steps, [1] + [s.t0_after for s in steps]):
+        after = sum(step.per_color_after_filter)
+        census = dict(t0_before=before, per_color_after_append=(before,) * k, t0_after=after, discarded=k * before - after)
+        for field, want in census.items():
+            if (got := getattr(step, field)) != want:
+                raise SolverError(f"trace step at vertex {step.vertex} has {field} {got} where its counts give {want}")
+    if meta["mode"] == "incremental" and steps[-1].t0_after != len(rows):
+        raise SolverError(f"incremental trace ends at t0_after {steps[-1].t0_after} beside {len(rows)} solutions")
     return meta, solutions, Trace(tuple(steps), op_totals, _count(doc["peak_tube_size"], "peak_tube_size"))

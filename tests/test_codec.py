@@ -30,7 +30,7 @@ from helix import (
     save_codebook,
     validate_codebook,
 )
-from helix.codec import _JunctionIndex, coloring_from_strand, occurrence_chains, strand_from_coloring
+from helix.codec import _JunctionIndex, coloring_from_strand, strand_from_coloring
 
 R1 = "AAGGCAGGAACAGATCAACC"
 G1 = "CGTTCTAAATAGGGTCGTGT"
@@ -322,59 +322,6 @@ def test_match_modes_agree_on_validated_mixed_length_codebooks(cb):
         sp, sm = sym.extract(sym.new_tube("s", contents), codeword)
         np_, nm = nuc.extract(nuc.new_tube("n", contents), codeword)
         assert (sp.contents, sm.contents) == (np_.contents, nm.contents), codeword
-
-
-def _chains_by_brute_force(cb, seq):
-    """Every token chain with room for seq, kept when its joined words hold seq as a chain must.
-
-    A chain of m >= 2 tokens holds seq from inside its first word to inside
-    its last, so its inner words hold at most len(seq) - 2 bases: that bound
-    alone ends the walk, and every chain within it is joined and searched.
-    """
-    words = {(cw.vertex, cw.color): cw.sequence for cw in cb.codewords()}
-    found, open_chains = set(), [(t,) for t in words]
-    while open_chains:
-        chain = open_chains.pop()
-        joined = "".join(words[t] for t in chain)
-        first, last = len(words[chain[0]]), len(joined) - len(words[chain[-1]])
-        if any(joined.startswith(seq, start) and start + len(seq) > last for start in range(first)):
-            found.add(chain)
-        if len(joined) - first <= len(seq) - 2:  # the last word may become an inner one
-            open_chains += [chain + (t,) for t in words]
-    return found
-
-
-@st.composite
-def chain_cases(draw):
-    """An unvalidated codebook of 1- to 4-base words (repeats allowed) and a probe of up to 10 bases."""
-    alphabet = draw(st.sampled_from(["AC", "ACGT"]))
-    n, k = draw(st.integers(1, 3)), draw(st.integers(1, 2))
-    words = draw(st.lists(st.text(alphabet, min_size=1, max_size=4), min_size=n * k, max_size=n * k))
-    slots = itertools.product(range(1, n + 1), range(k))
-    cb = Codebook(n, k, [Codeword(v, c, w) for (v, c), w in zip(slots, words)], "test")
-    joined = "".join(draw(st.lists(st.sampled_from(words), min_size=1, max_size=5)))
-    piece = st.tuples(st.integers(0, len(joined) - 1), st.integers(1, 10)).map(lambda ij: joined[ij[0]:ij[0] + ij[1]])
-    return cb, draw(piece | st.text(alphabet, min_size=1, max_size=10))
-
-
-@settings(max_examples=300, deadline=None)
-@given(chain_cases())
-def test_occurrence_chains_match_a_brute_force_walk(case):
-    cb, seq = case
-    chains = cb.chains(seq)
-    assert len(set(chains)) == len(chains)
-    assert set(chains) == _chains_by_brute_force(cb, seq)
-    assert cb.chains(seq) is chains  # worked out once per sequence
-    assert occurrence_chains(cb._sequences, seq) == chains
-
-
-def test_occurrence_chains_cross_junctions_and_inner_words():
-    cb = _tiny_cb("ACG", "TT", "GA", "TTC")
-    # ACG|TT|GA: CGTTG starts inside ACG, holds all of TT, ends inside GA
-    assert set(cb.chains("CGTTG")) == {((1, 0), (2, 0), (3, 0))}
-    assert set(cb.chains("GTT")) == {((1, 0), (2, 0)), ((1, 0), (4, 0))}
-    assert set(cb.chains("TT")) == {((2, 0),), ((4, 0),), ((2, 0), (2, 0)), ((2, 0), (4, 0))}  # T|T too
-    assert cb.chains("CC") == ()
 
 
 def test_encode_assignment(table1):

@@ -563,11 +563,18 @@ WINDOW_CBS = (builtin_table1(), BASES_CBS[0], generate_codebook(8, 3, 20, 3), _m
 
 
 @pytest.mark.parametrize("cb", WINDOW_CBS + BASES_CBS[1:], ids=lambda cb: cb.provenance)
-def test_a_validated_codewords_only_chain_is_its_own_token(cb):
-    """Validation's guarantee: a codeword occurs in rendered bases only as its own token."""
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_a_validated_codeword_occurs_only_where_its_token_is(cb, data):
+    """Validation's guarantee, on which a codeword probe reading its token's column rests."""
     assert cb.validation().ok
-    for codeword in cb.codewords():
-        assert cb.chains(codeword.sequence) == (((codeword.vertex, codeword.color),),)
+    assert TubeMachine(cb)._coded == {cw.sequence: (cw.vertex, cw.color) for cw in cb.codewords()}
+    colors = st.integers(0, cb.k - 1)
+    strand_st = st.lists(st.tuples(st.integers(1, cb.n), colors), unique_by=lambda t: t[0], max_size=8).map(tuple)
+    for s in data.draw(st.lists(strand_st, min_size=1, max_size=5)):
+        bases = render(s, cb)
+        for cw in cb.codewords():
+            assert (cw.sequence in bases) == ((cw.vertex, cw.color) in s), (s, cw)
 
 
 @settings(max_examples=300, deadline=None)
@@ -1191,3 +1198,22 @@ def test_nucleotide_extract_of_a_token_outside_the_codebook_raises():
     m.discard(m.new_tube("u", [((1, 5),)]))  # the machine now knows a token of vertex 1 the codebook lacks
     t = m.new_tube("t", [((1, 0),), ((1, 1),), ((1, 1), (2, 0))])  # but no strand here holds one
     assert_extract_follows_render(m, t)
+
+
+@pytest.mark.parametrize("path", ["codeword", "search"])
+def test_a_refused_extract_names_the_first_uncoded_token_on_either_probe_path(path):
+    """Both probe paths run the machine's uncoded-token check first, so they name the same token.
+
+    The machine meets (3, 1) before (4, 0), and the tube holds (4, 0) in an
+    earlier strand, so a render of the strands in order would name (4, 0).
+    """
+    cb = generate_codebook(2, 2, 12, 0)
+    m = TubeMachine(cb)
+    m.discard(m.new_tube("u", [((3, 1),)]))
+    t = m.new_tube("t", [((1, 1), (2, 0)), ((4, 0),), ((1, 0), (3, 1))])
+    seq = cb.codeword(1, 0).sequence if path == "codeword" else render(((1, 1), (2, 0)), cb)[6:18]
+    assert (seq in m._coded) == (path == "codeword")
+    before = t.contents
+    with pytest.raises(CodecError, match="no codeword for vertex 3, color 1"):
+        m.extract(t, Codeword(1, 0, seq))
+    assert len(t) == 3 and t.contents == before and m.counter.extract == 0

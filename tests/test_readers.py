@@ -75,7 +75,8 @@ def mutated(rnd: random.Random, value) -> dict:
     """The Petersen graph's trace document at k = 3 with one field changed, chosen by rnd.
 
     The field, a list entry included, is set to `value`, or one solution row
-    is dropped (which still parses), repeated or swapped with a drawn row.
+    is dropped (which fails, since the last step then counts one strand
+    more than there are rows), repeated or swapped with a drawn row.
     """
     doc = json.loads(PETERSEN_TRACE)
     step, rows = rnd.choice(doc["steps"]), doc["solutions"]

@@ -480,11 +480,24 @@ def test_read_trace_document_validates():
         ("doc", "steps", steps[:1], r"steps must visit the order \[1, 2, 3\], got vertices \[1\]"),
         ("doc", "steps", [steps[1], steps[0], steps[2]], r"steps must visit the order \[1, 2, 3\], got vertices \[2, 1, 3\]"),
         ("doc", "construction", "synthetic", "incremental trace carries no construction, got 'synthetic'"),
+        # Counts that break the census between steps, each checked after every check above.
+        ("step", "t0_before", 2, "step at vertex 1 has t0_before 2 where its counts give 1"),
+        ("later step", "t0_before", 999, "step at vertex 2 has t0_before 999 where its counts give 3"),
+        ("later step", "per_color_after_append", [3, 3, 4],
+         r"step at vertex 2 has per_color_after_append \(3, 3, 4\) where its counts give \(3, 3, 3\)"),
+        ("later step", "per_color_after_filter", [2, 2, 3], "step at vertex 2 has t0_after 6 where its counts give 7"),
+        ("later step", "t0_after", 5, "step at vertex 2 has t0_after 5 where its counts give 6"),
+        ("later step", "discarded", 4, "step at vertex 2 has discarded 4 where its counts give 3"),
+        ("doc", "solutions", rows[1:], "incremental trace ends at t0_after 6 beside 5 solutions"),
     ]:
         doc = json.loads(text)
-        {"doc": doc, "graph": doc["graph"], "step": doc["steps"][0]}[place][key] = value
+        {"doc": doc, "graph": doc["graph"], "step": doc["steps"][0], "later step": doc["steps"][1]}[place][key] = value
         with pytest.raises(SolverError, match=message):
             read_trace_document(doc)
+    doc = json.loads(text)  # a last step one strand over the solutions, its own counts consistent
+    doc["steps"][-1].update(per_color_after_filter=[2, 2, 3], discarded=11, t0_after=7)
+    with pytest.raises(SolverError, match="incremental trace ends at t0_after 7 beside 6 solutions"):
+        read_trace_document(doc)
     sols, trace = solve_monolithic(g, 3, builtin_table1())
     text = json.dumps(trace_document(g, 3, None, "monolithic", sols, trace))
     for key, value, message in [
