@@ -5,7 +5,6 @@ The README lists the exit codes (EXIT_*) and what ends in each.
 
 from __future__ import annotations
 
-import argparse
 import itertools
 import json
 import os
@@ -341,6 +340,8 @@ def cmd_codebook(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="helix",
         description="Tube-level simulator for incremental graph k-coloring.",

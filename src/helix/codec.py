@@ -15,8 +15,7 @@ import functools
 import itertools
 import json
 import random
-from dataclasses import dataclass, field
-from importlib import resources
+from collections import namedtuple
 from operator import ne
 
 DNA_BASES = "ACGT"
@@ -63,28 +62,23 @@ def check_dna(seq: str) -> None:
         raise CodecError(f"non-DNA characters {sorted(bad)} in {seq!r}")
 
 
-@dataclass(frozen=True)
-class Codeword:
-    vertex: int
-    color: int
-    sequence: str
+Codeword = namedtuple("Codeword", "vertex color sequence")
 
 
-@dataclass(frozen=True)
-class JunctionViolation:
+class JunctionViolation(namedtuple("JunctionViolation", "word left right offset")):
     """Codeword `word` occurs in left.sequence + right.sequence at a misaligned offset."""
 
-    word: Codeword
-    left: Codeword
-    right: Codeword
-    offset: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    duplicates: tuple[tuple[Codeword, Codeword], ...]
-    junction_violations: tuple[JunctionViolation, ...]
-    sequences: tuple[str, ...] = field(repr=False)
+class ValidationReport(namedtuple("ValidationReport", "duplicates junction_violations sequences")):
+    """What validate_codebook found; `sequences` is left out of the repr."""
+
+    def __repr__(self) -> str:
+        return f"ValidationReport(duplicates={self.duplicates!r}, junction_violations={self.junction_violations!r})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r} of a ValidationReport")
 
     @property
     def ok(self) -> bool:
@@ -320,6 +314,8 @@ def builtin_table1() -> Codebook:
     Sequences are stored verbatim, irregular row lengths included; nothing is
     normalized on load.
     """
+    from importlib import resources
+
     data = json.loads(resources.files("helix").joinpath("table1.json").read_text(encoding="utf-8"))
     return codebook_from_json(data)
 

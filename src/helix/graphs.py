@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 
 class DimacsError(ValueError):
@@ -16,21 +15,36 @@ class DimacsError(ValueError):
         self.line = line
 
 
-@dataclass(frozen=True)
 class Graph:
-    """Vertices are 1..n; edges is a frozenset of (u, v) pairs with u < v."""
+    """Vertices are 1..n; edges is a frozenset of (u, v) pairs with u < v.  Immutable."""
 
-    n: int
-    edges: frozenset[tuple[int, int]]
+    __slots__ = ("n", "edges")
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"vertex count must be positive, got {self.n}")
-        for u, v in self.edges:
+    def __init__(self, n: int, edges: frozenset[tuple[int, int]]):
+        if n < 1:
+            raise ValueError(f"vertex count must be positive, got {n}")
+        for u, v in edges:
             if u == v:
                 raise ValueError(f"self-loop ({u},{v}) not allowed")
-            if not (1 <= u < v <= self.n):
-                raise ValueError(f"edge ({u},{v}) not normalized within 1..{self.n}")
+            if not (1 <= u < v <= n):
+                raise ValueError(f"edge ({u},{v}) not normalized within 1..{n}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "edges", edges)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r} of a Graph")
+
+    def __reduce__(self):
+        return Graph, (self.n, self.edges)
+
+    def __eq__(self, other):
+        return (self.n, self.edges) == (other.n, other.edges) if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.edges))
+
+    def __repr__(self) -> str:
+        return f"Graph(n={self.n!r}, edges={self.edges!r})"
 
     @classmethod
     def from_edges(cls, n: int, pairs) -> "Graph":

@@ -80,9 +80,7 @@ names it, so the refused extract leaves the tube as it was.
 
 from __future__ import annotations
 
-import dataclasses
 from collections import Counter
-from dataclasses import dataclass
 from itertools import chain, compress, groupby, product
 from math import prod
 from operator import attrgetter, methodcaller, not_
@@ -184,20 +182,28 @@ class MachineFault(RuntimeError):
     """An operation that the bench cannot perform: bad append, retired tube, etc."""
 
 
-@dataclass
 class OpCounter:
-    append: int = 0
-    copy: int = 0
-    merge: int = 0
-    extract: int = 0
-    detect: int = 0
-    discard: int = 0
+    """How many times the machine has run each operation; snapshot() is a copy that later ticks leave alone."""
+
+    __slots__ = ("append", "copy", "merge", "extract", "detect", "discard")
+
+    def __init__(self, append=0, copy=0, merge=0, extract=0, detect=0, discard=0):
+        self.append, self.copy, self.merge = append, copy, merge
+        self.extract, self.detect, self.discard = extract, detect, discard
 
     def as_dict(self) -> dict[str, int]:
-        return dataclasses.asdict(self)
+        return {name: getattr(self, name) for name in self.__slots__}
 
     def snapshot(self) -> "OpCounter":
-        return dataclasses.replace(self)
+        return OpCounter(**self.as_dict())
+
+    def __eq__(self, other):
+        return self.as_dict() == other.as_dict() if other.__class__ is self.__class__ else NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"OpCounter({', '.join(f'{name}={n!r}' for name, n in self.as_dict().items())})"
 
 
 class Tube:

@@ -23,8 +23,7 @@ Detect on the survivor tube.
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import oracle
 from .codec import BLANK_STRAND, Codebook, color_name, coloring_from_strand
@@ -44,25 +43,13 @@ class BudgetError(SolverError):
     pass
 
 
-@dataclass(frozen=True)
-class StepRecord:
-    vertex: int
-    t0_before: int
-    per_color_after_append: tuple[int, ...]
-    per_color_after_filter: tuple[int, ...]
-    discarded: int
-    t0_after: int
+StepRecord = namedtuple(
+    "StepRecord", "vertex t0_before per_color_after_append per_color_after_filter discarded t0_after"
+)
+Trace = namedtuple("Trace", "steps op_totals peak_tube_size")
 
 
-@dataclass(frozen=True)
-class Trace:
-    steps: tuple[StepRecord, ...]
-    op_totals: OpCounter
-    peak_tube_size: int
-
-
-@dataclass(frozen=True)
-class SolutionSet:
+class SolutionSet(namedtuple("SolutionSet", "ordered colorable")):
     """The colorings a run found, as strictly increasing rows, and whether there are any.
 
     The rows are the final decode's, in lexicographic order and without
@@ -70,8 +57,7 @@ class SolutionSet:
     their sets of colorings are.
     """
 
-    ordered: tuple[tuple[int, ...], ...]
-    colorable: bool
+    __slots__ = ()
 
     @property
     def colorings(self) -> frozenset[tuple[int, ...]]:
@@ -234,8 +220,8 @@ def step_census(g: Graph, k: int, order, i: int) -> int:
 TRACE_FIELDS = frozenset(
     {"graph", "k", "order", "mode", "steps", "op_totals", "peak_tube_size", "colorable", "solutions"}
 )
-STEP_FIELDS = frozenset(f.name for f in dataclasses.fields(StepRecord))
-OP_FIELDS = frozenset(f.name for f in dataclasses.fields(OpCounter))
+STEP_FIELDS = frozenset(StepRecord._fields)
+OP_FIELDS = frozenset(OpCounter.__slots__)
 
 
 def trace_document(

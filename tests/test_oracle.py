@@ -1,7 +1,8 @@
 import ast
 import itertools
+import json
+import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -70,13 +71,29 @@ def test_every_block_size_walks_the_same_colorings(block, g, k):
         assert count_colorings(g, k) == len(expected)
 
 
-def traced_peak(call):
-    """call() and the peak bytes traced while it ran."""
-    tracemalloc.start()
-    try:
-        return call(), tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+PEAK_CHILD = """
+import json, sys, tracemalloc
+import helix
+name, n, edges, k = json.loads(sys.argv[1])
+search, g = getattr(helix, name), helix.Graph.from_edges(n, edges)
+tracemalloc.start()
+result = search(g, k)
+print(json.dumps([result, tracemalloc.get_traced_memory()[1]]))
+"""
+
+
+def traced_peak(search, g, k):
+    """search(g, k) and the peak bytes traced while it ran, read in a fresh interpreter.
+
+    CPython keeps freed tuples in per-size free lists, and tuples taken from
+    them are not traced, so a peak read in this process would depend on
+    which tests ran before it.
+    """
+    arg = json.dumps([search.__name__, g.n, sorted(g.edges), k])
+    proc = subprocess.run(
+        [sys.executable, "-c", PEAK_CHILD, arg], capture_output=True, text=True, timeout=120, check=True
+    )
+    return json.loads(proc.stdout)
 
 
 def test_search_holds_no_more_than_its_output():
@@ -85,7 +102,7 @@ def test_search_holds_no_more_than_its_output():
     # those prefixes alone would take about 2 MB.
     g = Graph.from_edges(15, [(13, 14), (13, 15), (14, 15)])
     for search, empty in ((enumerate_colorings, []), (count_colorings, 0)):
-        result, peak = traced_peak(lambda: search(g, 2))
+        result, peak = traced_peak(search, g, 2)
         assert result == empty
         assert peak < 256 * 1024, (search.__name__, peak)
 
@@ -93,7 +110,7 @@ def test_search_holds_no_more_than_its_output():
 def test_counting_builds_no_level_and_no_leaves():
     # The 2^19 prefixes before the last vertex would take about 100 MB as one
     # level, and the 2^20 leaves more; a walk of blocks holds BLOCK * k a depth.
-    result, peak = traced_peak(lambda: count_colorings(Graph(20, frozenset()), 2))
+    result, peak = traced_peak(count_colorings, Graph(20, frozenset()), 2)
     assert result == 2**20
     assert peak <= 256 * 1024, peak
 
@@ -104,7 +121,7 @@ def test_free_color_tables_stay_bounded():
     # about 4 MB, against about 1 MB for MAX_FREE_LISTS of them.
     hub = [(u, 15) for u in range(1, 15)]
     g = Graph.from_edges(18, hub + [(16, 17), (16, 18), (17, 18)])
-    result, peak = traced_peak(lambda: count_colorings(g, 2))
+    result, peak = traced_peak(count_colorings, g, 2)
     assert result == 0
     assert peak < 2 * 1024 * 1024, peak
 
