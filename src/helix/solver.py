@@ -23,49 +23,19 @@ Detect on the survivor tube.
 
 from __future__ import annotations
 
-from collections import namedtuple
-
 from . import oracle
 from .codec import BLANK_STRAND, Codebook, color_name, coloring_from_strand
 from .graphs import Graph
-from .machine import OpCounter, TubeMachine
+from .machine import TubeMachine
+# trace_document is not used here: the bench calls solver.trace_document and wraps it by name.
+from .trace import SolutionSet, SolverError, StepRecord, Trace, resolve_order, trace_document
 
 DEFAULT_STRAND_BUDGET = 2_000_000
 MATCH_MODES = ("symbolic", "nucleotide")
-ENGINES = ("incremental", "monolithic")  # the modes a trace document names
-
-
-class SolverError(ValueError):
-    pass
 
 
 class BudgetError(SolverError):
     pass
-
-
-StepRecord = namedtuple(
-    "StepRecord", "vertex t0_before per_color_after_append per_color_after_filter discarded t0_after"
-)
-Trace = namedtuple("Trace", "steps op_totals peak_tube_size")
-
-
-class SolutionSet(namedtuple("SolutionSet", "ordered colorable")):
-    """The colorings a run found, as strictly increasing rows, and whether there are any.
-
-    The rows are the final decode's, in lexicographic order and without
-    repeats, so two solution sets are equal, and hash alike, exactly when
-    their sets of colorings are.
-    """
-
-    __slots__ = ()
-
-    @property
-    def colorings(self) -> frozenset[tuple[int, ...]]:
-        """The rows as a set, built on each call."""
-        return frozenset(self.ordered)
-
-    def sorted_colorings(self) -> list[tuple[int, ...]]:
-        return list(self.ordered)
 
 
 def _check_inputs(
@@ -90,21 +60,6 @@ def _check_inputs(
             f"the monolithic engine needs k^n = {k**g.n} strands, over the budget of {budget}"
         )
     return TubeMachine(cb if match_mode == "nucleotide" else None)
-
-
-def _is_permutation(order: list[int], n: int) -> bool:
-    """Whether order lists 1..n once each; the lengths are compared before 1..n is listed."""
-    return len(order) == n and sorted(order) == list(range(1, n + 1))
-
-
-def resolve_order(g: Graph, order) -> list[int]:
-    """The run order: 1..n for None, else `order` if it is a permutation of 1..n."""
-    if order is None:
-        return list(range(1, g.n + 1))
-    order = list(order)
-    if not _is_permutation(order, g.n):
-        raise SolverError(f"order must be a permutation of 1..{g.n}, got {order}")
-    return order
 
 
 def _decode_final(tube, n: int) -> list[tuple[int, ...]]:
@@ -215,166 +170,3 @@ def step_census(g: Graph, k: int, order, i: int) -> int:
         if u in position and v in position
     ]
     return oracle.count_colorings(Graph.from_edges(i, edges), k)
-
-
-TRACE_FIELDS = frozenset(
-    {"graph", "k", "order", "mode", "steps", "op_totals", "peak_tube_size", "colorable", "solutions"}
-)
-STEP_FIELDS = frozenset(StepRecord._fields)
-OP_FIELDS = frozenset(OpCounter.__slots__)
-
-
-def trace_document(
-    g: Graph, k: int, order, mode: str, solutions: SolutionSet, trace: Trace
-) -> dict:
-    """The JSON form of one run; field names here are a stable contract.
-
-    A monolithic document is marked "construction": "synthetic" (see solve_monolithic).
-    """
-    doc = {
-        "graph": {"n": g.n, "m": g.m},
-        "k": k,
-        "order": resolve_order(g, order),
-        "mode": mode,
-        "steps": [
-            {
-                "vertex": s.vertex,
-                "t0_before": s.t0_before,
-                "per_color_after_append": list(s.per_color_after_append),
-                "per_color_after_filter": list(s.per_color_after_filter),
-                "discarded": s.discarded,
-                "t0_after": s.t0_after,
-            }
-            for s in trace.steps
-        ],
-        "op_totals": trace.op_totals.as_dict(),
-        "peak_tube_size": trace.peak_tube_size,
-        "colorable": solutions.colorable,
-        "solutions": list(solutions.ordered),  # tuples: json writes them as arrays
-    }
-    if mode == "monolithic":
-        doc["construction"] = "synthetic"
-    return doc
-
-
-def _count(value, field: str) -> int:
-    """A count read from a trace document: an int, not a bool, and not negative."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-        raise SolverError(f"trace field {field} must be an integer >= 0, got {value!r}")
-    return value
-
-
-def _counts(value, field: str, kinds=list) -> list[int]:
-    """A list of counts read from a trace document; `kinds` are the sequence types it may be."""
-    if not isinstance(value, kinds):
-        raise SolverError(f"trace field {field} must be a list of integers, got {value!r}")
-    return [_count(x, field) for x in value]
-
-
-def read_trace_document(doc: dict) -> tuple[dict, SolutionSet, Trace]:
-    """Parse and check a trace document; inverse of trace_document.
-
-    Returns (meta, solutions, trace) where meta carries graph/k/order/mode.
-    A solution row may be a tuple, as trace_document leaves it, or a list,
-    as JSON reads it back.  A document that trace_document could not have
-    written raises SolverError; the README's "Trace document" lists the
-    checks.
-    """
-    if not isinstance(doc, dict):
-        raise SolverError("trace document must be a JSON object")
-    missing = TRACE_FIELDS - doc.keys()
-    if missing:
-        raise SolverError(f"trace document missing fields: {sorted(missing)}")
-    graph = doc["graph"]
-    if not isinstance(graph, dict) or {"n", "m"} - graph.keys():
-        raise SolverError("trace graph must carry n and m")
-    if not isinstance(doc["steps"], list):
-        raise SolverError("trace steps must be a list")
-    steps = []
-    for entry in doc["steps"]:
-        if not isinstance(entry, dict):
-            raise SolverError(f"step record must be a JSON object, got {entry!r}")
-        entry_missing = STEP_FIELDS - entry.keys()
-        if entry_missing:
-            raise SolverError(f"step record missing fields: {sorted(entry_missing)}")
-        try:
-            steps.append(
-                StepRecord(
-                    _count(entry["vertex"], "vertex"),
-                    _count(entry["t0_before"], "t0_before"),
-                    tuple(_count(c, "per_color_after_append") for c in entry["per_color_after_append"]),
-                    tuple(_count(c, "per_color_after_filter") for c in entry["per_color_after_filter"]),
-                    _count(entry["discarded"], "discarded"),
-                    _count(entry["t0_after"], "t0_after"),
-                )
-            )
-        except TypeError as exc:
-            raise SolverError(f"malformed step record: {exc}") from None
-    op_doc = doc["op_totals"]
-    if not isinstance(op_doc, dict):
-        raise SolverError("trace op_totals must be a JSON object")
-    unknown = op_doc.keys() - OP_FIELDS
-    if unknown:
-        raise SolverError(f"trace op_totals names unknown operations: {sorted(map(str, unknown))}")
-    missing = OP_FIELDS - op_doc.keys()
-    if missing:
-        raise SolverError(f"trace op_totals misses operations: {sorted(missing)}")
-    op_totals = OpCounter(**{op: _count(n, f"op_totals.{op}") for op, n in op_doc.items()})
-    if not isinstance(doc["colorable"], bool):
-        raise SolverError(f"trace field colorable must be true or false, got {doc['colorable']!r}")
-    if doc["mode"] not in ENGINES:
-        raise SolverError(f"trace field mode must be a string naming an engine {ENGINES}, got {doc['mode']!r}")
-    meta = {
-        "graph": {"n": _count(graph["n"], "graph.n"), "m": _count(graph["m"], "graph.m")},
-        "k": _count(doc["k"], "k"),
-        "order": _counts(doc["order"], "order"),
-        "mode": doc["mode"],
-    }
-    n, m, k, rows = meta["graph"]["n"], meta["graph"]["m"], meta["k"], []
-    if n < 1 or k < 1:
-        raise SolverError(f"trace fields graph.n and k must be at least 1, got n={n} and k={k}")
-    if m > n * (n - 1) // 2:
-        raise SolverError(f"trace field graph.m {m} is more than the {n * (n - 1) // 2} pairs of {n} vertices")
-    if not _is_permutation(meta["order"], n):
-        raise SolverError(f"trace field order must be a permutation of 1..{n}, got {meta['order']}")
-    for step in steps:
-        if not 1 <= step.vertex <= n:
-            raise SolverError(f"trace step vertex {step.vertex} is not in 1..{n}")
-        for field in ("per_color_after_append", "per_color_after_filter"):
-            counts = getattr(step, field)
-            if len(counts) != k:
-                raise SolverError(f"trace step field {field} must list {k} colors, got {list(counts)}")
-    if not isinstance(doc["solutions"], list):
-        raise SolverError(f"trace field solutions must be a list, got {doc['solutions']!r}")
-    for entry in doc["solutions"]:
-        row = tuple(_counts(entry, "solutions", (list, tuple)))
-        if len(row) != n or any(c >= k for c in row):
-            raise SolverError(f"trace solution {list(row)} is not a coloring of {n} vertices in {k} colors")
-        if rows and row <= rows[-1]:
-            raise SolverError(f"trace solutions must be strictly increasing, got {list(rows[-1])} then {list(row)}")
-        rows.append(row)
-    if doc["colorable"] != bool(rows):
-        raise SolverError(f"trace field colorable is {str(doc['colorable']).lower()} beside {len(rows)} solutions")
-    solutions = SolutionSet(tuple(rows), doc["colorable"])
-    construction = doc.get("construction")
-    if "construction" in doc and not isinstance(construction, str):
-        raise SolverError(f"trace field construction must be a string, got {construction!r}")
-    vertices = [step.vertex for step in steps]
-    if meta["mode"] == "incremental" and vertices != meta["order"]:
-        raise SolverError(f"incremental trace steps must visit the order {meta['order']}, got vertices {vertices}")
-    if meta["mode"] == "incremental" and "construction" in doc:
-        raise SolverError(f"incremental trace carries no construction, got {construction!r}")
-    if meta["mode"] == "monolithic" and steps:
-        raise SolverError(f"monolithic trace carries no steps, got {len(steps)}")
-    if meta["mode"] == "monolithic" and construction != "synthetic":
-        raise SolverError(f"monolithic trace must carry construction 'synthetic', got {construction!r}")
-    # Only an incremental trace has steps, and its run starts from one blank strand.
-    for step, before in zip(steps, [1] + [s.t0_after for s in steps]):
-        after = sum(step.per_color_after_filter)
-        census = dict(t0_before=before, per_color_after_append=(before,) * k, t0_after=after, discarded=k * before - after)
-        for field, want in census.items():
-            if (got := getattr(step, field)) != want:
-                raise SolverError(f"trace step at vertex {step.vertex} has {field} {got} where its counts give {want}")
-    if meta["mode"] == "incremental" and steps[-1].t0_after != len(rows):
-        raise SolverError(f"incremental trace ends at t0_after {steps[-1].t0_after} beside {len(rows)} solutions")
-    return meta, solutions, Trace(tuple(steps), op_totals, _count(doc["peak_tube_size"], "peak_tube_size"))

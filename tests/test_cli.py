@@ -43,7 +43,7 @@ def test_solve_trace_matches_golden(tmp_path, capsys):
     )
     capsys.readouterr()
     got = json.loads(path.read_text())
-    assert got == json.loads(open(GOLDEN_K3).read())
+    assert path.read_bytes() == open(GOLDEN_K3, "rb").read()
     read_trace_document(got)  # schema check
 
 
@@ -174,6 +174,14 @@ def test_run_summary_names_k_to_the_n_past_the_int_string_limit(capsys):
     assert "peak tube size 3 of k^n = 3^9100 (" in capsys.readouterr().out
 
 
+def test_run_summary_writes_k_to_the_n_in_digits_up_to_14000_bits(capsys):
+    trace = Trace((), OpCounter(), 2)
+    cli._print_run(Graph(13999, frozenset()), 2, "incremental", SolutionSet((), True), trace)
+    assert f"peak tube size 2 of k^n = {2**13999} (" in capsys.readouterr().out
+    cli._print_run(Graph(14000, frozenset()), 2, "incremental", SolutionSet((), True), trace)
+    assert "peak tube size 2 of k^n = 2^14000 (" in capsys.readouterr().out
+
+
 def test_parse_errors_exit_1(tmp_path, capsys):
     bad = tmp_path / "bad.col"
     bad.write_text("p edge 3 1\ne 1 5\n")
@@ -218,6 +226,16 @@ def test_compare_json_report(capsys):
     assert doc["agree"] is True
     assert doc["counts"] == {"oracle": 0, "incremental": 0, "monolithic": 0}
     assert doc["reduction_factor"] > 1
+
+
+def test_compare_json_bytes_are_pinned(capsys):
+    assert run_cli("compare", "--graph", "builtin:k3", "--colors", "3", "--json") == 0
+    assert capsys.readouterr().out == (
+        '{\n  "graph": {\n    "n": 3,\n    "m": 3\n  },\n  "k": 3,\n  "agree": true,\n'
+        '  "counts": {\n    "oracle": 6,\n    "incremental": 6,\n    "monolithic": 6\n  },\n'
+        '  "peak_tube_size": {\n    "incremental": 18,\n    "monolithic": 27\n  },\n'
+        '  "reduction_factor": 1.5\n}\n'
+    )
 
 
 def test_compare_agrees_with_strands_two_words_wide(capsys):
@@ -295,6 +313,13 @@ def test_codebook_validate_table1(capsys):
     assert "junction violations: 0" in out
 
 
+def test_codebook_validate_json_bytes_are_pinned(capsys):
+    assert run_cli("codebook", "validate", "--codebook", "table1", "--json") == 0
+    assert capsys.readouterr().out == (
+        '{\n  "ok": true,\n  "duplicates": [],\n  "junction_violations": [],\n  "min_pairwise_hamming": 7\n}\n'
+    )
+
+
 def test_codebook_validate_rejects_broken(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(
@@ -333,6 +358,10 @@ def test_random_graph_spec_deterministic():
     g1, _ = parse_graph_spec("random:6,0.4,3")
     g2, _ = parse_graph_spec("random:6,0.4,3")
     assert g1 == g2 == random_graph(6, 0.4, 3)
+
+
+def test_a_random_graph_of_one_vertex_is_accepted():
+    assert parse_graph_spec("random:1,0.5,7") == (Graph(1, frozenset()), [])
 
 
 @pytest.mark.parametrize(
@@ -458,6 +487,11 @@ def test_codebook_file_with_non_integer_field_exit_1(tmp_path, capsys):
     capsys.readouterr()
     assert run_cli("solve", "--graph", "builtin:k3", "--colors", "3", "--codebook", str(path)) == 1
     assert "'n' must be an integer" in capsys.readouterr().err
+
+
+def test_budget_env_var_of_zero_is_a_budget_of_zero(monkeypatch):
+    monkeypatch.setenv("HELIX_BUDGET", "0")
+    assert cli.strand_budget() == 0
 
 
 def test_budget_env_var_must_not_be_negative(capsys, monkeypatch):

@@ -120,6 +120,8 @@ def test_codebook_construction_checks():
         Codebook(2, 2, [Codeword(1, 0, "ACGT")], provenance="test")
     with pytest.raises(CodecError, match="outside"):
         Codebook(1, 1, [Codeword(2, 0, "ACGT")], provenance="test")
+    with pytest.raises(CodecError, match=r"entry \(1,1\) outside 1 vertices x 1 colors"):
+        Codebook(1, 1, [Codeword(1, 1, "ACGT")], provenance="test")
     with pytest.raises(CodecError, match="two entries"):
         Codebook(1, 1, [Codeword(1, 0, "ACGT"), Codeword(1, 0, "AAAA")], provenance="test")
 

@@ -207,6 +207,8 @@ def test_count_agrees_with_enumerate():
 
 
 def test_vertex_cap():
+    assert enumerate_colorings(Graph(24, frozenset()), 1) == [(0,) * 24]
+    assert count_colorings(Graph(24, frozenset()), 1) == 1
     g = Graph(25, frozenset())
     with pytest.raises(OracleBudgetError, match="24"):
         enumerate_colorings(g, 2)

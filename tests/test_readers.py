@@ -22,7 +22,7 @@ from helix import (
     solve_incremental,
     trace_document,
 )
-from helix.solver import OP_FIELDS, STEP_FIELDS, TRACE_FIELDS
+from helix.trace import OP_FIELDS, STEP_FIELDS, TRACE_FIELDS
 
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 6) | st.floats() | st.text(max_size=6),

@@ -176,6 +176,17 @@ def test_importing_helix_and_its_cli_loads_only_what_a_solve_needs():
     assert loaded & {"dataclasses", "inspect", "argparse", "importlib.resources"} == set()
 
 
+def test_the_trace_module_imports_no_engine():
+    """helix.trace takes only OpCounter from the package, so the engines can take their records from it."""
+    tree = ast.parse(Path(helix.trace.__file__).read_text(encoding="utf-8"))
+    package = [
+        (node.module, [alias.name for alias in node.names])
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level
+    ]
+    assert package == [("machine", ["OpCounter"])]
+
+
 def test_no_helix_module_imports_dataclasses():
     for path in sorted(Path(helix.__file__).parent.glob("*.py")):
         imported = []

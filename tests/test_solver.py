@@ -3,6 +3,7 @@ import json
 import random
 import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -494,9 +495,9 @@ def test_read_trace_document_validates():
         {"doc": doc, "graph": doc["graph"], "step": doc["steps"][0], "later step": doc["steps"][1]}[place][key] = value
         with pytest.raises(SolverError, match=message):
             read_trace_document(doc)
-    doc = json.loads(text)  # a last step one strand over the solutions, its own counts consistent
-    doc["steps"][-1].update(per_color_after_filter=[2, 2, 3], discarded=11, t0_after=7)
-    with pytest.raises(SolverError, match="incremental trace ends at t0_after 7 beside 6 solutions"):
+    doc = json.loads(text)  # a last step three strands over the solutions, its own counts consistent
+    doc["steps"][-1].update(per_color_after_filter=[3, 3, 3], discarded=9, t0_after=9)
+    with pytest.raises(SolverError, match="incremental trace ends at t0_after 9 beside 6 solutions"):
         read_trace_document(doc)
     sols, trace = solve_monolithic(g, 3, builtin_table1())
     text = json.dumps(trace_document(g, 3, None, "monolithic", sols, trace))
@@ -511,6 +512,51 @@ def test_read_trace_document_validates():
     del doc["construction"]
     with pytest.raises(SolverError, match="must carry construction 'synthetic', got None"):
         read_trace_document(doc)
+
+
+@pytest.mark.parametrize("mode", ["incremental", "monolithic"])
+@pytest.mark.parametrize("g, k", [(random_graph(1, 0.0, 1), k) for k in (1, 2, 3)] + [(builtin_graph("k3"), 1)])
+def test_traces_of_one_vertex_and_of_one_color_read_back(g, k, mode):
+    """n = 1 and k = 1 are the reader's least instance; k = 1 on a graph with an edge colors nothing."""
+    engine = solve_incremental if mode == "incremental" else solve_monolithic
+    sols, trace = engine(g, k, generate_codebook(g.n, k, 16, 0))
+    meta, read_sols, read_trace = read_trace_document(json.loads(json.dumps(trace_document(g, k, None, mode, sols, trace))))
+    assert meta == {"graph": {"n": g.n, "m": g.m}, "k": k, "order": list(range(1, g.n + 1)), "mode": mode}
+    assert (read_sols, read_trace) == (sols, trace)
+    assert sols.colorable is (g.m == 0)
+
+
+def test_every_suite_trace_reads_back():
+    """Both engines, k = 1..4, both match modes, natural and shuffled orders: no run breaks a law the reader checks."""
+    rng = random.Random(7)
+    for name, g in corpus.suite():
+        shuffled = list(range(1, g.n + 1))
+        rng.shuffle(shuffled)
+        for k, match_mode in itertools.product((1, *corpus.KS), solver.MATCH_MODES):
+            cb = corpus.suite_codebook(g.n, k)
+            runs = [("incremental", order, solve_incremental(g, k, cb, match_mode, order)) for order in (None, shuffled)]
+            if k**g.n <= solver.DEFAULT_STRAND_BUDGET:
+                mono = solve_monolithic(g, k, cb, match_mode)
+                runs += [("monolithic", order, mono) for order in (None, shuffled)]
+            for mode, order, run in runs:
+                doc = json.loads(json.dumps(trace_document(g, k, order, mode, *run)))
+                assert read_trace_document(doc)[1:] == run, (name, k, match_mode, order, mode)
+
+
+def test_read_trace_document_refuses_unequal_color_counts_and_a_forged_peak():
+    """Counts no run writes, though the census between steps holds: the golden k3 trace with one field changed."""
+    golden = (Path(__file__).parent / "data" / "k3_trace.json").read_text(encoding="utf-8")
+    read_trace_document(json.loads(golden))
+    for place, key, value, message in [
+        ("later step", "per_color_after_filter", [1, 2, 3],
+         r"step at vertex 2 has per_color_after_filter \(1, 2, 3\) where its counts give \(2, 2, 2\)"),
+        ("doc", "peak_tube_size", 1, "incremental trace has peak_tube_size 1 where its steps give 18"),
+        ("doc", "peak_tube_size", 19, "incremental trace has peak_tube_size 19 where its steps give 18"),
+    ]:
+        doc = json.loads(golden)
+        {"doc": doc, "later step": doc["steps"][1]}[place][key] = value
+        with pytest.raises(SolverError, match=message):
+            read_trace_document(doc)
 
 
 def test_read_trace_document_refuses_an_empty_instance():
