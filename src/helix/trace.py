@@ -4,9 +4,11 @@ An engine returns a SolutionSet and a Trace, whose steps are one StepRecord
 per vertex of an incremental run.  trace_document writes them as one JSON
 object, whose field names (TRACE_FIELDS, STEP_FIELDS, OP_FIELDS) are a
 stable contract; read_trace_document reads one back and refuses a document
-that no run could have written.  The README's "Trace document" lists the
-checks.  The module imports no engine, so the engines import their records
-from here.
+that no run could have written.  The reader checks each fact once, in one
+pass: the field set of every JSON object (_object), then the counts, the
+instance, the solution rows, and last one block of laws per engine.  The
+README's "Trace document" lists the checks in that order.  The module
+imports no engine, so the engines import their records from here.
 """
 
 from __future__ import annotations
@@ -106,55 +108,47 @@ def _counts(value, field: str, kinds=list) -> list[int]:
     return [_count(x, field) for x in value]
 
 
+def _object(value, what: str, fields, optional=frozenset(), noun: str = "fields") -> dict:
+    """A JSON object read from a trace document: every one of `fields`, any of `optional`, nothing else."""
+    if not isinstance(value, dict):
+        raise SolverError(f"{what} must be a JSON object, got {value!r}")
+    unknown = value.keys() - fields - optional
+    if unknown:
+        raise SolverError(f"{what} names unknown {noun}: {sorted(map(str, unknown))}")
+    missing = fields - value.keys()
+    if missing:
+        raise SolverError(f"{what} misses {noun}: {sorted(missing)}")
+    return value
+
+
 def read_trace_document(doc: dict) -> tuple[dict, SolutionSet, Trace]:
     """Parse and check a trace document; inverse of trace_document.
 
     Returns (meta, solutions, trace) where meta carries graph/k/order/mode.
-    A solution row may be a tuple, as trace_document leaves it, or a list,
-    as JSON reads it back.  A document that trace_document could not have
-    written raises SolverError; the README's "Trace document" lists the
-    checks.
+    A solution row or per-color list may be a tuple, as trace_document leaves
+    it, or a list, as JSON reads it back.  A document that trace_document
+    could not have written raises SolverError; the README's "Trace document"
+    lists the checks.
     """
-    if not isinstance(doc, dict):
-        raise SolverError("trace document must be a JSON object")
-    missing = TRACE_FIELDS - doc.keys()
-    if missing:
-        raise SolverError(f"trace document missing fields: {sorted(missing)}")
-    graph = doc["graph"]
-    if not isinstance(graph, dict) or {"n", "m"} - graph.keys():
-        raise SolverError("trace graph must carry n and m")
+    doc = _object(doc, "trace document", TRACE_FIELDS, optional={"construction"})
+    graph = _object(doc["graph"], "trace graph", {"n", "m"})
     if not isinstance(doc["steps"], list):
         raise SolverError("trace steps must be a list")
-    steps = []
-    for entry in doc["steps"]:
-        if not isinstance(entry, dict):
-            raise SolverError(f"step record must be a JSON object, got {entry!r}")
-        entry_missing = STEP_FIELDS - entry.keys()
-        if entry_missing:
-            raise SolverError(f"step record missing fields: {sorted(entry_missing)}")
-        try:
-            steps.append(
-                StepRecord(
-                    _count(entry["vertex"], "vertex"),
-                    _count(entry["t0_before"], "t0_before"),
-                    tuple(_count(c, "per_color_after_append") for c in entry["per_color_after_append"]),
-                    tuple(_count(c, "per_color_after_filter") for c in entry["per_color_after_filter"]),
-                    _count(entry["discarded"], "discarded"),
-                    _count(entry["t0_after"], "t0_after"),
-                )
-            )
-        except TypeError as exc:
-            raise SolverError(f"malformed step record: {exc}") from None
-    op_doc = doc["op_totals"]
-    if not isinstance(op_doc, dict):
-        raise SolverError("trace op_totals must be a JSON object")
-    unknown = op_doc.keys() - OP_FIELDS
-    if unknown:
-        raise SolverError(f"trace op_totals names unknown operations: {sorted(map(str, unknown))}")
-    missing = OP_FIELDS - op_doc.keys()
-    if missing:
-        raise SolverError(f"trace op_totals misses operations: {sorted(missing)}")
+    entries = [_object(entry, "step record", STEP_FIELDS) for entry in doc["steps"]]
+    op_doc = _object(doc["op_totals"], "trace op_totals", OP_FIELDS, noun="operations")
+    steps = [
+        StepRecord(
+            _count(entry["vertex"], "vertex"),
+            _count(entry["t0_before"], "t0_before"),
+            tuple(_counts(entry["per_color_after_append"], "per_color_after_append", (list, tuple))),
+            tuple(_counts(entry["per_color_after_filter"], "per_color_after_filter", (list, tuple))),
+            _count(entry["discarded"], "discarded"),
+            _count(entry["t0_after"], "t0_after"),
+        )
+        for entry in entries
+    ]
     op_totals = OpCounter(**{op: _count(n, f"op_totals.{op}") for op, n in op_doc.items()})
+    peak = _count(doc["peak_tube_size"], "peak_tube_size")
     if not isinstance(doc["colorable"], bool):
         raise SolverError(f"trace field colorable must be true or false, got {doc['colorable']!r}")
     if doc["mode"] not in ENGINES:
@@ -172,13 +166,6 @@ def read_trace_document(doc: dict) -> tuple[dict, SolutionSet, Trace]:
         raise SolverError(f"trace field graph.m {m} is more than the {n * (n - 1) // 2} pairs of {n} vertices")
     if not _is_permutation(meta["order"], n):
         raise SolverError(f"trace field order must be a permutation of 1..{n}, got {meta['order']}")
-    for step in steps:
-        if not 1 <= step.vertex <= n:
-            raise SolverError(f"trace step vertex {step.vertex} is not in 1..{n}")
-        for field in ("per_color_after_append", "per_color_after_filter"):
-            counts = getattr(step, field)
-            if len(counts) != k:
-                raise SolverError(f"trace step field {field} must list {k} colors, got {list(counts)}")
     if not isinstance(doc["solutions"], list):
         raise SolverError(f"trace field solutions must be a list, got {doc['solutions']!r}")
     for entry in doc["solutions"]:
@@ -190,33 +177,39 @@ def read_trace_document(doc: dict) -> tuple[dict, SolutionSet, Trace]:
         rows.append(row)
     if doc["colorable"] != bool(rows):
         raise SolverError(f"trace field colorable is {str(doc['colorable']).lower()} beside {len(rows)} solutions")
-    solutions = SolutionSet(tuple(rows), doc["colorable"])
+    solutions, trace = SolutionSet(tuple(rows), doc["colorable"]), Trace(tuple(steps), op_totals, peak)
     construction = doc.get("construction")
-    if "construction" in doc and not isinstance(construction, str):
-        raise SolverError(f"trace field construction must be a string, got {construction!r}")
+    if meta["mode"] == "monolithic":
+        if steps:
+            raise SolverError(f"monolithic trace carries no steps, got {len(steps)}")
+        if construction != "synthetic":
+            raise SolverError(f"monolithic trace must carry construction 'synthetic', got {construction!r}")
+        # The start tube holds all k**n strands, and later operations only keep or drop them.  The
+        # bit lengths are compared first, so a forged n or k never has k**n built.
+        if not n * (k.bit_length() - 1) < peak.bit_length() <= n * k.bit_length() or peak != k**n:
+            raise SolverError(f"monolithic trace has peak_tube_size {peak} where its start tube holds {k}**{n}")
+        return meta, solutions, trace
     vertices = [step.vertex for step in steps]
-    if meta["mode"] == "incremental" and vertices != meta["order"]:
+    if vertices != meta["order"]:
         raise SolverError(f"incremental trace steps must visit the order {meta['order']}, got vertices {vertices}")
-    if meta["mode"] == "incremental" and "construction" in doc:
+    if "construction" in doc:
         raise SolverError(f"incremental trace carries no construction, got {construction!r}")
-    if meta["mode"] == "monolithic" and steps:
-        raise SolverError(f"monolithic trace carries no steps, got {len(steps)}")
-    if meta["mode"] == "monolithic" and construction != "synthetic":
-        raise SolverError(f"monolithic trace must carry construction 'synthetic', got {construction!r}")
-    # Only an incremental trace has steps, and its run starts from one blank strand.  Swapping
-    # two colors maps one color's survivors one to one onto the other's, so each color keeps
-    # t0_after / k of them.
+    # An incremental run starts from one blank strand.  Swapping two colors maps one color's
+    # survivors one to one onto the other's, so each color keeps t0_after / k of them.  The
+    # list lengths are compared first, so a forged k never has a k-entry census built.
     for step, before in zip(steps, [1] + [s.t0_after for s in steps]):
+        for field in ("per_color_after_append", "per_color_after_filter"):
+            if len(counts := getattr(step, field)) != k:
+                raise SolverError(f"trace step field {field} must list {k} colors, got {list(counts)}")
         after = sum(step.per_color_after_filter)
         census = dict(t0_before=before, per_color_after_append=(before,) * k, t0_after=after,
                       discarded=k * before - after, per_color_after_filter=(after // k,) * k)
         for field, want in census.items():
             if (got := getattr(step, field)) != want:
                 raise SolverError(f"trace step at vertex {step.vertex} has {field} {got} where its counts give {want}")
-    if meta["mode"] == "incremental" and steps[-1].t0_after != len(rows):
+    if steps[-1].t0_after != len(rows):
         raise SolverError(f"incremental trace ends at t0_after {steps[-1].t0_after} beside {len(rows)} solutions")
     # Each step copies the survivor tube into k tubes, and nothing else holds as many strands.
-    peak = _count(doc["peak_tube_size"], "peak_tube_size")
-    if meta["mode"] == "incremental" and peak != (want := k * max(s.t0_before for s in steps)):
+    if peak != (want := k * max(s.t0_before for s in steps)):
         raise SolverError(f"incremental trace has peak_tube_size {peak} where its steps give {want}")
-    return meta, solutions, Trace(tuple(steps), op_totals, peak)
+    return meta, solutions, trace

@@ -20,6 +20,7 @@ from helix import (
     parse_dimacs,
     read_trace_document,
     solve_incremental,
+    solve_monolithic,
     trace_document,
 )
 from helix.trace import OP_FIELDS, STEP_FIELDS, TRACE_FIELDS
@@ -103,19 +104,21 @@ def mutated(rnd: random.Random, value) -> dict:
     return doc
 
 
+# Each of the document, its graph and a step record may carry one field that no trace names.
+unknown = {"extra": json_values}
 arbitrary_trace_docs = json_values | st.fixed_dictionaries(
     {
         **{field: json_values for field in TRACE_FIELDS},
-        "graph": json_values | st.fixed_dictionaries({"n": json_values, "m": json_values}),
+        "graph": json_values | st.fixed_dictionaries({"n": json_values, "m": json_values}, optional=unknown),
         "steps": json_values
         | st.lists(
-            json_values | st.fixed_dictionaries({f: json_values for f in STEP_FIELDS}),
+            json_values | st.fixed_dictionaries({f: json_values for f in STEP_FIELDS}, optional=unknown),
             max_size=3,
         ),
         "op_totals": json_values
         | st.dictionaries(st.sampled_from(sorted(OP_FIELDS)), json_values, max_size=6),
     },
-    optional={"construction": json_values},
+    optional={"construction": json_values, **unknown},
 )
 # Arbitrary documents fail on an early field, so half the draws are a real
 # trace document with one field changed: they reach the order, step and row
@@ -166,10 +169,8 @@ def test_near_valid_trace_documents_reach_the_row_checks():
     assert outcomes["parsed"] >= 30 and outcomes["rows"] >= 30 and outcomes["other"] >= 30, outcomes
 
 
-def test_a_trace_of_a_huge_graph_is_refused_without_listing_its_vertices():
-    """graph.n = 10**12 beside a one-entry order: SolverError, read in a child under an address-space limit."""
-    doc = json.loads(PETERSEN_TRACE)
-    doc["graph"]["n"], doc["order"] = 10**12, [1]
+def refusal_in_child(doc: dict) -> str:
+    """The SolverError message read_trace_document gives for doc, read in a child under a 1 GiB address-space limit."""
     child = (
         "import json, sys\n"
         "from helix import SolverError, read_trace_document\n"
@@ -187,4 +188,27 @@ def test_a_trace_of_a_huge_graph_is_refused_without_listing_its_vertices():
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)),
     )
     assert proc.returncode == 0, proc.stderr
-    assert "order must be a permutation of 1..1000000000000, got [1]" in proc.stdout
+    return proc.stdout
+
+
+def test_a_trace_of_a_huge_graph_is_refused_without_listing_its_vertices():
+    """graph.n = 10**12 beside a one-entry order: SolverError, without a list of 10**12 vertices."""
+    doc = json.loads(PETERSEN_TRACE)
+    doc["graph"]["n"], doc["order"] = 10**12, [1]
+    assert "order must be a permutation of 1..1000000000000, got [1]" in refusal_in_child(doc)
+
+
+def test_an_incremental_trace_of_a_huge_k_is_refused_without_listing_its_colors():
+    """k = 10**12 beside three-color step records: SolverError, without a census of 10**12 colors."""
+    doc = json.loads(PETERSEN_TRACE)
+    doc["k"] = 10**12
+    assert "per_color_after_append must list 1000000000000 colors, got [1, 1, 1]" in refusal_in_child(doc)
+
+
+def test_a_monolithic_trace_whose_start_tube_is_huge_is_refused_without_counting_it():
+    """k = 10**4000 and n = 10**5: k**n, over 10**9 bits, is refused on bit lengths and never built."""
+    n, k = 10**5, 10**4000
+    g = builtin_graph("k3")
+    doc = trace_document(g, 3, None, "monolithic", *solve_monolithic(g, 3, builtin_table1()))
+    doc.update(graph={"n": n, "m": 0}, k=k, order=list(range(1, n + 1)), colorable=False, solutions=[])
+    assert f"monolithic trace has peak_tube_size 27 where its start tube holds {k}**{n}" in refusal_in_child(doc)

@@ -3,6 +3,7 @@ import json
 import random
 import sys
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -416,7 +417,7 @@ def test_trace_document_monolithic_marks_synthetic():
 
 
 def test_read_trace_document_validates():
-    with pytest.raises(SolverError, match="missing fields"):
+    with pytest.raises(SolverError, match="trace document misses fields"):
         read_trace_document({"graph": {"n": 1, "m": 0}})
     g = builtin_graph("k3")
     sols, trace = solve_incremental(g, 3, builtin_table1())
@@ -424,10 +425,9 @@ def test_read_trace_document_validates():
     text = json.dumps(doc)
     rows, steps = json.loads(text)["solutions"], json.loads(text)["steps"]
     del doc["steps"][0]["vertex"]
-    with pytest.raises(SolverError, match="step record missing"):
+    with pytest.raises(SolverError, match=r"step record misses fields: \['vertex'\]"):
         read_trace_document(doc)
     for place, key, value in [
-        ("step", "per_color_after_append", "12"),
         ("step", "t0_after", [1]),
         ("step", "discarded", True),
         ("doc", "peak_tube_size", "lots"),
@@ -438,6 +438,10 @@ def test_read_trace_document_validates():
         with pytest.raises(SolverError, match=f"{key} must be an integer"):
             read_trace_document(doc)
     for place, key, value, message in [
+        ("doc", "foo", 1, r"trace document names unknown fields: \['foo'\]"),
+        ("graph", "foo", 1, r"trace graph names unknown fields: \['foo'\]"),
+        ("step", "foo", 1, r"step record names unknown fields: \['foo'\]"),
+        ("step", "per_color_after_append", "12", "per_color_after_append must be a list of integers, got '12'"),
         ("doc", "colorable", "no", "colorable must be true or false"),
         ("doc", "k", "3", "k must be an integer"),
         ("doc", "k", True, "k must be an integer"),
@@ -449,9 +453,6 @@ def test_read_trace_document_validates():
         ("doc", "solutions", [["a"]], "solutions must be an integer"),
         ("doc", "solutions", [[0, 1, 2], "ab"], "solutions must be a list of integers"),
         ("doc", "solutions", {"a": 1}, "solutions must be a list"),
-        ("doc", "construction", [1, {"a": 2}], "construction must be a string"),
-        ("doc", "construction", 5, "construction must be a string"),
-        ("doc", "construction", None, "construction must be a string"),
         ("doc", "peak_tube_size", -7, "peak_tube_size must be an integer >= 0"),
         ("doc", "k", -3, "k must be an integer >= 0"),
         ("graph", "n", -1, "graph.n must be an integer >= 0"),
@@ -468,10 +469,6 @@ def test_read_trace_document_validates():
         ("doc", "order", [7, 7], r"order must be a permutation of 1..3, got \[7, 7\]"),
         ("doc", "order", [1, 2], r"order must be a permutation of 1..3"),
         ("doc", "mode", "sideways", "mode must be a string naming an engine"),
-        ("step", "vertex", 99, r"step vertex 99 is not in 1..3"),
-        ("step", "vertex", 0, r"step vertex 0 is not in 1..3"),
-        ("step", "per_color_after_append", [1], r"per_color_after_append must list 3 colors, got \[1\]"),
-        ("step", "per_color_after_filter", [1, 1, 1, 1], "per_color_after_filter must list 3 colors"),
         ("doc", "colorable", False, "colorable is false beside 6 solutions"),
         ("graph", "n", 0, "graph.n and k must be at least 1, got n=0 and k=3"),
         ("doc", "k", 0, "graph.n and k must be at least 1, got n=3 and k=0"),
@@ -480,8 +477,15 @@ def test_read_trace_document_validates():
         # Engine shapes that trace_document never writes.
         ("doc", "steps", steps[:1], r"steps must visit the order \[1, 2, 3\], got vertices \[1\]"),
         ("doc", "steps", [steps[1], steps[0], steps[2]], r"steps must visit the order \[1, 2, 3\], got vertices \[2, 1, 3\]"),
+        ("step", "vertex", 99, r"steps must visit the order \[1, 2, 3\], got vertices \[99, 2, 3\]"),
+        ("step", "vertex", 0, r"steps must visit the order \[1, 2, 3\], got vertices \[0, 2, 3\]"),
         ("doc", "construction", "synthetic", "incremental trace carries no construction, got 'synthetic'"),
+        ("doc", "construction", [1, {"a": 2}], r"incremental trace carries no construction, got \[1, \{'a': 2\}\]"),
+        ("doc", "construction", 5, "incremental trace carries no construction, got 5"),
+        ("doc", "construction", None, "incremental trace carries no construction, got None"),
         # Counts that break the census between steps, each checked after every check above.
+        ("step", "per_color_after_append", [1], r"per_color_after_append must list 3 colors, got \[1\]"),
+        ("step", "per_color_after_filter", [1, 1, 1, 1], "per_color_after_filter must list 3 colors"),
         ("step", "t0_before", 2, "step at vertex 1 has t0_before 2 where its counts give 1"),
         ("later step", "t0_before", 999, "step at vertex 2 has t0_before 999 where its counts give 3"),
         ("later step", "per_color_after_append", [3, 3, 4],
@@ -504,6 +508,9 @@ def test_read_trace_document_validates():
     for key, value, message in [
         ("steps", steps, "monolithic trace carries no steps, got 3"),
         ("construction", "stepwise", "monolithic trace must carry construction 'synthetic', got 'stepwise'"),
+        ("peak_tube_size", 26, r"monolithic trace has peak_tube_size 26 where its start tube holds 3\*\*3"),
+        ("peak_tube_size", 28, r"monolithic trace has peak_tube_size 28 where its start tube holds 3\*\*3"),
+        ("k", 4, r"monolithic trace has peak_tube_size 27 where its start tube holds 4\*\*3"),
     ]:
         doc = json.loads(text)
         doc[key] = value
@@ -559,6 +566,52 @@ def test_read_trace_document_refuses_unequal_color_counts_and_a_forged_peak():
             read_trace_document(doc)
 
 
+def _leaf_edits(value, path=()):
+    """Each one-leaf edit of a JSON value as (path, new leaf): an integer +1, or -1 where at least 1; a boolean flipped."""
+    for key, leaf in value.items() if isinstance(value, dict) else enumerate(value):
+        if isinstance(leaf, bool):
+            yield (*path, key), not leaf
+        elif isinstance(leaf, int):
+            yield from (((*path, key), leaf + d) for d in (1, -1) if leaf + d >= 0)
+        elif isinstance(leaf, (dict, list)):
+            yield from _leaf_edits(leaf, (*path, key))
+
+
+def test_a_single_edit_is_refused_unless_only_the_graph_or_the_op_counts_can_tell():
+    """Every one-leaf edit of the golden k3 trace and of a monolithic k3 trace is refused, but for three kinds.
+
+    A smaller graph.m, an op_totals count, and a solution color that keeps the
+    rows strictly increasing and below k: telling these from a run needs the
+    graph's edges, or a law over the operation counts that the reader does
+    not check.
+    """
+    g = builtin_graph("k3")
+    golden = json.loads((Path(__file__).parent / "data" / "k3_trace.json").read_text(encoding="utf-8"))
+    mono = json.loads(json.dumps(trace_document(g, 3, None, "monolithic", *solve_monolithic(g, 3, builtin_table1()))))
+    outcomes = Counter()
+    for original in (golden, mono):
+        for path, leaf in _leaf_edits(original):
+            doc = json.loads(json.dumps(original))
+            holder = doc
+            for key in path[:-1]:
+                holder = holder[key]
+            holder[path[-1]] = leaf
+            rows = doc["solutions"]
+            unseen = (
+                path == ("graph", "m") and leaf < g.m
+                or path[0] == "op_totals"
+                or path[0] == "solutions" and leaf < 3 and all(a < b for a, b in zip(rows, rows[1:]))
+            )
+            try:
+                read_trace_document(doc)
+                accepted = True
+            except SolverError:
+                accepted = False
+            assert accepted is unseen, (doc["mode"], path, leaf)
+            outcomes[accepted] += 1
+    assert outcomes[True] and outcomes[False], outcomes
+
+
 def test_read_trace_document_refuses_an_empty_instance():
     """No vertices and no colors, written consistently everywhere else, is still not a run."""
     g = builtin_graph("k3")
@@ -591,7 +644,7 @@ def test_read_trace_document_rejects_malformed_step_values():
     sols, trace = solve_incremental(g, 3, builtin_table1())
     doc = trace_document(g, 3, None, "incremental", sols, trace)
     doc["steps"][1]["per_color_after_append"] = 3
-    with pytest.raises(SolverError, match="malformed step record"):
+    with pytest.raises(SolverError, match="per_color_after_append must be a list of integers, got 3"):
         read_trace_document(doc)
 
 
