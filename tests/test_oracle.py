@@ -1,8 +1,10 @@
 import ast
 import itertools
 import json
+import math
 import subprocess
 import sys
+from operator import itemgetter
 from pathlib import Path
 
 import pytest
@@ -30,9 +32,9 @@ def naive_colorings(g, k):
 
 
 @st.composite
-def small_graphs(draw):
-    """n = 1..8 at any edge density; the last vertex sometimes has no earlier neighbor."""
-    n = draw(st.integers(1, 8))
+def small_graphs(draw, max_n=8):
+    """n = 1..max_n at any edge density; the last vertex sometimes has no earlier neighbor."""
+    n = draw(st.integers(1, max_n))
     pairs = list(itertools.combinations(range(1, n + 1), 2))
     density = draw(st.floats(0.0, 1.0))
     edges = [pair for pair in pairs if draw(st.floats(0.0, 1.0)) < density]
@@ -61,6 +63,7 @@ def test_search_matches_the_full_product_filter(g, k):
 @given(g=small_graphs(), k=st.integers(1, 4))
 @example(g=Graph(8, frozenset()), k=3)
 @example(g=Graph.from_edges(8, [(1, 8), (2, 7), (3, 6)]), k=4)
+@example(g=Graph.from_edges(4, [(1, 2), (3, 4)]), k=6)  # k > n: a new color is free at every vertex
 @settings(max_examples=60, deadline=None)
 def test_every_block_size_walks_the_same_colorings(block, g, k):
     """A walk that drops, repeats or reorders prefixes where one block ends and the next begins fails here."""
@@ -69,6 +72,51 @@ def test_every_block_size_walks_the_same_colorings(block, g, k):
         patch.setattr(helix.oracle, "BLOCK", block)
         assert enumerate_colorings(g, k) == expected
         assert count_colorings(g, k) == len(expected)
+
+
+@given(g=small_graphs(max_n=6), k=st.integers(1, 6))
+@example(g=Graph(5, frozenset()), k=6)
+@example(g=complete(6), k=6)
+@settings(max_examples=80, deadline=None)
+def test_up_to_six_colors_match_the_full_product_filter(g, k):
+    """k up to 6 and above n, where every canonical leaf uses fewer than k colors."""
+    expected = naive_colorings(g, k)
+    assert enumerate_colorings(g, k) == expected
+    assert count_colorings(g, k) == len(expected)
+
+
+@pytest.mark.parametrize("k", [255, 256, 257, 300])
+@pytest.mark.parametrize(
+    "g", [Graph(1, frozenset()), Graph(2, frozenset()), complete(2)], ids=["one vertex", "two apart", "one edge"]
+)
+def test_colors_past_a_byte_match_the_full_product_filter(g, k):
+    """Colors up to 255 are relabelled as bytes and higher ones as tuples; both sides of the boundary."""
+    expected = naive_colorings(g, k)
+    assert len(expected) == (k ** g.n if g.m == 0 else k * (k - 1))
+    assert enumerate_colorings(g, k) == expected
+    assert count_colorings(g, k) == len(expected)
+
+
+def test_the_walk_reads_one_key_per_canonical_prefix(monkeypatch):
+    """K_8 at k = 8 has one color-canonical prefix per depth (each vertex takes the next new color).
+
+    A walk of every proper prefix reads a key for each of its sum(P_i) = 69,281.
+    """
+    reads = []
+
+    def counting_itemgetter(*items):
+        get = itemgetter(*items)
+
+        def key(prefix):
+            reads.append(1)
+            return get(prefix)
+
+        return key
+
+    monkeypatch.setattr(helix.oracle, "BLOCK", 1)
+    monkeypatch.setattr(helix.oracle, "itemgetter", counting_itemgetter)
+    assert count_colorings(complete(8), 8) == math.factorial(8)
+    assert len(reads) <= 8, len(reads)
 
 
 PEAK_CHILD = """
@@ -116,13 +164,23 @@ def test_counting_builds_no_level_and_no_leaves():
 
 
 def test_free_color_tables_stay_bounded():
-    # Vertex 15 sees every one of the 2^14 colorings of its earlier neighbors,
-    # each a distinct lookup key; stored unbounded, the keys and lists take
-    # about 4 MB, against about 1 MB for MAX_FREE_LISTS of them.
+    # Vertex 15 meets one distinct lookup key per canonical coloring of its 14
+    # earlier neighbors, 2^13 of them; stored unbounded, the keys and lists
+    # take about 2 MB, against about 1 MB for MAX_FREE_LISTS of them.
     hub = [(u, 15) for u in range(1, 15)]
     g = Graph.from_edges(18, hub + [(16, 17), (16, 18), (17, 18)])
     result, peak = traced_peak(count_colorings, g, 2)
     assert result == 0
+    assert peak < 2 * 1024 * 1024, peak
+
+
+def test_one_bound_covers_the_free_color_tables_of_every_color_count():
+    # The center of a star with 10 leaves meets keys of 1 to 6 colors, which
+    # fill a table for each color count: stored unbounded they take about
+    # 24 MB, a MAX_FREE_LISTS bound per table about 2.6 MB, and one bound over
+    # all of them about 1 MB.
+    result, peak = traced_peak(count_colorings, Graph.from_edges(11, [(u, 11) for u in range(1, 11)]), 6)
+    assert result == 6 * 5**10  # k (k-1)^10
     assert peak < 2 * 1024 * 1024, peak
 
 

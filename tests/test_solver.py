@@ -566,6 +566,22 @@ def test_read_trace_document_refuses_unequal_color_counts_and_a_forged_peak():
             read_trace_document(doc)
 
 
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("k", -(10**5000), "trace field k must be an integer >= 0, got -<int of 16610 bits>"),
+        ("peak_tube_size", 10**5000, "peak_tube_size <int of 16610 bits> where its steps give 18"),
+    ],
+    ids=["k", "peak_tube_size"],  # pytest's default ids would print the ints
+)
+def test_read_trace_document_names_an_int_too_long_to_print_by_its_bit_length(key, value, message):
+    """A document built in process can hold an int past str's 4,300-digit limit; it is still a SolverError."""
+    doc = json.loads((Path(__file__).parent / "data" / "k3_trace.json").read_text(encoding="utf-8"))
+    doc[key] = value
+    with pytest.raises(SolverError, match=message):
+        read_trace_document(doc)
+
+
 def _leaf_edits(value, path=()):
     """Each one-leaf edit of a JSON value as (path, new leaf): an integer +1, or -1 where at least 1; a boolean flipped."""
     for key, leaf in value.items() if isinstance(value, dict) else enumerate(value):
