@@ -210,6 +210,15 @@ def _read_run(args) -> tuple[Graph, int, Codebook, list[int] | None]:
     return g, k, parse_codebook_spec(args.codebook, g, k), parse_order_spec(args.order, g)
 
 
+def _write_file(path: str, text: str, failure: str) -> None:
+    """Write text to path; a file that cannot be written is an InputError that starts with failure."""
+    try:
+        with open(path, "w", encoding="utf-8") as f:
+            f.write(text)
+    except OSError as exc:
+        raise InputError(f"{failure} {path!r}: {exc}") from None
+
+
 def cmd_solve(args) -> int:
     g, k, cb, order = _read_run(args)
     runs = {}
@@ -224,11 +233,7 @@ def cmd_solve(args) -> int:
         }
         text = json.dumps(docs[args.mode] if args.mode != "both" else docs, indent=2)
         if args.trace:
-            try:
-                with open(args.trace, "w", encoding="utf-8") as f:
-                    f.write(text + "\n")
-            except OSError as exc:
-                raise InputError(f"cannot write trace {args.trace!r}: {exc}") from None
+            _write_file(args.trace, text + "\n", "cannot write trace")
     if args.json:
         print(text)  # the newline stays buffered, so main's flush sees a reader that closed early
     else:
@@ -290,11 +295,7 @@ def cmd_codebook(args) -> int:
         cb = generate_codebook(args.n, args.colors, args.length, args.seed)
         text = dump_codebook(cb)
         if args.out:
-            try:
-                with open(args.out, "w", encoding="utf-8") as f:
-                    f.write(text)
-            except OSError as exc:
-                raise InputError(f"cannot write {args.out!r}: {exc}") from None
+            _write_file(args.out, text, "cannot write")
             print(f"wrote {cb.n * cb.k} codewords to {args.out}")
         else:
             print(text, end="")

@@ -201,8 +201,6 @@ class Frame:
     def values(self):
         """One int per strand, its field with its presence bits, dead slots left out."""
         width, words = self.width, _as_words(self.fields())
-        if width == 1:
-            return words
         values = words[::width]
         for w in range(1, width):
             values = list(map(or_, values, map(lshift, words[w::width], repeat(WORD_BITS * w))))

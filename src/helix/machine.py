@@ -41,18 +41,19 @@ row fastest), a denser one by walking the whole product.  Only rows= builds
 a mask: a mask over k**i strands for a tube that grows by append would
 bring back the blow-up the incremental engine avoids.
 
-Byte-table decode (Tube.colors).  Each requested vertex gets as many bits as
-its largest color needs (at least one), and the vertices, in order, are cut
-into groups that fit one 64-bit word each, the first vertex of a group the
-most significant.  Per group, a strand's key is the OR of its tokens'
-colors, each shifted to its vertex's bits, so each key byte is an OR over
-the field bytes that hold the group's tokens.  frames.key_tables builds,
-from the tokens' places and colors alone, one 256-entry bytes.translate
-table per (key byte, field byte) pair, entry b the OR of that key byte over
-the tokens whose bits are set in b.  Frame.keys reads a run's compacted
-fields once, translates each feeding field byte of every strand, a strided
-slice, through its table, ORs the slices into the key byte and interleaves
-the key bytes into one word per strand; no token column is read.
+Byte-table decode (Tube.colors).  One decode uses one width: every requested
+vertex gets as many bits as the largest color among them needs (at least
+one), and the vertices, in order, are cut into groups of 64 // width, one
+64-bit word each, the first vertex of a group the most significant.  Per
+group, a strand's key is the OR of its tokens' colors, each shifted to its
+vertex's bits, so each key byte is an OR over the field bytes that hold the
+group's tokens.  frames.key_tables builds, from the tokens' places and
+colors alone, one 256-entry bytes.translate table per (key byte, field byte)
+pair, entry b the OR of that key byte over the tokens whose bits are set in
+b.  Frame.keys reads a run's compacted fields once, translates each feeding
+field byte of every strand, a strided slice, through its table, ORs the
+slices into the key byte and interleaves the key bytes into one word per
+strand; no token column is read.
 frames.bit_fields cuts each vertex's colors back out of the keys, which are
 dropped once cut.  One group's keys are sorted as ints before the cut,
 several groups' rows as tuples after it, which is the same lexicographic
@@ -112,7 +113,7 @@ class _Product:
         self._firsts: dict[int, tuple[int, int]] = {}  # row -> (first entry's column, run)
 
     def column(self, index: int | None) -> int:
-        if index not in self._where or not self.size:
+        if index not in self._where:
             return 0
         r, positions = self._where[index]
         if r not in self._firsts:
@@ -257,21 +258,18 @@ class Tube:
                 raise KeyError(f"strands of vertex order {run.order} lack vertex {min(missing)}")
         if not vertices:
             return [()] * len(self)
-        groups = []  # per key, its vertices' (colored tokens, width)
-        for v in vertices:
-            tokens = [(i, c) for i, (_, c) in machine._token_at.get(v, {}).items() if c]
-            width = max(1, max((c for _, c in tokens), default=0).bit_length())
-            if not groups or sum(w for _, w in groups[-1]) + width > WORD_BITS:
-                groups.append([])
-            groups[-1].append((tokens, width))
+        tokens = [[(i, c) for i, (_, c) in machine._token_at.get(v, {}).items() if c] for v in vertices]
+        width = max(1, max((c for colored in tokens for _, c in colored), default=0).bit_length())
+        step = WORD_BITS // width  # vertices per key
         columns = []  # each vertex's colors, in order
-        for group in groups:
-            fields = [(sum(w for _, w in group[j + 1:]), w) for j, (_, w) in enumerate(group)]
-            tables = key_tables((i, c << at) for (tokens, _), (at, _) in zip(group, fields) for i, c in tokens)
+        for start in range(0, len(tokens), step):
+            group = tokens[start : start + step]
+            fields = [(at * width, width) for at in reversed(range(len(group)))]
+            tables = key_tables((i, c << at) for colored, (at, _) in zip(group, fields) for i, c in colored)
             keys = chain.from_iterable(run.keys(tables) for run in runs)
-            columns += bit_fields(sorted(keys) if len(groups) == 1 else list(keys), fields)
+            columns += bit_fields(sorted(keys) if len(tokens) <= step else list(keys), fields)
         rows = list(zip(*columns))
-        if len(groups) > 1:
+        if len(tokens) > step:
             rows.sort()
         return rows
 

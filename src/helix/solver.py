@@ -88,7 +88,6 @@ def solve_incremental(
     machine = _check_inputs(g, k, cb, match_mode)
     order = resolve_order(g, order)
     adj = g.adjacency()
-    position = {v: idx for idx, v in enumerate(order)}
     # A lone blank strand seeds the survivor tube: Append extends what exists,
     # so an empty tube would stay empty forever.
     t0 = machine.new_tube("T0", [BLANK_STRAND])
@@ -96,7 +95,8 @@ def solve_incremental(
     for idx, v in enumerate(order):
         t0_before = len(t0)
         color_tubes = machine.copy(t0, k)
-        earlier = sorted((u for u in adj[v] if position[u] < idx), key=position.__getitem__)
+        # In run order, which fixes how many strands each extract below reads.
+        earlier = [u for u in order[:idx] if u in adj[v]]
         after_append, discarded = [], 0
         for c in range(k):  # one color at a time: its bad strands go before the next grows
             tube = color_tubes[c]

@@ -133,13 +133,14 @@ def test_bad_order_is_config_error(capsys, monkeypatch):
     for name in ("solve_incremental", "solve_monolithic"):
         monkeypatch.setattr(helix.solver, name, must_not_run)
     monkeypatch.setattr(helix.oracle, "enumerate_colorings", must_not_run)
-    for argv in (
-        ("solve", "--graph", "builtin:c5", "--colors", "3", "--order", "1,2"),
-        ("solve", "--graph", "builtin:k3", "--colors", "3", "--mode", "monolithic", "--order", "1,1,1"),
-        ("compare", "--graph", "random:13,0.3,1", "--colors", "3", "--order", "1,2"),
+    for argv, message in (
+        (("solve", "--graph", "builtin:c5", "--colors", "3", "--order", "1,2"), "permutation"),
+        (("solve", "--graph", "builtin:k3", "--colors", "3", "--mode", "monolithic", "--order", "1,1,1"), "permutation"),
+        (("compare", "--graph", "random:13,0.3,1", "--colors", "3", "--order", "1,2"), "permutation"),
+        (("solve", "--graph", "builtin:k3", "--colors", "3", "--order", "1,x"), "order must be 'natural' or a comma list, got '1,x'"),
     ):
         assert run_cli(*argv) == 2, argv
-        assert "permutation" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
 
 def test_table1_too_small_for_instance(capsys):
@@ -339,6 +340,44 @@ def test_codebook_validate_rejects_broken(tmp_path, capsys):
     assert "offset" in out
 
 
+def test_codebook_validate_json_of_a_broken_codebook_is_pinned(tmp_path, capsys):
+    """AGAG twice over holds AGAG at offset 2: one junction violation, exit 4."""
+    path = tmp_path / "bad.json"
+    path.write_text(
+        json.dumps(
+            {
+                "n": 2, "k": 1, "length": 4, "provenance": "test",
+                "entries": [
+                    {"vertex": 1, "color": 0, "sequence": "AAAC"},
+                    {"vertex": 2, "color": 0, "sequence": "AGAG"},
+                ],
+            }
+        )
+    )
+    assert run_cli("codebook", "validate", "--codebook", str(path), "--json") == 4
+    assert capsys.readouterr().out == (
+        '{\n  "ok": false,\n  "duplicates": [],\n  "junction_violations": [\n    {\n'
+        '      "word": [\n        2,\n        0\n      ],\n'
+        '      "left": [\n        2,\n        0\n      ],\n'
+        '      "right": [\n        2,\n        0\n      ],\n'
+        '      "offset": 2\n    }\n  ],\n  "min_pairwise_hamming": 2\n}\n'
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("solve", "--graph", "builtin:k3", "--colors", "3", "--trace"), "cannot write trace"),
+        (("codebook", "generate", "--n", "3", "--colors", "2", "--length", "12", "--seed", "4", "--out"), "cannot write"),
+    ],
+    ids=["solve --trace", "codebook generate --out"],
+)
+def test_a_file_in_a_missing_directory_is_an_input_error(tmp_path, capsys, argv, message):
+    path = tmp_path / "missing" / "out.json"
+    assert run_cli(*argv, str(path)) == 1
+    assert capsys.readouterr().err.startswith(f"error: {message} {str(path)!r}: [Errno 2]")
+
+
 def test_codebook_file_not_json_exit_1(tmp_path, capsys):
     path = tmp_path / "junk.json"
     path.write_text("not json")
@@ -449,6 +488,9 @@ def test_colors_budget_bound_is_k_squared_or_k_for_one_vertex(tmp_path, capsys, 
 def test_bad_codebook_specs_are_config_errors(capsys):
     assert run_cli("solve", "--graph", "builtin:k3", "--colors", "3", "--codebook", "gen:20") == 2
     assert run_cli("solve", "--graph", "builtin:k3", "--colors", "3", "--codebook", "gen:2,1") == 2
+    capsys.readouterr()
+    assert run_cli("solve", "--graph", "builtin:k3", "--colors", "3", "--codebook", "gen:a,b") == 2
+    assert "bad numbers in generator spec 'gen:a,b'" in capsys.readouterr().err
     assert run_cli("solve", "--graph", "builtin:k3", "--colors", "3", "--codebook", "gen:100000000000000000000,1") == 2
     assert run_cli("codebook", "generate", "--n", "3", "--colors", "3", "--length", "1001") == 2
     capsys.readouterr()

@@ -948,13 +948,20 @@ def test_colors_are_the_sorted_per_strand_colors(wide, data):
         ([[0, 2**32 - 1], [1, 2**32 - 1]], [2]),
         ([[0, 2**32 - 1], [5, 2**33 - 1]], [1, 1]),
         ([[0, 1]] + [[1]] * 32 + [[0]] * 31 + [[0, 1]], [64, 1]),
+        ([[0, 2**32 - 1], [1], [0, 1]], [2, 1]),
     ],
-    ids=["32+32 bits, one key", "32+33 bits, two keys", "65 one-bit vertices, a full first key"],
+    ids=[
+        "32+32 bits, one key",
+        "32+33 bits, two keys",
+        "65 one-bit vertices, a full first key",
+        "one 32-bit vertex widens the one-bit ones",
+    ],
 )
 def test_colors_cut_the_vertices_into_keys_of_one_word(choices, key_sizes, kind):
-    """Each key takes the next vertices whose widths fit 64 bits; every strand is a product row.
+    """One decode gives every vertex one width, so each key takes the next 64 // width vertices.
 
-    The first and last vertices take two colors each, so strands tie on
+    The width is the bits of the largest color.  Every strand is a product
+    row.  The first and last vertices take two colors each, so strands tie on
     every key but the last and differ on it.  The frame tube lists the
     product backwards, so the decode has to sort.
     """

@@ -74,6 +74,20 @@ def test_every_block_size_walks_the_same_colorings(block, g, k):
         assert count_colorings(g, k) == len(expected)
 
 
+@pytest.mark.parametrize("size", [1, 2, 3])
+@given(g=small_graphs(max_n=7), k=st.integers(1, 4))
+@example(g=complete(7), k=4)
+@example(g=Graph.from_edges(7, [(u, 7) for u in range(1, 7)]), k=3)  # the center meets 122 keys
+@settings(max_examples=60, deadline=None)
+def test_a_free_color_cache_of_a_few_lists_walks_the_same_colorings(size, g, k):
+    """A cache that evicts at almost every miss must still give each key its own free colors."""
+    expected = naive_colorings(g, k)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(helix.oracle, "MAX_FREE_LISTS", size)
+        assert enumerate_colorings(g, k) == expected
+        assert count_colorings(g, k) == len(expected)
+
+
 @given(g=small_graphs(max_n=6), k=st.integers(1, 6))
 @example(g=Graph(5, frozenset()), k=6)
 @example(g=complete(6), k=6)
@@ -166,7 +180,7 @@ def test_counting_builds_no_level_and_no_leaves():
 def test_free_color_tables_stay_bounded():
     # Vertex 15 meets one distinct lookup key per canonical coloring of its 14
     # earlier neighbors, 2^13 of them; stored unbounded, the keys and lists
-    # take about 2 MB, against about 1 MB for MAX_FREE_LISTS of them.
+    # take about 2 MB, against about 0.97 MB for a cache of MAX_FREE_LISTS.
     hub = [(u, 15) for u in range(1, 15)]
     g = Graph.from_edges(18, hub + [(16, 17), (16, 18), (17, 18)])
     result, peak = traced_peak(count_colorings, g, 2)
@@ -175,10 +189,9 @@ def test_free_color_tables_stay_bounded():
 
 
 def test_one_bound_covers_the_free_color_tables_of_every_color_count():
-    # The center of a star with 10 leaves meets keys of 1 to 6 colors, which
-    # fill a table for each color count: stored unbounded they take about
-    # 24 MB, a MAX_FREE_LISTS bound per table about 2.6 MB, and one bound over
-    # all of them about 1 MB.
+    # The center of a star with 10 leaves meets keys of 1 to 6 colors: stored
+    # unbounded they take about 24 MB, and the search's one cache of
+    # MAX_FREE_LISTS lists, whatever the color count, about 0.9 MB.
     result, peak = traced_peak(count_colorings, Graph.from_edges(11, [(u, 11) for u in range(1, 11)]), 6)
     assert result == 6 * 5**10  # k (k-1)^10
     assert peak < 2 * 1024 * 1024, peak

@@ -149,6 +149,12 @@ def test_nucleotide_mode_refuses_broken_codebook():
         solve_incremental(Graph(3, frozenset()), 1, broken, match_mode="nucleotide")
 
 
+@pytest.mark.parametrize("engine", [solve_incremental, solve_monolithic])
+def test_zero_colors_are_refused(engine):
+    with pytest.raises(SolverError, match="color count must be positive, got 0"):
+        engine(builtin_graph("k3"), 0, builtin_table1())
+
+
 def test_unknown_match_mode_is_refused():
     with pytest.raises(SolverError, match="unknown match mode 'fuzzy'"):
         solve_incremental(builtin_graph("k3"), 3, builtin_table1(), match_mode="fuzzy")
