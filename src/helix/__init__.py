@@ -24,11 +24,9 @@ from .codec import (
     color_name,
     decode_strand,
     dump_codebook,
-    encode_assignment,
     generate_codebook,
     load_codebook,
     render,
-    save_codebook,
     validate_codebook,
 )
 from .graphs import (
@@ -98,7 +96,6 @@ __all__ = [
     "count_colorings",
     "decode_strand",
     "dump_codebook",
-    "encode_assignment",
     "enumerate_colorings",
     "generate_codebook",
     "is_proper",
@@ -107,7 +104,6 @@ __all__ = [
     "read_trace_document",
     "render",
     "render_dimacs",
-    "save_codebook",
     "solve_incremental",
     "solve_monolithic",
     "step_census",

@@ -183,9 +183,8 @@ def _print_run(g: Graph, k: int, mode: str, solutions, trace) -> None:
                 f"{filtered:>16} {s.discarded:>8} {s.t0_after:>7}"
             )
     full, peak = k**g.n, trace.peak_tube_size
-    shown = full if full.bit_length() <= 14_000 else f"{k}^{g.n}"  # str() refuses over 4300 digits
     print(
-        f"peak tube size {peak} of k^n = {shown} "
+        f"peak tube size {peak} of k^n = {solver.power_text(k, g.n)} "
         f"({_quotient(peak, full)} of the full space, reduction {_quotient(full, peak)}x)"
     )
     ops = ", ".join(f"{name}={v}" for name, v in trace.op_totals.as_dict().items())
@@ -194,20 +193,18 @@ def _print_run(g: Graph, k: int, mode: str, solutions, trace) -> None:
     _print_solutions(solutions)
 
 
-def _read_run(args) -> tuple[Graph, int, Codebook, list[int] | None]:
-    """The graph (its warnings printed), k, codebook and order a run asks for.
+def _read_run(args) -> tuple[Graph, int, Codebook, list[int] | None, int]:
+    """The graph (its warnings printed), k, codebook, order and strand budget a run asks for.
 
-    A k whose least possible peak is over the strand budget (see the README)
-    is refused before the codebook is read or generated.
+    A run the budget must refuse on any engine (solver.check_budget) is
+    refused before the codebook is read or generated.
     """
     g, warnings = parse_graph_spec(args.graph)
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
-    k = args.colors
-    least_peak, budget = k ** min(g.n, 2), strand_budget()
-    if k > 0 and least_peak > budget:
-        raise ConfigError(f"{k} colors need at least {least_peak} strands on any engine, over the budget of {budget}")
-    return g, k, parse_codebook_spec(args.codebook, g, k), parse_order_spec(args.order, g)
+    k, budget = args.colors, strand_budget()
+    solver.check_budget(g.n, k, budget)
+    return g, k, parse_codebook_spec(args.codebook, g, k), parse_order_spec(args.order, g), budget
 
 
 def _write_file(path: str, text: str, failure: str) -> None:
@@ -220,12 +217,12 @@ def _write_file(path: str, text: str, failure: str) -> None:
 
 
 def cmd_solve(args) -> int:
-    g, k, cb, order = _read_run(args)
+    g, k, cb, order, budget = _read_run(args)
     runs = {}
     if args.mode in ("incremental", "both"):
         runs["incremental"] = solver.solve_incremental(g, k, cb, args.match, order)
     if args.mode in ("monolithic", "both"):
-        runs["monolithic"] = solver.solve_monolithic(g, k, cb, args.match, strand_budget())
+        runs["monolithic"] = solver.solve_monolithic(g, k, cb, args.match, budget)
     if args.trace or args.json:  # the text listing needs no document
         docs = {
             mode: solver.trace_document(g, k, order, mode, solutions, trace)
@@ -244,9 +241,9 @@ def cmd_solve(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    g, k, cb, order = _read_run(args)
+    g, k, cb, order, budget = _read_run(args)
     # Monolithic first: its strand budget refuses an oversized run before any other work.
-    mono, mono_trace = solver.solve_monolithic(g, k, cb, args.match, strand_budget())
+    mono, mono_trace = solver.solve_monolithic(g, k, cb, args.match, budget)
     oracle_rows = tuple(oracle.enumerate_colorings(g, k))
     inc, inc_trace = solver.solve_incremental(g, k, cb, args.match, order)
     # All three are strictly increasing rows, so equal rows are equal sets.

@@ -369,28 +369,10 @@ def dump_codebook(cb: Codebook) -> str:
     return json.dumps(codebook_to_json(cb), indent=2) + "\n"
 
 
-def save_codebook(cb: Codebook, path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(dump_codebook(cb))
-
-
 def load_codebook(path) -> Codebook:
     with open(path, encoding="utf-8") as f:
         data = json.load(f)
     return codebook_from_json(data)
-
-
-def encode_assignment(cb: Codebook, coloring) -> Strand:
-    """Map {vertex: color} over exactly 1..i to the strand ((1,c1), ..., (i,ci))."""
-    vertices = sorted(coloring)
-    if vertices != list(range(1, len(vertices) + 1)):
-        raise CodecError(f"assignment must cover exactly 1..i, got vertices {vertices}")
-    tokens = []
-    for v in vertices:
-        c = coloring[v]
-        cb.codeword(v, c)  # existence check doubles as the range check
-        tokens.append((v, c))
-    return tuple(tokens)
 
 
 def render(strand: Strand, cb: Codebook) -> str:
@@ -424,11 +406,6 @@ def decode_strand(seq: str, cb: Codebook) -> Strand:
         else:
             raise DecodeError(f"no codeword matches at position {pos}")
     return tuple(tokens)
-
-
-def strand_from_coloring(colors) -> Strand:
-    """Full assignment (c1, ..., cn) as a strand in natural vertex order."""
-    return tuple((v, c) for v, c in enumerate(colors, start=1))
 
 
 def coloring_from_strand(strand: Strand, n: int) -> tuple[int, ...]:

@@ -58,11 +58,6 @@ class Graph:
     def m(self) -> int:
         return len(self.edges)
 
-    def has_edge(self, u: int, v: int) -> bool:
-        if u > v:
-            u, v = v, u
-        return (u, v) in self.edges
-
     def sorted_edges(self) -> list[tuple[int, int]]:
         return sorted(self.edges)
 

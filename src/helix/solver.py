@@ -38,16 +38,48 @@ class BudgetError(SolverError):
     pass
 
 
+def power_text(k: int, n: int) -> str:
+    """k**n in digits, or as "k^n" past 14,000 bits: str() refuses an int of over 4,300 digits."""
+    full = k**n
+    return str(full) if full.bit_length() <= 14_000 else f"{k}^{n}"
+
+
+def check_budget(n: int, k: int, budget: int | None = None, monolithic: bool = False) -> None:
+    """Refuse k < 1, and a run on n vertices whose peak must be over the strand budget.
+
+    A monolithic run is refused when its peak, exactly k**n, is over the
+    budget.  Otherwise a run is refused when the least peak of any engine on
+    n vertices is: k * (k)_j with j = min(n - 1, k) and (k)_j = k!/(k-j)!.
+    That is the complete graph's peak, and no graph peaks lower: the first j
+    vertices of any run order have at least (k)_j proper colorings (the i-th
+    has at most i - 1 colored neighbors), and a step copies them into k
+    tubes.  The product is multiplied up only while it is within the budget,
+    so a huge n or k never builds a huge int.
+    """
+    if k < 1:
+        raise SolverError(f"color count must be positive, got {k}")
+    if budget is not None and monolithic and k**n > budget:
+        raise BudgetError(f"the monolithic engine needs k^n = {power_text(k, n)} strands, over the budget of {budget}")
+    if budget is not None and not monolithic:
+        least = k
+        for i in range(min(n - 1, k)):
+            least *= k - i
+            if least > budget:
+                break
+        if least > budget:
+            raise BudgetError(f"{k} colors need at least {least} strands on any engine, over the budget of {budget}")
+
+
 def _check_inputs(
     g: Graph, k: int, cb: Codebook, match_mode: str, budget: int | None = None
 ) -> TubeMachine:
     """What a run needs, cheapest check first, then the run's machine.
 
-    The machine checks last: a nucleotide machine validates its codebook,
-    which indexes every prefix and suffix of every codeword.
+    k**n is built only once the codebook covers n vertices.  The machine
+    checks last: a nucleotide machine validates its codebook, which indexes
+    every prefix and suffix of every codeword.
     """
-    if k < 1:
-        raise SolverError(f"color count must be positive, got {k}")
+    check_budget(g.n, k)
     if cb.n < g.n or cb.k < k:
         raise SolverError(
             f"codebook {cb.provenance} covers {cb.n} vertices x {cb.k} colors, "
@@ -55,10 +87,8 @@ def _check_inputs(
         )
     if match_mode not in MATCH_MODES:
         raise SolverError(f"unknown match mode {match_mode!r}")
-    if budget is not None and k**g.n > budget:
-        raise BudgetError(
-            f"the monolithic engine needs k^n = {k**g.n} strands, over the budget of {budget}"
-        )
+    if budget is not None:
+        check_budget(g.n, k, budget, monolithic=True)
     return TubeMachine(cb if match_mode == "nucleotide" else None)
 
 

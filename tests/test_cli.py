@@ -202,10 +202,11 @@ def test_duplicate_edges_warn_on_stderr(tmp_path, capsys):
 
 
 def test_budget_env_var_refuses_monolithic(capsys, monkeypatch):
-    monkeypatch.setenv("HELIX_BUDGET", "10")
+    monkeypatch.setenv("HELIX_BUDGET", "20")  # over k3's least peak of 18, under k^n = 27
     code = run_cli("solve", "--graph", "builtin:k3", "--colors", "3", "--mode", "monolithic")
     assert code == 2
-    assert "budget of 10" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "monolithic engine" in err and "budget of 20" in err
 
 
 def test_budget_env_var_must_be_integer(capsys, monkeypatch):
@@ -248,9 +249,17 @@ def test_compare_agrees_with_strands_two_words_wide(capsys):
 
 
 def test_compare_over_budget_is_config_error(capsys, monkeypatch):
-    monkeypatch.setenv("HELIX_BUDGET", "10")
+    monkeypatch.setenv("HELIX_BUDGET", "100")  # over c5's least peak of 18 at k=3, under k^n = 243
     assert run_cli("compare", "--graph", "builtin:c5", "--colors", "3") == 2
     assert "monolithic engine" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [("compare",), ("solve", "--mode", "monolithic")])
+def test_a_monolithic_refusal_names_k_to_the_n_past_the_int_string_limit(argv, tmp_path, capsys):
+    path = tmp_path / "iso.col"  # 2^14300 has 4305 decimal digits, more than str() writes
+    path.write_text("p edge 14300 0\n")
+    assert run_cli(*argv, "--graph", str(path), "--colors", "2") == 2
+    assert "k^n = 2^14300 strands, over the budget of 2000000" in capsys.readouterr().err
 
 
 def test_compare_over_oracle_limit_is_config_error(capsys):
@@ -305,6 +314,8 @@ def test_codebook_generate_deterministic_bytes(tmp_path, capsys):
         )
     capsys.readouterr()
     assert a.read_bytes() == b.read_bytes()
+    assert run_cli("codebook", "generate", "--n", "3", "--colors", "2", "--length", "12", "--seed", "4") == 0
+    assert capsys.readouterr().out.encode() == a.read_bytes()
 
 
 def test_codebook_validate_table1(capsys):
@@ -435,10 +446,15 @@ def test_random_graph_past_the_pair_cap_is_refused_at_once():
 
 
 def test_a_codebook_too_large_to_generate_is_refused_before_any_draw():
-    """1414 x 1414 passes the k^2 budget (1,999,396 strands), but its default codebook would take about 13 GB."""
-    proc = run_limited("solve", "--graph", "random:1414,0.0,1", "--colors", "1414", timeout=60)
+    """The least peak of 100 vertices at k=5 is 600 strands, but 500 codewords of 1000 nt need 6.5e8 index bytes."""
+    proc = run_limited("solve", "--graph", "random:100,0.0,1", "--colors", "5", "--codebook", "gen:1000,0", timeout=60)
     assert proc.returncode == 2, proc.stderr
     assert f"over the limit of {MAX_GENERATED_INDEX_BYTES}" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    # 1414 x 1414 would need a 13 GB codebook; the budget refuses it first
+    proc = run_limited("solve", "--graph", "random:1414,0.0,1", "--colors", "1414", timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    assert "at least 2825146548 strands" in proc.stderr
     assert "Traceback" not in proc.stderr
 
 
@@ -452,6 +468,23 @@ def test_codebook_coverage_is_checked_before_the_natural_order_is_listed(tmp_pat
     proc = run_limited("solve", "--graph", str(path), "--colors", "2", "--codebook", "table1", "--order", "1,2", timeout=30)
     assert proc.returncode == 2, proc.stderr
     assert "order must be a permutation of 1..3000000000, got [1, 2]" in proc.stderr
+
+
+def test_a_monolithic_run_is_refused_by_coverage_before_k_to_the_n_is_built(tmp_path):
+    path = tmp_path / "huge.col"  # 2^3000000000 would take 375 MB
+    path.write_text("p edge 3000000000 0\n")
+    proc = run_limited("solve", "--graph", str(path), "--colors", "2", "--codebook", "table1", "--mode", "monolithic", timeout=30)
+    assert proc.returncode == 2, proc.stderr
+    assert "codebook table1 covers 12 vertices x 3 colors, run needs 3000000000 x 2" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_a_run_whose_least_peak_is_over_the_budget_is_refused_before_it_fills_memory():
+    # K4 at 200 colors peaks at 200 * 200 * 199 * 198 strands
+    proc = run_limited("solve", "--graph", "builtin:k4", "--colors", "200", timeout=5)
+    assert proc.returncode == 2, proc.stderr
+    assert "200 colors need at least 7960000 strands on any engine, over the budget of 2000000" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_random_graph_pair_cap_is_exact():
@@ -475,9 +508,14 @@ def test_colors_past_the_budget_are_refused_before_the_codebook_is_made():
 
 
 def test_colors_budget_bound_is_k_squared_or_k_for_one_vertex(tmp_path, capsys, monkeypatch):
-    path = tmp_path / "one.col"
+    path, two = tmp_path / "one.col", tmp_path / "two.col"
     path.write_text("p edge 1 0\n")
-    cases = ((9, "builtin:k3", True), (8, "builtin:k3", False), (3, str(path), True), (2, str(path), False))
+    two.write_text("p edge 2 0\n")
+    cases = (
+        (18, "builtin:k3", True), (17, "builtin:k3", False),  # k * k * (k - 1) from three vertices on
+        (9, str(two), True), (8, str(two), False),
+        (3, str(path), True), (2, str(path), False),
+    )
     for budget, graph, ok in cases:
         monkeypatch.setenv("HELIX_BUDGET", str(budget))
         code = run_cli("solve", "--graph", graph, "--colors", "3", "--codebook", "table1")

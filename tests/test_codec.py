@@ -14,6 +14,7 @@ from helix import (
     CodecError,
     Codeword,
     DecodeError,
+    GenerationError,
     JunctionViolation,
     SoundnessError,
     TubeMachine,
@@ -23,19 +24,16 @@ from helix import (
     color_name,
     decode_strand,
     dump_codebook,
-    encode_assignment,
     generate_codebook,
     load_codebook,
     render,
-    save_codebook,
     validate_codebook,
 )
-from helix.codec import _JunctionIndex, coloring_from_strand, strand_from_coloring
+from helix.codec import _JunctionIndex, coloring_from_strand
 
 R1 = "AAGGCAGGAACAGATCAACC"
 G1 = "CGTTCTAAATAGGGTCGTGT"
 R2 = "CCACAATGTTATAATACCAC"
-G2 = "ATCTTAGCACGATTCTCCTG"
 B12 = "TCTCAACAGCGTCTGGAAGT"
 
 
@@ -155,6 +153,17 @@ def test_generate_rejects_bad_params():
     with pytest.raises(CodecError, match="at most 1000"):
         generate_codebook(2, 2, 10**20, 0)
     assert generate_codebook(1, 2, 1000, 0).length == 1000
+
+
+def test_generation_gives_up_when_no_candidate_is_junction_safe():
+    # 4-mers leave no safe candidate long before 300 codewords
+    with pytest.raises(GenerationError, match="gave up on codeword 44 after 10000 attempts"):
+        generate_codebook(100, 3, 4, 0)
+
+
+def test_codebook_refuses_a_negative_vertex_count():
+    with pytest.raises(CodecError, match="vertex count must be non-negative, got -1"):
+        Codebook(-1, 1, [], provenance="test")
 
 
 @pytest.mark.parametrize(
@@ -326,21 +335,6 @@ def test_match_modes_agree_on_validated_mixed_length_codebooks(cb):
         assert (sp.contents, sm.contents) == (np_.contents, nm.contents), codeword
 
 
-def test_encode_assignment(table1):
-    assert encode_assignment(table1, {}) == ()
-    assert encode_assignment(table1, {1: 0}) == ((1, 0),)
-    strand = encode_assignment(table1, {1: 0, 2: 1})
-    assert strand == ((1, 0), (2, 1))
-    assert render(strand, table1) == R1 + G2
-
-
-def test_encode_rejects_gaps_and_bad_colors(table1):
-    with pytest.raises(CodecError, match="exactly 1..i"):
-        encode_assignment(table1, {2: 0})
-    with pytest.raises(CodecError, match="no codeword"):
-        encode_assignment(table1, {1: 3})
-
-
 def test_render(table1):
     assert render((), table1) == ""
     assert render(((1, 1), (2, 0)), table1) == G1 + R2
@@ -373,7 +367,7 @@ def test_json_round_trip(tmp_path, table1):
 
     path = tmp_path / "cb.json"
     cb = generate_codebook(4, 2, 12, 3)
-    save_codebook(cb, path)
+    path.write_text(dump_codebook(cb), encoding="utf-8")
     loaded = load_codebook(path)
     assert codebook_to_json(loaded) == codebook_to_json(cb)
     assert json.loads(path.read_text())["length"] == 12
@@ -387,9 +381,7 @@ def test_codebook_from_json_rejects_garbage():
 
 
 def test_strand_coloring_round_trip():
-    strand = strand_from_coloring((2, 0, 1))
-    assert strand == ((1, 2), (2, 0), (3, 1))
-    assert coloring_from_strand(strand, 3) == (2, 0, 1)
+    assert coloring_from_strand(((1, 2), (2, 0), (3, 1)), 3) == (2, 0, 1)
     with pytest.raises(DecodeError, match="misses"):
         coloring_from_strand(((1, 0),), 2)
     with pytest.raises(DecodeError, match="twice"):

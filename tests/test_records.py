@@ -129,6 +129,12 @@ def test_record_reprs_are_pinned():
         "Trace(steps=(), op_totals=OpCounter(append=9, copy=3, merge=9, extract=9, detect=1, discard=6), "
         "peak_tube_size=18)"
     )
+    assert repr(builtin_table1()) == "Codebook(n=12, k=3, provenance='table1')"
+    machine = TubeMachine()
+    tube = machine.new_tube("T0", [()])
+    assert repr(tube) == "Tube('T0', 1 strands)"
+    machine.discard(tube)
+    assert repr(tube) == "Tube('T0', retired)"
 
 
 def test_validation_report_works_out_its_least_distance_once():

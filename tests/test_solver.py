@@ -11,6 +11,8 @@ import pytest
 import corpus
 from helix import (
     BudgetError,
+    Codebook,
+    Codeword,
     DecodeError,
     Graph,
     SolverError,
@@ -276,6 +278,30 @@ def test_monolithic_budget_refuses_before_codebook_validation(monkeypatch):
     monkeypatch.setattr("helix.codec.validate_codebook", fail)
     with pytest.raises(BudgetError):
         solve_monolithic(builtin_graph("k3"), 3, cb, "nucleotide", budget=10)
+
+
+def test_a_monolithic_refusal_names_k_to_the_n_past_the_int_string_limit():
+    g = Graph(14300, frozenset())  # 2^14300 has 4305 decimal digits, more than str() writes
+    cb = Codebook(g.n, 2, [Codeword(v, c, "A") for v in range(1, g.n + 1) for c in range(2)], "test")
+    with pytest.raises(BudgetError, match=r"needs k\^n = 2\^14300 strands, over the budget of 2000000"):
+        solve_monolithic(g, 2, cb)
+
+
+def test_the_least_peak_is_the_complete_graphs_peak():
+    cb = generate_codebook(6, 6, 20, 0)
+    for n in range(1, 7):
+        g = Graph.from_edges(n, itertools.combinations(range(1, n + 1), 2))
+        for k in range(1, 7):
+            peak = solve_incremental(g, k, cb)[1].peak_tube_size
+            solver.check_budget(n, k, peak)
+            with pytest.raises(BudgetError, match=f"{k} colors need at least {peak} strands on any engine"):
+                solver.check_budget(n, k, peak - 1)
+
+
+def test_no_run_peaks_below_the_least_peak():
+    for name, g in corpus.suite():
+        for k in corpus.KS:
+            solver.check_budget(g.n, k, corpus.run_incremental(name, k)[1].peak_tube_size)
 
 
 def test_incremental_peak_is_k_times_the_largest_survivor_tube():
