@@ -32,6 +32,12 @@ MAX_GENERATED_LENGTH = 1000  # admission is quadratic in the length
 # Generation's junction index takes about length * (length + 300) bytes per
 # codeword; a table whose index would pass this many bytes is refused.
 MAX_GENERATED_INDEX_BYTES = 1 << 29
+# Generation draws DRAWN_WORDS * length 32-bit words at a time, about
+# DRAWN_WORDS / 2 candidates, and reads a base from each word's top byte b:
+# DNA_BASES[b >> 5], its top 3 bits, or none when b >> 5 is 4 or more.
+DRAWN_WORDS = 64
+_BASE_OF_TOP_BYTE = bytes(ord(DNA_BASES[b >> 5]) for b in range(128)) + bytes(128)
+_REJECTED_TOP_BYTES = bytes(range(128, 256))
 
 
 class CodecError(ValueError):
@@ -156,14 +162,15 @@ def validate_codebook(cb: Codebook) -> ValidationReport:
     occurrence of w inside two adjacent codewords, as exactly one of them,
     and nucleotide extract agrees with token membership on every strand,
     whatever the mix of codeword lengths.
+
+    It makes O(total length * distinct lengths) dict lookups, plus one
+    entry per witness listed: no step visits a pair of codewords.  The
+    index holds every prefix and suffix, so its memory is quadratic in the
+    length of a codeword.
     """
     words = cb.codewords()
-    by_sequence: dict[str, list[int]] = {}
-    index = _JunctionIndex()
-    for i, cw in enumerate(words):
-        by_sequence.setdefault(cw.sequence, []).append(i)
-        index.add(cw.sequence)
-    same = sorted(pair for group in by_sequence.values() for pair in itertools.combinations(group, 2))
+    index = _JunctionIndex(cw.sequence for cw in words)
+    same = sorted(pair for group in index.whole().values() for pair in itertools.combinations(group, 2))
     duplicates = tuple((words[i], words[j]) for i, j in same)
     violations = tuple(
         JunctionViolation(words[w], words[x], words[y], off) for w, x, y, off in index.witnesses()
@@ -180,8 +187,9 @@ class _JunctionIndex:
     suffix and a prefix.  Whole words are keys too: w = x + y[:1] at offset 0
     crosses the junction just as any other offset does.
 
-    The index also keeps, for admits, the two sets of affixes a candidate
-    may not have:
+    Words given to the constructor get only these two maps, which is all
+    witnesses reads.  Words given to add also keep, for admits, the two sets
+    of affixes a candidate may not have:
     - x-role tails: each proper prefix w[:i] of a word whose rest w[i:]
       starts some word;
     - y-role heads: each proper suffix w[i:] of a word whose rest w[:i]
@@ -192,12 +200,17 @@ class _JunctionIndex:
     prefix or suffix is met once, so the upkeep is amortised O(total length).
     """
 
-    def __init__(self):
+    def __init__(self, words=()):
         self.words: list[str] = []
         self.ends: dict[str, list[int]] = {}  # s: positions of the words ending with s
         self.starts: dict[str, list[int]] = {}  # s: positions of the words starting with s
         self.x_tails: set[str] = set()
         self.y_heads: set[str] = set()
+        for pos, word in enumerate(words):
+            self.words.append(word)
+            for j in range(1, len(word) + 1):
+                self.starts.setdefault(word[:j], []).append(pos)
+                self.ends.setdefault(word[-j:], []).append(pos)
 
     def add(self, word: str) -> None:
         pos = len(self.words)
@@ -221,8 +234,22 @@ class _JunctionIndex:
                 if len(tails) == 1:  # a new suffix: the words starting with it gain a head
                     y_heads.update(words[w][j:] for w in starts[tail] if len(words[w]) > j)
 
+    def whole(self) -> dict[str, list[int]]:
+        """Each distinct word -> its positions in words."""
+        whole: dict[str, list[int]] = {}
+        for pos, word in enumerate(self.words):
+            whole.setdefault(word, []).append(pos)
+        return whole
+
     def witnesses(self) -> list[tuple[int, int, int, int]]:
-        """Every violation as sorted (w, x, y, offset) positions in words."""
+        """Every violation as sorted (w, x, y, offset) positions in words.
+
+        A crossing takes two lookups per cut of w.  A word wholly inside a
+        longer word z is found by looking each substring of z, of each
+        shorter word length, up among the whole words: no pair of words is
+        visited, so the scan is O(total length * distinct lengths) before
+        the witnesses it lists.
+        """
         words, ends, starts = self.words, self.ends, self.starts
         everyone = range(len(words))
         found = []
@@ -231,12 +258,16 @@ class _JunctionIndex:
                 xs, ys = ends.get(word[:j]), starts.get(word[j:])
                 if xs and ys:
                     found += [(w, x, y, len(words[x]) - j) for x in xs for y in ys]
-            for z, other in enumerate(words):  # wholly inside z, as x or as y of every pair
-                off = other.find(word) if len(word) < len(other) else -1
-                while off != -1:
-                    found += [(w, z, y, off) for y in everyone]
-                    found += [(w, x, z, len(words[x]) + off) for x in everyone]
-                    off = other.find(word, off + 1)
+        whole = self.whole()
+        lengths = sorted({len(word) for word in words})
+        for z, other in enumerate(words):  # wholly inside z, as x or as y of every pair
+            for size in lengths:
+                if size >= len(other):
+                    break
+                for off in range(len(other) - size + 1):
+                    for w in whole.get(other[off : off + size], ()):
+                        found += [(w, z, y, off) for y in everyone]
+                        found += [(w, x, z, len(words[x]) + off) for x in everyone]
         found.sort()
         return found
 
@@ -269,9 +300,17 @@ def generate_codebook(n: int, k: int, length: int, seed: int) -> Codebook:
     """Seeded uniform-length codebook that passes validation by construction.
 
     Codewords are drawn one (vertex, color) slot at a time in vertex-major
-    order and rejection-resampled until the _JunctionIndex that validation
-    uses admits them.  The draw order is fixed, so equal arguments give
-    bit-identical codebooks on any platform.  A length outside
+    order and rejection-resampled until a _JunctionIndex admits them.  The
+    draw order is fixed, so equal arguments give bit-identical codebooks on
+    any platform.  Each base is what rng.choice(DNA_BASES) would give:
+    choice keeps the top 3 bits of one 32-bit Mersenne Twister output,
+    retried while they are 4 or more, and getrandbits(32 * m) is m such
+    outputs in order, lowest first.  So the top byte of each little-endian
+    word, with bytes of 0x80 and up dropped, is the same stream of bases,
+    and a bytes.translate turns a bulk draw into them with no Python call
+    per base.  The rng is local, so bases drawn ahead and never used change
+    no codeword.  Admission is O(length) lookups and add amortised
+    O(length), so the cost is linear in n * k.  A length outside
     4..MAX_GENERATED_LENGTH, or a table whose index would pass
     MAX_GENERATED_INDEX_BYTES, raises CodecError before anything is drawn.
     """
@@ -287,9 +326,15 @@ def generate_codebook(n: int, k: int, length: int, seed: int) -> Codebook:
         )
     rng = random.Random(seed)
     index = _JunctionIndex()
+    pool, at = "", 0
     for _slot in range(n * k):  # a bad n or k is refused by Codebook below
         for _attempt in range(GENERATION_ATTEMPTS):
-            cand = "".join(rng.choice(DNA_BASES) for _ in range(length))
+            while at + length > len(pool):
+                draws = rng.getrandbits(32 * DRAWN_WORDS * length).to_bytes(4 * DRAWN_WORDS * length, "little")
+                pool = pool[at:] + draws[3::4].translate(_BASE_OF_TOP_BYTE, _REJECTED_TOP_BYTES).decode("ascii")
+                at = 0
+            cand = pool[at : at + length]
+            at += length
             if index.admits(cand):
                 index.add(cand)
                 break

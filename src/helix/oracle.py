@@ -12,7 +12,7 @@ leaf by the falling factorial (k)_u = k!/(k-u)! and builds no leaf.
 Prefixes are bytes, since canonical colors are below min(n, k) <= 24.  The
 colors vertex i may take depend only on the colors of its earlier neighbors,
 so each prefix reads those with one precomputed itemgetter (its key) and
-looks its free colors up by u and the key in the search's cache.
+looks its free colors up by the key in its u's table.
 walk(i, u, block) takes at most BLOCK prefixes that all use u colors,
 extends them with one comprehension for each kind of child (still u colors,
 or u + 1), and walks each extended list BLOCK prefixes at a time, so one
@@ -27,8 +27,8 @@ the bytes into tuples CHUNK at a time, so each bytes object is freed as its
 tuple is made.
 
 A walk holds at most BLOCK * k prefixes per vertex, so memory is
-O(n * BLOCK * k) prefixes plus the free colors (one LRU cache per search,
-holding at most MAX_FREE_LISTS lists) plus the output: the canonical leaves
+O(n * BLOCK * k) prefixes plus the free-color tables (at most MAX_FREE_LISTS
+lists between them) plus the output: the canonical leaves
 are no more than the colorings they stand for, and the relabelling holds one
 table at a time.  The module imports nothing from helix but the graph, so
 that it can arbitrate what the simulator produces.
@@ -36,7 +36,6 @@ that it can arbitrate what the simulator produces.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import permutations, repeat
 from math import perm
 from operator import itemgetter
@@ -44,13 +43,11 @@ from operator import itemgetter
 from .graphs import Graph
 
 MAX_VERTICES = 24
-# The size of a search's free-color cache.  A vertex can meet as many
-# distinct colorings of its earlier neighbors as there are prefixes, so the
-# cache bounds memory by this constant, not by the size of the search tree,
-# and, least recently used out first, keeps the keys met last, which a
-# lexicographic walk meets again soonest.  A cache entry holds a linked-list
-# node besides its dict slot; 2048 of them take about what 4096 dict entries
-# did.
+# Free-color lists one search keeps, over all its tables.  A vertex can meet
+# as many distinct colorings of its earlier neighbors as there are prefixes,
+# so a miss when the tables are full empties them first: memory stays bounded
+# by this constant, not by the size of the search tree, and the tables keep
+# the keys met last, which a lexicographic walk meets again soonest.
 MAX_FREE_LISTS = 2048
 # Prefixes one step of the walk extends at once.  32 to 64 run within 3% of
 # each other; each depth holds BLOCK * k prefixes, so the smaller keeps the
@@ -87,23 +84,38 @@ def is_proper(g: Graph, coloring) -> bool:
     return all(coloring[u - 1] != coloring[v - 1] for u, v in g.edges)
 
 
+class _FreeColors(dict):
+    """Key -> the free colors below u as shared 1-byte bytes, so extending a prefix allocates once.
+
+    A key is the earlier neighbors' colors: a tuple of them, b"" when there
+    are none, or the color itself for one neighbor (itemgetter of one index
+    gives a scalar).  Equal keys mean equal free colors whichever vertex reads
+    them.  A hit is one dict lookup of the key alone.  A miss builds the list
+    and stores it, emptying every table of the search first when they hold
+    MAX_FREE_LISTS lists between them.
+    """
+
+    def __init__(self, colors: list[bytes], tables: list[_FreeColors]):
+        super().__init__()
+        self.colors = colors
+        self.tables = tables
+
+    def __missing__(self, key):
+        used = (key,) if key.__class__ is int else key
+        free = [color for color in self.colors if color[0] not in used]
+        if sum(map(len, self.tables)) >= MAX_FREE_LISTS:
+            for table in self.tables:
+                table.clear()
+        self[key] = free
+        return free
+
+
 def _search(g: Graph, k: int, out: list | None) -> int:
     """Count the proper k-colorings, or, unless out is None, put each in it as a tuple, sorted."""
     top = min(g.n, k)
     colors = [bytes((c,)) for c in range(top)]
-
-    @lru_cache(maxsize=MAX_FREE_LISTS)
-    def free(u: int, key) -> list[bytes]:
-        """The free colors below u as shared 1-byte bytes, so extending a prefix allocates once.
-
-        key is the earlier neighbors' colors: a tuple of them, b"" when there
-        are none, or the color itself for one neighbor (itemgetter of one
-        index gives a scalar).  Equal keys mean equal free colors whichever
-        vertex reads them.
-        """
-        used = (key,) if key.__class__ is int else key
-        return [color for color in colors[:u] if color[0] not in used]
-
+    tables: list[_FreeColors] = []
+    tables += [_FreeColors(colors[:u], tables) for u in range(top + 1)]
     keys = [itemgetter(*js) if js else itemgetter(slice(0, 0)) for js in _earlier_neighbors(g)]
     # weight[u] = (k)_u colorings per canonical leaf of u colors; perm(k, k + 1) = 0.
     weight = [perm(k, u) for u in range(top + 2)]
@@ -111,10 +123,10 @@ def _search(g: Graph, k: int, out: list | None) -> int:
     last = g.n - 1
 
     def walk(i: int, u: int, block: list) -> int:
-        key = keys[i]
+        key, free = keys[i], tables[u]
         if i == last and out is None:
-            return sum(map(len, map(free, repeat(u), map(key, block)))) * weight[u] + len(block) * weight[u + 1]
-        same = [p + c for p in block for c in free(u, key(p))]
+            return sum(map(len, map(free.__getitem__, map(key, block)))) * weight[u] + len(block) * weight[u + 1]
+        same = [p + c for p in block for c in free[key(p)]]
         grown = [p + colors[u] for p in block] if u < k else []
         if i == last:
             leaves[u] += same

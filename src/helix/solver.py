@@ -28,7 +28,7 @@ from .codec import BLANK_STRAND, Codebook, color_name, coloring_from_strand
 from .graphs import Graph
 from .machine import TubeMachine
 # trace_document is not used here: the bench calls solver.trace_document and wraps it by name.
-from .trace import SolutionSet, SolverError, StepRecord, Trace, resolve_order, trace_document
+from .trace import SolutionSet, SolverError, StepRecord, Trace, _show, resolve_order, trace_document
 
 DEFAULT_STRAND_BUDGET = 2_000_000
 MATCH_MODES = ("symbolic", "nucleotide")
@@ -54,7 +54,9 @@ def check_budget(n: int, k: int, budget: int | None = None, monolithic: bool = F
     vertices of any run order have at least (k)_j proper colorings (the i-th
     has at most i - 1 colored neighbors), and a step copies them into k
     tubes.  The product is multiplied up only while it is within the budget,
-    so a huge n or k never builds a huge int.
+    so a huge n or k never builds a huge int; it can still pass what str
+    writes (a budget and a k of 2,200 digits each), so the message names it
+    through trace._show.
     """
     if k < 1:
         raise SolverError(f"color count must be positive, got {k}")
@@ -67,7 +69,7 @@ def check_budget(n: int, k: int, budget: int | None = None, monolithic: bool = F
             if least > budget:
                 break
         if least > budget:
-            raise BudgetError(f"{k} colors need at least {least} strands on any engine, over the budget of {budget}")
+            raise BudgetError(f"{k} colors need at least {_show(least)} strands on any engine, over the budget of {budget}")
 
 
 def _check_inputs(
@@ -118,6 +120,7 @@ def solve_incremental(
     machine = _check_inputs(g, k, cb, match_mode)
     order = resolve_order(g, order)
     adj = g.adjacency()
+    position = {v: idx for idx, v in enumerate(order)}
     # A lone blank strand seeds the survivor tube: Append extends what exists,
     # so an empty tube would stay empty forever.
     t0 = machine.new_tube("T0", [BLANK_STRAND])
@@ -126,7 +129,7 @@ def solve_incremental(
         t0_before = len(t0)
         color_tubes = machine.copy(t0, k)
         # In run order, which fixes how many strands each extract below reads.
-        earlier = [u for u in order[:idx] if u in adj[v]]
+        earlier = sorted((u for u in adj[v] if position[u] < idx), key=position.__getitem__)
         after_append, discarded = [], 0
         for c in range(k):  # one color at a time: its bad strands go before the next grows
             tube = color_tubes[c]

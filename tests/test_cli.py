@@ -507,6 +507,16 @@ def test_colors_past_the_budget_are_refused_before_the_codebook_is_made():
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("command", ["solve", "compare"])
+def test_a_least_peak_past_the_int_string_limit_is_named_by_its_bits(command, capsys, monkeypatch):
+    # k and the budget have 2,200 digits each, so str() takes both, but k * k has 4,399
+    monkeypatch.setenv("HELIX_BUDGET", str(10**2199))
+    assert run_cli(command, "--graph", "builtin:k3", "--colors", str(10**2199)) == 2
+    err = capsys.readouterr().err
+    assert f"need at least <int of {(10**4398).bit_length()} bits> strands on any engine" in err
+    assert "Traceback" not in err
+
+
 def test_colors_budget_bound_is_k_squared_or_k_for_one_vertex(tmp_path, capsys, monkeypatch):
     path, two = tmp_path / "one.col", tmp_path / "two.col"
     path.write_text("p edge 1 0\n")

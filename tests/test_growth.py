@@ -1,0 +1,88 @@
+"""Each long path is held to its complexity by a count, not a clock.
+
+sys.settrace reports a "line" event each time Python code starts a line,
+each pass of a loop included, so the count of them is exact and the same on
+every run and host.  A path that is linear in its input takes about twice
+the events on twice the input.  Loops inside C functions (a tuple `in`, a
+slice) emit no events, so this cannot see them.
+"""
+
+import os
+import sys
+from functools import partial
+
+import pytest
+
+import helix
+from helix import Graph, generate_codebook, solve_incremental, validate_codebook
+
+PACKAGE = os.path.dirname(helix.__file__) + os.sep
+
+
+def line_events(call) -> int:
+    """The line events in frames whose file is in the helix package while call() runs.
+
+    Whatever trace function was set before is put back afterwards.
+    """
+    count = 0
+
+    def local(frame, event, arg):
+        nonlocal count
+        if event == "line":
+            count += 1
+        return local
+
+    def on_call(frame, event, arg):
+        return local if frame.f_code.co_filename.startswith(PACKAGE) else None
+
+    previous = sys.gettrace()
+    sys.settrace(on_call)
+    try:
+        call()
+    finally:
+        sys.settrace(previous)
+    return count
+
+
+def test_line_events_counts_only_the_package_and_puts_the_trace_back():
+    def outside():
+        return sum(range(3))
+
+    def sentinel(frame, event, arg):
+        return None
+
+    previous = sys.gettrace()
+    sys.settrace(sentinel)
+    try:
+        assert line_events(outside) == 0
+        assert line_events(partial(Graph.from_edges, 3, [(1, 2)])) > 0
+        assert sys.gettrace() is sentinel
+    finally:
+        sys.settrace(previous)
+
+
+def _solve_edgeless(n):
+    return partial(solve_incremental, Graph.from_edges(n, []), 1, generate_codebook(n, 1, 20, 0))
+
+
+def _validate(words):
+    return partial(validate_codebook, generate_codebook(words, 1, 20, 0))
+
+
+def _generate(words):
+    return partial(generate_codebook, words, 1, 20, 0)
+
+
+@pytest.mark.parametrize(
+    "make, size, most",
+    [
+        pytest.param(_solve_edgeless, 500, 2.3, id="solve_incremental-edgeless-k1"),
+        pytest.param(_validate, 200, 2.3, id="validate_codebook-gen20"),
+        pytest.param(_generate, 200, 2.3, id="generate_codebook-length20"),
+    ],
+)
+def test_a_long_path_takes_line_events_linear_in_its_input(make, size, most):
+    # The calls are built, and their inputs made, before the count starts.
+    small, large = make(size), make(2 * size)
+    ratio = line_events(large) / line_events(small)
+    assert ratio <= most, ratio

@@ -180,7 +180,7 @@ def test_counting_builds_no_level_and_no_leaves():
 def test_free_color_tables_stay_bounded():
     # Vertex 15 meets one distinct lookup key per canonical coloring of its 14
     # earlier neighbors, 2^13 of them; stored unbounded, the keys and lists
-    # take about 2 MB, against about 0.97 MB for a cache of MAX_FREE_LISTS.
+    # take about 2 MB, against about 0.54 MB for tables of MAX_FREE_LISTS.
     hub = [(u, 15) for u in range(1, 15)]
     g = Graph.from_edges(18, hub + [(16, 17), (16, 18), (17, 18)])
     result, peak = traced_peak(count_colorings, g, 2)
@@ -190,8 +190,8 @@ def test_free_color_tables_stay_bounded():
 
 def test_one_bound_covers_the_free_color_tables_of_every_color_count():
     # The center of a star with 10 leaves meets keys of 1 to 6 colors: stored
-    # unbounded they take about 24 MB, and the search's one cache of
-    # MAX_FREE_LISTS lists, whatever the color count, about 0.9 MB.
+    # unbounded they take about 24 MB, and the search's tables, at most
+    # MAX_FREE_LISTS lists between them whatever the color count, about 0.54 MB.
     result, peak = traced_peak(count_colorings, Graph.from_edges(11, [(u, 11) for u in range(1, 11)]), 6)
     assert result == 6 * 5**10  # k (k-1)^10
     assert peak < 2 * 1024 * 1024, peak
