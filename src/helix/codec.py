@@ -7,6 +7,11 @@ extraction is only trustworthy when no codeword can occur in a rendered strand
 anywhere except at a codeword boundary, so codebooks carry a junction validator
 and generated codebooks are rejection-sampled against it.  The validator looks
 only at pairs of codewords; validate_codebook says why that is enough.
+
+A generated table that is unlikely to hold a crossing is not sampled word by
+word: its first n * k candidates are validated whole, and if they pass they
+are the table, its report cached.  generate_codebook gives the bound and why
+the output is the same bytes either way.
 """
 
 from __future__ import annotations
@@ -38,6 +43,10 @@ MAX_GENERATED_INDEX_BYTES = 1 << 29
 DRAWN_WORDS = 64
 _BASE_OF_TOP_BYTE = bytes(ord(DNA_BASES[b >> 5]) for b in range(128)) + bytes(128)
 _REJECTED_TOP_BYTES = bytes(range(128, 256))
+# Generation validates its first draw whole when N = n * k uniform words of
+# length L are expected to hold fewer than 1 / FIRST_DRAW_ODDS crossings,
+# N**3 * (L - 1) * 4**-L (see generate_codebook); the test is in integers.
+FIRST_DRAW_ODDS = 16
 
 
 class CodecError(ValueError):
@@ -69,6 +78,13 @@ def check_dna(seq: str) -> None:
 
 
 Codeword = namedtuple("Codeword", "vertex color sequence")
+
+
+def _check_shape(n: int, k: int) -> None:
+    if n < 0:
+        raise CodecError(f"vertex count must be non-negative, got {n}")
+    if k < 1:
+        raise CodecError(f"color count must be positive, got {k}")
 
 
 class JunctionViolation(namedtuple("JunctionViolation", "word left right offset")):
@@ -107,10 +123,7 @@ class Codebook:
     """
 
     def __init__(self, n: int, k: int, entries, provenance: str, length: int | None = None):
-        if n < 0:
-            raise CodecError(f"vertex count must be non-negative, got {n}")
-        if k < 1:
-            raise CodecError(f"color count must be positive, got {k}")
+        _check_shape(n, k)
         table: dict[Token, Codeword] = {}
         for cw in entries:
             if not (1 <= cw.vertex <= n) or not (0 <= cw.color < k):
@@ -296,23 +309,78 @@ class _JunctionIndex:
         return True
 
 
+def _candidates(rng: random.Random, length: int):
+    """Candidate words of `length` bases, endlessly, from rng's base stream in order.
+
+    Each base is what rng.choice(DNA_BASES) would give: choice keeps the top
+    3 bits of one 32-bit Mersenne Twister output, retried while they are 4 or
+    more, and getrandbits(32 * m) is m such outputs in order, lowest first.
+    So the top byte of each little-endian word, with bytes of 0x80 and up
+    dropped, is the same stream of bases, and a bytes.translate turns a bulk
+    draw into them with no Python call per base.  How the stream is cut into
+    draws changes no base, and the rng is local, so bases drawn ahead and
+    never used change no word.
+    """
+    pool, at = "", 0
+    while True:
+        while at + length > len(pool):
+            draws = rng.getrandbits(32 * DRAWN_WORDS * length).to_bytes(4 * DRAWN_WORDS * length, "little")
+            pool = pool[at:] + draws[3::4].translate(_BASE_OF_TOP_BYTE, _REJECTED_TOP_BYTES).decode("ascii")
+            at = 0
+        yield pool[at : at + length]
+        at += length
+
+
+def _admit_word_by_word(count: int, length: int, seed: int) -> list[str]:
+    """The first `count` candidates from seed that a _JunctionIndex admits, each in turn.
+
+    A slot that sees GENERATION_ATTEMPTS candidates refused raises
+    GenerationError.  Admission is O(length) lookups and add amortised
+    O(length), so the cost is linear in count.
+    """
+    index = _JunctionIndex()
+    candidates = _candidates(random.Random(seed), length)
+    for _slot in range(count):
+        for cand in itertools.islice(candidates, GENERATION_ATTEMPTS):
+            if index.admits(cand):
+                index.add(cand)
+                break
+        else:
+            raise GenerationError(
+                f"gave up on codeword {len(index.words) + 1} after "
+                f"{GENERATION_ATTEMPTS} attempts; try a longer length"
+            )
+    return index.words
+
+
 def generate_codebook(n: int, k: int, length: int, seed: int) -> Codebook:
     """Seeded uniform-length codebook that passes validation by construction.
 
-    Codewords are drawn one (vertex, color) slot at a time in vertex-major
-    order and rejection-resampled until a _JunctionIndex admits them.  The
-    draw order is fixed, so equal arguments give bit-identical codebooks on
-    any platform.  Each base is what rng.choice(DNA_BASES) would give:
-    choice keeps the top 3 bits of one 32-bit Mersenne Twister output,
-    retried while they are 4 or more, and getrandbits(32 * m) is m such
-    outputs in order, lowest first.  So the top byte of each little-endian
-    word, with bytes of 0x80 and up dropped, is the same stream of bases,
-    and a bytes.translate turns a bulk draw into them with no Python call
-    per base.  The rng is local, so bases drawn ahead and never used change
-    no codeword.  Admission is O(length) lookups and add amortised
-    O(length), so the cost is linear in n * k.  A length outside
-    4..MAX_GENERATED_LENGTH, or a table whose index would pass
-    MAX_GENERATED_INDEX_BYTES, raises CodecError before anything is drawn.
+    Codewords fill the (vertex, color) slots in vertex-major order, each the
+    next candidate from the seed's base stream (see _candidates) that a
+    _JunctionIndex admits, rejection-resampled until one is.  The draw order
+    is fixed, so equal arguments give bit-identical codebooks on any
+    platform.
+
+    When a violation among the first N = n * k candidates is unlikely, they
+    are taken whole instead: the table is built from them and validated
+    once, and if the report is ok it is returned with the report cached, so
+    cb.validation() and TubeMachine(cb) cost nothing more.  Each of the
+    N**3 * (L - 1) triples (w, x, y, misaligned offset) of N uniform words of
+    length L holds w at that offset of x + y with chance about 4**-L, so
+    about N**3 * (L - 1) * 4**-L crossings are expected; duplicates, N**2 / 2
+    pairs at 4**-L each, are fewer.  The first draw is tried when that is
+    under 1 / FIRST_DRAW_ODDS, so a failed validation, paid on top of the
+    word-by-word loop, is rare; over it, the loop runs alone and large
+    tables pay no validation.  The output is the same bytes either way:
+    admits is exact at uniform length, and every violation among some of
+    the words is one among all of them, so a set with no duplicate and no
+    crossing is admitted word by word, each on its first draw and in draw
+    order.
+
+    A length outside 4..MAX_GENERATED_LENGTH, or a table whose index would
+    pass MAX_GENERATED_INDEX_BYTES, raises CodecError before anything is
+    drawn, as does a negative n or a k under 1.
     """
     if length < 4:
         raise CodecError(f"codeword length must be at least 4, got {length}")
@@ -324,27 +392,23 @@ def generate_codebook(n: int, k: int, length: int, seed: int) -> Codebook:
             f"{n * k} codewords of {length} nt need about {size} bytes to generate, "
             f"over the limit of {MAX_GENERATED_INDEX_BYTES}"
         )
-    rng = random.Random(seed)
-    index = _JunctionIndex()
-    pool, at = "", 0
-    for _slot in range(n * k):  # a bad n or k is refused by Codebook below
-        for _attempt in range(GENERATION_ATTEMPTS):
-            while at + length > len(pool):
-                draws = rng.getrandbits(32 * DRAWN_WORDS * length).to_bytes(4 * DRAWN_WORDS * length, "little")
-                pool = pool[at:] + draws[3::4].translate(_BASE_OF_TOP_BYTE, _REJECTED_TOP_BYTES).decode("ascii")
-                at = 0
-            cand = pool[at : at + length]
-            at += length
-            if index.admits(cand):
-                index.add(cand)
-                break
-        else:
-            raise GenerationError(
-                f"gave up on codeword {len(index.words) + 1} after "
-                f"{GENERATION_ATTEMPTS} attempts; try a longer length"
-            )
+    _check_shape(n, k)
+    count = n * k
+    if _first_draw_fits(count, length):
+        cb = _generated(n, k, length, seed, itertools.islice(_candidates(random.Random(seed), length), count))
+        if cb.validation().ok:
+            return cb
+    return _generated(n, k, length, seed, _admit_word_by_word(count, length, seed))
+
+
+def _first_draw_fits(count: int, length: int) -> bool:
+    """Whether count uniform words of length are expected to hold under 1 / FIRST_DRAW_ODDS crossings."""
+    return count**3 * (length - 1) * FIRST_DRAW_ODDS < 4**length
+
+
+def _generated(n: int, k: int, length: int, seed: int, words) -> Codebook:
     slots = itertools.product(range(1, n + 1), range(k))
-    entries = [Codeword(v, c, seq) for (v, c), seq in zip(slots, index.words)]
+    entries = [Codeword(v, c, seq) for (v, c), seq in zip(slots, words)]
     return Codebook(
         n, k, entries,
         provenance=f"generated(seed={seed}, length={length})",

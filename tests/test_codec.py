@@ -29,7 +29,7 @@ from helix import (
     render,
     validate_codebook,
 )
-from helix.codec import _JunctionIndex, coloring_from_strand
+from helix.codec import _admit_word_by_word, _candidates, _first_draw_fits, _JunctionIndex, coloring_from_strand
 
 R1 = "AAGGCAGGAACAGATCAACC"
 G1 = "CGTTCTAAATAGGGTCGTGT"
@@ -159,6 +159,74 @@ def test_generation_gives_up_when_no_candidate_is_junction_safe():
     # 4-mers leave no safe candidate long before 300 codewords
     with pytest.raises(GenerationError, match="gave up on codeword 44 after 10000 attempts"):
         generate_codebook(100, 3, 4, 0)
+
+
+@pytest.mark.parametrize(
+    "count, length, fits",
+    [
+        (48, 20, True),  # the bench's n=12, k=4 tables
+        (1000, 20, True),  # the CI step's table under the bound
+        (160, 8, False),  # the CI step's table over it
+        (300, 10, False),
+        (400, 12, False),  # the word-by-word growth case
+        (20000, 20, False),  # a large symbolic table at k=1
+    ],
+)
+def test_the_first_draw_bound_sides(count, length, fits):
+    assert _first_draw_fits(count, length) is fits
+
+
+def _generated_and_validations(n, k, length, seed):
+    """(codewords or GenerationError message, validate_codebook calls while generating)."""
+    with unittest.mock.patch("helix.codec.validate_codebook", wraps=validate_codebook) as spy:
+        try:
+            got = [cw.sequence for cw in generate_codebook(n, k, length, seed).codewords()]
+        except GenerationError as exc:
+            got = str(exc)
+    return got, spy.call_count
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 12), st.integers(1, 4), st.integers(4, 24), st.integers(0, 2**32))
+def test_generation_equals_the_word_by_word_loop_on_both_sides_of_the_bound(n, k, length, seed):
+    try:
+        want = _admit_word_by_word(n * k, length, seed)
+    except GenerationError as exc:
+        want = str(exc)
+    got, validations = _generated_and_validations(n, k, length, seed)
+    assert got == want
+    # Over the bound nothing is validated, so large tables pay for no report.
+    assert validations == (1 if _first_draw_fits(n * k, length) else 0)
+
+
+def test_a_first_draw_that_fails_validation_falls_back_to_the_word_by_word_loop():
+    assert _first_draw_fits(4, 8)
+    first_draw = list(itertools.islice(_candidates(random.Random(15), 8), 4))
+    assert not validate_codebook(_tiny_cb(*first_draw)).ok
+    got, validations = _generated_and_validations(2, 2, 8, 15)
+    assert validations == 1
+    assert got == _admit_word_by_word(4, 8, 15) != first_draw
+    assert generate_codebook(2, 2, 8, 15).validation().ok
+
+
+def test_a_first_draw_that_passes_comes_with_its_report():
+    cb = generate_codebook(12, 4, 20, 0)
+    with unittest.mock.patch("helix.codec.validate_codebook", side_effect=AssertionError("validated twice")):
+        assert cb.validation().ok
+        TubeMachine(cb)
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((-1, 3, 8, 0), "vertex count must be non-negative, got -1"),
+        ((2, -1, 8, 0), "color count must be positive, got -1"),
+        ((-2, -2, 8, 0), "vertex count must be non-negative, got -2"),
+    ],
+)
+def test_generation_refuses_a_negative_count_before_drawing(args, message):
+    with pytest.raises(CodecError, match=message):
+        generate_codebook(*args)
 
 
 def test_codebook_refuses_a_negative_vertex_count():

@@ -7,6 +7,7 @@ the events on twice the input.  Loops inside C functions (a tuple `in`, a
 slice) emit no events, so this cannot see them.
 """
 
+import json
 import os
 import sys
 from functools import partial
@@ -14,7 +15,15 @@ from functools import partial
 import pytest
 
 import helix
-from helix import Graph, generate_codebook, solve_incremental, validate_codebook
+from helix import (
+    Graph,
+    generate_codebook,
+    parse_dimacs,
+    read_trace_document,
+    solve_incremental,
+    trace_document,
+    validate_codebook,
+)
 
 PACKAGE = os.path.dirname(helix.__file__) + os.sep
 
@@ -69,8 +78,19 @@ def _validate(words):
     return partial(validate_codebook, generate_codebook(words, 1, 20, 0))
 
 
-def _generate(words):
-    return partial(generate_codebook, words, 1, 20, 0)
+def _generate(words, length=20):
+    return partial(generate_codebook, words, 1, length, 0)
+
+
+def _parse_path(edges):
+    lines = [f"p edge {edges + 1} {edges}"] + [f"e {v} {v + 1}" for v in range(1, edges + 1)]
+    return partial(parse_dimacs, "\n".join(lines) + "\n")
+
+
+def _read_edgeless_trace(n):
+    g = Graph.from_edges(n, [])
+    doc = trace_document(g, 1, None, "incremental", *solve_incremental(g, 1, generate_codebook(n, 1, 20, 0)))
+    return partial(read_trace_document, json.loads(json.dumps(doc)))
 
 
 @pytest.mark.parametrize(
@@ -79,6 +99,11 @@ def _generate(words):
         pytest.param(_solve_edgeless, 500, 2.3, id="solve_incremental-edgeless-k1"),
         pytest.param(_validate, 200, 2.3, id="validate_codebook-gen20"),
         pytest.param(_generate, 200, 2.3, id="generate_codebook-length20"),
+        # 200 and 400 words of 12 nt are over codec.FIRST_DRAW_ODDS's bound, so
+        # this holds the word-by-word path linear and the case above the first draw.
+        pytest.param(partial(_generate, length=12), 200, 2.3, id="generate_codebook-length12"),
+        pytest.param(_parse_path, 2000, 2.3, id="parse_dimacs-edges"),
+        pytest.param(_read_edgeless_trace, 300, 2.3, id="read_trace_document-edgeless-k1"),
     ],
 )
 def test_a_long_path_takes_line_events_linear_in_its_input(make, size, most):
