@@ -139,8 +139,7 @@ class Codebook:
         self.provenance = provenance
         self.length = length
         self._table = table
-        # token -> bases: render's fast path, and what TubeMachine reads for its
-        # sequence -> token map and its list of tokens the codebook lacks
+        # token -> bases: render's fast path
         self._sequences = {key: cw.sequence for key, cw in table.items()}
         self._validation: ValidationReport | None = None
 

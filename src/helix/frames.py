@@ -154,16 +154,16 @@ class Frame:
     """Strands of one vertex order as the fields of one big int (see the module docstring).
 
     `order` is the strands' vertex order, a tuple the frame only carries,
-    `width` the words per field, `count` the strands and `_slots` the slots,
-    dead ones included.  `_live`, the live mask, is built on first use when
-    every slot is live.  A frame is never changed once built.
+    `width` the words per field, `count` the strands, `_slots` the slots,
+    dead ones included, and `live` the live mask, every slot live when none
+    is given.  A frame is never changed once built.
     """
 
-    __slots__ = ("order", "width", "count", "_bits", "_slots", "_live")
+    __slots__ = ("order", "width", "count", "_bits", "_slots", "live")
 
     def __init__(self, order: tuple[int, ...], width: int, count: int, bits: int, slots: int, live: int | None = None):
-        self.order, self.width, self.count = order, width, count
-        self._bits, self._slots, self._live = bits, slots, live
+        self.order, self.width, self.count, self._bits, self._slots = order, width, count, bits, slots
+        self.live = tile(1, WORD_BITS * width, slots) if live is None else live
 
     @classmethod
     def of_fields(cls, order: tuple[int, ...], fields: list[int]) -> "Frame":
@@ -181,18 +181,11 @@ class Frame:
         count = len(raw) // (8 * width)
         return cls(frames[0].order, width, count, int.from_bytes(raw, "little"), count)
 
-    def present(self) -> int:
-        """The live mask: one set bit at the start of every slot that holds a strand."""
-        if self._live is None:
-            self._live = tile(1, WORD_BITS * self.width, self._slots)
-        return self._live
-
     def fields(self, width: int = 0) -> bytes:
         """The strands' fields, dead slots left out, as little-endian bytes of max(width, self.width) words each."""
         bits, size = self._bits, 8 * self.width * self._slots
         if self.count < self._slots:
-            live = self._live
-            bits &= (live << (WORD_BITS * self.width)) - live
+            bits &= (self.live << (WORD_BITS * self.width)) - self.live
             raw = bits.to_bytes(size, "little").translate(None, b"\0")
         else:
             raw = bits.to_bytes(size, "little")
@@ -214,7 +207,7 @@ class Frame:
         """
         size, full = WORD_BITS * self.width, self.count == self._slots
         bits = self._bits if full else int.from_bytes(self.fields(), "little")
-        guards = (self.present() if full else tile(1, size, self.count)) << size
+        guards = (self.live if full else tile(1, size, self.count)) << size
         cut = bits ^ (bits & guards)
         return ((cut | guards) - (cut >> size)) & guards == 1 << guards.bit_length() >> 1
 
@@ -233,13 +226,13 @@ class Frame:
         """The slot starts of the strands that hold token `index`; None, a token never seen, is in none."""
         if index is None or index >= WORD_TOKENS * self.width:
             return 0
-        return (self._bits >> place(index)) & self.present()
+        return (self._bits >> place(index)) & self.live
 
     def split(self, starts: int) -> tuple["Frame", "Frame"]:
         """(hit, rest): the strands whose slot starts are set in `starts`, a subset of the live mask such as a column, and the others."""
         hits = starts.bit_count()
         hit = Frame(self.order, self.width, hits, self._bits, self._slots, starts)
-        return hit, Frame(self.order, self.width, self.count - hits, self._bits, self._slots, self.present() ^ starts)
+        return hit, Frame(self.order, self.width, self.count - hits, self._bits, self._slots, self.live ^ starts)
 
     def grown(self, order: tuple[int, ...], index: int) -> "Frame":
         """Every strand with token `index` added, as a frame of vertex order `order`."""
@@ -247,6 +240,6 @@ class Frame:
         if width > self.width:
             frame = Frame(order, width, self.count, int.from_bytes(self.fields(width), "little"), self.count)
         else:
-            frame = Frame(order, width, self.count, self._bits, self._slots, self.present())  # dead slots stay dead
-        frame._bits |= frame.present() << place(index)
+            frame = Frame(order, width, self.count, self._bits, self._slots, self.live)  # dead slots stay dead
+        frame._bits |= frame.live << place(index)
         return frame

@@ -8,10 +8,10 @@ reasons about, and a codeword's base sequence only ever decides membership.
 
 Runs.  A tube is a tuple of runs, each a frame (frames.py: the strands of one
 vertex order as fields of one int) or a product run.  Both give the
-operations one interface: the strands' vertex `order`, `count`, present()
-(the live strands), column(i) (the live strands that hold token i) and
-split(starts), so every operation has one body.  Extract splits each run by
-a column, append grows each frame, copy shares the tuple and merge
+operations one interface: the strands' vertex `order`, `count`, `live` (the
+live mask, built with the run), column(i) (the live strands that hold token
+i) and split(starts), so every operation has one body.  Extract splits each
+run by a column, append grows each frame, copy shares the tuple and merge
 concatenates the tuples.  new_tube makes one frame per stretch of strands of
 one order.  The machine keeps no table of orders: an order lives as long as
 a run carries it, so the machine holds only live orders.
@@ -69,14 +69,14 @@ rendered bases hold the probe's sequence, and finds them one of two ways.
 A probe whose sequence is a codeword's is split by that token's column, as a
 symbolic extract is: on a validated codebook a codeword occurs in rendered
 bases only where its own token is, so no strand is rendered and product
-runs stay masks.  The empty probe takes every run's present() strands, the
+runs stay masks.  The empty probe takes every run's live strands, the
 blank strand too.  Any other probe is searched strand by strand: the tube's
 strands are read as token tuples, each rendered and kept when its bases hold
 the sequence, and both outputs are rebuilt as frames, one per stretch of one
-vertex order, as new_tube builds them.  Uncoded tokens: the machine lists
-each token the codebook lacks as it enters, and before either path an
-extract of a tube that holds one raises, through render, the CodecError that
-names it, so the refused extract leaves the tube as it was.
+vertex order, as new_tube builds them.  Every token has a codeword: a machine
+with a codebook refuses one without, with the codebook's CodecError, when
+the token first enters (_index_of), and a refused new_tube registers none of
+its tokens.
 """
 
 from __future__ import annotations
@@ -84,13 +84,13 @@ from __future__ import annotations
 from collections import Counter
 from itertools import chain, compress, groupby, product
 from math import prod
-from operator import attrgetter, methodcaller, not_
+from operator import attrgetter, not_
 
-from .codec import Codebook, Codeword, SoundnessError, Strand, Token, render
+from .codec import Codebook, CodecError, Codeword, SoundnessError, Strand, Token, render
 from .frames import WORD_BITS, Frame, bit_fields, key_tables, place, tile
 
 _DIGIT = bytes.maketrans(b"01", b"\x00\x01")  # a mask's binary digits as 0/1 bytes
-_ORDER, _COUNT, _PRESENT = attrgetter("order"), attrgetter("count"), methodcaller("present")
+_ORDER, _COUNT, _LIVE = attrgetter("order"), attrgetter("count"), attrgetter("live")
 
 
 class _Product:
@@ -163,9 +163,6 @@ class _ProductRun:
     @property
     def count(self) -> int:
         return self.live.bit_count()
-
-    def present(self) -> int:
-        return self.live
 
     def column(self, index: int | None) -> int:
         return self.live & self.product.column(index)
@@ -311,13 +308,12 @@ class TubeMachine:
         if codebook is not None and not codebook.validation().ok:
             raise SoundnessError("nucleotide matching refused: codebook failed validation")
         self.codebook = codebook
-        self._coded = {} if codebook is None else {seq: t for t, seq in codebook._sequences.items()}  # sequence -> token
+        self._coded = {} if codebook is None else {cw.sequence: (cw.vertex, cw.color) for cw in codebook.codewords()}
         self.counter = OpCounter()
         self._live_strands = 0
         self.peak_tube_size = 0
         self._index: dict[Token, int] = {}  # token -> i, its bit frames.place(i) in a field
         self._token_at: dict[int, dict[int, Token]] = {}  # vertex -> {i: token}
-        self._uncoded: list[tuple[int, Token]] = []  # (i, token) of each token the codebook lacks
 
     def _credit(self, delta: int) -> None:
         self._live_strands += delta
@@ -337,10 +333,10 @@ class TubeMachine:
             v, c = token
             if not isinstance(c, int) or not 0 <= c < 1 << WORD_BITS:
                 raise MachineFault(f"color {c!r} of vertex {v} is not an int in [0, 2**64)")
+            if self.codebook is not None:
+                self.codebook.codeword(v, c)  # raises CodecError for a token with no codeword
             i = self._index[token] = len(self._index)
             self._token_at.setdefault(v, {})[i] = token
-            if self.codebook is not None and token not in self.codebook._sequences:
-                self._uncoded.append((i, token))
         return i
 
     def _bit_of(self, token: Token) -> int:
@@ -392,15 +388,24 @@ class TubeMachine:
         `rows=[row_1, ..., row_n]`, each row the tokens of one vertex, gives
         the strands of itertools.product(*rows), in that order, as one
         product run with no strand built; an empty product gives an empty
-        tube.
+        tube.  A refused tube registers none of its tokens.
         """
-        if rows is None:
-            runs = self._frames(contents)
-        elif contents:
+        if rows is not None and contents:
             raise ValueError("new_tube takes contents or rows, not both")
-        else:
-            product = self._product_of(rows)
-            runs = (_ProductRun(product, (1 << product.size) - 1),) if product.size else ()
+        known = len(self._index)
+        try:
+            if rows is None:
+                runs = self._frames(contents)
+            else:
+                product = self._product_of(rows)
+                runs = (_ProductRun(product, (1 << product.size) - 1),) if product.size else ()
+        except (CodecError, MachineFault):
+            while len(self._index) > known:  # newest first
+                (v, _), i = self._index.popitem()
+                del self._token_at[v][i]
+                if not self._token_at[v]:
+                    del self._token_at[v]
+            raise
         tube = Tube(label, self, runs)
         self._credit(len(tube))
         return tube
@@ -463,25 +468,20 @@ class TubeMachine:
 
         Without a codebook a strand matches when it holds cw's token.  With
         one it matches when its rendered bases hold cw.sequence, so the empty
-        sequence matches every strand, the blank strand too, and a strand
-        that holds a token the codebook lacks raises CodecError.  Both
-        outputs keep the source's strand order, and a refused extract leaves
-        the tube as it was.
+        sequence matches every strand, the blank strand too.  Both outputs
+        keep the source's strand order.
         """
         self._require_live(tube)
         runs, seq = tube._runs, cw.sequence
         token = (cw.vertex, cw.color) if self.codebook is None else self._coded.get(seq)
-        for i, uncoded in self._uncoded:  # empty on a machine without a codebook
-            if any(run.column(i) for run in runs):
-                render((uncoded,), self.codebook)  # raises
         if token is None and seq:  # a probe that is no codeword: search strand by strand
             strands = tube.contents
             held = [seq in render(s, self.codebook) for s in strands]
             hits, rests = self._frames(compress(strands, held)), self._frames(compress(strands, map(not_, held)))
         else:  # a token never seen is in no strand; the empty probe holds every strand
-            parts = [run.split(run.column(self._index.get(token)) if token else run.present()) for run in runs]
+            parts = [run.split(run.column(self._index.get(token)) if token else run.live) for run in runs]
             hits, rests = zip(*parts) if parts else ((), ())
-            hits, rests = tuple(filter(_PRESENT, hits)), tuple(filter(_PRESENT, rests))
+            hits, rests = tuple(filter(_LIVE, hits)), tuple(filter(_LIVE, rests))
         tube._runs = ()
         self.counter.extract += 1
         return Tube(f"{tube.label}+", self, hits), Tube(f"{tube.label}-", self, rests)

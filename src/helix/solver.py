@@ -28,7 +28,7 @@ from .codec import BLANK_STRAND, Codebook, color_name, coloring_from_strand
 from .graphs import Graph
 from .machine import TubeMachine
 # trace_document is not used here: the bench calls solver.trace_document and wraps it by name.
-from .trace import SolutionSet, SolverError, StepRecord, Trace, _show, resolve_order, trace_document
+from .trace import STR_BITS, SolutionSet, SolverError, StepRecord, Trace, _show, resolve_order, trace_document
 
 DEFAULT_STRAND_BUDGET = 2_000_000
 MATCH_MODES = ("symbolic", "nucleotide")
@@ -39,9 +39,9 @@ class BudgetError(SolverError):
 
 
 def power_text(k: int, n: int) -> str:
-    """k**n in digits, or as "k^n" past 14,000 bits: str() refuses an int of over 4,300 digits."""
+    """k**n in digits, or as "k^n" past trace.STR_BITS."""
     full = k**n
-    return str(full) if full.bit_length() <= 14_000 else f"{k}^{n}"
+    return str(full) if full.bit_length() <= STR_BITS else f"{k}^{n}"
 
 
 def check_budget(n: int, k: int, budget: int | None = None, monolithic: bool = False) -> None:

@@ -18,6 +18,9 @@ from collections import namedtuple
 from .machine import OpCounter
 
 ENGINES = ("incremental", "monolithic")  # the modes a trace document names
+# The most bits of an int written in digits: str refuses one of over 4,300
+# digits (about 14,284 bits), so a longer one is named, not written.
+STR_BITS = 14_000
 
 
 class SolverError(ValueError):
@@ -95,13 +98,13 @@ def trace_document(g, k: int, order, mode: str, solutions: SolutionSet, trace: T
 
 
 def _show(value) -> str:
-    """repr(value) for a refusal message, but an int too long for str is named by its bit length.
+    """repr(value) for a refusal message, but an int past STR_BITS is named by its bit length.
 
-    str refuses ints past 4,300 digits (about 14,284 bits), and a document
-    built in process, not read from JSON, can hold one anywhere.  Lists,
-    tuples and dicts are shown item by item, as repr shows them.
+    A document built in process, not read from JSON, can hold such an int
+    anywhere.  Lists, tuples and dicts are shown item by item, as repr shows
+    them.
     """
-    if isinstance(value, int) and value.bit_length() > 14_000:
+    if isinstance(value, int) and value.bit_length() > STR_BITS:
         return f"{'-' if value < 0 else ''}<int of {value.bit_length()} bits>"
     if value.__class__ is dict:
         return "{" + ", ".join(f"{_show(key)}: {_show(item)}" for key, item in value.items()) + "}"

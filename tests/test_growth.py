@@ -11,12 +11,15 @@ import json
 import os
 import sys
 from functools import partial
+from itertools import islice, product
 
 import pytest
 
 import helix
 from helix import (
     Graph,
+    TubeMachine,
+    count_colorings,
     generate_codebook,
     parse_dimacs,
     read_trace_document,
@@ -24,6 +27,7 @@ from helix import (
     trace_document,
     validate_codebook,
 )
+from helix.solver import _decode_final
 
 PACKAGE = os.path.dirname(helix.__file__) + os.sep
 
@@ -74,6 +78,24 @@ def _solve_edgeless(n):
     return partial(solve_incremental, Graph.from_edges(n, []), 1, generate_codebook(n, 1, 20, 0))
 
 
+def _path(n):
+    return Graph.from_edges(n, [(v, v + 1) for v in range(1, n)])
+
+
+def _solve_path(n):
+    return partial(solve_incremental, _path(n), 2, generate_codebook(n, 2, 20, 0))
+
+
+def _count_path(n):
+    return partial(count_colorings, _path(n), 2)
+
+
+def _decode(rows, n=3, k=16):
+    """The final decode of a tube of `rows` colorings of n vertices, the first in product order."""
+    strands = [tuple(enumerate(colors, 1)) for colors in islice(product(range(k), repeat=n), rows)]
+    return partial(_decode_final, TubeMachine().new_tube("t", strands), n)
+
+
 def _validate(words):
     return partial(validate_codebook, generate_codebook(words, 1, 20, 0))
 
@@ -97,6 +119,10 @@ def _read_edgeless_trace(n):
     "make, size, most",
     [
         pytest.param(_solve_edgeless, 500, 2.3, id="solve_incremental-edgeless-k1"),
+        pytest.param(_solve_path, 500, 2.3, id="solve_incremental-path-k2"),
+        # The oracle refuses n > 24, so the path goes 12 -> 24 vertices.
+        pytest.param(_count_path, 12, 2.3, id="count_colorings-path-k2"),
+        pytest.param(_decode, 1000, 2.3, id="decode_final-rows"),
         pytest.param(_validate, 200, 2.3, id="validate_codebook-gen20"),
         pytest.param(_generate, 200, 2.3, id="generate_codebook-length20"),
         # 200 and 400 words of 12 nt are over codec.FIRST_DRAW_ODDS's bound, so

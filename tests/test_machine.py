@@ -761,7 +761,7 @@ def compacted_words(frame):
     Every word of a live field carries presence bits, so filtering out the
     zero words leaves exactly the live fields.
     """
-    size, live, words = helix.frames.WORD_BITS * frame.width, frame.present(), []
+    size, live, words = helix.frames.WORD_BITS * frame.width, frame.live, []
     for j in range(frame._slots):
         field = (frame._bits >> (j * size)) % (1 << size) if live >> (j * size) & 1 else 0
         words += [field >> (64 * w) & (2**64 - 1) for w in range(frame.width)]
@@ -783,7 +783,7 @@ def check_frame_against_slots(frame, slots):
     live = [s for s in slots if s is not None]
     size = helix.frames.WORD_BITS * frame.width
     assert (frame._slots, frame.count) == (len(slots), len(live))
-    assert frame.present() == sum(1 << (j * size) for j, s in enumerate(slots) if s is not None)
+    assert frame.live == sum(1 << (j * size) for j, s in enumerate(slots) if s is not None)
     for extra in (0, 1):
         width = frame.width + extra
         assert frame.fields(width) == b"".join(model_field(s, width).to_bytes(8 * width, "little") for s in live)
@@ -822,7 +822,7 @@ def test_frames_hold_their_live_strands_slot_by_slot(data):
             hit, rest = frame.split(starts)
             assert hit._bits is frame._bits and rest._bits is frame._bits
             hit_slots = live_in(slots, starts, frame.width)
-            rest_slots = live_in(slots, frame.present() ^ starts, frame.width)
+            rest_slots = live_in(slots, frame.live ^ starts, frame.width)
             check_frame_against_slots(hit, hit_slots)
             keep_hit = data.draw(st.booleans()) if hit.count and rest.count else bool(hit.count)
             frame, slots = (hit, hit_slots) if keep_hit else (rest, rest_slots)
@@ -834,8 +834,8 @@ def test_frames_hold_their_live_strands_slot_by_slot(data):
         else:
             other, more = made(data.draw(strands_st))
             if data.draw(st.booleans()):  # the other frame with dead slots too
-                other, _ = other.split(other.column(data.draw(edge_token_st)) or other.present())
-                more = live_in(more, other.present(), other.width)
+                other, _ = other.split(other.column(data.draw(edge_token_st)) or other.live)
+                more = live_in(more, other.live, other.width)
             frame = helix.frames.Frame.joined([frame, other])
             slots = [s for s in slots + more if s is not None]
         check_frame_against_slots(frame, slots)
@@ -864,7 +864,7 @@ def test_ascending_is_a_pairwise_strict_increase_of_the_values(data):
     if data.draw(st.booleans()):  # dead slots: keep a drawn subset of the slots
         kept = data.draw(st.lists(st.booleans(), min_size=len(values), max_size=len(values)))
         starts = sum(1 << (64 * frame.width * j) for j, keep in enumerate(kept) if keep)
-        frame, _ = frame.split(starts or frame.present())
+        frame, _ = frame.split(starts or frame.live)
     values = list(frame.values())
     assert frame.ascending() == all(a < b for a, b in zip(values, values[1:]))
 
@@ -1184,43 +1184,48 @@ def test_nucleotide_extract_of_the_empty_sequence_matches_every_strand():
         assert plus.contents == list(itertools.product(*rows))
 
 
-def test_nucleotide_extract_of_a_token_outside_the_codebook_raises():
-    cb = generate_codebook(2, 2, 12, 0)
-    m = TubeMachine(cb)
-    for grown in (False, True):
-        t = m.new_tube("t", [((1, 0),), ((3, 1),)])
-        if grown:
-            m.append(t, cb.codeword(2, 0))
-        before = t.contents
-        with pytest.raises(CodecError, match="no codeword for vertex 3"):
-            m.extract(t, cb.codeword(1, 0))
-        assert len(t) == 2 and t.contents == before  # the refused extract leaves the tube as it was
-    t = m.new_tube("t", [((1, 0),)])
-    m.append(t, cb.codeword(2, 1))
-    kept, _ = m.extract(t, cb.codeword(1, 0))
-    assert_extract_follows_render(m, kept)
-    m.append(kept, Codeword(3, 0, "ACGT"))  # a token the codebook lacks
-    with pytest.raises(CodecError, match="no codeword for vertex 3"):
-        m.extract(kept, cb.codeword(1, 0))
-    m.discard(m.new_tube("u", [((1, 5),)]))  # the machine now knows a token of vertex 1 the codebook lacks
-    t = m.new_tube("t", [((1, 0),), ((1, 1),), ((1, 1), (2, 0))])  # but no strand here holds one
-    assert_extract_follows_render(m, t)
+def machine_books(m, tubes):
+    """Everything a refused operation must leave as it was: the books, the token index and the tubes' strands."""
+    token_at = {v: dict(tokens) for v, tokens in m._token_at.items()}
+    return m.counter.snapshot(), m._live_strands, m.peak_tube_size, dict(m._index), token_at, [t.contents for t in tubes]
 
 
-@pytest.mark.parametrize("path", ["codeword", "search"])
-def test_a_refused_extract_names_the_first_uncoded_token_on_either_probe_path(path):
-    """Both probe paths run the machine's uncoded-token check first, so they name the same token.
+def test_a_new_tube_refused_by_a_machine_fault_registers_none_of_its_tokens():
+    m = TubeMachine()
+    kept = m.new_tube("t", [((1, 0),)])
+    before = machine_books(m, [kept])
+    for bad, message in [([((2, 1),), ((3, 0), (3, 1))], "names a vertex twice"), ([((2, 1),), ((3, -1),)], "color -1")]:
+        with pytest.raises(MachineFault, match=message):
+            m.new_tube("x", bad)
+        assert machine_books(m, [kept]) == before
 
-    The machine meets (3, 1) before (4, 0), and the tube holds (4, 0) in an
-    earlier strand, so a render of the strands in order would name (4, 0).
+
+@pytest.mark.parametrize("token", [(3, 1), (1, 5)])
+@pytest.mark.parametrize("entry", ["contents", "rows", "append"])
+def test_a_token_without_a_codeword_is_refused_as_it_enters(entry, token):
+    """A nucleotide machine refuses a token its codebook lacks when the token enters, and changes nothing.
+
+    Each refused new_tube first meets (2, 1), a coded token the machine has
+    not seen, so the refusal must also leave that token unregistered.
     """
     cb = generate_codebook(2, 2, 12, 0)
     m = TubeMachine(cb)
-    m.discard(m.new_tube("u", [((3, 1),)]))
-    t = m.new_tube("t", [((1, 1), (2, 0)), ((4, 0),), ((1, 0), (3, 1))])
-    seq = cb.codeword(1, 0).sequence if path == "codeword" else render(((1, 1), (2, 0)), cb)[6:18]
-    assert (seq in m._coded) == (path == "codeword")
-    before = t.contents
-    with pytest.raises(CodecError, match="no codeword for vertex 3, color 1"):
-        m.extract(t, Codeword(1, 0, seq))
-    assert len(t) == 3 and t.contents == before and m.counter.extract == 0
+    t = m.new_tube("t", [((1, 0),), ((1, 1),)])
+    m.append(t, cb.codeword(2, 0))
+    kept, _ = m.extract(m.new_tube("u", [((1, 1),), ((1, 0),)]), cb.codeword(1, 1))
+    blank = m.new_tube("blank", [()])
+    tubes = [t, kept, blank]
+    before = machine_books(m, tubes)
+    v, c = token
+    refused = {
+        "contents": lambda: m.new_tube("x", [((2, 1),), (token,)]),
+        "rows": lambda: m.new_tube("x", rows=[((2, 1),), (token,)]),
+        "append": lambda: m.append(blank, Codeword(v, c, "ACGT")),
+    }[entry]
+    with pytest.raises(CodecError, match=rf"^no codeword for vertex {v}, color {c}$"):
+        refused()
+    assert machine_books(m, tubes) == before
+    assert_extract_follows_render(m, t)
+    m.append(kept, cb.codeword(2, 1))
+    assert_extract_follows_render(m, kept)
+    assert_extract_follows_render(m, m.new_tube("y", [((2, 1),), ((1, 0), (2, 0))]))

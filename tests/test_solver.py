@@ -7,6 +7,7 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import corpus
 from helix import (
@@ -580,6 +581,35 @@ def test_every_suite_trace_reads_back():
             for mode, order, run in runs:
                 doc = json.loads(json.dumps(trace_document(g, k, order, mode, *run)))
                 assert read_trace_document(doc)[1:] == run, (name, k, match_mode, order, mode)
+
+
+@st.composite
+def drawn_runs(draw):
+    """G(n, p) with n <= 9, k <= 4, a run order, a codebook seed and a match mode."""
+    n = draw(st.integers(1, 9))
+    g = random_graph(n, draw(st.sampled_from([0.0, 0.2, 0.4, 0.6, 1.0])), draw(st.integers(0, 2**16)))
+    order = draw(st.permutations(range(1, n + 1)))
+    return g, draw(st.integers(1, 4)), order, draw(st.integers(0, 2**16)), draw(st.sampled_from(solver.MATCH_MODES))
+
+
+@settings(max_examples=200, deadline=None)
+@given(drawn_runs())
+def test_both_engines_agree_with_the_oracle_on_drawn_instances(run):
+    """Each engine's rows are the oracle's, every incremental t0_after is the census, and each document reads back.
+
+    4**9 strands are within the default budget, so the monolithic engine runs on every draw.
+    """
+    g, k, order, seed, match_mode = run
+    cb = generate_codebook(g.n, k, 20, seed)
+    incremental = solve_incremental(g, k, cb, match_mode, order)
+    monolithic = solve_monolithic(g, k, cb, match_mode)
+    want = enumerate_colorings(g, k)
+    for mode, (sols, trace) in (("incremental", incremental), ("monolithic", monolithic)):
+        assert list(sols.ordered) == want and sols.colorable == bool(want), mode
+        doc = json.loads(json.dumps(trace_document(g, k, order, mode, sols, trace)))
+        assert read_trace_document(doc)[1:] == (sols, trace), mode
+    steps = incremental[1].steps
+    assert [s.t0_after for s in steps] == [step_census(g, k, order, i) for i in range(1, g.n + 1)]
 
 
 def test_read_trace_document_refuses_unequal_color_counts_and_a_forged_peak():
