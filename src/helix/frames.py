@@ -1,45 +1,57 @@
-"""Frames: the strands of one vertex order, stored as fields of one big int.
+"""Frames: the strands of one vertex order, stored as a byte matrix of planes by slots.
 
 Field layout.  A strand's field is the sticker model's memory strand
-(Roweis et al., J. Comput. Biol. 5(4), 1998) in a row of 64-bit words.
-Bit 0 of every byte is a presence bit, and token i, the i-th (vertex, color)
-token the machine has seen, sits above it at place(i): word i // 56, byte
-(i % 56) // 7 of that word, bit 1 + i % 7 of that byte.  So a byte holds 7
-tokens and a word 56, and every byte of a live field is non-zero.
+(Roweis et al., J. Comput. Biol. 5(4), 1998) in a row of bytes.  Bit 0 of
+every byte is a presence bit, and token i, the i-th (vertex, color) token
+the machine has seen, sits above it at place(i): byte i // 7, bit 1 + i % 7.
+So a byte holds 7 tokens, and every byte of a live field is non-zero.
 
-Live mask, columns and split.  A frame is its strands' fields side by side,
-slot j a field of `width` words, plus a live mask: one bit at the start of
-each slot that holds a strand.  A token's column is the token's bit shifted
-down to each slot's start and ANDed with the live mask, one bit per strand
-that holds it.  Columns combine by AND and OR, and split by a column gives
-two frames that share the source's int and slots and differ only in their
-live masks, so an extract writes no field.
+The byte matrix.  A frame holds its strands' fields in `planes x slots`
+bytes, stored plane-major in one bytes object: plane b is byte b of every
+slot's field, so the sticker model's memory is read by column rather than by
+strand.  A frame's fields are `planes` bytes long, enough for the tokens its
+strands hold, and a slot's byte in a plane past them would hold only its
+presence bit.  The live mask has bit 0 of each slot's byte set for the slots
+that hold a strand; the others are dead.
 
-Compaction.  A dead slot's field stays in the int until the fields are next
-read (fields: a join, a widening grown, ascending, values).  One AND with the
-live mask spread over each slot, `(live << 64 * width) - live`, then clears
-the dead fields, and since every byte of a live field is non-zero, deleting
-the zero bytes with one bytes.translate leaves exactly the live fields,
-compacted.
+Columns and split.  A token's column is its plane read as an int of `slots`
+bytes, shifted down to bit 0 of each byte and ANDed with the live mask, one
+bit per strand that holds it.  Columns combine by AND and OR, and split by a
+column gives two frames that share the source's matrix and the plane ints
+read so far, and differ only in their live masks, so an extract writes no
+field.  grown ORs the live mask in at the token's bit of one plane, or adds
+planes, the gap filled with presence bits; it copies the matrix with that
+one plane replaced, and shares the plane ints read so far but that one (a
+frame grown from a grown frame begins its own).
 
-Widening.  grown ORs the live mask in at the token's place.  A token past
-the width first widens every field by whole words, which hold presence bits
-only.
+Compaction and the shorter side.  A dead slot's bytes stay in the matrix
+until the fields are next read: by a join, ascending, values or keys.  The
+compaction walks the shorter side of the matrix, so it costs
+O(min(planes, strands)) Python calls.  When planes <= strands, each plane is
+ANDed with the live mask spread over its slot bytes, and since every byte of
+a live field is non-zero, deleting the zero bytes with one bytes.translate
+leaves exactly the live slots, in order.  Otherwise each live slot's field is
+one strided slice of the matrix.  A join pads the fields of frames with fewer
+planes with presence bytes.  The joined frame keeps both orientations: the
+plane-major matrix that columns and keys read, and the slot-major fields,
+`planes` little-endian bytes each, that ascending and values read;
+transposed turns one into the other along the shorter side.
 
-Ascending frames.  ascending tests whether the fields, read as ints,
-strictly increase from slot to slot, with a few whole-frame int operations.
-Read from bit 1 up, each field ends in the next slot's presence bit.  That
-bit is cleared and set again as a guard that no borrow crosses, so in
-`guard + field - next field` it stays exactly where the field is not below
-the next; the last field's guard always stays, so the fields ascend when it
-is the only guard left, or no guard in an empty frame.  Strictly increasing
-fields hold no strand twice.  The solver's survivor tube stays one ascending
-frame: a token's place rises with the order in which the machine first saw
-it, so the colors appended at a step outrank every earlier token and rise
-with the color; split and the join keep slot order, merge keeps the color
-tubes in color order, and widening adds presence bits only.  So the fields
-stay in colex order of the run order, the newest token most significant.
-Only the speed of the repeat check (Tube.distinct) relies on this.
+Ascending frames.  ascending tests whether the slot-major fields, read as
+ints, strictly increase from slot to slot.  With no more strands than
+planes, it compares each field with the next as bytes.  Otherwise it takes a
+few whole-frame int operations.  Read from bit 1 up, each field ends in the
+next slot's presence bit.  That bit is cleared and set again as a guard that
+no borrow crosses, so in `guard + field - next field` it stays exactly where
+the field is not below the next; the last field's guard always stays, so the
+fields ascend when it is the only guard left.  Strictly increasing fields
+hold no strand twice.  The solver's survivor tube stays one ascending frame:
+a token's place rises with the order in which the machine first saw it, so
+the colors appended at a step outrank every earlier token and rise with the
+color; split and the join keep slot order, merge keeps the color tubes in
+color order, and padding adds presence bytes only.  So the fields stay in
+colex order of the run order, the newest token most significant.  Only the
+speed of the repeat check (Tube.distinct) relies on this.
 """
 
 from __future__ import annotations
@@ -47,20 +59,17 @@ from __future__ import annotations
 import sys
 from array import array
 from functools import cache, reduce
-from itertools import repeat
-from operator import lshift, or_
+from itertools import chain, compress
+from operator import gt, or_
 
-WORD_BITS = 64  # a field is whole words of this many bits
+WORD_BITS = 64  # a decode key and a color are one word of this many bits
 BYTE_TOKENS = 7  # bit 0 of each byte marks a present strand
-WORD_TOKENS = WORD_BITS // 8 * BYTE_TOKENS
-PRESENT = 0x0101010101010101  # a word of presence bits; the same in either byte order
 
 
 def place(i: int) -> int:
     """The bit of token i in a field (see the field layout in the module docstring)."""
-    word, rest = divmod(i, WORD_TOKENS)
-    byte, bit = divmod(rest, BYTE_TOKENS)
-    return WORD_BITS * word + 8 * byte + 1 + bit
+    byte, bit = divmod(i, BYTE_TOKENS)
+    return 8 * byte + 1 + bit
 
 
 def _as_words(raw):
@@ -72,18 +81,24 @@ def _as_words(raw):
     return words
 
 
-def _widen(raw: bytes, width: int, wider: int) -> bytes:
-    """Compacted fields of `width` words, as bytes, in fields of `wider` words.
+def _ones(count: int) -> int:
+    """A live mask of `count` slots: bit 0 of each of `count` bytes."""
+    return int.from_bytes(b"\1" * count, "little")
 
-    Words are moved whole and the fill reads the same in either byte order,
-    so no word is ever read as an int.
+
+def transposed(raw: bytes, rows: int, cols: int) -> bytes:
+    """A rows x cols byte matrix, stored row by row, stored column by column.
+
+    One strided copy per row or per column, whichever side is shorter.
     """
-    words = memoryview(raw).cast("Q")
-    out = array("Q", [PRESENT]) * (len(words) // width * wider)
-    view = memoryview(out)
-    for w in range(width):
-        view[w::wider] = words[w::width]
-    return out.tobytes()
+    out = bytearray(len(raw))
+    if rows <= cols:
+        for r in range(rows):
+            out[r::rows] = raw[r * cols : (r + 1) * cols]
+    else:
+        for c in range(cols):
+            out[c * rows : (c + 1) * rows] = raw[c::cols]
+    return bytes(out)
 
 
 def tile(pattern: int, width: int, count: int) -> int:
@@ -113,8 +128,8 @@ def _byte_field(shift: int, width: int) -> bytes:
 def key_tables(values) -> dict[int, list[tuple[int, bytes]]]:
     """Frame.keys's tables for keys that OR the value of each (token index, value) pair a strand holds.
 
-    Per key byte, the field bytes that feed it, each with its table (the
-    byte-table decode, machine.py).
+    Per key byte, the field bytes (planes) that feed it, each with its table
+    (the byte-table decode, machine.py).
     """
     tables = {}
     for i, value in values:
@@ -150,96 +165,157 @@ def bit_fields(values, fields) -> list:
     return out
 
 
+def _by_planes(frames: list["Frame"], planes: int) -> tuple[bytes, bytes]:
+    """The frames' live strands in order, in fields of `planes` bytes: (plane-major, slot-major), plane by plane."""
+    raw = b"".join(chain.from_iterable(zip(*[f._live_planes(range(planes)) for f in frames])))
+    return raw, transposed(raw, planes, len(raw) // planes)
+
+
+def _by_slots(frames: list["Frame"], planes: int) -> tuple[bytes, bytes]:
+    """What _by_planes gives, live slot by live slot."""
+    fields = b"".join(chain.from_iterable(f._live_fields(planes) for f in frames))
+    return transposed(fields, len(fields) // planes, planes), fields
+
+
+def _packed(frames: list["Frame"], planes: int) -> tuple[bytes, bytes]:
+    """_by_planes or _by_slots, whichever walks the shorter side of the joined matrix."""
+    return (_by_planes if planes <= sum(f.count for f in frames) else _by_slots)(frames, planes)
+
+
 class Frame:
-    """Strands of one vertex order as the fields of one big int (see the module docstring).
+    """Strands of one vertex order as a planes x slots byte matrix (see the module docstring).
 
     `order` is the strands' vertex order, a tuple the frame only carries,
-    `width` the words per field, `count` the strands, `_slots` the slots,
-    dead ones included, and `live` the live mask, every slot live when none
-    is given.  A frame is never changed once built.
+    `planes` the bytes per field, `count` the strands, `_slots` the slots,
+    dead ones included, `_raw` the plane-major matrix and `live` the live
+    mask.  Planes read as ints are kept in `_own` when grown changed or added
+    them since the frame that began `_ints`, and in `_ints` otherwise; split
+    and grown share `_ints`, and split shares `_own` too.  `_fields` keeps
+    the slot-major fields of the live strands once read.  A frame is never
+    changed once built.
     """
 
-    __slots__ = ("order", "width", "count", "_bits", "_slots", "live")
+    __slots__ = ("order", "planes", "count", "live", "_raw", "_slots", "_ints", "_own", "_fields")
 
-    def __init__(self, order: tuple[int, ...], width: int, count: int, bits: int, slots: int, live: int | None = None):
-        self.order, self.width, self.count, self._bits, self._slots = order, width, count, bits, slots
-        self.live = tile(1, WORD_BITS * width, slots) if live is None else live
+    def __init__(self, order, planes, count, raw, slots, live, ints, own, fields=None):
+        self.order, self.planes, self.count, self._raw, self._slots = order, planes, count, raw, slots
+        self.live, self._ints, self._own, self._fields = live, ints, own, fields
 
     @classmethod
     def of_fields(cls, order: tuple[int, ...], fields: list[int]) -> "Frame":
         """Fields, with or without their presence bits, as a frame with no dead slot."""
-        width = max(1, -(-max(f.bit_length() for f in fields) // WORD_BITS))
-        pad, size = tile(PRESENT, WORD_BITS, width), 8 * width
-        raw = b"".join([(f | pad).to_bytes(size, "little") for f in fields])
-        return cls(order, width, len(fields), int.from_bytes(raw, "little"), len(fields))
+        planes = max(1, -(-max(f.bit_length() for f in fields) // 8))
+        pad, count = _ones(planes), len(fields)
+        slot_major = b"".join([(f | pad).to_bytes(planes, "little") for f in fields])
+        return cls(order, planes, count, transposed(slot_major, count, planes), count, _ones(count), {}, {}, slot_major)
 
     @classmethod
     def joined(cls, frames: list["Frame"]) -> "Frame":
-        """The frames' strands in order, compacted, in fields of the widest frame's width."""
-        width = max(f.width for f in frames)
-        raw = b"".join([f.fields(width) for f in frames])
-        count = len(raw) // (8 * width)
-        return cls(frames[0].order, width, count, int.from_bytes(raw, "little"), count)
+        """The frames' strands in order, compacted, in fields of the most planes of any of them."""
+        planes = max(f.planes for f in frames)
+        raw, fields = _packed(frames, planes)
+        count = len(fields) // planes
+        return cls(frames[0].order, planes, count, raw, count, _ones(count), {}, {}, fields)
 
-    def fields(self, width: int = 0) -> bytes:
-        """The strands' fields, dead slots left out, as little-endian bytes of max(width, self.width) words each."""
-        bits, size = self._bits, 8 * self.width * self._slots
-        if self.count < self._slots:
-            bits &= (self.live << (WORD_BITS * self.width)) - self.live
-            raw = bits.to_bytes(size, "little").translate(None, b"\0")
-        else:
-            raw = bits.to_bytes(size, "little")
-        return _widen(raw, self.width, width) if width > self.width else raw
+    def _plane(self, b: int) -> int:
+        """Plane b as an int of `_slots` bytes, read once for every frame that shares it."""
+        plane = self._own.get(b)
+        if plane is None:
+            plane = self._ints.get(b)
+        if plane is None:
+            s = self._slots
+            plane = self._ints[b] = int.from_bytes(self._raw[b * s : (b + 1) * s], "little")
+        return plane
+
+    def _live_planes(self, wanted) -> list[bytes]:
+        """The live slots' bytes of each plane in `wanted`; presence bytes for one past self.planes."""
+        s, raw, p, pad = self._slots, self._raw, self.planes, b"\1" * self.count
+        if self.count == s:
+            return [raw[b * s : (b + 1) * s] if b < p else pad for b in wanted]
+        spread = (self.live << 8) - self.live  # 0xff in each live slot's byte
+        return [
+            (self._plane(b) & spread).to_bytes(s, "little").translate(None, b"\0") if b < p else pad for b in wanted
+        ]
+
+    def _live_fields(self, planes: int) -> list[bytes]:
+        """The live slots' fields, each one strided slice, padded to `planes` bytes."""
+        s, raw, pad = self._slots, self._raw, b"\1" * (planes - self.planes)
+        live = range(s) if self.count == s else compress(range(s), self.live.to_bytes(s, "little"))
+        return [raw[j::s] + pad for j in live]
+
+    def fields(self) -> bytes:
+        """The live strands' fields, slot by slot, `planes` little-endian bytes each."""
+        if self._fields is None:
+            self._fields = _packed([self], self.planes)[1]
+        return self._fields
 
     def values(self):
-        """One int per strand, its field with its presence bits, dead slots left out."""
-        width, words = self.width, _as_words(self.fields())
-        values = words[::width]
-        for w in range(1, width):
-            values = list(map(or_, values, map(lshift, words[w::width], repeat(WORD_BITS * w))))
-        return values
+        """One int per strand, its field with its presence bits, dead slots left out; an iterator."""
+        p, fields = self.planes, self.fields()
+        return (int.from_bytes(fields[i : i + p], "little") for i in range(0, len(fields), p))
 
     def ascending(self) -> bool:
         """Whether the strands' fields, read as ints, strictly increase from slot to slot.
 
-        Fields that differ only in bit 0 may read as not ascending, never the
-        reverse.
+        Along the shorter side: with no more strands than planes, each field
+        is compared with the next as bytes, most significant first (the
+        fields reversed whole, so the last comes first); otherwise by the
+        guards of the module docstring, where fields that differ only in bit
+        0 may read as not ascending, never the reverse.
         """
-        size, full = WORD_BITS * self.width, self.count == self._slots
-        bits = self._bits if full else int.from_bytes(self.fields(), "little")
-        guards = (self.live if full else tile(1, size, self.count)) << size
+        if self.count < 2:
+            return True
+        p, fields = self.planes, self.fields()
+        if self.count <= p:
+            backwards = fields[::-1]
+            backwards = [backwards[i : i + p] for i in range(0, len(backwards), p)]
+            return all(map(gt, backwards, backwards[1:]))
+        size, bits = 8 * p, int.from_bytes(fields, "little")
+        guards = tile(1, size, self.count) << size
         cut = bits ^ (bits & guards)
         return ((cut | guards) - (cut >> size)) & guards == 1 << guards.bit_length() >> 1
 
     def keys(self, tables):
         """Each live strand's 64-bit key, read through key_tables(...) (the byte-table decode, machine.py).
 
-        A field byte past the width holds no token.
+        A field byte past the planes holds no token.
         """
-        raw, stride, keys = self.fields(), 8 * self.width, bytearray(8 * self.count)
+        wanted = {b for parts in tables.values() for b, _ in parts if b < self.planes}
+        planes, keys = dict(zip(wanted, self._live_planes(wanted))), bytearray(8 * self.count)
         for k, parts in tables.items():
-            byte = reduce(or_, [int.from_bytes(raw[b::stride].translate(t), "little") for b, t in parts if b < stride], 0)
+            byte = reduce(or_, [int.from_bytes(planes[b].translate(t), "little") for b, t in parts if b in planes], 0)
             keys[k::8] = byte.to_bytes(self.count, "little")
         return _as_words(keys)
 
     def column(self, index: int | None) -> int:
-        """The slot starts of the strands that hold token `index`; None, a token never seen, is in none."""
-        if index is None or index >= WORD_TOKENS * self.width:
+        """The live mask's bits of the strands that hold token `index`; None, a token never seen, is in none."""
+        if index is None:
             return 0
-        return (self._bits >> place(index)) & self.live
+        b, bit = divmod(index, BYTE_TOKENS)
+        return (self._plane(b) >> 1 + bit) & self.live if b < self.planes else 0
 
     def split(self, starts: int) -> tuple["Frame", "Frame"]:
-        """(hit, rest): the strands whose slot starts are set in `starts`, a subset of the live mask such as a column, and the others."""
+        """(hit, rest): the strands whose live bits are set in `starts`, a subset of the live mask such as a column, and the others."""
+        order, planes, raw, s, ints, own = self.order, self.planes, self._raw, self._slots, self._ints, self._own
         hits = starts.bit_count()
-        hit = Frame(self.order, self.width, hits, self._bits, self._slots, starts)
-        return hit, Frame(self.order, self.width, self.count - hits, self._bits, self._slots, self.live ^ starts)
+        hit = Frame(order, planes, hits, raw, s, starts, ints, own)
+        return hit, Frame(order, planes, self.count - hits, raw, s, self.live ^ starts, ints, own)
 
     def grown(self, order: tuple[int, ...], index: int) -> "Frame":
-        """Every strand with token `index` added, as a frame of vertex order `order`."""
-        width = max(self.width, index // WORD_TOKENS + 1)
-        if width > self.width:
-            frame = Frame(order, width, self.count, int.from_bytes(self.fields(width), "little"), self.count)
-        else:
-            frame = Frame(order, width, self.count, self._bits, self._slots, self.live)  # dead slots stay dead
-        frame._bits |= frame.live << place(index)
-        return frame
+        """Every strand with token `index` added, as a frame of vertex order `order`; dead slots stay dead."""
+        b, bit = divmod(index, BYTE_TOKENS)
+        s, live, raw = self._slots, self.live, self._raw
+        if b < self.planes:
+            plane = self._plane(b) | live << 1 + bit
+            raw = b"".join((raw[: b * s], plane.to_bytes(s, "little"), raw[(b + 1) * s :]))
+            changed = {b: plane}
+        else:  # new planes: presence bits, then the token's
+            plane = live | live << 1 + bit
+            raw = b"".join((raw, live.to_bytes(s, "little") * (b - self.planes), plane.to_bytes(s, "little")))
+            changed = dict.fromkeys(range(self.planes, b), live)
+            changed[b] = plane
+        # A frame that grown has not changed shares its plane ints with its
+        # children; one it has changed begins new ones, so no frame copies more
+        # than the planes it changes.
+        ints, own = (self._ints, changed) if not self._own else (changed, {})
+        return Frame(order, max(self.planes, b + 1), self.count, raw, s, live, ints, own)

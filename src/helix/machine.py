@@ -7,14 +7,15 @@ how the peak is counted.  The tokens are the ground truth the simulator
 reasons about, and a codeword's base sequence only ever decides membership.
 
 Runs.  A tube is a tuple of runs, each a frame (frames.py: the strands of one
-vertex order as fields of one int) or a product run.  Both give the
-operations one interface: the strands' vertex `order`, `count`, `live` (the
-live mask, built with the run), column(i) (the live strands that hold token
-i) and split(starts), so every operation has one body.  Extract splits each
-run by a column, append grows each frame, copy shares the tuple and merge
-concatenates the tuples.  new_tube makes one frame per stretch of strands of
-one order.  The machine keeps no table of orders: an order lives as long as
-a run carries it, so the machine holds only live orders.
+vertex order as a byte matrix of planes by slots, whose module docstring
+gives the layout) or a product run.  Both give the operations one interface:
+the strands' vertex `order`, `count`, `live` (the live mask, built with the
+run), column(i) (the live strands that hold token i) and split(starts), so
+every operation has one body.  Extract splits each run by a column, append
+grows each frame, copy shares the tuple and merge concatenates the tuples.
+new_tube makes one frame per stretch of strands of one order.  The machine
+keeps no table of orders: an order lives as long as a run carries it, so the
+machine holds only live orders.
 
 Lazy join.  Adjacent frames of one order are joined, compacted and in order,
 only when the tube is next read (Tube.runs).  So a merged tube discarded
@@ -50,10 +51,10 @@ vertex's bits, so each key byte is an OR over the field bytes that hold the
 group's tokens.  frames.key_tables builds, from the tokens' places and
 colors alone, one 256-entry bytes.translate table per (key byte, field byte)
 pair, entry b the OR of that key byte over the tokens whose bits are set in
-b.  Frame.keys reads a run's compacted fields once, translates each feeding
-field byte of every strand, a strided slice, through its table, ORs the
-slices into the key byte and interleaves the key bytes into one word per
-strand; no token column is read.
+b.  Frame.keys reads each feeding field byte of the live strands once, as
+its plane compacted, translates it through its table, ORs the planes into
+the key byte and interleaves the key bytes into one word per strand; no
+token column is read.
 frames.bit_fields cuts each vertex's colors back out of the keys, which are
 dropped once cut.  One group's keys are sorted as ints before the cut,
 several groups' rows as tuples after it, which is the same lexicographic
@@ -240,8 +241,8 @@ class Tube:
         """One strand of each vertex order in the tube, as a token tuple."""
         firsts = {}
         for run in self.runs:
-            firsts.setdefault(run.order, run.values()[:1])
-        return [self._machine._unpack(order, first)[0] for order, first in firsts.items()]
+            firsts.setdefault(run.order, next(run.values()))
+        return [self._machine._unpack(order, [first])[0] for order, first in firsts.items()]
 
     def colors(self, vertices) -> list[tuple[int, ...]]:
         """Each strand's color at each of `vertices`, in lexicographic order (the byte-table decode).
@@ -411,16 +412,18 @@ class TubeMachine:
         return tube
 
     def append(self, tube: Tube, cw: Codeword) -> Tube:
-        """Extend every strand in the tube with cw's (vertex, color) token."""
+        """Extend every strand in the tube with cw's (vertex, color) token.
+
+        Every run's order is checked before the token is registered, so a
+        refused append changes nothing.
+        """
         self._require_live(tube)
-        v, token = cw.vertex, (cw.vertex, cw.color)
-        index = self._index_of(token)
-        grown = []
-        for run in tube.runs:
+        v, runs = cw.vertex, tube.runs
+        for run in runs:
             if v in run.order:
                 raise MachineFault(f"append: strand already assigns vertex {v}")
-            grown.append(run.grown(run.order + (v,), index))
-        tube._runs = tuple(grown)
+        index = self._index_of((v, cw.color))
+        tube._runs = tuple([run.grown(run.order + (v,), index) for run in runs])
         self.counter.append += 1
         return tube
 

@@ -27,6 +27,7 @@ from helix import (
     trace_document,
     validate_codebook,
 )
+from helix.frames import Frame, place
 from helix.solver import _decode_final
 
 PACKAGE = os.path.dirname(helix.__file__) + os.sep
@@ -115,6 +116,22 @@ def _read_edgeless_trace(n):
     return partial(read_trace_document, json.loads(json.dumps(doc)))
 
 
+def _frames(count, slots, top):
+    """`count` frames of `slots` - 1 live strands each, slot 0 dead, whose fields reach token `top`."""
+    fields = [1 << place(top) | 1 << place(j % top) for j in range(slots)]
+    return [Frame.of_fields((1,), fields).split(1)[1] for _ in range(count)]
+
+
+def _join_by_planes(strands):
+    """Four 7-plane frames (tokens 0..48): more strands than planes, so the join walks the planes."""
+    return partial(Frame.joined, _frames(4, strands + 1, 48))
+
+
+def _join_by_slots(planes):
+    """Two frames of 2 strands: more planes than strands, so the join walks the live slots."""
+    return partial(Frame.joined, _frames(2, 3, 7 * planes - 1))
+
+
 @pytest.mark.parametrize(
     "make, size, most",
     [
@@ -130,6 +147,8 @@ def _read_edgeless_trace(n):
         pytest.param(partial(_generate, length=12), 200, 2.3, id="generate_codebook-length12"),
         pytest.param(_parse_path, 2000, 2.3, id="parse_dimacs-edges"),
         pytest.param(_read_edgeless_trace, 300, 2.3, id="read_trace_document-edgeless-k1"),
+        pytest.param(_join_by_planes, 500, 2.3, id="frame_joined-planes"),
+        pytest.param(_join_by_slots, 200, 2.3, id="frame_joined-slots"),
     ],
 )
 def test_a_long_path_takes_line_events_linear_in_its_input(make, size, most):

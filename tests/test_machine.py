@@ -2,7 +2,6 @@ import copy
 import itertools
 import random
 import unittest.mock
-from array import array
 from collections import Counter
 
 import pytest
@@ -713,12 +712,12 @@ def test_sparse_product_decode_matches_the_walk(rows, density, data):
 def test_single_order_tubes_are_frames_that_widen_past_56_tokens():
     m = TubeMachine()
     m.new_tube("pad", [((100 + i, 0),) for i in range(55)])  # tokens 0..54, one vertex order each
-    assert [r.width for r in m.new_tube("u", [((1, 0),)]).runs] == [1]  # token 55, the last of word 0
+    assert [r.planes for r in m.new_tube("u", [((1, 0),)]).runs] == [8]  # token 55, the last of word 0
     t = m.new_tube("t", [((1, 0),), ((1, 1),), ((1, 0),)])  # token 56 starts word 1
-    assert [(type(r), r.width) for r in t.runs] == [(helix.frames.Frame, 2)]
+    assert [(type(r), r.planes) for r in t.runs] == [(helix.frames.Frame, 9)]
     m.new_tube("pad", [((200 + i, 0),) for i in range(130)])  # tokens 57..186
     m.append(t, cw(2, 3))  # token 187, in the fourth word
-    assert [r.width for r in t.runs] == [4]
+    assert [r.planes for r in t.runs] == [27]
     plus, minus = m.extract(t, cw(1, 0))  # both keep an empty slot
     assert [(r.count, r._slots) for r in plus.runs + minus.runs] == [(2, 3), (1, 3)]
     assert (plus.contents, minus.contents) == ([((1, 0), (2, 3))] * 2, [((1, 1), (2, 3))])
@@ -733,66 +732,75 @@ def test_single_order_tubes_are_frames_that_widen_past_56_tokens():
     m.merge(plus, [m.new_tube("other", [((5, 0),)])])  # another order: both stay frames
     assert [(type(r), r.count) for r in plus.runs] == [(helix.frames.Frame, 3), (helix.frames.Frame, 1)]
     assert plus.contents == [((1, 0), (2, 3))] * 2 + [((1, 1), (2, 3)), ((5, 0),)]
-    # A field's presence bits depend on its frame's width, so equal strands
-    # in frames of different widths are different ints.
+    # A field's presence bits depend on its frame's planes, so equal strands
+    # in frames of different planes are different ints.
     m = TubeMachine()
-    narrow = m.new_tube("narrow", [((1, 0),)])  # token 0: fields of one word
+    narrow = m.new_tube("narrow", [((1, 0),)])  # token 0: fields of one plane
     m.discard(m.new_tube("pad", [((100 + i, 0),) for i in range(55)]))  # tokens 1..55
-    wide = m.new_tube("wide", [((1, 1),), ((1, 0),)])  # token 56: fields of two words
+    wide = m.new_tube("wide", [((1, 1),), ((1, 0),)])  # token 56: fields of nine planes
     a, b = m.copy(narrow, 2)
     m.merge(a, [wide])
-    assert [(r.order, r.width) for r in a._runs] == [((1,), 1), ((1,), 2)]
+    assert [(r.order, r.planes) for r in a._runs] == [((1,), 1), ((1,), 9)]
     assert (len(a), a.distinct()) == (3, 2)
     wide = m.new_tube("wide", [((1, 1),), ((1, 0),)])
     m.merge(b, [m.new_tube("between", [((2, 0),)]), wide])  # one order's runs, apart
-    assert [r.width for r in b.runs] == [1, 2, 2]
+    assert [r.planes for r in b.runs] == [1, 9, 9]
     assert (len(b), b.distinct()) == (4, 3)
 
 
 # Token indices at the byte edges (6/7), the word edges (55/56, 111/112) and
-# the last token of a four-word field (223).
+# the last token of a 32-plane (four-word) field (223).
 EDGE_TOKENS = (0, 6, 7, 13, 14, 48, 55, 56, 62, 63, 111, 112, 167, 168, 223)
 edge_token_st = st.sampled_from(EDGE_TOKENS) | st.integers(0, 223)
 
 
-def compacted_words(frame):
-    """The reference compaction: the frame's fields, dead slots zeroed one by one, zero words dropped.
+def fortran(raw, rows, cols):
+    """The reference transposition: a rows x cols byte matrix stored row by row, stored column by column."""
+    return memoryview(raw).cast("B", (rows, cols)).tobytes(order="F") if raw else b""
 
-    Every word of a live field carries presence bits, so filtering out the
-    zero words leaves exactly the live fields.
+
+def compacted_fields(frame):
+    """The reference compaction: each plane's bytes, dead slots zeroed one by one, zero bytes dropped, then transposed.
+
+    Every byte of a live field carries a presence bit, so filtering out the
+    zero bytes leaves exactly the live slots of each plane; the planes read
+    slot by slot are the live fields.
     """
-    size, live, words = helix.frames.WORD_BITS * frame.width, frame.live, []
-    for j in range(frame._slots):
-        field = (frame._bits >> (j * size)) % (1 << size) if live >> (j * size) & 1 else 0
-        words += [field >> (64 * w) & (2**64 - 1) for w in range(frame.width)]
-    return array("Q", filter(None, words))
+    s, live = frame._slots, frame.live
+    planes = [
+        bytes(filter(None, [frame._raw[b * s + j] if live >> (8 * j) & 1 else 0 for j in range(s)]))
+        for b in range(frame.planes)
+    ]
+    return fortran(b"".join(planes), frame.planes, frame.count)
 
 
-def model_field(strand, width):
-    """A strand's field in `width` words, from its token indices."""
-    return sum(1 << helix.frames.place(i) for i in strand) | helix.frames.tile(helix.frames.PRESENT, 64, width)
+def model_field(strand, planes):
+    """A strand's field in `planes` bytes, from its token indices."""
+    return sum(1 << helix.frames.place(i) for i in strand) | int.from_bytes(b"\1" * planes, "little")
 
 
-def live_in(slots, mask, width):
-    """The strands of `slots` whose slot starts (fields of `width` words) are set in mask; None for the rest."""
-    return [s if s is not None and mask >> (64 * width * j) & 1 else None for j, s in enumerate(slots)]
+def live_in(slots, mask):
+    """The strands of `slots` whose live bits (bit 0 of each slot's byte) are set in mask; None for the rest."""
+    return [s if s is not None and mask >> (8 * j) & 1 else None for j, s in enumerate(slots)]
 
 
 def check_frame_against_slots(frame, slots):
     """frame holds the strands `slots` (token index sets, None for a dead slot), slot by slot."""
     live = [s for s in slots if s is not None]
-    size = helix.frames.WORD_BITS * frame.width
     assert (frame._slots, frame.count) == (len(slots), len(live))
-    assert frame.live == sum(1 << (j * size) for j, s in enumerate(slots) if s is not None)
-    for extra in (0, 1):
-        width = frame.width + extra
-        assert frame.fields(width) == b"".join(model_field(s, width).to_bytes(8 * width, "little") for s in live)
-    assert list(frame.values()) == [model_field(s, frame.width) for s in live]
-    assert frame.fields() == b"".join(w.to_bytes(8, "little") for w in compacted_words(frame))
-    fields = [model_field(s, frame.width) for s in live]
+    assert len(frame._raw) == frame.planes * frame._slots
+    assert frame.live == sum(1 << (8 * j) for j, s in enumerate(slots) if s is not None)
+    for extra in (0, 1):  # both sides of the walk, and both padded to one plane more
+        planes = frame.planes + extra
+        want = b"".join(model_field(s, planes).to_bytes(planes, "little") for s in live)
+        for side in (helix.frames._by_planes, helix.frames._by_slots):
+            assert side([frame], planes) == (fortran(want, len(live), planes), want)
+    assert list(frame.values()) == [model_field(s, frame.planes) for s in live]
+    assert frame.fields() == compacted_fields(frame)
+    fields = [model_field(s, frame.planes) for s in live]
     assert frame.ascending() == all(a < b for a, b in zip(fields, fields[1:]))
     for i in EDGE_TOKENS:
-        assert frame.column(i) == sum(1 << (j * size) for j, s in enumerate(slots) if s is not None and i in s)
+        assert frame.column(i) == sum(1 << (8 * j) for j, s in enumerate(slots) if s is not None and i in s)
     tables = helix.frames.key_tables((i, 1 << 4 * j) for j, i in enumerate(EDGE_TOKENS))  # every key byte
     assert list(frame.keys(tables)) == [sum(1 << 4 * j for j, i in enumerate(EDGE_TOKENS) if i in s) for s in live]
 
@@ -800,11 +808,12 @@ def check_frame_against_slots(frame, slots):
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_frames_hold_their_live_strands_slot_by_slot(data):
-    """A random script of splits, appends and joins on frames of 1-4 words against per-slot strands.
+    """A random script of splits, appends and joins on frames of 1-32 planes against per-slot strands.
 
     A split keeps the source's slots, and the dead slots of both outputs keep
-    their fields in the shared int, so after every step the compacted words
-    and values, every column and the keys must leave the dead slots out.
+    their bytes in the shared matrix, as do the dead slots of a grown frame,
+    so after every step the compacted fields and values, every column and
+    the keys must leave the dead slots out.
     """
     strands_st = st.lists(st.frozensets(edge_token_st, max_size=4), min_size=1, max_size=6)
 
@@ -820,22 +829,22 @@ def test_frames_hold_their_live_strands_slot_by_slot(data):
             if op == "split by two":  # two columns ANDed, as a nucleotide chain gives
                 starts &= frame.column(data.draw(edge_token_st))
             hit, rest = frame.split(starts)
-            assert hit._bits is frame._bits and rest._bits is frame._bits
-            hit_slots = live_in(slots, starts, frame.width)
-            rest_slots = live_in(slots, frame.live ^ starts, frame.width)
+            assert hit._raw is frame._raw and rest._raw is frame._raw
+            assert hit._ints is frame._ints and rest._ints is frame._ints
+            hit_slots = live_in(slots, starts)
+            rest_slots = live_in(slots, frame.live ^ starts)
             check_frame_against_slots(hit, hit_slots)
             keep_hit = data.draw(st.booleans()) if hit.count and rest.count else bool(hit.count)
             frame, slots = (hit, hit_slots) if keep_hit else (rest, rest_slots)
-        elif op == "grow":  # a token past the width widens, which compacts
+        elif op == "grow":  # a token past the planes adds planes; dead slots stay dead
             i = data.draw(edge_token_st)
-            widens = i // helix.frames.WORD_TOKENS >= frame.width
             frame = frame.grown(0, i)
-            slots = [None if s is None else s | {i} for s in slots if s is not None or not widens]
+            slots = [None if s is None else s | {i} for s in slots]
         else:
             other, more = made(data.draw(strands_st))
             if data.draw(st.booleans()):  # the other frame with dead slots too
                 other, _ = other.split(other.column(data.draw(edge_token_st)) or other.live)
-                more = live_in(more, other.live, other.width)
+                more = live_in(more, other.live)
             frame = helix.frames.Frame.joined([frame, other])
             slots = [s for s in slots + more if s is not None]
         check_frame_against_slots(frame, slots)
@@ -846,8 +855,9 @@ def test_frames_hold_their_live_strands_slot_by_slot(data):
 def test_ascending_is_a_pairwise_strict_increase_of_the_values(data):
     """Frame.ascending against a pairwise comparison of list(values()), the repeat check's exact reading.
 
-    Frames of 1-3 words whose fields are as drawn, sorted, sorted with one
-    repeat or sorted with one descending pair, some with dead slots.
+    Frames of 1-3 words (up to 24 planes, so both the bytewise and the guard
+    comparison) whose fields are as drawn, sorted, sorted with one repeat or
+    sorted with one descending pair, some with dead slots.
     """
     width = data.draw(st.integers(1, 3))
     drawn = data.draw(st.lists(st.integers(0, 2 ** (64 * width) - 1), min_size=1, max_size=12))
@@ -863,10 +873,25 @@ def test_ascending_is_a_pairwise_strict_increase_of_the_values(data):
     frame = helix.frames.Frame.of_fields(0, values)
     if data.draw(st.booleans()):  # dead slots: keep a drawn subset of the slots
         kept = data.draw(st.lists(st.booleans(), min_size=len(values), max_size=len(values)))
-        starts = sum(1 << (64 * frame.width * j) for j, keep in enumerate(kept) if keep)
+        starts = sum(1 << (8 * j) for j, keep in enumerate(kept) if keep)
         frame, _ = frame.split(starts or frame.live)
     values = list(frame.values())
     assert frame.ascending() == all(a < b for a, b in zip(values, values[1:]))
+
+
+def test_split_outputs_grown_apart_read_their_own_planes():
+    """Two split outputs share the source's plane ints; grown past their planes, each keeps its own new planes.
+
+    Token 30 is in plane 4, so each grown frame adds presence-only planes 1-3
+    over its own live slots, which differ between the two.
+    """
+    slots = [frozenset({i % 3}) for i in range(8)]
+    frame = helix.frames.Frame.of_fields(0, [model_field(s, 1) for s in slots])
+    hit, rest = frame.split(frame.column(0))
+    for part in (hit, rest):
+        grown = part.grown(0, 30)
+        assert grown._ints is frame._ints
+        check_frame_against_slots(grown, [None if s is None else s | {30} for s in live_in(slots, part.live)])
 
 
 def test_extract_outputs_share_the_source_field_int():
@@ -874,8 +899,42 @@ def test_extract_outputs_share_the_source_field_int():
     t = m.new_tube("t", [((1, 0),), ((1, 1),), ((1, 0),)])
     (source,) = t.runs
     plus, minus = m.extract(t, cw(1, 0))
-    assert all(r._bits is source._bits for r in plus._runs + minus._runs)
+    assert all(r._raw is source._raw and r._ints is source._ints for r in plus._runs + minus._runs)
     assert [(r.count, r._slots) for r in plus._runs + minus._runs] == [(2, 3), (1, 3)]
+
+
+@pytest.mark.parametrize("rows, cols", [(3, 7), (7, 3), (1, 9), (9, 1)], ids=["rows<cols", "rows>cols", "1xn", "nx1"])
+def test_transposed_is_a_fortran_order_copy(rows, cols):
+    raw = random.Random(rows * cols).randbytes(rows * cols)
+    assert helix.frames.transposed(raw, rows, cols) == fortran(raw, rows, cols)
+    assert helix.frames.transposed(helix.frames.transposed(raw, rows, cols), cols, rows) == raw
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_both_join_sides_give_one_frame(data):
+    """Frame.joined walked plane by plane and slot by slot, each forced, on the same frames.
+
+    One to three frames of 1-32 planes, some split (dead slots) and some
+    grown, so the narrower ones are padded; both sides must give the same
+    plane bytes, count, values and ascending.
+    """
+    strands_st = st.lists(st.frozensets(edge_token_st, max_size=4), min_size=1, max_size=6)
+    frames = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        frame = helix.frames.Frame.of_fields(0, [model_field(s, 1) for s in data.draw(strands_st)])
+        if data.draw(st.booleans()):
+            frame = frame.grown(0, data.draw(edge_token_st))
+        if data.draw(st.booleans()):
+            frame, _ = frame.split(frame.column(data.draw(edge_token_st)) or frame.live)
+        frames.append(frame)
+    joined = []
+    for side in (helix.frames._by_planes, helix.frames._by_slots):
+        with unittest.mock.patch("helix.frames._packed", side):
+            frame = helix.frames.Frame.joined(frames)
+        joined.append((frame._raw, frame.planes, frame.count, list(frame.values()), frame.ascending()))
+    assert joined[0] == joined[1]
+    assert joined[0][2] == sum(f.count for f in frames)
 
 
 def test_colors_of_a_vertex_missing_from_one_run_raise_key_error():
@@ -1025,7 +1084,7 @@ def test_colors_of_wide_fields_fill_several_key_bytes(data):
         tube = m.new_tube("t", strands)
         if data.draw(st.booleans()):  # frames with dead slots
             tube, _ = m.extract(tube, Codeword(*data.draw(st.sampled_from(strands))[0], ""))
-    assert all(run.width > 1 for run in tube.runs)
+    assert all(run.planes > 8 for run in tube.runs)
     m.discard(m.new_tube("late", [((200 + j, 0),) for j in range(56)] + [((v, 7),) for v in shared]))
     assert tube.colors(vertices) == sorted(tuple(dict(s)[v] for v in vertices) for s in tube.contents)
 
@@ -1198,6 +1257,19 @@ def test_a_new_tube_refused_by_a_machine_fault_registers_none_of_its_tokens():
         with pytest.raises(MachineFault, match=message):
             m.new_tube("x", bad)
         assert machine_books(m, [kept]) == before
+
+
+@pytest.mark.parametrize("coded", [False, True], ids=["symbolic", "codebook"])
+def test_an_append_refused_for_a_repeated_vertex_registers_no_token(coded):
+    """Appending (1, 1) to a tube of ((1, 0),) faults and leaves the token index, counter and tube as they were."""
+    cb = generate_codebook(2, 2, 12, 0)
+    m = TubeMachine(cb if coded else None)
+    t = m.new_tube("t", [((1, 0),)])
+    before = machine_books(m, [t])
+    with pytest.raises(MachineFault, match="already assigns vertex 1"):
+        m.append(t, cb.codeword(1, 1))
+    assert machine_books(m, [t]) == before
+    assert (1, 1) not in m._index
 
 
 @pytest.mark.parametrize("token", [(3, 1), (1, 5)])
