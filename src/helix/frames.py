@@ -20,9 +20,10 @@ bit per strand that holds it.  Columns combine by AND and OR, and split by a
 column gives two frames that share the source's matrix and the plane ints
 read so far, and differ only in their live masks, so an extract writes no
 field.  grown ORs the live mask in at the token's bit of one plane, or adds
-planes, the gap filled with presence bits; it copies the matrix with that
-one plane replaced, and shares the plane ints read so far but that one (a
-frame grown from a grown frame begins its own).
+planes, the gap filled with presence bits.  It shares the matrix and the
+plane ints too, and keeps the planes it changed as its own; they are
+written into a copy of the matrix only when the matrix is read whole, by a
+slot-side compaction or by growing the grown frame again.
 
 Compaction and the shorter side.  A dead slot's bytes stay in the matrix
 until the fields are next read: by a join, ascending, values or keys.  The
@@ -32,35 +33,33 @@ ANDed with the live mask spread over its slot bytes, and since every byte of
 a live field is non-zero, deleting the zero bytes with one bytes.translate
 leaves exactly the live slots, in order.  Otherwise each live slot's field is
 one strided slice of the matrix.  A join pads the fields of frames with fewer
-planes with presence bytes.  The joined frame keeps both orientations: the
-plane-major matrix that columns and keys read, and the slot-major fields,
-`planes` little-endian bytes each, that ascending and values read;
-transposed turns one into the other along the shorter side.
+planes with presence bytes, and keeps both orientations: the plane-major
+matrix that columns read, and the slot-major fields, `planes` little-endian
+bytes each, that ascending, values and keys read; transposed turns one into
+the other along the shorter side.
 
 Ascending frames.  ascending tests whether the slot-major fields, read as
-ints, strictly increase from slot to slot.  With no more strands than
-planes, it compares each field with the next as bytes.  Otherwise it takes a
-few whole-frame int operations.  Read from bit 1 up, each field ends in the
-next slot's presence bit.  That bit is cleared and set again as a guard that
-no borrow crosses, so in `guard + field - next field` it stays exactly where
-the field is not below the next; the last field's guard always stays, so the
-fields ascend when it is the only guard left.  Strictly increasing fields
-hold no strand twice.  The solver's survivor tube stays one ascending frame:
-a token's place rises with the order in which the machine first saw it, so
-the colors appended at a step outrank every earlier token and rise with the
-color; split and the join keep slot order, merge keeps the color tubes in
-color order, and padding adds presence bytes only.  So the fields stay in
-colex order of the run order, the newest token most significant.  Only the
-speed of the repeat check (Tube.distinct) relies on this.
+ints, strictly increase from slot to slot, with a few whole-frame int
+operations.  Read from bit 1 up, each field but the last ends in the next
+slot's presence bit.  That bit is cleared and set again as a guard that no
+borrow crosses, so in `guard + field - next field` it is cleared exactly
+where the field is below the next, and the fields ascend when no guard is
+left.  Strictly increasing fields hold no strand twice.  The solver's
+survivor tube stays one ascending frame: a token's place rises with the
+order in which the machine first saw it, so the colors appended at a step
+outrank every earlier token and rise with the color; split and the join
+keep slot order, merge keeps the color tubes in color order, and padding
+adds presence bytes only.  So the fields stay in colex order of the run
+order, the newest token most significant.  Only the speed of the repeat
+check (Tube.distinct) relies on this.
 """
 
 from __future__ import annotations
 
-import sys
-from array import array
+import struct
 from functools import cache, reduce
 from itertools import chain, compress
-from operator import gt, or_
+from operator import or_
 
 WORD_BITS = 64  # a decode key and a color are one word of this many bits
 BYTE_TOKENS = 7  # bit 0 of each byte marks a present strand
@@ -73,12 +72,8 @@ def place(i: int) -> int:
 
 
 def _as_words(raw):
-    """Little-endian bytes as a sequence of 64-bit ints."""
-    if sys.byteorder == "little":
-        return memoryview(raw).cast("Q")  # no copy
-    words = array("Q", raw)
-    words.byteswap()
-    return words
+    """Little-endian bytes as a tuple of 64-bit ints."""
+    return struct.unpack(f"<{len(raw) // 8}Q", raw)
 
 
 def _ones(count: int) -> int:
@@ -149,10 +144,8 @@ def bit_fields(values, fields) -> list:
     byte of the word is that byte of every value, translated; any other is a
     shift and a mask over all the words side by side.
     """
-    count, words = len(values), array("Q", values)
-    if sys.byteorder == "big":
-        words.byteswap()
-    raw, joined, out = words.tobytes(), None, []
+    count = len(values)
+    raw, joined, out = struct.pack(f"<{count}Q", *values), None, []
     for offset, width in fields:
         byte, shift = divmod(offset, 8)
         if shift + width <= 8:
@@ -165,33 +158,16 @@ def bit_fields(values, fields) -> list:
     return out
 
 
-def _by_planes(frames: list["Frame"], planes: int) -> tuple[bytes, bytes]:
-    """The frames' live strands in order, in fields of `planes` bytes: (plane-major, slot-major), plane by plane."""
-    raw = b"".join(chain.from_iterable(zip(*[f._live_planes(range(planes)) for f in frames])))
-    return raw, transposed(raw, planes, len(raw) // planes)
-
-
-def _by_slots(frames: list["Frame"], planes: int) -> tuple[bytes, bytes]:
-    """What _by_planes gives, live slot by live slot."""
-    fields = b"".join(chain.from_iterable(f._live_fields(planes) for f in frames))
-    return transposed(fields, len(fields) // planes, planes), fields
-
-
-def _packed(frames: list["Frame"], planes: int) -> tuple[bytes, bytes]:
-    """_by_planes or _by_slots, whichever walks the shorter side of the joined matrix."""
-    return (_by_planes if planes <= sum(f.count for f in frames) else _by_slots)(frames, planes)
-
-
 class Frame:
     """Strands of one vertex order as a planes x slots byte matrix (see the module docstring).
 
     `order` is the strands' vertex order, a tuple the frame only carries,
     `planes` the bytes per field, `count` the strands, `_slots` the slots,
-    dead ones included, `_raw` the plane-major matrix and `live` the live
-    mask.  Planes read as ints are kept in `_own` when grown changed or added
-    them since the frame that began `_ints`, and in `_ints` otherwise; split
-    and grown share `_ints`, and split shares `_own` too.  `_fields` keeps
-    the slot-major fields of the live strands once read.  A frame is never
+    dead ones included, and `live` the live mask.  `_raw` is the plane-major
+    matrix but for the planes in `_own`, the ints of the planes grown
+    changed or added (see _matrix); `_ints` holds the other planes read as
+    ints, shared with split outputs and grown children.  `_fields` is the
+    slot-major fields of the live strands once read.  A frame is never
     changed once built.
     """
 
@@ -211,42 +187,40 @@ class Frame:
 
     @classmethod
     def joined(cls, frames: list["Frame"]) -> "Frame":
-        """The frames' strands in order, compacted, in fields of the most planes of any of them."""
-        planes = max(f.planes for f in frames)
-        raw, fields = _packed(frames, planes)
-        count = len(fields) // planes
+        """The frames' strands in order, compacted along the shorter side, in fields of the most planes of any of them."""
+        planes, count = max(f.planes for f in frames), sum(f.count for f in frames)
+        if planes <= count:
+            raw = b"".join(chain.from_iterable(zip(*[f._live_planes(planes) for f in frames])))
+            fields = transposed(raw, planes, count)
+        else:
+            fields = b"".join(chain.from_iterable(f._live_fields(planes) for f in frames))
+            raw = transposed(fields, count, planes)
         return cls(frames[0].order, planes, count, raw, count, _ones(count), {}, {}, fields)
 
-    def _plane(self, b: int) -> int:
+    def _plane(self, b):
         """Plane b as an int of `_slots` bytes, read once for every frame that shares it."""
-        plane = self._own.get(b)
-        if plane is None:
-            plane = self._ints.get(b)
-        if plane is None:
+        ints = self._own if b in self._own else self._ints
+        if b not in ints:
             s = self._slots
-            plane = self._ints[b] = int.from_bytes(self._raw[b * s : (b + 1) * s], "little")
-        return plane
+            ints[b] = int.from_bytes(self._raw[b * s : (b + 1) * s], "little")
+        return ints[b]
 
-    def _live_planes(self, wanted) -> list[bytes]:
-        """The live slots' bytes of each plane in `wanted`; presence bytes for one past self.planes."""
-        s, raw, p, pad = self._slots, self._raw, self.planes, b"\1" * self.count
-        if self.count == s:
-            return [raw[b * s : (b + 1) * s] if b < p else pad for b in wanted]
-        spread = (self.live << 8) - self.live  # 0xff in each live slot's byte
-        return [
-            (self._plane(b) & spread).to_bytes(s, "little").translate(None, b"\0") if b < p else pad for b in wanted
-        ]
+    def _live_planes(self, planes):
+        """The live slots' bytes of each of `planes` planes, presence bytes past self.planes."""
+        spread, s = (self.live << 8) - self.live, self._slots  # 0xff in each live slot's byte
+        live = [(self._plane(b) & spread).to_bytes(s, "little").translate(None, b"\0") for b in range(self.planes)]
+        return live + [b"\1" * self.count] * (planes - self.planes)
 
-    def _live_fields(self, planes: int) -> list[bytes]:
+    def _live_fields(self, planes):
         """The live slots' fields, each one strided slice, padded to `planes` bytes."""
-        s, raw, pad = self._slots, self._raw, b"\1" * (planes - self.planes)
-        live = range(s) if self.count == s else compress(range(s), self.live.to_bytes(s, "little"))
-        return [raw[j::s] + pad for j in live]
+        s, raw, pad = self._slots, self._matrix(), b"\1" * (planes - self.planes)
+        return [raw[j::s] + pad for j in compress(range(s), self.live.to_bytes(s, "little"))]
 
     def fields(self) -> bytes:
-        """The live strands' fields, slot by slot, `planes` little-endian bytes each."""
+        """The live strands' fields, slot by slot, `planes` little-endian bytes each, along the shorter side."""
         if self._fields is None:
-            self._fields = _packed([self], self.planes)[1]
+            p, n = self.planes, self.count
+            self._fields = transposed(b"".join(self._live_planes(p)), p, n) if p <= n else b"".join(self._live_fields(p))
         return self._fields
 
     def values(self):
@@ -257,33 +231,24 @@ class Frame:
     def ascending(self) -> bool:
         """Whether the strands' fields, read as ints, strictly increase from slot to slot.
 
-        Along the shorter side: with no more strands than planes, each field
-        is compared with the next as bytes, most significant first (the
-        fields reversed whole, so the last comes first); otherwise by the
-        guards of the module docstring, where fields that differ only in bit
-        0 may read as not ascending, never the reverse.
+        Fields that differ only in bit 0 may read as not ascending, never the
+        reverse.
         """
         if self.count < 2:
             return True
-        p, fields = self.planes, self.fields()
-        if self.count <= p:
-            backwards = fields[::-1]
-            backwards = [backwards[i : i + p] for i in range(0, len(backwards), p)]
-            return all(map(gt, backwards, backwards[1:]))
-        size, bits = 8 * p, int.from_bytes(fields, "little")
-        guards = tile(1, size, self.count) << size
+        size, bits = 8 * self.planes, int.from_bytes(self.fields(), "little")
+        guards = tile(1 << size, size, self.count - 1)
         cut = bits ^ (bits & guards)
-        return ((cut | guards) - (cut >> size)) & guards == 1 << guards.bit_length() >> 1
+        return not ((cut | guards) - (cut >> size)) & guards
 
     def keys(self, tables):
         """Each live strand's 64-bit key, read through key_tables(...) (the byte-table decode, machine.py).
 
         A field byte past the planes holds no token.
         """
-        wanted = {b for parts in tables.values() for b, _ in parts if b < self.planes}
-        planes, keys = dict(zip(wanted, self._live_planes(wanted))), bytearray(8 * self.count)
+        raw, p, keys = self.fields(), self.planes, bytearray(8 * self.count)
         for k, parts in tables.items():
-            byte = reduce(or_, [int.from_bytes(planes[b].translate(t), "little") for b, t in parts if b in planes], 0)
+            byte = reduce(or_, [int.from_bytes(raw[b::p].translate(t), "little") for b, t in parts if b < p], 0)
             keys[k::8] = byte.to_bytes(self.count, "little")
         return _as_words(keys)
 
@@ -302,20 +267,26 @@ class Frame:
         return hit, Frame(order, planes, self.count - hits, raw, s, self.live ^ starts, ints, own)
 
     def grown(self, order: tuple[int, ...], index: int) -> "Frame":
-        """Every strand with token `index` added, as a frame of vertex order `order`; dead slots stay dead."""
+        """Every strand with token `index` added, as a frame of vertex order `order`; dead slots stay dead.
+
+        The grown frame shares this frame's matrix and plane ints but for
+        the planes it changes or adds, its own.  A frame with own planes that
+        this grow does not replace is first written whole (_matrix), so no
+        frame keeps more own planes than one grown changes.
+        """
         b, bit = divmod(index, BYTE_TOKENS)
-        s, live, raw = self._slots, self.live, self._raw
-        if b < self.planes:
-            plane = self._plane(b) | live << 1 + bit
-            raw = b"".join((raw[: b * s], plane.to_bytes(s, "little"), raw[(b + 1) * s :]))
-            changed = {b: plane}
-        else:  # new planes: presence bits, then the token's
-            plane = live | live << 1 + bit
-            raw = b"".join((raw, live.to_bytes(s, "little") * (b - self.planes), plane.to_bytes(s, "little")))
-            changed = dict.fromkeys(range(self.planes, b), live)
-            changed[b] = plane
-        # A frame that grown has not changed shares its plane ints with its
-        # children; one it has changed begins new ones, so no frame copies more
-        # than the planes it changes.
-        ints, own = (self._ints, changed) if not self._own else (changed, {})
-        return Frame(order, max(self.planes, b + 1), self.count, raw, s, live, ints, own)
+        p, live = self.planes, self.live
+        own = dict.fromkeys(range(p, b), live)  # new planes before the token's: presence bits
+        own[b] = (self._plane(b) if b < p else live) | live << 1 + bit
+        raw, ints = (self._matrix(), {}) if self._own.keys() - own.keys() else (self._raw, self._ints)
+        return Frame(order, max(p, b + 1), self.count, raw, self._slots, live, ints, own)
+
+    def _matrix(self) -> bytes:
+        """The plane-major matrix with the planes in `_own` written in."""
+        if not self._own:
+            return self._raw
+        s, raw = self._slots, bytearray(self._raw)
+        raw += bytes(s * self.planes - len(raw))  # room for the planes grown added
+        for b, plane in self._own.items():
+            raw[b * s : (b + 1) * s] = plane.to_bytes(s, "little")
+        return bytes(raw)

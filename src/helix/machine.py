@@ -51,10 +51,10 @@ vertex's bits, so each key byte is an OR over the field bytes that hold the
 group's tokens.  frames.key_tables builds, from the tokens' places and
 colors alone, one 256-entry bytes.translate table per (key byte, field byte)
 pair, entry b the OR of that key byte over the tokens whose bits are set in
-b.  Frame.keys reads each feeding field byte of the live strands once, as
-its plane compacted, translates it through its table, ORs the planes into
-the key byte and interleaves the key bytes into one word per strand; no
-token column is read.
+b.  Frame.keys reads a run's compacted fields once, translates each feeding
+field byte of every strand, a strided slice, through its table, ORs the
+slices into the key byte and interleaves the key bytes into one word per
+strand; no token column is read.
 frames.bit_fields cuts each vertex's colors back out of the keys, which are
 dropped once cut.  One group's keys are sorted as ints before the cut,
 several groups' rows as tuples after it, which is the same lexicographic

@@ -766,9 +766,9 @@ def compacted_fields(frame):
     zero bytes leaves exactly the live slots of each plane; the planes read
     slot by slot are the live fields.
     """
-    s, live = frame._slots, frame.live
+    s, live, raw = frame._slots, frame.live, frame._matrix()
     planes = [
-        bytes(filter(None, [frame._raw[b * s + j] if live >> (8 * j) & 1 else 0 for j in range(s)]))
+        bytes(filter(None, [raw[b * s + j] if live >> (8 * j) & 1 else 0 for j in range(s)]))
         for b in range(frame.planes)
     ]
     return fortran(b"".join(planes), frame.planes, frame.count)
@@ -788,13 +788,13 @@ def check_frame_against_slots(frame, slots):
     """frame holds the strands `slots` (token index sets, None for a dead slot), slot by slot."""
     live = [s for s in slots if s is not None]
     assert (frame._slots, frame.count) == (len(slots), len(live))
-    assert len(frame._raw) == frame.planes * frame._slots
+    assert len(frame._matrix()) == frame.planes * frame._slots
     assert frame.live == sum(1 << (8 * j) for j, s in enumerate(slots) if s is not None)
     for extra in (0, 1):  # both sides of the walk, and both padded to one plane more
         planes = frame.planes + extra
         want = b"".join(model_field(s, planes).to_bytes(planes, "little") for s in live)
-        for side in (helix.frames._by_planes, helix.frames._by_slots):
-            assert side([frame], planes) == (fortran(want, len(live), planes), want)
+        assert b"".join(frame._live_planes(planes)) == fortran(want, len(live), planes)
+        assert b"".join(frame._live_fields(planes)) == want
     assert list(frame.values()) == [model_field(s, frame.planes) for s in live]
     assert frame.fields() == compacted_fields(frame)
     fields = [model_field(s, frame.planes) for s in live]
@@ -855,9 +855,9 @@ def test_frames_hold_their_live_strands_slot_by_slot(data):
 def test_ascending_is_a_pairwise_strict_increase_of_the_values(data):
     """Frame.ascending against a pairwise comparison of list(values()), the repeat check's exact reading.
 
-    Frames of 1-3 words (up to 24 planes, so both the bytewise and the guard
-    comparison) whose fields are as drawn, sorted, sorted with one repeat or
-    sorted with one descending pair, some with dead slots.
+    Frames of 1-3 words (up to 24 planes) whose fields are as drawn, sorted,
+    sorted with one repeat or sorted with one descending pair, some with dead
+    slots.
     """
     width = data.draw(st.integers(1, 3))
     drawn = data.draw(st.lists(st.integers(0, 2 ** (64 * width) - 1), min_size=1, max_size=12))
@@ -880,18 +880,27 @@ def test_ascending_is_a_pairwise_strict_increase_of_the_values(data):
 
 
 def test_split_outputs_grown_apart_read_their_own_planes():
-    """Two split outputs share the source's plane ints; grown past their planes, each keeps its own new planes.
+    """Two split outputs share the source's matrix and plane ints; grown past their planes, each keeps its own new planes.
 
     Token 30 is in plane 4, so each grown frame adds presence-only planes 1-3
-    over its own live slots, which differ between the two.
+    over its own live slots, which differ between the two, and keeps them
+    out of the shared matrix until that is read whole; grown again, the
+    frame writes them in first.
     """
     slots = [frozenset({i % 3}) for i in range(8)]
     frame = helix.frames.Frame.of_fields(0, [model_field(s, 1) for s in slots])
     hit, rest = frame.split(frame.column(0))
     for part in (hit, rest):
         grown = part.grown(0, 30)
-        assert grown._ints is frame._ints
-        check_frame_against_slots(grown, [None if s is None else s | {30} for s in live_in(slots, part.live)])
+        assert grown._raw is frame._raw and grown._ints is frame._ints and sorted(grown._own) == [1, 2, 3, 4]
+        grown_slots = [None if s is None else s | {30} for s in live_in(slots, part.live)]
+        check_frame_against_slots(grown, grown_slots)
+        again = grown.grown(0, 29)  # token 29 is in plane 4, one of grown's own
+        assert len(again._raw) == 5 * len(slots) and list(again._own) == [4] and again._ints is not frame._ints
+        check_frame_against_slots(again, [None if s is None else s | {29} for s in grown_slots])
+    twice = frame.grown(0, 3).grown(0, 5)  # both in plane 0: the second grow replaces the first's own plane
+    assert twice._raw is frame._raw and twice._ints is frame._ints and list(twice._own) == [0]
+    check_frame_against_slots(twice, [s | {3, 5} for s in slots])
 
 
 def test_extract_outputs_share_the_source_field_int():
@@ -913,11 +922,11 @@ def test_transposed_is_a_fortran_order_copy(rows, cols):
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_both_join_sides_give_one_frame(data):
-    """Frame.joined walked plane by plane and slot by slot, each forced, on the same frames.
+    """The join walked plane by plane and slot by slot, each forced, on the same frames.
 
     One to three frames of 1-32 planes, some split (dead slots) and some
-    grown, so the narrower ones are padded; both sides must give the same
-    plane bytes, count, values and ascending.
+    grown, so the narrower ones are padded; a frame built from either walk
+    must give the plane bytes, count, values and ascending of Frame.joined.
     """
     strands_st = st.lists(st.frozensets(edge_token_st, max_size=4), min_size=1, max_size=6)
     frames = []
@@ -928,13 +937,17 @@ def test_both_join_sides_give_one_frame(data):
         if data.draw(st.booleans()):
             frame, _ = frame.split(frame.column(data.draw(edge_token_st)) or frame.live)
         frames.append(frame)
-    joined = []
-    for side in (helix.frames._by_planes, helix.frames._by_slots):
-        with unittest.mock.patch("helix.frames._packed", side):
-            frame = helix.frames.Frame.joined(frames)
-        joined.append((frame._raw, frame.planes, frame.count, list(frame.values()), frame.ascending()))
-    assert joined[0] == joined[1]
-    assert joined[0][2] == sum(f.count for f in frames)
+    planes, count = max(f.planes for f in frames), sum(f.count for f in frames)
+    by_planes = b"".join(itertools.chain.from_iterable(zip(*[f._live_planes(planes) for f in frames])))
+    by_slots = b"".join(itertools.chain.from_iterable(f._live_fields(planes) for f in frames))
+    live, transposed = helix.frames._ones(count), helix.frames.transposed
+    sides = [
+        helix.frames.Frame(0, planes, count, by_planes, count, live, {}, {}, transposed(by_planes, planes, count)),
+        helix.frames.Frame(0, planes, count, transposed(by_slots, count, planes), count, live, {}, {}, by_slots),
+        helix.frames.Frame.joined(frames),
+    ]
+    got = [(f._raw, f.planes, f.count, list(f.values()), f.ascending()) for f in sides]
+    assert got[0] == got[1] == got[2]
 
 
 def test_colors_of_a_vertex_missing_from_one_run_raise_key_error():
