@@ -22,36 +22,39 @@ read so far, and differ only in their live masks, so an extract writes no
 field.  grown ORs the live mask in at the token's bit of one plane, or adds
 planes, the gap filled with presence bits.  It shares the matrix and the
 plane ints too, and keeps the planes it changed as its own; they are
-written into a copy of the matrix only when the matrix is read whole, by a
-slot-side compaction or by growing the grown frame again.
+written into a copy of the matrix only when the matrix is read whole, by
+compacted(), a slot-side join or growing the grown frame again.
 
-Compaction and the shorter side.  A dead slot's bytes stay in the matrix
-until the fields are next read: by a join, ascending, values or keys.  The
-compaction walks the shorter side of the matrix, so it costs
-O(min(planes, strands)) Python calls.  When planes <= strands, each plane is
-ANDed with the live mask spread over its slot bytes, and since every byte of
-a live field is non-zero, deleting the zero bytes with one bytes.translate
-leaves exactly the live slots, in order.  Otherwise each live slot's field is
-one strided slice of the matrix.  A join pads the fields of frames with fewer
-planes with presence bytes, and keeps both orientations: the plane-major
-matrix that columns read, and the slot-major fields, `planes` little-endian
-bytes each, that ascending, values and keys read; transposed turns one into
-the other along the shorter side.
+Compaction and the shorter side.  A frame is one plane-major matrix.  A
+dead slot's bytes stay in it until the live strands are next read: by a
+join, or by compacted(), which ascending, values and keys read and which
+is the frame's own matrix when no slot is dead and a join of the frame
+alone otherwise, so the join is the one compaction.  It walks the shorter
+side of the matrix, so it costs O(min(planes, strands)) Python calls.  When
+planes <= strands, each plane is ANDed with the live mask spread over its
+slot bytes, and since every byte of a live field is non-zero, deleting the
+zero bytes with one bytes.translate leaves exactly the live slots, in
+order.  Otherwise each live slot's field is one strided slice of the matrix,
+and the joined fields are transposed back to planes.  A join pads the
+fields of frames with fewer planes with presence bytes.  Slot-major fields,
+`planes` little-endian bytes each, are built only by of_fields, by that
+slot-side join and by ascending, each transposed along the shorter side.
 
-Ascending frames.  ascending tests whether the slot-major fields, read as
-ints, strictly increase from slot to slot, with a few whole-frame int
-operations.  Read from bit 1 up, each field but the last ends in the next
-slot's presence bit.  That bit is cleared and set again as a guard that no
-borrow crosses, so in `guard + field - next field` it is cleared exactly
-where the field is below the next, and the fields ascend when no guard is
-left.  Strictly increasing fields hold no strand twice.  The solver's
-survivor tube stays one ascending frame: a token's place rises with the
-order in which the machine first saw it, so the colors appended at a step
-outrank every earlier token and rise with the color; split and the join
-keep slot order, merge keeps the color tubes in color order, and padding
-adds presence bytes only.  So the fields stay in colex order of the run
-order, the newest token most significant.  Only the speed of the repeat
-check (Tube.distinct) relies on this.
+Ascending frames.  ascending transposes the compacted matrix to slot-major
+fields, dropped after the test, and tests whether they, read as ints,
+strictly increase from slot to slot, with a few whole-frame int operations.
+Read from bit 1 up, each field but the last ends in the next slot's
+presence bit.  That bit is cleared and set again as a guard that no borrow
+crosses, so in `guard + field - next field` it is cleared exactly where the
+field is below the next, and the fields ascend when no guard is left.
+Strictly increasing fields hold no strand twice.  The solver's survivor
+tube stays one ascending frame: a token's place rises with the order in
+which the machine first saw it, so the colors appended at a step outrank
+every earlier token and rise with the color; split and the join keep slot
+order, merge keeps the color tubes in color order, and padding adds
+presence bytes only.  So the fields stay in colex order of the run order,
+the newest token most significant.  Only the speed of the repeat check
+(Tube.distinct) relies on this.
 """
 
 from __future__ import annotations
@@ -166,16 +169,15 @@ class Frame:
     dead ones included, and `live` the live mask.  `_raw` is the plane-major
     matrix but for the planes in `_own`, the ints of the planes grown
     changed or added (see _matrix); `_ints` holds the other planes read as
-    ints, shared with split outputs and grown children.  `_fields` is the
-    slot-major fields of the live strands once read.  A frame is never
+    ints, shared with split outputs and grown children.  A frame is never
     changed once built.
     """
 
-    __slots__ = ("order", "planes", "count", "live", "_raw", "_slots", "_ints", "_own", "_fields")
+    __slots__ = ("order", "planes", "count", "live", "_raw", "_slots", "_ints", "_own")
 
-    def __init__(self, order, planes, count, raw, slots, live, ints, own, fields=None):
+    def __init__(self, order, planes, count, raw, slots, live, ints, own):
         self.order, self.planes, self.count, self._raw, self._slots = order, planes, count, raw, slots
-        self.live, self._ints, self._own, self._fields = live, ints, own, fields
+        self.live, self._ints, self._own = live, ints, own
 
     @classmethod
     def of_fields(cls, order: tuple[int, ...], fields: list[int]) -> "Frame":
@@ -183,7 +185,7 @@ class Frame:
         planes = max(1, -(-max(f.bit_length() for f in fields) // 8))
         pad, count = _ones(planes), len(fields)
         slot_major = b"".join([(f | pad).to_bytes(planes, "little") for f in fields])
-        return cls(order, planes, count, transposed(slot_major, count, planes), count, _ones(count), {}, {}, slot_major)
+        return cls(order, planes, count, transposed(slot_major, count, planes), count, _ones(count), {}, {})
 
     @classmethod
     def joined(cls, frames: list["Frame"]) -> "Frame":
@@ -191,11 +193,9 @@ class Frame:
         planes, count = max(f.planes for f in frames), sum(f.count for f in frames)
         if planes <= count:
             raw = b"".join(chain.from_iterable(zip(*[f._live_planes(planes) for f in frames])))
-            fields = transposed(raw, planes, count)
         else:
-            fields = b"".join(chain.from_iterable(f._live_fields(planes) for f in frames))
-            raw = transposed(fields, count, planes)
-        return cls(frames[0].order, planes, count, raw, count, _ones(count), {}, {}, fields)
+            raw = transposed(b"".join(chain.from_iterable(f._live_fields(planes) for f in frames)), count, planes)
+        return cls(frames[0].order, planes, count, raw, count, _ones(count), {}, {})
 
     def _plane(self, b):
         """Plane b as an int of `_slots` bytes, read once for every frame that shares it."""
@@ -216,17 +216,14 @@ class Frame:
         s, raw, pad = self._slots, self._matrix(), b"\1" * (planes - self.planes)
         return [raw[j::s] + pad for j in compress(range(s), self.live.to_bytes(s, "little"))]
 
-    def fields(self) -> bytes:
-        """The live strands' fields, slot by slot, `planes` little-endian bytes each, along the shorter side."""
-        if self._fields is None:
-            p, n = self.planes, self.count
-            self._fields = transposed(b"".join(self._live_planes(p)), p, n) if p <= n else b"".join(self._live_fields(p))
-        return self._fields
+    def compacted(self) -> bytes:
+        """The live slots' plane-major matrix: the frame's own when no slot is dead, else a lone join's."""
+        return self._matrix() if self.count == self._slots else Frame.joined([self])._raw
 
     def values(self):
         """One int per strand, its field with its presence bits, dead slots left out; an iterator."""
-        p, fields = self.planes, self.fields()
-        return (int.from_bytes(fields[i : i + p], "little") for i in range(0, len(fields), p))
+        raw, n = self.compacted(), self.count
+        return (int.from_bytes(raw[j::n], "little") for j in range(n))
 
     def ascending(self) -> bool:
         """Whether the strands' fields, read as ints, strictly increase from slot to slot.
@@ -236,8 +233,9 @@ class Frame:
         """
         if self.count < 2:
             return True
-        size, bits = 8 * self.planes, int.from_bytes(self.fields(), "little")
-        guards = tile(1 << size, size, self.count - 1)
+        p, n = self.planes, self.count
+        size, bits = 8 * p, int.from_bytes(transposed(self.compacted(), p, n), "little")  # the fields, slot by slot
+        guards = tile(1 << size, size, n - 1)
         cut = bits ^ (bits & guards)
         return not ((cut | guards) - (cut >> size)) & guards
 
@@ -246,10 +244,10 @@ class Frame:
 
         A field byte past the planes holds no token.
         """
-        raw, p, keys = self.fields(), self.planes, bytearray(8 * self.count)
+        raw, p, n, keys = self.compacted(), self.planes, self.count, bytearray(8 * self.count)
         for k, parts in tables.items():
-            byte = reduce(or_, [int.from_bytes(raw[b::p].translate(t), "little") for b, t in parts if b < p], 0)
-            keys[k::8] = byte.to_bytes(self.count, "little")
+            byte = reduce(or_, [int.from_bytes(raw[b * n : (b + 1) * n].translate(t), "little") for b, t in parts if b < p], 0)
+            keys[k::8] = byte.to_bytes(n, "little")
         return _as_words(keys)
 
     def column(self, index: int | None) -> int:

@@ -175,7 +175,10 @@ def solve_monolithic(
     """
     machine = _check_inputs(g, k, cb, match_mode, budget)
     token_rows = [tuple((v, c) for c in range(k)) for v in range(1, g.n + 1)]
-    tube = machine.new_tube("full", rows=token_rows)
+    try:
+        tube = machine.new_tube("full", rows=token_rows)
+    except (OverflowError, MemoryError):  # a budget past what one process can hold: the mask has k**n bits
+        raise BudgetError(f"the monolithic engine cannot build its start tube of k^n = {power_text(k, g.n)} strands") from None
     for u, v in g.sorted_edges():
         for c in range(k):
             with_u, rest = machine.extract(tube, cb.codeword(u, c))

@@ -479,6 +479,22 @@ def test_a_monolithic_run_is_refused_by_coverage_before_k_to_the_n_is_built(tmp_
     assert "Traceback" not in proc.stderr
 
 
+def test_a_monolithic_start_tube_past_what_an_int_can_hold_is_refused(capsys, monkeypatch):
+    monkeypatch.setenv("HELIX_BUDGET", str(10**400))  # over 2^70 strands, whose mask of 2^70 bits no int holds
+    assert run_cli("solve", "--mode", "monolithic", "--graph", "random:70,0.0,1", "--colors", "2") == 2
+    err = capsys.readouterr().err
+    assert "cannot build its start tube of k^n = 1180591620717411303424 strands" in err
+    assert "Traceback" not in err
+
+
+def test_a_monolithic_start_tube_past_memory_is_refused(monkeypatch):
+    monkeypatch.setenv("HELIX_BUDGET", str(10**12))  # over 2^36 strands, whose mask takes 8 GiB
+    proc = run_limited("solve", "--mode", "monolithic", "--graph", "random:36,0.0,1", "--colors", "2", timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    assert "config error: the monolithic engine cannot build its start tube of k^n = 68719476736 strands" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_a_run_whose_least_peak_is_over_the_budget_is_refused_before_it_fills_memory():
     # K4 at 200 colors peaks at 200 * 200 * 199 * 198 strands
     proc = run_limited("solve", "--graph", "builtin:k4", "--colors", "200", timeout=5)

@@ -132,6 +132,11 @@ def _join_by_slots(planes):
     return partial(Frame.joined, _frames(2, 3, 7 * planes - 1))
 
 
+def _ascending_narrow(planes):
+    """A joined frame of 2 strands: more planes than strands, so ascending transposes slot by slot."""
+    return Frame.joined(_frames(2, 2, 7 * planes - 1)).ascending
+
+
 @pytest.mark.parametrize(
     "make, size, most",
     [
@@ -149,6 +154,7 @@ def _join_by_slots(planes):
         pytest.param(_read_edgeless_trace, 300, 2.3, id="read_trace_document-edgeless-k1"),
         pytest.param(_join_by_planes, 500, 2.3, id="frame_joined-planes"),
         pytest.param(_join_by_slots, 200, 2.3, id="frame_joined-slots"),
+        pytest.param(_ascending_narrow, 200, 2.3, id="frame_ascending-narrow"),
     ],
 )
 def test_a_long_path_takes_line_events_linear_in_its_input(make, size, most):

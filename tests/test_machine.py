@@ -759,19 +759,23 @@ def fortran(raw, rows, cols):
     return memoryview(raw).cast("B", (rows, cols)).tobytes(order="F") if raw else b""
 
 
-def compacted_fields(frame):
-    """The reference compaction: each plane's bytes, dead slots zeroed one by one, zero bytes dropped, then transposed.
+def compacted_planes(frame):
+    """The reference compaction: each plane's bytes, dead slots zeroed one by one, zero bytes dropped.
 
     Every byte of a live field carries a presence bit, so filtering out the
-    zero bytes leaves exactly the live slots of each plane; the planes read
-    slot by slot are the live fields.
+    zero bytes leaves exactly the live slots of each plane.
     """
     s, live, raw = frame._slots, frame.live, frame._matrix()
     planes = [
         bytes(filter(None, [raw[b * s + j] if live >> (8 * j) & 1 else 0 for j in range(s)]))
         for b in range(frame.planes)
     ]
-    return fortran(b"".join(planes), frame.planes, frame.count)
+    return b"".join(planes)
+
+
+def compacted_fields(frame):
+    """The reference compaction transposed: the compacted planes read slot by slot are the live fields."""
+    return fortran(compacted_planes(frame), frame.planes, frame.count)
 
 
 def model_field(strand, planes):
@@ -796,7 +800,8 @@ def check_frame_against_slots(frame, slots):
         assert b"".join(frame._live_planes(planes)) == fortran(want, len(live), planes)
         assert b"".join(frame._live_fields(planes)) == want
     assert list(frame.values()) == [model_field(s, frame.planes) for s in live]
-    assert frame.fields() == compacted_fields(frame)
+    assert frame.compacted() == compacted_planes(frame)
+    assert helix.frames.transposed(frame.compacted(), frame.planes, frame.count) == compacted_fields(frame)
     fields = [model_field(s, frame.planes) for s in live]
     assert frame.ascending() == all(a < b for a, b in zip(fields, fields[1:]))
     for i in EDGE_TOKENS:
@@ -942,8 +947,8 @@ def test_both_join_sides_give_one_frame(data):
     by_slots = b"".join(itertools.chain.from_iterable(f._live_fields(planes) for f in frames))
     live, transposed = helix.frames._ones(count), helix.frames.transposed
     sides = [
-        helix.frames.Frame(0, planes, count, by_planes, count, live, {}, {}, transposed(by_planes, planes, count)),
-        helix.frames.Frame(0, planes, count, transposed(by_slots, count, planes), count, live, {}, {}, by_slots),
+        helix.frames.Frame(0, planes, count, by_planes, count, live, {}, {}),
+        helix.frames.Frame(0, planes, count, transposed(by_slots, count, planes), count, live, {}, {}),
         helix.frames.Frame.joined(frames),
     ]
     got = [(f._raw, f.planes, f.count, list(f.values()), f.ascending()) for f in sides]
