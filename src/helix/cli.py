@@ -15,6 +15,7 @@ from . import oracle, solver
 from .codec import (
     Codebook,
     CodecError,
+    _show,
     builtin_table1,
     color_name,
     dump_codebook,
@@ -50,12 +51,12 @@ class ConfigError(Exception):
 def random_graph(n: int, p: float, seed: int) -> Graph:
     """Seeded Erdos-Renyi G(n, p); identical output for identical arguments."""
     if n < 1:
-        raise ConfigError(f"random graph needs at least 1 vertex, got {n}")
+        raise ConfigError(f"random graph needs at least 1 vertex, got {_show(n)}")
     if not (0.0 <= p <= 1.0):
         raise ConfigError(f"edge probability must be in [0, 1], got {p}")
     pairs = n * (n - 1) // 2
     if pairs > MAX_RANDOM_PAIRS:
-        raise ConfigError(f"random graph on {n} vertices needs {pairs} pair draws, over {MAX_RANDOM_PAIRS}")
+        raise ConfigError(f"random graph on {_show(n)} vertices needs {_show(pairs)} pair draws, over {MAX_RANDOM_PAIRS}")
     rng = random.Random(seed)
     edges = [
         (u, v)

@@ -47,10 +47,30 @@ _REJECTED_TOP_BYTES = bytes(range(128, 256))
 # length L are expected to hold fewer than 1 / FIRST_DRAW_ODDS crossings,
 # N**3 * (L - 1) * 4**-L (see generate_codebook); the test is in integers.
 FIRST_DRAW_ODDS = 16
+# The most bits of an int written in digits: str refuses one of over 4,300
+# digits (about 14,284 bits), so a longer one is named, not written.
+STR_BITS = 14_000
 
 
 class CodecError(ValueError):
     pass
+
+
+def _show(value) -> str:
+    """repr(value) for a refusal message, but an int past STR_BITS is named by its bit length.
+
+    A count computed from a request, or a document built in process, can
+    hold such an int anywhere.  Lists, tuples and dicts are shown item by
+    item, as repr shows them.
+    """
+    if isinstance(value, int) and value.bit_length() > STR_BITS:
+        return f"{'-' if value < 0 else ''}<int of {value.bit_length()} bits>"
+    if value.__class__ is dict:
+        return "{" + ", ".join(f"{_show(key)}: {_show(item)}" for key, item in value.items()) + "}"
+    if value.__class__ in (list, tuple):
+        items = ", ".join(map(_show, value))
+        return f"[{items}]" if value.__class__ is list else f"({items}{',' * (len(value) == 1)})"
+    return repr(value)
 
 
 class DecodeError(CodecError):
@@ -133,7 +153,7 @@ class Codebook:
                 raise CodecError(f"two entries for vertex {cw.vertex}, color {cw.color}")
             table[(cw.vertex, cw.color)] = cw
         if len(table) != n * k:
-            raise CodecError(f"codebook has {len(table)} entries, needs {n * k}")
+            raise CodecError(f"codebook has {len(table)} entries, needs {_show(n * k)}")
         self.n = n
         self.k = k
         self.provenance = provenance
@@ -388,7 +408,7 @@ def generate_codebook(n: int, k: int, length: int, seed: int) -> Codebook:
     size = n * k * length * (length + 300)
     if size > MAX_GENERATED_INDEX_BYTES:
         raise CodecError(
-            f"{n * k} codewords of {length} nt need about {size} bytes to generate, "
+            f"{_show(n * k)} codewords of {length} nt need about {_show(size)} bytes to generate, "
             f"over the limit of {MAX_GENERATED_INDEX_BYTES}"
         )
     _check_shape(n, k)
@@ -406,7 +426,7 @@ def _first_draw_fits(count: int, length: int) -> bool:
 
 
 def _generated(n: int, k: int, length: int, seed: int, words) -> Codebook:
-    slots = itertools.product(range(1, n + 1), range(k))
+    slots = ((v, c) for v in range(1, n + 1) for c in range(k))  # lazily: an empty table's k may pass what a tuple holds
     entries = [Codeword(v, c, seq) for (v, c), seq in zip(slots, words)]
     return Codebook(
         n, k, entries,

@@ -18,9 +18,11 @@ keeps no table of orders: an order lives as long as a run carries it, so the
 machine holds only live orders.
 
 Lazy join.  Adjacent frames of one order are joined, compacted and in order,
-only when the tube is next read (Tube.runs).  So a merged tube discarded
-unread, like the solver's bad tubes, is never joined or compacted; joining
-at every merge made the incremental engine about 45% slower.
+only when the tube is next read (Tube.runs, which groups the runs in one
+groupby pass and so compares each pair of neighbouring orders once).  So a
+merged tube discarded unread, like the solver's bad tubes, is never joined
+or compacted; joining at every merge made the incremental engine about 45%
+slower.
 
 Product runs.  The monolithic start tube, new_tube(rows=...), is one run of
 no field: a live mask over the product of its rows, strand i of
@@ -82,12 +84,11 @@ its tokens.
 
 from __future__ import annotations
 
-from collections import Counter
 from itertools import chain, compress, groupby, product
 from math import prod
 from operator import attrgetter, not_
 
-from .codec import Codebook, CodecError, Codeword, SoundnessError, Strand, Token, render
+from .codec import Codebook, CodecError, Codeword, SoundnessError, Strand, Token, _show, render
 from .frames import WORD_BITS, Frame, bit_fields, key_tables, place, tile
 
 _DIGIT = bytes.maketrans(b"01", b"\x00\x01")  # a mask's binary digits as 0/1 bytes
@@ -225,24 +226,15 @@ class Tube:
     @property
     def runs(self) -> tuple:
         """The runs as frames, product runs decoded and adjacent frames of one order joined."""
-        runs = tuple(run if isinstance(run, Frame) else run.frame() for run in self._runs)
-        if len(runs) > 1 and any(a.order == b.order for a, b in zip(runs, runs[1:])):
-            groups = [list(group) for _, group in groupby(runs, _ORDER)]
-            runs = tuple(g[0] if len(g) == 1 else Frame.joined(g) for g in groups)
-        self._runs = runs
+        frames = (run if isinstance(run, Frame) else run.frame() for run in self._runs)
+        groups = [list(group) for _, group in groupby(frames, _ORDER)]
+        runs = self._runs = tuple(g[0] if len(g) == 1 else Frame.joined(g) for g in groups)
         return runs
 
     @property
     def contents(self) -> list[Strand]:
         """The strands as token tuples in append order."""
         return [s for run in self.runs for s in self._machine._unpack(run.order, run.values())]
-
-    def order_samples(self) -> list[Strand]:
-        """One strand of each vertex order in the tube, as a token tuple."""
-        firsts = {}
-        for run in self.runs:
-            firsts.setdefault(run.order, next(run.values()))
-        return [self._machine._unpack(order, [first])[0] for order, first in firsts.items()]
 
     def colors(self, vertices) -> list[tuple[int, ...]]:
         """Each strand's color at each of `vertices`, in lexicographic order (the byte-table decode).
@@ -284,12 +276,6 @@ class Tube:
 
     def __len__(self) -> int:
         return sum(map(_COUNT, self._runs))
-
-    def __bool__(self) -> bool:  # without counting a mask's bits; no run is empty
-        return bool(self._runs)
-
-    def counts(self) -> Counter:
-        return Counter(self.contents)
 
     def __repr__(self):
         state = "retired" if self.retired else f"{len(self)} strands"
@@ -333,7 +319,7 @@ class TubeMachine:
         if i is None:
             v, c = token
             if not isinstance(c, int) or not 0 <= c < 1 << WORD_BITS:
-                raise MachineFault(f"color {c!r} of vertex {v} is not an int in [0, 2**64)")
+                raise MachineFault(f"color {_show(c)} of vertex {_show(v)} is not an int in [0, 2**64)")
             if self.codebook is not None:
                 self.codebook.codeword(v, c)  # raises CodecError for a token with no codeword
             i = self._index[token] = len(self._index)
@@ -347,7 +333,7 @@ class TubeMachine:
     def _checked(order: tuple[int, ...]) -> tuple[int, ...]:
         """The vertex order of strands from outside the machine, refused if it names a vertex twice."""
         if len(set(order)) != len(order):
-            raise MachineFault(f"strand names a vertex twice: vertex order {order}")
+            raise MachineFault(f"strand names a vertex twice: vertex order {_show(order)}")
         return order
 
     def _product_of(self, rows) -> _Product:
@@ -360,7 +346,7 @@ class TubeMachine:
         for row in rows:
             vertices = {v for v, _ in row}
             if len(vertices) > 1:
-                raise MachineFault(f"token row names more than one vertex: {sorted(vertices)}")
+                raise MachineFault(f"token row names more than one vertex: {_show(sorted(vertices))}")
             order.extend(vertices)
         return _Product(self._checked(tuple(order)), [list(map(self._index_of, row)) for row in rows])
 
@@ -421,7 +407,7 @@ class TubeMachine:
         v, runs = cw.vertex, tube.runs
         for run in runs:
             if v in run.order:
-                raise MachineFault(f"append: strand already assigns vertex {v}")
+                raise MachineFault(f"append: strand already assigns vertex {_show(v)}")
         index = self._index_of((v, cw.color))
         tube._runs = tuple([run.grown(run.order + (v,), index) for run in runs])
         self.counter.append += 1

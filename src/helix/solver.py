@@ -23,12 +23,14 @@ Detect on the survivor tube.
 
 from __future__ import annotations
 
+from itertools import repeat
+
 from . import oracle
-from .codec import BLANK_STRAND, Codebook, color_name, coloring_from_strand
+from .codec import BLANK_STRAND, STR_BITS, Codebook, _show, color_name, coloring_from_strand
 from .graphs import Graph
 from .machine import TubeMachine
 # trace_document is not used here: the bench calls solver.trace_document and wraps it by name.
-from .trace import STR_BITS, SolutionSet, SolverError, StepRecord, Trace, _show, resolve_order, trace_document
+from .trace import SolutionSet, SolverError, StepRecord, Trace, resolve_order, trace_document
 
 DEFAULT_STRAND_BUDGET = 2_000_000
 MATCH_MODES = ("symbolic", "nucleotide")
@@ -39,7 +41,7 @@ class BudgetError(SolverError):
 
 
 def power_text(k: int, n: int) -> str:
-    """k**n in digits, or as "k^n" past trace.STR_BITS."""
+    """k**n in digits, or as "k^n" past codec.STR_BITS."""
     full = k**n
     return str(full) if full.bit_length() <= STR_BITS else f"{k}^{n}"
 
@@ -56,7 +58,7 @@ def check_budget(n: int, k: int, budget: int | None = None, monolithic: bool = F
     tubes.  The product is multiplied up only while it is within the budget,
     so a huge n or k never builds a huge int; it can still pass what str
     writes (a budget and a k of 2,200 digits each), so the message names it
-    through trace._show.
+    through codec._show.
     """
     if k < 1:
         raise SolverError(f"color count must be positive, got {k}")
@@ -97,11 +99,12 @@ def _check_inputs(
 def _decode_final(tube, n: int) -> list[tuple[int, ...]]:
     """The colorings the tube spells, in lexicographic order, read through byte tables (Tube.colors).
 
-    Strands of one vertex order name the same vertices, so coloring_from_strand
-    checks one strand per order that they cover exactly 1..n.
+    Every strand of a run names exactly the vertices of the run's order, so
+    no strand is decoded to check them: coloring_from_strand checks that each
+    run order covers exactly 1..n.
     """
-    for strand in tube.order_samples():
-        coloring_from_strand(strand, n)
+    for run in tube.runs:
+        coloring_from_strand(tuple(zip(run.order, repeat(0))), n)
     return tube.colors(range(1, n + 1))
 
 

@@ -15,12 +15,10 @@ from __future__ import annotations
 
 from collections import namedtuple
 
+from .codec import _show
 from .machine import OpCounter
 
 ENGINES = ("incremental", "monolithic")  # the modes a trace document names
-# The most bits of an int written in digits: str refuses one of over 4,300
-# digits (about 14,284 bits), so a longer one is named, not written.
-STR_BITS = 14_000
 
 
 class SolverError(ValueError):
@@ -95,23 +93,6 @@ def trace_document(g, k: int, order, mode: str, solutions: SolutionSet, trace: T
     if mode == "monolithic":
         doc["construction"] = "synthetic"
     return doc
-
-
-def _show(value) -> str:
-    """repr(value) for a refusal message, but an int past STR_BITS is named by its bit length.
-
-    A document built in process, not read from JSON, can hold such an int
-    anywhere.  Lists, tuples and dicts are shown item by item, as repr shows
-    them.
-    """
-    if isinstance(value, int) and value.bit_length() > STR_BITS:
-        return f"{'-' if value < 0 else ''}<int of {value.bit_length()} bits>"
-    if value.__class__ is dict:
-        return "{" + ", ".join(f"{_show(key)}: {_show(item)}" for key, item in value.items()) + "}"
-    if value.__class__ in (list, tuple):
-        items = ", ".join(map(_show, value))
-        return f"[{items}]" if value.__class__ is list else f"({items}{',' * (len(value) == 1)})"
-    return repr(value)
 
 
 def _count(value, field: str) -> int:

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import itertools
 import json
 import resource
@@ -5,6 +7,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import helix.oracle
 import helix.solver
@@ -493,6 +496,76 @@ def test_a_monolithic_start_tube_past_memory_is_refused(monkeypatch):
     assert proc.returncode == 2, proc.stderr
     assert "config error: the monolithic engine cannot build its start tube of k^n = 68719476736 strands" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+NINES_2200, NINES_4300 = "9" * 2200, "9" * 4300  # str writes ints of up to 4,300 digits
+
+
+def refused_by_name(argv, capsys, message):
+    """Exit 2 with a config error that names an int past str's limit by its bit length."""
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and message in err and "bits>" in err
+    assert "Traceback" not in err
+
+
+def test_random_pairs_past_the_int_string_limit_are_refused_by_name(capsys):
+    refused_by_name(["solve", "--graph", f"random:{NINES_2200},0.5,1", "--colors", "2"], capsys, "pair draws, over 1000000")
+
+
+def test_a_generated_codebook_past_the_int_string_limit_is_refused_by_name(capsys):
+    refused_by_name(["codebook", "generate", "--n", NINES_4300, "--colors", "1"], capsys, "bytes to generate, over the limit")
+
+
+def test_a_dimacs_graph_past_the_int_string_limit_is_refused_by_name(tmp_path, capsys):
+    path = tmp_path / "huge.col"  # its default codebook, gen:20,0, is refused by size
+    path.write_text(f"p edge {NINES_4300} 0\n")
+    refused_by_name(["solve", "--graph", str(path), "--colors", "2"], capsys, "bytes to generate, over the limit")
+
+
+# Refusal paths drawn from edge values: every run these admit has k = 1 and
+# at most four vertices, and every other one must be refused before an engine
+# starts.  edge{i}.col is `p edge N 0` with N = _INTS[i].
+_INTS = ("-1", "0", "1", str(2**63), NINES_2200, NINES_4300)
+_int, _length = st.sampled_from(_INTS), st.sampled_from(_INTS + ("20",))
+_graph = st.one_of(
+    st.builds("random:{},{},{}".format, _int, st.sampled_from(["0.0", "0.5", "1.0", "nan", "inf"]), _int),
+    st.sampled_from([f"edge{i}.col" for i in range(len(_INTS))]),
+    st.just("builtin:k4"),
+)
+_run = st.builds(
+    lambda command, graph, k, length, seed: [command, "--graph", graph, "--colors", k, "--codebook", f"gen:{length},{seed}"],
+    st.sampled_from(["solve", "compare"]), _graph, _int, _length, _int,
+)
+_generate = st.builds(
+    lambda n, k, length, seed: ["codebook", "generate", "--n", n, "--colors", k, "--length", length, "--seed", seed],
+    _int, _int, _length, _int,
+)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=_run | _generate, budget=st.none() | _int)
+@example(argv=["solve", "--graph", f"random:{NINES_2200},0.5,1", "--colors", "2"], budget=None)
+@example(argv=["codebook", "generate", "--n", NINES_4300, "--colors", "1"], budget=None)
+@example(argv=["solve", "--graph", "edge5.col", "--colors", "2"], budget=None)
+@example(argv=["codebook", "generate", "--n", "0", "--colors", str(2**63)], budget=None)  # an empty table
+def test_every_drawn_request_ends_in_a_documented_exit_code(argv, budget, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for i, n in enumerate(_INTS):
+        (tmp_path / f"edge{i}.col").write_text(f"p edge {n} 0\n")
+    if budget is None:
+        monkeypatch.delenv(cli.BUDGET_ENV, raising=False)
+    else:
+        monkeypatch.setenv(cli.BUDGET_ENV, budget)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refusing the argv
+            code = exc.code
+            assert code == 2
+    assert code in range(5)
+    assert "Traceback" not in err.getvalue()
 
 
 def test_a_run_whose_least_peak_is_over_the_budget_is_refused_before_it_fills_memory():
