@@ -125,10 +125,16 @@ def parse_order_spec(spec: str, g: Graph) -> list[int] | None:
     """
     if spec == "natural":
         return None
-    try:
-        order = [int(tok) for tok in spec.split(",")]
-    except ValueError:
-        raise ConfigError(f"order must be 'natural' or a comma list, got {spec!r}") from None
+    order = []
+    for pos, tok in enumerate(spec.split(","), 1):
+        try:
+            order.append(int(tok))
+        except ValueError:
+            digits = tok.strip()
+            digits = digits[1:] if digits[:1] in ("+", "-") else digits
+            if digits.isdecimal():  # a number that int() refuses for its length
+                raise ConfigError(f"order entry {pos} is too long: {len(digits)} digits") from None
+            raise ConfigError(f"order must be 'natural' or a comma list, got {spec!r}") from None
     return solver.resolve_order(g, order)
 
 

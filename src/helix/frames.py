@@ -37,24 +37,31 @@ zero bytes with one bytes.translate leaves exactly the live slots, in
 order.  Otherwise each live slot's field is one strided slice of the matrix,
 and the joined fields are transposed back to planes.  A join pads the
 fields of frames with fewer planes with presence bytes.  Slot-major fields,
-`planes` little-endian bytes each, are built only by of_fields, by that
-slot-side join and by ascending, each transposed along the shorter side.
+`planes` little-endian bytes each, are built only by of_fields and by that
+slot-side join, each transposed along the shorter side.
 
-Ascending frames.  ascending transposes the compacted matrix to slot-major
-fields, dropped after the test, and tests whether they, read as ints,
-strictly increase from slot to slot, with a few whole-frame int operations.
-Read from bit 1 up, each field but the last ends in the next slot's
-presence bit.  That bit is cleared and set again as a guard that no borrow
-crosses, so in `guard + field - next field` it is cleared exactly where the
-field is below the next, and the fields ascend when no guard is left.
-Strictly increasing fields hold no strand twice.  The solver's survivor
-tube stays one ascending frame: a token's place rises with the order in
-which the machine first saw it, so the colors appended at a step outrank
-every earlier token and rise with the color; split and the join keep slot
-order, merge keeps the color tubes in color order, and padding adds
-presence bytes only.  So the fields stay in colex order of the run order,
-the newest token most significant.  Only the speed of the repeat check
-(Tube.distinct) relies on this.
+Ascending frames.  ascending tests whether the live strands' fields, read
+as ints, strictly increase from slot to slot.  A frame with more planes
+than strands compares its fields, one strided slice each.  Any other
+compares adjacent slots plane by plane, from the top plane down, on the
+plane ints that _plane reads and caches: each plane is shifted down one bit,
+so slot j's 7 token bits sit in lane j, bits 0..6 of byte j, next to slot
+j + 1's in the same plane shifted down 9 bits.  Bit 7 of each lane is a
+guard that no borrow crosses, so `(next | guard) - this` keeps it exactly
+where the next slot's byte is not below this one's, and `(this | guard) -
+next` where it is not above.  A pair is undecided while its bytes are
+equal; a plane that puts an undecided pair in descending order ends the
+test, and the fields ascend once no pair is undecided.  Bit 0 is the
+presence bit of every live byte, so the lanes lose nothing.  No slot-major
+copy and no guard tile is built, and the next step's append, extract and
+join read the same cached plane ints.  Strictly increasing fields hold no
+strand twice.  The solver's survivor tube stays one ascending frame: a
+token's place rises with the order in which the machine first saw it, so
+the colors appended at a step outrank every earlier token and rise with the
+color; split and the join keep slot order, merge keeps the color tubes in
+color order, and padding adds presence bytes only.  So the fields stay in
+colex order of the run order, the newest token most significant.  Only the
+speed of the repeat check (Tube.distinct) relies on this.
 """
 
 from __future__ import annotations
@@ -62,7 +69,7 @@ from __future__ import annotations
 import struct
 from functools import cache, reduce
 from itertools import chain, compress
-from operator import or_
+from operator import lt, or_
 
 WORD_BITS = 64  # a decode key and a color are one word of this many bits
 BYTE_TOKENS = 7  # bit 0 of each byte marks a present strand
@@ -123,6 +130,12 @@ def _byte_field(shift: int, width: int) -> bytes:
     return bytes((b >> shift) & ((1 << width) - 1) for b in range(256))
 
 
+@cache
+def _bit_table(bit: int) -> int:
+    """_byte_field(bit, 1) read as one int of 256 bytes, so a key byte's table is a multiple of it."""
+    return int.from_bytes(_byte_field(bit, 1), "little")
+
+
 def key_tables(values) -> dict[int, list[tuple[int, bytes]]]:
     """Frame.keys's tables for keys that OR the value of each (token index, value) pair a strand holds.
 
@@ -132,10 +145,13 @@ def key_tables(values) -> dict[int, list[tuple[int, bytes]]]:
     tables = {}
     for i, value in values:
         byte, bit = divmod(place(i), 8)
-        for k, v in enumerate(value.to_bytes(8, "little")):
-            if v:
+        table, k = _bit_table(bit), 0
+        while value:  # a zero key byte adds nothing
+            if v := value & 0xFF:
                 row = tables.setdefault(k, {})
-                row[byte] = row.get(byte, 0) | v * int.from_bytes(_byte_field(bit, 1), "little")
+                row[byte] = row.get(byte, 0) | v * table
+            value >>= 8
+            k += 1
     return {k: [(byte, table.to_bytes(256, "little")) for byte, table in row.items()] for k, row in tables.items()}
 
 
@@ -199,11 +215,13 @@ class Frame:
 
     def _plane(self, b):
         """Plane b as an int of `_slots` bytes, read once for every frame that shares it."""
-        ints = self._own if b in self._own else self._ints
-        if b not in ints:
-            s = self._slots
-            ints[b] = int.from_bytes(self._raw[b * s : (b + 1) * s], "little")
-        return ints[b]
+        plane = self._own.get(b)
+        if plane is None:
+            plane = self._ints.get(b)
+            if plane is None:
+                s = self._slots
+                plane = self._ints[b] = int.from_bytes(self._raw[b * s : (b + 1) * s], "little")
+        return plane
 
     def _live_planes(self, planes):
         """The live slots' bytes of each of `planes` planes, presence bytes past self.planes."""
@@ -231,13 +249,26 @@ class Frame:
         Fields that differ only in bit 0 may read as not ascending, never the
         reverse.
         """
-        if self.count < 2:
+        n = self.count
+        if n < 2:
             return True
-        p, n = self.planes, self.count
-        size, bits = 8 * p, int.from_bytes(transposed(self.compacted(), p, n), "little")  # the fields, slot by slot
-        guards = tile(1 << size, size, n - 1)
-        cut = bits ^ (bits & guards)
-        return not ((cut | guards) - (cut >> size)) & guards
+        if self.planes > n:
+            fields = list(self.values())
+            return all(map(lt, fields, fields[1:]))
+        frame = self if n == self._slots else Frame.joined([self])
+        ones = _ones(n - 1)
+        guards = ones << 7  # bit 7 of lanes 0..n-2
+        lanes = guards - ones  # bits 0..6 of them
+        undecided = guards  # the pairs (j, j + 1) whose bytes were equal in every plane so far
+        for b in reversed(range(frame.planes)):
+            plane = frame._plane(b)
+            this, after = (plane >> 1) & lanes, (plane >> 9) & lanes
+            if ((after | guards) - this) & undecided != undecided:  # an undecided pair descends
+                return False
+            undecided &= (this | guards) - after  # those whose bytes are equal here
+            if not undecided:
+                return True
+        return False
 
     def keys(self, tables):
         """Each live strand's 64-bit key, read through key_tables(...) (the byte-table decode, machine.py).
@@ -273,10 +304,11 @@ class Frame:
         frame keeps more own planes than one grown changes.
         """
         b, bit = divmod(index, BYTE_TOKENS)
-        p, live = self.planes, self.live
+        p, live, mine = self.planes, self.live, self._own
         own = dict.fromkeys(range(p, b), live)  # new planes before the token's: presence bits
         own[b] = (self._plane(b) if b < p else live) | live << 1 + bit
-        raw, ints = (self._matrix(), {}) if self._own.keys() - own.keys() else (self._raw, self._ints)
+        # Every plane of `mine` is below p, so the only one this grow replaces is b.
+        raw, ints = (self._matrix(), {}) if len(mine) > (b in mine) else (self._raw, self._ints)
         return Frame(order, max(p, b + 1), self.count, raw, self._slots, live, ints, own)
 
     def _matrix(self) -> bytes:

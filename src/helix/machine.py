@@ -13,16 +13,18 @@ the strands' vertex `order`, `count`, `live` (the live mask, built with the
 run), column(i) (the live strands that hold token i) and split(starts), so
 every operation has one body.  Extract splits each run by a column, append
 grows each frame, copy shares the tuple and merge concatenates the tuples.
-new_tube makes one frame per stretch of strands of one order.  The machine
-keeps no table of orders: an order lives as long as a run carries it, so the
-machine holds only live orders.
+new_tube makes one frame per stretch of strands of one order, so a tube of
+no strand has no run and builds no frame.  The machine keeps no table of
+orders: an order lives as long as a run carries it, so the machine holds
+only live orders.
 
 Lazy join.  Adjacent frames of one order are joined, compacted and in order,
 only when the tube is next read (Tube.runs, which groups the runs in one
 groupby pass and so compares each pair of neighbouring orders once).  So a
 merged tube discarded unread, like the solver's bad tubes, is never joined
 or compacted; joining at every merge made the incremental engine about 45%
-slower.
+slower.  A tube that is one frame, as the solver's survivor tube and its
+color copies are between merges, is read as it is, with no regrouping.
 
 Product runs.  The monolithic start tube, new_tube(rows=...), is one run of
 no field: a live mask over the product of its rows, strand i of
@@ -92,7 +94,7 @@ from .codec import Codebook, CodecError, Codeword, SoundnessError, Strand, Token
 from .frames import WORD_BITS, Frame, bit_fields, key_tables, place, tile
 
 _DIGIT = bytes.maketrans(b"01", b"\x00\x01")  # a mask's binary digits as 0/1 bytes
-_ORDER, _COUNT, _LIVE = attrgetter("order"), attrgetter("count"), attrgetter("live")
+_ORDER, _COUNT = attrgetter("order"), attrgetter("count")
 
 
 class _Product:
@@ -226,7 +228,10 @@ class Tube:
     @property
     def runs(self) -> tuple:
         """The runs as frames, product runs decoded and adjacent frames of one order joined."""
-        frames = (run if isinstance(run, Frame) else run.frame() for run in self._runs)
+        runs = self._runs
+        if len(runs) == 1 and runs[0].__class__ is Frame:
+            return runs
+        frames = (run if isinstance(run, Frame) else run.frame() for run in runs)
         groups = [list(group) for _, group in groupby(frames, _ORDER)]
         runs = self._runs = tuple(g[0] if len(g) == 1 else Frame.joined(g) for g in groups)
         return runs
@@ -275,7 +280,8 @@ class Tube:
         return len(set(self.contents))
 
     def __len__(self) -> int:
-        return sum(map(_COUNT, self._runs))
+        runs = self._runs
+        return runs[0].count if len(runs) == 1 else sum(map(_COUNT, runs))
 
     def __repr__(self):
         state = "retired" if self.retired else f"{len(self)} strands"
@@ -379,6 +385,8 @@ class TubeMachine:
         """
         if rows is not None and contents:
             raise ValueError("new_tube takes contents or rows, not both")
+        if rows is None and not contents:  # no strand: no frame to build, no token to register
+            return Tube(label, self)
         known = len(self._index)
         try:
             if rows is None:
@@ -440,15 +448,15 @@ class TubeMachine:
         if len(set(map(id, sources))) != len(sources):
             raise MachineFault("merge: a source tube is listed twice")
         runs = []
-        for run in chain.from_iterable(t._runs for t in (dest, *sources)):
-            last = runs[-1] if runs else None
-            if type(run) is type(last) is _ProductRun and run.product is last.product and not run.live & last.live:
-                runs[-1] = _ProductRun(run.product, last.live | run.live)
-            else:  # a strand in two runs stays in both
-                runs.append(run)
+        for tube in (dest, *sources):
+            for run in tube._runs:
+                last = runs[-1] if runs else None
+                if type(run) is type(last) is _ProductRun and run.product is last.product and not run.live & last.live:
+                    runs[-1] = _ProductRun(run.product, last.live | run.live)
+                else:  # a strand in two runs stays in both
+                    runs.append(run)
+            tube._runs = ()
         dest._runs = tuple(runs)
-        for src in sources:
-            src._runs = ()
         self.counter.merge += 1
         return dest
 
@@ -468,9 +476,14 @@ class TubeMachine:
             held = [seq in render(s, self.codebook) for s in strands]
             hits, rests = self._frames(compress(strands, held)), self._frames(compress(strands, map(not_, held)))
         else:  # a token never seen is in no strand; the empty probe holds every strand
-            parts = [run.split(run.column(self._index.get(token)) if token else run.live) for run in runs]
-            hits, rests = zip(*parts) if parts else ((), ())
-            hits, rests = tuple(filter(_LIVE, hits)), tuple(filter(_LIVE, rests))
+            index, hits, rests = self._index.get(token), [], []
+            for run in runs:  # an empty output run is dropped
+                hit, rest = run.split(run.column(index) if token else run.live)
+                if hit.live:
+                    hits.append(hit)
+                if rest.live:
+                    rests.append(rest)
+            hits, rests = tuple(hits), tuple(rests)
         tube._runs = ()
         self.counter.extract += 1
         return Tube(f"{tube.label}+", self, hits), Tube(f"{tube.label}-", self, rests)

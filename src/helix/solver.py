@@ -124,6 +124,8 @@ def solve_incremental(
     order = resolve_order(g, order)
     adj = g.adjacency()
     position = {v: idx for idx, v in enumerate(order)}
+    words = {v: [cb.codeword(v, c) for c in range(k)] for v in order}  # each vertex's codewords by color
+    names = [color_name(c) for c in range(k)]
     # A lone blank strand seeds the survivor tube: Append extends what exists,
     # so an empty tube would stay empty forever.
     t0 = machine.new_tube("T0", [BLANK_STRAND])
@@ -131,21 +133,21 @@ def solve_incremental(
     for idx, v in enumerate(order):
         t0_before = len(t0)
         color_tubes = machine.copy(t0, k)
-        # In run order, which fixes how many strands each extract below reads.
-        earlier = sorted((u for u in adj[v] if position[u] < idx), key=position.__getitem__)
+        # The earlier neighbors' codewords, in run order, which fixes how many strands each extract below reads.
+        earlier = [words[u] for u in sorted((u for u in adj[v] if position[u] < idx), key=position.__getitem__)]
         after_append, discarded = [], 0
         for c in range(k):  # one color at a time: its bad strands go before the next grows
             tube = color_tubes[c]
-            tube.label = f"{color_name(c)}@{v}"
-            machine.append(tube, cb.codeword(v, c))
+            tube.label = f"{names[c]}@{v}"
+            machine.append(tube, words[v][c])
             after_append.append(len(tube))
             bad_outputs = []
-            for u in earlier:
-                bad, tube = machine.extract(tube, cb.codeword(u, c))
+            for word in earlier:
+                bad, tube = machine.extract(tube, word[c])
                 bad_outputs.append(bad)
             color_tubes[c] = tube
             if bad_outputs:
-                bad_tube = machine.new_tube(f"{color_name(c)}_bad@{v}")
+                bad_tube = machine.new_tube(f"{names[c]}_bad@{v}")
                 machine.merge(bad_tube, bad_outputs)
                 discarded += len(bad_tube)
                 machine.discard(bad_tube)

@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import helix.oracle
 import helix.solver
-from helix import Graph, OpCounter, SolutionSet, Trace, cli, read_trace_document
+from helix import Graph, OpCounter, SolutionSet, Trace, cli, codebook_to_json, generate_codebook, read_trace_document
 from helix.cli import MAX_RANDOM_PAIRS, ConfigError, main, parse_graph_spec, random_graph
 from helix.codec import MAX_GENERATED_INDEX_BYTES
 
@@ -541,18 +541,77 @@ _generate = st.builds(
     lambda n, k, length, seed: ["codebook", "generate", "--n", n, "--colors", k, "--length", length, "--seed", seed],
     _int, _int, _length, _int,
 )
+# Orders of builtin:k3 with repeats, out-of-range and empty entries, and entries past 4,300 digits.
+_order = st.just("natural") | st.lists(
+    st.sampled_from(["1", "2", "3", "0", "4", "-1", "", " 2", "x", NINES_2200, NINES_4300, NINES_4300 + "9"]),
+    max_size=4,
+).map(",".join)
+_ordered = st.builds(
+    lambda command, order: [command, "--graph", "builtin:k3", "--colors", "3", "--order", order],
+    st.sampled_from(["solve", "compare"]), _order,
+)
+# Requests that read the drawn codebook document, cb.json.
+_coded = st.sampled_from(
+    [
+        ["solve", "--graph", "builtin:k3", "--colors", "3", "--codebook", "cb.json"],
+        ["solve", "--graph", "builtin:k3", "--colors", "2", "--codebook", "cb.json", "--match", "nucleotide"],
+        ["compare", "--graph", "builtin:k3", "--colors", "3", "--codebook", "cb.json"],
+        ["codebook", "validate", "--codebook", "cb.json"],
+        ["codebook", "validate", "--codebook", "cb.json", "--json"],
+    ]
+)
+# JSON texts for a codebook field: wrong types, a `length` of 1e999 (inf once parsed) and
+# ints past 4,300 digits, which json refuses to parse.
+_json_value = st.sampled_from(
+    ["1e999", "-1", "0", "1", "3", str(2**63), NINES_2200, NINES_4300 + "9", '"3"', "3.5", "[]", "{}", "null", "true"]
+)
+_CB = codebook_to_json(generate_codebook(3, 3, 20, 0))
 
 
-@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(argv=_run | _generate, budget=st.none() | _int)
-@example(argv=["solve", "--graph", f"random:{NINES_2200},0.5,1", "--colors", "2"], budget=None)
-@example(argv=["codebook", "generate", "--n", NINES_4300, "--colors", "1"], budget=None)
-@example(argv=["solve", "--graph", "edge5.col", "--colors", "2"], budget=None)
-@example(argv=["codebook", "generate", "--n", "0", "--colors", str(2**63)], budget=None)  # an empty table
-def test_every_drawn_request_ends_in_a_documented_exit_code(argv, budget, tmp_path, monkeypatch):
+def _json_object(fields: dict) -> str:
+    return "{" + ", ".join(f"{json.dumps(name)}: {text}" for name, text in fields.items()) + "}"
+
+
+@st.composite
+def _codebook_text(draw):
+    """The 3 x 3 codebook as JSON text, with up to three drawn edits."""
+    doc = {name: json.dumps(value) for name, value in _CB.items() if name != "entries"}
+    entries = [{name: json.dumps(value) for name, value in entry.items()} for entry in _CB["entries"]]
+    for _ in range(draw(st.integers(0, 3))):
+        edit = draw(st.sampled_from(["set", "drop", "set in entry", "drop in entry", "repeat", "out of range", "empty"]))
+        field = draw(st.sampled_from(["n", "k", "length", "provenance", "entries"]))
+        entry = draw(st.sampled_from(entries)) if entries else {}
+        if edit == "set":
+            doc[field] = draw(_json_value)
+        elif edit == "drop":
+            doc.pop(field, None)
+        elif edit == "set in entry":
+            entry[draw(st.sampled_from(["vertex", "color", "sequence"]))] = draw(_json_value)
+        elif edit == "drop in entry":
+            entry.pop(draw(st.sampled_from(["vertex", "color", "sequence"])), None)
+        elif edit == "repeat":
+            entries.append(dict(entry))
+        elif edit == "out of range":
+            entries.append({**entry, "vertex": draw(st.sampled_from(["0", "4"])), "color": draw(st.sampled_from(["-1", "3"]))})
+        else:
+            entries = []
+    doc.setdefault("entries", "[" + ", ".join(map(_json_object, entries)) + "]")
+    return _json_object(doc)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=_run | _generate | _ordered | _coded, budget=st.none() | _int, codebook=_codebook_text())
+@example(argv=["solve", "--graph", f"random:{NINES_2200},0.5,1", "--colors", "2"], budget=None, codebook="{}")
+@example(argv=["codebook", "generate", "--n", NINES_4300, "--colors", "1"], budget=None, codebook="{}")
+@example(argv=["solve", "--graph", "edge5.col", "--colors", "2"], budget=None, codebook="{}")
+@example(argv=["codebook", "generate", "--n", "0", "--colors", str(2**63)], budget=None, codebook="{}")  # an empty table
+@example(argv=["solve", "--graph", "builtin:k3", "--colors", "3", "--order", f"1,2,{NINES_4300}9"], budget=None, codebook="{}")
+@example(argv=["codebook", "validate", "--codebook", "cb.json"], budget=None, codebook=_json_object({"length": "1e999"}))
+def test_every_drawn_request_ends_in_a_documented_exit_code(argv, budget, codebook, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     for i, n in enumerate(_INTS):
         (tmp_path / f"edge{i}.col").write_text(f"p edge {n} 0\n")
+    (tmp_path / "cb.json").write_text(codebook)
     if budget is None:
         monkeypatch.delenv(cli.BUDGET_ENV, raising=False)
     else:
@@ -566,6 +625,11 @@ def test_every_drawn_request_ends_in_a_documented_exit_code(argv, budget, tmp_pa
             assert code == 2
     assert code in range(5)
     assert "Traceback" not in err.getvalue()
+
+
+def test_an_order_entry_past_the_int_string_limit_is_named_too_long(capsys):
+    assert run_cli("solve", "--graph", "builtin:k3", "--colors", "3", "--order", f"1,2,-{NINES_4300}9") == 2
+    assert capsys.readouterr().err == "config error: order entry 3 is too long: 4301 digits\n"
 
 
 def test_a_run_whose_least_peak_is_over_the_budget_is_refused_before_it_fills_memory():

@@ -133,7 +133,7 @@ def _join_by_slots(planes):
 
 
 def _ascending_narrow(planes):
-    """A joined frame of 2 strands: more planes than strands, so ascending transposes slot by slot."""
+    """A joined frame of 2 strands: more planes than strands, so ascending compares the fields slot by slot."""
     return Frame.joined(_frames(2, 2, 7 * planes - 1)).ascending
 
 

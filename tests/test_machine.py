@@ -860,28 +860,117 @@ def test_frames_hold_their_live_strands_slot_by_slot(data):
 def test_ascending_is_a_pairwise_strict_increase_of_the_values(data):
     """Frame.ascending against a pairwise comparison of list(values()), the repeat check's exact reading.
 
-    Frames of 1-3 words (up to 24 planes) whose fields are as drawn, sorted,
-    sorted with one repeat or sorted with one descending pair, some with dead
-    slots.
+    Frames of 1-10 planes and 1-300 fields, as drawn, sorted, or sorted with
+    repeats, with one descending pair, with neighbours that differ only in
+    the top plane or only in plane 0, or with one pair that differs only in
+    one low token bit; then split (dead slots, all of them included, or
+    every slot whose field does not rise above the last kept one), grown and
+    joined, so both sides of the test (more planes than strands or not) and
+    its compaction of dead slots are read.
     """
-    width = data.draw(st.integers(1, 3))
-    drawn = data.draw(st.lists(st.integers(0, 2 ** (64 * width) - 1), min_size=1, max_size=12))
+    planes = data.draw(st.integers(1, 10))
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+    count = data.draw(st.integers(1, 300))
+    drawn = [rng.getrandbits(8 * planes) for _ in range(count)]
     values = list(helix.frames.Frame.of_fields(0, drawn).values())  # presence bits set
-    arrangement = data.draw(st.sampled_from(["as drawn", "sorted", "repeat", "descending pair"]))
+    arrangement = data.draw(
+        st.sampled_from(["as drawn", "sorted", "repeats", "descending pair", "top plane", "plane 0", "one low bit"])
+    )
+    top = 8 * (planes - 1)
+    if arrangement == "top plane":  # all planes but the top one equal
+        values = [values[0] & ((1 << top) - 1) | v >> top << top for v in values]
+    elif arrangement == "plane 0":  # all planes but plane 0 equal
+        values = [values[0] >> 8 << 8 | v & 0xFF for v in values]
     if arrangement != "as drawn":
         values.sort()
-    j = data.draw(st.integers(0, len(values) - 1))
-    if arrangement == "repeat":
-        values.insert(j, values[j])
-    elif arrangement == "descending pair" and j + 1 < len(values):
+    j = rng.randrange(count)
+    if arrangement == "repeats":
+        values[j:j] = [values[j]] * data.draw(st.integers(1, 3))
+    elif arrangement == "descending pair" and j + 1 < count:
         values[j], values[j + 1] = values[j + 1], values[j]
+    elif arrangement == "one low bit":  # a pair equal but for one token bit of plane 0, either way round
+        bit = 2 << data.draw(st.integers(0, 6))
+        pair = [values[j] & ~bit, values[j] | bit]
+        values[j : j + 1] = pair if data.draw(st.booleans()) else pair[::-1]
     frame = helix.frames.Frame.of_fields(0, values)
-    if data.draw(st.booleans()):  # dead slots: keep a drawn subset of the slots
-        kept = data.draw(st.lists(st.booleans(), min_size=len(values), max_size=len(values)))
-        starts = sum(1 << (8 * j) for j, keep in enumerate(kept) if keep)
-        frame, _ = frame.split(starts or frame.live)
+    for _ in range(data.draw(st.integers(0, 2))):
+        op = data.draw(st.sampled_from(["split", "split ascending", "grow", "join", "join alone"]))
+        if op == "split":  # keep a drawn subset of the live slots, none of them included
+            kept = [frame.live >> 8 * j & 1 and rng.random() < 0.7 for j in range(frame._slots)]
+            frame, _ = frame.split(sum(1 << 8 * j for j, keep in enumerate(kept) if keep))
+        elif op == "split ascending":  # keep slots whose fields ascend, so the dead ones between them decide
+            starts, last = 0, -1
+            slots = [j for j in range(frame._slots) if frame.live >> 8 * j & 1]
+            for j, value in zip(slots, frame.values()):
+                if value > last:
+                    starts, last = starts | 1 << 8 * j, value
+            frame, _ = frame.split(starts)
+        elif op == "grow":  # a token in a plane the frame has, or past them
+            frame = frame.grown(0, data.draw(st.integers(0, 7 * planes + 6)))
+        elif op == "join":  # fields above the frame's, or anywhere
+            base = max(frame.values(), default=0) + 1 if data.draw(st.booleans()) else 0
+            more = sorted(base + rng.getrandbits(8 * planes) for _ in range(data.draw(st.integers(1, 20))))
+            frame = helix.frames.Frame.joined([frame, helix.frames.Frame.of_fields(0, more)])
+        elif frame.count:
+            frame = helix.frames.Frame.joined([frame])
     values = list(frame.values())
     assert frame.ascending() == all(a < b for a, b in zip(values, values[1:]))
+
+
+def _one_hot_machine(vertices):
+    """A symbolic machine on which token (v, c), c < 7, is index 7 (v - 1) + c: vertex v's colors fill plane v - 1."""
+    m = TubeMachine()
+    for v in range(1, vertices + 1):
+        for c in range(7):
+            m._index_of((v, c))
+    return m
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_distinct_counts_the_different_strands_of_tubes_of_one_order(data):
+    """Tube.distinct against len(set(contents)) on 0-300 strands of 1-10 vertices, one plane each.
+
+    Strands sorted by their colors from the last vertex back are ascending
+    fields.  They are drawn as they come, sorted, sorted without repeats, or
+    sorted with neighbours that differ only at the last vertex (the top
+    plane) or only at the first (plane 0), and then extracted, appended to
+    and merged with a copy of some of them; each lone frame is also read by
+    Frame.ascending.
+    """
+    vertices = data.draw(st.integers(1, 10))
+    m = _one_hot_machine(vertices + 1)  # one vertex more, for the appends
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+    rows = [[rng.randrange(7) for _ in range(vertices)] for _ in range(data.draw(st.integers(0, 300)))]
+    arrangement = data.draw(st.sampled_from(["as drawn", "sorted", "unique", "last vertex", "first vertex"]))
+    if arrangement == "last vertex":
+        rows = [rows[0][:-1] + row[-1:] for row in rows]
+    elif arrangement == "first vertex":
+        rows = [row[:1] + rows[0][1:] for row in rows]
+    if arrangement == "unique":
+        rows = [list(row) for row in set(map(tuple, rows))]
+    if arrangement != "as drawn":
+        rows.sort(key=lambda row: row[::-1])
+    tube = m.new_tube("t", [tuple(enumerate(row, 1)) for row in rows])
+    for step in range(data.draw(st.integers(1, 4))):
+        if step:
+            op = data.draw(st.sampled_from(["extract", "append", "merge"]))
+            if op == "extract":
+                token = (data.draw(st.integers(1, vertices)), data.draw(st.integers(0, 6)))
+                hit, rest = m.extract(tube, Codeword(*token, "ACGT"))
+                tube = hit if data.draw(st.booleans()) else rest
+            elif op == "append" and vertices + 1 not in {v for s in tube.contents for v, _ in s}:
+                m.append(tube, Codeword(vertices + 1, data.draw(st.integers(0, 6)), "ACGT"))
+            elif op == "merge":
+                again = tube.contents
+                m.merge(tube, [m.new_tube("again", [s for s in again if rng.random() < 0.3])])
+        runs = tube._runs
+        got = tube.distinct()  # before contents joins the runs
+        strands = tube.contents
+        assert got == len(set(strands))
+        if len(runs) == 1:
+            values = list(runs[0].values())
+            assert runs[0].ascending() == all(a < b for a, b in zip(values, values[1:]))
 
 
 def test_split_outputs_grown_apart_read_their_own_planes():
@@ -915,6 +1004,63 @@ def test_extract_outputs_share_the_source_field_int():
     plus, minus = m.extract(t, cw(1, 0))
     assert all(r._raw is source._raw and r._ints is source._ints for r in plus._runs + minus._runs)
     assert [(r.count, r._slots) for r in plus._runs + minus._runs] == [(2, 3), (1, 3)]
+
+
+def test_extract_drops_empty_outputs():
+    m = TubeMachine()
+    t = m.new_tube("t", [((1, 0),), ((1, 1),), ((2, 0),), ((2, 0),)])  # two runs, one per vertex order
+    plus, minus = m.extract(t, cw(2, 0))  # every strand of the second run, none of the first
+    assert [(r.order, r.count) for r in plus._runs] == [((2,), 2)]
+    assert [(r.order, r.count) for r in minus._runs] == [((1,), 2)]
+    none, every = m.extract(minus, cw(3, 0))  # a token never seen
+    assert none._runs == () and [r.count for r in every._runs] == [2]
+    part, rest = m.extract(every, cw(1, 1))
+    assert [(r.count, r._slots) for r in part._runs + rest._runs] == [(1, 2), (1, 2)]
+
+
+def test_runs_of_a_lone_frame_are_that_frame():
+    m = TubeMachine()
+    t = m.new_tube("t", [((1, 0),), ((1, 1),)])
+    runs = t._runs
+    assert t.runs is runs and len(runs) == 1 and isinstance(runs[0], helix.frames.Frame)
+
+
+def test_an_empty_new_tube_holds_no_run_and_can_be_merged_and_discarded():
+    m = TubeMachine()
+    empty = m.new_tube("bad")
+    assert (empty._runs, empty.runs, empty.contents, len(empty), m.peak_tube_size) == ((), (), [], 0, 0)
+    assert m._index == {}
+    source = m.new_tube("s", [((1, 0),)])
+    m.merge(empty, [source])
+    assert (empty.contents, source._runs) == ([((1, 0),)], ())
+    m.discard(empty)
+    assert empty.retired and m.counter == OpCounter(merge=1, discard=1)
+
+
+def test_merge_ors_disjoint_product_runs_in_dest_and_keeps_overlapping_ones_apart():
+    """Two runs of one product, adjacent and disjoint, join into one mask wherever they sit, dest included.
+
+    Copies narrowed by different extracts overlap in the strands with (1, 1),
+    so their merge keeps two runs; removing (1, 1) from that tube leaves two
+    disjoint runs in it, which its next merge ORs, with no source to pour.
+    """
+    m = TubeMachine()
+    rows = [((1, 0), (1, 1), (1, 2)), ((2, 0), (2, 1))]
+    full = list(itertools.product(*rows))
+    p, q = m.copy(m.new_tube("t", rows=rows), 2)
+    _, a = m.extract(p, cw(1, 2))
+    _, b = m.extract(q, cw(1, 0))
+    m.merge(a, [b])
+    assert len(a._runs) == 2 and product_of(a) is None  # overlapping: apart
+    _, dest = m.extract(a, cw(1, 1))
+    assert len(dest._runs) == 2  # disjoint now, but no merge has met them
+    m.merge(dest, [])
+    assert product_of(dest) is not None
+    assert dest.contents == [s for s in full if (1, 1) not in s]
+    more = m.new_tube("u", rows=rows)
+    low, high = m.extract(more, cw(2, 1))
+    m.merge(low, [m.new_tube("v"), high])  # across an empty source, the source's run meets dest's
+    assert product_of(low) is not None and low.contents == full
 
 
 @pytest.mark.parametrize("rows, cols", [(3, 7), (7, 3), (1, 9), (9, 1)], ids=["rows<cols", "rows>cols", "1xn", "nx1"])
