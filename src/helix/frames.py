@@ -41,27 +41,29 @@ fields of frames with fewer planes with presence bytes.  Slot-major fields,
 slot-side join, each transposed along the shorter side.
 
 Ascending frames.  ascending tests whether the live strands' fields, read
-as ints, strictly increase from slot to slot.  A frame with more planes
-than strands compares its fields, one strided slice each.  Any other
-compares adjacent slots plane by plane, from the top plane down, on the
-plane ints that _plane reads and caches: each plane is shifted down one bit,
-so slot j's 7 token bits sit in lane j, bits 0..6 of byte j, next to slot
-j + 1's in the same plane shifted down 9 bits.  Bit 7 of each lane is a
-guard that no borrow crosses, so `(next | guard) - this` keeps it exactly
-where the next slot's byte is not below this one's, and `(this | guard) -
-next` where it is not above.  A pair is undecided while its bytes are
-equal; a plane that puts an undecided pair in descending order ends the
-test, and the fields ascend once no pair is undecided.  Bit 0 is the
-presence bit of every live byte, so the lanes lose nothing.  No slot-major
-copy and no guard tile is built, and the next step's append, extract and
-join read the same cached plane ints.  Strictly increasing fields hold no
-strand twice.  The solver's survivor tube stays one ascending frame: a
-token's place rises with the order in which the machine first saw it, so
-the colors appended at a step outrank every earlier token and rise with the
-color; split and the join keep slot order, merge keeps the color tubes in
-color order, and padding adds presence bytes only.  So the fields stay in
-colex order of the run order, the newest token most significant.  Only the
-speed of the repeat check (Tube.distinct) relies on this.
+as ints, strictly increase from slot to slot, walking the shorter side.  A
+frame with more planes than strands compares its fields, one strided slice
+each: a pair that differs only in a low plane would cost the plane walk a
+pass per plane.  Any other compares adjacent slots plane by plane, from the
+top plane down, on the plane ints that _plane reads and caches: each plane
+is shifted down one bit, so slot j's 7 token bits sit in lane j, bits 0..6
+of byte j, next to slot j + 1's in the same plane shifted down 9 bits.  Bit
+7 of each lane is a guard that no borrow crosses, so `(next | guard) -
+this` keeps it exactly where the next slot's byte is not below this one's,
+and `(this | guard) - next` where it is not above.  A pair is undecided
+while its bytes are equal; a plane that puts an undecided pair in
+descending order ends the test, and the fields ascend once no pair is
+undecided.  Bit 0 is the presence bit of every live byte, so the lanes lose
+nothing.  No slot-major copy and no guard tile is built, and the next
+step's append, extract and join read the same cached plane ints.  Strictly
+increasing fields hold no strand twice.  The solver's survivor tube stays
+one ascending frame: a token's place rises with the order in which the
+machine first saw it, so the colors appended at a step outrank every
+earlier token and rise with the color; split and the join keep slot order,
+merge keeps the color tubes in color order, and padding adds presence
+bytes only.  So the fields stay in colex order of the run order, the newest
+token most significant.  Only the speed of the repeat check (Tube.distinct)
+relies on this.
 """
 
 from __future__ import annotations
@@ -252,7 +254,7 @@ class Frame:
         n = self.count
         if n < 2:
             return True
-        if self.planes > n:
+        if self.planes > n:  # the shorter side: one strided slice per strand, not one loop pass per plane
             fields = list(self.values())
             return all(map(lt, fields, fields[1:]))
         frame = self if n == self._slots else Frame.joined([self])

@@ -280,8 +280,7 @@ class Tube:
         return len(set(self.contents))
 
     def __len__(self) -> int:
-        runs = self._runs
-        return runs[0].count if len(runs) == 1 else sum(map(_COUNT, runs))
+        return sum(map(_COUNT, self._runs))
 
     def __repr__(self):
         state = "retired" if self.retired else f"{len(self)} strands"

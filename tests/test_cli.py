@@ -599,19 +599,10 @@ def _codebook_text(draw):
     return _json_object(doc)
 
 
-@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(argv=_run | _generate | _ordered | _coded, budget=st.none() | _int, codebook=_codebook_text())
-@example(argv=["solve", "--graph", f"random:{NINES_2200},0.5,1", "--colors", "2"], budget=None, codebook="{}")
-@example(argv=["codebook", "generate", "--n", NINES_4300, "--colors", "1"], budget=None, codebook="{}")
-@example(argv=["solve", "--graph", "edge5.col", "--colors", "2"], budget=None, codebook="{}")
-@example(argv=["codebook", "generate", "--n", "0", "--colors", str(2**63)], budget=None, codebook="{}")  # an empty table
-@example(argv=["solve", "--graph", "builtin:k3", "--colors", "3", "--order", f"1,2,{NINES_4300}9"], budget=None, codebook="{}")
-@example(argv=["codebook", "validate", "--codebook", "cb.json"], budget=None, codebook=_json_object({"length": "1e999"}))
-def test_every_drawn_request_ends_in_a_documented_exit_code(argv, budget, codebook, tmp_path, monkeypatch):
+def _ends_in_a_documented_exit_code(argv, budget, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     for i, n in enumerate(_INTS):
         (tmp_path / f"edge{i}.col").write_text(f"p edge {n} 0\n")
-    (tmp_path / "cb.json").write_text(codebook)
     if budget is None:
         monkeypatch.delenv(cli.BUDGET_ENV, raising=False)
     else:
@@ -625,6 +616,25 @@ def test_every_drawn_request_ends_in_a_documented_exit_code(argv, budget, codebo
             assert code == 2
     assert code in range(5)
     assert "Traceback" not in err.getvalue()
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=_run | _generate, budget=st.none() | _int)
+@example(argv=["solve", "--graph", f"random:{NINES_2200},0.5,1", "--colors", "2"], budget=None)
+@example(argv=["codebook", "generate", "--n", NINES_4300, "--colors", "1"], budget=None)
+@example(argv=["solve", "--graph", "edge5.col", "--colors", "2"], budget=None)
+@example(argv=["codebook", "generate", "--n", "0", "--colors", str(2**63)], budget=None)  # an empty table
+def test_every_drawn_request_ends_in_a_documented_exit_code(argv, budget, tmp_path, monkeypatch):
+    _ends_in_a_documented_exit_code(argv, budget, tmp_path, monkeypatch)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=_ordered | _coded, budget=st.none() | _int, codebook=_codebook_text())
+@example(argv=["solve", "--graph", "builtin:k3", "--colors", "3", "--order", f"1,2,{NINES_4300}9"], budget=None, codebook="{}")
+@example(argv=["codebook", "validate", "--codebook", "cb.json"], budget=None, codebook=_json_object({"length": "1e999"}))
+def test_every_drawn_order_and_codebook_file_ends_in_a_documented_exit_code(argv, budget, codebook, tmp_path, monkeypatch):
+    (tmp_path / "cb.json").write_text(codebook)
+    _ends_in_a_documented_exit_code(argv, budget, tmp_path, monkeypatch)
 
 
 def test_an_order_entry_past_the_int_string_limit_is_named_too_long(capsys):

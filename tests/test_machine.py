@@ -860,13 +860,42 @@ def test_frames_hold_their_live_strands_slot_by_slot(data):
 def test_ascending_is_a_pairwise_strict_increase_of_the_values(data):
     """Frame.ascending against a pairwise comparison of list(values()), the repeat check's exact reading.
 
+    Frames of 1-3 words (up to 24 planes) whose fields are as drawn, sorted,
+    sorted with one repeat or sorted with one descending pair, some with dead
+    slots.
+    """
+    width = data.draw(st.integers(1, 3))
+    drawn = data.draw(st.lists(st.integers(0, 2 ** (64 * width) - 1), min_size=1, max_size=12))
+    values = list(helix.frames.Frame.of_fields(0, drawn).values())  # presence bits set
+    arrangement = data.draw(st.sampled_from(["as drawn", "sorted", "repeat", "descending pair"]))
+    if arrangement != "as drawn":
+        values.sort()
+    j = data.draw(st.integers(0, len(values) - 1))
+    if arrangement == "repeat":
+        values.insert(j, values[j])
+    elif arrangement == "descending pair" and j + 1 < len(values):
+        values[j], values[j + 1] = values[j + 1], values[j]
+    frame = helix.frames.Frame.of_fields(0, values)
+    if data.draw(st.booleans()):  # dead slots: keep a drawn subset of the slots
+        kept = data.draw(st.lists(st.booleans(), min_size=len(values), max_size=len(values)))
+        starts = sum(1 << (8 * j) for j, keep in enumerate(kept) if keep)
+        frame, _ = frame.split(starts or frame.live)
+    values = list(frame.values())
+    assert frame.ascending() == all(a < b for a, b in zip(values, values[1:]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_ascending_of_split_grown_and_joined_frames_is_a_pairwise_strict_increase(data):
+    """Frame.ascending against a pairwise comparison of list(values()) on frames reshaped by the operations.
+
     Frames of 1-10 planes and 1-300 fields, as drawn, sorted, or sorted with
     repeats, with one descending pair, with neighbours that differ only in
     the top plane or only in plane 0, or with one pair that differs only in
     one low token bit; then split (dead slots, all of them included, or
     every slot whose field does not rise above the last kept one), grown and
-    joined, so both sides of the test (more planes than strands or not) and
-    its compaction of dead slots are read.
+    joined, so frames with more planes than strands or fewer, and the
+    compaction of dead slots, are read.
     """
     planes = data.draw(st.integers(1, 10))
     rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
