@@ -129,8 +129,39 @@ class ValidationReport(namedtuple("ValidationReport", "duplicates junction_viola
     @functools.cached_property
     def min_pairwise_hamming(self) -> int | None:
         """The least Hamming distance between two sequences of one length (None if none share one), worked out on first read."""
-        pairs = itertools.combinations(self.sequences, 2)
-        return min((sum(map(ne, a, b)) for a, b in pairs if len(a) == len(b)), default=None)
+        by_length: dict[int, list[str]] = {}
+        for seq in self.sequences:
+            by_length.setdefault(len(seq), []).append(seq)
+        least = None
+        for length, words in by_length.items():
+            if len(words) > 1:
+                found = _least_hamming(words, length, length + 1 if least is None else least)
+                least = found if least is None else min(least, found)
+        return least
+
+
+def _least_hamming(words: list[str], length: int, cap: int) -> int:
+    """The least Hamming distance between two of `words`, all `length` long, or min(length, cap) if none is below that.
+
+    Two words within distance d agree on one of any d + 1 disjoint blocks
+    that cut them (pigeonhole).  So for d = 0, 1, ... the words are bucketed
+    by each block and only words that share a bucket are compared; every pair
+    within d is compared in round d, so the first round that finds one has
+    found the least distance.  Words that agree nowhere are `length` apart.
+    """
+    for d in range(min(length, cap)):
+        cuts = [length * b // (d + 1) for b in range(d + 2)]
+        least = cap
+        for lo, hi in zip(cuts, cuts[1:]):
+            buckets: dict[str, list[str]] = {}
+            for word in words:
+                buckets.setdefault(word[lo:hi], []).append(word)
+            for bucket in buckets.values():
+                if len(bucket) > 1:
+                    least = min(least, *(sum(map(ne, a, b)) for a, b in itertools.combinations(bucket, 2)))
+        if least <= d:
+            return least
+    return min(length, cap)
 
 
 class Codebook:

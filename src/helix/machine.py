@@ -34,17 +34,31 @@ later rows' product, so its column is the column of the row's first entry
 shifted up j runs; only that first column is built, by shift-doubling on
 first use, and the _Product that both outputs of a split share caches it,
 one mask per row rather than one per token.  Extract is then one big-int AND
-(`hit = live & column`, rest `live ^ hit`); copy shares the run, and len,
-detect and discard count its bits.  Merge ORs adjacent product runs over one
-product that share no strand, which gives product order; any other runs
-stay side by side, two copies of one tube as two masks, so repeated strands
-stay repeated and merge decodes nothing.  Tube.runs, which append, contents
-and colors read, turns a mask into one frame, in product order, the first
-time the strands are read.  A mask with fewer set bits than size / rows is
-decoded sparsely, from each set bit's index read as mixed-radix digits (last
-row fastest), a denser one by walking the whole product.  Only rows= builds
-a mask: a mask over k**i strands for a tube that grows by append would
-bring back the blow-up the incremental engine avoids.
+(`hit = live & column`, rest `live ^ hit`).
+
+Families.  Each product run has a family: the new_tube(rows=...), copy or
+cross-family merge it came from through splits.  Runs of one family never
+share a strand, so merge ORs adjacent runs of one family with no AND; runs
+of two families over one product are ORed, into a new family, only when
+their AND is empty, and any other runs stay side by side, so two copies of
+one tube stay two masks, repeated strands stay repeated and merge decodes
+nothing.  Copy puts each product run of each copy in a fresh family of its
+own (frames are shared).  Discard counts no bits: it ORs a product run into
+the machine's one pending mask when the run is of the pending family, and
+otherwise settles the mask (counts its bits out of the live total) and
+starts a new one from the run, so at most one mask more than the live runs
+is held.  new_tube and copy settle it before they raise the live total, so
+peak_tube_size is exact.  detect asks only whether
+the tube has a run, since no run is empty; len still counts the bits.
+
+Decoding a product run.  Tube.runs, which append, contents and colors read,
+turns a mask into one frame, in product order, the first time the strands
+are read.  A mask with fewer set bits than size / rows is decoded sparsely:
+one regular-expression scan finds the non-zero bytes of the mask's bytes,
+and each set bit's index is read as mixed-radix digits (last row fastest); a
+denser mask is decoded by walking the whole product.  Only rows= builds a
+mask: a mask over k**i strands for a tube that grows by append would bring
+back the blow-up the incremental engine avoids.
 
 Byte-table decode (Tube.colors).  One decode uses one width: every requested
 vertex gets as many bits as the largest color among them needs (at least
@@ -86,6 +100,7 @@ its tokens.
 
 from __future__ import annotations
 
+import re
 from itertools import chain, compress, groupby, product
 from math import prod
 from operator import attrgetter, not_
@@ -125,9 +140,10 @@ class _Product:
             period = len(self.bits[r]) * run
             self._firsts[r] = (tile((1 << run) - 1, period, self.size // period), run)
         first, run = self._firsts[r]
-        col = 0
-        for j in positions:
-            col |= first << (j * run)
+        j, *more = positions
+        col = first << j * run if j else first
+        for j in more:
+            col |= first << j * run
         return col
 
     def members(self, mask: int) -> list[int]:
@@ -143,26 +159,33 @@ class _Product:
     def _picked(self, mask: int) -> list[int]:
         """The fields of the strands set in mask, one set bit at a time."""
         radices = [(len(row), row) for row in reversed(self.bits)]
-        digits = bin(mask)[:1:-1]
+        raw = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
         out = []
-        i = digits.find("1")
-        while i != -1:
-            rest, strand = i, 0
-            for size, row in radices:
-                rest, j = divmod(rest, size)
-                strand += row[j]
-            out.append(strand)
-            i = digits.find("1", i + 1)
+        for hit in re.finditer(rb"[^\0]", raw):  # compiled on first use, so importing builds no pattern
+            at = hit.start()
+            byte = raw[at]
+            while byte:
+                low = byte & -byte
+                byte ^= low
+                rest, strand = 8 * at + low.bit_length() - 1, 0
+                for size, row in radices:
+                    rest, j = divmod(rest, size)
+                    strand += row[j]
+                out.append(strand)
         return out
 
 
 class _ProductRun:
-    """The strands of a _Product whose bits are set in `live`: a tube run beside frames."""
+    """The strands of a _Product whose bits are set in `live`: a tube run beside frames.
 
-    __slots__ = ("product", "order", "live")
+    `family` is the object shared by the runs split from one new_tube(rows=...),
+    copy or cross-family merge; runs of one family share no strand.
+    """
 
-    def __init__(self, product: _Product, live: int):
-        self.product, self.order, self.live = product, product.order, live
+    __slots__ = ("product", "order", "live", "family")
+
+    def __init__(self, product: _Product, live: int, family: object):
+        self.product, self.order, self.live, self.family = product, product.order, live, family
 
     @property
     def count(self) -> int:
@@ -173,7 +196,8 @@ class _ProductRun:
 
     def split(self, starts: int) -> tuple["_ProductRun", "_ProductRun"]:
         """(hit, rest): the strands set in `starts`, a subset of the live mask, and the others."""
-        return _ProductRun(self.product, starts), _ProductRun(self.product, self.live ^ starts)
+        product, family = self.product, self.family
+        return _ProductRun(product, starts, family), _ProductRun(product, self.live ^ starts, family)
 
     def frame(self) -> Frame:
         """The strands as one frame, in product order."""
@@ -302,12 +326,20 @@ class TubeMachine:
         self.codebook = codebook
         self._coded = {} if codebook is None else {cw.sequence: (cw.vertex, cw.color) for cw in codebook.codewords()}
         self.counter = OpCounter()
-        self._live_strands = 0
+        self._live_strands = 0  # the pending mask's strands included until it is settled
+        self._pending_family, self._pending = None, 0  # discarded product strands of one family, not yet counted
         self.peak_tube_size = 0
         self._index: dict[Token, int] = {}  # token -> i, its bit frames.place(i) in a field
         self._token_at: dict[int, dict[int, Token]] = {}  # vertex -> {i: token}
 
+    def _settle(self) -> None:
+        """Count the pending discard mask out of the live total."""
+        self._live_strands -= self._pending.bit_count()
+        self._pending_family, self._pending = None, 0
+
     def _credit(self, delta: int) -> None:
+        """Raise the live total by delta >= 0, settling first, so the peak is exact."""
+        self._settle()
         self._live_strands += delta
         if self._live_strands > self.peak_tube_size:
             self.peak_tube_size = self._live_strands
@@ -392,7 +424,7 @@ class TubeMachine:
                 runs = self._frames(contents)
             else:
                 product = self._product_of(rows)
-                runs = (_ProductRun(product, (1 << product.size) - 1),) if product.size else ()
+                runs = (_ProductRun(product, (1 << product.size) - 1, object()),) if product.size else ()
         except (CodecError, MachineFault):
             while len(self._index) > known:  # newest first
                 (v, _), i = self._index.popitem()
@@ -401,7 +433,7 @@ class TubeMachine:
                     del self._token_at[v]
             raise
         tube = Tube(label, self, runs)
-        self._credit(len(tube))
+        self._credit(len(tube) if rows is None else product.size)
         return tube
 
     def append(self, tube: Tube, cw: Codeword) -> Tube:
@@ -425,12 +457,17 @@ class TubeMachine:
         self._require_live(tube)
         if count < 1:
             raise ValueError(f"copy count must be at least 1, got {count}")
-        size = len(tube)
-        copies = [Tube(f"{tube.label}#{i}", self, tube._runs) for i in range(1, count + 1)]
+        size, runs = len(tube), tube._runs
+        copies = [Tube(f"{tube.label}#{i}", self, self._refamilied(runs)) for i in range(1, count + 1)]
         tube._runs = ()
         self._credit((count - 1) * size)
         self.counter.copy += 1
         return copies
+
+    @staticmethod
+    def _refamilied(runs: tuple) -> tuple:
+        """The runs, each product run in a family of its own, frames shared."""
+        return tuple(run if run.__class__ is Frame else _ProductRun(run.product, run.live, object()) for run in runs)
 
     def merge(self, dest: Tube, sources) -> Tube:
         """Pour every source into dest; sources end empty.  One counter tick.
@@ -450,8 +487,11 @@ class TubeMachine:
         for tube in (dest, *sources):
             for run in tube._runs:
                 last = runs[-1] if runs else None
-                if type(run) is type(last) is _ProductRun and run.product is last.product and not run.live & last.live:
-                    runs[-1] = _ProductRun(run.product, last.live | run.live)
+                if run.__class__ is last.__class__ is _ProductRun and (
+                    run.family is last.family or run.product is last.product and not run.live & last.live
+                ):  # one family shares no strand, so only two families' runs are ANDed; their union is a new family
+                    family = run.family if run.family is last.family else object()
+                    runs[-1] = _ProductRun(run.product, last.live | run.live, family)
                 else:  # a strand in two runs stays in both
                     runs.append(run)
             tube._runs = ()
@@ -490,12 +530,19 @@ class TubeMachine:
     def detect(self, tube: Tube) -> bool:
         self._require_live(tube)
         self.counter.detect += 1
-        return bool(tube)
+        return bool(tube._runs)  # no run is empty
 
     def discard(self, tube: Tube) -> None:
         """Drop the tube's contents and retire it; later operations on it fault."""
         self._require_live(tube)
-        self._credit(-len(tube))
+        for run in tube._runs:
+            if run.__class__ is Frame:
+                self._live_strands -= run.count
+            elif run.family is self._pending_family:  # disjoint from the pending strands: OR, count later
+                self._pending |= run.live
+            else:
+                self._settle()
+                self._pending_family, self._pending = run.family, run.live
         tube._runs = ()
         tube.retired = True
         self.counter.discard += 1

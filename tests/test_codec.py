@@ -18,6 +18,7 @@ from helix import (
     JunctionViolation,
     SoundnessError,
     TubeMachine,
+    ValidationReport,
     builtin_table1,
     codebook_from_json,
     codebook_to_json,
@@ -277,12 +278,17 @@ def _report_by_triple_scan(cb):
         for w in words for x in words for y in words
         for off in _misaligned_offsets(w.sequence, x.sequence, y.sequence)
     )
+    return duplicates, violations, _hamming_by_pair_scan([w.sequence for w in words])
+
+
+def _hamming_by_pair_scan(sequences):
+    """Reference: the least Hamming distance over every pair of one length, or None."""
     distances = [
-        sum(p != q for p, q in zip(a.sequence, b.sequence))
-        for i, a in enumerate(words) for b in words[i + 1 :]
-        if len(a.sequence) == len(b.sequence)
+        sum(p != q for p, q in zip(a, b))
+        for i, a in enumerate(sequences) for b in sequences[i + 1 :]
+        if len(a) == len(b)
     ]
-    return duplicates, violations, min(distances, default=None)
+    return min(distances, default=None)
 
 
 def _extends_safely_by_scan(accepted, cand):
@@ -339,6 +345,24 @@ def test_validation_report_matches_the_triple_scan(pool):
     cb = _tiny_cb(*pool)
     report = validate_codebook(cb)
     assert (report.duplicates, report.junction_violations, report.min_pairwise_hamming) == _report_by_triple_scan(cb)
+
+
+@st.composite
+def hamming_tables(draw):
+    """Words of a few lengths (0 included) over 1-, 2- or 4-letter alphabets, some repeated, in any order."""
+    alphabet = draw(st.sampled_from(["A", "AC", "ACGT"]))
+    lengths = draw(st.lists(st.integers(0, 12), min_size=1, max_size=3))
+    word = st.sampled_from(lengths).flatmap(lambda n: st.text(alphabet, min_size=n, max_size=n))
+    words = draw(st.lists(word, max_size=16))
+    repeats = draw(st.lists(st.sampled_from(words), max_size=3)) if words else []
+    return draw(st.permutations(words + repeats))
+
+
+@settings(max_examples=500, deadline=None)
+@given(hamming_tables())
+def test_the_block_search_finds_the_pair_scans_least_hamming_distance(words):
+    report = ValidationReport((), (), tuple(words))
+    assert report.min_pairwise_hamming == _hamming_by_pair_scan(words)
 
 
 def test_validation_lists_no_codeword_pairs():

@@ -30,7 +30,7 @@ from helix import (
     TubeMachine,
     trace_document,
 )
-from helix import solver
+from helix import machine, solver
 from helix.codec import coloring_from_strand
 from helix.frames import Frame
 from helix.cli import random_graph
@@ -348,6 +348,28 @@ def test_monolithic_peak_is_full_space():
     assert trace.peak_tube_size == 3**5
     assert inc_trace.peak_tube_size < trace.peak_tube_size
     assert mono.colorings == inc.colorings
+
+
+def test_a_monolithic_run_counts_its_product_runs_at_most_once(monkeypatch):
+    """Discard, detect and the start tube's credit count no product run's bits.
+
+    Every run of the filter comes from the start tube through splits, so
+    merge ORs without an AND and discard ORs into one pending mask that
+    nothing settles; the one count a run may read is the sparse/dense choice
+    of the final decode (_Product.members).
+    """
+    reads = []
+
+    def counted(run):
+        reads.append(run)
+        return run.live.bit_count()
+
+    monkeypatch.setattr(machine._ProductRun, "count", property(counted))
+    g, k = random_graph(8, 0.3, 1), 3
+    sols, trace = solve_monolithic(g, k, generate_codebook(g.n, k, 20, 0))
+    assert sols.colorings == frozenset(enumerate_colorings(g, k))
+    assert trace.op_totals.discard == k * len(g.edges) > 0
+    assert len(reads) <= 1, f"{len(reads)} reads of a product run's count"
 
 
 def _assert_monolithic_run_is_not_stored_strand_by_strand(match_mode):
