@@ -48,6 +48,21 @@ class ConfigError(Exception):
     """A coherent request the tool refuses to run (exit 2)."""
 
 
+def _int(text: str, name: str) -> int:
+    """int(text), with ConfigError naming `name` too long when text is a number that int() refuses for its length.
+
+    Any other text int() refuses raises its ValueError, for the caller's own message.
+    """
+    try:
+        return int(text)
+    except ValueError:
+        digits = text.strip()
+        digits = digits[1:] if digits[:1] in ("+", "-") else digits
+        if digits.isdecimal():
+            raise ConfigError(f"{name} is too long: {len(digits)} digits") from None
+        raise
+
+
 def random_graph(n: int, p: float, seed: int) -> Graph:
     """Seeded Erdos-Renyi G(n, p); identical output for identical arguments."""
     if n < 1:
@@ -77,7 +92,7 @@ def parse_graph_spec(spec: str) -> tuple[Graph, list[str]]:
         if len(parts) != 3:
             raise ConfigError(f"random graph spec must be random:n,p,seed, got {spec!r}")
         try:
-            n, p, seed = int(parts[0]), float(parts[1]), int(parts[2])
+            n, p, seed = _int(parts[0], "random graph n"), float(parts[1]), _int(parts[2], "random graph seed")
         except ValueError:
             raise ConfigError(f"bad numbers in random graph spec {spec!r}") from None
         return random_graph(n, p, seed), []
@@ -110,7 +125,7 @@ def parse_codebook_spec(spec: str, g: Graph, k: int) -> Codebook:
         if len(parts) != 2:
             raise ConfigError(f"generator spec must be gen:length,seed, got {spec!r}")
         try:
-            length, seed = int(parts[0]), int(parts[1])
+            length, seed = _int(parts[0], "generator length"), _int(parts[1], "generator seed")
         except ValueError:
             raise ConfigError(f"bad numbers in generator spec {spec!r}") from None
         return generate_codebook(g.n, k, length, seed)
@@ -128,12 +143,8 @@ def parse_order_spec(spec: str, g: Graph) -> list[int] | None:
     order = []
     for pos, tok in enumerate(spec.split(","), 1):
         try:
-            order.append(int(tok))
+            order.append(_int(tok, f"order entry {pos}"))
         except ValueError:
-            digits = tok.strip()
-            digits = digits[1:] if digits[:1] in ("+", "-") else digits
-            if digits.isdecimal():  # a number that int() refuses for its length
-                raise ConfigError(f"order entry {pos} is too long: {len(digits)} digits") from None
             raise ConfigError(f"order must be 'natural' or a comma list, got {spec!r}") from None
     return solver.resolve_order(g, order)
 
@@ -143,7 +154,7 @@ def strand_budget() -> int:
     if raw is None:
         return DEFAULT_STRAND_BUDGET
     try:
-        budget = int(raw)
+        budget = _int(raw, BUDGET_ENV)
     except ValueError:
         raise ConfigError(f"{BUDGET_ENV} must be an integer, got {raw!r}") from None
     if budget < 0:

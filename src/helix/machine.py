@@ -43,13 +43,12 @@ of two families over one product are ORed, into a new family, only when
 their AND is empty, and any other runs stay side by side, so two copies of
 one tube stay two masks, repeated strands stay repeated and merge decodes
 nothing.  Copy puts each product run of each copy in a fresh family of its
-own (frames are shared).  Discard counts no bits: it ORs a product run into
-the machine's one pending mask when the run is of the pending family, and
-otherwise settles the mask (counts its bits out of the live total) and
-starts a new one from the run, so at most one mask more than the live runs
-is held.  new_tube and copy settle it before they raise the live total, so
-peak_tube_size is exact.  detect asks only whether
-the tube has a run, since no run is empty; len still counts the bits.
+own (frames are shared).
+
+The live count.  Only new_tube and copy raise the strands in the tubes, so
+only they take the count (TubeMachine._count), the sum of len over every
+tube built or refilled by a merge and not emptied since, and raise
+peak_tube_size to it; discard counts nothing.
 
 Decoding a product run.  Tube.runs, which append, contents and colors read,
 turns a mask into one frame, in product order, the first time the strands
@@ -175,6 +174,26 @@ class _Product:
         return out
 
 
+def _by_vertex(index: dict[Token, int]) -> dict[int, dict[int, Token]]:
+    """The token index grouped by vertex: vertex -> {i: token}, i ascending."""
+    at: dict[int, dict[int, Token]] = {}
+    for token, i in index.items():
+        at.setdefault(token[0], {})[i] = token
+    return at
+
+
+def _unpack(at: dict[int, dict[int, Token]], order: tuple[int, ...], fields) -> list[Strand]:
+    """Fields of vertex order `order` to token tuples in append order, `at` the index by vertex.
+
+    A field s holds `tokens[s & mask]` in its vertex's (mask, tokens) row.
+    """
+    rows = []
+    for v in order:
+        tokens = {1 << place(i): t for i, t in at[v].items()}
+        rows.append((sum(tokens), tokens))
+    return [tuple([tok[s & m] for m, tok in rows]) for s in fields]
+
+
 class _ProductRun:
     """The strands of a _Product whose bits are set in `live`: a tube run beside frames.
 
@@ -241,13 +260,14 @@ class Tube:
     twice.
     """
 
-    __slots__ = ("label", "_runs", "retired", "_machine")
+    __slots__ = ("label", "_runs", "retired", "_index")
 
     def __init__(self, label: str, machine: "TubeMachine", runs: tuple = ()):
         self.label = label
         self._runs = runs
         self.retired = False
-        self._machine = machine
+        self._index = machine._index  # the token index, not the machine, which holds its tubes
+        machine._tubes.add(self)
 
     @property
     def runs(self) -> tuple:
@@ -263,7 +283,8 @@ class Tube:
     @property
     def contents(self) -> list[Strand]:
         """The strands as token tuples in append order."""
-        return [s for run in self.runs for s in self._machine._unpack(run.order, run.values())]
+        at = _by_vertex(self._index)
+        return [s for run in self.runs for s in _unpack(at, run.order, run.values())]
 
     def colors(self, vertices) -> list[tuple[int, ...]]:
         """Each strand's color at each of `vertices`, in lexicographic order (the byte-table decode).
@@ -271,13 +292,14 @@ class Tube:
         Every strand must name every one of the vertices: KeyError names one
         that some strand's vertex order lacks.
         """
-        machine, vertices, runs = self._machine, list(vertices), self.runs
+        vertices, runs = list(vertices), self.runs
         for run in runs:
             if missing := set(vertices).difference(run.order):
                 raise KeyError(f"strands of vertex order {run.order} lack vertex {min(missing)}")
         if not vertices:
             return [()] * len(self)
-        tokens = [[(i, c) for i, (_, c) in machine._token_at.get(v, {}).items() if c] for v in vertices]
+        at = _by_vertex(self._index)
+        tokens = [[(i, c) for i, (_, c) in at.get(v, {}).items() if c] for v in vertices]
         width = max(1, max((c for colored in tokens for _, c in colored), default=0).bit_length())
         step = WORD_BITS // width  # vertices per key
         columns = []  # each vertex's colors, in order
@@ -326,23 +348,16 @@ class TubeMachine:
         self.codebook = codebook
         self._coded = {} if codebook is None else {cw.sequence: (cw.vertex, cw.color) for cw in codebook.codewords()}
         self.counter = OpCounter()
-        self._live_strands = 0  # the pending mask's strands included until it is settled
-        self._pending_family, self._pending = None, 0  # discarded product strands of one family, not yet counted
         self.peak_tube_size = 0
         self._index: dict[Token, int] = {}  # token -> i, its bit frames.place(i) in a field
-        self._token_at: dict[int, dict[int, Token]] = {}  # vertex -> {i: token}
+        self._tubes: set[Tube] = set()  # every tube that may hold strands: each one built, each merge's dest
 
-    def _settle(self) -> None:
-        """Count the pending discard mask out of the live total."""
-        self._live_strands -= self._pending.bit_count()
-        self._pending_family, self._pending = None, 0
-
-    def _credit(self, delta: int) -> None:
-        """Raise the live total by delta >= 0, settling first, so the peak is exact."""
-        self._settle()
-        self._live_strands += delta
-        if self._live_strands > self.peak_tube_size:
-            self.peak_tube_size = self._live_strands
+    def _count(self) -> None:
+        """Raise peak_tube_size to the strands in the tubes, and drop the empty ones from the set."""
+        self._tubes = {tube for tube in self._tubes if tube._runs}  # a retired tube has no run
+        live = sum(map(len, self._tubes))
+        if live > self.peak_tube_size:
+            self.peak_tube_size = live
 
     @staticmethod
     def _require_live(tube: Tube) -> None:
@@ -360,7 +375,6 @@ class TubeMachine:
             if self.codebook is not None:
                 self.codebook.codeword(v, c)  # raises CodecError for a token with no codeword
             i = self._index[token] = len(self._index)
-            self._token_at.setdefault(v, {})[i] = token
         return i
 
     def _bit_of(self, token: Token) -> int:
@@ -386,17 +400,6 @@ class TubeMachine:
                 raise MachineFault(f"token row names more than one vertex: {_show(sorted(vertices))}")
             order.extend(vertices)
         return _Product(self._checked(tuple(order)), [list(map(self._index_of, row)) for row in rows])
-
-    def _unpack(self, order: tuple[int, ...], fields) -> list[Strand]:
-        """Fields of vertex order `order` to token tuples in append order.
-
-        A field s holds `tokens[s & mask]` in its vertex's (mask, tokens) row.
-        """
-        rows = []
-        for v in order:
-            tokens = {1 << place(i): t for i, t in self._token_at[v].items()}
-            rows.append((sum(tokens), tokens))
-        return [tuple([tok[s & m] for m, tok in rows]) for s in fields]
 
     def _frames(self, strands) -> tuple[Frame, ...]:
         """Token tuples as frames, one per stretch of strands of one vertex order."""
@@ -427,13 +430,10 @@ class TubeMachine:
                 runs = (_ProductRun(product, (1 << product.size) - 1, object()),) if product.size else ()
         except (CodecError, MachineFault):
             while len(self._index) > known:  # newest first
-                (v, _), i = self._index.popitem()
-                del self._token_at[v][i]
-                if not self._token_at[v]:
-                    del self._token_at[v]
+                self._index.popitem()
             raise
         tube = Tube(label, self, runs)
-        self._credit(len(tube) if rows is None else product.size)
+        self._count()
         return tube
 
     def append(self, tube: Tube, cw: Codeword) -> Tube:
@@ -457,10 +457,9 @@ class TubeMachine:
         self._require_live(tube)
         if count < 1:
             raise ValueError(f"copy count must be at least 1, got {count}")
-        size, runs = len(tube), tube._runs
-        copies = [Tube(f"{tube.label}#{i}", self, self._refamilied(runs)) for i in range(1, count + 1)]
+        copies = [Tube(f"{tube.label}#{i}", self, self._refamilied(tube._runs)) for i in range(1, count + 1)]
         tube._runs = ()
-        self._credit((count - 1) * size)
+        self._count()
         self.counter.copy += 1
         return copies
 
@@ -496,6 +495,7 @@ class TubeMachine:
                     runs.append(run)
             tube._runs = ()
         dest._runs = tuple(runs)
+        self._tubes.add(dest)  # an emptied dest left the set at the last count
         self.counter.merge += 1
         return dest
 
@@ -535,14 +535,6 @@ class TubeMachine:
     def discard(self, tube: Tube) -> None:
         """Drop the tube's contents and retire it; later operations on it fault."""
         self._require_live(tube)
-        for run in tube._runs:
-            if run.__class__ is Frame:
-                self._live_strands -= run.count
-            elif run.family is self._pending_family:  # disjoint from the pending strands: OR, count later
-                self._pending |= run.live
-            else:
-                self._settle()
-                self._pending_family, self._pending = run.family, run.live
         tube._runs = ()
         tube.retired = True
         self.counter.discard += 1

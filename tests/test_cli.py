@@ -642,6 +642,24 @@ def test_an_order_entry_past_the_int_string_limit_is_named_too_long(capsys):
     assert capsys.readouterr().err == "config error: order entry 3 is too long: 4301 digits\n"
 
 
+@pytest.mark.parametrize(
+    "budget, graph, codebook, name",
+    [
+        (f"{NINES_4300}9", "builtin:k3", "table1", "HELIX_BUDGET"),
+        (None, f"random:{NINES_4300}9,0.5,1", "table1", "random graph n"),
+        (None, f"random:3,0.5,-{NINES_4300}9", "table1", "random graph seed"),
+        (None, "builtin:k3", f"gen:{NINES_4300}9,1", "generator length"),
+        (None, "builtin:k3", f"gen:20,+{NINES_4300}9", "generator seed"),
+    ],
+    ids=["budget", "random n", "random seed", "gen length", "gen seed"],
+)
+def test_a_number_past_the_int_string_limit_is_named_too_long(budget, graph, codebook, name, capsys, monkeypatch):
+    if budget is not None:
+        monkeypatch.setenv("HELIX_BUDGET", budget)
+    assert run_cli("solve", "--graph", graph, "--colors", "3", "--codebook", codebook) == 2
+    assert capsys.readouterr().err == f"config error: {name} is too long: 4301 digits\n"
+
+
 def test_a_run_whose_least_peak_is_over_the_budget_is_refused_before_it_fills_memory():
     # K4 at 200 colors peaks at 200 * 200 * 199 * 198 strands
     proc = run_limited("solve", "--graph", "builtin:k4", "--colors", "200", timeout=5)

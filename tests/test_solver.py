@@ -1,3 +1,4 @@
+import gc
 import itertools
 import json
 import random
@@ -235,6 +236,19 @@ def test_a_solution_set_is_the_oracle_rows_and_equals_its_copy_read_back():
         assert decoded.colorings == frozenset(expected)
 
 
+@pytest.mark.parametrize("engine", [solve_incremental, solve_monolithic])
+def test_a_solve_leaves_no_cyclic_garbage(engine):
+    """Tubes, runs and the machine form no reference cycle, so a solve frees everything by reference count."""
+    g, cb = builtin_graph("petersen"), corpus.suite_codebook(10, 3)
+    gc.collect()
+    gc.disable()
+    try:
+        engine(g, 3, cb)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_k1_runs():
     edgeless = Graph(3, frozenset())
     cb = generate_codebook(3, 1, 12, 0)
@@ -351,12 +365,11 @@ def test_monolithic_peak_is_full_space():
 
 
 def test_a_monolithic_run_counts_its_product_runs_at_most_once(monkeypatch):
-    """Discard, detect and the start tube's credit count no product run's bits.
+    """Merge, discard and detect count no product run's bits.
 
     Every run of the filter comes from the start tube through splits, so
-    merge ORs without an AND and discard ORs into one pending mask that
-    nothing settles; the one count a run may read is the sparse/dense choice
-    of the final decode (_Product.members).
+    merge ORs without an AND and discard only empties; the one count a run
+    may read is the start tube's, when new_tube takes the live count.
     """
     reads = []
 
