@@ -21,7 +21,7 @@ import itertools
 import json
 import random
 from collections import namedtuple
-from operator import ne
+from operator import itemgetter, ne
 
 DNA_BASES = "ACGT"
 
@@ -168,9 +168,10 @@ class Codebook:
     """Total (vertex, color) -> Codeword table for n vertices and k colors.
 
     Treated as immutable after construction; validation results are cached on
-    first use.  Construction checks coverage and the DNA alphabet only;
-    distinctness and junction safety are the validator's business, so that a
-    deliberately broken codebook can still be built and reported on.
+    first use.  Construction checks coverage, the DNA alphabet and, when a
+    length is declared, that every sequence has it; distinctness and
+    junction safety are the validator's business, so that a deliberately
+    broken codebook can still be built and reported on.
     """
 
     def __init__(self, n: int, k: int, entries, provenance: str, length: int | None = None):
@@ -180,6 +181,10 @@ class Codebook:
             if not (1 <= cw.vertex <= n) or not (0 <= cw.color < k):
                 raise CodecError(f"entry ({cw.vertex},{cw.color}) outside {n} vertices x {k} colors")
             check_dna(cw.sequence)
+            if length is not None and len(cw.sequence) != length:
+                raise CodecError(
+                    f"entry ({cw.vertex},{cw.color}) has {len(cw.sequence)} bases, not the codebook's length {_show(length)}"
+                )
             if (cw.vertex, cw.color) in table:
                 raise CodecError(f"two entries for vertex {cw.vertex}, color {cw.color}")
             table[(cw.vertex, cw.color)] = cw
@@ -217,7 +222,7 @@ def validate_codebook(cb: Codebook) -> ValidationReport:
 
     A junction violation is an occurrence of a codeword w in x + y, for any
     codewords x and y (x = y included), other than as exactly x or exactly y.
-    The witnesses come from a _JunctionIndex, in (w, x, y, offset) order.
+    The witnesses are listed in (w, x, y, offset) order.
 
     Pairs are enough: an occurrence of w in a rendered strand that touches
     three or more codewords covers some whole codeword z shorter than w, and
@@ -226,23 +231,89 @@ def validate_codebook(cb: Codebook) -> ValidationReport:
     and nucleotide extract agrees with token membership on every strand,
     whatever the mix of codeword lengths.
 
-    It makes O(total length * distinct lengths) dict lookups, plus one
-    entry per witness listed: no step visits a pair of codewords.  The
-    index holds every prefix and suffix, so its memory is quadratic in the
-    length of a codeword.
+    Crossings are found from the words' shared half-affixes.  w crosses the
+    junction of x + y with its first j bases in x exactly when x ends with
+    w[:j] and y starts with w[j:], and one of those two sides has at least
+    half of w's bases.  So every crossing has a long side that is both a
+    prefix and a suffix of some words, of one size j from half the shortest
+    word up.  Per size, the j-base prefixes of all words are met with their
+    j-base suffixes in one set intersection; when no size shares a string
+    there is no crossing, and nothing more is cut.  Otherwise only the cuts
+    whose long side is shared are kept, and the words that end (start) with
+    the cuts' two sides are looked up, keyed by just those strings.  A word
+    wholly inside a longer word z is found by looking each substring of z,
+    of each shorter word length, up among the whole words.
+
+    Each step maps over the words once per size, in C, or loops over what
+    it found: O(total length * distinct lengths) slices and lookups, plus
+    one entry per witness listed, and no step visits a pair of codewords.
+    Memory is one size's prefixes and suffixes at a time, the kept cuts and
+    their keys, and the witnesses: linear in the total length when the
+    report is short.
     """
     words = cb.codewords()
-    index = _JunctionIndex(cw.sequence for cw in words)
-    same = sorted(pair for group in index.whole().values() for pair in itertools.combinations(group, 2))
+    seqs = [cw.sequence for cw in words]
+    whole: dict[str, list[int]] = {}
+    for pos, seq in enumerate(seqs):
+        whole.setdefault(seq, []).append(pos)
+    same = sorted(pair for group in whole.values() for pair in itertools.combinations(group, 2))
     duplicates = tuple((words[i], words[j]) for i, j in same)
     violations = tuple(
-        JunctionViolation(words[w], words[x], words[y], off) for w, x, y, off in index.witnesses()
+        JunctionViolation(words[w], words[x], words[y], off) for w, x, y, off in _witnesses(seqs, whole)
     )
-    return ValidationReport(duplicates, violations, tuple(cw.sequence for cw in words))
+    return ValidationReport(duplicates, violations, tuple(seqs))
+
+
+def _witnesses(words: list[str], whole: dict[str, list[int]]) -> list[tuple[int, int, int, int]]:
+    """Every violation as sorted (w, x, y, offset) positions in words; whole maps each word to its positions."""
+    lengths = sorted({len(word) for word in whole}) or [0]
+    everyone = range(len(words))
+    sizes = range((lengths[0] + 1) // 2, lengths[-1])  # the long sides' sizes, for every word length
+
+    def prefixes(j):
+        return list(map(itemgetter(slice(j)), words))
+
+    def suffixes(j):
+        return list(map(itemgetter(slice(-j, None)), words))
+
+    def held(table, keys):
+        """The positions whose key is in table."""
+        return itertools.compress(everyone, map(table.__contains__, keys))
+
+    shared = set()
+    for j in sizes:
+        shared.update(set(prefixes(j)).intersection(suffixes(j)))
+    found = []
+    if shared:
+        cuts = []  # (w, j): w crosses where some x ends with w[:j] and some y starts with w[j:]
+        for j in sizes:  # the long side is w[:j] when j < len(w) <= 2j, or w[-j:] when j < len(w) < 2j
+            cuts += [(w, j) for w in held(shared, prefixes(j)) if j < len(words[w]) <= 2 * j]
+            cuts += [(w, len(words[w]) - j) for w in held(shared, suffixes(j)) if j < len(words[w]) < 2 * j]
+        ends = {words[w][:j]: [] for w, j in cuts}
+        starts = {words[w][j:]: [] for w, j in cuts}
+        for table, affixes in ((ends, suffixes), (starts, prefixes)):
+            for j in {len(key) for key in table}:
+                keys = affixes(j)
+                for x in held(table, keys):
+                    if len(words[x]) >= j:  # a shorter word's affix is the word, met at its own size
+                        table[keys[x]].append(x)
+        found = [
+            (w, x, y, len(words[x]) - j) for w, j in cuts for x in ends[words[w][:j]] for y in starts[words[w][j:]]
+        ]
+    for z, other in enumerate(words):  # wholly inside z, as x or as y of every pair
+        for size in lengths:
+            if size >= len(other):
+                break
+            for off in range(len(other) - size + 1):
+                for w in whole.get(other[off : off + size], ()):
+                    found += [(w, z, y, off) for y in everyone]
+                    found += [(w, x, z, len(words[x]) + off) for x in everyone]
+    found.sort()
+    return found
 
 
 class _JunctionIndex:
-    """Prefix/suffix index over words of any lengths, for generation and validation.
+    """Prefix/suffix index that generation admits words into one at a time.
 
     Word w occurs across the junction of x + y with its first j bases in x
     (0 < j < len(w)) exactly when x ends with w[:j] and y starts with w[j:],
@@ -250,9 +321,8 @@ class _JunctionIndex:
     suffix and a prefix.  Whole words are keys too: w = x + y[:1] at offset 0
     crosses the junction just as any other offset does.
 
-    Words given to the constructor get only these two maps, which is all
-    witnesses reads.  Words given to add also keep, for admits, the two sets
-    of affixes a candidate may not have:
+    Besides the two maps, add keeps, for admits, the two sets of affixes a
+    candidate may not have:
     - x-role tails: each proper prefix w[:i] of a word whose rest w[i:]
       starts some word;
     - y-role heads: each proper suffix w[i:] of a word whose rest w[:i]
@@ -261,19 +331,16 @@ class _JunctionIndex:
     own affixes are looked up, and a prefix (suffix) no word had before adds
     the matching affix of every word ending (starting) with it.  Each new
     prefix or suffix is met once, so the upkeep is amortised O(total length).
+    Validation does not use the index: validate_codebook needs no map of
+    every affix.
     """
 
-    def __init__(self, words=()):
+    def __init__(self):
         self.words: list[str] = []
         self.ends: dict[str, list[int]] = {}  # s: positions of the words ending with s
         self.starts: dict[str, list[int]] = {}  # s: positions of the words starting with s
         self.x_tails: set[str] = set()
         self.y_heads: set[str] = set()
-        for pos, word in enumerate(words):
-            self.words.append(word)
-            for j in range(1, len(word) + 1):
-                self.starts.setdefault(word[:j], []).append(pos)
-                self.ends.setdefault(word[-j:], []).append(pos)
 
     def add(self, word: str) -> None:
         pos = len(self.words)
@@ -296,43 +363,6 @@ class _JunctionIndex:
                     x_tails.add(word[:-j])
                 if len(tails) == 1:  # a new suffix: the words starting with it gain a head
                     y_heads.update(words[w][j:] for w in starts[tail] if len(words[w]) > j)
-
-    def whole(self) -> dict[str, list[int]]:
-        """Each distinct word -> its positions in words."""
-        whole: dict[str, list[int]] = {}
-        for pos, word in enumerate(self.words):
-            whole.setdefault(word, []).append(pos)
-        return whole
-
-    def witnesses(self) -> list[tuple[int, int, int, int]]:
-        """Every violation as sorted (w, x, y, offset) positions in words.
-
-        A crossing takes two lookups per cut of w.  A word wholly inside a
-        longer word z is found by looking each substring of z, of each
-        shorter word length, up among the whole words: no pair of words is
-        visited, so the scan is O(total length * distinct lengths) before
-        the witnesses it lists.
-        """
-        words, ends, starts = self.words, self.ends, self.starts
-        everyone = range(len(words))
-        found = []
-        for w, word in enumerate(words):
-            for j in range(1, len(word)):  # across the junction: one suffix, one prefix lookup
-                xs, ys = ends.get(word[:j]), starts.get(word[j:])
-                if xs and ys:
-                    found += [(w, x, y, len(words[x]) - j) for x in xs for y in ys]
-        whole = self.whole()
-        lengths = sorted({len(word) for word in words})
-        for z, other in enumerate(words):  # wholly inside z, as x or as y of every pair
-            for size in lengths:
-                if size >= len(other):
-                    break
-                for off in range(len(other) - size + 1):
-                    for w in whole.get(other[off : off + size], ()):
-                        found += [(w, z, y, off) for y in everyone]
-                        found += [(w, x, z, len(words[x]) + off) for x in everyone]
-        found.sort()
-        return found
 
     def admits(self, cand: str) -> bool:
         """Whether cand joins the words without a duplicate or a crossing violation.

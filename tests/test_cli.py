@@ -354,6 +354,16 @@ def test_codebook_validate_rejects_broken(tmp_path, capsys):
     assert "offset" in out
 
 
+def test_a_codebook_file_whose_words_do_not_have_its_length_is_refused(tmp_path, capsys):
+    """A declared length of 20 over 8-base words was read, validated and written back as 20."""
+    path = tmp_path / "cb.json"
+    path.write_text(json.dumps(dict(codebook_to_json(generate_codebook(2, 2, 8, 0)), length=20)))
+    assert run_cli("codebook", "validate", "--codebook", str(path)) == 1
+    err = capsys.readouterr().err
+    assert "cannot read codebook file" in err and "entry (1,0) has 8 bases, not the codebook's length 20" in err
+    assert run_cli("solve", "--graph", "builtin:k3", "--colors", "2", "--codebook", str(path)) == 1
+
+
 def test_codebook_validate_json_of_a_broken_codebook_is_pinned(tmp_path, capsys):
     """AGAG twice over holds AGAG at offset 2: one junction violation, exit 4."""
     path = tmp_path / "bad.json"

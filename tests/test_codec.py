@@ -235,6 +235,17 @@ def test_codebook_refuses_a_negative_vertex_count():
         Codebook(-1, 1, [], provenance="test")
 
 
+def test_a_declared_length_that_a_sequence_does_not_have_is_refused():
+    doc = codebook_to_json(generate_codebook(2, 2, 8, 0))
+    doc["entries"][2]["sequence"] += "ACGT"
+    doc["entries"][3]["sequence"] = doc["entries"][3]["sequence"][:5]
+    codebook_from_json(dict(doc, length=None))  # no declared length: any mix is kept
+    with pytest.raises(CodecError, match=r"entry \(2,0\) has 12 bases, not the codebook's length 8"):
+        codebook_from_json(doc)
+    with pytest.raises(CodecError, match=r"entry \(1,0\) has 8 bases, not the codebook's length 20"):
+        codebook_from_json(dict(doc, length=20))
+
+
 @pytest.mark.parametrize(
     "args, digest",
     [
@@ -334,13 +345,40 @@ def test_junction_index_role_sets_follow_their_definition(pool):
 
 
 @st.composite
-def mixed_pools(draw):
-    alphabet = draw(st.sampled_from(["AC", "ACGT"]))
-    return draw(st.lists(st.text(alphabet, min_size=1, max_size=6), max_size=8))
+def planted_tables(draw):
+    """Tables whose witnesses are cut from shared half-affixes, and some that share one and hold none.
+
+    Up to six words of one length, or of lengths 1-8, over 1 to 4 letters.
+    Then up to four are planted: repeats; crossings, a suffix of x then a
+    prefix of y; and half-affixes, a long prefix or suffix of some word with
+    the rest drawn, which seldom completes a crossing.
+    """
+    alphabet = "ACGT"[: draw(st.integers(1, 4))]
+    length = draw(st.integers(1, 8))
+    sizes = st.just(length) if draw(st.booleans()) else st.integers(1, 8)
+
+    def text(size):
+        return draw(st.text(alphabet, min_size=size, max_size=size))
+
+    words = [text(draw(sizes)) for _ in range(draw(st.integers(0, 6)))]
+    for _ in range(draw(st.integers(0, 4)) if words else 0):
+        x, y, size = draw(st.sampled_from(words)), draw(st.sampled_from(words)), draw(sizes)
+        kind = draw(st.sampled_from(["repeat", "crossing", "half-affix", "half-affix mirrored"]))
+        if kind == "repeat":
+            words.append(x)
+        elif kind == "crossing" and max(1, size - len(y)) <= min(len(x), size - 1):
+            j = draw(st.integers(max(1, size - len(y)), min(len(x), size - 1)))
+            words.append(x[len(x) - j :] + y[: size - j])
+        elif kind.startswith("half-affix") and (size + 1) // 2 <= min(len(x), size - 1):
+            j = draw(st.integers((size + 1) // 2, min(len(x), size - 1)))
+            words.append(x[len(x) - j :] + text(size - j) if kind == "half-affix" else text(size - j) + x[:j])
+        else:
+            words.append(text(size))
+    return draw(st.permutations(words))
 
 
-@settings(max_examples=500, deadline=None)
-@given(mixed_pools())
+@settings(max_examples=600, deadline=None)
+@given(planted_tables())
 def test_validation_report_matches_the_triple_scan(pool):
     cb = _tiny_cb(*pool)
     report = validate_codebook(cb)

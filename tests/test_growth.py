@@ -9,6 +9,7 @@ slice) emit no events, so this cannot see them.
 
 import json
 import os
+import random
 import sys
 from functools import partial
 from itertools import islice, product
@@ -17,6 +18,8 @@ import pytest
 
 import helix
 from helix import (
+    Codebook,
+    Codeword,
     Graph,
     TubeMachine,
     count_colorings,
@@ -101,6 +104,21 @@ def _validate(words):
     return partial(validate_codebook, generate_codebook(words, 1, 20, 0))
 
 
+def _chain(words):
+    """Words a_i + a_(i+1) of 12 nt, the a_i distinct 6-mers: each word's first half ends the word before.
+
+    So every word holds a shared half-affix, and each word but the first
+    and last crosses the junction of its two neighbours.
+    """
+    halves = ["".join("ACGT"[v >> 2 * b & 3] for b in range(6)) for v in random.Random(0).sample(range(4**6), words + 1)]
+    entries = [Codeword(v, 0, a + b) for v, (a, b) in enumerate(zip(halves, halves[1:]), start=1)]
+    return Codebook(words, 1, entries, provenance="chain")
+
+
+def _validate_chain(words):
+    return partial(validate_codebook, _chain(words))
+
+
 def _generate(words, length=20):
     return partial(generate_codebook, words, 1, length, 0)
 
@@ -145,7 +163,10 @@ def _ascending_narrow(planes):
         # The oracle refuses n > 24, so the path goes 12 -> 24 vertices.
         pytest.param(_count_path, 12, 2.3, id="count_colorings-path-k2"),
         pytest.param(_decode, 1000, 2.3, id="decode_final-rows"),
+        # A generated table shares no half-affix, so this holds the search's clean exit ...
         pytest.param(_validate, 200, 2.3, id="validate_codebook-gen20"),
+        # ... and a chain table, where every word does, the cut and lookup steps.
+        pytest.param(_validate_chain, 200, 2.3, id="validate_codebook-chain12"),
         pytest.param(_generate, 200, 2.3, id="generate_codebook-length20"),
         # 200 and 400 words of 12 nt are over codec.FIRST_DRAW_ODDS's bound, so
         # this holds the word-by-word path linear and the case above the first draw.
@@ -162,3 +183,10 @@ def test_a_long_path_takes_line_events_linear_in_its_input(make, size, most):
     small, large = make(size), make(2 * size)
     ratio = line_events(large) / line_events(small)
     assert ratio <= most, ratio
+
+
+@pytest.mark.parametrize("words", [200, 400])
+def test_a_chain_table_holds_about_one_witness_per_word(words):
+    report = validate_codebook(_chain(words))
+    assert not report.duplicates
+    assert words - 2 <= len(report.junction_violations) <= 1.1 * words

@@ -21,6 +21,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import tempfile
 from pathlib import Path
 
@@ -33,10 +34,34 @@ def _path_edges(first: int, last: int) -> str:
     return "".join(f"e {v} {v + 1}\n" for v in range(first, last))
 
 
+def _planted_codebook(lengths: list[int], every: int, seed: int) -> str:
+    """A k=1 codebook with one word per entry of `lengths`, as JSON text, drawn from `seed`.
+
+    Each word is "A" and then bases drawn from "CGT", so words of one length
+    hold no junction crossing: an occurrence must put its one A on an A of
+    x + y.  Then every `every`-th word is replaced by a crossing, the last j
+    bases of one word and the first bases of another.  The length is
+    declared when there is one.
+    """
+    rng = random.Random(seed)
+    words = ["A" + "".join(rng.choices("CGT", k=n - 1)) for n in lengths]
+    for i in range(0, len(words), every):
+        x, y = rng.choice(words), rng.choice(words)
+        j = rng.randint(1, min(len(x), len(words[i]) - 1))
+        words[i] = x[-j:] + y[: len(words[i]) - j]
+    entries = [{"vertex": v, "color": 0, "sequence": word} for v, word in enumerate(words, start=1)]
+    length = lengths[0] if len(set(lengths)) == 1 else None
+    return json.dumps({"n": len(words), "k": 1, "length": length, "provenance": "planted", "entries": entries})
+
+
 INPUTS = {
     "path2000.col": "p edge 2000 1999\n" + _path_edges(1, 2000),
     # Vertices 1..8 isolated beside a path on 9..208: 2**8 * 2 colorings at k=2.
     "wide.col": "p edge 208 199\n" + _path_edges(9, 208),
+    # 300 words of 8 nt, six of them planted crossings: 340 witnesses and 13 duplicate pairs.
+    "planted300.json": _planted_codebook([8] * 300, 50, 2),
+    # 30 words of 5 to 9 nt, five planted: 132 witnesses, crossings and shorter words inside longer ones.
+    "mixed30.json": _planted_codebook([5 + i % 5 for i in range(30)], 6, 2),
 }
 REVERSED = ",".join(map(str, range(10, 0, -1)))  # petersen's vertices, last first
 PETERSEN = ["--graph", "builtin:petersen", "--colors", "3"]
@@ -65,6 +90,8 @@ CASES = [
     ["codebook", "validate", "--codebook", "gen.json", "--json"],
     ["codebook", "validate", "--codebook", "table1", "--json"],
     ["codebook", "validate", "--codebook", "table1"],
+    ["codebook", "validate", "--codebook", "planted300.json", "--json"],  # witness lists, each exit 4
+    ["codebook", "validate", "--codebook", "mixed30.json", "--json"],
     # Refusals, each exit 2.
     ["solve", "--graph", "builtin:k4", "--colors", "200"],
     ["solve", "--graph", "wide.col", "--colors", "2", "--mode", "monolithic"],
