@@ -128,8 +128,13 @@ def tile(pattern: int, width: int, count: int) -> int:
 
 @cache
 def _byte_field(shift: int, width: int) -> bytes:
-    """A bytes.translate table: each byte to its bits [shift, shift + width)."""
-    return bytes((b >> shift) & ((1 << width) - 1) for b in range(256))
+    """A bytes.translate table: each byte to its bits [shift, shift + width), for shift + width <= 8.
+
+    Entry b is (b >> shift) & mask, so the table is each of the 1 << width
+    values repeated 1 << shift times, cycled 256 >> (shift + width) times: a
+    transposed matrix of rows 0, 1, ..., mask, built with no loop over bytes.
+    """
+    return transposed(bytes(range(1 << width)) * (1 << shift), 1 << shift, 1 << width) * (256 >> shift + width)
 
 
 @cache

@@ -224,7 +224,7 @@ class _ProductRun:
 
 
 class MachineFault(RuntimeError):
-    """An operation that the bench cannot perform: bad append, retired tube, etc."""
+    """An operation that the bench cannot perform: bad append, discarded or foreign tube, etc."""
 
 
 class OpCounter:
@@ -340,6 +340,21 @@ class TubeMachine:
     token membership, a codebook tests for its base sequences.  Substring
     search on an unsafe codebook can disagree with token membership, so a
     codebook that fails validation is refused here, before any tube exists.
+
+    Refusals.  Each operation first checks the tubes it takes (_operands) and
+    raises MachineFault for a discarded tube, for another machine's tube, and
+    in merge for dest among the sources or a source listed twice.  Past that:
+    - new_tube raises ValueError for contents and rows both, MachineFault for
+      a strand or rows that name a vertex twice, a row of two vertices or a
+      color that is not an int in [0, 2**64), and on a machine with a
+      codebook CodecError for a token with no codeword;
+    - append raises MachineFault for a strand that already names cw's vertex,
+      and MachineFault or CodecError for cw's token as new_tube does;
+    - copy raises TypeError for a count that is not an int (a bool is not a
+      count) and ValueError for one below 1;
+    - extract raises TypeError for a probe that is not a Codeword;
+    - merge, detect and discard raise nothing more.
+    A refused operation changes nothing: no tube, counter, peak or token index.
     """
 
     def __init__(self, codebook: Codebook | None = None):
@@ -359,10 +374,18 @@ class TubeMachine:
         if live > self.peak_tube_size:
             self.peak_tube_size = live
 
-    @staticmethod
-    def _require_live(tube: Tube) -> None:
-        if tube.retired:
-            raise MachineFault(f"tube {tube.label!r} was discarded")
+    def _operands(self, *tubes: Tube) -> None:
+        """Refuse, before anything moves, a discarded tube, another machine's tube or one tube given twice.
+
+        Only merge gives several tubes, dest first, so only it pays the
+        repeat test.
+        """
+        for tube in tubes:
+            if tube.retired or tube._index is not self._index:
+                raise MachineFault(f"tube {tube.label!r} {'was discarded' if tube.retired else 'belongs to another machine'}")
+        if len(tubes) > 1 and len(set(tubes)) < len(tubes):  # a Tube hashes and compares by identity
+            why = "tube cannot be merged into itself" if tubes[0] in tubes[1:] else "a source tube is listed twice"
+            raise MachineFault(f"merge: {why}")
 
     # --- fields ------------------------------------------------------------
 
@@ -376,9 +399,6 @@ class TubeMachine:
                 self.codebook.codeword(v, c)  # raises CodecError for a token with no codeword
             i = self._index[token] = len(self._index)
         return i
-
-    def _bit_of(self, token: Token) -> int:
-        return 1 << place(self._index_of(token))
 
     @staticmethod
     def _checked(order: tuple[int, ...]) -> tuple[int, ...]:
@@ -404,7 +424,7 @@ class TubeMachine:
     def _frames(self, strands) -> tuple[Frame, ...]:
         """Token tuples as frames, one per stretch of strands of one vertex order."""
         stretches = groupby(strands, lambda s: tuple(v for v, _ in s))
-        fields = [(order, [sum(map(self._bit_of, s)) for s in group]) for order, group in stretches]
+        fields = [(order, [sum(1 << place(self._index_of(t)) for t in s) for s in group]) for order, group in stretches]
         return tuple(Frame.of_fields(self._checked(order), f) for order, f in fields)
 
     # --- operations --------------------------------------------------------
@@ -442,7 +462,7 @@ class TubeMachine:
         Every run's order is checked before the token is registered, so a
         refused append changes nothing.
         """
-        self._require_live(tube)
+        self._operands(tube)
         v, runs = cw.vertex, tube.runs
         for run in runs:
             if v in run.order:
@@ -454,9 +474,11 @@ class TubeMachine:
 
     def copy(self, tube: Tube, count: int) -> list[Tube]:
         """Pour the tube into `count` identical copies; the source ends empty."""
-        self._require_live(tube)
+        self._operands(tube)
+        if count.__class__ is not int:  # a bool is not a count
+            raise TypeError(f"copy count must be an int, got {_show(count)}")
         if count < 1:
-            raise ValueError(f"copy count must be at least 1, got {count}")
+            raise ValueError(f"copy count must be at least 1, got {_show(count)}")
         copies = [Tube(f"{tube.label}#{i}", self, self._refamilied(tube._runs)) for i in range(1, count + 1)]
         tube._runs = ()
         self._count()
@@ -474,14 +496,8 @@ class TubeMachine:
         A source that is dest, or is listed twice, faults before anything
         moves.
         """
-        self._require_live(dest)
         sources = list(sources)
-        for src in sources:
-            if src is dest:
-                raise MachineFault("merge: tube cannot be merged into itself")
-            self._require_live(src)
-        if len(set(map(id, sources))) != len(sources):
-            raise MachineFault("merge: a source tube is listed twice")
+        self._operands(dest, *sources)
         runs = []
         for tube in (dest, *sources):
             for run in tube._runs:
@@ -507,7 +523,9 @@ class TubeMachine:
         sequence matches every strand, the blank strand too.  Both outputs
         keep the source's strand order.
         """
-        self._require_live(tube)
+        self._operands(tube)
+        if not isinstance(cw, Codeword):
+            raise TypeError(f"extract probe must be a Codeword, got {_show(cw)}")
         runs, seq = tube._runs, cw.sequence
         token = (cw.vertex, cw.color) if self.codebook is None else self._coded.get(seq)
         if token is None and seq:  # a probe that is no codeword: search strand by strand
@@ -528,13 +546,13 @@ class TubeMachine:
         return Tube(f"{tube.label}+", self, hits), Tube(f"{tube.label}-", self, rests)
 
     def detect(self, tube: Tube) -> bool:
-        self._require_live(tube)
+        self._operands(tube)
         self.counter.detect += 1
         return bool(tube._runs)  # no run is empty
 
     def discard(self, tube: Tube) -> None:
         """Drop the tube's contents and retire it; later operations on it fault."""
-        self._require_live(tube)
+        self._operands(tube)
         tube._runs = ()
         tube.retired = True
         self.counter.discard += 1

@@ -1,11 +1,13 @@
 import copy
 import itertools
 import random
+import re
 import unittest.mock
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.stateful import Bundle, RuleBasedStateMachine, invariant, multiple, rule
 
 import helix.frames
 import helix.machine
@@ -1337,6 +1339,13 @@ def test_bit_fields_cut_each_field_out_of_every_value(data):
     assert [list(f) for f in got] == [[(x >> o) & ((1 << w) - 1) for x in values] for o, w in fields]
 
 
+def test_byte_fields_follow_the_per_byte_formula():
+    for shift in range(9):
+        for width in range(9 - shift):
+            want = bytes((b >> shift) & ((1 << width) - 1) for b in range(256))
+            assert helix.frames._byte_field(shift, width) == want, (shift, width)
+
+
 @st.composite
 def frame_contents_st(draw):
     """Strands of one vertex order (blank ones included), or of mixed orders; some repeated."""
@@ -1481,8 +1490,12 @@ def test_nucleotide_extract_of_the_empty_sequence_matches_every_strand():
 
 
 def machine_books(m, tubes):
-    """Everything a refused operation must leave as it was: the books, the token index and the tubes' strands."""
-    return m.counter.snapshot(), m.peak_tube_size, list(m._index.items()), [t.contents for t in tubes]
+    """Everything a refused operation must leave as it was: the books, the token index and the tubes' strands.
+
+    Each tube is read through a shallow copy, so reading joins no frame and
+    decodes no product run of the tube itself.
+    """
+    return m.counter.snapshot(), m.peak_tube_size, list(m._index.items()), [copy.copy(t).contents for t in tubes]
 
 
 def test_a_new_tube_refused_by_a_machine_fault_registers_none_of_its_tokens():
@@ -1537,3 +1550,215 @@ def test_a_token_without_a_codeword_is_refused_as_it_enters(entry, token):
     m.append(kept, cb.codeword(2, 1))
     assert_extract_follows_render(m, kept)
     assert_extract_follows_render(m, m.new_tube("y", [((2, 1),), ((1, 0), (2, 0))]))
+
+
+# --- refusals --------------------------------------------------------------
+
+FOREIGN_CALLS = {
+    "append": lambda m, tube, own: m.append(tube, cw(5, 0)),
+    "copy": lambda m, tube, own: m.copy(tube, 2),
+    "merge-dest": lambda m, tube, own: m.merge(tube, [own]),
+    "merge-source": lambda m, tube, own: m.merge(own, [tube]),
+    "extract": lambda m, tube, own: m.extract(tube, cw(1, 0)),
+    "detect": lambda m, tube, own: m.detect(tube),
+    "discard": lambda m, tube, own: m.discard(tube),
+}
+
+
+@pytest.mark.parametrize("op", list(FOREIGN_CALLS))
+def test_another_machines_tube_is_refused_by_name(op):
+    """Machine b refuses machine a's tube 's' in every operation, and neither machine changes.
+
+    The two machines number (1, 0) and (1, 1) in opposite orders, so b
+    reading a's tube through its own token index would swap the colors.
+    """
+    a, b = TubeMachine(), TubeMachine()
+    a_tubes = [a.new_tube("a", [((1, 0),), ((1, 1),)]), a.new_tube("s", [((1, 0),)])]
+    b_tubes = [b.new_tube("b", [((1, 1),), ((1, 0),)]), b.new_tube("d", [((1, 1),)])]
+    before = machine_books(a, a_tubes), machine_books(b, b_tubes)
+    with pytest.raises(MachineFault, match=r"^tube 's' belongs to another machine$"):
+        FOREIGN_CALLS[op](b, a_tubes[1], b_tubes[1])
+    assert (machine_books(a, a_tubes), machine_books(b, b_tubes)) == before
+
+
+@pytest.mark.parametrize("count", [True, 2.0], ids=["bool", "float"])
+def test_copy_refuses_a_count_that_is_not_an_int(count):
+    m = TubeMachine()
+    t = m.new_tube("t", [((1, 0),), ((1, 1),)])
+    before = machine_books(m, [t])
+    with pytest.raises(TypeError, match=rf"^copy count must be an int, got {count!r}$"):
+        m.copy(t, count)
+    assert machine_books(m, [t]) == before
+
+
+@pytest.mark.parametrize("coded", [False, True], ids=["symbolic", "codebook"])
+def test_extract_refuses_a_probe_that_is_not_a_codeword(coded):
+    cb = generate_codebook(2, 2, 12, 0)
+    m = TubeMachine(cb if coded else None)
+    t = m.new_tube("t", [((1, 0),), ((1, 1), (2, 0))])
+    before = machine_books(m, [t])
+    with pytest.raises(TypeError, match=r"^extract probe must be a Codeword, got 'ACGT'$"):
+        m.extract(t, "ACGT")
+    assert machine_books(m, [t]) == before
+
+
+# Tokens (1..3, 0..1), each with a codeword of a validated table.
+TWO_CB = generate_codebook(3, 2, 12, 0)
+TWO_TOKENS = [(v, c) for v in range(1, 4) for c in range(2)]
+_junction = TWO_CB.codeword(1, 0).sequence[-5:] + TWO_CB.codeword(2, 1).sequence[:5]
+TWO_PROBES = [TWO_CB.codeword(v, c) for v, c in TWO_TOKENS] + [Codeword(1, 0, ""), Codeword(1, 0, _junction)]
+foreign_st = st.sampled_from([False, False, False, True])  # whether to ask the machine that does not own the tube
+
+
+class TwoMachines(RuleBasedStateMachine):
+    """Two machines, one symbolic and one coded, against one model: each tube's strands as token tuples.
+
+    Machine 0 is symbolic, machine 1 coded.  A rule asks the machine that
+    owns its tube, or with `foreign` the other one; merge's foreign tube is
+    dest or a source.  Each step either does what the model says, or raises
+    the documented error with its message and leaves both machines' books
+    and every tube as they were.  No other error passes.
+    """
+
+    tubes = Bundle("tubes")
+
+    def __init__(self):
+        super().__init__()
+        self.machines = (TubeMachine(), TubeMachine(TWO_CB))
+        self.strands, self.owner, self.gone = {}, {}, set()  # tube -> its strands, its machine; discarded tubes
+        self.peaks = [0, 0]
+
+    def _made(self, m, *pairs):
+        for tube, strands in pairs:
+            self.strands[tube], self.owner[tube] = strands, m
+        return multiple(*(tube for tube, _ in pairs))
+
+    def _refusal(self, m, tubes):
+        """(MachineFault, its message) that machine m owes for these operand tubes, or None."""
+        for tube in tubes:
+            if tube in self.gone or self.owner[tube] != m:
+                why = "was discarded" if tube in self.gone else "belongs to another machine"
+                return MachineFault, f"tube {tube.label!r} {why}"
+        if len(set(map(id, tubes))) < len(tubes):
+            return MachineFault, "merged into itself" if tubes[0] in tubes[1:] else "listed twice"
+        return None
+
+    def _books(self):
+        tubes = list(self.strands)
+        mine = [[t for t in tubes if self.owner[t] == i] for i in range(2)]
+        return [machine_books(m, ts) for m, ts in zip(self.machines, mine)], [t.retired for t in tubes]
+
+    def _refused(self, call, error, message):
+        before = self._books()
+        with pytest.raises(error, match=re.escape(message)):
+            call()
+        assert self._books() == before
+
+    @rule(target=tubes, m=st.sampled_from([0, 1]), strands=st.lists(
+        st.lists(st.sampled_from(TWO_TOKENS), unique_by=lambda tok: tok[0], max_size=3).map(tuple), max_size=4
+    ))
+    def new_tube(self, m, strands):
+        return self._made(m, (self.machines[m].new_tube(f"t{len(self.strands)}", strands), strands))
+
+    @rule(target=tubes, m=st.sampled_from([0, 1]), order=st.permutations([1, 2, 3]), colors=st.lists(
+        st.lists(st.integers(0, 1), unique=True, max_size=2), max_size=3
+    ))
+    def new_product_tube(self, m, order, colors):
+        rows = [[(v, c) for c in row] for v, row in zip(order, colors)]
+        tube = self.machines[m].new_tube(f"t{len(self.strands)}", rows=rows)
+        return self._made(m, (tube, list(itertools.product(*rows))))
+
+    @rule(tube=tubes, foreign=foreign_st, token=st.sampled_from(TWO_TOKENS))
+    def append(self, tube, foreign, token):
+        m = self.owner[tube] ^ foreign
+        call = lambda: self.machines[m].append(tube, TWO_CB.codeword(*token))
+        refusal = self._refusal(m, [tube])
+        if not refusal and any(v == token[0] for s in self.strands[tube] for v, _ in s):
+            refusal = MachineFault, f"already assigns vertex {token[0]}"
+        if refusal:
+            return self._refused(call, *refusal)
+        assert call() is tube
+        self.strands[tube] = [s + (token,) for s in self.strands[tube]]
+
+    @rule(target=tubes, tube=tubes, foreign=foreign_st, count=st.sampled_from([1, 2, 3, 0, True, 2.0]))
+    def copy(self, tube, foreign, count):
+        m = self.owner[tube] ^ foreign
+        call = lambda: self.machines[m].copy(tube, count)
+        refusal = self._refusal(m, [tube])
+        if not refusal and count.__class__ is not int:
+            refusal = TypeError, f"copy count must be an int, got {count!r}"
+        elif not refusal and count < 1:
+            refusal = ValueError, f"copy count must be at least 1, got {count}"
+        if refusal:
+            self._refused(call, *refusal)
+            return multiple()
+        strands, self.strands[tube] = self.strands[tube], []
+        return self._made(m, *((c, list(strands)) for c in call()))
+
+    @rule(dest=tubes, sources=st.lists(tubes, max_size=3), foreign=foreign_st,
+          repeat=st.sampled_from(["", "", "dest", "source"]), at=st.integers(0, 3))
+    def merge(self, dest, sources, foreign, repeat, at):
+        m = self.owner[dest]
+        if not foreign:
+            sources = [src for src in sources if self.owner[src] == m]
+        elif all(self.owner[src] == m for src in sources):
+            m ^= 1  # dest is the other machine's
+        if repeat == "dest" or repeat and sources:  # dest among its sources, or a source listed twice
+            sources.insert(at, dest if repeat == "dest" else sources[-1])
+        call = lambda: self.machines[m].merge(dest, sources)
+        if refusal := self._refusal(m, [dest, *sources]):
+            return self._refused(call, *refusal)
+        assert call() is dest
+        for src in sources:
+            self.strands[dest], self.strands[src] = self.strands[dest] + self.strands[src], []
+
+    @rule(target=tubes, tube=tubes, foreign=foreign_st, probe=st.sampled_from(TWO_PROBES + ["ACGT"]))
+    def extract(self, tube, foreign, probe):
+        m = self.owner[tube] ^ foreign
+        call = lambda: self.machines[m].extract(tube, probe)
+        refusal = self._refusal(m, [tube])
+        if not refusal and isinstance(probe, str):
+            refusal = TypeError, f"extract probe must be a Codeword, got {probe!r}"
+        if refusal:
+            self._refused(call, *refusal)
+            return multiple()
+        strands, self.strands[tube] = self.strands[tube], []
+        if m:  # the coded machine searches the rendered bases
+            held = [probe.sequence in render(s, TWO_CB) for s in strands]
+        else:
+            held = [(probe.vertex, probe.color) in s for s in strands]
+        plus, minus = call()
+        return self._made(
+            m, (plus, [s for s, h in zip(strands, held) if h]), (minus, [s for s, h in zip(strands, held) if not h])
+        )
+
+    @rule(tube=tubes, foreign=foreign_st)
+    def detect(self, tube, foreign):
+        m = self.owner[tube] ^ foreign
+        call = lambda: self.machines[m].detect(tube)
+        if refusal := self._refusal(m, [tube]):
+            return self._refused(call, *refusal)
+        assert call() is bool(self.strands[tube])
+
+    @rule(tube=tubes, foreign=foreign_st)
+    def discard(self, tube, foreign):
+        m = self.owner[tube] ^ foreign
+        call = lambda: self.machines[m].discard(tube)
+        if refusal := self._refusal(m, [tube]):
+            return self._refused(call, *refusal)
+        assert call() is None
+        self.strands[tube] = []
+        self.gone.add(tube)
+
+    @invariant()
+    def every_tube_and_peak_follows_the_model(self):
+        for tube, strands in self.strands.items():
+            assert Counter(copy.copy(tube).contents) == Counter(strands)
+            assert len(tube) == len(strands) and tube.retired == (tube in self.gone)
+        for i, m in enumerate(self.machines):
+            self.peaks[i] = max(self.peaks[i], sum(len(s) for t, s in self.strands.items() if self.owner[t] == i))
+            assert m.peak_tube_size == self.peaks[i]
+
+
+TwoMachines.TestCase.settings = settings(max_examples=100, stateful_step_count=30, deadline=None)
+TestTwoMachines = TwoMachines.TestCase
