@@ -341,9 +341,13 @@ class TubeMachine:
     search on an unsafe codebook can disagree with token membership, so a
     codebook that fails validation is refused here, before any tube exists.
 
-    Refusals.  Each operation first checks the tubes it takes (_operands) and
-    raises MachineFault for a discarded tube, for another machine's tube, and
-    in merge for dest among the sources or a source listed twice.  Past that:
+    Refusals.  One guard (_operands) checks every operand an operation
+    takes, its kind before its state, before anything moves: TypeError for
+    a probe (append's and extract's cw) that is not a Codeword or an operand
+    that is not a Tube, MachineFault for a tube discarded or another
+    machine's, or in merge dest among the sources or a source listed twice.
+    merge also refuses one Tube given as its sources with TypeError.  Past
+    that:
     - new_tube raises ValueError for contents and rows both, MachineFault for
       a strand or rows that name a vertex twice, a row of two vertices or a
       color that is not an int in [0, 2**64), and on a machine with a
@@ -352,8 +356,7 @@ class TubeMachine:
       and MachineFault or CodecError for cw's token as new_tube does;
     - copy raises TypeError for a count that is not an int (a bool is not a
       count) and ValueError for one below 1;
-    - extract raises TypeError for a probe that is not a Codeword;
-    - merge, detect and discard raise nothing more.
+    - extract, merge, detect and discard raise nothing more.
     A refused operation changes nothing: no tube, counter, peak or token index.
     """
 
@@ -374,13 +377,21 @@ class TubeMachine:
         if live > self.peak_tube_size:
             self.peak_tube_size = live
 
-    def _operands(self, *tubes: Tube) -> None:
-        """Refuse, before anything moves, a discarded tube, another machine's tube or one tube given twice.
+    def _operands(self, *tubes: Tube, probe: object = ...) -> None:
+        """Refuse, before anything moves, an operand of the wrong kind, then a tube in the wrong state.
 
-        Only merge gives several tubes, dest first, so only it pays the
-        repeat test.
+        TypeError names a probe that is not a Codeword (only append and
+        extract give one; `...` stands for none).  Then, operand by operand,
+        TypeError names one that is not a Tube, and MachineFault a discarded
+        tube or another machine's tube; last, MachineFault names one tube
+        given twice.  Only merge gives several tubes, dest first, so only it
+        pays the repeat test.
         """
+        if probe is not ... and not isinstance(probe, Codeword):
+            raise TypeError(f"probe must be a Codeword, got {_show(probe)}")
         for tube in tubes:
+            if not isinstance(tube, Tube):
+                raise TypeError(f"operand must be a Tube, got {_show(tube)}")
             if tube.retired or tube._index is not self._index:
                 raise MachineFault(f"tube {tube.label!r} {'was discarded' if tube.retired else 'belongs to another machine'}")
         if len(tubes) > 1 and len(set(tubes)) < len(tubes):  # a Tube hashes and compares by identity
@@ -462,7 +473,7 @@ class TubeMachine:
         Every run's order is checked before the token is registered, so a
         refused append changes nothing.
         """
-        self._operands(tube)
+        self._operands(tube, probe=cw)
         v, runs = cw.vertex, tube.runs
         for run in runs:
             if v in run.order:
@@ -496,6 +507,8 @@ class TubeMachine:
         A source that is dest, or is listed twice, faults before anything
         moves.
         """
+        if isinstance(sources, Tube):
+            raise TypeError(f"merge sources must be an iterable of tubes, got {_show(sources)}")
         sources = list(sources)
         self._operands(dest, *sources)
         runs = []
@@ -523,9 +536,7 @@ class TubeMachine:
         sequence matches every strand, the blank strand too.  Both outputs
         keep the source's strand order.
         """
-        self._operands(tube)
-        if not isinstance(cw, Codeword):
-            raise TypeError(f"extract probe must be a Codeword, got {_show(cw)}")
+        self._operands(tube, probe=cw)
         runs, seq = tube._runs, cw.sequence
         token = (cw.vertex, cw.color) if self.codebook is None else self._coded.get(seq)
         if token is None and seq:  # a probe that is no codeword: search strand by strand

@@ -1597,17 +1597,70 @@ def test_extract_refuses_a_probe_that_is_not_a_codeword(coded):
     m = TubeMachine(cb if coded else None)
     t = m.new_tube("t", [((1, 0),), ((1, 1), (2, 0))])
     before = machine_books(m, [t])
-    with pytest.raises(TypeError, match=r"^extract probe must be a Codeword, got 'ACGT'$"):
+    with pytest.raises(TypeError, match=r"^probe must be a Codeword, got 'ACGT'$"):
         m.extract(t, "ACGT")
     assert machine_books(m, [t]) == before
+
+
+NOT_TUBES = ["t", 0, None, Codeword(1, 0, "ACGT")]
+
+
+@pytest.mark.parametrize("bad", NOT_TUBES, ids=["str", "int", "None", "Codeword"])
+@pytest.mark.parametrize("op", list(FOREIGN_CALLS))
+def test_an_operand_that_is_not_a_tube_is_refused_by_name(op, bad):
+    """Each operation, given `bad` where it takes a tube (merge's dest or a source), refuses it by name."""
+    m = TubeMachine()
+    tubes = [m.new_tube("t", [((1, 0),), ((1, 1),)]), m.new_tube("d", [((1, 1),)])]
+    before = machine_books(m, tubes)
+    with pytest.raises(TypeError, match=rf"^operand must be a Tube, got {re.escape(repr(bad))}$"):
+        FOREIGN_CALLS[op](m, bad, tubes[1])
+    assert machine_books(m, tubes) == before
+
+
+@pytest.mark.parametrize("coded", [False, True], ids=["symbolic", "codebook"])
+@pytest.mark.parametrize("op, probe", [("append", "ACGT"), ("append", (2, 0)), ("append", None), ("extract", None)])
+def test_a_probe_that_is_not_a_codeword_is_refused_by_name(op, probe, coded):
+    m = TubeMachine(generate_codebook(2, 2, 12, 0) if coded else None)
+    t = m.new_tube("t", [((1, 0),), ((1, 1), (2, 0))])
+    before = machine_books(m, [t])
+    with pytest.raises(TypeError, match=rf"^probe must be a Codeword, got {re.escape(repr(probe))}$"):
+        getattr(m, op)(t, probe)
+    assert machine_books(m, [t]) == before
+
+
+def test_merge_refuses_one_tube_given_as_its_sources():
+    m = TubeMachine()
+    tubes = [m.new_tube("d", [((1, 0),)]), m.new_tube("t", [((1, 1),)])]
+    before = machine_books(m, tubes)
+    with pytest.raises(TypeError, match=r"^merge sources must be an iterable of tubes, got Tube\('t', 1 strands\)$"):
+        m.merge(*tubes)
+    assert machine_books(m, tubes) == before
+
+
+def test_the_kind_of_an_operand_is_refused_before_the_state_of_a_tube():
+    """A probe's kind comes before the tube's state, and an operand's kind before merge's repeat test."""
+    m = TubeMachine()
+    gone, t = m.new_tube("gone", [((1, 0),)]), m.new_tube("t", [((1, 1),)])
+    m.discard(gone)
+    before = machine_books(m, [gone, t])
+    for call, message in [
+        (lambda: m.append(gone, None), "probe must be a Codeword, got None"),
+        (lambda: m.extract(gone, "ACGT"), "probe must be a Codeword, got 'ACGT'"),
+        (lambda: m.merge(t, [t, "x"]), "operand must be a Tube, got 'x'"),
+    ]:
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            call()
+        assert machine_books(m, [gone, t]) == before
 
 
 # Tokens (1..3, 0..1), each with a codeword of a validated table.
 TWO_CB = generate_codebook(3, 2, 12, 0)
 TWO_TOKENS = [(v, c) for v in range(1, 4) for c in range(2)]
 _junction = TWO_CB.codeword(1, 0).sequence[-5:] + TWO_CB.codeword(2, 1).sequence[:5]
-TWO_PROBES = [TWO_CB.codeword(v, c) for v, c in TWO_TOKENS] + [Codeword(1, 0, ""), Codeword(1, 0, _junction)]
+TWO_CODEWORDS = [TWO_CB.codeword(v, c) for v, c in TWO_TOKENS]
+TWO_PROBES = TWO_CODEWORDS + [Codeword(1, 0, ""), Codeword(1, 0, _junction)]
 foreign_st = st.sampled_from([False, False, False, True])  # whether to ask the machine that does not own the tube
+junk_st = st.sampled_from([()] * 20 + [(x,) for x in NOT_TUBES])  # mostly none, else one operand that is no tube
 
 
 class TwoMachines(RuleBasedStateMachine):
@@ -1615,7 +1668,10 @@ class TwoMachines(RuleBasedStateMachine):
 
     Machine 0 is symbolic, machine 1 coded.  A rule asks the machine that
     owns its tube, or with `foreign` the other one; merge's foreign tube is
-    dest or a source.  Each step either does what the model says, or raises
+    dest or a source.  With `junk` a value that is no tube takes the tube's
+    place (merge's dest or one of its sources), append and extract draw
+    probes that are no Codeword, and merge may be given one tube as its
+    sources.  Each step either does what the model says, or raises
     the documented error with its message and leaves both machines' books
     and every tube as they were.  No other error passes.
     """
@@ -1633,9 +1689,17 @@ class TwoMachines(RuleBasedStateMachine):
             self.strands[tube], self.owner[tube] = strands, m
         return multiple(*(tube for tube, _ in pairs))
 
-    def _refusal(self, m, tubes):
-        """(MachineFault, its message) that machine m owes for these operand tubes, or None."""
+    def _refusal(self, m, tubes, probes=()):
+        """(the error, its message) that machine m owes for these operands and probes, or None.
+
+        The probe comes first, then each operand's kind before its state.
+        """
+        for probe in probes:
+            if not isinstance(probe, Codeword):
+                return TypeError, f"probe must be a Codeword, got {probe!r}"
         for tube in tubes:
+            if tube not in self.strands:
+                return TypeError, f"operand must be a Tube, got {tube!r}"
             if tube in self.gone or self.owner[tube] != m:
                 why = "was discarded" if tube in self.gone else "belongs to another machine"
                 return MachineFault, f"tube {tube.label!r} {why}"
@@ -1668,23 +1732,23 @@ class TwoMachines(RuleBasedStateMachine):
         tube = self.machines[m].new_tube(f"t{len(self.strands)}", rows=rows)
         return self._made(m, (tube, list(itertools.product(*rows))))
 
-    @rule(tube=tubes, foreign=foreign_st, token=st.sampled_from(TWO_TOKENS))
-    def append(self, tube, foreign, token):
-        m = self.owner[tube] ^ foreign
-        call = lambda: self.machines[m].append(tube, TWO_CB.codeword(*token))
-        refusal = self._refusal(m, [tube])
-        if not refusal and any(v == token[0] for s in self.strands[tube] for v, _ in s):
-            refusal = MachineFault, f"already assigns vertex {token[0]}"
+    @rule(tube=tubes, foreign=foreign_st, junk=junk_st, probe=st.sampled_from(TWO_CODEWORDS * 2 + ["ACGT", (2, 0), None]))
+    def append(self, tube, foreign, junk, probe):
+        m, (operand,) = self.owner[tube] ^ foreign, junk or (tube,)
+        call = lambda: self.machines[m].append(operand, probe)
+        refusal = self._refusal(m, [operand], [probe])
+        if not refusal and any(v == probe.vertex for s in self.strands[tube] for v, _ in s):
+            refusal = MachineFault, f"already assigns vertex {probe.vertex}"
         if refusal:
             return self._refused(call, *refusal)
         assert call() is tube
-        self.strands[tube] = [s + (token,) for s in self.strands[tube]]
+        self.strands[tube] = [s + ((probe.vertex, probe.color),) for s in self.strands[tube]]
 
-    @rule(target=tubes, tube=tubes, foreign=foreign_st, count=st.sampled_from([1, 2, 3, 0, True, 2.0]))
-    def copy(self, tube, foreign, count):
-        m = self.owner[tube] ^ foreign
-        call = lambda: self.machines[m].copy(tube, count)
-        refusal = self._refusal(m, [tube])
+    @rule(target=tubes, tube=tubes, foreign=foreign_st, junk=junk_st, count=st.sampled_from([1, 2, 3, 0, True, 2.0]))
+    def copy(self, tube, foreign, junk, count):
+        m, (operand,) = self.owner[tube] ^ foreign, junk or (tube,)
+        call = lambda: self.machines[m].copy(operand, count)
+        refusal = self._refusal(m, [operand])
         if not refusal and count.__class__ is not int:
             refusal = TypeError, f"copy count must be an int, got {count!r}"
         elif not refusal and count < 1:
@@ -1695,31 +1759,36 @@ class TwoMachines(RuleBasedStateMachine):
         strands, self.strands[tube] = self.strands[tube], []
         return self._made(m, *((c, list(strands)) for c in call()))
 
-    @rule(dest=tubes, sources=st.lists(tubes, max_size=3), foreign=foreign_st,
-          repeat=st.sampled_from(["", "", "dest", "source"]), at=st.integers(0, 3))
-    def merge(self, dest, sources, foreign, repeat, at):
-        m = self.owner[dest]
+    @rule(dest=tubes, sources=st.lists(tubes, max_size=3), foreign=foreign_st, junk=junk_st,
+          repeat=st.sampled_from(["", "", "dest", "source", "lone"]), at=st.integers(0, 3))
+    def merge(self, dest, sources, foreign, junk, repeat, at):
+        m, lone = self.owner[dest], sources[-1] if sources else dest
         if not foreign:
             sources = [src for src in sources if self.owner[src] == m]
         elif all(self.owner[src] == m for src in sources):
             m ^= 1  # dest is the other machine's
-        if repeat == "dest" or repeat and sources:  # dest among its sources, or a source listed twice
+        if repeat == "dest" or repeat == "source" and sources:  # dest among its sources, or a source listed twice
             sources.insert(at, dest if repeat == "dest" else sources[-1])
+        if junk and at % 2:  # a source that is no tube
+            sources.insert(at, junk[0])
+        elif junk:  # a dest that is no tube
+            dest = junk[0]
+        if repeat == "lone":  # one tube in place of the list of sources
+            sources, refusal = lone, (TypeError, f"merge sources must be an iterable of tubes, got {lone!r}")
+        else:
+            refusal = self._refusal(m, [dest, *sources])
         call = lambda: self.machines[m].merge(dest, sources)
-        if refusal := self._refusal(m, [dest, *sources]):
+        if refusal:
             return self._refused(call, *refusal)
         assert call() is dest
         for src in sources:
             self.strands[dest], self.strands[src] = self.strands[dest] + self.strands[src], []
 
-    @rule(target=tubes, tube=tubes, foreign=foreign_st, probe=st.sampled_from(TWO_PROBES + ["ACGT"]))
-    def extract(self, tube, foreign, probe):
-        m = self.owner[tube] ^ foreign
-        call = lambda: self.machines[m].extract(tube, probe)
-        refusal = self._refusal(m, [tube])
-        if not refusal and isinstance(probe, str):
-            refusal = TypeError, f"extract probe must be a Codeword, got {probe!r}"
-        if refusal:
+    @rule(target=tubes, tube=tubes, foreign=foreign_st, junk=junk_st, probe=st.sampled_from(TWO_PROBES + ["ACGT", None]))
+    def extract(self, tube, foreign, junk, probe):
+        m, (operand,) = self.owner[tube] ^ foreign, junk or (tube,)
+        call = lambda: self.machines[m].extract(operand, probe)
+        if refusal := self._refusal(m, [operand], [probe]):
             self._refused(call, *refusal)
             return multiple()
         strands, self.strands[tube] = self.strands[tube], []
@@ -1732,19 +1801,19 @@ class TwoMachines(RuleBasedStateMachine):
             m, (plus, [s for s, h in zip(strands, held) if h]), (minus, [s for s, h in zip(strands, held) if not h])
         )
 
-    @rule(tube=tubes, foreign=foreign_st)
-    def detect(self, tube, foreign):
-        m = self.owner[tube] ^ foreign
-        call = lambda: self.machines[m].detect(tube)
-        if refusal := self._refusal(m, [tube]):
+    @rule(tube=tubes, foreign=foreign_st, junk=junk_st)
+    def detect(self, tube, foreign, junk):
+        m, (operand,) = self.owner[tube] ^ foreign, junk or (tube,)
+        call = lambda: self.machines[m].detect(operand)
+        if refusal := self._refusal(m, [operand]):
             return self._refused(call, *refusal)
         assert call() is bool(self.strands[tube])
 
-    @rule(tube=tubes, foreign=foreign_st)
-    def discard(self, tube, foreign):
-        m = self.owner[tube] ^ foreign
-        call = lambda: self.machines[m].discard(tube)
-        if refusal := self._refusal(m, [tube]):
+    @rule(tube=tubes, foreign=foreign_st, junk=junk_st)
+    def discard(self, tube, foreign, junk):
+        m, (operand,) = self.owner[tube] ^ foreign, junk or (tube,)
+        call = lambda: self.machines[m].discard(operand)
+        if refusal := self._refusal(m, [operand]):
             return self._refused(call, *refusal)
         assert call() is None
         self.strands[tube] = []

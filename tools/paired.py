@@ -100,6 +100,20 @@ def side_summary(runs: list[dict]) -> dict:
     }
 
 
+def append_entry(path: Path, workload: str, entry: dict, about: str) -> None:
+    """Append the entry to the file's entries at the file's own indent, making the file if missing."""
+    indent = 1
+    if path.exists():
+        text = path.read_text(encoding="utf-8")
+        doc = json.loads(text)
+        second = text.splitlines()[1]
+        indent = len(second) - len(second.lstrip())  # kept, so the old entries do not move
+    else:
+        doc = {"workload": workload, "about": about, "entries": []}
+    doc["entries"].append(entry)
+    path.write_text(json.dumps(doc, indent=indent) + "\n", encoding="utf-8")
+
+
 def main(argv=None) -> int:
     args = parse_args(argv)
     trees = {"parent": args.parent_tree, "change": args.change_tree}
@@ -149,17 +163,7 @@ def main(argv=None) -> int:
         "summary": summary,
         "runs": runs,
     }
-    path = ROOT / f"BENCH_{args.name}.json"
-    indent = 1
-    if path.exists():
-        text = path.read_text(encoding="utf-8")
-        doc = json.loads(text)
-        second = text.splitlines()[1]
-        indent = len(second) - len(second.lstrip())  # kept, so the old entries do not move
-    else:
-        doc = {"workload": args.name, "about": "Paired CLI runs written by tools/paired.py.", "entries": []}
-    doc["entries"].append(entry)
-    path.write_text(json.dumps(doc, indent=indent) + "\n", encoding="utf-8")
+    append_entry(ROOT / f"BENCH_{args.name}.json", args.name, entry, "Paired CLI runs written by tools/paired.py.")
     print(json.dumps(summary, indent=1))
     for command in differ:
         print(f"stdout or exit code differs between the trees: {command}", file=sys.stderr)
