@@ -9,10 +9,11 @@ reasons about, and a codeword's base sequence only ever decides membership.
 Runs.  A tube is a tuple of runs, each a frame (frames.py: the strands of one
 vertex order as a byte matrix of planes by slots, whose module docstring
 gives the layout) or a product run.  Both give the operations one interface:
-the strands' vertex `order`, `count`, `live` (the live mask, built with the
-run), column(i) (the live strands that hold token i) and split(starts), so
-every operation has one body.  Extract splits each run by a column, append
-grows each frame, copy shares the tuple and merge concatenates the tuples.
+`count`, `live` (the live mask, built with the run), column(i) (the live
+strands that hold token i) and split(starts), so every operation has one
+body; a frame also carries the strands' vertex `order`.  Extract splits each
+run by a column, append grows each frame, copy shares the tuple as read
+(Tube.runs) and merge concatenates the tuples.
 new_tube makes one frame per stretch of strands of one order, so a tube of
 no strand has no run and builds no frame.  The machine keeps no table of
 orders: an order lives as long as a run carries it, so the machine holds
@@ -25,6 +26,8 @@ merged tube discarded unread, like the solver's bad tubes, is never joined
 or compacted; joining at every merge made the incremental engine about 45%
 slower.  A tube that is one frame, as the solver's survivor tube and its
 color copies are between merges, is read as it is, with no regrouping.
+Copy reads its tube before it shares the runs, so the k copies share one
+joined frame rather than each joining its own.
 
 Product runs.  The monolithic start tube, new_tube(rows=...), is one run of
 no field: a live mask over the product of its rows, strand i of
@@ -34,28 +37,22 @@ later rows' product, so its column is the column of the row's first entry
 shifted up j runs; only that first column is built, by shift-doubling on
 first use, and the _Product that both outputs of a split share caches it,
 one mask per row rather than one per token.  Extract is then one big-int AND
-(`hit = live & column`, rest `live ^ hit`).
-
-Families.  Each product run has a family: the new_tube(rows=...), copy or
-cross-family merge it came from through splits.  Runs of one family never
-share a strand, so merge ORs adjacent runs of one family with no AND; runs
-of two families over one product are ORed, into a new family, only when
-their AND is empty, and any other runs stay side by side, so two copies of
-one tube stay two masks, repeated strands stay repeated and merge decodes
-nothing.  Copy puts each product run of each copy in a fresh family of its
-own (frames are shared).
+(`hit = live & column`, rest `live ^ hit`).  Copy decodes a product run to a
+frame, so split is the only operation that makes a second run over a
+_Product, runs of one product never share a strand, and merge ORs adjacent
+runs of one product with no AND.
 
 The live count.  Only new_tube and copy raise the strands in the tubes, so
 only they take the count (TubeMachine._count), the sum of len over every
 tube built or refilled by a merge and not emptied since, and raise
 peak_tube_size to it; discard counts nothing.
 
-Decoding a product run.  Tube.runs, which append, contents and colors read,
-turns a mask into one frame, in product order, the first time the strands
-are read.  A mask with fewer set bits than size / rows is decoded sparsely:
-one regular-expression scan finds the non-zero bytes of the mask's bytes,
-and each set bit's index is read as mixed-radix digits (last row fastest); a
-denser mask is decoded by walking the whole product.  Only rows= builds a
+Decoding a product run.  Tube.runs, which append, copy, contents and colors
+read, turns a mask into one frame, in product order, the first time the
+strands are read.  A mask with fewer set bits than size / rows is decoded
+sparsely: one regular-expression scan finds the non-zero bytes of the mask's
+bytes, and each set bit's index is read as mixed-radix digits (last row
+fastest); a denser mask is decoded by walking the whole product.  Only rows= builds a
 mask: a mask over k**i strands for a tube that grows by append would bring
 back the blow-up the incremental engine avoids.
 
@@ -195,16 +192,12 @@ def _unpack(at: dict[int, dict[int, Token]], order: tuple[int, ...], fields) -> 
 
 
 class _ProductRun:
-    """The strands of a _Product whose bits are set in `live`: a tube run beside frames.
+    """The strands of a _Product whose bits are set in `live`: a tube run beside frames."""
 
-    `family` is the object shared by the runs split from one new_tube(rows=...),
-    copy or cross-family merge; runs of one family share no strand.
-    """
+    __slots__ = ("product", "live")
 
-    __slots__ = ("product", "order", "live", "family")
-
-    def __init__(self, product: _Product, live: int, family: object):
-        self.product, self.order, self.live, self.family = product, product.order, live, family
+    def __init__(self, product: _Product, live: int):
+        self.product, self.live = product, live
 
     @property
     def count(self) -> int:
@@ -215,12 +208,11 @@ class _ProductRun:
 
     def split(self, starts: int) -> tuple["_ProductRun", "_ProductRun"]:
         """(hit, rest): the strands set in `starts`, a subset of the live mask, and the others."""
-        product, family = self.product, self.family
-        return _ProductRun(product, starts, family), _ProductRun(product, self.live ^ starts, family)
+        return _ProductRun(self.product, starts), _ProductRun(self.product, self.live ^ starts)
 
     def frame(self) -> Frame:
         """The strands as one frame, in product order."""
-        return Frame.of_fields(self.order, self.product.members(self.live))
+        return Frame.of_fields(self.product.order, self.product.members(self.live))
 
 
 class MachineFault(RuntimeError):
@@ -458,7 +450,7 @@ class TubeMachine:
                 runs = self._frames(contents)
             else:
                 product = self._product_of(rows)
-                runs = (_ProductRun(product, (1 << product.size) - 1, object()),) if product.size else ()
+                runs = (_ProductRun(product, (1 << product.size) - 1),) if product.size else ()
         except (CodecError, MachineFault):
             while len(self._index) > known:  # newest first
                 self._index.popitem()
@@ -484,22 +476,24 @@ class TubeMachine:
         return tube
 
     def copy(self, tube: Tube, count: int) -> list[Tube]:
-        """Pour the tube into `count` identical copies; the source ends empty."""
+        """Pour the tube into `count` identical copies; the source ends empty.
+
+        The copies share the tube's runs as read (Tube.runs): adjacent frames
+        of one order are joined once for all of them, and a product run is
+        decoded to a frame, whose strands are then built.  The read comes
+        after the count checks, so a refused copy changes nothing.
+        """
         self._operands(tube)
         if count.__class__ is not int:  # a bool is not a count
             raise TypeError(f"copy count must be an int, got {_show(count)}")
         if count < 1:
             raise ValueError(f"copy count must be at least 1, got {_show(count)}")
-        copies = [Tube(f"{tube.label}#{i}", self, self._refamilied(tube._runs)) for i in range(1, count + 1)]
+        runs = tube.runs
+        copies = [Tube(f"{tube.label}#{i}", self, runs) for i in range(1, count + 1)]
         tube._runs = ()
         self._count()
         self.counter.copy += 1
         return copies
-
-    @staticmethod
-    def _refamilied(runs: tuple) -> tuple:
-        """The runs, each product run in a family of its own, frames shared."""
-        return tuple(run if run.__class__ is Frame else _ProductRun(run.product, run.live, object()) for run in runs)
 
     def merge(self, dest: Tube, sources) -> Tube:
         """Pour every source into dest; sources end empty.  One counter tick.
@@ -515,12 +509,9 @@ class TubeMachine:
         for tube in (dest, *sources):
             for run in tube._runs:
                 last = runs[-1] if runs else None
-                if run.__class__ is last.__class__ is _ProductRun and (
-                    run.family is last.family or run.product is last.product and not run.live & last.live
-                ):  # one family shares no strand, so only two families' runs are ANDed; their union is a new family
-                    family = run.family if run.family is last.family else object()
-                    runs[-1] = _ProductRun(run.product, last.live | run.live, family)
-                else:  # a strand in two runs stays in both
+                if run.__class__ is last.__class__ is _ProductRun and run.product is last.product:
+                    runs[-1] = _ProductRun(run.product, last.live | run.live)  # runs of one product share no strand
+                else:
                     runs.append(run)
             tube._runs = ()
         dest._runs = tuple(runs)

@@ -47,7 +47,7 @@ def power_text(k: int, n: int) -> str:
 
 
 def check_budget(n: int, k: int, budget: int | None = None, monolithic: bool = False) -> None:
-    """Refuse k < 1, and a run on n vertices whose peak must be over the strand budget.
+    """Refuse a k that is not an int of at least 1, and a run on n vertices whose peak must be over the strand budget.
 
     A monolithic run is refused when its peak, exactly k**n, is over the
     budget.  Otherwise a run is refused when the least peak of any engine on
@@ -60,6 +60,8 @@ def check_budget(n: int, k: int, budget: int | None = None, monolithic: bool = F
     writes (a budget and a k of 2,200 digits each), so the message names it
     through codec._show.
     """
+    if k.__class__ is not int:  # a bool is not a count
+        raise SolverError(f"color count must be an int, got {_show(k)}")
     if k < 1:
         raise SolverError(f"color count must be positive, got {k}")
     if budget is not None and monolithic and k**n > budget:

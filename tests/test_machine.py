@@ -298,7 +298,7 @@ mixed_contents_st = st.lists(mixed_strand_st, max_size=25)
 
 @settings(max_examples=300, deadline=None)
 @given(mixed_contents_st)
-def test_pack_unpack_round_trip(contents):
+def test_listed_strands_read_back_in_order(contents):
     m = TubeMachine()
     t = m.new_tube("t", iter(contents))
     assert len(t) == len(contents)
@@ -378,18 +378,20 @@ def test_new_tube_rows_edge_cases():
 
 
 def test_product_tube_stays_a_mask_through_extract_copy_and_disjoint_merge():
+    """A copy of one extract output, read as a frame, leaves its sibling's runs masks."""
     m = TubeMachine()
     rows = [((1, 0), (1, 1), (1, 2)), ((2, 0), (2, 1)), ((3, 0), (3, 1), (3, 2))]
     full = list(itertools.product(*rows))
     t = m.new_tube("t", rows=rows)
     plus, minus = m.extract(t, cw(2, 1))
     a, b = m.copy(plus, 2)
-    m.merge(minus, [a])
-    assert product_of(minus) is product_of(b) is not None  # no strand built yet
-    assert (len(minus), len(b), m.detect(b), m.peak_tube_size) == (18, 9, True, 27)
-    assert minus.contents == full  # the union in product order
-    assert product_of(minus) is None  # materialized once, a frame from here on
-    assert b.contents == [s for s in full if (2, 1) in s]
+    low, high = m.extract(minus, cw(1, 0))
+    m.merge(low, [high])
+    assert product_of(low) is not None  # no strand built yet
+    assert (len(low), len(b), m.detect(b), m.peak_tube_size) == (9, 9, True, 27)
+    assert low.contents == [s for s in full if (2, 1) not in s]  # the union in product order
+    assert product_of(low) is None  # materialized once, a frame from here on
+    assert a.contents == b.contents == [s for s in full if (2, 1) in s]
 
 
 def test_merge_of_product_tubes_sharing_strands_keeps_the_repeats():
@@ -405,19 +407,17 @@ def test_merge_of_product_tubes_sharing_strands_keeps_the_repeats():
 
 
 def test_merge_never_decodes_a_product_run():
-    """Two copies of one product, a product beside frames, and an extract's two outputs merge with no decode."""
+    """A product beside frames, and an extract's two outputs, merge with no decode."""
     m = TubeMachine()
     rows = [((1, 0), (1, 1), (1, 2)), ((2, 0), (2, 1)), ((3, 0), (3, 1), (3, 2))]
     listed = [((1, 1), (2, 0)), ((3, 2),)]
     with unittest.mock.patch.object(helix.machine._Product, "members", side_effect=AssertionError("decoded")):
-        twice, other = m.copy(m.new_tube("t", rows=rows), 2)
-        m.merge(twice, [other])
         beside = m.new_tube("p", rows=rows)
         m.merge(beside, [m.new_tube("l", listed)])
         union, rest = m.extract(m.new_tube("e", rows=rows), cw(2, 1))
         m.merge(union, [rest])
     full = list(itertools.product(*rows))
-    for tube, want in ((twice, 2 * full), (beside, full + listed), (union, full)):
+    for tube, want in ((beside, full + listed), (union, full)):
         assert Counter(copy.copy(tube).contents) == Counter(want)
 
 
@@ -637,7 +637,7 @@ def test_product_tubes_behave_as_their_listed_twins(data):
     After every step each pair of twin tubes holds the same multiset of
     strands and has the same size, both machines' peak is the running
     maximum of the strands in the tubes not discarded, and no two product
-    runs of one family share a strand.
+    runs of one _Product, over all tubes, share a strand.
     """
     cb = data.draw(st.sampled_from((None, BASES_CBS[0])))
     word = cb.codeword if cb else cw
@@ -693,20 +693,20 @@ def test_product_tubes_behave_as_their_listed_twins(data):
             assert (len(t), t.retired) == (len(u), u.retired)
         peak = max(peak, sum(len(t) for t, _ in twins if not t.retired))
         assert prod_m.peak_tube_size == list_m.peak_tube_size == peak
-        assert_families_share_no_strand([t for t, _ in twins])  # list_m holds no product run
+        assert_product_runs_share_no_strand([t for t, _ in twins])  # list_m holds no product run
     assert prod_m.counter == list_m.counter
 
 
-def assert_families_share_no_strand(tubes):
-    """No two product runs of one family in the tubes not discarded share a strand."""
+def assert_product_runs_share_no_strand(tubes):
+    """No two product runs of one _Product in the tubes share a strand (a discarded tube holds no run)."""
     held = {}
-    for run in (run for t in tubes if not t.retired for run in t._runs if isinstance(run, helix.machine._ProductRun)):
-        assert not held.get(run.family, 0) & run.live, "two runs of one family share a strand"
-        held[run.family] = held.get(run.family, 0) | run.live
+    for run in (run for t in tubes for run in t._runs if isinstance(run, helix.machine._ProductRun)):
+        assert not held.get(run.product, 0) & run.live, "two runs of one product share a strand"
+        held[run.product] = held.get(run.product, 0) | run.live
 
 
-def test_a_pending_discard_is_counted_before_a_copy_and_before_another_familys_discard():
-    """Strands discarded from product runs, of one family or several, are out of the count when it next rises."""
+def test_discarded_strands_are_out_of_the_count_when_it_next_rises():
+    """Strands discarded from a product tube and from its copies are out of the count when it next rises."""
     m = TubeMachine()
     t = m.new_tube("p", rows=[((1, 0), (1, 1), (1, 2)), ((2, 0), (2, 1))])
     hit, rest = m.extract(t, cw(1, 0))
@@ -714,7 +714,7 @@ def test_a_pending_discard_is_counted_before_a_copy_and_before_another_familys_d
     copies = m.copy(rest, 2)  # 4 + 4, not 6 + 4
     assert m.peak_tube_size == 8
     m.discard(copies[0])
-    m.discard(copies[1])  # a second copy's family
+    m.discard(copies[1])  # a second copy
     assert sum(map(len, (t, hit, rest, *copies))) == 0
     m.new_tube("l", [((3, 0),)] * 8)  # 8, not 8 + 8
     assert m.peak_tube_size == 8
@@ -1087,6 +1087,23 @@ def test_extract_drops_empty_outputs():
     assert [(r.count, r._slots) for r in part._runs + rest._runs] == [(1, 2), (1, 2)]
 
 
+def test_copies_share_their_tube_as_read():
+    """The copies of a two-frame tube share one joined frame, and those of a product tube hold frames."""
+    m = TubeMachine()
+    xs, ys = [((1, 0),), ((1, 1),)], [((1, 2),)]
+    t = m.new_tube("t", xs)
+    m.merge(t, [m.new_tube("u", ys)])
+    assert len(t._runs) == 2  # joined only when read
+    copies = m.copy(t, 3)
+    (joined,) = copies[0]._runs
+    assert isinstance(joined, helix.frames.Frame) and all(c._runs == (joined,) for c in copies)
+    assert [c.contents for c in copies] == [xs + ys] * 3 and m.peak_tube_size == 9
+    rows = [((1, 0), (1, 1)), ((2, 0), (2, 1), (2, 2))]
+    copies = m.copy(m.new_tube("p", rows=rows), 2)
+    assert not any(isinstance(run, helix.machine._ProductRun) for c in copies for run in c._runs)
+    assert all(c.contents == list(itertools.product(*rows)) for c in copies)
+
+
 def test_runs_of_a_lone_frame_are_that_frame():
     m = TubeMachine()
     t = m.new_tube("t", [((1, 0),), ((1, 1),)])
@@ -1107,25 +1124,29 @@ def test_an_empty_new_tube_holds_no_run_and_can_be_merged_and_discarded():
 
 
 def test_merge_ors_disjoint_product_runs_in_dest_and_keeps_overlapping_ones_apart():
-    """Two runs of one product, adjacent and disjoint, join into one mask wherever they sit, dest included.
+    """Two runs of one product, adjacent and so disjoint, join into one mask wherever they sit, dest included.
 
-    Copies narrowed by different extracts overlap in the strands with (1, 1),
-    so their merge keeps two runs; removing (1, 1) from that tube leaves two
-    disjoint runs in it, which its next merge ORs, with no source to pour.
+    A frame between two runs of one product keeps them apart in a merge;
+    extracting the frame's strand leaves the two adjacent in one tube, which
+    its next merge ORs, with no source to pour.  Two start tubes of the same
+    rows are two products that overlap in every strand, so their merge keeps
+    two runs and the repeats.
     """
     m = TubeMachine()
     rows = [((1, 0), (1, 1), (1, 2)), ((2, 0), (2, 1))]
     full = list(itertools.product(*rows))
-    p, q = m.copy(m.new_tube("t", rows=rows), 2)
-    _, a = m.extract(p, cw(1, 2))
-    _, b = m.extract(q, cw(1, 0))
-    m.merge(a, [b])
-    assert len(a._runs) == 2 and product_of(a) is None  # overlapping: apart
-    _, dest = m.extract(a, cw(1, 1))
-    assert len(dest._runs) == 2  # disjoint now, but no merge has met them
+    a, b = m.extract(m.new_tube("t", rows=rows), cw(2, 1))
+    m.merge(a, [m.new_tube("l", [((3, 0),)]), b])
+    assert len(a._runs) == 3  # a frame between: apart
+    _, dest = m.extract(a, cw(3, 0))
+    assert len(dest._runs) == 2  # adjacent now, but no merge has met them
     m.merge(dest, [])
     assert product_of(dest) is not None
-    assert dest.contents == [s for s in full if (1, 1) not in s]
+    assert Counter(dest.contents) == Counter(full)
+    p, q = m.new_tube("p", rows=rows), m.new_tube("q", rows=rows)
+    m.merge(p, [q])
+    assert len(p._runs) == 2 and product_of(p) is None  # two products: apart
+    assert Counter(p.contents) == Counter(2 * full)
     more = m.new_tube("u", rows=rows)
     low, high = m.extract(more, cw(2, 1))
     m.merge(low, [m.new_tube("v"), high])  # across an empty source, the source's run meets dest's

@@ -159,6 +159,14 @@ def test_zero_colors_are_refused(engine):
         engine(builtin_graph("k3"), 0, builtin_table1())
 
 
+@pytest.mark.parametrize("engine", [solve_incremental, solve_monolithic])
+@pytest.mark.parametrize("k, shown", [(True, "True"), (2.0, "2.0"), ("3", "'3'")])
+def test_a_color_count_that_is_not_an_int_is_refused_by_name(engine, k, shown):
+    """Before the coverage check: this codebook covers too few vertices for any k."""
+    with pytest.raises(SolverError, match=f"color count must be an int, got {shown}$"):
+        engine(builtin_graph("k3"), k, generate_codebook(2, 3, 12, 0))
+
+
 def test_unknown_match_mode_is_refused():
     with pytest.raises(SolverError, match="unknown match mode 'fuzzy'"):
         solve_incremental(builtin_graph("k3"), 3, builtin_table1(), match_mode="fuzzy")
@@ -388,7 +396,7 @@ def test_a_monolithic_run_counts_its_product_runs_at_most_once(monkeypatch):
 def _assert_monolithic_run_is_not_stored_strand_by_strand(match_mode):
     g, k = random_graph(9, 0.3, 1), 4
     cb = generate_codebook(g.n, k, 20, 1)
-    # an int (a 32-bit order id below one bit per token) and a list slot each: 11,534,336 B
+    # per strand, an int of one bit per token and 32 bits more, and a list slot: 11,534,336 B
     list_store = k**g.n * (sys.getsizeof(1 << (32 + g.n * k)) + 8)
     tracemalloc.start()
     try:
