@@ -172,6 +172,12 @@ class Codebook:
     length is declared, that every sequence has it; distinctness and
     junction safety are the validator's business, so that a deliberately
     broken codebook can still be built and reported on.
+
+    The table is the one link between tokens and bases: `_table` maps each
+    token to its Codeword, and `_tokens`, the one reverse map, each sequence
+    to its token.  A sequence held twice keeps one token in `_tokens`, so
+    only a validated table's map is read (by decode_strand and a nucleotide
+    TubeMachine's extract).
     """
 
     def __init__(self, n: int, k: int, entries, provenance: str, length: int | None = None):
@@ -195,8 +201,7 @@ class Codebook:
         self.provenance = provenance
         self.length = length
         self._table = table
-        # token -> bases: render's fast path
-        self._sequences = {key: cw.sequence for key, cw in table.items()}
+        self._tokens = {cw.sequence: key for key, cw in table.items()}  # bases -> token
         self._validation: ValidationReport | None = None
 
     def codeword(self, vertex: int, color: int) -> Codeword:
@@ -565,10 +570,7 @@ def load_codebook(path) -> Codebook:
 
 
 def render(strand: Strand, cb: Codebook) -> str:
-    try:
-        return "".join(map(cb._sequences.__getitem__, strand))
-    except (KeyError, TypeError):  # a token outside the codebook, or not a hashable pair
-        return "".join(cb.codeword(v, c).sequence for v, c in strand)
+    return "".join([cb.codeword(v, c).sequence for v, c in strand])
 
 
 def decode_strand(seq: str, cb: Codebook) -> Strand:
@@ -581,15 +583,14 @@ def decode_strand(seq: str, cb: Codebook) -> Strand:
     """
     if not cb.validation().ok:
         raise SoundnessError("decode refused: codebook failed validation")
-    by_seq = {cw.sequence: cw for cw in cb.codewords()}
-    lengths = sorted({len(s) for s in by_seq}, reverse=True)
+    lengths = sorted({len(s) for s in cb._tokens}, reverse=True)
     tokens = []
     pos = 0
     while pos < len(seq):
         for length in lengths:
-            cw = by_seq.get(seq[pos : pos + length])
-            if cw is not None:
-                tokens.append((cw.vertex, cw.color))
+            token = cb._tokens.get(seq[pos : pos + length])
+            if token is not None:
+                tokens.append(token)
                 pos += length
                 break
         else:

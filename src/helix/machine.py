@@ -49,12 +49,14 @@ peak_tube_size to it; discard counts nothing.
 
 Decoding a product run.  Tube.runs, which append, copy, contents and colors
 read, turns a mask into one frame, in product order, the first time the
-strands are read.  A mask with fewer set bits than size / rows is decoded
-sparsely: one regular-expression scan finds the non-zero bytes of the mask's
-bytes, and each set bit's index is read as mixed-radix digits (last row
-fastest); a denser mask is decoded by walking the whole product.  Only rows= builds a
-mask: a mask over k**i strands for a tube that grows by append would bring
-back the blow-up the incremental engine avoids.
+strands are read.  A mask with fewer set bits than size / SPARSE_DECODE is
+decoded sparsely: one regular-expression scan finds the non-zero bytes of the
+mask's bytes, and each set bit's index is read as mixed-radix digits (last
+row fastest); a denser mask is decoded by walking the whole product.  The two
+tie at 1/100 to 1/128 of the strands on 3^10, 4^9, 3^12 and 2^16 strands,
+whatever the row count, and at 1/25 the walk is 2.6 to 3.5 times faster.  Only
+rows= builds a mask: a mask over k**i strands for a tube that grows by append
+would bring back the blow-up the incremental engine avoids.
 
 Byte-table decode (Tube.colors).  One decode uses one width: every requested
 vertex gets as many bits as the largest color among them needs (at least
@@ -81,7 +83,8 @@ tested against.
 
 Nucleotide extract.  A machine with a codebook keeps the strands whose
 rendered bases hold the probe's sequence, and finds them one of two ways.
-A probe whose sequence is a codeword's is split by that token's column, as a
+A probe whose sequence is a codeword's, looked up in the codebook's reverse
+map (the machine keeps no copy), is split by that token's column, as a
 symbolic extract is: on a validated codebook a codeword occurs in rendered
 bases only where its own token is, so no strand is rendered and product
 runs stay masks.  The empty probe takes every run's live strands, the
@@ -101,11 +104,12 @@ from itertools import chain, compress, groupby, product
 from math import prod
 from operator import attrgetter, not_
 
-from .codec import Codebook, CodecError, Codeword, SoundnessError, Strand, Token, _show, render
+from .codec import Codebook, Codeword, SoundnessError, Strand, Token, _show, render
 from .frames import WORD_BITS, Frame, bit_fields, key_tables, place, tile
 
 _DIGIT = bytes.maketrans(b"01", b"\x00\x01")  # a mask's binary digits as 0/1 bytes
 _ORDER, _COUNT = attrgetter("order"), attrgetter("count")
+SPARSE_DECODE = 128  # a product run with under size / SPARSE_DECODE live strands is decoded bit by bit
 
 
 class _Product:
@@ -144,7 +148,7 @@ class _Product:
 
     def members(self, mask: int) -> list[int]:
         """The fields of the strands whose bits are set in mask, in product order."""
-        if mask.bit_count() * len(self.bits) < self.size:
+        if mask.bit_count() * SPARSE_DECODE < self.size:
             return self._picked(mask)
         return self._walked(mask)
 
@@ -189,6 +193,23 @@ def _unpack(at: dict[int, dict[int, Token]], order: tuple[int, ...], fields) -> 
         tokens = {1 << place(i): t for i, t in at[v].items()}
         rows.append((sum(tokens), tokens))
     return [tuple([tok[s & m] for m, tok in rows]) for s in fields]
+
+
+def _items(value, what: str, of: str) -> tuple:
+    """tuple(value), or a TypeError that names it: `what` must be an iterable of `of`."""
+    try:
+        return tuple(value)
+    except TypeError:
+        raise TypeError(f"{what} must be an iterable of {of}, got {_show(value)}") from None
+
+
+def _strand(strand) -> Strand:
+    """A strand given to new_tube, as the tuple of its tokens; TypeError names a strand or token of the wrong kind."""
+    tokens = _items(strand, "a strand", "(vertex, color) pairs")
+    for token in tokens:
+        if not (isinstance(token, tuple) and len(token) == 2):
+            raise TypeError(f"a token must be a (vertex, color) pair, got {_show(token)}")
+    return tokens
 
 
 class _ProductRun:
@@ -340,10 +361,13 @@ class TubeMachine:
     machine's, or in merge dest among the sources or a source listed twice.
     merge also refuses one Tube given as its sources with TypeError.  Past
     that:
-    - new_tube raises ValueError for contents and rows both, MachineFault for
-      a strand or rows that name a vertex twice, a row of two vertices or a
-      color that is not an int in [0, 2**64), and on a machine with a
-      codebook CodecError for a token with no codeword;
+    - new_tube raises ValueError for contents and rows both; TypeError for
+      contents that are not an iterable of strands, a strand that is not
+      iterable or a token that is not a (vertex, color) pair; MachineFault
+      for a strand or rows that name a vertex twice, a row of two vertices
+      or a color that is not an int in [0, 2**64); and on a machine with a
+      codebook CodecError for a token with no codeword.  A refused new_tube
+      registers none of its tokens, whatever it raises;
     - append raises MachineFault for a strand that already names cw's vertex,
       and MachineFault or CodecError for cw's token as new_tube does;
     - copy raises TypeError for a count that is not an int (a bool is not a
@@ -356,7 +380,6 @@ class TubeMachine:
         if codebook is not None and not codebook.validation().ok:
             raise SoundnessError("nucleotide matching refused: codebook failed validation")
         self.codebook = codebook
-        self._coded = {} if codebook is None else {cw.sequence: (cw.vertex, cw.color) for cw in codebook.codewords()}
         self.counter = OpCounter()
         self.peak_tube_size = 0
         self._index: dict[Token, int] = {}  # token -> i, its bit frames.place(i) in a field
@@ -442,16 +465,17 @@ class TubeMachine:
         """
         if rows is not None and contents:
             raise ValueError("new_tube takes contents or rows, not both")
-        if rows is None and not contents:  # no strand: no frame to build, no token to register
+        strands = () if rows is not None else _items(contents, "new_tube contents", "strands")
+        if rows is None and not strands:  # no strand: no frame to build, no token to register
             return Tube(label, self)
         known = len(self._index)
         try:
             if rows is None:
-                runs = self._frames(contents)
+                runs = self._frames(map(_strand, strands))
             else:
                 product = self._product_of(rows)
                 runs = (_ProductRun(product, (1 << product.size) - 1),) if product.size else ()
-        except (CodecError, MachineFault):
+        except BaseException:
             while len(self._index) > known:  # newest first
                 self._index.popitem()
             raise
@@ -529,7 +553,7 @@ class TubeMachine:
         """
         self._operands(tube, probe=cw)
         runs, seq = tube._runs, cw.sequence
-        token = (cw.vertex, cw.color) if self.codebook is None else self._coded.get(seq)
+        token = (cw.vertex, cw.color) if self.codebook is None else self.codebook._tokens.get(seq)
         if token is None and seq:  # a probe that is no codeword: search strand by strand
             strands = tube.contents
             held = [seq in render(s, self.codebook) for s in strands]

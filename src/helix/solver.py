@@ -47,7 +47,7 @@ def power_text(k: int, n: int) -> str:
 
 
 def check_budget(n: int, k: int, budget: int | None = None, monolithic: bool = False) -> None:
-    """Refuse a k that is not an int of at least 1, and a run on n vertices whose peak must be over the strand budget.
+    """Refuse a k that is not an int of at least 1, a budget that is neither None nor an int, and a run whose peak must be over it.
 
     A monolithic run is refused when its peak, exactly k**n, is over the
     budget.  Otherwise a run is refused when the least peak of any engine on
@@ -64,6 +64,8 @@ def check_budget(n: int, k: int, budget: int | None = None, monolithic: bool = F
         raise SolverError(f"color count must be an int, got {_show(k)}")
     if k < 1:
         raise SolverError(f"color count must be positive, got {k}")
+    if budget is not None and budget.__class__ is not int:  # nor is a bool a budget
+        raise SolverError(f"strand budget must be an int or None, got {_show(budget)}")
     if budget is not None and monolithic and k**n > budget:
         raise BudgetError(f"the monolithic engine needs k^n = {power_text(k, n)} strands, over the budget of {budget}")
     if budget is not None and not monolithic:

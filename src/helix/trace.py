@@ -51,8 +51,11 @@ class SolutionSet(namedtuple("SolutionSet", "ordered colorable")):
 
 
 def _is_permutation(order: list[int], n: int) -> bool:
-    """Whether order lists 1..n once each; the lengths are compared before 1..n is listed."""
-    return len(order) == n and sorted(order) == list(range(1, n + 1))
+    """Whether order lists each of the ints 1..n once; a bool, or a float such as 3.0, is not an int here.
+
+    The lengths are compared before 1..n is listed.
+    """
+    return len(order) == n and all(v.__class__ is int for v in order) and sorted(order) == list(range(1, n + 1))
 
 
 def resolve_order(g, order) -> list[int]:

@@ -569,7 +569,7 @@ WINDOW_CBS = (builtin_table1(), BASES_CBS[0], generate_codebook(8, 3, 20, 3), _m
 def test_a_validated_codeword_occurs_only_where_its_token_is(cb, data):
     """Validation's guarantee, on which a codeword probe reading its token's column rests."""
     assert cb.validation().ok
-    assert TubeMachine(cb)._coded == {cw.sequence: (cw.vertex, cw.color) for cw in cb.codewords()}
+    assert cb._tokens == {cw.sequence: (cw.vertex, cw.color) for cw in cb.codewords()}
     colors = st.integers(0, cb.k - 1)
     strand_st = st.lists(st.tuples(st.integers(1, cb.n), colors), unique_by=lambda t: t[0], max_size=8).map(tuple)
     for s in data.draw(st.lists(strand_st, min_size=1, max_size=5)):
@@ -1529,6 +1529,28 @@ def test_a_new_tube_refused_by_a_machine_fault_registers_none_of_its_tokens():
         assert machine_books(m, [kept]) == before
 
 
+# new_tube contents of the wrong kind, each with the TypeError message that names it; the first
+# strand of each list, ((1, 0),), is registered before the bad value is met.
+MALFORMED_CONTENTS = [
+    (5, "new_tube contents must be an iterable of strands, got 5"),
+    ([((1, 0),), 5], "a strand must be an iterable of (vertex, color) pairs, got 5"),
+    ([((1, 0),), "ab"], "a token must be a (vertex, color) pair, got 'a'"),
+    ([((1, 0),), ((2, 1), (3,))], "a token must be a (vertex, color) pair, got (3,)"),
+]
+
+
+@pytest.mark.parametrize("coded", [False, True], ids=["symbolic", "codebook"])
+@pytest.mark.parametrize("contents, message", MALFORMED_CONTENTS, ids=["contents", "strand", "str-token", "short-token"])
+def test_a_new_tube_of_malformed_contents_is_a_type_error_and_registers_none_of_its_tokens(coded, contents, message):
+    m = TubeMachine(generate_codebook(3, 2, 12, 0) if coded else None)
+    kept = m.new_tube("t", [((3, 0),)])
+    before = machine_books(m, [kept])
+    with pytest.raises(TypeError, match=re.escape(message)):
+        m.new_tube("x", contents)
+    assert machine_books(m, [kept]) == before
+    assert (1, 0) not in m._index
+
+
 @pytest.mark.parametrize("coded", [False, True], ids=["symbolic", "codebook"])
 def test_an_append_refused_for_a_repeated_vertex_registers_no_token(coded):
     """Appending (1, 1) to a tube of ((1, 0),) faults and leaves the token index, counter and tube as they were."""
@@ -1692,7 +1714,7 @@ class TwoMachines(RuleBasedStateMachine):
     dest or a source.  With `junk` a value that is no tube takes the tube's
     place (merge's dest or one of its sources), append and extract draw
     probes that are no Codeword, and merge may be given one tube as its
-    sources.  Each step either does what the model says, or raises
+    sources; new_tube may draw contents of the wrong kind.  Each step either does what the model says, or raises
     the documented error with its message and leaves both machines' books
     and every tube as they were.  No other error passes.
     """
@@ -1741,8 +1763,12 @@ class TwoMachines(RuleBasedStateMachine):
 
     @rule(target=tubes, m=st.sampled_from([0, 1]), strands=st.lists(
         st.lists(st.sampled_from(TWO_TOKENS), unique_by=lambda tok: tok[0], max_size=3).map(tuple), max_size=4
-    ))
-    def new_tube(self, m, strands):
+    ), malformed=st.sampled_from([None] * 12 + MALFORMED_CONTENTS))
+    def new_tube(self, m, strands, malformed):
+        if malformed:  # contents of the wrong kind, in place of the drawn strands
+            contents, message = malformed
+            self._refused(lambda: self.machines[m].new_tube("x", contents), TypeError, message)
+            return multiple()
         return self._made(m, (self.machines[m].new_tube(f"t{len(self.strands)}", strands), strands))
 
     @rule(target=tubes, m=st.sampled_from([0, 1]), order=st.permutations([1, 2, 3]), colors=st.lists(

@@ -2,6 +2,7 @@ import gc
 import itertools
 import json
 import random
+import re
 import sys
 import tracemalloc
 from collections import Counter
@@ -131,6 +132,19 @@ def test_bad_order_rejected():
         solve_incremental(g, 3, cb, order=[1, 2])
     with pytest.raises(SolverError, match="permutation"):
         solve_incremental(g, 3, cb, order=[1, 2, 2])
+
+
+@pytest.mark.parametrize("order", [(1, 2, 3.0), (True, 2, 3)], ids=["float", "bool"])
+def test_an_order_of_a_vertex_that_only_equals_an_int_is_refused(order):
+    """3.0 and True equal 3 and 1, but a run on them would write a trace its own reader refuses."""
+    g, cb = builtin_graph("k3"), builtin_table1()
+    with pytest.raises(SolverError, match=r"permutation of 1\.\.3"):
+        solve_incremental(g, 3, cb, order=order)
+    with pytest.raises(SolverError, match=r"permutation of 1\.\.3"):
+        step_census(g, 3, order, 2)
+    solutions, trace = solve_incremental(g, 3, cb)
+    with pytest.raises(SolverError, match=r"permutation of 1\.\.3"):
+        trace_document(g, 3, order, "incremental", solutions, trace)
 
 
 def test_codebook_must_cover_instance():
@@ -291,6 +305,17 @@ def test_monolithic_single_vertex():
 def test_monolithic_budget_refusal_names_the_bound():
     with pytest.raises(BudgetError, match=r"27 strands.*budget of 10"):
         solve_monolithic(builtin_graph("k3"), 3, builtin_table1(), budget=10)
+
+
+@pytest.mark.parametrize("budget", ["x", True, 2.5])
+def test_a_budget_that_is_not_an_int_is_refused_at_the_budget_step(budget):
+    g, cb = builtin_graph("k3"), builtin_table1()
+    with pytest.raises(SolverError, match=f"strand budget must be an int or None, got {re.escape(repr(budget))}"):
+        solve_monolithic(g, 3, cb, budget=budget)
+    with pytest.raises(SolverError, match="unknown match mode"):  # the mode is checked before the budget
+        solve_monolithic(g, 3, cb, "bogus", budget=budget)
+    with pytest.raises(SolverError, match="color count"):  # and the color count first of all
+        solve_monolithic(g, True, cb, budget=budget)
 
 
 def test_monolithic_budget_refuses_before_codebook_validation(monkeypatch):
