@@ -168,10 +168,11 @@ class Codebook:
     """Total (vertex, color) -> Codeword table for n vertices and k colors.
 
     Treated as immutable after construction; validation results are cached on
-    first use.  Construction checks coverage, the DNA alphabet and, when a
-    length is declared, that every sequence has it; distinctness and
-    junction safety are the validator's business, so that a deliberately
-    broken codebook can still be built and reported on.
+    first use.  Construction checks each entry's kinds (an int vertex and
+    color, a bool not counted, and a str sequence), then coverage, the DNA
+    alphabet and, when a length is declared, that every sequence has it;
+    distinctness and junction safety are the validator's business, so that
+    a deliberately broken codebook can still be built and reported on.
 
     The table is the one link between tokens and bases: `_table` maps each
     token to its Codeword, and `_tokens`, the one reverse map, each sequence
@@ -184,6 +185,8 @@ class Codebook:
         _check_shape(n, k)
         table: dict[Token, Codeword] = {}
         for cw in entries:
+            if not (cw.vertex.__class__ is cw.color.__class__ is int and isinstance(cw.sequence, str)):  # a bool is no int
+                raise CodecError(f"entry {_show(tuple(cw))} needs an int vertex, an int color and a str sequence")
             if not (1 <= cw.vertex <= n) or not (0 <= cw.color < k):
                 raise CodecError(f"entry ({cw.vertex},{cw.color}) outside {n} vertices x {k} colors")
             check_dna(cw.sequence)
@@ -569,8 +572,26 @@ def load_codebook(path) -> Codebook:
     return codebook_from_json(data)
 
 
+def _pairs(tokens, kinds: type | tuple = tuple):
+    """The tokens, or a TypeError that names the first that is not a (vertex, color) pair of one of `kinds`."""
+    for token in tokens:
+        if not (isinstance(token, kinds) and len(token) == 2):
+            raise TypeError(f"a token must be a (vertex, color) pair, got {_show(token)}")
+    return tokens
+
+
 def render(strand: Strand, cb: Codebook) -> str:
-    return "".join([cb.codeword(v, c).sequence for v, c in strand])
+    """The strand's bases: its tokens' codewords, in order.
+
+    A token is a (vertex, color) tuple or list; one that is not is a
+    TypeError that names it.  The tokens are checked only once the one
+    expression has failed, so a good strand pays nothing for the check.
+    """
+    try:
+        return "".join([cb.codeword(v, c).sequence for v, c in strand])
+    except (TypeError, ValueError):  # a CodecError is a ValueError
+        _pairs(strand, (tuple, list))
+        raise
 
 
 def decode_strand(seq: str, cb: Codebook) -> Strand:

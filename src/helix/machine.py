@@ -104,7 +104,7 @@ from itertools import chain, compress, groupby, product
 from math import prod
 from operator import attrgetter, not_
 
-from .codec import Codebook, Codeword, SoundnessError, Strand, Token, _show, render
+from .codec import Codebook, Codeword, SoundnessError, Strand, Token, _pairs, _show, render
 from .frames import WORD_BITS, Frame, bit_fields, key_tables, place, tile
 
 _DIGIT = bytes.maketrans(b"01", b"\x00\x01")  # a mask's binary digits as 0/1 bytes
@@ -203,13 +203,19 @@ def _items(value, what: str, of: str) -> tuple:
         raise TypeError(f"{what} must be an iterable of {of}, got {_show(value)}") from None
 
 
-def _strand(strand) -> Strand:
-    """A strand given to new_tube, as the tuple of its tokens; TypeError names a strand or token of the wrong kind."""
-    tokens = _items(strand, "a strand", "(vertex, color) pairs")
-    for token in tokens:
-        if not (isinstance(token, tuple) and len(token) == 2):
-            raise TypeError(f"a token must be a (vertex, color) pair, got {_show(token)}")
-    return tokens
+def _strand(strand, what: str = "a strand") -> Strand:
+    """A strand or token row given to new_tube, as the tuple of its tokens; TypeError names one of the wrong kind."""
+    return _pairs(_items(strand, what, "(vertex, color) pairs"))
+
+
+def _check_token(v, c) -> None:
+    """Refuse a token's parts of the wrong kind: MachineFault for the color, TypeError for a vertex no dict can hold."""
+    if not isinstance(c, int) or not 0 <= c < 1 << WORD_BITS:
+        raise MachineFault(f"color {_show(c)} of vertex {_show(v)} is not an int in [0, 2**64)")
+    try:
+        hash(v)
+    except TypeError:
+        raise TypeError(f"a vertex must be hashable, got {_show(v)}") from None
 
 
 class _ProductRun:
@@ -356,23 +362,28 @@ class TubeMachine:
 
     Refusals.  One guard (_operands) checks every operand an operation
     takes, its kind before its state, before anything moves: TypeError for
-    a probe (append's and extract's cw) that is not a Codeword or an operand
-    that is not a Tube, MachineFault for a tube discarded or another
-    machine's, or in merge dest among the sources or a source listed twice.
-    merge also refuses one Tube given as its sources with TypeError.  Past
-    that:
+    a probe (append's and extract's cw) that is not a Codeword or whose
+    sequence is not a str, or an operand that is not a Tube, MachineFault
+    for a tube discarded or another machine's, or in merge dest among the
+    sources or a source listed twice.  merge also refuses one Tube given as
+    its sources with TypeError.  Past that:
     - new_tube raises ValueError for contents and rows both; TypeError for
-      contents that are not an iterable of strands, a strand that is not
-      iterable or a token that is not a (vertex, color) pair; MachineFault
-      for a strand or rows that name a vertex twice, a row of two vertices
-      or a color that is not an int in [0, 2**64); and on a machine with a
-      codebook CodecError for a token with no codeword.  A refused new_tube
-      registers none of its tokens, whatever it raises;
+      contents that are not an iterable of strands or rows that are not an
+      iterable of token rows, a strand or row that is not iterable, a token
+      that is not a (vertex, color) pair or a vertex that cannot be hashed;
+      MachineFault for a strand or rows that name a vertex twice, a row of
+      two vertices or a color that is not an int in [0, 2**64); and on a
+      machine with a codebook CodecError for a token with no codeword.  A
+      refused new_tube registers none of its tokens, whatever it raises;
     - append raises MachineFault for a strand that already names cw's vertex,
-      and MachineFault or CodecError for cw's token as new_tube does;
+      and TypeError, MachineFault or CodecError for cw's token as new_tube
+      does;
     - copy raises TypeError for a count that is not an int (a bool is not a
       count) and ValueError for one below 1;
-    - extract, merge, detect and discard raise nothing more.
+    - a symbolic extract raises TypeError or MachineFault for a token that
+      cannot be hashed, as new_tube does (one of the right kind never seen
+      matches no strand);
+    - merge, detect and discard raise nothing more.
     A refused operation changes nothing: no tube, counter, peak or token index.
     """
 
@@ -395,8 +406,9 @@ class TubeMachine:
     def _operands(self, *tubes: Tube, probe: object = ...) -> None:
         """Refuse, before anything moves, an operand of the wrong kind, then a tube in the wrong state.
 
-        TypeError names a probe that is not a Codeword (only append and
-        extract give one; `...` stands for none).  Then, operand by operand,
+        TypeError names a probe that is not a Codeword, then one whose
+        sequence is not a str (only append and extract give one; `...`
+        stands for none).  Then, operand by operand,
         TypeError names one that is not a Tube, and MachineFault a discarded
         tube or another machine's tube; last, MachineFault names one tube
         given twice.  Only merge gives several tubes, dest first, so only it
@@ -404,6 +416,8 @@ class TubeMachine:
         """
         if probe is not ... and not isinstance(probe, Codeword):
             raise TypeError(f"probe must be a Codeword, got {_show(probe)}")
+        if probe is not ... and not isinstance(probe.sequence, str):
+            raise TypeError(f"probe sequence must be a str, got {_show(probe.sequence)}")
         for tube in tubes:
             if not isinstance(tube, Tube):
                 raise TypeError(f"operand must be a Tube, got {_show(tube)}")
@@ -415,12 +429,19 @@ class TubeMachine:
 
     # --- fields ------------------------------------------------------------
 
+    def _known(self, token: Token) -> int | None:
+        """The token's index, or None for a token never seen; a part that cannot be hashed is refused by name."""
+        try:
+            return self._index.get(token)
+        except TypeError:
+            _check_token(*token)
+            raise
+
     def _index_of(self, token: Token) -> int:
-        i = self._index.get(token)
+        i = self._known(token)
         if i is None:
             v, c = token
-            if not isinstance(c, int) or not 0 <= c < 1 << WORD_BITS:
-                raise MachineFault(f"color {_show(c)} of vertex {_show(v)} is not an int in [0, 2**64)")
+            _check_token(v, c)
             if self.codebook is not None:
                 self.codebook.codeword(v, c)  # raises CodecError for a token with no codeword
             i = self._index[token] = len(self._index)
@@ -438,14 +459,15 @@ class TubeMachine:
 
         Each row holds the tokens of one vertex.
         """
-        rows = [tuple(row) for row in rows]
+        rows = [_strand(row, "a token row") for row in _items(rows, "new_tube rows", "token rows")]
+        indices = [list(map(self._index_of, row)) for row in rows]  # every token checked before a vertex is hashed
         order = []
         for row in rows:
             vertices = {v for v, _ in row}
             if len(vertices) > 1:
-                raise MachineFault(f"token row names more than one vertex: {_show(sorted(vertices))}")
+                raise MachineFault(f"token row names more than one vertex: {_show(sorted(vertices, key=_show))}")
             order.extend(vertices)
-        return _Product(self._checked(tuple(order)), [list(map(self._index_of, row)) for row in rows])
+        return _Product(self._checked(tuple(order)), indices)
 
     def _frames(self, strands) -> tuple[Frame, ...]:
         """Token tuples as frames, one per stretch of strands of one vertex order."""
@@ -559,7 +581,7 @@ class TubeMachine:
             held = [seq in render(s, self.codebook) for s in strands]
             hits, rests = self._frames(compress(strands, held)), self._frames(compress(strands, map(not_, held)))
         else:  # a token never seen is in no strand; the empty probe holds every strand
-            index, hits, rests = self._index.get(token), [], []
+            index, hits, rests = self._known(token), [], []
             for run in runs:  # an empty output run is dropped
                 hit, rest = run.split(run.column(index) if token else run.live)
                 if hit.live:

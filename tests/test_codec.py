@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import random
+import re
 import tracemalloc
 import unittest.mock
 from collections import Counter
@@ -233,6 +234,17 @@ def test_generation_refuses_a_negative_count_before_drawing(args, message):
 def test_codebook_refuses_a_negative_vertex_count():
     with pytest.raises(CodecError, match="vertex count must be non-negative, got -1"):
         Codebook(-1, 1, [], provenance="test")
+
+
+@pytest.mark.parametrize("entry", [
+    Codeword(1, 0, ["A", "C"]), Codeword(1, 0, ("A",)), Codeword("1", 0, "A"), Codeword(1.0, 0, "A"),
+    Codeword(True, 0, "A"), Codeword(1, False, "A"), Codeword(9.5, 0, "XYZ"),
+], ids=["list-sequence", "tuple-sequence", "str-vertex", "float-vertex", "bool-vertex", "bool-color", "before-range"])
+def test_an_entry_of_the_wrong_kind_is_refused_by_name(entry):
+    """The kinds are checked before the range and the alphabet, so the last entry is named for its vertex's kind."""
+    message = f"entry {tuple(entry)!r} needs an int vertex, an int color and a str sequence"
+    with pytest.raises(CodecError, match=f"^{re.escape(message)}$"):
+        Codebook(1, 1, [entry], provenance="test")
 
 
 def test_a_declared_length_that_a_sequence_does_not_have_is_refused():
@@ -563,6 +575,14 @@ def test_render_raises_for_a_token_outside_the_codebook(table1):
         render(((1, 0), (13, 0)), table1)
     with pytest.raises(CodecError, match="color 3"):
         render(((1, 3),), table1)
+    with pytest.raises(CodecError, match="color 3"):
+        render([[1, 0], [1, 3]], table1)
+
+
+@pytest.mark.parametrize("strand, shown", [(((1,),), "(1,)"), (("ab",), "'ab'"), (((1, 0), [2]), "[2]"), (((1, 0), 5), "5")])
+def test_render_names_a_token_that_is_not_a_pair(table1, strand, shown):
+    with pytest.raises(TypeError, match=f"^{re.escape(f'a token must be a (vertex, color) pair, got {shown}')}$"):
+        render(strand, table1)
 
 
 @pytest.mark.parametrize(

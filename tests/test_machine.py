@@ -1523,30 +1523,45 @@ def test_a_new_tube_refused_by_a_machine_fault_registers_none_of_its_tokens():
     m = TubeMachine()
     kept = m.new_tube("t", [((1, 0),)])
     before = machine_books(m, [kept])
-    for bad, message in [([((2, 1),), ((3, 0), (3, 1))], "names a vertex twice"), ([((2, 1),), ((3, -1),)], "color -1")]:
-        with pytest.raises(MachineFault, match=message):
-            m.new_tube("x", bad)
+    for bad, message in [
+        ({"contents": [((2, 1),), ((3, 0), (3, 1))]}, "names a vertex twice"),
+        ({"contents": [((2, 1),), ((3, -1),)]}, "color -1"),
+        ({"contents": [((2, 1),), ((3, [0]),)]}, "color [0] of vertex 3 is not an int in [0, 2**64)"),
+        ({"rows": [[(2, 1), ("a", 0)]]}, "token row names more than one vertex: ['a', 2]"),
+    ]:
+        with pytest.raises(MachineFault, match=re.escape(message)):
+            m.new_tube("x", **bad)
         assert machine_books(m, [kept]) == before
 
 
-# new_tube contents of the wrong kind, each with the TypeError message that names it; the first
-# strand of each list, ((1, 0),), is registered before the bad value is met.
+# new_tube contents and rows of the wrong kind, each with the TypeError message that names it.  Each
+# list begins with the strand ((1, 0),) or the row [(1, 0)], whose token must not stay registered.
 MALFORMED_CONTENTS = [
-    (5, "new_tube contents must be an iterable of strands, got 5"),
-    ([((1, 0),), 5], "a strand must be an iterable of (vertex, color) pairs, got 5"),
-    ([((1, 0),), "ab"], "a token must be a (vertex, color) pair, got 'a'"),
-    ([((1, 0),), ((2, 1), (3,))], "a token must be a (vertex, color) pair, got (3,)"),
+    ({"contents": 5}, "new_tube contents must be an iterable of strands, got 5"),
+    ({"contents": [((1, 0),), 5]}, "a strand must be an iterable of (vertex, color) pairs, got 5"),
+    ({"contents": [((1, 0),), "ab"]}, "a token must be a (vertex, color) pair, got 'a'"),
+    ({"contents": [((1, 0),), ((2, 1), (3,))]}, "a token must be a (vertex, color) pair, got (3,)"),
+    ({"contents": [((1, 0),), (([2], 1),)]}, "a vertex must be hashable, got [2]"),
+    ({"rows": 5}, "new_tube rows must be an iterable of token rows, got 5"),
+    ({"rows": [None]}, "a token row must be an iterable of (vertex, color) pairs, got None"),
+    ({"rows": [[(1, 0)], 5]}, "a token row must be an iterable of (vertex, color) pairs, got 5"),
+    ({"rows": [[(1, 0)], [(2,)]]}, "a token must be a (vertex, color) pair, got (2,)"),
+    ({"rows": [[(1, 0)], ["ab"]]}, "a token must be a (vertex, color) pair, got 'ab'"),
+    ({"rows": [[(1, 0)], [[2, 1]]]}, "a token must be a (vertex, color) pair, got [2, 1]"),
+    ({"rows": [[(1, 0)], [([2], 1)]]}, "a vertex must be hashable, got [2]"),
 ]
+MALFORMED_IDS = ["contents", "strand", "str-token", "short-token", "list-vertex",
+                 "rows", "None-row", "row", "short-row-token", "str-row-token", "list-row-token", "row-list-vertex"]
 
 
 @pytest.mark.parametrize("coded", [False, True], ids=["symbolic", "codebook"])
-@pytest.mark.parametrize("contents, message", MALFORMED_CONTENTS, ids=["contents", "strand", "str-token", "short-token"])
-def test_a_new_tube_of_malformed_contents_is_a_type_error_and_registers_none_of_its_tokens(coded, contents, message):
+@pytest.mark.parametrize("malformed, message", MALFORMED_CONTENTS, ids=MALFORMED_IDS)
+def test_a_new_tube_of_malformed_contents_is_a_type_error_and_registers_none_of_its_tokens(coded, malformed, message):
     m = TubeMachine(generate_codebook(3, 2, 12, 0) if coded else None)
     kept = m.new_tube("t", [((3, 0),)])
     before = machine_books(m, [kept])
     with pytest.raises(TypeError, match=re.escape(message)):
-        m.new_tube("x", contents)
+        m.new_tube("x", **malformed)
     assert machine_books(m, [kept]) == before
     assert (1, 0) not in m._index
 
@@ -1671,6 +1686,35 @@ def test_a_probe_that_is_not_a_codeword_is_refused_by_name(op, probe, coded):
     assert machine_books(m, [t]) == before
 
 
+# Probes whose sequence is not a str, or whose vertex or color cannot be hashed, each with the
+# machines that refuse it, its error and its message.  Vertex 3 is in no strand of the tube, so append
+# meets no repeated vertex first.  Only a symbolic extract hashes the probe's token; a nucleotide one
+# looks up its sequence.
+WRONG_PARTS = [
+    ("append", Codeword(3, 0, 5), "both", TypeError, "probe sequence must be a str, got 5"),
+    ("extract", Codeword(1, 0, ["A"]), "both", TypeError, "probe sequence must be a str, got ['A']"),
+    ("extract", Codeword(1, 0, 5), "both", TypeError, "probe sequence must be a str, got 5"),
+    ("append", Codeword([3], 0, "A"), "both", TypeError, "a vertex must be hashable, got [3]"),
+    ("append", Codeword(3, [0], "A"), "both", MachineFault, "color [0] of vertex 3 is not an int in [0, 2**64)"),
+    ("extract", Codeword([1], 0, "A"), "symbolic", TypeError, "a vertex must be hashable, got [1]"),
+    ("extract", Codeword(1, [0], "A"), "symbolic", MachineFault, "color [0] of vertex 1 is not an int in [0, 2**64)"),
+]
+
+
+@pytest.mark.parametrize("op, probe, coded, error, message", [
+    pytest.param(op, probe, coded, error, message, id=f"{op}-{i}-{'codebook' if coded else 'symbolic'}")
+    for i, (op, probe, machines, error, message) in enumerate(WRONG_PARTS)
+    for coded in ((False, True) if machines == "both" else (False,))
+])
+def test_a_probe_part_of_the_wrong_kind_is_refused_by_name(op, probe, coded, error, message):
+    m = TubeMachine(generate_codebook(3, 2, 12, 0) if coded else None)
+    t = m.new_tube("t", [((1, 0),), ((1, 1), (2, 0))])
+    before = machine_books(m, [t])
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        getattr(m, op)(t, probe)
+    assert machine_books(m, [t]) == before
+
+
 def test_merge_refuses_one_tube_given_as_its_sources():
     m = TubeMachine()
     tubes = [m.new_tube("d", [((1, 0),)]), m.new_tube("t", [((1, 1),)])]
@@ -1704,6 +1748,7 @@ TWO_CODEWORDS = [TWO_CB.codeword(v, c) for v, c in TWO_TOKENS]
 TWO_PROBES = TWO_CODEWORDS + [Codeword(1, 0, ""), Codeword(1, 0, _junction)]
 foreign_st = st.sampled_from([False, False, False, True])  # whether to ask the machine that does not own the tube
 junk_st = st.sampled_from([()] * 20 + [(x,) for x in NOT_TUBES])  # mostly none, else one operand that is no tube
+WRONG_PROBES = [probe for _, probe, *_ in WRONG_PARTS]
 
 
 class TwoMachines(RuleBasedStateMachine):
@@ -1713,8 +1758,9 @@ class TwoMachines(RuleBasedStateMachine):
     owns its tube, or with `foreign` the other one; merge's foreign tube is
     dest or a source.  With `junk` a value that is no tube takes the tube's
     place (merge's dest or one of its sources), append and extract draw
-    probes that are no Codeword, and merge may be given one tube as its
-    sources; new_tube may draw contents of the wrong kind.  Each step either does what the model says, or raises
+    probes that are no Codeword or whose parts are of the wrong kind, and
+    merge may be given one tube as its sources; new_tube may draw contents
+    or rows of the wrong kind.  Each step either does what the model says, or raises
     the documented error with its message and leaves both machines' books
     and every tube as they were.  No other error passes.
     """
@@ -1740,6 +1786,8 @@ class TwoMachines(RuleBasedStateMachine):
         for probe in probes:
             if not isinstance(probe, Codeword):
                 return TypeError, f"probe must be a Codeword, got {probe!r}"
+            if not isinstance(probe.sequence, str):
+                return TypeError, f"probe sequence must be a str, got {probe.sequence!r}"
         for tube in tubes:
             if tube not in self.strands:
                 return TypeError, f"operand must be a Tube, got {tube!r}"
@@ -1748,6 +1796,15 @@ class TwoMachines(RuleBasedStateMachine):
                 return MachineFault, f"tube {tube.label!r} {why}"
         if len(set(map(id, tubes))) < len(tubes):
             return MachineFault, "merged into itself" if tubes[0] in tubes[1:] else "listed twice"
+        return None
+
+    @staticmethod
+    def _token_refusal(probe):
+        """(the error, its message) for a probe whose token cannot be hashed, or None; the color is checked first."""
+        if isinstance(probe.color, list):
+            return MachineFault, f"color {probe.color!r} of vertex {probe.vertex!r} is not an int"
+        if isinstance(probe.vertex, list):
+            return TypeError, f"a vertex must be hashable, got {probe.vertex!r}"
         return None
 
     def _books(self):
@@ -1765,9 +1822,9 @@ class TwoMachines(RuleBasedStateMachine):
         st.lists(st.sampled_from(TWO_TOKENS), unique_by=lambda tok: tok[0], max_size=3).map(tuple), max_size=4
     ), malformed=st.sampled_from([None] * 12 + MALFORMED_CONTENTS))
     def new_tube(self, m, strands, malformed):
-        if malformed:  # contents of the wrong kind, in place of the drawn strands
-            contents, message = malformed
-            self._refused(lambda: self.machines[m].new_tube("x", contents), TypeError, message)
+        if malformed:  # contents or rows of the wrong kind, in place of the drawn strands
+            kwargs, message = malformed
+            self._refused(lambda: self.machines[m].new_tube("x", **kwargs), TypeError, message)
             return multiple()
         return self._made(m, (self.machines[m].new_tube(f"t{len(self.strands)}", strands), strands))
 
@@ -1779,13 +1836,15 @@ class TwoMachines(RuleBasedStateMachine):
         tube = self.machines[m].new_tube(f"t{len(self.strands)}", rows=rows)
         return self._made(m, (tube, list(itertools.product(*rows))))
 
-    @rule(tube=tubes, foreign=foreign_st, junk=junk_st, probe=st.sampled_from(TWO_CODEWORDS * 2 + ["ACGT", (2, 0), None]))
+    @rule(tube=tubes, foreign=foreign_st, junk=junk_st,
+          probe=st.sampled_from(TWO_CODEWORDS * 2 + ["ACGT", (2, 0), None] + WRONG_PROBES))
     def append(self, tube, foreign, junk, probe):
         m, (operand,) = self.owner[tube] ^ foreign, junk or (tube,)
         call = lambda: self.machines[m].append(operand, probe)
         refusal = self._refusal(m, [operand], [probe])
         if not refusal and any(v == probe.vertex for s in self.strands[tube] for v, _ in s):
             refusal = MachineFault, f"already assigns vertex {probe.vertex}"
+        refusal = refusal or self._token_refusal(probe)
         if refusal:
             return self._refused(call, *refusal)
         assert call() is tube
@@ -1831,11 +1890,15 @@ class TwoMachines(RuleBasedStateMachine):
         for src in sources:
             self.strands[dest], self.strands[src] = self.strands[dest] + self.strands[src], []
 
-    @rule(target=tubes, tube=tubes, foreign=foreign_st, junk=junk_st, probe=st.sampled_from(TWO_PROBES + ["ACGT", None]))
+    @rule(target=tubes, tube=tubes, foreign=foreign_st, junk=junk_st,
+          probe=st.sampled_from(TWO_PROBES + ["ACGT", None] + WRONG_PROBES))
     def extract(self, tube, foreign, junk, probe):
         m, (operand,) = self.owner[tube] ^ foreign, junk or (tube,)
         call = lambda: self.machines[m].extract(operand, probe)
-        if refusal := self._refusal(m, [operand], [probe]):
+        refusal = self._refusal(m, [operand], [probe])
+        if not (refusal or m):  # only a symbolic extract hashes the probe's token
+            refusal = self._token_refusal(probe)
+        if refusal:
             self._refused(call, *refusal)
             return multiple()
         strands, self.strands[tube] = self.strands[tube], []
