@@ -238,7 +238,7 @@ def cmd_solve(args) -> int:
     g, k, cb, order, budget = _read_run(args)
     runs = {}
     if args.mode in ("incremental", "both"):
-        runs["incremental"] = solver.solve_incremental(g, k, cb, args.match, order)
+        runs["incremental"] = solver.solve_incremental(g, k, cb, args.match, order, budget)
     if args.mode in ("monolithic", "both"):
         runs["monolithic"] = solver.solve_monolithic(g, k, cb, args.match, budget)
     if args.trace or args.json:  # the text listing needs no document
@@ -263,7 +263,7 @@ def cmd_compare(args) -> int:
     # Monolithic first: its strand budget refuses an oversized run before any other work.
     mono, mono_trace = solver.solve_monolithic(g, k, cb, args.match, budget)
     oracle_rows = tuple(oracle.enumerate_colorings(g, k))
-    inc, inc_trace = solver.solve_incremental(g, k, cb, args.match, order)
+    inc, inc_trace = solver.solve_incremental(g, k, cb, args.match, order, budget)
     # All three are strictly increasing rows, so equal rows are equal sets.
     rows = {"oracle": oracle_rows, "incremental": inc.ordered, "monolithic": mono.ordered}
     agree = oracle_rows == inc.ordered == mono.ordered

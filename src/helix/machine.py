@@ -44,8 +44,12 @@ runs of one product with no AND.
 
 The live count.  Only new_tube and copy raise the strands in the tubes, so
 only they take the count (TubeMachine._count), the sum of len over every
-tube built or refilled by a merge and not emptied since, and raise
-peak_tube_size to it; discard counts nothing.
+tube built or refilled by a merge and not emptied since, plus the strands
+they are about to add, and raise peak_tube_size to it; discard counts
+nothing.  They take it before any strand is built, so a machine with a
+strand budget refuses (OverBudget) an operation that would put more strands
+in the tubes than the budget: copy before it reads the runs, new_tube(rows=)
+before it builds the mask and new_tube from contents before its frames.
 
 Decoding a product run.  Tube.runs, which append, copy, contents and colors
 read, turns a mask into one frame, in product order, the first time the
@@ -246,6 +250,10 @@ class MachineFault(RuntimeError):
     """An operation that the bench cannot perform: bad append, discarded or foreign tube, etc."""
 
 
+class OverBudget(MachineFault):
+    """An operation that would put more strands in the tubes than the machine's budget."""
+
+
 class OpCounter:
     """How many times the machine has run each operation; snapshot() is a copy that later ticks leave alone."""
 
@@ -359,6 +367,8 @@ class TubeMachine:
     token membership, a codebook tests for its base sequences.  Substring
     search on an unsafe codebook can disagree with token membership, so a
     codebook that fails validation is refused here, before any tube exists.
+    `budget`, an int or None for none, bounds the strands in the tubes at
+    any time, and so peak_tube_size (see "The live count" above).
 
     Refusals.  One guard (_operands) checks every operand an operation
     takes, its kind before its state, before anything moves: TypeError for
@@ -380,6 +390,8 @@ class TubeMachine:
       does;
     - copy raises TypeError for a count that is not an int (a bool is not a
       count) and ValueError for one below 1;
+    - new_tube and copy raise OverBudget, a MachineFault, for strands past
+      the budget;
     - a symbolic extract raises TypeError or MachineFault for a token that
       cannot be hashed, as new_tube does (one of the right kind never seen
       matches no strand);
@@ -387,21 +399,27 @@ class TubeMachine:
     A refused operation changes nothing: no tube, counter, peak or token index.
     """
 
-    def __init__(self, codebook: Codebook | None = None):
+    def __init__(self, codebook: Codebook | None = None, budget: int | None = None):
+        if budget is not None and budget.__class__ is not int:  # a bool is not a budget
+            raise TypeError(f"strand budget must be an int or None, got {_show(budget)}")
         if codebook is not None and not codebook.validation().ok:
             raise SoundnessError("nucleotide matching refused: codebook failed validation")
-        self.codebook = codebook
+        self.codebook, self.budget = codebook, budget
         self.counter = OpCounter()
         self.peak_tube_size = 0
         self._index: dict[Token, int] = {}  # token -> i, its bit frames.place(i) in a field
         self._tubes: set[Tube] = set()  # every tube that may hold strands: each one built, each merge's dest
 
-    def _count(self) -> None:
-        """Raise peak_tube_size to the strands in the tubes, and drop the empty ones from the set."""
+    def _count(self, adding: int) -> int:
+        """The strands in the tubes once `adding` more are in, refused past the budget; the empty tubes leave the set.
+
+        The caller raises peak_tube_size to it once the operation cannot fail.
+        """
         self._tubes = {tube for tube in self._tubes if tube._runs}  # a retired tube has no run
-        live = sum(map(len, self._tubes))
-        if live > self.peak_tube_size:
-            self.peak_tube_size = live
+        live = sum(map(len, self._tubes)) + adding
+        if self.budget is not None and live > self.budget:
+            raise OverBudget(f"{_show(live)} strands would be in the tubes, over the budget of {_show(self.budget)}")
+        return live
 
     def _operands(self, *tubes: Tube, probe: object = ...) -> None:
         """Refuse, before anything moves, an operand of the wrong kind, then a tube in the wrong state.
@@ -493,17 +511,18 @@ class TubeMachine:
         known = len(self._index)
         try:
             if rows is None:
+                live = self._count(len(strands))
                 runs = self._frames(map(_strand, strands))
             else:
                 product = self._product_of(rows)
+                live = self._count(product.size)
                 runs = (_ProductRun(product, (1 << product.size) - 1),) if product.size else ()
         except BaseException:
             while len(self._index) > known:  # newest first
                 self._index.popitem()
             raise
-        tube = Tube(label, self, runs)
-        self._count()
-        return tube
+        self.peak_tube_size = max(self.peak_tube_size, live)
+        return Tube(label, self, runs)
 
     def append(self, tube: Tube, cw: Codeword) -> Tube:
         """Extend every strand in the tube with cw's (vertex, color) token.
@@ -534,10 +553,11 @@ class TubeMachine:
             raise TypeError(f"copy count must be an int, got {_show(count)}")
         if count < 1:
             raise ValueError(f"copy count must be at least 1, got {_show(count)}")
+        live = self._count((count - 1) * len(tube))
         runs = tube.runs
         copies = [Tube(f"{tube.label}#{i}", self, runs) for i in range(1, count + 1)]
         tube._runs = ()
-        self._count()
+        self.peak_tube_size = max(self.peak_tube_size, live)
         self.counter.copy += 1
         return copies
 

@@ -7,7 +7,9 @@ the same color, and merge what is left back together.  Live strand counts
 therefore track the number of proper colorings of the vertex prefix instead of
 k**n.  The monolithic mode materializes all k**n total assignments up front
 and filters per edge and color, which is exactly the blow-up the incremental
-mode exists to avoid; it refuses to run past a configurable strand budget.
+mode exists to avoid.  Both modes are held to a configurable strand budget:
+check_budget refuses up front what must pass it, and the machine refuses
+the operation that would.
 
 Bad-tube policy (fixed, and what the operation counts are stated against):
 each Extract emits a fresh matching tube; per vertex and color those are
@@ -28,7 +30,7 @@ from itertools import repeat
 from . import oracle
 from .codec import BLANK_STRAND, STR_BITS, Codebook, _show, color_name, coloring_from_strand
 from .graphs import Graph
-from .machine import TubeMachine
+from .machine import OverBudget, TubeMachine
 # trace_document is not used here: the bench calls solver.trace_document and wraps it by name.
 from .trace import SolutionSet, SolverError, StepRecord, Trace, resolve_order, trace_document
 
@@ -79,9 +81,9 @@ def check_budget(n: int, k: int, budget: int | None = None, monolithic: bool = F
 
 
 def _check_inputs(
-    g: Graph, k: int, cb: Codebook, match_mode: str, budget: int | None = None
+    g: Graph, k: int, cb: Codebook, match_mode: str, budget: int | None = None, monolithic: bool = False
 ) -> TubeMachine:
-    """What a run needs, cheapest check first, then the run's machine.
+    """What a run needs, cheapest check first, then the run's machine, which holds the run to the budget.
 
     k**n is built only once the codebook covers n vertices.  The machine
     checks last: a nucleotide machine validates its codebook, which indexes
@@ -96,8 +98,8 @@ def _check_inputs(
     if match_mode not in MATCH_MODES:
         raise SolverError(f"unknown match mode {match_mode!r}")
     if budget is not None:
-        check_budget(g.n, k, budget, monolithic=True)
-    return TubeMachine(cb if match_mode == "nucleotide" else None)
+        check_budget(g.n, k, budget, monolithic)
+    return TubeMachine(cb if match_mode == "nucleotide" else None, budget)
 
 
 def _decode_final(tube, n: int) -> list[tuple[int, ...]]:
@@ -118,13 +120,16 @@ def solve_incremental(
     cb: Codebook,
     match_mode: str = "symbolic",
     order=None,
+    budget: int | None = None,
 ) -> tuple[SolutionSet, Trace]:
     """Build the solution space vertex by vertex, pruning as edges close.
 
     Returns the decoded solution set (colorings re-indexed to natural vertex
-    order) and a trace with one StepRecord per vertex.
+    order) and a trace with one StepRecord per vertex.  Under a strand
+    budget, a run whose peak_tube_size would pass it raises BudgetError at
+    the copy that would pass it.
     """
-    machine = _check_inputs(g, k, cb, match_mode)
+    machine = _check_inputs(g, k, cb, match_mode, budget)
     order = resolve_order(g, order)
     adj = g.adjacency()
     position = {v: idx for idx, v in enumerate(order)}
@@ -136,7 +141,10 @@ def solve_incremental(
     steps = []
     for idx, v in enumerate(order):
         t0_before = len(t0)
-        color_tubes = machine.copy(t0, k)
+        try:
+            color_tubes = machine.copy(t0, k)
+        except OverBudget as exc:
+            raise BudgetError(f"the incremental engine at vertex {v}: {exc}") from None
         # The earlier neighbors' codewords, in run order, which fixes how many strands each extract below reads.
         earlier = [words[u] for u in sorted((u for u in adj[v] if position[u] < idx), key=position.__getitem__)]
         after_append, discarded = [], 0
@@ -182,7 +190,7 @@ def solve_monolithic(
     synthetic; the filtering phase runs on the machine and is counted
     normally.
     """
-    machine = _check_inputs(g, k, cb, match_mode, budget)
+    machine = _check_inputs(g, k, cb, match_mode, budget, monolithic=True)
     token_rows = [tuple((v, c) for c in range(k)) for v in range(1, g.n + 1)]
     try:
         tube = machine.new_tube("full", rows=token_rows)

@@ -2,6 +2,7 @@ import contextlib
 import io
 import itertools
 import json
+import os
 import resource
 import subprocess
 import sys
@@ -273,8 +274,8 @@ def test_compare_over_oracle_limit_is_config_error(capsys):
 def test_compare_disagreement_prints_counterexample(capsys, monkeypatch):
     real = helix.solver.solve_incremental
 
-    def lossy(g, k, cb, match_mode="symbolic", order=None):
-        sols, trace = real(g, k, cb, match_mode, order)
+    def lossy(g, k, cb, match_mode="symbolic", order=None, budget=None):
+        sols, trace = real(g, k, cb, match_mode, order, budget)
         dropped = sols.ordered[1:]
         return SolutionSet(dropped, bool(dropped)), trace
 
@@ -440,15 +441,32 @@ def _limit_memory():  # a run that slipped past a refusal dies, not the host
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
 
-def run_limited(*argv, timeout):
-    """`helix argv` in a child under a 1 GiB address-space limit and a timeout."""
+def run_limited(*argv, timeout, env=None):
+    """`helix argv` in a child under a 1 GiB address-space limit and a timeout, with `env` added to the environment."""
     return subprocess.run(
         [sys.executable, "-m", "helix", *argv],
         capture_output=True,
         text=True,
         timeout=timeout,
         preexec_fn=_limit_memory,
+        env=dict(os.environ, **(env or {})),
     )
+
+
+@pytest.mark.parametrize(
+    "argv, env, message",
+    [
+        # edgeless, so every prefix survives: 2^21 strands at the 21st copy
+        (("random:1414,0.0,1", "2"), None, "vertex 21: 2097152 strands would be in the tubes, over the budget of 2000000"),
+        (("random:30,0.1,7", "5", "--json"), None, "vertex 10: 3200000 strands would be in the tubes, over the budget of 2000000"),
+        (("random:8,0.0,1", "2"), {"HELIX_BUDGET": "100"}, "vertex 7: 128 strands would be in the tubes, over the budget of 100"),
+    ],
+)
+def test_an_incremental_run_is_refused_at_the_copy_that_would_pass_the_budget(argv, env, message):
+    graph, colors, *rest = argv
+    proc = run_limited("solve", "--graph", graph, "--colors", colors, *rest, timeout=60, env=env)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == f"config error: the incremental engine at {message}\n"
 
 
 def test_random_graph_past_the_pair_cap_is_refused_at_once():

@@ -218,6 +218,26 @@ def test_peak_tracks_live_total_across_all_tubes():
     assert m.peak_tube_size == 6
 
 
+def test_a_budget_refuses_new_tube_and_copy_before_a_strand_is_built():
+    """Each refusal names the strands that would be in the tubes, and changes nothing."""
+    m = TubeMachine(budget=6)
+    t = m.new_tube("t", [((1, 0),), ((1, 1),)])
+    before = (m.counter.snapshot(), m.peak_tube_size, dict(m._index), t._runs)
+    refusals = [
+        (lambda: m.copy(t, 4), "8 strands would be in the tubes, over the budget of 6"),
+        (lambda: m.new_tube("u", rows=[((2, 0), (2, 1)), ((3, 0), (3, 1), (3, 2))]), "8 strands"),
+        (lambda: m.new_tube("u", [((4, 0),)] * 5), "7 strands"),
+    ]
+    for op, message in refusals:
+        with pytest.raises(helix.machine.OverBudget, match=message):
+            op()
+        assert (m.counter.snapshot(), m.peak_tube_size, dict(m._index), t._runs) == before
+    assert issubclass(helix.machine.OverBudget, MachineFault)
+    assert sum(map(len, m.copy(t, 3))) == m.peak_tube_size == 6  # the budget itself is reached
+    with pytest.raises(TypeError, match="strand budget must be an int or None, got True"):
+        TubeMachine(budget=True)
+
+
 def test_op_counter_dict_shape():
     c = OpCounter()
     assert list(c.as_dict()) == ["append", "copy", "merge", "extract", "detect", "discard"]

@@ -660,6 +660,22 @@ def drawn_runs(draw):
     return g, draw(st.integers(1, 4)), order, draw(st.integers(0, 2**16)), draw(st.sampled_from(solver.MATCH_MODES))
 
 
+@settings(max_examples=60, deadline=None)
+@given(drawn_runs())
+def test_a_run_is_held_to_a_budget_of_its_peak_and_refused_one_under_on_both_engines(run):
+    g, k, order, seed, match_mode = run
+    cb = generate_codebook(g.n, k, 20, seed)
+    engines = {
+        "incremental": lambda budget: solve_incremental(g, k, cb, match_mode, order, budget),
+        "monolithic": lambda budget: solve_monolithic(g, k, cb, match_mode, budget),
+    }
+    for mode, solve in engines.items():
+        free = solve(None)
+        assert solve(free[1].peak_tube_size) == free, mode
+        with pytest.raises(BudgetError, match=f"over the budget of {free[1].peak_tube_size - 1}$"):
+            solve(free[1].peak_tube_size - 1)
+
+
 @settings(max_examples=200, deadline=None)
 @given(drawn_runs())
 def test_both_engines_agree_with_the_oracle_on_drawn_instances(run):
