@@ -4,6 +4,10 @@ The package models a bench of strand multisets with six operations (append,
 copy, merge, extract, detect, discard), an incremental coloring run that
 prunes infeasible strands vertex by vertex, a monolithic full-space baseline,
 and an independent backtracking oracle to arbitrate between them.
+
+The package exports read_trace_document from helix.reader through the
+module __getattr__ below, so the reader is compiled on first use, not by
+every process that imports the engines.
 """
 
 from .codec import (
@@ -56,7 +60,6 @@ from .trace import (
     SolverError,
     StepRecord,
     Trace,
-    read_trace_document,
     trace_document,
 )
 
@@ -110,3 +113,11 @@ __all__ = [
     "trace_document",
     "validate_codebook",
 ]
+
+
+def __getattr__(name: str):
+    if name == "read_trace_document":
+        from .reader import read_trace_document
+
+        return read_trace_document
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

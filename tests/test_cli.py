@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import helix.oracle
 import helix.solver
-from helix import Graph, OpCounter, SolutionSet, Trace, cli, codebook_to_json, generate_codebook, read_trace_document
+from helix import Graph, OpCounter, SolutionSet, Trace, cli, codebook_to_json, commands, generate_codebook, read_trace_document
 from helix.cli import MAX_RANDOM_PAIRS, ConfigError, main, parse_graph_spec, random_graph
 from helix.codec import MAX_GENERATED_INDEX_BYTES
 
@@ -82,7 +82,7 @@ def test_text_solve_builds_and_encodes_no_document(capsys, monkeypatch):
         raise AssertionError("the text listing built a trace document")
 
     monkeypatch.setattr(helix.solver, "trace_document", must_not_run)
-    monkeypatch.setattr(cli.json, "dumps", must_not_run)
+    monkeypatch.setattr(commands.json, "dumps", must_not_run)
     assert run_cli("solve", "--graph", "builtin:c5", "--colors", "3", "--mode", "both") == 0
     assert "colorable: true; 30 solutions" in capsys.readouterr().out
 
@@ -95,7 +95,7 @@ def test_solve_text_lists_the_first_solutions_in_json_order(capsys):
     out = capsys.readouterr().out.splitlines()
     listed = out[out.index("colorable: true; 120 solutions") + 1:]
     assert listed[-1] == "  ... and 100 more"
-    assert listed[:-1] == ["  " + cli._coloring_text(c) for c in solutions[:20]]
+    assert listed[:-1] == ["  " + commands._coloring_text(c) for c in solutions[:20]]
 
 
 def test_solve_json_output(capsys):
@@ -175,15 +175,15 @@ def test_solve_reports_a_reduction_past_the_float_range(tmp_path, capsys):
 def test_run_summary_names_k_to_the_n_past_the_int_string_limit(capsys):
     g = Graph.from_edges(9100, [])  # 3^9100 has 4342 decimal digits
     trace = Trace((), OpCounter(), 3)
-    cli._print_run(g, 3, "incremental", SolutionSet((), True), trace)
+    commands._print_run(g, 3, "incremental", SolutionSet((), True), trace)
     assert "peak tube size 3 of k^n = 3^9100 (" in capsys.readouterr().out
 
 
 def test_run_summary_writes_k_to_the_n_in_digits_up_to_14000_bits(capsys):
     trace = Trace((), OpCounter(), 2)
-    cli._print_run(Graph(13999, frozenset()), 2, "incremental", SolutionSet((), True), trace)
+    commands._print_run(Graph(13999, frozenset()), 2, "incremental", SolutionSet((), True), trace)
     assert f"peak tube size 2 of k^n = {2**13999} (" in capsys.readouterr().out
-    cli._print_run(Graph(14000, frozenset()), 2, "incremental", SolutionSet((), True), trace)
+    commands._print_run(Graph(14000, frozenset()), 2, "incremental", SolutionSet((), True), trace)
     assert "peak tube size 2 of k^n = 2^14000 (" in capsys.readouterr().out
 
 

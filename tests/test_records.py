@@ -182,15 +182,35 @@ def test_importing_helix_and_its_cli_loads_only_what_a_solve_needs():
     assert loaded & {"dataclasses", "inspect", "argparse", "importlib.resources"} == set()
 
 
-def test_the_trace_module_imports_no_engine():
-    """helix.trace takes only OpCounter and the message namer from the package, so the engines can take their records from it."""
-    tree = ast.parse(Path(helix.trace.__file__).read_text(encoding="utf-8"))
-    package = [
-        (node.module, [alias.name for alias in node.names])
-        for node in ast.walk(tree)
-        if isinstance(node, ast.ImportFrom) and node.level
-    ]
-    assert package == [("codec", ["_show"]), ("machine", ["OpCounter"])]
+def test_the_trace_module_and_its_reader_import_no_engine():
+    """helix.trace takes only OpCounter from the package, so the engines can take their records from it; the reader adds the message namer."""
+    for module, want in (("trace", ["machine"]), ("reader", ["codec", "machine", "trace"])):
+        tree = ast.parse((Path(helix.__file__).parent / f"{module}.py").read_text(encoding="utf-8"))
+        package = [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level]
+        assert package == want, module
+
+
+def test_a_solve_compiles_neither_the_command_layer_nor_the_trace_reader():
+    """In a fresh interpreter, the modules the bench imports define neither; both still load on first use."""
+    child = """
+import sys, helix
+from helix import cli, oracle, solver
+loaded = [m for name, m in sys.modules.items() if name.startswith("helix")]
+assert not [m.__name__ for m in loaded if hasattr(m, "build_parser") or "read_trace_document" in vars(m)], loaded
+assert helix.read_trace_document.__module__ == "helix.reader"
+namespace = {}
+exec("from helix import *", namespace)
+assert set(helix.__all__) <= namespace.keys()
+try:
+    cli.main(["--help"])
+except SystemExit as exc:
+    assert exc.code == 0
+assert "helix.commands" in sys.modules
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(helix.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: helix")
 
 
 def test_no_helix_module_imports_dataclasses():
