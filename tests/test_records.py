@@ -182,7 +182,7 @@ def test_importing_helix_and_its_cli_loads_only_what_a_solve_needs():
     assert loaded & {"dataclasses", "inspect", "argparse", "importlib.resources"} == set()
 
 
-def test_the_trace_module_and_its_reader_import_no_engine():
+def test_the_trace_module_imports_no_engine():
     """helix.trace takes only OpCounter from the package, so the engines can take their records from it; the reader adds the message namer."""
     for module, want in (("trace", ["machine"]), ("reader", ["codec", "machine", "trace"])):
         tree = ast.parse((Path(helix.__file__).parent / f"{module}.py").read_text(encoding="utf-8"))
